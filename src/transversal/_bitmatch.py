@@ -84,19 +84,37 @@ def _hopcroft_karp(row_masks, match_row, match_col):
                     queue.append(holder)
         return dist, reachable_free
 
-    def advance(r, dist):
-        mask = row_masks[r]
-        while mask:
+    def advance(root, dist):
+        # Depth-first search along the layers with an explicit stack:
+        # rows[k] reaches rows[k + 1] through column cols[k], and masks[k]
+        # holds the columns rows[k] has yet to try.
+        rows = [root]
+        cols = []
+        masks = [row_masks[root]]
+        while rows:
+            r = rows[-1]
+            mask = masks[-1]
+            if not mask:
+                dist[r] = infinity
+                rows.pop()
+                masks.pop()
+                if cols:
+                    cols.pop()
+                continue
             low = mask & -mask
-            mask ^= low
+            masks[-1] = mask ^ low
             c = low.bit_length() - 1
             holder = match_col[c]
-            if holder == UNMATCHED or (dist[holder] == dist[r] + 1 and advance(holder, dist)):
-                match_row[r] = c
-                match_col[c] = r
-                return True
-        dist[r] = infinity
-        return False
+            if holder == UNMATCHED:
+                cols.append(c)
+                for r2, c2 in zip(rows, cols):
+                    match_row[r2] = c2
+                    match_col[c2] = r2
+                return
+            if dist[holder] == dist[r] + 1:
+                cols.append(c)
+                rows.append(holder)
+                masks.append(row_masks[holder])
 
     while True:
         dist, reachable_free = layer()

@@ -454,7 +454,7 @@ def _cmd_rado(args):
         if oracle.rank_of(union) >= len(indices):
             return _checked(False, "union rank is not below the index count")
         return _checked(True, None)
-    result = matroids.rado_check(family, oracle, strategy=args.strategy)
+    result = matroids.rado_check(family, oracle)
     if isinstance(result, matroids.Sir):
         return "found", {"reps": list(result.reps)}, "independent representatives found"
     payload = {
@@ -527,8 +527,6 @@ def _build_parser():
     def add(name, handler, *, ceiling=False, verify=True):
         p = sub.add_parser(name)
         p.set_defaults(handler=handler)
-        p.add_argument("--format", choices=("json",), default="json",
-                       help="output format (json only)")
         if ceiling:
             p.add_argument("--ceiling", type=int, default=None,
                            help="override the desk-scale size limit")
@@ -568,8 +566,6 @@ def _build_parser():
     p = add("rado", _cmd_rado)
     p.add_argument("family")
     p.add_argument("matroid")
-    p.add_argument("--strategy", choices=("auto", "augmenting", "exhaustive"),
-                   default="auto")
     p = add("cosets", _cmd_cosets)
     p.add_argument("group")
     p.add_argument("--generators", required=True,

@@ -15,10 +15,6 @@ from . import _bitmatch, core
 from .errors import ResourceLimitError, ValidationError
 
 VALIDATE_CEILING = 10
-VIOLATOR_CEILING = 20
-EXHAUSTIVE_CEILING = 12
-# "auto" runs plain backtracking when n * |ground| is at most this.
-AUTO_EXHAUSTIVE_BOUND = 24
 
 
 class MatroidOracle:
@@ -207,40 +203,37 @@ def linear_matroid(columns, modulus: int) -> MatroidOracle:
     return MatroidOracle(tuple(vecs), indep, kind="linear")
 
 
+# Kind name -> (constructor, parameter names in argument order).  The names
+# are the fields of the matroid file format.
+_KINDS = {
+    "free": (free_matroid, ("ground",)),
+    "uniform": (uniform_matroid, ("ground", "rank")),
+    "partition": (partition_matroid, ("blocks", "caps")),
+    "graphic": (graphic_matroid, ("graph",)),
+    "linear": (linear_matroid, ("columns", "modulus")),
+}
+
+
 def make_matroid(kind: str, **params) -> MatroidOracle:
-    """Dispatch to a built-in matroid constructor by kind name."""
-    if kind == "free":
-        return free_matroid(params["ground"])
-    if kind == "uniform":
-        return uniform_matroid(params["ground"], params["rank"])
-    if kind == "partition":
-        return partition_matroid(params["blocks"], params["caps"])
-    if kind == "graphic":
-        return graphic_matroid(params["edges"])
-    if kind == "linear":
-        return linear_matroid(params["columns"], params["modulus"])
-    raise ValidationError(f"unknown matroid kind {kind!r}", field="kind")
+    """Dispatch to a built-in matroid constructor by kind name.
+
+    ``params`` are named as in the matroid file format; a missing one is
+    reported as a ``ValidationError`` with that name as its field.
+    """
+    entry = _KINDS.get(kind) if isinstance(kind, str) else None
+    if entry is None:
+        raise ValidationError(f"unknown matroid kind {kind!r}", field="kind")
+    build, names = entry
+    for name in names:
+        if name not in params:
+            raise ValidationError(f"matroid kind {kind!r} needs {name!r}", field=name)
+    return build(*(params[name] for name in names))
 
 
 def matroid_from_json(obj: dict) -> MatroidOracle:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValidationError("matroid file needs 'kind'", field="kind")
-    kind = obj["kind"]
-    try:
-        if kind in ("free",):
-            return free_matroid(obj["ground"])
-        if kind == "uniform":
-            return uniform_matroid(obj["ground"], obj["rank"])
-        if kind == "partition":
-            return partition_matroid(obj["blocks"], obj["caps"])
-        if kind == "graphic":
-            return graphic_matroid({k: tuple(v) for k, v in obj["graph"].items()})
-        if kind == "linear":
-            return linear_matroid(obj["columns"], obj["modulus"])
-    except KeyError as exc:
-        raise ValidationError(f"matroid file is missing {exc.args[0]!r}",
-                              field=str(exc.args[0])) from exc
-    raise ValidationError(f"unknown matroid kind {kind!r}", field="kind")
+    return make_matroid(**obj)
 
 
 # ---------------------------------------------------------------------------
@@ -311,65 +304,32 @@ class RadoViolator:
             raise ValidationError("violator rank is not below its index count")
 
 
-def rado_check(family: core.SetFamily, m: MatroidOracle, *, strategy: str = "auto"):
+def rado_check(family: core.SetFamily, m: MatroidOracle):
     """Find a system of independent representatives or a rank violator.
 
-    ``strategy`` is "augmenting" (matroid-intersection exchange search),
-    "exhaustive" (plain backtracking, small instances only), or "auto",
-    which backtracks below a small size product and augments above it.
+    One polynomial path: a matroid-intersection exchange search grows the
+    representatives, and when it stops short the elements its last search
+    reached give a tight rank cut (Edmonds' min-max theorem), from which the
+    violator is read off.  There is no size ceiling on either certificate,
+    and the violator is not necessarily a smallest one.
     """
     stray = set(family.ground) - set(m.ground)
     if stray:
         raise ValidationError("family ground is not contained in the matroid ground")
-    n = family.n
-    if strategy == "auto":
-        strategy = (
-            "exhaustive"
-            if n * max(1, len(m.ground)) <= AUTO_EXHAUSTIVE_BOUND
-            else "augmenting"
-        )
-    if strategy == "exhaustive":
-        if n > EXHAUSTIVE_CEILING:
-            raise ResourceLimitError(
-                f"{n} sets is above the exhaustive-search ceiling {EXHAUSTIVE_CEILING}"
-            )
-        reps = _sir_exhaustive(family, m)
-    elif strategy == "augmenting":
-        reps = _sir_augmenting(family, m)
-    else:
-        raise ValidationError(f"unknown strategy {strategy!r}")
+    reached: dict = {}
+    reps = _sir_augmenting(family, m, reached)
     if reps is not None:
         return Sir(reps)
-    return _find_violator(family, m)
+    return _violator_from_cut(family, m, reached)
 
 
-def _sir_exhaustive(family, m):
-    n = family.n
-    chosen: list = []
-    chosen_set: set = set()
-
-    def descend(i):
-        if i == n:
-            return True
-        for x in family.sets[i]:
-            if x in chosen_set:
-                continue
-            if not m._indep(frozenset(chosen_set | {x})):
-                continue
-            chosen.append(x)
-            chosen_set.add(x)
-            if descend(i + 1):
-                return True
-            chosen.pop()
-            chosen_set.discard(x)
-        return False
-
-    return tuple(chosen) if descend(0) else None
-
-
-def _sir_augmenting(family, m):
+def _sir_augmenting(family, m, reached):
     """Maximum common independent set of the matroid and the family's
-    transversal structure, grown one exchange path at a time."""
+    transversal structure, grown one exchange path at a time.
+
+    Returns the representatives, or None; then ``reached`` holds every
+    element the last, failed, exchange-path search reached.
+    """
     n = family.n
     if n == 0:
         return ()
@@ -387,7 +347,8 @@ def _sir_augmenting(family, m):
 
     current: list = []
     while len(current) < n:
-        path = _exchange_path(current, candidates, m, transversal_ok)
+        reached.clear()
+        path = _exchange_path(current, candidates, m, transversal_ok, reached)
         if path is None:
             break
         chosen = set(current)
@@ -400,19 +361,19 @@ def _sir_augmenting(family, m):
     return tuple(current[match_col[i]] for i in range(n))
 
 
-def _exchange_path(current, candidates, m, transversal_ok):
+def _exchange_path(current, candidates, m, transversal_ok, parent):
     """Shortest augmenting path in the exchange graph, or None.
 
     Arcs leave an in-set element x for any outside y with I - x + y
     independent in the matroid, and leave an outside y for any in-set x
     with I - x + y matchable; sources are matroid-addable outsiders, sinks
-    the matchable ones.
+    the matchable ones.  ``parent``, empty on entry, maps every element the
+    search reaches to its predecessor (None for a source).
     """
     inside = set(current)
     iset = frozenset(inside)
     outside = [y for y in candidates if y not in inside]
     sinks = {y for y in outside if transversal_ok(list(iset) + [y])}
-    parent = {}
     queue = deque()
     for y in outside:
         if m._indep(iset | {y}):
@@ -451,26 +412,27 @@ def _walk_back(parent, end):
     return path
 
 
-def _find_violator(family, m):
-    plain = core.hall_check(family)
-    if isinstance(plain, core.HallViolator):
-        return RadoViolator(
-            indices=plain.indices,
-            union=plain.union,
-            rank=m.rank_of(plain.union),
-        )
-    n = family.n
-    if n > VIOLATOR_CEILING:
-        raise ResourceLimitError(
-            f"violator extraction enumerates subsets; {n} sets is above {VIOLATOR_CEILING}"
-        )
-    for k in range(1, n + 1):
-        for group in combinations(range(n), k):
-            union = family.union_of(group)
-            r = m.rank_of(union)
-            if r < k:
-                return RadoViolator(indices=tuple(group), union=union, rank=r)
-    raise AssertionError("search found no representatives yet no violator exists")
+def _violator_from_cut(family, m, reached):
+    """The violator read off the reached set R of a failed exchange search.
+
+    With S the elements of the n sets, I the representatives found and r_T
+    the transversal rank, r(S - R) + r_T(R) = |I| < n.  Cut every set down
+    to R and let K be the sets alternating-reachable from the unmatched
+    ones in a maximum matching; by Konig r_T(R) = n - |K| + |A(K) & R|,
+    with A(K) the union of the sets in K.  So
+    r(A(K)) <= r(S - R) + |A(K) & R| = |I| - n + |K| < |K|.
+    """
+    keep = 0
+    for pos, x in enumerate(family.ground):
+        if x in reached:
+            keep |= 1 << pos
+    masks = [family.mask(i) & keep for i in range(family.n)]
+    match_row, match_col = _bitmatch.max_matching(masks, len(family.ground))
+    free = [i for i, c in enumerate(match_row) if c == _bitmatch.UNMATCHED]
+    rows, _ = _bitmatch.alternating_reachable(masks, match_row, match_col, free)
+    indices = tuple(sorted(rows))
+    union = family.union_of(indices)
+    return RadoViolator(indices=indices, union=union, rank=m.rank_of(union))
 
 
 def validate_sir(family: core.SetFamily, m: MatroidOracle, reps) -> tuple[bool, str | None]:

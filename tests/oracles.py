@@ -26,6 +26,23 @@ def brute_sdr_exists(sets) -> bool:
     return descend(0, frozenset())
 
 
+def brute_sir_exists(sets, oracle) -> bool:
+    """Backtracking over raw element choices, each checked by the matroid's
+    independence oracle; no exchange graph."""
+
+    def descend(i, used):
+        if i == len(sets):
+            return True
+        for x in sets[i]:
+            if x in used or not oracle.independent(used | {x}):
+                continue
+            if descend(i + 1, used | {x}):
+                return True
+        return False
+
+    return descend(0, frozenset())
+
+
 def brute_all_sdrs(sets):
     """Every SDR tuple, by exhaustive enumeration."""
     sets = [list(s) for s in sets]

@@ -18,6 +18,7 @@ from oracles import (
     brute_min_cover_bipartite,
     brute_permanent,
     brute_sdr_exists,
+    brute_sir_exists,
     connected_without,
     count_latin_squares_by_rows,
     edges_of_mask,
@@ -397,20 +398,6 @@ def test_youden_constructions():
 # 14. -----------------------------------------------------------------------
 
 
-def _brute_sir_exists(sets, oracle):
-    def descend(i, used):
-        if i == len(sets):
-            return True
-        for x in sets[i]:
-            if x in used or not oracle.independent(used | {x}):
-                continue
-            if descend(i + 1, used | {x}):
-                return True
-        return False
-
-    return descend(0, frozenset())
-
-
 def test_rado_equivalence():
     """Free-matroid verdicts equal the plain Hall check on the exhaustive
     family set; for uniform, partition, graphic, and linear matroids on six
@@ -420,7 +407,7 @@ def test_rado_equivalence():
     free = matroids.free_matroid(GROUND4)
     for sets in iter_families4():
         family = core.SetFamily(GROUND4, sets)
-        result = matroids.rado_check(family, free, strategy="augmenting")
+        result = matroids.rado_check(family, free)
         assert isinstance(result, matroids.Sir) == isinstance(
             core.hall_check(family), core.Sdr
         )
@@ -464,8 +451,8 @@ def test_rado_equivalence():
             )
         for sets in cases:
             family = core.SetFamily(ground, sets)
-            result = matroids.rado_check(family, oracle, strategy="augmenting")
-            expected = _brute_sir_exists(family.sets, oracle)
+            result = matroids.rado_check(family, oracle)
+            expected = brute_sir_exists(family.sets, oracle)
             assert isinstance(result, matroids.Sir) == expected, (kind, sets)
             if expected:
                 assert matroids.validate_sir(family, oracle, result.reps) == (True, None)

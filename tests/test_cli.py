@@ -1,8 +1,9 @@
 import json
+import random
 
 import pytest
 
-from transversal import cli
+from transversal import cli, core, matroids
 
 
 def run(capsys, *argv):
@@ -288,6 +289,39 @@ class TestLatinCommands:
         assert run(capsys, "youden", path, "--verify", cert)[0] == 0
 
 
+def graphic_30():
+    """A 30-set family over the 117 edges of a connected 30-vertex graph.
+
+    Every set holds a planted edge of its own, so a plain SDR exists, but
+    the 30 sets span rank at most 29 in the graphic matroid.  Seeded, so
+    the instance is the same on every run.
+    """
+    rng = random.Random("graphic-30")
+    n_vertices, n_edges, n_sets, set_size = 30, 117, 30, 4
+    vertices = [f"u{i}" for i in range(n_vertices)]
+    pairs = set()
+    order = list(range(n_vertices))
+    rng.shuffle(order)
+    for k in range(1, n_vertices):
+        u, v = order[k], order[rng.randrange(k)]
+        pairs.add((min(u, v), max(u, v)))
+    while len(pairs) < n_edges:
+        u, v = rng.sample(range(n_vertices), 2)
+        pairs.add((min(u, v), max(u, v)))
+    pairs = sorted(pairs)
+    rng.shuffle(pairs)
+    edge_ids = [f"e{k}" for k in range(len(pairs))]
+    graph = {eid: [vertices[u], vertices[v]] for eid, (u, v) in zip(edge_ids, pairs)}
+    planted = rng.sample(edge_ids, n_sets)
+    sets = []
+    for i in range(n_sets):
+        members = {planted[i]}
+        while len(members) < set_size:
+            members.add(rng.choice(edge_ids))
+        sets.append(sorted(members))
+    return {"ground": edge_ids, "sets": sets}, {"kind": "graphic", "graph": graph}
+
+
 class TestRadoCommand:
     def test_sir_found(self, capsys, tmp_path, fam3):
         matroid = write(tmp_path, "mat.json", {"kind": "free", "ground": ["1", "2", "3"]})
@@ -307,8 +341,24 @@ class TestRadoCommand:
             "mat.json",
             {"kind": "graphic", "graph": {"e1": ["u", "v"], "e2": ["v", "w"], "e3": ["w", "u"]}},
         )
-        code, env, _ = run(capsys, "rado", fam, matroid, "--strategy", "augmenting")
+        code, env, _ = run(capsys, "rado", fam, matroid)
         assert code == 1 and env["payload"]["rank"] == 2
+        cert = write(tmp_path, "cert.json", env["payload"])
+        assert run(capsys, "rado", fam, matroid, "--verify", cert)[0] == 0
+
+    def test_graphic_30_violator(self, capsys, tmp_path):
+        family_obj, matroid_obj = graphic_30()
+        family = core.SetFamily.from_json(family_obj)
+        m = matroids.matroid_from_json(matroid_obj)
+        result = matroids.rado_check(family, m)
+        assert isinstance(result, matroids.RadoViolator)
+        assert m.rank_of(result.union) == result.rank < len(result.indices)
+        assert set(family.union_of(result.indices)) == set(result.union)
+        fam = write(tmp_path, "f.json", family_obj)
+        matroid = write(tmp_path, "mat.json", matroid_obj)
+        code, env, _ = run(capsys, "rado", fam, matroid)
+        assert code == 1
+        assert env["payload"]["indices"] == list(result.indices)
         cert = write(tmp_path, "cert.json", env["payload"])
         assert run(capsys, "rado", fam, matroid, "--verify", cert)[0] == 0
 

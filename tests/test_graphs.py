@@ -68,6 +68,18 @@ class TestMatching:
             assert len(plain) == len(fast)
             assert graphs.validate_matching(g, fast) == (True, None)
 
+    def test_hopcroft_karp_long_chain(self):
+        # Row i meets columns i and i + 1 and a last row meets column 0
+        # only, so the final augmenting path runs the whole chain.
+        n = 1500
+        a = list(range(n + 1))
+        b = [f"b{j}" for j in range(n + 1)]
+        edges = [(i, b[j]) for i in range(n) for j in (i, i + 1)] + [(n, b[0])]
+        g = graphs.BipartiteGraph(a, b, edges)
+        fast = graphs.max_matching(g, hopcroft_karp=True)
+        assert len(fast) == len(graphs.max_matching(g)) == n + 1
+        assert graphs.validate_matching(g, fast) == (True, None)
+
 
 class TestKonig:
     def test_star(self):

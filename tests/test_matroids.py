@@ -3,29 +3,13 @@ from itertools import combinations
 
 import pytest
 
-from oracles import all_families, brute_sdr_exists
+from oracles import all_families, brute_sdr_exists, brute_sir_exists
 from transversal import core, matroids
 from transversal.errors import ResourceLimitError, ValidationError
 
 
 def triangle():
     return matroids.graphic_matroid({"e1": ("u", "v"), "e2": ("v", "w"), "e3": ("w", "u")})
-
-
-def brute_sir_exists(sets, oracle) -> bool:
-    def descend(i, used):
-        if i == len(sets):
-            return True
-        for x in sets[i]:
-            if x in used:
-                continue
-            if not oracle.independent(used | {x}):
-                continue
-            if descend(i + 1, used | {x}):
-                return True
-        return False
-
-    return descend(0, frozenset())
 
 
 class TestBuilders:
@@ -70,6 +54,14 @@ class TestBuilders:
         assert m.kind == "uniform"
         with pytest.raises(ValidationError):
             matroids.make_matroid("mystery")
+        m = matroids.make_matroid("graphic", graph={"e1": ["u", "v"]})
+        assert m.kind == "graphic"
+        with pytest.raises(ValidationError) as err:
+            matroids.make_matroid("uniform", ground="ab")
+        assert err.value.field == "rank"
+        with pytest.raises(ValidationError) as err:
+            matroids.matroid_from_json({"kind": "graphic"})
+        assert err.value.field == "graph"
 
 
 class TestRank:
@@ -159,7 +151,7 @@ class TestRadoCheck:
 
     def test_triangle_three_copies(self):
         fam = core.SetFamily(["e1", "e2", "e3"], [["e1", "e2", "e3"]] * 3)
-        result = matroids.rado_check(fam, triangle(), strategy="augmenting")
+        result = matroids.rado_check(fam, triangle())
         assert isinstance(result, matroids.RadoViolator)
         assert result.indices == (0, 1, 2)
         assert result.rank == 2
@@ -167,7 +159,7 @@ class TestRadoCheck:
 
     def test_triangle_two_copies(self):
         fam = core.SetFamily(["e1", "e2", "e3"], [["e1", "e2", "e3"]] * 2)
-        result = matroids.rado_check(fam, triangle(), strategy="augmenting")
+        result = matroids.rado_check(fam, triangle())
         assert isinstance(result, matroids.Sir)
         assert matroids.validate_sir(fam, triangle(), result.reps) == (True, None)
 
@@ -197,9 +189,7 @@ class TestRadoCheck:
                     rng.sample(ground, rng.randint(1, len(ground))) for _ in range(n)
                 ]
                 fam = core.SetFamily(ground, sets)
-                fast = matroids.rado_check(fam, m, strategy="augmenting")
-                slow = matroids.rado_check(fam, m, strategy="exhaustive")
-                assert isinstance(fast, matroids.Sir) == isinstance(slow, matroids.Sir)
+                fast = matroids.rado_check(fam, m)
                 assert isinstance(fast, matroids.Sir) == brute_sir_exists(fam.sets, m)
                 if isinstance(fast, matroids.Sir):
                     assert matroids.validate_sir(fam, m, fast.reps) == (True, None)
@@ -215,5 +205,5 @@ class TestRadoCheck:
         for n in range(4):
             for sets in all_families(n, ground):
                 fam = core.SetFamily(ground, sets)
-                result = matroids.rado_check(fam, free, strategy="augmenting")
+                result = matroids.rado_check(fam, free)
                 assert isinstance(result, matroids.Sir) == brute_sdr_exists(sets)
