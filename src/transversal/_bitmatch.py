@@ -30,13 +30,19 @@ def max_matching(row_masks, n_cols, hopcroft_karp=False):
     return match_row, match_col
 
 
-def _augment_bfs(row_masks, match_row, match_col, start):
-    """Grow the matching by one alternating path out of free row `start`."""
+def _augment_bfs(row_masks, match_row, match_col, start, allowed=None):
+    """Grow the matching by one alternating path out of free row `start`.
+
+    If `allowed` is given, only the columns set in it are entered.  On
+    failure the matching is left unchanged.
+    """
     parent = {}
     queue = deque([start])
     while queue:
         r = queue.popleft()
         mask = row_masks[r]
+        if allowed is not None:
+            mask &= allowed
         while mask:
             low = mask & -mask
             mask ^= low
@@ -153,33 +159,45 @@ def alternating_reachable(row_masks, match_row, match_col, sources):
 
 
 def lex_least_assignment(row_masks, n_cols):
-    """Lexicographically least perfect row-to-column assignment, or None.
+    """Lexicographically least injective row-to-column assignment, or None.
 
-    Greedy per row in ascending order: the smallest column is kept whenever
-    the remaining rows can still all be matched.
+    One maximum matching is found first; if it leaves a row unmatched there
+    is no assignment.  Rows are then fixed in ascending order, each to the
+    smallest column the later rows can still be matched around.  Rows before
+    i hold their fixed columns; row i tries its unused columns c in
+    ascending order.  A free c, or row i's own column, is taken at once; an
+    occupied c is taken when the holder of c finds an alternating path,
+    avoiding the fixed columns and c, to a free column or to the column row
+    i gives up.  The matching stays perfect on the rows throughout, so each
+    probe costs at most one breadth-first search and no re-matching.  The
+    answer is unique, so it does not depend on the first matching found.
     """
     n_rows = len(row_masks)
-    match_row, _ = max_matching(row_masks, n_cols)
-    if any(c == UNMATCHED for c in match_row):
+    match_row, match_col = max_matching(row_masks, n_cols)
+    if UNMATCHED in match_row:
         return None
-    chosen = []
     used = 0
     for i in range(n_rows):
+        # Row i lets go of its column while it probes, so that column counts
+        # as free; it is among the candidates, so the loop ends at a break.
+        match_col[match_row[i]] = UNMATCHED
         mask = row_masks[i] & ~used
         while mask:
             low = mask & -mask
-            c = low.bit_length() - 1
-            blocked = used | low
-            rest = [row_masks[j] & ~blocked for j in range(i + 1, n_rows)]
-            rest_match, _ = max_matching(rest, n_cols)
-            if all(m != UNMATCHED for m in rest_match):
-                chosen.append(c)
-                used |= low
-                break
             mask ^= low
-        else:
-            return None
-    return chosen
+            c = low.bit_length() - 1
+            holder = match_col[c]
+            if holder == UNMATCHED:
+                break
+            match_row[holder] = match_col[c] = UNMATCHED
+            if _augment_bfs(row_masks, match_row, match_col, holder, ~(used | low)):
+                break
+            match_row[holder] = c
+            match_col[c] = holder
+        match_row[i] = c
+        match_col[c] = i
+        used |= low
+    return match_row
 
 
 def bits_of(mask):

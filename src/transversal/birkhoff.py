@@ -135,7 +135,9 @@ def birkhoff_decompose(m: RationalMatrix) -> BirkhoffDecomposition:
     Each round finds the lexicographically least permutation supported on
     the positive entries, subtracts it scaled by its minimum entry, and
     repeats; every round kills at least one entry, so at most
-    nnz - n + 1 terms appear and the reconstruction is exact.
+    nnz - n + 1 terms appear and the reconstruction is exact.  The support
+    masks are built once; a round clears the bit of each entry it brings
+    to zero.
     """
     ok, reason = is_doubly_stochastic(m)
     if not ok:
@@ -144,23 +146,19 @@ def birkhoff_decompose(m: RationalMatrix) -> BirkhoffDecomposition:
     if n == 0:
         return BirkhoffDecomposition(())
     work = [list(row) for row in m.entries]
+    masks = [sum(1 << j for j, x in enumerate(row) if x) for row in work]
     terms = []
     remaining = Fraction(1)
     while remaining > 0:
-        masks = []
-        for row in work:
-            mask = 0
-            for j, x in enumerate(row):
-                if x > 0:
-                    mask |= 1 << j
-            masks.append(mask)
         perm = _bitmatch.lex_least_assignment(masks, n)
         if perm is None:  # impossible for a doubly stochastic remainder
             raise AssertionError("no permutation on the positive support")
         mu = min(work[i][perm[i]] for i in range(n))
         terms.append((mu, tuple(perm)))
-        for i in range(n):
-            work[i][perm[i]] -= mu
+        for i, j in enumerate(perm):
+            work[i][j] -= mu
+            if not work[i][j]:
+                masks[i] &= ~(1 << j)
         remaining -= mu
     return BirkhoffDecomposition(tuple(terms))
 

@@ -35,24 +35,34 @@ class SetFamily:
     __slots__ = ("ground", "sets", "_index", "_masks")
 
     def __init__(self, ground, sets):
-        ground = tuple(ground)
+        if isinstance(ground, str):
+            raise ValidationError("the ground set must be a list, not a string", field="ground")
         index: dict = {}
-        for pos, x in enumerate(ground):
-            if x in index:
-                raise ValidationError(f"duplicate ground element {x!r}", field="ground")
-            index[x] = pos
+        try:
+            ground = tuple(ground)
+            for pos, x in enumerate(ground):
+                if x in index:
+                    raise ValidationError(f"duplicate ground element {x!r}", field="ground")
+                index[x] = pos
+        except TypeError as exc:
+            raise ValidationError(f"bad ground set: {exc}", field="ground") from exc
         masks = []
         members = []
         for i, subset in enumerate(sets):
+            if isinstance(subset, str):
+                raise ValidationError(f"set {i} must be a list, not a string", field=f"sets[{i}]")
             mask = 0
-            for x in subset:
-                pos = index.get(x)
-                if pos is None:
-                    raise ValidationError(
-                        f"set {i} contains {x!r}, which is not in the ground set",
-                        field=f"sets[{i}]",
-                    )
-                mask |= 1 << pos
+            try:
+                for x in subset:
+                    pos = index.get(x)
+                    if pos is None:
+                        raise ValidationError(
+                            f"set {i} contains {x!r}, which is not in the ground set",
+                            field=f"sets[{i}]",
+                        )
+                    mask |= 1 << pos
+            except TypeError as exc:
+                raise ValidationError(f"bad set {i}: {exc}", field=f"sets[{i}]") from exc
             masks.append(mask)
             members.append(tuple(ground[p] for p in _bitmatch.bits_of(mask)))
         self.ground = ground

@@ -37,17 +37,24 @@ class BipartiteGraph:
         masks = [0] * len(part_a)
         kept = []
         seen = set()
-        for e in edges:
+        for k, e in enumerate(edges):
+            if not isinstance(e, (list, tuple)) or len(e) != 2:
+                raise ValidationError(f"edge {k} is not an (a, b) pair: {e!r}",
+                                      field=f"edges[{k}]")
             a, b = e
-            if a not in a_index:
-                raise ValidationError(f"edge endpoint {a!r} is not in partA", field="edges")
-            if b not in b_index:
-                raise ValidationError(f"edge endpoint {b!r} is not in partB", field="edges")
+            try:
+                ia, ib = a_index.get(a), b_index.get(b)
+            except TypeError as exc:
+                raise ValidationError(f"bad edge {k}: {exc}", field=f"edges[{k}]") from exc
+            if ia is None:
+                raise ValidationError(f"edge endpoint {a!r} is not in partA", field=f"edges[{k}]")
+            if ib is None:
+                raise ValidationError(f"edge endpoint {b!r} is not in partB", field=f"edges[{k}]")
             if (a, b) in seen:
                 continue
             seen.add((a, b))
             kept.append((a, b))
-            masks[a_index[a]] |= 1 << b_index[b]
+            masks[ia] |= 1 << ib
         self.part_a = part_a
         self.part_b = part_b
         self.edges = tuple(kept)
@@ -72,7 +79,9 @@ class BipartiteGraph:
         for key in ("partA", "partB", "edges"):
             if not isinstance(obj, dict) or key not in obj:
                 raise ValidationError(f"graph file needs '{key}'", field=key)
-        return cls(obj["partA"], obj["partB"], [tuple(e) for e in obj["edges"]])
+        if not isinstance(obj["edges"], list):
+            raise ValidationError("'edges' must be a list of pairs", field="edges")
+        return cls(obj["partA"], obj["partB"], obj["edges"])
 
 
 @dataclass(frozen=True)

@@ -110,15 +110,23 @@ def graphic_matroid(edges) -> MatroidOracle:
 
     ``edges`` maps an edge id to its endpoint pair.
     """
+    if not isinstance(edges, dict):
+        raise ValidationError("'graph' must map edge ids to endpoint pairs", field="graph")
     ends = {}
     seen_pairs = set()
     for eid, pair in edges.items():
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ValidationError(f"edge {eid!r} needs exactly two endpoints", field="graph")
         u, v = pair
+        try:
+            key = frozenset((u, v))
+        except TypeError as exc:
+            raise ValidationError(f"bad edge {eid!r}: {exc}", field="graph") from exc
         if u == v:
-            raise ValidationError(f"edge {eid!r} is a loop; the graph must be simple")
-        key = frozenset((u, v))
+            raise ValidationError(f"edge {eid!r} is a loop; the graph must be simple",
+                                  field="graph")
         if key in seen_pairs:
-            raise ValidationError(f"edge {eid!r} duplicates an endpoint pair")
+            raise ValidationError(f"edge {eid!r} duplicates an endpoint pair", field="graph")
         seen_pairs.add(key)
         ends[eid] = (u, v)
 

@@ -2,12 +2,16 @@
 
 Everything here is deliberately written from first principles (enumeration,
 backtracking, union scans) and never calls the library's solvers, so the
-tests compare two genuinely different computations.
+tests compare two genuinely different computations.  The one exception is
+`rematch_lex_least`, the earlier lex-least algorithm built on the library's
+matching engine, kept as a reference for the incremental one.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
+
+from transversal import _bitmatch
 
 
 def brute_sdr_exists(sets) -> bool:
@@ -41,6 +45,51 @@ def brute_sir_exists(sets, oracle) -> bool:
         return False
 
     return descend(0, frozenset())
+
+
+def brute_lex_least(row_masks, n_cols):
+    """Lexicographically least injective row-to-column assignment, or None,
+    by backtracking over columns in ascending order: the first complete
+    assignment found is the least."""
+
+    def descend(i, used, acc):
+        if i == len(row_masks):
+            return acc
+        for c in range(n_cols):
+            if (row_masks[i] >> c) & 1 and c not in used:
+                found = descend(i + 1, used | {c}, acc + [c])
+                if found is not None:
+                    return found
+        return None
+
+    return descend(0, frozenset(), [])
+
+
+def rematch_lex_least(row_masks, n_cols):
+    """The greedy lex-least assignment that re-runs a full maximum matching
+    of the later rows for every candidate column."""
+    n_rows = len(row_masks)
+    match_row, _ = _bitmatch.max_matching(row_masks, n_cols)
+    if any(c == _bitmatch.UNMATCHED for c in match_row):
+        return None
+    chosen = []
+    used = 0
+    for i in range(n_rows):
+        mask = row_masks[i] & ~used
+        while mask:
+            low = mask & -mask
+            c = low.bit_length() - 1
+            blocked = used | low
+            rest = [row_masks[j] & ~blocked for j in range(i + 1, n_rows)]
+            rest_match, _ = _bitmatch.max_matching(rest, n_cols)
+            if all(m != _bitmatch.UNMATCHED for m in rest_match):
+                chosen.append(c)
+                used |= low
+                break
+            mask ^= low
+        else:
+            return None
+    return chosen
 
 
 def brute_all_sdrs(sets):

@@ -71,6 +71,18 @@ class TestSdrCommand:
         code, env, _ = run(capsys, "sdr", path)
         assert code == 2 and "sets[0]" in env["diagnostics"]
 
+    @pytest.mark.parametrize("family, field", [
+        ({"ground": ["1", "2"], "sets": [1, 2]}, "sets[0]"),
+        ({"ground": ["1"], "sets": [["1"], "1"]}, "sets[1]"),
+        ({"ground": [[1]], "sets": []}, "ground"),
+        ({"ground": "ab", "sets": [["a"]]}, "ground"),
+    ])
+    def test_malformed_family_names_field(self, capsys, tmp_path, family, field):
+        path = write(tmp_path, "shape.json", family)
+        code, env, _ = run(capsys, "sdr", path)
+        assert code == 2 and env["status"] == "invalid-input"
+        assert f"(field: {field})" in env["diagnostics"]
+
 
 class TestCoreCommands:
     def test_defect(self, capsys, tmp_path):
@@ -130,6 +142,13 @@ class TestGraphCommands:
     def test_matching(self, capsys, graph6):
         code, env, _ = run(capsys, "matching", graph6)
         assert code == 0 and env["payload"]["size"] == 3
+
+    @pytest.mark.parametrize("edge", [["a0", "b0", "b1"], ["a0"], "a0", [["a0"], "b0"]])
+    def test_edge_not_a_pair(self, capsys, tmp_path, edge):
+        path = write(tmp_path, "g.json", {"partA": ["a0"], "partB": ["b0", "b1"],
+                                          "edges": [["a0", "b1"], edge]})
+        code, env, _ = run(capsys, "matching", path)
+        assert code == 2 and "(field: edges[1])" in env["diagnostics"]
 
     def test_cover_with_verify(self, capsys, tmp_path, graph6):
         code, env, _ = run(capsys, "cover", graph6)
@@ -345,6 +364,17 @@ class TestRadoCommand:
         assert code == 1 and env["payload"]["rank"] == 2
         cert = write(tmp_path, "cert.json", env["payload"])
         assert run(capsys, "rado", fam, matroid, "--verify", cert)[0] == 0
+
+    @pytest.mark.parametrize("graph", [
+        [["u", "v"], ["v", "w"]],
+        {"e1": ["u", "v", "w"], "e2": ["v", "w"]},
+        {"e1": "uv"},
+        {"e1": [["u"], "v"]},
+    ])
+    def test_malformed_graph_names_field(self, capsys, tmp_path, fam3, graph):
+        matroid = write(tmp_path, "mat.json", {"kind": "graphic", "graph": graph})
+        code, env, _ = run(capsys, "rado", fam3, matroid)
+        assert code == 2 and "(field: graph)" in env["diagnostics"]
 
     def test_graphic_30_violator(self, capsys, tmp_path):
         family_obj, matroid_obj = graphic_30()
