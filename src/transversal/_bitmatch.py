@@ -2,7 +2,9 @@
 
 Rows are numbered 0..len(row_masks)-1 and row_masks[i] has bit c set when
 row i may be assigned column c.  Every scan runs in ascending index order,
-so all results are deterministic for a fixed input.
+so all results are deterministic for a fixed input.  No function here
+recurses: every search keeps its own queue or stack, so a path of any
+length costs no interpreter stack.
 """
 
 from collections import deque
@@ -10,23 +12,34 @@ from collections import deque
 UNMATCHED = -1
 
 
-def max_matching(row_masks, n_cols, hopcroft_karp=False):
+def max_matching(row_masks, n_cols):
     """Return (match_of_row, match_of_col) for a maximum matching.
 
-    The default strategy augments one shortest alternating path per round
-    (breadth-first).  ``hopcroft_karp=True`` switches to layered phases that
-    augment a maximal set of shortest paths per round; the result is still
-    a maximum matching, found faster on large inputs.
+    A greedy pass first gives each row its lowest free column.  Hopcroft-Karp
+    phases then run while a row with columns is left unmatched: a
+    breadth-first search layers the rows by their alternating distance from
+    the free rows, and a depth-first search on an explicit stack augments
+    out of each free row along paths that go one layer further at each step.
+    Which maximum matching comes out depends on the engine; certificates that
+    must not (Hall violators, König covers, antichains) are read off the
+    Dulmage-Mendelsohn sets, which are the same for every maximum matching.
     """
-    n_rows = len(row_masks)
-    match_row = [UNMATCHED] * n_rows
+    match_row = [UNMATCHED] * len(row_masks)
     match_col = [UNMATCHED] * n_cols
-    if hopcroft_karp:
+    taken = 0
+    short = False
+    for r, mask in enumerate(row_masks):
+        mask &= ~taken
+        if mask:
+            low = mask & -mask
+            c = low.bit_length() - 1
+            match_row[r] = c
+            match_col[c] = r
+            taken |= low
+        elif row_masks[r]:
+            short = True
+    if short:
         _hopcroft_karp(row_masks, match_row, match_col)
-    else:
-        for r in range(n_rows):
-            if row_masks[r]:
-                _augment_bfs(row_masks, match_row, match_col, r)
     return match_row, match_col
 
 
@@ -65,70 +78,70 @@ def _augment_bfs(row_masks, match_row, match_col, start, allowed=None):
 
 
 def _hopcroft_karp(row_masks, match_row, match_col):
+    """Augment the matching in place until it is maximum.
+
+    Each phase layers the rows by a breadth-first search out of the free
+    rows; a column is entered once, so a row's layer is the length of its
+    shortest alternating path from a free row.  A depth-first search from
+    each free row then augments along rows one layer apart.  ``left[r]``
+    holds the columns row r has yet to try in the phase, so no edge is tried
+    twice in one phase, and a row with none left is dropped from the layers.
+    """
     n_rows = len(row_masks)
     infinity = n_rows + 1
-
-    def layer():
+    while True:
         dist = [infinity] * n_rows
         queue = deque()
         for r in range(n_rows):
             if match_row[r] == UNMATCHED and row_masks[r]:
                 dist[r] = 0
                 queue.append(r)
+        seen = 0
         reachable_free = False
         while queue:
             r = queue.popleft()
-            mask = row_masks[r]
+            mask = row_masks[r] & ~seen
+            seen |= mask
             while mask:
                 low = mask & -mask
                 mask ^= low
                 holder = match_col[low.bit_length() - 1]
                 if holder == UNMATCHED:
                     reachable_free = True
-                elif dist[holder] == infinity:
+                else:
                     dist[holder] = dist[r] + 1
                     queue.append(holder)
-        return dist, reachable_free
-
-    def advance(root, dist):
-        # Depth-first search along the layers with an explicit stack:
-        # rows[k] reaches rows[k + 1] through column cols[k], and masks[k]
-        # holds the columns rows[k] has yet to try.
-        rows = [root]
-        cols = []
-        masks = [row_masks[root]]
-        while rows:
-            r = rows[-1]
-            mask = masks[-1]
-            if not mask:
-                dist[r] = infinity
-                rows.pop()
-                masks.pop()
-                if cols:
-                    cols.pop()
-                continue
-            low = mask & -mask
-            masks[-1] = mask ^ low
-            c = low.bit_length() - 1
-            holder = match_col[c]
-            if holder == UNMATCHED:
-                cols.append(c)
-                for r2, c2 in zip(rows, cols):
-                    match_row[r2] = c2
-                    match_col[c2] = r2
-                return
-            if dist[holder] == dist[r] + 1:
-                cols.append(c)
-                rows.append(holder)
-                masks.append(row_masks[holder])
-
-    while True:
-        dist, reachable_free = layer()
         if not reachable_free:
             return
-        for r in range(n_rows):
-            if match_row[r] == UNMATCHED and row_masks[r]:
-                advance(r, dist)
+        left = list(row_masks)
+        for root in range(n_rows):
+            if dist[root] != 0:
+                continue
+            # rows[k] reaches rows[k + 1] through column cols[k].
+            rows = [root]
+            cols = []
+            while rows:
+                r = rows[-1]
+                mask = left[r]
+                if not mask:
+                    dist[r] = infinity
+                    rows.pop()
+                    if cols:
+                        cols.pop()
+                    continue
+                low = mask & -mask
+                left[r] = mask ^ low
+                c = low.bit_length() - 1
+                holder = match_col[c]
+                if holder == UNMATCHED:
+                    cols.append(c)
+                    for r2, c2 in zip(rows, cols):
+                        match_row[r2] = c2
+                        match_col[c2] = r2
+                    break
+                if dist[holder] == dist[r] + 1:
+                    cols.append(c)
+                    rows.append(holder)
 
 
 def alternating_reachable(row_masks, match_row, match_col, sources):

@@ -153,7 +153,7 @@ def _cmd_matching(args):
         matching = graphs.Matching(tuple(tuple(e) for e in cert.get("edges", [])))
         ok, reason = graphs.validate_matching(g, matching)
         return _checked(ok, reason)
-    matching = graphs.max_matching(g, hopcroft_karp=args.hopcroft_karp)
+    matching = graphs.max_matching(g)
     return (
         "found",
         {"edges": [list(e) for e in matching.edges], "size": len(matching)},
@@ -539,9 +539,7 @@ def _build_parser():
     add("defect", _cmd_defect).add_argument("family")
     add("count-sdr", _cmd_count_sdr, ceiling=True, verify=False).add_argument("family")
     add("array-sdr", _cmd_array_sdr, ceiling=True).add_argument("array")
-    p = add("matching", _cmd_matching)
-    p.add_argument("graph")
-    p.add_argument("--hopcroft-karp", action="store_true")
+    add("matching", _cmd_matching).add_argument("graph")
     add("cover", _cmd_cover).add_argument("graph")
     p = add("menger", _cmd_menger)
     p.add_argument("graph")

@@ -228,15 +228,26 @@ def validate_sdr(family: SetFamily, candidate) -> tuple[bool, str | None]:
 def hall_check(family: SetFamily) -> Sdr | HallViolator:
     """Find an SDR or a certificate that none exists.
 
-    Runs the augmenting-path search, one set at a time; on failure the
-    violator is the group of set indices reachable by alternating paths from
-    the first unassigned set, whose union is provably one element short.
+    Takes one maximum matching of sets to elements.  If it leaves sets
+    unassigned, the violator is every set reachable by alternating paths
+    from the unassigned ones: the Dulmage-Mendelsohn set, the same for every
+    maximum matching, whose union falls short of it by the defect.
     """
     match_row, match_col = _bitmatch.max_matching(family._masks, len(family.ground))
     if all(c != _bitmatch.UNMATCHED for c in match_row):
         return Sdr(tuple(family.ground[c] for c in match_row))
-    start = next(i for i, c in enumerate(match_row) if c == _bitmatch.UNMATCHED)
-    rows, _ = _bitmatch.alternating_reachable(family._masks, match_row, match_col, [start])
+    return _hall_violator(family, match_row, match_col)
+
+
+def _hall_violator(family: SetFamily, match_row, match_col) -> HallViolator:
+    """The canonical violator read off a maximum matching that is not full.
+
+    `match_row`/`match_col` are the engine's (row -> column, column -> row)
+    lists.  Every set reachable by alternating paths from an unassigned set
+    is named; the result does not depend on which maximum matching is given.
+    """
+    free = [i for i, c in enumerate(match_row) if c == _bitmatch.UNMATCHED]
+    rows, _ = _bitmatch.alternating_reachable(family._masks, match_row, match_col, free)
     indices = tuple(sorted(rows))
     return HallViolator(indices=indices, union=family.union_of(indices))
 

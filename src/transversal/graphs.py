@@ -11,10 +11,13 @@ from .errors import ValidationError
 
 def _index_labels(labels, field):
     index = {}
-    for pos, x in enumerate(labels):
-        if x in index:
-            raise ValidationError(f"duplicate vertex {x!r} in {field}", field=field)
-        index[x] = pos
+    try:
+        for pos, x in enumerate(labels):
+            if x in index:
+                raise ValidationError(f"duplicate vertex {x!r} in {field}", field=field)
+            index[x] = pos
+    except TypeError as exc:
+        raise ValidationError(f"bad vertex in {field}: {exc}", field=field) from exc
     return index
 
 
@@ -116,9 +119,16 @@ class Graph:
         adj = [0] * len(vertices)
         kept = []
         seen = set()
-        for e in edges:
+        for k, e in enumerate(edges):
+            if not isinstance(e, (list, tuple)) or len(e) != 2:
+                raise ValidationError(f"edge {k} is not a (u, v) pair: {e!r}",
+                                      field=f"edges[{k}]")
             u, v = e
-            if u not in index or v not in index:
+            try:
+                known = u in index and v in index
+            except TypeError as exc:
+                raise ValidationError(f"bad edge {k}: {exc}", field=f"edges[{k}]") from exc
+            if not known:
                 raise ValidationError(f"edge {e!r} mentions an unknown vertex", field="edges")
             if u == v:
                 raise ValidationError(f"loop at {u!r} is not allowed", field="edges")
@@ -149,7 +159,9 @@ class Graph:
         for key in ("vertices", "edges"):
             if not isinstance(obj, dict) or key not in obj:
                 raise ValidationError(f"graph file needs '{key}'", field=key)
-        return cls(obj["vertices"], [tuple(e) for e in obj["edges"]])
+        if not isinstance(obj["edges"], list):
+            raise ValidationError("'edges' must be a list of pairs", field="edges")
+        return cls(obj["vertices"], obj["edges"])
 
 
 class FlowNetwork:
@@ -228,11 +240,9 @@ def graph_to_family(g: BipartiteGraph) -> core.SetFamily:
     return core.SetFamily(g.part_b, sets)
 
 
-def max_matching(g: BipartiteGraph, *, hopcroft_karp: bool = False) -> Matching:
+def max_matching(g: BipartiteGraph) -> Matching:
     """A maximum matching; deterministic for a fixed input order."""
-    match_row, _ = _bitmatch.max_matching(
-        g._masks, len(g.part_b), hopcroft_karp=hopcroft_karp
-    )
+    match_row, _ = _bitmatch.max_matching(g._masks, len(g.part_b))
     edges = tuple(
         (g.part_a[i], g.part_b[c])
         for i, c in enumerate(match_row)
@@ -524,8 +534,8 @@ def hall_via_menger(family: core.SetFamily):
 
     A new source is joined to every set index and every ground element to a
     new sink, all capacities one; a full flow yields an SDR and a short one
-    yields the usual alternating-reachability violator.  Exists as a
-    cross-check path for core.hall_check.
+    yields the same Dulmage-Mendelsohn violator as core.hall_check.  Exists
+    as a cross-check path for core.hall_check.
     """
     n = family.n
     n_ground = len(family.ground)
@@ -548,7 +558,4 @@ def hall_via_menger(family: core.SetFamily):
             match_col[p] = i
     if value == n:
         return core.Sdr(tuple(family.ground[c] for c in match_row))
-    start = next(i for i, c in enumerate(match_row) if c == _bitmatch.UNMATCHED)
-    rows, _ = _bitmatch.alternating_reachable(family._masks, match_row, match_col, [start])
-    indices = tuple(sorted(rows))
-    return core.HallViolator(indices=indices, union=family.union_of(indices))
+    return core._hall_violator(family, match_row, match_col)

@@ -165,20 +165,28 @@ class BlockDesign:
     def __init__(self, points, blocks):
         points = tuple(points)
         index: dict = {}
-        for pos, x in enumerate(points):
-            if x in index:
-                raise ValidationError(f"duplicate point {x!r}", field="points")
-            index[x] = pos
+        try:
+            for pos, x in enumerate(points):
+                if x in index:
+                    raise ValidationError(f"duplicate point {x!r}", field="points")
+                index[x] = pos
+        except TypeError as exc:
+            raise ValidationError(f"bad point: {exc}", field="points") from exc
         block_masks = []
         kept = []
         for b, block in enumerate(blocks):
+            if isinstance(block, str):
+                raise ValidationError(f"block {b} must be a list, not a string", field="blocks")
             mask = 0
-            for x in block:
-                pos = index.get(x)
-                if pos is None:
-                    raise ValidationError(f"block {b} holds {x!r}, not a point",
-                                          field=f"blocks[{b}]")
-                mask |= 1 << pos
+            try:
+                for x in block:
+                    pos = index.get(x)
+                    if pos is None:
+                        raise ValidationError(f"block {b} holds {x!r}, not a point",
+                                              field=f"blocks[{b}]")
+                    mask |= 1 << pos
+            except TypeError as exc:
+                raise ValidationError(f"bad block {b}: {exc}", field="blocks") from exc
             if mask == 0:
                 raise ValidationError(f"block {b} is empty", field=f"blocks[{b}]")
             block_masks.append(mask)
@@ -229,6 +237,9 @@ class BlockDesign:
     def from_json(cls, obj: dict) -> "BlockDesign":
         if not isinstance(obj, dict) or "points" not in obj or "blocks" not in obj:
             raise ValidationError("design file needs 'points' and 'blocks'", field="points")
+        for key in ("points", "blocks"):
+            if not isinstance(obj[key], list):
+                raise ValidationError(f"'{key}' must be a list", field=key)
         return cls(obj["points"], obj["blocks"])
 
 

@@ -32,24 +32,14 @@ class Poset:
                 raise ValidationError(f"duplicate element {x!r}", field="elements")
             index[x] = pos
         n = len(elements)
-        above = [0] * n  # above[i]: mask of j with elements[i] < elements[j]
+        succ = [0] * n  # succ[i]: mask of the j with a pair (elements[i], elements[j])
         for pair in pairs:
             a, b = pair
             if a not in index or b not in index:
                 raise ValidationError(f"pair {pair!r} mentions an unknown element",
                                       field="less_than")
-            above[index[a]] |= 1 << index[b]
-        # Warshall-style closure on bitmasks.
-        for k in range(n):
-            bit = 1 << k
-            for i in range(n):
-                if above[i] & bit:
-                    above[i] |= above[k]
-        for i in range(n):
-            if (above[i] >> i) & 1:
-                raise ValidationError(
-                    f"relation has a cycle through {elements[i]!r}", field="less_than"
-                )
+            succ[index[a]] |= 1 << index[b]
+        above = _closure(succ, elements)  # above[i]: the j with elements[i] < elements[j]
         below = [0] * n
         for i in range(n):
             for j in _bitmatch.bits_of(above[i]):
@@ -80,6 +70,48 @@ class Poset:
             if not isinstance(obj, dict) or key not in obj:
                 raise ValidationError(f"poset file needs '{key}'", field=key)
         return cls(obj["elements"], [tuple(p) for p in obj["less_than"]])
+
+
+def _closure(succ, elements):
+    """Transitive closure of the successor masks `succ`, in topological order.
+
+    A depth-first search on an explicit stack closes each element after all
+    of its successors: above[v] = succ[v] | OR(above[w] for w in succ[v]).
+    Reaching an element that is still open on the stack closes a cycle, and
+    that element lies on it.
+    """
+    n = len(succ)
+    above = [0] * n
+    state = [0] * n  # 0: not reached, 1: open on the stack, 2: closed
+    for root in range(n):
+        if state[root]:
+            continue
+        state[root] = 1
+        stack = [root]
+        pending = [succ[root]]  # pending[k]: successors of stack[k] not yet entered
+        while stack:
+            todo = pending[-1]
+            if todo:
+                low = todo & -todo
+                pending[-1] = todo ^ low
+                w = low.bit_length() - 1
+                if state[w] == 1:
+                    raise ValidationError(
+                        f"relation has a cycle through {elements[w]!r}", field="less_than"
+                    )
+                if state[w] == 0:
+                    state[w] = 1
+                    stack.append(w)
+                    pending.append(succ[w])
+                continue
+            v = stack.pop()
+            pending.pop()
+            closed = succ[v]
+            for w in _bitmatch.bits_of(succ[v]):
+                closed |= above[w]
+            above[v] = closed
+            state[v] = 2
+    return above
 
 
 @dataclass(frozen=True)

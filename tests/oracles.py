@@ -2,16 +2,19 @@
 
 Everything here is deliberately written from first principles (enumeration,
 backtracking, union scans) and never calls the library's solvers, so the
-tests compare two genuinely different computations.  The one exception is
-`rematch_lex_least`, the earlier lex-least algorithm built on the library's
-matching engine, kept as a reference for the incremental one.
+tests compare two genuinely different computations.  A few are the simple
+algorithms the library used before faster ones replaced them, kept as
+references: `bfs_max_matching` (one breadth-first augmenting path per row),
+`rematch_lex_least` (a full re-matching per candidate column) and
+`warshall_closure` (the n^2 closure loop).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations, permutations
 
-from transversal import _bitmatch
+UNMATCHED = -1
 
 
 def brute_sdr_exists(sets) -> bool:
@@ -65,12 +68,45 @@ def brute_lex_least(row_masks, n_cols):
     return descend(0, frozenset(), [])
 
 
+def bfs_max_matching(row_masks, n_cols):
+    """(match_of_row, match_of_col) of a maximum matching, found by one
+    breadth-first search for an augmenting path out of each row in turn.
+    Unmatched entries are -1, as in the library's engine."""
+    match_row = [UNMATCHED] * len(row_masks)
+    match_col = [UNMATCHED] * n_cols
+    for start in range(len(row_masks)):
+        parent = {}
+        queue = deque([start])
+        end = None
+        while queue and end is None:
+            r = queue.popleft()
+            mask = row_masks[r]
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                c = low.bit_length() - 1
+                if c in parent:
+                    continue
+                parent[c] = r
+                if match_col[c] == UNMATCHED:
+                    end = c
+                    break
+                queue.append(match_col[c])
+        while end is not None:
+            r = parent[end]
+            previous = match_row[r]
+            match_row[r] = end
+            match_col[end] = r
+            end = previous if previous != UNMATCHED else None
+    return match_row, match_col
+
+
 def rematch_lex_least(row_masks, n_cols):
     """The greedy lex-least assignment that re-runs a full maximum matching
     of the later rows for every candidate column."""
     n_rows = len(row_masks)
-    match_row, _ = _bitmatch.max_matching(row_masks, n_cols)
-    if any(c == _bitmatch.UNMATCHED for c in match_row):
+    match_row, _ = bfs_max_matching(row_masks, n_cols)
+    if UNMATCHED in match_row:
         return None
     chosen = []
     used = 0
@@ -81,8 +117,8 @@ def rematch_lex_least(row_masks, n_cols):
             c = low.bit_length() - 1
             blocked = used | low
             rest = [row_masks[j] & ~blocked for j in range(i + 1, n_rows)]
-            rest_match, _ = _bitmatch.max_matching(rest, n_cols)
-            if all(m != _bitmatch.UNMATCHED for m in rest_match):
+            rest_match, _ = bfs_max_matching(rest, n_cols)
+            if UNMATCHED not in rest_match:
                 chosen.append(c)
                 used |= low
                 break
@@ -219,6 +255,20 @@ def all_poset_masks(n):
                     grown.append(tuple(new_above))
         results = grown
     return results
+
+
+def warshall_closure(succ):
+    """Transitive closure of successor masks by Warshall's n^2 loop: row i
+    gains row k's successors whenever k is among them.  A cycle shows as a
+    row holding its own bit."""
+    above = list(succ)
+    n = len(above)
+    for k in range(n):
+        bit = 1 << k
+        for i in range(n):
+            if above[i] & bit:
+                above[i] |= above[k]
+    return above
 
 
 def brute_max_antichain(above, n) -> int:

@@ -1,7 +1,9 @@
+import ast
+import inspect
 import random
 from fractions import Fraction
 
-from oracles import brute_lex_least, rematch_lex_least
+from oracles import bfs_max_matching, brute_lex_least, rematch_lex_least
 from transversal import _bitmatch, birkhoff, latin
 
 
@@ -31,6 +33,61 @@ def agree_on_every_call(monkeypatch):
 
     monkeypatch.setattr(_bitmatch, "lex_least_assignment", both)
     return calls
+
+
+def check_matching(row_masks, n_cols, match_row, match_col):
+    assert len(match_row) == len(row_masks) and len(match_col) == n_cols
+    for r, c in enumerate(match_row):
+        if c != _bitmatch.UNMATCHED:
+            assert (row_masks[r] >> c) & 1 and match_col[c] == r
+    for c, r in enumerate(match_col):
+        if r != _bitmatch.UNMATCHED:
+            assert match_row[r] == c
+
+
+class TestMaxMatching:
+    def test_agrees_with_bfs_oracle(self):
+        rng = random.Random(4051)
+        kinds = {"square": 0, "wide": 0, "tall": 0, "empty-row": 0, "dense": 0, "sparse": 0}
+        for _ in range(2500):
+            n_rows, n_cols = rng.randint(0, 12), rng.randint(0, 12)
+            density = rng.choice((0.05, 0.15, 0.3, 0.6, 0.9))
+            masks = random_masks(rng, n_rows, n_cols, density)
+            match_row, match_col = _bitmatch.max_matching(masks, n_cols)
+            check_matching(masks, n_cols, match_row, match_col)
+            expected, _ = bfs_max_matching(masks, n_cols)
+            assert match_row.count(-1) == expected.count(-1), (masks, n_cols)
+            kinds["square"] += n_rows == n_cols > 0
+            kinds["wide"] += 0 < n_rows < n_cols
+            kinds["tall"] += n_rows > n_cols
+            kinds["empty-row"] += 0 in masks
+            kinds["dense"] += density >= 0.6
+            kinds["sparse"] += density <= 0.15
+        assert all(count >= 100 for count in kinds.values()), kinds
+
+    def test_agrees_on_sparse_large(self):
+        rng = random.Random(4052)
+        for n_rows, n_cols, degree in ((300, 300, 2), (300, 250, 3), (200, 400, 1)):
+            masks = [sum(1 << c for c in rng.sample(range(n_cols), degree))
+                     for _ in range(n_rows)]
+            match_row, match_col = _bitmatch.max_matching(masks, n_cols)
+            check_matching(masks, n_cols, match_row, match_col)
+            expected, _ = bfs_max_matching(masks, n_cols)
+            assert match_row.count(-1) == expected.count(-1)
+
+
+def test_no_recursion_in_bitmatch():
+    """No function in the engine calls itself, so no input size can exhaust
+    the interpreter stack."""
+    tree = ast.parse(inspect.getsource(_bitmatch))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            called = {
+                call.func.id
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            }
+            assert node.name not in called, f"{node.name} calls itself"
 
 
 class TestLexLeast:

@@ -150,6 +150,17 @@ class TestGraphCommands:
         code, env, _ = run(capsys, "matching", path)
         assert code == 2 and "(field: edges[1])" in env["diagnostics"]
 
+    def test_unhashable_vertex_names_field(self, capsys, tmp_path):
+        path = write(tmp_path, "g.json", {"partA": [[1]], "partB": ["b0"], "edges": []})
+        code, env, _ = run(capsys, "matching", path)
+        assert code == 2 and "(field: partA)" in env["diagnostics"]
+
+    def test_menger_edge_not_a_pair(self, capsys, tmp_path):
+        path = write(tmp_path, "g.json", {"vertices": ["s", "a", "t"],
+                                          "edges": [["s", "a"], ["s", "a", "t"]]})
+        code, env, _ = run(capsys, "menger", path, "--source", "s", "--sink", "t")
+        assert code == 2 and "(field: edges[1])" in env["diagnostics"]
+
     def test_cover_with_verify(self, capsys, tmp_path, graph6):
         code, env, _ = run(capsys, "cover", graph6)
         assert code == 0 and env["payload"]["size"] == 3
@@ -306,6 +317,11 @@ class TestLatinCommands:
         assert code == 0 and len(env["payload"]["array"]) == 3
         cert = write(tmp_path, "cert.json", env["payload"])
         assert run(capsys, "youden", path, "--verify", cert)[0] == 0
+
+    def test_youden_block_not_a_list(self, capsys, tmp_path):
+        path = write(tmp_path, "d.json", {"points": [1, 2], "blocks": [1, 2]})
+        code, env, _ = run(capsys, "youden", path)
+        assert code == 2 and "(field: blocks)" in env["diagnostics"]
 
 
 def graphic_30():

@@ -1,9 +1,10 @@
 import random
+from itertools import combinations
 
 import pytest
 
-from oracles import all_families, brute_all_sdrs, brute_defect, brute_sdr_exists
-from transversal import core
+from oracles import all_families, bfs_max_matching, brute_all_sdrs, brute_defect, brute_sdr_exists
+from transversal import _bitmatch, core, graphs
 from transversal.errors import ResourceLimitError, ValidationError
 
 
@@ -80,6 +81,53 @@ class TestHallCheck:
     def test_deterministic(self):
         f = fam([1, 2, 3, 4], [[1, 2, 3], [2, 3], [3, 4], [1, 4]])
         assert core.hall_check(f) == core.hall_check(f)
+
+    def test_violator_does_not_depend_on_matching(self):
+        # The reference engine's maximum matching, often a different one, and
+        # the flow reduction's give the same violator: every set reachable
+        # from an unassigned set.
+        rng = random.Random(1935)
+        deficient = differ = 0
+        for _ in range(300):
+            n = rng.randint(2, 60)
+            ground = list(range(rng.randint(1, n)))
+            sets = [[x for x in ground if rng.random() < rng.choice((0.05, 0.1, 0.3))]
+                    for _ in range(n)]
+            f = fam(ground, sets)
+            result = core.hall_check(f)
+            if isinstance(result, core.Sdr):
+                continue
+            deficient += 1
+            reference = bfs_max_matching(f._masks, len(ground))
+            differ += reference != _bitmatch.max_matching(f._masks, len(ground))
+            assert result == core._hall_violator(f, *reference)
+            assert result == graphs.hall_via_menger(f)
+        assert deficient >= 200 and differ >= 50, (deficient, differ)
+
+    def test_violator_is_least_of_largest_gap(self):
+        # Among the index sets whose union falls shortest, by the defect,
+        # the violator is the one contained in all the others.
+        rng = random.Random(1936)
+        deficient = 0
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            ground = list(range(rng.randint(1, 6)))
+            sets = [[x for x in ground if rng.random() < 0.35] for _ in range(n)]
+            f = fam(ground, sets)
+            result = core.hall_check(f)
+            if isinstance(result, core.Sdr):
+                continue
+            deficient += 1
+            gaps = {
+                group: len(group) - len(f.union_of(group))
+                for k in range(1, n + 1)
+                for group in combinations(range(n), k)
+            }
+            defect = brute_defect(sets, ground)
+            assert len(result.indices) - len(result.union) == defect
+            assert all(set(result.indices) <= set(group)
+                       for group, gap in gaps.items() if gap == defect)
+        assert deficient >= 100, deficient
 
 
 class TestPartialSdr:

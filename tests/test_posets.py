@@ -1,8 +1,9 @@
+import random
 from itertools import combinations
 
 import pytest
 
-from oracles import all_poset_masks, brute_longest_chain, brute_max_antichain
+from oracles import all_poset_masks, brute_longest_chain, brute_max_antichain, warshall_closure
 from transversal import core, posets
 from transversal.errors import ResourceLimitError, ValidationError
 from transversal.graphs import Graph
@@ -35,6 +36,43 @@ class TestPoset:
     def test_json(self):
         p = posets.Poset.from_json({"elements": ["x", "y"], "less_than": [["x", "y"]]})
         assert p.lt("x", "y")
+
+    def test_closure_matches_warshall(self):
+        rng = random.Random(1950)
+        for _ in range(300):
+            n = rng.randint(0, 40)
+            order = list(range(n))
+            rng.shuffle(order)
+            density = rng.choice((0.02, 0.1, 0.3))
+            pairs = [(order[i], order[j]) for i, j in combinations(range(n), 2)
+                     if rng.random() < density]
+            p = posets.Poset(range(n), pairs)
+            succ = [0] * n
+            for a, b in pairs:
+                succ[a] |= 1 << b
+            assert p._above == warshall_closure(succ)
+
+    def test_cycle_names_an_element_on_it(self):
+        rng = random.Random(1951)
+        rejected = 0
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            pairs = [(a, b) for a in range(n) for b in range(n) if rng.random() < 0.12]
+            succ = [0] * n
+            for a, b in pairs:
+                succ[a] |= 1 << b
+            closed = warshall_closure(succ)
+            on_cycle = {i for i in range(n) if (closed[i] >> i) & 1}
+            if not on_cycle:
+                posets.Poset(range(n), pairs)
+                continue
+            rejected += 1
+            with pytest.raises(ValidationError) as info:
+                posets.Poset(range(n), pairs)
+            assert info.value.field == "less_than"
+            named = int(str(info.value).split("through ")[1])
+            assert named in on_cycle
+        assert rejected >= 100, rejected
 
 
 class TestDilworth:
