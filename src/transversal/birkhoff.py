@@ -86,6 +86,8 @@ class RationalMatrix:
         if not isinstance(obj, dict) or "entries" not in obj:
             raise ValidationError("matrix file needs 'entries'", field="entries")
         rows = obj["entries"]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValidationError("'entries' must be a list of rows", field="entries")
         if "n" in obj and len(rows) != obj["n"]:
             raise ValidationError("'n' does not match the number of rows", field="n")
         return cls(rows)

@@ -60,8 +60,15 @@ def _load(path):
             return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _load_cert(path) -> dict:
+    cert = _load(path)
+    if not isinstance(cert, dict):
+        raise ValidationError(f"{path} must hold a JSON object", field="certificate")
+    return cert
 
 
 def _checked(ok, reason, payload_on_ok=None):
@@ -81,13 +88,13 @@ def _ceiling(args):
 def _cmd_sdr(args):
     family = core.SetFamily.from_json(_load(args.family))
     if args.verify:
-        cert = _load(args.verify)
+        cert = _load_cert(args.verify)
         if "reps" in cert:
             ok, reason = core.validate_sdr(family, cert["reps"])
             return _checked(ok, reason)
         try:
             violator = core.HallViolator(tuple(cert["indices"]), tuple(cert["union"]))
-        except (KeyError, ValidationError) as exc:
+        except (KeyError, TypeError, ValidationError) as exc:
             return _checked(False, str(exc))
         ok, reason = core.verify_hall_violator(family, violator)
         return _checked(ok, reason)
@@ -104,7 +111,7 @@ def _cmd_sdr(args):
 def _cmd_defect(args):
     family = core.SetFamily.from_json(_load(args.family))
     if args.verify:
-        cert = _load(args.verify)
+        cert = _load_cert(args.verify)
         try:
             defect = cert["defect"]
             partial = {int(k): v for k, v in cert["partial"].items()}
@@ -137,7 +144,7 @@ def _cmd_count_sdr(args):
 def _cmd_array_sdr(args):
     arr = core.ArrayFamily.from_json(_load(args.array))
     if args.verify:
-        cert = _load(args.verify)
+        cert = _load_cert(args.verify)
         ok, reason = core.validate_array_sdr(arr, cert.get("grid", []))
         return _checked(ok, reason)
     grid = core.array_sdr(arr, **_ceiling(args))
@@ -149,7 +156,7 @@ def _cmd_array_sdr(args):
 def _cmd_matching(args):
     g = graphs.BipartiteGraph.from_json(_load(args.graph))
     if args.verify:
-        cert = _load(args.verify)
+        cert = _load_cert(args.verify)
         matching = graphs.Matching(tuple(tuple(e) for e in cert.get("edges", [])))
         ok, reason = graphs.validate_matching(g, matching)
         return _checked(ok, reason)
@@ -164,7 +171,7 @@ def _cmd_matching(args):
 def _cmd_cover(args):
     g = graphs.BipartiteGraph.from_json(_load(args.graph))
     if args.verify:
-        cert = _load(args.verify)
+        cert = _load_cert(args.verify)
         matching = graphs.Matching(tuple(tuple(e) for e in cert.get("matching", [])))
         cover = graphs.VertexCover(
             tuple(cert.get("cover", {}).get("partA", [])),
@@ -235,7 +242,7 @@ def _verify_menger(g, s, t, mode, cert):
 def _cmd_menger(args):
     g = graphs.Graph.from_json(_load(args.graph))
     if args.verify:
-        return _verify_menger(g, args.source, args.sink, args.mode, _load(args.verify))
+        return _verify_menger(g, args.source, args.sink, args.mode, _load_cert(args.verify))
     paths, cut = graphs.menger_paths(g, args.source, args.sink, args.mode)
     payload = {
         "paths": [list(p) for p in paths],
@@ -248,7 +255,7 @@ def _cmd_menger(args):
 def _cmd_maxflow(args):
     net = graphs.FlowNetwork.from_json(_load(args.network))
     if args.verify:
-        cert = _load(args.verify)
+        cert = _load_cert(args.verify)
         value = cert.get("value")
         assignment = {(u, v): f for u, v, f in (tuple(e) for e in cert.get("flow", []))}
         ok, reason = graphs.validate_flow(net, value, assignment)
@@ -281,7 +288,7 @@ def _cmd_maxflow(args):
 def _cmd_dilworth(args):
     p = posets.Poset.from_json(_load(args.poset))
     if args.verify:
-        cert = _load(args.verify)
+        cert = _load_cert(args.verify)
         partition = posets.ChainPartition(tuple(tuple(c) for c in cert.get("chains", [])))
         ok, reason = posets.validate_chain_partition(p, partition)
         if ok:
@@ -300,17 +307,13 @@ def _cmd_dilworth(args):
 def _cmd_mirsky(args):
     p = posets.Poset.from_json(_load(args.poset))
     if args.verify:
-        cert = _load(args.verify)
+        cert = _load_cert(args.verify)
         partition = posets.AntichainPartition(
             tuple(tuple(a) for a in cert.get("antichains", []))
         )
         ok, reason = posets.validate_antichain_partition(p, partition)
         if ok:
-            chain = cert.get("chain", [])
-            for a, b in zip(chain, chain[1:]):
-                if not p.lt(a, b):
-                    ok, reason = False, f"chain entries {a!r},{b!r} are out of order"
-                    break
+            ok, reason = posets.validate_chain(p, cert.get("chain", []))
         if ok and len(partition) != len(cert.get("chain", [])):
             ok, reason = False, "level count differs from the chain length"
         return _checked(ok, reason)
@@ -325,7 +328,7 @@ def _cmd_mirsky(args):
 def _cmd_perfect(args):
     g = graphs.Graph.from_json(_load(args.graph))
     if args.verify:
-        cert = _load(args.verify)
+        cert = _load_cert(args.verify)
         witness = cert.get("witness")
         if not witness:
             return _checked(False, "nothing to verify without a witness")
@@ -347,7 +350,7 @@ def _cmd_birkhoff(args):
     m = birkhoff.RationalMatrix.from_json(_load(args.matrix))
     nnz = sum(1 for row in m.entries for x in row if x)
     if args.verify:
-        cert = _load(args.verify)
+        cert = _load_cert(args.verify)
         try:
             terms = tuple(
                 (Fraction(t["coefficient"]), tuple(t["permutation"]))
@@ -396,7 +399,7 @@ def _cmd_bounds(args):
 def _cmd_latin_extend(args):
     rect = latin.LatinRectangle.from_json(_load(args.rectangle))
     if args.verify:
-        cert = _load(args.verify)
+        cert = _load_cert(args.verify)
         extended = latin.LatinRectangle.from_json(cert)
         if extended.m != rect.m + 1 or extended.rows[: rect.m] != rect.rows:
             return _checked(False, "certificate does not extend the input by one row")
@@ -408,7 +411,7 @@ def _cmd_latin_extend(args):
 def _cmd_latin_complete(args):
     rect = latin.LatinRectangle.from_json(_load(args.rectangle))
     if args.verify:
-        cert = _load(args.verify)
+        cert = _load_cert(args.verify)
         square = latin.LatinRectangle.from_json(cert)
         if not square.is_square or square.rows[: rect.m] != rect.rows:
             return _checked(False, "certificate is not a completion of the input")
@@ -425,7 +428,7 @@ def _cmd_latin_count(args):
 def _cmd_youden(args):
     design = latin.BlockDesign.from_json(_load(args.design))
     if args.verify:
-        cert = _load(args.verify)
+        cert = _load_cert(args.verify)
         ok, reason = latin.validate_youden(design, cert.get("array", []))
         return _checked(ok, reason)
     array = latin.youden_from_design(design)
@@ -436,24 +439,18 @@ def _cmd_rado(args):
     family = core.SetFamily.from_json(_load(args.family))
     oracle = matroids.matroid_from_json(_load(args.matroid))
     if args.verify:
-        cert = _load(args.verify)
+        cert = _load_cert(args.verify)
         if "reps" in cert:
             ok, reason = matroids.validate_sir(family, oracle, cert["reps"])
             return _checked(ok, reason)
         try:
-            indices = tuple(cert["indices"])
-        except (KeyError, TypeError):
-            return _checked(False, "certificate names neither reps nor indices")
-        if len(set(indices)) != len(indices) or not indices:
-            return _checked(False, "indices must be distinct and nonempty")
-        if any(not isinstance(i, int) or not 0 <= i < family.n for i in indices):
-            return _checked(False, "an index is out of range")
-        union = family.union_of(indices)
-        if set(union) != set(cert.get("union", [])):
-            return _checked(False, "stated union differs from the recomputed union")
-        if oracle.rank_of(union) >= len(indices):
-            return _checked(False, "union rank is not below the index count")
-        return _checked(True, None)
+            violator = matroids.RadoViolator(
+                tuple(cert["indices"]), tuple(cert["union"]), cert["rank"]
+            )
+        except (KeyError, TypeError, ValidationError) as exc:
+            return _checked(False, f"malformed violator: {exc}")
+        ok, reason = matroids.verify_rado_violator(family, oracle, violator)
+        return _checked(ok, reason)
     result = matroids.rado_check(family, oracle)
     if isinstance(result, matroids.Sir):
         return "found", {"reps": list(result.reps)}, "independent representatives found"
@@ -473,7 +470,7 @@ def _cmd_cosets(args):
         raise ValidationError(f"--generators is not valid JSON: {exc}") from exc
     subgroup = groups.subgroup_closure(group, generators)
     if args.verify:
-        cert = _load(args.verify)
+        cert = _load_cert(args.verify)
         reps = [tuple(x) if isinstance(x, list) else x for x in cert.get("reps", [])]
         ok, reason = groups.validate_simultaneous_reps(group, subgroup, reps)
         return _checked(ok, reason)
@@ -496,7 +493,7 @@ def _cmd_hyper_sdr(args):
     if args.ceiling is not None:
         limits["max_edges"] = args.ceiling
     if args.verify:
-        cert = _load(args.verify)
+        cert = _load_cert(args.verify)
         sdr = hypersdr.HyperSdr(tuple(frozenset(e) for e in cert.get("selection", [])))
         ok, reason = hypersdr.validate_hyper_sdr(fam, sdr)
         return _checked(ok, reason)

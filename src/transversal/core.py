@@ -24,6 +24,44 @@ ARRAY_CELL_CEILING = 16
 _COUNT_TERM_GUARD = 1 << 26
 
 
+def _index_labels(labels, field) -> dict:
+    """Map each of `labels`, distinct hashable values, to its position.
+
+    The dict keeps the input order, so ``tuple(index)`` is the label tuple.
+    Raises ``ValidationError`` naming `field` when `labels` cannot be
+    iterated, or holds an unhashable or a repeated label.
+    """
+    index: dict = {}
+    try:
+        for pos, x in enumerate(labels):
+            if x in index:
+                raise ValidationError(f"{field} repeats {x!r}", field=field)
+            index[x] = pos
+    except TypeError as exc:
+        raise ValidationError(f"{field} must be a list of labels: {exc}", field=field) from exc
+    return index
+
+
+def _mask_of(members, index, field) -> int:
+    """Bitmask of the positions that `index` gives to one list of members.
+
+    Raises ``ValidationError`` naming `field` when `members` is a string or
+    cannot be iterated, or holds an unhashable value or one not in `index`.
+    """
+    if isinstance(members, str):
+        raise ValidationError(f"{field} must be a list, not a string", field=field)
+    mask = 0
+    try:
+        for x in members:
+            pos = index.get(x)
+            if pos is None:
+                raise ValidationError(f"{field} holds {x!r}, which is not a label", field=field)
+            mask |= 1 << pos
+    except TypeError as exc:
+        raise ValidationError(f"{field} must be a list of labels: {exc}", field=field) from exc
+    return mask
+
+
 class SetFamily:
     """An ordered tuple of subsets of a finite ground set.
 
@@ -37,36 +75,11 @@ class SetFamily:
     def __init__(self, ground, sets):
         if isinstance(ground, str):
             raise ValidationError("the ground set must be a list, not a string", field="ground")
-        index: dict = {}
-        try:
-            ground = tuple(ground)
-            for pos, x in enumerate(ground):
-                if x in index:
-                    raise ValidationError(f"duplicate ground element {x!r}", field="ground")
-                index[x] = pos
-        except TypeError as exc:
-            raise ValidationError(f"bad ground set: {exc}", field="ground") from exc
-        masks = []
-        members = []
-        for i, subset in enumerate(sets):
-            if isinstance(subset, str):
-                raise ValidationError(f"set {i} must be a list, not a string", field=f"sets[{i}]")
-            mask = 0
-            try:
-                for x in subset:
-                    pos = index.get(x)
-                    if pos is None:
-                        raise ValidationError(
-                            f"set {i} contains {x!r}, which is not in the ground set",
-                            field=f"sets[{i}]",
-                        )
-                    mask |= 1 << pos
-            except TypeError as exc:
-                raise ValidationError(f"bad set {i}: {exc}", field=f"sets[{i}]") from exc
-            masks.append(mask)
-            members.append(tuple(ground[p] for p in _bitmatch.bits_of(mask)))
+        index = _index_labels(ground, "ground")
+        ground = tuple(index)
+        masks = [_mask_of(subset, index, f"sets[{i}]") for i, subset in enumerate(sets)]
         self.ground = ground
-        self.sets = tuple(members)
+        self.sets = tuple(tuple(ground[p] for p in _bitmatch.bits_of(m)) for m in masks)
         self._index = index
         self._masks = masks
 
@@ -154,37 +167,18 @@ class ArrayFamily:
     __slots__ = ("ground", "grid", "_index", "_masks")
 
     def __init__(self, ground, grid):
-        ground = tuple(ground)
-        index: dict = {}
-        for pos, x in enumerate(ground):
-            if x in index:
-                raise ValidationError(f"duplicate ground element {x!r}", field="ground")
-            index[x] = pos
+        index = _index_labels(ground, "ground")
+        ground = tuple(index)
         rows = []
         mask_rows = []
-        width = None
         for r, row in enumerate(grid):
-            row = tuple(row)
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
+            if not isinstance(row, (list, tuple)):
+                raise ValidationError(f"grid row {r} must be a list of cells", field=f"grid[{r}]")
+            if mask_rows and len(row) != len(mask_rows[0]):
                 raise ValidationError("grid rows have unequal lengths", field=f"grid[{r}]")
-            cells = []
-            cell_masks = []
-            for c, cell in enumerate(row):
-                mask = 0
-                for x in cell:
-                    pos = index.get(x)
-                    if pos is None:
-                        raise ValidationError(
-                            f"cell ({r},{c}) contains {x!r}, which is not in the ground set",
-                            field=f"grid[{r}][{c}]",
-                        )
-                    mask |= 1 << pos
-                cell_masks.append(mask)
-                cells.append(tuple(ground[p] for p in _bitmatch.bits_of(mask)))
-            rows.append(tuple(cells))
+            cell_masks = [_mask_of(cell, index, f"grid[{r}][{c}]") for c, cell in enumerate(row)]
             mask_rows.append(cell_masks)
+            rows.append(tuple(tuple(ground[p] for p in _bitmatch.bits_of(m)) for m in cell_masks))
         self.ground = ground
         self.grid = tuple(rows)
         self._index = index
@@ -200,6 +194,8 @@ class ArrayFamily:
     def from_json(cls, obj: dict) -> "ArrayFamily":
         if not isinstance(obj, dict) or "ground" not in obj or "grid" not in obj:
             raise ValidationError("array file needs 'ground' and 'grid'", field="ground")
+        if not isinstance(obj["grid"], list):
+            raise ValidationError("'grid' must be a list of rows", field="grid")
         return cls(obj["ground"], obj["grid"])
 
 
@@ -254,20 +250,34 @@ def _hall_violator(family: SetFamily, match_row, match_col) -> HallViolator:
 
 def verify_hall_violator(family: SetFamily, violator: HallViolator) -> tuple[bool, str | None]:
     """Recompute the union of the named sets and re-check the counting gap."""
-    indices = tuple(violator.indices)
-    if not indices:
-        return False, "violator names no sets"
-    if len(set(indices)) != len(indices):
-        return False, "violator repeats an index"
-    for i in indices:
-        if not isinstance(i, int) or not 0 <= i < family.n:
-            return False, f"index {i!r} is out of range"
-    union = family.union_of(indices)
-    if set(union) != set(violator.union):
-        return False, "stated union differs from the recomputed union"
-    if len(union) >= len(indices):
+    union, reason = _violator_union(family, violator.indices, violator.union)
+    if union is None:
+        return False, reason
+    if len(union) >= len(violator.indices):
         return False, "union is not smaller than the index set"
     return True, None
+
+
+def _violator_union(family: SetFamily, indices, stated_union):
+    """The checks every violator certificate shares: the indices are
+    distinct, nonempty and in range, and `stated_union` is the union of the
+    sets they name.  Returns (recomputed union, None) or (None, reason)."""
+    indices = tuple(indices)
+    if not indices:
+        return None, "violator names no sets"
+    for i in indices:
+        if not isinstance(i, int) or not 0 <= i < family.n:
+            return None, f"index {i!r} is out of range"
+    if len(set(indices)) != len(indices):
+        return None, "violator repeats an index"
+    union = family.union_of(indices)
+    try:
+        same = set(union) == set(stated_union)
+    except TypeError:  # an unhashable entry is no element
+        same = False
+    if not same:
+        return None, "stated union differs from the recomputed union"
+    return union, None
 
 
 def partial_sdr(family: SetFamily) -> DefectReport:

@@ -9,18 +9,6 @@ from . import _bitmatch, core
 from .errors import ValidationError
 
 
-def _index_labels(labels, field):
-    index = {}
-    try:
-        for pos, x in enumerate(labels):
-            if x in index:
-                raise ValidationError(f"duplicate vertex {x!r} in {field}", field=field)
-            index[x] = pos
-    except TypeError as exc:
-        raise ValidationError(f"bad vertex in {field}: {exc}", field=field) from exc
-    return index
-
-
 class BipartiteGraph:
     """A graph on two ordered vertex parts, every edge joining them.
 
@@ -33,10 +21,10 @@ class BipartiteGraph:
     __slots__ = ("part_a", "part_b", "edges", "_a_index", "_b_index", "_masks")
 
     def __init__(self, part_a, part_b, edges):
-        part_a = tuple(part_a)
-        part_b = tuple(part_b)
-        a_index = _index_labels(part_a, "partA")
-        b_index = _index_labels(part_b, "partB")
+        a_index = core._index_labels(part_a, "partA")
+        b_index = core._index_labels(part_b, "partB")
+        part_a = tuple(a_index)
+        part_b = tuple(b_index)
         masks = [0] * len(part_a)
         kept = []
         seen = set()
@@ -114,8 +102,8 @@ class Graph:
     __slots__ = ("vertices", "edges", "_index", "_adj")
 
     def __init__(self, vertices, edges):
-        vertices = tuple(vertices)
-        index = _index_labels(vertices, "vertices")
+        index = core._index_labels(vertices, "vertices")
+        vertices = tuple(index)
         adj = [0] * len(vertices)
         kept = []
         seen = set()
@@ -170,8 +158,8 @@ class FlowNetwork:
     __slots__ = ("nodes", "arcs", "source", "sink", "_index")
 
     def __init__(self, nodes, arcs, source, sink):
-        nodes = tuple(nodes)
-        index = _index_labels(nodes, "nodes")
+        index = core._index_labels(nodes, "nodes")
+        nodes = tuple(index)
         if source not in index:
             raise ValidationError(f"source {source!r} is not a node", field="source")
         if sink not in index:
@@ -205,20 +193,19 @@ class FlowNetwork:
         for key in ("edges", "source", "sink"):
             if not isinstance(obj, dict) or key not in obj:
                 raise ValidationError(f"network file needs '{key}'", field=key)
-        arcs = [tuple(e) for e in obj["edges"]]
-        nodes = list(obj.get("nodes", []))
-        seen = set(nodes)
-        for arc in arcs:
-            if len(arc) != 3:
-                raise ValidationError("each edge must be [from, to, capacity]", field="edges")
-            for x in arc[:2]:
-                if x not in seen:
-                    seen.add(x)
-                    nodes.append(x)
-        for x in (obj["source"], obj["sink"]):
-            if x not in seen:
-                seen.add(x)
-                nodes.append(x)
+        arcs = obj["edges"]
+        if not isinstance(arcs, list):
+            raise ValidationError("'edges' must be a list", field="edges")
+        for k, arc in enumerate(arcs):
+            if not isinstance(arc, list) or len(arc) != 3:
+                raise ValidationError(f"edge {k} is not [from, to, capacity]: {arc!r}",
+                                      field=f"edges[{k}]")
+        listed = core._index_labels(obj.get("nodes", []), "nodes")
+        named = [*listed, *(x for arc in arcs for x in arc[:2]), obj["source"], obj["sink"]]
+        try:
+            nodes = list(dict.fromkeys(named))
+        except TypeError as exc:
+            raise ValidationError(f"node names must be hashable: {exc}", field="edges") from exc
         return cls(nodes, arcs, obj["source"], obj["sink"])
 
 

@@ -26,17 +26,15 @@ class FiniteGroup:
     __slots__ = ("elements", "table", "identity", "_index", "_inverse")
 
     def __init__(self, elements, table, _trusted_associative=False):
-        elements = tuple(elements)
+        index = core._index_labels(elements, "elements")
+        elements = tuple(index)
         n = len(elements)
-        index: dict = {}
-        for pos, x in enumerate(elements):
-            if x in index:
-                raise ValidationError(f"duplicate element {x!r}", field="elements")
-            index[x] = pos
-        table = tuple(tuple(row) for row in table)
-        if len(table) != n or any(len(row) != n for row in table):
+        if not isinstance(table, (list, tuple)) or len(table) != n or any(
+            not isinstance(row, (list, tuple)) or len(row) != n for row in table
+        ):
             raise ValidationError("table must be square and match the element count",
                                   field="table")
+        table = tuple(tuple(row) for row in table)
         for i, row in enumerate(table):
             for j, k in enumerate(row):
                 if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k < n:
@@ -95,15 +93,18 @@ class FiniteGroup:
     def from_permutations(cls, generators, degree: int) -> "FiniteGroup":
         """Close a list of permutations (1-based image tuples) under
         composition; elements are the sorted permutation tuples."""
-        if degree < 1:
-            raise ValidationError("degree must be positive", field="degree")
+        if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
+            raise ValidationError("degree must be a positive integer", field="degree")
         gens = []
         for g in generators:
-            g = tuple(g)
-            if sorted(g) != list(range(1, degree + 1)):
+            try:
+                ok = sorted(g) == list(range(1, degree + 1))
+            except TypeError:
+                ok = False
+            if not ok:
                 raise ValidationError(f"{g!r} is not a permutation of 1..{degree}",
                                       field="permutations")
-            gens.append(g)
+            gens.append(tuple(g))
         identity = tuple(range(1, degree + 1))
 
         def compose(p, q):  # apply q first, then p
@@ -136,9 +137,9 @@ def group_from_json(obj: dict) -> FiniteGroup:
     if "permutations" in obj:
         if "degree" not in obj:
             raise ValidationError("permutation input needs 'degree'", field="degree")
-        return FiniteGroup.from_permutations(
-            [tuple(p) for p in obj["permutations"]], obj["degree"]
-        )
+        if not isinstance(obj["permutations"], list):
+            raise ValidationError("'permutations' must be a list", field="permutations")
+        return FiniteGroup.from_permutations(obj["permutations"], obj["degree"])
     raise ValidationError("group file needs 'table' or 'permutations'", field="table")
 
 
@@ -268,11 +269,10 @@ def simultaneous_reps(g: FiniteGroup, subgroup) -> tuple:
     result = core.hall_check(family)
     if not isinstance(result, core.Sdr):  # impossible by the counting argument
         raise AssertionError("coset family unexpectedly failed the check")
-    order = {x: k for k, x in enumerate(g.elements)}
     reps = []
     for i, j in enumerate(result.reps):
         meet = set(system.left[i]) & set(system.right[j])
-        reps.append(min(meet, key=order.get))
+        reps.append(min(meet, key=g._index.get))
     return tuple(reps)
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from . import _bitmatch
+from . import _bitmatch, core
 from .errors import ResourceLimitError, ValidationError
 
 SUBFAMILY_CEILING = 4
@@ -14,34 +14,18 @@ EDGE_CEILING = 12
 
 
 class Hypergraph:
-    """Vertices plus a list of nonempty vertex subsets called edges."""
+    """Nonempty subsets, called edges, of a family's vertices; ``index`` maps
+    each vertex to its position and is shared by the family's members."""
 
-    __slots__ = ("vertices", "edges", "_index", "_masks")
+    __slots__ = ("vertices", "edges", "_masks")
 
-    def __init__(self, vertices, edges):
-        vertices = tuple(vertices)
-        index: dict = {}
-        for pos, x in enumerate(vertices):
-            if x in index:
-                raise ValidationError(f"duplicate vertex {x!r}", field="vertices")
-            index[x] = pos
-        masks = []
-        kept = []
-        for k, edge in enumerate(edges):
-            mask = 0
-            for x in edge:
-                pos = index.get(x)
-                if pos is None:
-                    raise ValidationError(f"edge {k} holds {x!r}, not a vertex",
-                                          field=f"edges[{k}]")
-                mask |= 1 << pos
+    def __init__(self, vertices, index, edges):
+        masks = [core._mask_of(edge, index, f"edges[{k}]") for k, edge in enumerate(edges)]
+        for k, mask in enumerate(masks):
             if mask == 0:
                 raise ValidationError(f"edge {k} is empty", field=f"edges[{k}]")
-            masks.append(mask)
-            kept.append(frozenset(vertices[p] for p in _bitmatch.bits_of(mask)))
         self.vertices = vertices
-        self.edges = tuple(kept)
-        self._index = index
+        self.edges = tuple(frozenset(vertices[p] for p in _bitmatch.bits_of(m)) for m in masks)
         self._masks = masks
 
 
@@ -51,9 +35,9 @@ class HypergraphFamily:
     __slots__ = ("vertices", "members")
 
     def __init__(self, vertices, edge_lists):
-        vertices = tuple(vertices)
-        self.vertices = vertices
-        self.members = tuple(Hypergraph(vertices, edges) for edges in edge_lists)
+        index = core._index_labels(vertices, "vertices")
+        self.vertices = tuple(index)
+        self.members = tuple(Hypergraph(self.vertices, index, edges) for edges in edge_lists)
 
     def __len__(self):
         return len(self.members)
@@ -63,7 +47,10 @@ class HypergraphFamily:
         for key in ("vertices", "hypergraphs"):
             if not isinstance(obj, dict) or key not in obj:
                 raise ValidationError(f"family file needs '{key}'", field=key)
-        return cls(obj["vertices"], obj["hypergraphs"])
+        members = obj["hypergraphs"]
+        if not isinstance(members, list) or not all(isinstance(h, list) for h in members):
+            raise ValidationError("'hypergraphs' must hold lists of edges", field="hypergraphs")
+        return cls(obj["vertices"], members)
 
 
 @dataclass(frozen=True)

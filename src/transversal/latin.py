@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from . import _bitmatch
+from . import _bitmatch, core
 from .birkhoff import _permanent_rows
 from .errors import AlreadyCompleteError, ResourceLimitError, ValidationError
 
@@ -21,9 +21,9 @@ class LatinRectangle:
     __slots__ = ("m", "n", "rows", "_col_masks")
 
     def __init__(self, n, rows):
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+            raise ValidationError("width must be a nonnegative integer", field="n")
         rows = tuple(tuple(row) for row in rows)
-        if n < 0:
-            raise ValidationError("width must be nonnegative", field="n")
         if len(rows) > n:
             raise ValidationError(f"{len(rows)} rows will not fit width {n}", field="rows")
         col_masks = [0] * n
@@ -67,14 +67,14 @@ class LatinRectangle:
         if not isinstance(obj, dict) or "n" not in obj or "rows" not in obj:
             raise ValidationError("rectangle file needs 'n' and 'rows'", field="n")
         rows = obj["rows"]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValidationError("'rows' must be a list of lists", field="rows")
         if "alphabet" in obj:
-            order = {x: k + 1 for k, x in enumerate(obj["alphabet"])}
-            if len(order) != len(obj["alphabet"]):
-                raise ValidationError("alphabet repeats a letter", field="alphabet")
+            order = core._index_labels(obj["alphabet"], "alphabet")
             try:
-                rows = [[order[x] for x in row] for row in rows]
-            except KeyError as exc:
-                raise ValidationError(f"letter {exc.args[0]!r} is not in the alphabet",
+                rows = [[order[x] + 1 for x in row] for row in rows]
+            except (KeyError, TypeError) as exc:
+                raise ValidationError(f"a letter is not in the alphabet: {exc}",
                                       field="rows") from exc
         return cls(obj["n"], rows)
 
@@ -160,40 +160,18 @@ class BlockDesign:
     common block cardinality.
     """
 
-    __slots__ = ("points", "blocks", "_index", "_block_masks")
+    __slots__ = ("points", "blocks", "_block_masks")
 
     def __init__(self, points, blocks):
-        points = tuple(points)
-        index: dict = {}
-        try:
-            for pos, x in enumerate(points):
-                if x in index:
-                    raise ValidationError(f"duplicate point {x!r}", field="points")
-                index[x] = pos
-        except TypeError as exc:
-            raise ValidationError(f"bad point: {exc}", field="points") from exc
-        block_masks = []
-        kept = []
-        for b, block in enumerate(blocks):
-            if isinstance(block, str):
-                raise ValidationError(f"block {b} must be a list, not a string", field="blocks")
-            mask = 0
-            try:
-                for x in block:
-                    pos = index.get(x)
-                    if pos is None:
-                        raise ValidationError(f"block {b} holds {x!r}, not a point",
-                                              field=f"blocks[{b}]")
-                    mask |= 1 << pos
-            except TypeError as exc:
-                raise ValidationError(f"bad block {b}: {exc}", field="blocks") from exc
+        index = core._index_labels(points, "points")
+        points = tuple(index)
+        block_masks = [core._mask_of(block, index, f"blocks[{b}]")
+                       for b, block in enumerate(blocks)]
+        for b, mask in enumerate(block_masks):
             if mask == 0:
                 raise ValidationError(f"block {b} is empty", field=f"blocks[{b}]")
-            block_masks.append(mask)
-            kept.append(tuple(points[p] for p in _bitmatch.bits_of(mask)))
         self.points = points
-        self.blocks = tuple(kept)
-        self._index = index
+        self.blocks = tuple(tuple(points[p] for p in _bitmatch.bits_of(m)) for m in block_masks)
         self._block_masks = block_masks
 
     @property
@@ -240,6 +218,8 @@ class BlockDesign:
         for key in ("points", "blocks"):
             if not isinstance(obj[key], list):
                 raise ValidationError(f"'{key}' must be a list", field=key)
+        if not all(isinstance(block, list) for block in obj["blocks"]):
+            raise ValidationError("every block must be a list of points", field="blocks")
         return cls(obj["points"], obj["blocks"])
 
 

@@ -25,31 +25,27 @@ class MatroidOracle:
     well defined.
     """
 
-    __slots__ = ("ground", "kind", "_indep")
+    __slots__ = ("ground", "kind", "_indep", "_index")
 
     def __init__(self, ground, indep, kind="custom"):
-        ground = tuple(ground)
-        seen = set()
-        for x in ground:
-            if x in seen:
-                raise ValidationError(f"duplicate ground element {x!r}", field="ground")
-            seen.add(x)
-        self.ground = ground
+        self._index = core._index_labels(ground, "ground")
+        self.ground = tuple(self._index)
         self.kind = kind
         self._indep = indep
 
-    def independent(self, subset) -> bool:
+    def _within_ground(self, subset) -> frozenset:
+        """`subset` as a frozenset, after checking that it lies in the ground."""
         subset = frozenset(subset)
-        stray = subset - set(self.ground)
+        stray = [repr(x) for x in subset if x not in self._index]
         if stray:
-            raise ValidationError(f"{sorted(map(repr, stray))[0]} is outside the ground set")
-        return bool(self._indep(subset))
+            raise ValidationError(f"{min(stray)} is outside the ground set")
+        return subset
+
+    def independent(self, subset) -> bool:
+        return bool(self._indep(self._within_ground(subset)))
 
     def rank_of(self, subset) -> int:
-        subset = frozenset(subset)
-        stray = subset - set(self.ground)
-        if stray:
-            raise ValidationError(f"{sorted(map(repr, stray))[0]} is outside the ground set")
+        subset = self._within_ground(subset)
         chosen: set = set()
         for x in self.ground:
             if x in subset and self._indep(frozenset(chosen | {x})):
@@ -72,31 +68,29 @@ def free_matroid(ground) -> MatroidOracle:
 
 def uniform_matroid(ground, k: int) -> MatroidOracle:
     if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-        raise ValidationError("uniform rank must be a nonnegative integer")
+        raise ValidationError("uniform rank must be a nonnegative integer", field="rank")
     return MatroidOracle(ground, lambda s: len(s) <= k, kind="uniform")
 
 
 def partition_matroid(blocks, caps) -> MatroidOracle:
-    blocks = [tuple(b) for b in blocks]
-    caps = list(caps)
-    if len(blocks) != len(caps):
-        raise ValidationError("need one capacity per block")
+    if not all(isinstance(x, (list, tuple)) for x in (blocks, caps)) or len(blocks) != len(caps):
+        raise ValidationError("need a list with one capacity per block", field="caps")
     for c in caps:
         if isinstance(c, bool) or not isinstance(c, int) or c < 0:
-            raise ValidationError("capacities must be nonnegative integers")
+            raise ValidationError("capacities must be nonnegative integers", field="caps")
     ground = []
-    owner = {}
+    owner = []  # owner[pos]: the block holding ground[pos]
     for bi, block in enumerate(blocks):
-        for x in block:
-            if x in owner:
-                raise ValidationError(f"element {x!r} appears in two blocks")
-            owner[x] = bi
-            ground.append(x)
+        if not isinstance(block, (list, tuple)):
+            raise ValidationError(f"block {bi} must be a list", field="blocks")
+        ground.extend(block)
+        owner.extend([bi] * len(block))
+    index = core._index_labels(ground, "blocks")  # an element in two blocks repeats
 
     def indep(subset):
         counts = [0] * len(blocks)
         for x in subset:
-            bi = owner[x]
+            bi = owner[index[x]]
             counts[bi] += 1
             if counts[bi] > caps[bi]:
                 return False
@@ -191,21 +185,24 @@ def _is_prime(p) -> bool:
 def linear_matroid(columns, modulus: int) -> MatroidOracle:
     """Column labels of a matrix over a prime field; independence is linear."""
     if isinstance(modulus, bool) or not isinstance(modulus, int) or not _is_prime(modulus):
-        raise ValidationError("modulus must be a prime number")
+        raise ValidationError("modulus must be a prime number", field="modulus")
+    if not isinstance(columns, dict):
+        raise ValidationError("'columns' must map labels to vectors", field="columns")
     vecs = {}
     width = None
     for label, v in columns.items():
-        v = tuple(int(x) for x in v)
+        try:
+            v = tuple(int(x) for x in v)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"column {label!r}: {exc}", field="columns") from exc
         if width is None:
             width = len(v)
         elif len(v) != width:
-            raise ValidationError(f"column {label!r} has the wrong length")
+            raise ValidationError(f"column {label!r} has the wrong length", field="columns")
         vecs[label] = v
 
-    order = {label: k for k, label in enumerate(vecs)}
-
     def indep(subset):
-        chosen = [vecs[x] for x in sorted(subset, key=order.get)]
+        chosen = [vecs[x] for x in subset]  # the rank does not depend on the order
         return _gf_rank(chosen, modulus) == len(chosen)
 
     return MatroidOracle(tuple(vecs), indep, kind="linear")
@@ -263,7 +260,6 @@ def validate_matroid(m: MatroidOracle, *, ceiling: int = VALIDATE_CEILING):
     status = {s: bool(m._indep(s)) for s in subsets}
     if not status[frozenset()]:
         return False, {"axiom": "nonempty", "set": ()}
-    order = {x: k for k, x in enumerate(ground)}
     for s in subsets:
         if not status[s]:
             continue
@@ -271,7 +267,7 @@ def validate_matroid(m: MatroidOracle, *, ceiling: int = VALIDATE_CEILING):
             if not status[s - {x}]:
                 return False, {
                     "axiom": "downward-closure",
-                    "set": tuple(sorted(s, key=order.get)),
+                    "set": tuple(sorted(s, key=m._index.get)),
                     "element": x,
                 }
     independent = [s for s in subsets if status[s]]
@@ -282,8 +278,8 @@ def validate_matroid(m: MatroidOracle, *, ceiling: int = VALIDATE_CEILING):
             if not any(status[a | {x}] for x in b - a):
                 return False, {
                     "axiom": "exchange",
-                    "a": tuple(sorted(a, key=order.get)),
-                    "b": tuple(sorted(b, key=order.get)),
+                    "a": tuple(sorted(a, key=m._index.get)),
+                    "b": tuple(sorted(b, key=m._index.get)),
                 }
     return True, None
 
@@ -321,8 +317,7 @@ def rado_check(family: core.SetFamily, m: MatroidOracle):
     violator is read off.  There is no size ceiling on either certificate,
     and the violator is not necessarily a smallest one.
     """
-    stray = set(family.ground) - set(m.ground)
-    if stray:
+    if any(x not in m._index for x in family.ground):
         raise ValidationError("family ground is not contained in the matroid ground")
     reached: dict = {}
     reps = _sir_augmenting(family, m, reached)
@@ -441,6 +436,20 @@ def _violator_from_cut(family, m, reached):
     indices = tuple(sorted(rows))
     union = family.union_of(indices)
     return RadoViolator(indices=indices, union=union, rank=m.rank_of(union))
+
+
+def verify_rado_violator(family: core.SetFamily, m: MatroidOracle,
+                         violator: RadoViolator) -> tuple[bool, str | None]:
+    """Recompute the union of the named sets and its rank, and re-check both."""
+    union, reason = core._violator_union(family, violator.indices, violator.union)
+    if union is None:
+        return False, reason
+    rank = m.rank_of(union)
+    if rank != violator.rank:
+        return False, f"stated rank differs from the recomputed rank {rank}"
+    if rank >= len(violator.indices):
+        return False, "union rank is not below the index count"
+    return True, None
 
 
 def validate_sir(family: core.SetFamily, m: MatroidOracle, reps) -> tuple[bool, str | None]:

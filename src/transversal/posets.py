@@ -25,20 +25,18 @@ class Poset:
     __slots__ = ("elements", "less", "_index", "_below", "_above")
 
     def __init__(self, elements, pairs):
-        elements = tuple(elements)
-        index: dict = {}
-        for pos, x in enumerate(elements):
-            if x in index:
-                raise ValidationError(f"duplicate element {x!r}", field="elements")
-            index[x] = pos
+        index = core._index_labels(elements, "elements")
+        elements = tuple(index)
         n = len(elements)
         succ = [0] * n  # succ[i]: mask of the j with a pair (elements[i], elements[j])
         for pair in pairs:
-            a, b = pair
-            if a not in index or b not in index:
-                raise ValidationError(f"pair {pair!r} mentions an unknown element",
-                                      field="less_than")
-            succ[index[a]] |= 1 << index[b]
+            try:
+                a, b = pair
+                ia, ib = index[a], index[b]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValidationError(f"{pair!r} is not a pair of elements",
+                                      field="less_than") from exc
+            succ[ia] |= 1 << ib
         above = _closure(succ, elements)  # above[i]: the j with elements[i] < elements[j]
         below = [0] * n
         for i in range(n):
@@ -69,7 +67,9 @@ class Poset:
         for key in ("elements", "less_than"):
             if not isinstance(obj, dict) or key not in obj:
                 raise ValidationError(f"poset file needs '{key}'", field=key)
-        return cls(obj["elements"], [tuple(p) for p in obj["less_than"]])
+        if not isinstance(obj["less_than"], list):
+            raise ValidationError("'less_than' must be a list of pairs", field="less_than")
+        return cls(obj["elements"], obj["less_than"])
 
 
 def _closure(succ, elements):
@@ -239,12 +239,33 @@ def comparability_graph(p: Poset, complement: bool = False) -> Graph:
     return Graph(p.elements, edges)
 
 
+def _positions(p: Poset, items):
+    """The positions of `items` in the poset, or None if one is not an element."""
+    try:
+        positions = [p._index.get(x) for x in items]
+    except TypeError:  # an unhashable item is no element either
+        return None
+    return None if None in positions else positions
+
+
+def validate_chain(p: Poset, chain) -> tuple[bool, str | None]:
+    """Every entry of `chain` is an element below the next one."""
+    chain = tuple(chain)
+    positions = _positions(p, chain)
+    if positions is None:
+        return False, "chain names something that is not an element"
+    for k, (i, j) in enumerate(zip(positions, positions[1:])):
+        if not (p._above[i] >> j) & 1:
+            return False, f"chain entries {chain[k]!r},{chain[k + 1]!r} are out of order"
+    return True, None
+
+
 def validate_chain_partition(p: Poset, partition: ChainPartition) -> tuple[bool, str | None]:
     seen: set = set()
     for chain in partition.chains:
-        for a, b in zip(chain, chain[1:]):
-            if not p.lt(a, b):
-                return False, f"chain entries {a!r},{b!r} are out of order"
+        ok, reason = validate_chain(p, chain)
+        if not ok:
+            return False, reason
         for x in chain:
             if x in seen:
                 return False, f"element {x!r} appears in two chains"
@@ -255,12 +276,18 @@ def validate_chain_partition(p: Poset, partition: ChainPartition) -> tuple[bool,
 
 
 def validate_antichain(p: Poset, antichain) -> tuple[bool, str | None]:
+    """No two entries of `antichain` are comparable: one mask test per entry."""
     antichain = tuple(antichain)
-    if len(set(antichain)) != len(antichain):
+    positions = _positions(p, antichain)
+    if positions is None:
+        return False, "antichain names something that is not an element"
+    mask = sum(1 << i for i in set(positions))
+    if mask.bit_count() != len(antichain):
         return False, "antichain repeats an element"
-    for a, b in combinations(antichain, 2):
-        if p.comparable(a, b):
-            return False, f"elements {a!r},{b!r} are comparable"
+    for x, i in zip(antichain, positions):
+        if above := p._above[i] & mask:
+            y = p.elements[above.bit_length() - 1]
+            return False, f"elements {x!r},{y!r} are comparable"
     return True, None
 
 

@@ -451,3 +451,127 @@ class TestHyperCommand:
         )
         code, env, _ = run(capsys, "hyper-sdr", path)
         assert code == 1 and env["payload"]["witness"] == [0, 1]
+
+
+FAMILY = {"ground": ["a", "b"], "sets": [["a"], ["a", "b"]]}
+VALID_INPUTS = {
+    "sdr": ([FAMILY], ()),
+    "defect": ([FAMILY], ()),
+    "array-sdr": ([{"ground": ["a"], "grid": [[["a"]]]}], ()),
+    "matching": ([{"partA": ["x"], "partB": ["y"], "edges": [["x", "y"]]}], ()),
+    "cover": ([{"partA": ["x"], "partB": ["y"], "edges": [["x", "y"]]}], ()),
+    "menger": ([{"vertices": ["s", "a", "t"], "edges": [["s", "a"], ["a", "t"]]}],
+               ("--source", "s", "--sink", "t")),
+    "maxflow": ([{"source": "s", "sink": "t", "edges": [["s", "t", 1]]}], ()),
+    "dilworth": ([{"elements": ["a", "b"], "less_than": [["a", "b"]]}], ()),
+    "mirsky": ([{"elements": ["a", "b"], "less_than": [["a", "b"]]}], ()),
+    "perfect": ([{"vertices": [0, 1], "edges": [[0, 1]]}], ()),
+    "birkhoff": ([{"n": 1, "entries": [["1"]]}], ()),
+    "latin-extend": ([{"n": 2, "rows": [[1, 2]]}], ()),
+    "latin-complete": ([{"n": 2, "rows": [[1, 2]]}], ()),
+    "youden": ([{"points": [1, 2], "blocks": [[1], [2]]}], ()),
+    "rado": ([FAMILY, {"kind": "free", "ground": ["a", "b"]}], ()),
+    "cosets": ([{"elements": ["e", "a"], "table": [[0, 1], [1, 0]]}], ("--generators", '["a"]')),
+    "hyper-sdr": ([{"vertices": ["1"], "hypergraphs": [[["1"]]]}], ()),
+}
+
+
+def run_on(capsys, tmp_path, command, objs, extra=()):
+    paths = [write(tmp_path, f"in{k}.json", obj) for k, obj in enumerate(objs)]
+    return run(capsys, command, *paths, *extra)
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("command, objs, field", [
+        ("array-sdr", [{"ground": [[1]], "grid": []}], "ground"),
+        ("array-sdr", [{"ground": ["a"], "grid": [1]}], "grid[0]"),
+        ("array-sdr", [{"ground": ["a"], "grid": 1}], "grid"),
+        ("hyper-sdr", [{"vertices": [[1]], "hypergraphs": []}], "vertices"),
+        ("hyper-sdr", [{"vertices": ["1"], "hypergraphs": [[1]]}], "edges[0]"),
+        ("hyper-sdr", [{"vertices": ["1"], "hypergraphs": [1]}], "hypergraphs"),
+        ("dilworth", [{"elements": [[1]], "less_than": []}], "elements"),
+        ("dilworth", [{"elements": ["a", "b"], "less_than": [1]}], "less_than"),
+        ("dilworth", [{"elements": ["a", "b"], "less_than": [["a", [1]]]}], "less_than"),
+        ("mirsky", [{"elements": ["a", "b"], "less_than": [["a", "b", "c"]]}], "less_than"),
+        ("mirsky", [{"elements": ["a", "b"], "less_than": 1}], "less_than"),
+        ("maxflow", [{"source": "s", "sink": "t", "edges": [1]}], "edges[0]"),
+        ("maxflow", [{"source": "s", "sink": "t", "edges": [["s", "t"]]}], "edges[0]"),
+        ("maxflow", [{"source": "s", "sink": "t", "edges": [["s", ["u"], 1]]}], "edges"),
+        ("maxflow", [{"source": "s", "sink": "t", "edges": 1}], "edges"),
+        ("rado", [FAMILY, {"kind": "uniform", "ground": [[1]], "rank": 1}], "ground"),
+        ("rado", [FAMILY, {"kind": "partition", "blocks": [1], "caps": [1]}], "blocks"),
+        ("rado", [FAMILY, {"kind": "partition", "blocks": [["a"], ["a"]], "caps": [1, 1]}],
+         "blocks"),
+        ("rado", [FAMILY, {"kind": "linear", "columns": {"a": ["x"]}, "modulus": 2}], "columns"),
+        ("permanent", [{"entries": None}], "entries"),
+        ("birkhoff", [{"n": 1, "entries": [1]}], "entries"),
+        ("latin-extend", [{"n": None, "rows": []}], "n"),
+        ("latin-complete", [{"n": 2, "rows": [1]}], "rows"),
+        ("latin-extend", [{"n": 1, "rows": [], "alphabet": [[1]]}], "alphabet"),
+        ("cosets", [{"elements": ["e"], "table": None}], "table"),
+        ("cosets", [{"permutations": [1], "degree": 2}], "permutations"),
+        ("cosets", [{"permutations": [], "degree": None}], "degree"),
+    ])
+    def test_names_field(self, capsys, tmp_path, command, objs, field):
+        extra = VALID_INPUTS.get(command, ((), ()))[1]
+        code, env, _ = run_on(capsys, tmp_path, command, objs, extra)
+        assert code == 2 and env["status"] == "invalid-input"
+        assert f"(field: {field})" in env["diagnostics"]
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 100000 + b"]" * 100000])
+    def test_unreadable_json(self, capsys, tmp_path, content):
+        path = tmp_path / "raw.json"
+        path.write_bytes(content)
+        code, env, _ = run(capsys, "sdr", str(path))
+        assert code == 2 and env["status"] == "invalid-input"
+
+    @pytest.mark.parametrize("command", sorted(VALID_INPUTS))
+    def test_certificate_not_an_object(self, capsys, tmp_path, command):
+        objs, extra = VALID_INPUTS[command]
+        assert run_on(capsys, tmp_path, command, objs, extra)[0] in (0, 1)
+        cert = write(tmp_path, "cert.json", [1])
+        code, env, _ = run_on(capsys, tmp_path, command, objs, (*extra, "--verify", cert))
+        assert code == 2 and env["status"] == "invalid-input"
+        assert "(field: certificate)" in env["diagnostics"]
+
+
+class TestPosetCertificates:
+    POSET = {"elements": ["a", "b", "c"], "less_than": [["a", "b"]]}
+
+    def test_dilworth_unknown_antichain_element(self, capsys, tmp_path):
+        cert = write(tmp_path, "cert.json",
+                     {"chains": [["a", "b"], ["c"]], "antichain": ["zz", "c"]})
+        code, env, _ = run_on(capsys, tmp_path, "dilworth", [self.POSET], ("--verify", cert))
+        assert code == 1 and env["payload"]["valid"] is False
+
+    def test_dilworth_unknown_chain_element(self, capsys, tmp_path):
+        cert = write(tmp_path, "cert.json",
+                     {"chains": [["a", "zz"], ["c"]], "antichain": ["b", "c"]})
+        code, env, _ = run_on(capsys, tmp_path, "dilworth", [self.POSET], ("--verify", cert))
+        assert code == 1 and env["payload"]["valid"] is False
+
+    @pytest.mark.parametrize("chain", [["zz", "b"], ["a", ["b"]], ["b", "a"]])
+    def test_mirsky_bad_chain(self, capsys, tmp_path, chain):
+        cert = write(tmp_path, "cert.json", {"antichains": [["a", "c"], ["b"]], "chain": chain})
+        code, env, _ = run_on(capsys, tmp_path, "mirsky", [self.POSET], ("--verify", cert))
+        assert code == 1 and env["payload"]["valid"] is False
+
+
+class TestRadoCertificates:
+    TRIANGLE = ({"ground": ["e1", "e2", "e3"], "sets": [["e1", "e2", "e3"]] * 3},
+                {"kind": "graphic",
+                 "graph": {"e1": ["u", "v"], "e2": ["v", "w"], "e3": ["w", "u"]}})
+
+    @pytest.mark.parametrize("cert", [
+        {"indices": [0, 1, 2], "union": ["e1", "e2"], "rank": 2},
+        {"indices": [0, 1, 2], "union": ["e1", "e2", "e3"], "rank": 1},
+        {"indices": [0, 1, 3], "union": ["e1", "e2", "e3"], "rank": 2},
+        {"indices": [0, 0, 1], "union": ["e1", "e2", "e3"], "rank": 2},
+        {"indices": [0, 1, 2], "union": [["e1"], "e2", "e3"], "rank": 2},
+        {"indices": [0, 1, 2], "union": ["e1", "e2", "e3"]},
+        {"indices": [0, 1], "union": ["e1", "e2", "e3"], "rank": 2},
+    ])
+    def test_forged_violator_rejected(self, capsys, tmp_path, cert):
+        path = write(tmp_path, "cert.json", cert)
+        code, env, _ = run_on(capsys, tmp_path, "rado", self.TRIANGLE, ("--verify", path))
+        assert code == 1 and env["payload"]["valid"] is False

@@ -74,6 +74,11 @@ class TestHallCheck:
         assert len(result.indices) == 6
         assert core.verify_hall_violator(f, result) == (True, None)
 
+    def test_verify_rejects_unhashable_union(self):
+        forged = core.HallViolator((0, 1), ([1],))
+        assert core.verify_hall_violator(fam([1], [[1], [1]]), forged) == (
+            False, "stated union differs from the recomputed union")
+
     def test_empty_family(self):
         result = core.hall_check(fam([1], []))
         assert result == core.Sdr(())

@@ -1,0 +1,95 @@
+"""The envelope contract on random input files.
+
+Whatever JSON value a subcommand reads, it answers with exactly one JSON
+object on stdout and an exit code in 0..3; an uncaught exception fails the
+test.  Objects are drawn with the keys of each file format, so the values
+reach the constructors instead of stopping at a missing key.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from transversal import cli, matroids
+
+# Integers stay small: files may name sizes (a Latin width, a permutation
+# degree), and large sizes belong to the resource-limit contract.
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-1, 4), st.sampled_from(["a", "b", "1", "1/2"])
+)
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.sampled_from(["a", "b", "1"]), inner, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+def document(*keys):
+    """A random JSON value, most often an object with some of `keys`."""
+    return st.one_of(VALUES, st.fixed_dictionaries({}, optional=dict.fromkeys(keys, VALUES)))
+
+
+FAMILY = document("ground", "sets")
+BIPARTITE = document("partA", "partB", "edges")
+GRAPH = document("vertices", "edges")
+POSET = document("elements", "less_than")
+MATRIX = document("n", "entries")
+RECTANGLE = document("n", "rows", "alphabet")
+# A matroid file of each kind carries all of that kind's parameters.
+MATROID = st.one_of(document("kind"), *(
+    st.fixed_dictionaries({"kind": st.just(kind), **dict.fromkeys(names, VALUES)})
+    for kind, (_, names) in matroids._KINDS.items()
+))
+
+# subcommand -> (a strategy for each file it reads, extra arguments)
+COMMANDS = {
+    "sdr": ((FAMILY,), ()),
+    "defect": ((FAMILY,), ()),
+    "count-sdr": ((FAMILY,), ()),
+    "array-sdr": ((document("ground", "grid"),), ()),
+    "matching": ((BIPARTITE,), ()),
+    "cover": ((BIPARTITE,), ()),
+    "menger": ((GRAPH,), ("--source", "a", "--sink", "b")),
+    "maxflow": ((document("source", "sink", "edges", "nodes"),), ()),
+    "dilworth": ((POSET,), ()),
+    "mirsky": ((POSET,), ()),
+    "perfect": ((GRAPH,), ()),
+    "birkhoff": ((MATRIX,), ()),
+    "permanent": ((MATRIX,), ()),
+    "latin-extend": ((RECTANGLE,), ()),
+    "latin-complete": ((RECTANGLE,), ()),
+    "youden": ((document("points", "blocks"),), ()),
+    "rado": ((st.one_of(FAMILY, st.just({"ground": ["a"], "sets": [["a"]]})), MATROID), ()),
+    "cosets": ((document("elements", "table", "permutations", "degree"),),
+               ("--generators", '["a"]')),
+    "hyper-sdr": ((document("vertices", "hypergraphs"),), ()),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_random_input_keeps_the_envelope(command, data):
+    files, extra = COMMANDS[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for k, strategy in enumerate(files):
+            path = os.path.join(tmp, f"in{k}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(data.draw(strategy), fh)
+            paths.append(path)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, *paths, *extra])
+    assert code in (0, 1, 2, 3)
+    assert out.getvalue().count("\n") == 1
+    assert isinstance(json.loads(out.getvalue()), dict)

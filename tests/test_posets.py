@@ -128,6 +128,33 @@ class TestMirsky:
             assert len(partition) == len(chain) == brute_longest_chain(above, 4)
 
 
+class TestVerifiers:
+    def test_antichain_matches_pairwise_check(self):
+        for above in all_poset_masks(4):
+            p = poset_from_masks(above)
+            for k in range(p.n + 1):
+                for subset in combinations(p.elements, k):
+                    pairwise = not any(p.comparable(a, b) for a, b in combinations(subset, 2))
+                    assert posets.validate_antichain(p, subset)[0] == pairwise
+
+    def test_chain_matches_pairwise_check(self):
+        p = divisibility()
+        for chain in ((1, 2, 4), (1, 3, 6), (2, 3), (4, 2), (1,), (), (1, 1)):
+            ordered = all(p.lt(a, b) for a, b in zip(chain, chain[1:]))
+            assert posets.validate_chain(p, chain)[0] == ordered
+
+    @pytest.mark.parametrize("items", [("zz",), (1, "zz"), (1, [2])])
+    def test_outsider_is_rejected_not_raised(self, items):
+        p = divisibility()
+        for check in (posets.validate_antichain, posets.validate_chain):
+            ok, reason = check(p, items)
+            assert not ok and "not an element" in reason
+
+    def test_repeated_antichain_entry(self):
+        assert posets.validate_antichain(divisibility(), (4, 4)) == (
+            False, "antichain repeats an element")
+
+
 class TestHallFromDilworth:
     def test_three_cycle(self):
         f = core.SetFamily([1, 2, 3], [[1, 2], [2, 3], [3, 1]])
