@@ -171,6 +171,19 @@ def alternating_reachable(row_masks, match_row, match_col, sources):
     return seen_rows, seen_cols
 
 
+def reachable(adj, start, blocked=0):
+    """Mask of the positions reachable from `start` along the neighbour
+    masks `adj`, never entering a position set in `blocked`."""
+    reach = frontier = 1 << start
+    while frontier:
+        step = 0
+        for u in bits_of(frontier):
+            step |= adj[u]
+        frontier = step & ~reach & ~blocked
+        reach |= frontier
+    return reach
+
+
 def lex_least_assignment(row_masks, n_cols):
     """Lexicographically least injective row-to-column assignment, or None.
 

@@ -12,23 +12,34 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 
-from . import _bitmatch
+from . import _bitmatch, core
 from .errors import ResourceLimitError, ValidationError
 
 PERMANENT_CEILING = 20
+# A rational string with more digits than this, or a larger exponent, is
+# refused before Fraction builds its integers.  It is CPython's own default
+# limit for converting a decimal string to an int.
+_DIGIT_CEILING = 4300
 
 
 def _to_fraction(value, where: str) -> Fraction:
     if isinstance(value, bool):
-        raise ValidationError(f"{where}: booleans are not matrix entries")
+        raise ValidationError(f"{where}: booleans are not rationals", field=where)
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
+        exponent = value.replace("_", "").lower().partition("e")[2].strip().lstrip("+-")
+        if sum(c.isdecimal() for c in value) > _DIGIT_CEILING or (
+            exponent.isdecimal() and int(exponent) > _DIGIT_CEILING
+        ):
+            raise ResourceLimitError(
+                f"{where}: {value[:20]!r}... has over {_DIGIT_CEILING} digits or exponent"
+            )
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"{where}: cannot parse rational {value!r}") from exc
-    raise ValidationError(f"{where}: unsupported entry type {type(value).__name__}")
+            raise ValidationError(f"{where}: cannot parse {value!r}", field=where) from exc
+    raise ValidationError(f"{where}: unsupported type {type(value).__name__}", field=where)
 
 
 class RationalMatrix:
@@ -45,7 +56,7 @@ class RationalMatrix:
                                       field=f"entries[{i}]")
         self.n = n
         self.entries = tuple(
-            tuple(_to_fraction(x, f"entry ({i},{j})") for j, x in enumerate(row))
+            tuple(_to_fraction(x, f"entries[{i}][{j}]") for j, x in enumerate(row))
             for i, row in enumerate(rows)
         )
 
@@ -111,6 +122,37 @@ class BirkhoffDecomposition:
             for i in range(n):
                 acc[i][perm[i]] += coefficient
         return RationalMatrix(acc)
+
+
+def term_bound(m: RationalMatrix) -> int:
+    """The most terms a decomposition of `m` needs: nnz - n + 1."""
+    return sum(1 for row in m.entries for x in row if x) - m.n + 1
+
+
+def verify_birkhoff(m: RationalMatrix, cert: dict) -> tuple[bool, str | None]:
+    """Check a ``birkhoff`` certificate object: "terms" with positive
+    rational "coefficient"s summing to 1 whose "permutation"s (the column
+    of each row) rebuild `m`, at most ``term_bound(m)`` of them."""
+    columns = {j: j for j in range(m.n)}
+    terms = []
+    for k, term in enumerate(core._cert_field(cert, "terms")):
+        if not isinstance(term, dict):
+            raise ValidationError(f"terms[{k}] must be an object", field=f"terms[{k}]")
+        perm = core._cert_field(term, "permutation", index=columns)
+        if len(perm) != m.n or len(set(perm)) != m.n:
+            return False, f"term {k} is not a permutation of 0..{m.n - 1}"
+        terms.append((_to_fraction(term.get("coefficient"), f"terms[{k}]"),
+                      tuple(columns[j] for j in perm)))
+    dec = BirkhoffDecomposition(tuple(terms))
+    if any(c <= 0 for c, _ in terms):
+        return False, "coefficients must be positive"
+    if dec.coefficient_sum() != 1:
+        return False, "coefficients do not sum to 1"
+    if dec.as_matrix(m.n) != m:
+        return False, "terms do not reconstruct the matrix"
+    if len(terms) > term_bound(m):
+        return False, "more terms than the support allows"
+    return True, None
 
 
 def is_doubly_stochastic(m: RationalMatrix) -> tuple[bool, str | None]:

@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import birkhoff, core, graphs, groups, hypersdr, latin, matroids, posets
 from .errors import ResourceLimitError, ValidationError
@@ -37,21 +36,9 @@ class ResultEnvelope:
     def to_json(self) -> dict:
         return {
             "status": self.status,
-            "payload": _plain(self.payload),
+            "payload": self.payload,
             "diagnostics": self.diagnostics,
         }
-
-
-def _plain(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted((_plain(v) for v in value), key=repr)
-    return value
 
 
 def _load(path):
@@ -64,16 +51,23 @@ def _load(path):
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_cert(path) -> dict:
+def _described(exc: ValidationError) -> str:
+    return f"{exc} (field: {exc.field})" if exc.field else str(exc)
+
+
+def _verify(path, check, *problem, **options):
+    """Re-check the certificate at `path` with ``check(*problem, cert,
+    **options)``.  Only a certificate that is not a JSON object is invalid
+    input; one that fails any check, its shape included, is rejected."""
     cert = _load(path)
     if not isinstance(cert, dict):
         raise ValidationError(f"{path} must hold a JSON object", field="certificate")
-    return cert
-
-
-def _checked(ok, reason, payload_on_ok=None):
+    try:
+        ok, reason = check(*problem, cert, **options)
+    except ValidationError as exc:
+        ok, reason = False, _described(exc)
     if ok:
-        return "found", payload_on_ok or {"valid": True}, "certificate re-validates"
+        return "found", {"valid": True}, "certificate re-validates"
     return "not-found", {"valid": False, "reason": reason}, f"certificate rejected: {reason}"
 
 
@@ -82,22 +76,14 @@ def _ceiling(args):
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers.  Each returns (status, payload, diagnostics).
+# Subcommand handlers.  Each loads its inputs, then either verifies the
+# --verify certificate or solves, and returns (status, payload, diagnostics).
 
 
 def _cmd_sdr(args):
     family = core.SetFamily.from_json(_load(args.family))
     if args.verify:
-        cert = _load_cert(args.verify)
-        if "reps" in cert:
-            ok, reason = core.validate_sdr(family, cert["reps"])
-            return _checked(ok, reason)
-        try:
-            violator = core.HallViolator(tuple(cert["indices"]), tuple(cert["union"]))
-        except (KeyError, TypeError, ValidationError) as exc:
-            return _checked(False, str(exc))
-        ok, reason = core.verify_hall_violator(family, violator)
-        return _checked(ok, reason)
+        return _verify(args.verify, core.verify_sdr, family)
     result = core.hall_check(family)
     if isinstance(result, core.Sdr):
         return "found", {"reps": list(result.reps)}, "SDR found"
@@ -111,22 +97,7 @@ def _cmd_sdr(args):
 def _cmd_defect(args):
     family = core.SetFamily.from_json(_load(args.family))
     if args.verify:
-        cert = _load_cert(args.verify)
-        try:
-            defect = cert["defect"]
-            partial = {int(k): v for k, v in cert["partial"].items()}
-        except (KeyError, TypeError, ValueError) as exc:
-            return _checked(False, f"malformed report: {exc}")
-        if len(partial) != family.n - defect:
-            return _checked(False, "partial size does not match n - defect")
-        seen = set()
-        for i, x in partial.items():
-            if not 0 <= i < family.n or x not in family.sets[i]:
-                return _checked(False, f"assignment {i} -> {x!r} is not a membership")
-            if x in seen:
-                return _checked(False, f"value {x!r} is assigned twice")
-            seen.add(x)
-        return _checked(True, None)
+        return _verify(args.verify, core.verify_defect, family)
     report = core.partial_sdr(family)
     payload = {
         "defect": report.defect,
@@ -144,9 +115,7 @@ def _cmd_count_sdr(args):
 def _cmd_array_sdr(args):
     arr = core.ArrayFamily.from_json(_load(args.array))
     if args.verify:
-        cert = _load_cert(args.verify)
-        ok, reason = core.validate_array_sdr(arr, cert.get("grid", []))
-        return _checked(ok, reason)
+        return _verify(args.verify, core.verify_array_sdr, arr)
     grid = core.array_sdr(arr, **_ceiling(args))
     if grid is None:
         return "not-found", None, "exhaustive search found no array system"
@@ -156,10 +125,7 @@ def _cmd_array_sdr(args):
 def _cmd_matching(args):
     g = graphs.BipartiteGraph.from_json(_load(args.graph))
     if args.verify:
-        cert = _load_cert(args.verify)
-        matching = graphs.Matching(tuple(tuple(e) for e in cert.get("edges", [])))
-        ok, reason = graphs.validate_matching(g, matching)
-        return _checked(ok, reason)
+        return _verify(args.verify, graphs.verify_matching, g)
     matching = graphs.max_matching(g)
     return (
         "found",
@@ -171,18 +137,7 @@ def _cmd_matching(args):
 def _cmd_cover(args):
     g = graphs.BipartiteGraph.from_json(_load(args.graph))
     if args.verify:
-        cert = _load_cert(args.verify)
-        matching = graphs.Matching(tuple(tuple(e) for e in cert.get("matching", [])))
-        cover = graphs.VertexCover(
-            tuple(cert.get("cover", {}).get("partA", [])),
-            tuple(cert.get("cover", {}).get("partB", [])),
-        )
-        ok, reason = graphs.validate_matching(g, matching)
-        if ok:
-            ok, reason = graphs.validate_cover(g, cover)
-        if ok and len(matching) != len(cover):
-            ok, reason = False, "matching and cover sizes differ"
-        return _checked(ok, reason)
+        return _verify(args.verify, graphs.verify_cover, g)
     matching, cover = graphs.konig_cover(g)
     payload = {
         "matching": [list(e) for e in matching.edges],
@@ -192,57 +147,11 @@ def _cmd_cover(args):
     return "found", payload, f"matching and cover of size {len(matching)}"
 
 
-def _verify_menger(g, s, t, mode, cert):
-    paths = [tuple(p) for p in cert.get("paths", [])]
-    cut = [tuple(e) if isinstance(e, list) else e for e in cert.get("cut", [])]
-    if len(paths) != len(cut):
-        return _checked(False, "path count differs from cut size")
-    seen_edges = set()
-    seen_inner = set()
-    for k, path in enumerate(paths):
-        if len(path) < 2 or path[0] != s or path[-1] != t:
-            return _checked(False, f"path {k} does not run from source to sink")
-        if len(set(path)) != len(path):
-            return _checked(False, f"path {k} repeats a vertex")
-        for u, v in zip(path, path[1:]):
-            if not g.adjacent(u, v):
-                return _checked(False, f"path {k} uses a non-edge {u!r}-{v!r}")
-            key = frozenset((u, v))
-            if mode == "edge" and key in seen_edges:
-                return _checked(False, f"paths share the edge {u!r}-{v!r}")
-            seen_edges.add(key)
-        for v in path[1:-1]:
-            if mode == "vertex" and v in seen_inner:
-                return _checked(False, f"paths share the vertex {v!r}")
-            seen_inner.add(v)
-    # Connectivity recomputation with the cut removed.
-    if mode == "edge":
-        removed = {frozenset(e) for e in cut}
-        blocked_vertices = set()
-    else:
-        removed = set()
-        blocked_vertices = set(cut)
-        if s in blocked_vertices or t in blocked_vertices:
-            return _checked(False, "cut may not contain an endpoint")
-    reach = {s}
-    stack = [s]
-    while stack:
-        u = stack.pop()
-        for v in g.vertices:
-            if v in reach or v in blocked_vertices:
-                continue
-            if g.adjacent(u, v) and frozenset((u, v)) not in removed:
-                reach.add(v)
-                stack.append(v)
-    if t in reach:
-        return _checked(False, "cut does not disconnect the endpoints")
-    return _checked(True, None)
-
-
 def _cmd_menger(args):
     g = graphs.Graph.from_json(_load(args.graph))
     if args.verify:
-        return _verify_menger(g, args.source, args.sink, args.mode, _load_cert(args.verify))
+        graphs.check_endpoints(g, args.source, args.sink)
+        return _verify(args.verify, graphs.verify_menger, g, args.source, args.sink, args.mode)
     paths, cut = graphs.menger_paths(g, args.source, args.sink, args.mode)
     payload = {
         "paths": [list(p) for p in paths],
@@ -255,27 +164,7 @@ def _cmd_menger(args):
 def _cmd_maxflow(args):
     net = graphs.FlowNetwork.from_json(_load(args.network))
     if args.verify:
-        cert = _load_cert(args.verify)
-        value = cert.get("value")
-        assignment = {(u, v): f for u, v, f in (tuple(e) for e in cert.get("flow", []))}
-        ok, reason = graphs.validate_flow(net, value, assignment)
-        if ok:
-            cut = {(u, v) for u, v in (tuple(e) for e in cert.get("cut", []))}
-            capacity = sum(c for u, v, c in net.arcs if (u, v) in cut)
-            if capacity != value:
-                ok, reason = False, "cut capacity differs from the flow value"
-            else:
-                reach = {net.source}
-                stack = [net.source]
-                while stack:
-                    x = stack.pop()
-                    for u, v, c in net.arcs:
-                        if u == x and c > 0 and (u, v) not in cut and v not in reach:
-                            reach.add(v)
-                            stack.append(v)
-                if net.sink in reach:
-                    ok, reason = False, "cut does not separate source from sink"
-        return _checked(ok, reason)
+        return _verify(args.verify, graphs.verify_maxflow, net)
     value, cut, flow = graphs.max_flow_min_cut(net)
     payload = {
         "value": value,
@@ -288,14 +177,7 @@ def _cmd_maxflow(args):
 def _cmd_dilworth(args):
     p = posets.Poset.from_json(_load(args.poset))
     if args.verify:
-        cert = _load_cert(args.verify)
-        partition = posets.ChainPartition(tuple(tuple(c) for c in cert.get("chains", [])))
-        ok, reason = posets.validate_chain_partition(p, partition)
-        if ok:
-            ok, reason = posets.validate_antichain(p, cert.get("antichain", []))
-        if ok and len(partition) != len(cert.get("antichain", [])):
-            ok, reason = False, "chain count differs from the antichain size"
-        return _checked(ok, reason)
+        return _verify(args.verify, posets.verify_dilworth, p)
     partition, antichain = posets.dilworth(p)
     payload = {
         "chains": [list(c) for c in partition.chains],
@@ -307,16 +189,7 @@ def _cmd_dilworth(args):
 def _cmd_mirsky(args):
     p = posets.Poset.from_json(_load(args.poset))
     if args.verify:
-        cert = _load_cert(args.verify)
-        partition = posets.AntichainPartition(
-            tuple(tuple(a) for a in cert.get("antichains", []))
-        )
-        ok, reason = posets.validate_antichain_partition(p, partition)
-        if ok:
-            ok, reason = posets.validate_chain(p, cert.get("chain", []))
-        if ok and len(partition) != len(cert.get("chain", [])):
-            ok, reason = False, "level count differs from the chain length"
-        return _checked(ok, reason)
+        return _verify(args.verify, posets.verify_mirsky, p)
     partition, chain = posets.mirsky(p)
     payload = {
         "antichains": [list(a) for a in partition.antichains],
@@ -328,16 +201,7 @@ def _cmd_mirsky(args):
 def _cmd_perfect(args):
     g = graphs.Graph.from_json(_load(args.graph))
     if args.verify:
-        cert = _load_cert(args.verify)
-        witness = cert.get("witness")
-        if not witness:
-            return _checked(False, "nothing to verify without a witness")
-        sub = graphs.Graph(
-            witness,
-            [e for e in g.edges if e[0] in set(witness) and e[1] in set(witness)],
-        )
-        ok, _ = posets.is_perfect(sub, **_ceiling(args))
-        return _checked(not ok, "witness subgraph has equal clique and chromatic numbers")
+        return _verify(args.verify, posets.verify_perfect, g, **_ceiling(args))
     perfect, witness = posets.is_perfect(g, **_ceiling(args))
     berge = posets.berge_check(g, **_ceiling(args))
     payload = {"perfect": perfect, "berge": berge, "witness": list(witness) if witness else None}
@@ -348,32 +212,14 @@ def _cmd_perfect(args):
 
 def _cmd_birkhoff(args):
     m = birkhoff.RationalMatrix.from_json(_load(args.matrix))
-    nnz = sum(1 for row in m.entries for x in row if x)
     if args.verify:
-        cert = _load_cert(args.verify)
-        try:
-            terms = tuple(
-                (Fraction(t["coefficient"]), tuple(t["permutation"]))
-                for t in cert.get("terms", [])
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            return _checked(False, f"malformed terms: {exc}")
-        dec = birkhoff.BirkhoffDecomposition(terms)
-        if any(c <= 0 for c, _ in terms):
-            return _checked(False, "coefficients must be positive")
-        if dec.coefficient_sum() != 1:
-            return _checked(False, "coefficients do not sum to 1")
-        if dec.as_matrix(m.n) != m:
-            return _checked(False, "terms do not reconstruct the matrix")
-        if len(terms) > nnz - m.n + 1:
-            return _checked(False, "more terms than the support allows")
-        return _checked(True, None)
+        return _verify(args.verify, birkhoff.verify_birkhoff, m)
     dec = birkhoff.birkhoff_decompose(m)
     payload = {
         "terms": [
             {"coefficient": str(c), "permutation": list(perm)} for c, perm in dec.terms
         ],
-        "term_bound": nnz - m.n + 1,
+        "term_bound": birkhoff.term_bound(m),
     }
     return "found", payload, f"{len(dec)} terms"
 
@@ -399,11 +245,7 @@ def _cmd_bounds(args):
 def _cmd_latin_extend(args):
     rect = latin.LatinRectangle.from_json(_load(args.rectangle))
     if args.verify:
-        cert = _load_cert(args.verify)
-        extended = latin.LatinRectangle.from_json(cert)
-        if extended.m != rect.m + 1 or extended.rows[: rect.m] != rect.rows:
-            return _checked(False, "certificate does not extend the input by one row")
-        return _checked(True, None)
+        return _verify(args.verify, latin.verify_extension, rect)
     extended = latin.extend_row(rect)
     return "found", extended.to_json(), f"now {extended.m} rows"
 
@@ -411,11 +253,7 @@ def _cmd_latin_extend(args):
 def _cmd_latin_complete(args):
     rect = latin.LatinRectangle.from_json(_load(args.rectangle))
     if args.verify:
-        cert = _load_cert(args.verify)
-        square = latin.LatinRectangle.from_json(cert)
-        if not square.is_square or square.rows[: rect.m] != rect.rows:
-            return _checked(False, "certificate is not a completion of the input")
-        return _checked(True, None)
+        return _verify(args.verify, latin.verify_completion, rect)
     square = latin.complete(rect)
     return "found", square.to_json(), "completed to a square"
 
@@ -428,9 +266,7 @@ def _cmd_latin_count(args):
 def _cmd_youden(args):
     design = latin.BlockDesign.from_json(_load(args.design))
     if args.verify:
-        cert = _load_cert(args.verify)
-        ok, reason = latin.validate_youden(design, cert.get("array", []))
-        return _checked(ok, reason)
+        return _verify(args.verify, latin.verify_youden, design)
     array = latin.youden_from_design(design)
     return "found", {"array": [list(r) for r in array]}, f"{len(array)} rows"
 
@@ -439,18 +275,7 @@ def _cmd_rado(args):
     family = core.SetFamily.from_json(_load(args.family))
     oracle = matroids.matroid_from_json(_load(args.matroid))
     if args.verify:
-        cert = _load_cert(args.verify)
-        if "reps" in cert:
-            ok, reason = matroids.validate_sir(family, oracle, cert["reps"])
-            return _checked(ok, reason)
-        try:
-            violator = matroids.RadoViolator(
-                tuple(cert["indices"]), tuple(cert["union"]), cert["rank"]
-            )
-        except (KeyError, TypeError, ValidationError) as exc:
-            return _checked(False, f"malformed violator: {exc}")
-        ok, reason = matroids.verify_rado_violator(family, oracle, violator)
-        return _checked(ok, reason)
+        return _verify(args.verify, matroids.verify_rado, family, oracle)
     result = matroids.rado_check(family, oracle)
     if isinstance(result, matroids.Sir):
         return "found", {"reps": list(result.reps)}, "independent representatives found"
@@ -465,15 +290,13 @@ def _cmd_rado(args):
 def _cmd_cosets(args):
     group = groups.group_from_json(_load(args.group))
     try:
-        generators = [tuple(x) if isinstance(x, list) else x for x in json.loads(args.generators)]
+        generators = json.loads(args.generators)
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"--generators is not valid JSON: {exc}") from exc
-    subgroup = groups.subgroup_closure(group, generators)
+        raise ValidationError(f"--generators is not valid JSON: {exc}",
+                              field="generators") from exc
+    subgroup = groups.subgroup_closure(group, groups.elements_from_json(generators, "generators"))
     if args.verify:
-        cert = _load_cert(args.verify)
-        reps = [tuple(x) if isinstance(x, list) else x for x in cert.get("reps", [])]
-        ok, reason = groups.validate_simultaneous_reps(group, subgroup, reps)
-        return _checked(ok, reason)
+        return _verify(args.verify, groups.verify_cosets, group, subgroup)
     system = groups.coset_system(group, subgroup)
     reps = groups.simultaneous_reps(group, subgroup)
     family = groups.coset_family(group, subgroup)
@@ -489,14 +312,11 @@ def _cmd_cosets(args):
 
 def _cmd_hyper_sdr(args):
     fam = hypersdr.HypergraphFamily.from_json(_load(args.family))
+    if args.verify:
+        return _verify(args.verify, hypersdr.verify_hyper_sdr, fam)
     limits = {}
     if args.ceiling is not None:
         limits["max_edges"] = args.ceiling
-    if args.verify:
-        cert = _load_cert(args.verify)
-        sdr = hypersdr.HyperSdr(tuple(frozenset(e) for e in cert.get("selection", [])))
-        ok, reason = hypersdr.validate_hyper_sdr(fam, sdr)
-        return _checked(ok, reason)
     result = hypersdr.find_hyper_sdr(fam, **limits)
     if result is not None:
         payload = {"selection": [sorted(e, key=repr) for e in result.selection]}
@@ -574,8 +394,7 @@ def main(argv=None) -> int:
     try:
         status, payload, diagnostics = args.handler(args)
     except ValidationError as exc:
-        field = f" (field: {exc.field})" if exc.field else ""
-        status, payload, diagnostics = "invalid-input", None, f"{exc}{field}"
+        status, payload, diagnostics = "invalid-input", None, _described(exc)
     except ResourceLimitError as exc:
         status, payload, diagnostics = "resource-limit", None, str(exc)
     envelope = ResultEnvelope(status, payload, diagnostics)

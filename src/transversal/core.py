@@ -62,6 +62,30 @@ def _mask_of(members, index, field) -> int:
     return mask
 
 
+def _cert_field(cert, key, kind=list, index=None):
+    """``cert[key]``, checked to be a `kind` (a bool is no int) and, when
+    `index` is given, a list of its labels.  Raises ``ValidationError``."""
+    value = cert.get(key)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValidationError(f"{key!r} must be of type {kind.__name__}", field=key)
+    if index is not None:
+        _mask_of(value, index, key)
+    return value
+
+
+def _cert_rows(cert, key, index=None, width=None):
+    """``cert[key]`` as a list of lists, each of length `width` and a list of
+    labels of `index` when these are given.  Raises ``ValidationError``."""
+    rows = _cert_field(cert, key)
+    for k, row in enumerate(rows):
+        field = f"{key}[{k}]"
+        if not isinstance(row, list) or width not in (None, len(row)):
+            raise ValidationError(f"{field} is not a list of the right size", field=field)
+        if index is not None:
+            _mask_of(row, index, field)
+    return rows
+
+
 class SetFamily:
     """An ordered tuple of subsets of a finite ground set.
 
@@ -208,7 +232,7 @@ def validate_sdr(family: SetFamily, candidate) -> tuple[bool, str | None]:
     candidate = tuple(candidate)
     if len(candidate) != family.n:
         raise ValidationError(
-            f"candidate has {len(candidate)} entries for {family.n} sets"
+            f"candidate has {len(candidate)} entries for {family.n} sets", field="reps"
         )
     seen: dict = {}
     for i, a in enumerate(candidate):
@@ -219,6 +243,15 @@ def validate_sdr(family: SetFamily, candidate) -> tuple[bool, str | None]:
             return False, f"distinctness fails at indices ({seen[a]}, {i})"
         seen[a] = i
     return True, None
+
+
+def verify_sdr(family: SetFamily, cert: dict) -> tuple[bool, str | None]:
+    """Check an ``sdr`` certificate object: an SDR under "reps", or else a
+    violator under "indices" and "union"."""
+    if "reps" in cert:
+        return validate_sdr(family, _cert_field(cert, "reps", index=family._index))
+    indices, union = _cert_field(cert, "indices"), _cert_field(cert, "union")
+    return verify_hall_violator(family, HallViolator(tuple(indices), tuple(union)))
 
 
 def hall_check(family: SetFamily) -> Sdr | HallViolator:
@@ -289,6 +322,20 @@ def partial_sdr(family: SetFamily) -> DefectReport:
         if c != _bitmatch.UNMATCHED
     }
     return DefectReport(defect=family.n - len(partial), partial=partial)
+
+
+def verify_defect(family: SetFamily, cert: dict) -> tuple[bool, str | None]:
+    """Check a ``defect`` certificate object: "partial" maps set indices, as
+    decimal strings, to distinct members, for all but "defect" sets."""
+    defect, partial = _cert_field(cert, "defect", int), _cert_field(cert, "partial", dict)
+    if len(partial) != family.n - defect:
+        return False, "partial size does not match n - defect"
+    _index_labels(partial.values(), "partial")  # hashable and distinct
+    sets = {str(i): members for i, members in enumerate(family.sets)}
+    for key, x in partial.items():
+        if x not in sets.get(key, ()):
+            return False, f"assignment {key} -> {x!r} is not a membership"
+    return True, None
 
 
 def count_sdrs(family: SetFamily, *, ceiling: int = RYSER_CEILING) -> int:
@@ -399,3 +446,8 @@ def validate_array_sdr(arr: ArrayFamily, grid) -> tuple[bool, str | None]:
         if len(set(column)) != n_rows:
             return False, f"column {c} repeats a value"
     return True, None
+
+
+def verify_array_sdr(arr: ArrayFamily, cert: dict) -> tuple[bool, str | None]:
+    """Check an ``array-sdr`` certificate object: "grid" is a filled grid."""
+    return validate_array_sdr(arr, _cert_rows(cert, "grid", arr._index))

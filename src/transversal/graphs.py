@@ -286,6 +286,32 @@ def validate_cover(g: BipartiteGraph, cover: VertexCover) -> tuple[bool, str | N
     return True, None
 
 
+def _matching_field(cert: dict, key: str) -> Matching:
+    """The distinct (a, b) pairs a certificate lists under `key`."""
+    pairs = core._index_labels(map(tuple, core._cert_rows(cert, key, width=2)), key)
+    return Matching(tuple(pairs))
+
+
+def verify_matching(g: BipartiteGraph, cert: dict) -> tuple[bool, str | None]:
+    """Check a ``matching`` certificate object: "edges" is a matching of `g`."""
+    return validate_matching(g, _matching_field(cert, "edges"))
+
+
+def verify_cover(g: BipartiteGraph, cert: dict) -> tuple[bool, str | None]:
+    """Check a ``cover`` certificate object: a "matching" and a vertex
+    "cover" ({"partA": [...], "partB": [...]}) of the same size."""
+    matching = _matching_field(cert, "matching")
+    cover = core._cert_field(cert, "cover", dict)
+    in_a = core._index_labels(core._cert_field(cover, "partA"), "partA")
+    in_b = core._index_labels(core._cert_field(cover, "partB"), "partB")
+    ok, reason = validate_matching(g, matching)
+    if ok:
+        ok, reason = validate_cover(g, VertexCover(tuple(in_a), tuple(in_b)))
+    if ok and len(matching) != len(in_a) + len(in_b):
+        ok, reason = False, "matching and cover sizes differ"
+    return ok, reason
+
+
 # ---------------------------------------------------------------------------
 # Integer max-flow (breadth-first augmentation) and its cut.
 
@@ -389,6 +415,30 @@ def validate_flow(net: FlowNetwork, value, assignment) -> tuple[bool, str | None
     return True, None
 
 
+def verify_maxflow(net: FlowNetwork, cert: dict) -> tuple[bool, str | None]:
+    """Check a ``maxflow`` certificate object: "flow" lists [from, to, units]
+    of a feasible flow of "value", and "cut" lists [from, to] arcs of that
+    capacity whose removal leaves the sink unreachable from the source."""
+    value, flow = core._cert_field(cert, "value", int), core._cert_rows(cert, "flow", width=3)
+    arcs = core._index_labels((tuple(row[:2]) for row in flow), "flow")
+    cut = core._index_labels(map(tuple, core._cert_rows(cert, "cut", width=2)), "cut")
+    if not {(u, v) for u, v, _ in net.arcs}.issuperset([*arcs, *cut]):
+        return False, "certificate names an arc that is not in the network"
+    ok, reason = validate_flow(net, value, dict(zip(arcs, (row[2] for row in flow))))
+    if not ok:
+        return False, reason
+    if sum(c for u, v, c in net.arcs if (u, v) in cut) != value:
+        return False, "cut capacity differs from the flow value"
+    index = net._index
+    out = [0] * len(net.nodes)
+    for u, v, c in net.arcs:
+        if c > 0 and (u, v) not in cut:
+            out[index[u]] |= 1 << index[v]
+    if (_bitmatch.reachable(out, index[net.source]) >> index[net.sink]) & 1:
+        return False, "cut does not separate source from sink"
+    return True, None
+
+
 # ---------------------------------------------------------------------------
 # Menger path systems on undirected graphs.
 
@@ -401,10 +451,7 @@ def menger_paths(g: Graph, s, t, mode: str = "vertex"):
     vertex cut (s and t must then be non-adjacent for the cut to exist).
     Returns (paths, cut) with len(paths) == len(cut).
     """
-    if s not in g._index or t not in g._index:
-        raise ValidationError("endpoints must be vertices of the graph")
-    if s == t:
-        raise ValidationError("source and sink must differ")
+    check_endpoints(g, s, t)
     if mode not in ("edge", "vertex"):
         raise ValidationError(f"unknown mode {mode!r}")
     if mode == "edge":
@@ -412,6 +459,48 @@ def menger_paths(g: Graph, s, t, mode: str = "vertex"):
     if g.adjacent(s, t):
         raise ValidationError("vertex mode needs non-adjacent endpoints")
     return _menger_vertex(g, s, t)
+
+
+def check_endpoints(g: Graph, s, t) -> None:
+    """Raise ``ValidationError`` unless `s` and `t` are distinct vertices."""
+    if s not in g._index or t not in g._index:
+        raise ValidationError("endpoints must be vertices of the graph")
+    if s == t:
+        raise ValidationError("source and sink must differ")
+
+
+def verify_menger(g: Graph, s, t, mode: str, cert: dict) -> tuple[bool, str | None]:
+    """Check a ``menger`` certificate object: "paths" are `mode`-disjoint
+    s-t paths, and "cut" is as many edges ([u, v]) or inner vertices whose
+    removal leaves `t` unreachable from `s`."""
+    index, adj, edge_mode = g._index, g.adjacency_masks(), mode == "edge"
+    paths = core._cert_rows(cert, "paths", index)
+    if edge_mode:
+        cut, blocked = core._cert_rows(cert, "cut", index, width=2), 0
+    else:
+        cut = core._cert_field(cert, "cut")
+        blocked = core._mask_of(cut, index, "cut")
+    if len(paths) != len(cut):
+        return False, "path count differs from cut size"
+    used = set()  # edges as position sets, or inner vertices, by mode
+    for k, path in enumerate(paths):
+        pos = [index[x] for x in path]
+        if len(pos) < 2 or path[0] != s or path[-1] != t or len(set(pos)) != len(pos):
+            return False, f"path {k} is not a simple path from source to sink"
+        if not all((adj[u] >> v) & 1 for u, v in zip(pos, pos[1:])):
+            return False, f"path {k} uses a non-edge"
+        parts = [frozenset(e) for e in zip(pos, pos[1:])] if edge_mode else pos[1:-1]
+        if not used.isdisjoint(parts):
+            return False, f"paths share {'an edge' if edge_mode else 'a vertex'}"
+        used.update(parts)
+    for u, v in cut if edge_mode else ():
+        adj[index[u]] &= ~(1 << index[v])
+        adj[index[v]] &= ~(1 << index[u])
+    if (blocked >> index[s]) & 1 or (blocked >> index[t]) & 1:
+        return False, "cut may not contain an endpoint"
+    if (_bitmatch.reachable(adj, index[s], blocked) >> index[t]) & 1:
+        return False, "cut does not disconnect the endpoints"
+    return True, None
 
 
 def _menger_edge(g, s, t):

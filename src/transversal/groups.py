@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import core
+from . import _bitmatch, core
 from .errors import ValidationError
 
 ASSOCIATIVITY_CEILING = 256
@@ -163,15 +163,19 @@ def dihedral_group(n: int) -> FiniteGroup:
     return FiniteGroup.from_permutations([rotation, reflection], n)
 
 
+def elements_from_json(values, field: str) -> list:
+    """Group elements as decoded from JSON: a list, in which each list (a
+    permutation's image tuple) becomes a tuple."""
+    if not isinstance(values, list):
+        raise ValidationError(f"{field} must be a list of group elements", field=field)
+    return [tuple(x) if isinstance(x, list) else x for x in values]
+
+
 def subgroup_closure(g: FiniteGroup, generators) -> tuple:
     """Smallest subset containing the generators and the identity that is
     closed under the product (hence under inverses, the group being finite)."""
-    index = g._index
-    for x in generators:
-        if x not in index:
-            raise ValidationError(f"{x!r} is not a group element")
-    members = {index[g.identity]}
-    members.update(index[x] for x in generators)
+    mask = core._mask_of(generators, g._index, "generators")
+    members = {g._index[g.identity], *_bitmatch.bits_of(mask)}
     table = g.table
     frontier = list(members)
     while frontier:
@@ -282,9 +286,19 @@ def validate_simultaneous_reps(g: FiniteGroup, subgroup, reps) -> tuple[bool, st
     reps = tuple(reps)
     if len(reps) != system.index:
         return False, f"expected {system.index} representatives, got {len(reps)}"
+    try:
+        chosen = core._mask_of(reps, g._index, "reps")
+    except ValidationError as exc:  # an unhashable or unknown entry
+        return False, str(exc)
     for name, cosets in (("left", system.left), ("right", system.right)):
         for k, coset in enumerate(cosets):
-            hits = sum(1 for x in reps if x in set(coset))
+            hits = (core._mask_of(coset, g._index, name) & chosen).bit_count()
             if hits != 1:
                 return False, f"{name} coset {k} holds {hits} representatives"
     return True, None
+
+
+def verify_cosets(g: FiniteGroup, subgroup, cert: dict) -> tuple[bool, str | None]:
+    """Check a ``cosets`` certificate object: its "reps" are simultaneous
+    coset representatives of `subgroup`."""
+    return validate_simultaneous_reps(g, subgroup, elements_from_json(cert.get("reps"), "reps"))

@@ -32,11 +32,12 @@ class Hypergraph:
 class HypergraphFamily:
     """Hypergraphs over one shared vertex set."""
 
-    __slots__ = ("vertices", "members")
+    __slots__ = ("vertices", "members", "_index")
 
     def __init__(self, vertices, edge_lists):
         index = core._index_labels(vertices, "vertices")
         self.vertices = tuple(index)
+        self._index = index
         self.members = tuple(Hypergraph(self.vertices, index, edges) for edges in edge_lists)
 
     def __len__(self):
@@ -205,3 +206,9 @@ def validate_hyper_sdr(fam: HypergraphFamily, sdr: HyperSdr) -> tuple[bool, str 
             if selection[i] & selection[j]:
                 return False, f"entries {i} and {j} share a vertex"
     return True, None
+
+
+def verify_hyper_sdr(fam: HypergraphFamily, cert: dict) -> tuple[bool, str | None]:
+    """Check a ``hyper-sdr`` certificate object: "selection" lists one edge
+    per hypergraph."""
+    return validate_hyper_sdr(fam, HyperSdr(tuple(core._cert_rows(cert, "selection", fam._index))))

@@ -79,6 +79,28 @@ class LatinRectangle:
         return cls(obj["n"], rows)
 
 
+def verify_extension(rect: LatinRectangle, cert: dict) -> tuple[bool, str | None]:
+    """Check a ``latin-extend`` certificate object: `rect` plus one row."""
+    return _verify_grown(rect, cert, rect.m + 1, "certificate does not add one row to the input")
+
+
+def verify_completion(rect: LatinRectangle, cert: dict) -> tuple[bool, str | None]:
+    """Check a ``latin-complete`` certificate object: a square that begins
+    with `rect`'s rows."""
+    return _verify_grown(rect, cert, rect.n, "certificate is not a completion of the input")
+
+
+def _verify_grown(rect, cert, m, reason):
+    """(True, None) if `cert` is a Latin rectangle, in the input format, of
+    `rect`'s width with `m` rows, the first of them `rect`'s; else (False,
+    reason).  The width is compared first: a huge one allocates nothing."""
+    if cert.get("n") == rect.n:
+        grown = LatinRectangle.from_json(cert)
+        if grown.m == m and grown.rows[: rect.m] == rect.rows:
+            return True, None
+    return False, reason
+
+
 def extend_row(rect: LatinRectangle) -> LatinRectangle:
     """Add one more valid row; always possible while m < n.
 
@@ -160,7 +182,7 @@ class BlockDesign:
     common block cardinality.
     """
 
-    __slots__ = ("points", "blocks", "_block_masks")
+    __slots__ = ("points", "blocks", "_index", "_block_masks")
 
     def __init__(self, points, blocks):
         index = core._index_labels(points, "points")
@@ -171,6 +193,7 @@ class BlockDesign:
             if mask == 0:
                 raise ValidationError(f"block {b} is empty", field=f"blocks[{b}]")
         self.points = points
+        self._index = index
         self.blocks = tuple(tuple(points[p] for p in _bitmatch.bits_of(m)) for m in block_masks)
         self._block_masks = block_masks
 
@@ -266,3 +289,8 @@ def validate_youden(d: BlockDesign, array) -> tuple[bool, str | None]:
         if column != set(d.blocks[j]):
             return False, f"column {j} does not equal its block"
     return True, None
+
+
+def verify_youden(d: BlockDesign, cert: dict) -> tuple[bool, str | None]:
+    """Check a ``youden`` certificate object: "array" lists the rows."""
+    return validate_youden(d, core._cert_rows(cert, "array", d._index))

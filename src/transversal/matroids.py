@@ -460,3 +460,13 @@ def validate_sir(family: core.SetFamily, m: MatroidOracle, reps) -> tuple[bool, 
     if not m.independent(frozenset(reps)):
         return False, "representatives are not independent in the matroid"
     return True, None
+
+
+def verify_rado(family: core.SetFamily, m: MatroidOracle, cert: dict) -> tuple[bool, str | None]:
+    """Check a ``rado`` certificate object: independent representatives
+    under "reps", or else a violator under "indices", "union" and "rank"."""
+    if "reps" in cert:
+        return validate_sir(family, m, core._cert_field(cert, "reps", index=family._index))
+    indices, union = core._cert_field(cert, "indices"), core._cert_field(cert, "union")
+    violator = RadoViolator(tuple(indices), tuple(union), core._cert_field(cert, "rank", int))
+    return verify_rado_violator(family, m, violator)

@@ -261,18 +261,7 @@ def validate_chain(p: Poset, chain) -> tuple[bool, str | None]:
 
 
 def validate_chain_partition(p: Poset, partition: ChainPartition) -> tuple[bool, str | None]:
-    seen: set = set()
-    for chain in partition.chains:
-        ok, reason = validate_chain(p, chain)
-        if not ok:
-            return False, reason
-        for x in chain:
-            if x in seen:
-                return False, f"element {x!r} appears in two chains"
-            seen.add(x)
-    if seen != set(p.elements):
-        return False, "chains do not cover every element"
-    return True, None
+    return _validate_partition(p, partition.chains, validate_chain, "chain")
 
 
 def validate_antichain(p: Poset, antichain) -> tuple[bool, str | None]:
@@ -292,18 +281,47 @@ def validate_antichain(p: Poset, antichain) -> tuple[bool, str | None]:
 
 
 def validate_antichain_partition(p: Poset, partition: AntichainPartition) -> tuple[bool, str | None]:
+    return _validate_partition(p, partition.antichains, validate_antichain, "level")
+
+
+def _validate_partition(p, parts, validate_part, name):
+    """Every part passes `validate_part`, and each element is in one part."""
     seen: set = set()
-    for level in partition.antichains:
-        ok, reason = validate_antichain(p, level)
+    for part in parts:
+        ok, reason = validate_part(p, part)
         if not ok:
             return False, reason
-        for x in level:
+        for x in part:
             if x in seen:
-                return False, f"element {x!r} appears in two levels"
+                return False, f"element {x!r} appears in two {name}s"
             seen.add(x)
     if seen != set(p.elements):
-        return False, "levels do not cover every element"
+        return False, f"{name}s do not cover every element"
     return True, None
+
+
+def verify_dilworth(p: Poset, cert: dict) -> tuple[bool, str | None]:
+    """Check a ``dilworth`` certificate object: "chains" partition `p` and
+    "antichain" is an antichain of as many elements."""
+    chains, antichain = core._cert_rows(cert, "chains"), core._cert_field(cert, "antichain")
+    ok, reason = validate_chain_partition(p, ChainPartition(tuple(map(tuple, chains))))
+    if ok:
+        ok, reason = validate_antichain(p, antichain)
+    if ok and len(chains) != len(antichain):
+        ok, reason = False, "chain count differs from the antichain size"
+    return ok, reason
+
+
+def verify_mirsky(p: Poset, cert: dict) -> tuple[bool, str | None]:
+    """Check a ``mirsky`` certificate object: "antichains" partition `p` and
+    "chain" is a chain of as many elements."""
+    levels, chain = core._cert_rows(cert, "antichains"), core._cert_field(cert, "chain")
+    ok, reason = validate_antichain_partition(p, AntichainPartition(tuple(map(tuple, levels))))
+    if ok:
+        ok, reason = validate_chain(p, chain)
+    if ok and len(levels) != len(chain):
+        ok, reason = False, "level count differs from the chain length"
+    return ok, reason
 
 
 # ---------------------------------------------------------------------------
@@ -363,23 +381,26 @@ def is_perfect(g: Graph, *, ceiling: int = PERFECT_CEILING):
     return False, tuple(g.vertices[i] for i in _bitmatch.bits_of(witness))
 
 
+def verify_perfect(g: Graph, cert: dict, *,
+                   ceiling: int = PERFECT_CEILING) -> tuple[bool, str | None]:
+    """Check a ``perfect`` certificate object: the "witness" vertices induce
+    a subgraph whose clique number is below its chromatic number."""
+    witness = core._cert_field(cert, "witness", index=g._index)
+    members = core._index_labels(witness, "witness")
+    sub = Graph(members, [e for e in g.edges if e[0] in members and e[1] in members])
+    if is_perfect(sub, ceiling=ceiling)[0]:
+        return False, "witness subgraph has equal clique and chromatic numbers"
+    return True, None
+
+
 def _is_cycle(adj, subset_bits):
-    k = len(subset_bits)
     inside = 0
     for b in subset_bits:
         inside |= 1 << b
     for b in subset_bits:
         if (adj[b] & inside).bit_count() != 2:
             return False
-    seen = {subset_bits[0]}
-    stack = [subset_bits[0]]
-    while stack:
-        u = stack.pop()
-        for v in _bitmatch.bits_of(adj[u] & inside):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == k
+    return _bitmatch.reachable(adj, subset_bits[0], ~inside) == inside
 
 
 def berge_check(g: Graph, *, ceiling: int = PERFECT_CEILING) -> bool:

@@ -1,5 +1,11 @@
+import ast
+import inspect
 import json
+import os
 import random
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -430,6 +436,12 @@ class TestCosetsCommand:
         code, env, _ = run(capsys, "cosets", path, "--generators", "[[2, 1, 3]]")
         assert code == 0 and len(env["payload"]["reps"]) == 3
 
+    @pytest.mark.parametrize("generators", ["5", '[{"x": 1}]', '"a"', '["zz"]', "[[1]]", "[1"])
+    def test_malformed_generators_name_field(self, capsys, tmp_path, generators):
+        path = write(tmp_path, "z2.json", {"elements": ["e", "a"], "table": [[0, 1], [1, 0]]})
+        code, env, _ = run(capsys, "cosets", path, "--generators", generators)
+        assert code == 2 and "(field: generators)" in env["diagnostics"]
+
 
 class TestHyperCommand:
     def test_found(self, capsys, tmp_path):
@@ -575,3 +587,119 @@ class TestRadoCertificates:
         path = write(tmp_path, "cert.json", cert)
         code, env, _ = run_on(capsys, tmp_path, "rado", self.TRIANGLE, ("--verify", path))
         assert code == 1 and env["payload"]["valid"] is False
+
+
+C5 = {"vertices": [0, 1, 2, 3, 4], "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]}
+
+
+class TestCertificateBoundary:
+    @pytest.mark.parametrize("command, cert", [
+        ("matching", {"edges": [1]}),
+        ("sdr", {"reps": [["a"], "b"]}),
+        ("sdr", {"reps": ["a"]}),
+        ("menger", {"paths": [["s", "zz", "t"]], "cut": ["a"]}),
+        ("latin-extend", {"n": 2, "rows": [1]}),
+    ])
+    def test_malformed_certificate_rejected(self, capsys, tmp_path, command, cert):
+        objs, extra = VALID_INPUTS[command]
+        path = write(tmp_path, "cert.json", cert)
+        code, env, _ = run_on(capsys, tmp_path, command, objs, (*extra, "--verify", path))
+        assert code == 1 and env["payload"]["valid"] is False
+        assert env["payload"]["reason"]
+
+    @pytest.mark.parametrize("command, objs, cert", [
+        ("latin-extend", [{"n": 2, "rows": []}], {"n": 1, "rows": [[1]]}),
+        ("latin-complete", [{"n": 2, "rows": []}], {"n": 1, "rows": [[1]]}),
+        ("birkhoff", [{"n": 1, "entries": [["1"]]}],
+         {"terms": [{"coefficient": "1", "permutation": [-1]}]}),
+        ("perfect", [C5], {"witness": [0, 1, 2, 3, 4, "zz"]}),
+        ("maxflow", VALID_INPUTS["maxflow"][0],
+         {"value": True, "flow": [["s", "t", 1]], "cut": [["s", "t"]]}),
+        ("maxflow", VALID_INPUTS["maxflow"][0],
+         {"value": 1, "flow": [["s", "t", 1], ["q", "r", 7]], "cut": [["s", "t"]]}),
+    ])
+    def test_forged_certificate_rejected(self, capsys, tmp_path, command, objs, cert):
+        path = write(tmp_path, "cert.json", cert)
+        code, env, _ = run_on(capsys, tmp_path, command, objs, ("--verify", path))
+        assert code == 1 and env["payload"]["valid"] is False
+
+    def test_bad_endpoint_is_invalid_input_before_the_certificate(self, capsys, tmp_path):
+        objs, _ = VALID_INPUTS["menger"]
+        path = write(tmp_path, "cert.json", {"paths": [], "cut": []})
+        code, env, _ = run_on(capsys, tmp_path, "menger", objs,
+                              ("--source", "zz", "--sink", "t", "--verify", path))
+        assert code == 2 and env["status"] == "invalid-input"
+
+    @pytest.mark.parametrize("command, forge", [
+        ("sdr", lambda c: {"reps": c["reps"][::-1]}),
+        ("defect", lambda c: {**c, "partial": {"0": "a", "1": "a"}}),
+        ("array-sdr", lambda c: {"grid": [["b"]]}),
+        ("matching", lambda c: {**c, "edges": [["y", "x"]]}),
+        ("cover", lambda c: {**c, "cover": {"partA": [], "partB": []}}),
+        ("menger", lambda c: {**c, "cut": []}),
+        ("maxflow", lambda c: {**c, "value": c["value"] + 1}),
+        ("dilworth", lambda c: {**c, "antichain": ["a", "b"]}),
+        ("mirsky", lambda c: {**c, "chain": c["chain"][::-1]}),
+        ("perfect", lambda c: {**c, "witness": c["witness"][:3]}),
+        ("birkhoff", lambda c: {"terms": [{**t, "coefficient": "1/2"} for t in c["terms"]]}),
+        ("latin-extend", lambda c: {**c, "rows": c["rows"][:1]}),
+        ("latin-complete", lambda c: {"n": 3, "rows": [[1, 2, 3]]}),
+        ("youden", lambda c: {"array": [row[::-1] for row in c["array"]]}),
+        ("rado", lambda c: {"reps": c["reps"][::-1]}),
+        ("cosets", lambda c: {**c, "reps": c["reps"] * 2}),
+        ("hyper-sdr", lambda c: {"selection": []}),
+    ])
+    def test_round_trip_and_forgery(self, capsys, tmp_path, command, forge):
+        # The perfect graph of VALID_INPUTS has no witness to round-trip.
+        objs, extra = ([C5], ()) if command == "perfect" else VALID_INPUTS[command]
+        code, env, _ = run_on(capsys, tmp_path, command, objs, extra)
+        assert code in (0, 1)
+        cert = env["payload"]
+        for payload, expect in ((cert, 0), (forge(cert), 1)):
+            path = write(tmp_path, "cert.json", payload)
+            code, env, _ = run_on(capsys, tmp_path, command, objs, (*extra, "--verify", path))
+            assert code == expect and env["payload"]["valid"] is (expect == 0)
+
+    @pytest.mark.parametrize("value", ["1e99999999", "-1e99999999", "1E+99_999_999"])
+    @pytest.mark.parametrize("command", ["permanent", "birkhoff", "birkhoff-certificate"])
+    def test_huge_rational_hits_the_ceiling(self, capsys, tmp_path, command, value):
+        matrix = {"n": 1, "entries": [["1"] if command.endswith("certificate") else [value]]}
+        argv = [command.split("-")[0], write(tmp_path, "m.json", matrix)]
+        if command.endswith("certificate"):
+            cert = {"terms": [{"coefficient": value, "permutation": [0]}]}
+            argv += ["--verify", write(tmp_path, "cert.json", cert)]
+        # A separate process first, so that a missing ceiling fails the test
+        # instead of hanging it.
+        src = os.path.dirname(os.path.dirname(inspect.getfile(cli)))
+        proc = subprocess.run([sys.executable, "-m", "transversal.cli", *argv], timeout=30,
+                              capture_output=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 3
+        start = time.perf_counter()
+        code, env, _ = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and env["status"] == "resource-limit"
+
+    def test_handlers_do_not_read_certificates(self):
+        """No subcommand handler subscripts, .gets or iterates a --verify
+        certificate: every check lives in the library, beside its solver."""
+        tree = ast.parse(inspect.getsource(cli))
+        handlers = [f for f in tree.body
+                    if isinstance(f, ast.FunctionDef) and f.name.startswith("_cmd_")]
+        assert len(handlers) == 21
+
+        def loads_certificate(node):  # a call that is handed args.verify
+            return isinstance(node, ast.Call) and any(
+                isinstance(a, ast.Attribute) and a.attr == "verify" for a in node.args)
+
+        for handler in handlers:
+            names = {t.id for node in ast.walk(handler)
+                     if isinstance(node, ast.Assign) and loads_certificate(node.value)
+                     for t in node.targets if isinstance(t, ast.Name)}
+
+            def is_cert(node):
+                return loads_certificate(node) or isinstance(node, ast.Name) and node.id in names
+
+            for node in ast.walk(handler):
+                read = (isinstance(node, (ast.Subscript, ast.Attribute)) and is_cert(node.value)
+                        or isinstance(node, (ast.For, ast.comprehension)) and is_cert(node.iter))
+                assert not read, f"{handler.name} reads the certificate: {ast.unparse(node)}"

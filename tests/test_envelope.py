@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_cli import VALID_INPUTS
 from transversal import cli, matroids
 
 # Integers stay small: files may name sizes (a Latin width, a permutation
@@ -91,5 +92,62 @@ def test_random_input_keeps_the_envelope(command, data):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main([command, *paths, *extra])
     assert code in (0, 1, 2, 3)
+    assert out.getvalue().count("\n") == 1
+    assert isinstance(json.loads(out.getvalue()), dict)
+
+
+# Certificate values name the labels of the VALID_INPUTS problems, so that
+# drawn certificates get past the shape checks into the real ones.
+CERT_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-1, 4), st.sampled_from(
+    ["a", "b", "e", "s", "t", "x", "y", "1", "1/2"]))
+CERT_VALUES = st.recursive(
+    CERT_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.sampled_from(["0", "1", "partA", "partB", "coefficient",
+                                         "permutation"]), inner, max_size=3),
+    ),
+    max_leaves=12,
+)
+# subcommand -> the keys of the payload it emits, hence of its certificate
+CERT_KEYS = {
+    "sdr": ("reps", "indices", "union"),
+    "defect": ("defect", "partial"),
+    "array-sdr": ("grid",),
+    "matching": ("edges", "size"),
+    "cover": ("matching", "cover", "size"),
+    "menger": ("paths", "cut", "count"),
+    "maxflow": ("value", "cut", "flow"),
+    "dilworth": ("chains", "antichain"),
+    "mirsky": ("antichains", "chain"),
+    "perfect": ("perfect", "berge", "witness"),
+    "birkhoff": ("terms", "term_bound"),
+    "latin-extend": ("n", "rows", "alphabet"),
+    "latin-complete": ("n", "rows", "alphabet"),
+    "youden": ("array",),
+    "rado": ("reps", "indices", "union", "rank"),
+    "cosets": ("subgroup", "left", "right", "reps", "family"),
+    "hyper-sdr": ("selection", "witness"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CERT_KEYS))
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_random_certificate_is_checked_not_crashed(command, data):
+    """Any JSON object given to --verify is accepted (0) or rejected (1)."""
+    objs, extra = VALID_INPUTS[command]
+    keys = CERT_KEYS[command]
+    cert = data.draw(st.fixed_dictionaries({}, optional=dict.fromkeys(keys, CERT_VALUES)))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for k, obj in enumerate([*objs, cert]):
+            paths.append(os.path.join(tmp, f"in{k}.json"))
+            with open(paths[-1], "w", encoding="utf-8") as fh:
+                json.dump(obj, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, *paths[:-1], *extra, "--verify", paths[-1]])
+    assert code in (0, 1)
     assert out.getvalue().count("\n") == 1
     assert isinstance(json.loads(out.getvalue()), dict)

@@ -142,6 +142,25 @@ class TestSimultaneousReps:
         assert ok == brute_left_is_right(s3, h, bad)
 
 
+    @pytest.mark.parametrize("stray", [[1, 2, 3], {"x": 1}, (9, 9, 9)])
+    def test_unhashable_or_unknown_rep_rejected(self, stray):
+        s3 = groups.symmetric_group(3)
+        h = groups.subgroup_closure(s3, [(2, 1, 3)])
+        reps = list(groups.simultaneous_reps(s3, h))
+        reps[1] = stray
+        ok, reason = groups.validate_simultaneous_reps(s3, h, reps)
+        assert not ok and "reps" in reason
+
+    def test_every_pick_checked_against_brute_force(self):
+        d4 = groups.dihedral_group(4)
+        for x in d4.elements:
+            h = groups.subgroup_closure(d4, [x])
+            system = groups.coset_system(d4, h)
+            for choice in product(*[list(c) for c in system.left]):
+                ok, _ = groups.validate_simultaneous_reps(d4, h, choice)
+                assert ok == brute_left_is_right(d4, h, choice)
+
+
 def brute_left_is_right(g, subgroup, reps):
     system = groups.coset_system(g, subgroup)
     hits = [sum(1 for x in reps if x in set(rc)) for rc in system.right]
