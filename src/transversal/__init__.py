@@ -38,7 +38,6 @@ from .graphs import (
     VertexCover,
     family_to_graph,
     graph_to_family,
-    hall_via_menger,
     konig_cover,
     max_flow_min_cut,
     max_matching,
@@ -86,7 +85,6 @@ from .posets import (
     berge_check,
     comparability_graph,
     dilworth,
-    hall_from_dilworth,
     is_perfect,
     mirsky,
 )

@@ -298,13 +298,12 @@ def _cmd_cosets(args):
     if args.verify:
         return _verify(args.verify, groups.verify_cosets, group, subgroup)
     system = groups.coset_system(group, subgroup)
-    reps = groups.simultaneous_reps(group, subgroup)
     family = groups.coset_family(group, subgroup)
     payload = {
         "subgroup": list(system.subgroup),
         "left": [list(c) for c in system.left],
         "right": [list(c) for c in system.right],
-        "reps": list(reps),
+        "reps": list(system.reps),
         "family": family.to_json(),
     }
     return "found", payload, f"index {system.index}"

@@ -603,35 +603,3 @@ def _decompose_paths(net_out, s, t, value, names):
                 pos[v] = len(walk) - 1
         paths.append(tuple(names[x] for x in walk))
     return tuple(paths)
-
-
-def hall_via_menger(family: core.SetFamily):
-    """Hall check through the two-extra-vertices flow reduction.
-
-    A new source is joined to every set index and every ground element to a
-    new sink, all capacities one; a full flow yields an SDR and a short one
-    yields the same Dulmage-Mendelsohn violator as core.hall_check.  Exists
-    as a cross-check path for core.hall_check.
-    """
-    n = family.n
-    n_ground = len(family.ground)
-    s = 0
-    t = 1
-    arcs = [(s, 2 + i, 1) for i in range(n)]
-    sdr_arcs = []
-    for i in range(n):
-        for p in _bitmatch.bits_of(family._masks[i]):
-            sdr_arcs.append((i, p))
-            arcs.append((2 + i, 2 + n + p, 1))
-    for p in range(n_ground):
-        arcs.append((2 + n + p, t, 1))
-    value, flows, _ = _edmonds_karp(2 + n + n_ground, arcs, s, t)
-    match_row = [_bitmatch.UNMATCHED] * n
-    match_col = [_bitmatch.UNMATCHED] * n_ground
-    for (i, p), f in zip(sdr_arcs, flows[n : n + len(sdr_arcs)]):
-        if f:
-            match_row[i] = p
-            match_col[p] = i
-    if value == n:
-        return core.Sdr(tuple(family.ground[c] for c in match_row))
-    return core._hall_violator(family, match_row, match_col)

@@ -1,31 +1,57 @@
-"""Finite groups and simultaneous left/right coset representatives.
+"""Finite groups, held as permutations, and simultaneous coset representatives.
 
-A subgroup of index n always admits n elements that represent every left
-coset and every right coset at once; the counting argument puts the coset
-intersection pattern under the SDR machinery, which does the search.
-"""
+A subgroup of index n has n elements that represent every left coset and
+every right coset at once (Hall 1935, by the marriage theorem).  Miller
+(1910) reads them off the double cosets HxH, each a union of k left and k
+right cosets, every left one meeting every right one."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
-from . import _bitmatch, core
-from .errors import ValidationError
+from . import core
+from .errors import ResourceLimitError, ValidationError
 
 ASSOCIATIVITY_CEILING = 256
+ENTRY_CEILING = 1 << 20  # stored image entries: group order times degree
+
+
+def _close(generators, degree):
+    """Yield the group the 1-based image tuples `generators` generate,
+    identity first, breadth first: one product per element and generator."""
+    queue = [tuple(range(1, degree + 1))]
+    seen = set(queue)
+    # Skip identities: they add nothing, and at degree 1 itemgetter gives no tuple.
+    steps = [itemgetter(*[i - 1 for i in s]) for s in generators if s != queue[0]]
+    for p in queue:
+        yield p
+        for step in steps:
+            q = step(p)
+            if q not in seen:
+                seen.add(q)
+                queue.append(q)
+                _check_entries(len(queue), degree)
+
+
+def _check_entries(order, degree):
+    if order * degree > ENTRY_CEILING:
+        raise ResourceLimitError(f"group order reached {order} at degree {degree}, over "
+                                 f"the ceiling of {ENTRY_CEILING} image entries")
 
 
 class FiniteGroup:
-    """A finite group given by its multiplication table.
+    """A finite group, held as permutations multiplied by composition.
 
-    ``table[i][j]`` is the index of elements[i] * elements[j].  Identity and
-    inverse laws are always verified; associativity is checked exhaustively
-    up to order 256 and refused above (permutation input never needs it).
-    """
+    Permutation groups keep their elements, 1-based image tuples, sorted.  A
+    table (``table[i][j]`` the index of elements[i] * elements[j]) becomes
+    its left-regular representation, row i being x -> i * x, once its
+    identity and inverse laws hold and associativity is checked exhaustively
+    (refused above order 256)."""
 
-    __slots__ = ("elements", "table", "identity", "_index", "_inverse")
+    __slots__ = ("elements", "identity", "_index", "_perms", "_at")
 
-    def __init__(self, elements, table, _trusted_associative=False):
+    def __init__(self, elements, table):
         index = core._index_labels(elements, "elements")
         elements = tuple(index)
         n = len(elements)
@@ -47,84 +73,78 @@ class FiniteGroup:
                 break
         if identity is None:
             raise ValidationError("table has no identity element", field="table")
-        inverse = [None] * n
         for i in range(n):
-            for j in range(n):
-                if table[i][j] == identity and table[j][i] == identity:
-                    inverse[i] = j
-                    break
-            if inverse[i] is None:
+            if not any(table[i][j] == identity and table[j][i] == identity for j in range(n)):
                 raise ValidationError(f"element {elements[i]!r} has no inverse",
                                       field="table")
-        if not _trusted_associative:
-            if n > ASSOCIATIVITY_CEILING:
-                raise ValidationError(
-                    f"cannot verify associativity above order {ASSOCIATIVITY_CEILING}"
-                )
-            for i in range(n):
-                row_i = table[i]
-                for j in range(n):
-                    ij = table[i][j]
-                    row_ij = table[ij]
-                    row_j = table[j]
-                    for k in range(n):
-                        if row_ij[k] != row_i[row_j[k]]:
-                            raise ValidationError(
-                                f"associativity fails at indices ({i},{j},{k})",
-                                field="table",
-                            )
+        if n > ASSOCIATIVITY_CEILING:
+            raise ValidationError(
+                f"cannot verify associativity above order {ASSOCIATIVITY_CEILING}"
+            )
+        for i in range(n):
+            row_i = table[i]
+            for j in range(n):
+                ij = table[i][j]
+                row_ij = table[ij]
+                row_j = table[j]
+                for k in range(n):
+                    if row_ij[k] != row_i[row_j[k]]:
+                        raise ValidationError(
+                            f"associativity fails at indices ({i},{j},{k})",
+                            field="table",
+                        )
         self.elements = elements
-        self.table = table
         self.identity = elements[identity]
         self._index = index
-        self._inverse = tuple(inverse)
+        self._perms = tuple(tuple(k + 1 for k in row) for row in table)
+        self._at = {p: k for k, p in enumerate(self._perms)}
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
+    def _product(self, i: int, j: int) -> int:
+        """Index of the product of the elements at indices i and j."""
+        p = self._perms[i]
+        return self._at[tuple([p[x - 1] for x in self._perms[j]])]
+
+    def _generated(self, indices):
+        """Yield the indices of the subgroup generated by those at `indices`."""
+        gens = [self._perms[k] for k in indices]
+        for p in _close(gens, len(self._perms[0])):
+            yield self._at[p]
+
     def mul(self, a, b):
-        return self.elements[self.table[self._index[a]][self._index[b]]]
+        return self.elements[self._product(self._index[a], self._index[b])]
 
     def inverse(self, a):
-        return self.elements[self._inverse[self._index[a]]]
+        p = self._perms[self._index[a]]
+        return self.elements[self._at[tuple(sorted(range(1, len(p) + 1), key=lambda i: p[i - 1]))]]
 
     @classmethod
     def from_permutations(cls, generators, degree: int) -> "FiniteGroup":
         """Close a list of permutations (1-based image tuples) under
-        composition; elements are the sorted permutation tuples."""
+        composition; elements are the sorted permutation tuples.  Refused
+        once order times degree passes ``ENTRY_CEILING``."""
         if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
             raise ValidationError("degree must be a positive integer", field="degree")
+        _check_entries(1, degree)
+        target = list(range(1, degree + 1))
         gens = []
         for g in generators:
             try:
-                ok = sorted(g) == list(range(1, degree + 1))
+                ok = sorted(g) == target
             except TypeError:
                 ok = False
             if not ok:
                 raise ValidationError(f"{g!r} is not a permutation of 1..{degree}",
                                       field="permutations")
             gens.append(tuple(g))
-        identity = tuple(range(1, degree + 1))
-
-        def compose(p, q):  # apply q first, then p
-            return tuple(p[q[i] - 1] for i in range(degree))
-
-        seen = {identity}
-        frontier = [identity]
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for s in gens:
-                    h = compose(g, s)
-                    if h not in seen:
-                        seen.add(h)
-                        nxt.append(h)
-            frontier = nxt
-        elements = sorted(seen)
-        pos = {g: k for k, g in enumerate(elements)}
-        table = [[pos[compose(a, b)] for b in elements] for a in elements]
-        return cls(elements, table, _trusted_associative=True)
+        group = cls.__new__(cls)
+        group.elements = group._perms = tuple(sorted(_close(gens, degree)))
+        group.identity = group.elements[0]
+        group._index = group._at = {p: k for k, p in enumerate(group.elements)}
+        return group
 
 
 def group_from_json(obj: dict) -> FiniteGroup:
@@ -174,49 +194,41 @@ def elements_from_json(values, field: str) -> list:
 def subgroup_closure(g: FiniteGroup, generators) -> tuple:
     """Smallest subset containing the generators and the identity that is
     closed under the product (hence under inverses, the group being finite)."""
-    mask = core._mask_of(generators, g._index, "generators")
-    members = {g._index[g.identity], *_bitmatch.bits_of(mask)}
-    table = g.table
-    frontier = list(members)
-    while frontier:
-        fresh = []
-        for a in list(members):
-            for b in frontier:
-                for prod in (table[a][b], table[b][a]):
-                    if prod not in members:
-                        members.add(prod)
-                        fresh.append(prod)
-        frontier = fresh
-    return tuple(g.elements[i] for i in sorted(members))
+    core._mask_of(generators, g._index, "generators")  # every generator is an element
+    return tuple(g.elements[i] for i in sorted(g._generated(g._index[x] for x in generators)))
 
 
 def _subgroup_indices(g: FiniteGroup, subgroup) -> list[int]:
-    index = g._index
-    ids = []
-    seen = set()
-    for x in subgroup:
-        if x not in index:
-            raise ValidationError(f"{x!r} is not a group element")
-        if index[x] in seen:
-            raise ValidationError(f"subgroup repeats {x!r}")
-        seen.add(index[x])
-        ids.append(index[x])
-    if index[g.identity] not in seen:
+    labels = core._index_labels(subgroup, "subgroup")
+    core._mask_of(labels, g._index, "subgroup")  # every label is an element
+    h = sorted(g._index[x] for x in labels)
+    seen = set(h)
+    if g._index[g.identity] not in seen:
         raise ValidationError("subgroup must contain the identity")
-    for a in ids:
-        for b in ids:
-            if g.table[a][b] not in seen:
-                raise ValidationError("subgroup is not closed under the product")
-    return sorted(seen)
+    # Closed iff the closure of generators picked greedily from it stays inside.
+    gens, reached = [], set()
+    for k in h:
+        if k not in reached:
+            gens.append(k)
+            reached = set()
+            for y in g._generated(gens):
+                if y not in seen:
+                    raise ValidationError("subgroup is not closed under the product")
+                reached.add(y)
+    return h
 
 
 @dataclass(frozen=True)
 class CosetSystem:
-    """Left and right coset partitions of a subgroup, in least-element order."""
+    """Left and right coset partitions of a subgroup, in least-element order;
+    ``family[i]`` numbers the right cosets in left coset i's double coset, and
+    ``reps[i]`` is left coset i's simultaneous representative."""
 
     subgroup: tuple
     left: tuple
     right: tuple
+    family: tuple
+    reps: tuple
 
     @property
     def index(self) -> int:
@@ -224,60 +236,48 @@ class CosetSystem:
 
 
 def coset_system(g: FiniteGroup, subgroup) -> CosetSystem:
+    """Cosets as H-orbits, at one product per element and side.  A double
+    coset HxH, x least, is the union of the left cosets hxH and of the right
+    cosets Hxh (h in H), each left one meeting each right one; its k-th left
+    and k-th right cosets give the least element of their meet as a rep."""
     h = _subgroup_indices(g, subgroup)
-    h_set = set(h)
-    n = g.order
-    table = g.table
-
-    def partition(left_side):
-        assigned = [False] * n
+    sides = []
+    for times in (g._product, lambda x, b: g._product(b, x)):
+        number = [None] * g.order
         cosets = []
-        for x in range(n):
-            if assigned[x]:
-                continue
-            coset = sorted({table[x][b] if left_side else table[b][x] for b in h_set})
-            for y in coset:
-                assigned[y] = True
-            cosets.append(tuple(g.elements[y] for y in coset))
-        return tuple(cosets)
-
-    return CosetSystem(
-        subgroup=tuple(g.elements[i] for i in h),
-        left=partition(True),
-        right=partition(False),
-    )
+        for x in range(g.order):
+            if number[x] is None:
+                coset = sorted({times(x, b) for b in h})
+                for y in coset:
+                    number[y] = len(cosets)
+                cosets.append(coset)
+        sides.append((cosets, number))
+    (left, left_of), (right, right_of) = sides
+    family, reps = [None] * len(left), [None] * len(left)
+    for x in range(g.order):
+        if family[left_of[x]] is None:  # x is the least element of HxH
+            lefts = sorted({left_of[g._product(b, x)] for b in h})
+            rights = tuple(sorted({right_of[g._product(x, b)] for b in h}))
+            for i, j in zip(lefts, rights):
+                family[i] = rights
+                reps[i] = next(y for y in left[i] if right_of[y] == j)
+    named = g.elements.__getitem__
+    return CosetSystem(tuple(map(named, h)), tuple(tuple(map(named, c)) for c in left),
+                       tuple(tuple(map(named, c)) for c in right), tuple(family),
+                       tuple(map(named, reps)))
 
 
 def coset_family(g: FiniteGroup, subgroup) -> core.SetFamily:
-    """The family T_i = {j : left coset i meets right coset j}.
-
-    Every union of k of these sets has at least k members, because k left
-    cosets hold k|H| elements and cannot fit inside fewer than k right
-    cosets, so an SDR always exists.
-    """
+    """T_i: the right cosets in left coset i's double coset, which are the
+    ones left coset i meets.  A union of k of these sets has at least k
+    members, as k left cosets hold k|H| elements, so an SDR always exists."""
     system = coset_system(g, subgroup)
-    right_of = {}
-    for j, coset in enumerate(system.right):
-        for x in coset:
-            right_of[x] = j
-    sets = []
-    for coset in system.left:
-        sets.append(sorted({right_of[x] for x in coset}))
-    return core.SetFamily(range(system.index), sets)
+    return core.SetFamily(range(system.index), system.family)
 
 
 def simultaneous_reps(g: FiniteGroup, subgroup) -> tuple:
     """Elements hitting every left coset once and every right coset once."""
-    system = coset_system(g, subgroup)
-    family = coset_family(g, subgroup)
-    result = core.hall_check(family)
-    if not isinstance(result, core.Sdr):  # impossible by the counting argument
-        raise AssertionError("coset family unexpectedly failed the check")
-    reps = []
-    for i, j in enumerate(result.reps):
-        meet = set(system.left[i]) & set(system.right[j])
-        reps.append(min(meet, key=g._index.get))
-    return tuple(reps)
+    return coset_system(g, subgroup).reps
 
 
 def validate_simultaneous_reps(g: FiniteGroup, subgroup, reps) -> tuple[bool, str | None]:

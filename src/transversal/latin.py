@@ -12,6 +12,7 @@ from .errors import AlreadyCompleteError, ResourceLimitError, ValidationError
 
 EXTENSION_COUNT_CEILING = 8
 SQUARE_COUNT_CEILING = 5
+WIDTH_CEILING = 1 << 14  # a rectangle holds n column masks of n bits
 
 
 class LatinRectangle:
@@ -23,6 +24,8 @@ class LatinRectangle:
     def __init__(self, n, rows):
         if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise ValidationError("width must be a nonnegative integer", field="n")
+        if n > WIDTH_CEILING:
+            raise ResourceLimitError(f"width {n} is over the ceiling of {WIDTH_CEILING}")
         rows = tuple(tuple(row) for row in rows)
         if len(rows) > n:
             raise ValidationError(f"{len(rows)} rows will not fit width {n}", field="rows")

@@ -201,35 +201,6 @@ def mirsky(p: Poset) -> tuple[AntichainPartition, tuple]:
     return AntichainPartition(tuple(levels)), tuple(chain)
 
 
-def hall_from_dilworth(family: core.SetFamily):
-    """Read an SDR off a Dilworth decomposition, or report none exists.
-
-    The poset puts each element below every set that contains it.  When the
-    family has an SDR the minimum chain partition has exactly |ground|
-    chains, each set sitting atop its representative; any empty set
-    degenerates the construction and is reported as an immediate failure.
-    """
-    if any(not s for s in family.sets):
-        return None
-    tagged = [("elt", x) for x in family.ground] + [("set", i) for i in range(family.n)]
-    pairs = []
-    for i, members in enumerate(family.sets):
-        for x in members:
-            pairs.append((("elt", x), ("set", i)))
-    p = Poset(tagged, pairs)
-    partition, _ = dilworth(p)
-    if len(partition) != len(family.ground):
-        return None
-    reps: dict = {}
-    for chain in partition.chains:
-        if len(chain) == 2:
-            (_, x), (_, i) = chain
-            reps[i] = x
-    if len(reps) != family.n:
-        return None
-    return core.Sdr(tuple(reps[i] for i in range(family.n)))
-
-
 def comparability_graph(p: Poset, complement: bool = False) -> Graph:
     """Graph joining comparable pairs (or incomparable ones)."""
     edges = []

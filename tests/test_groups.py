@@ -151,6 +151,19 @@ class TestSimultaneousReps:
         ok, reason = groups.validate_simultaneous_reps(s3, h, reps)
         assert not ok and "reps" in reason
 
+    def test_reps_do_not_depend_on_the_representation(self):
+        s4 = groups.symmetric_group(4)
+        labels = s4.elements  # the sorted permutations
+        table = [[labels.index(s4.mul(a, b)) for b in labels] for a in labels]
+        as_table = groups.FiniteGroup(labels, table)
+        assert all(as_table.mul(a, b) == s4.mul(a, b) for a in labels for b in labels)
+        assert all(as_table.inverse(a) == s4.inverse(a) for a in labels)
+        subgroups = {groups.subgroup_closure(s4, [a, b]) for a in labels for b in labels}
+        assert len(subgroups) == 30  # every subgroup of S_4 has two generators
+        for h in subgroups:
+            assert groups.subgroup_closure(as_table, h) == h
+            assert groups.simultaneous_reps(as_table, h) == groups.simultaneous_reps(s4, h)
+
     def test_every_pick_checked_against_brute_force(self):
         d4 = groups.dihedral_group(4)
         for x in d4.elements:

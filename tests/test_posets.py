@@ -3,7 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from oracles import all_poset_masks, brute_longest_chain, brute_max_antichain, warshall_closure
+from oracles import (all_poset_masks, brute_longest_chain, brute_max_antichain, hall_from_dilworth,
+                     warshall_closure)
 from transversal import core, posets
 from transversal.errors import ResourceLimitError, ValidationError
 from transversal.graphs import Graph
@@ -158,20 +159,20 @@ class TestVerifiers:
 class TestHallFromDilworth:
     def test_three_cycle(self):
         f = core.SetFamily([1, 2, 3], [[1, 2], [2, 3], [3, 1]])
-        result = posets.hall_from_dilworth(f)
+        result = hall_from_dilworth(f)
         assert result is not None
         assert core.validate_sdr(f, result.reps) == (True, None)
         assert isinstance(core.hall_check(f), core.Sdr)
 
     def test_disjoint_singletons(self):
         f = core.SetFamily([1, 2], [[1], [2]])
-        assert posets.hall_from_dilworth(f) == core.Sdr((1, 2))
+        assert hall_from_dilworth(f) == core.Sdr((1, 2))
 
     def test_no_sdr(self):
-        assert posets.hall_from_dilworth(core.SetFamily([1], [[1], [1]])) is None
+        assert hall_from_dilworth(core.SetFamily([1], [[1], [1]])) is None
 
     def test_empty_set_degenerates(self):
-        assert posets.hall_from_dilworth(core.SetFamily([1], [[1], []])) is None
+        assert hall_from_dilworth(core.SetFamily([1], [[1], []])) is None
 
 
 class TestComparabilityGraph:
