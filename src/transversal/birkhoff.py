@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from . import _bitmatch, core
+from .core import _permanent_rows
 from .errors import ResourceLimitError, ValidationError
 
 PERMANENT_CEILING = 20
@@ -205,42 +206,6 @@ def birkhoff_decompose(m: RationalMatrix) -> BirkhoffDecomposition:
                 masks[i] &= ~(1 << j)
         remaining -= mu
     return BirkhoffDecomposition(tuple(terms))
-
-
-def _permanent_rows(rows) -> Fraction | int:
-    """Alternating-sum permanent over column subsets (Gray-code order).
-
-    Works on any exact numeric entries (int or Fraction); cost 2^n products.
-    """
-    n = len(rows)
-    if n == 0:
-        return 1
-    sums = [0] * n
-    total = 0
-    previous = 0
-    for g in range(1, 1 << n):
-        gray = g ^ (g >> 1)
-        changed = gray ^ previous
-        previous = gray
-        j = changed.bit_length() - 1
-        if gray & changed:
-            for i in range(n):
-                sums[i] += rows[i][j]
-        else:
-            for i in range(n):
-                sums[i] -= rows[i][j]
-        prod = 1
-        for s in sums:
-            if not s:
-                prod = 0
-                break
-            prod *= s
-        if prod:
-            if (n - gray.bit_count()) % 2:
-                total -= prod
-            else:
-                total += prod
-    return total
 
 
 def permanent(m: RationalMatrix, *, ceiling: int = PERMANENT_CEILING) -> Fraction:

@@ -103,6 +103,9 @@ def _cmd_defect(args):
         "defect": report.defect,
         "partial": {str(i): x for i, x in sorted(report.partial.items())},
     }
+    if report.violator is not None:
+        payload["indices"] = list(report.violator.indices)
+        payload["union"] = list(report.violator.union)
     return "found", payload, f"defect {report.defect}"
 
 
@@ -298,13 +301,12 @@ def _cmd_cosets(args):
     if args.verify:
         return _verify(args.verify, groups.verify_cosets, group, subgroup)
     system = groups.coset_system(group, subgroup)
-    family = groups.coset_family(group, subgroup)
     payload = {
         "subgroup": list(system.subgroup),
         "left": [list(c) for c in system.left],
         "right": [list(c) for c in system.right],
         "reps": list(system.reps),
-        "family": family.to_json(),
+        "family": core.SetFamily(range(system.index), system.family).to_json(),
     }
     return "found", payload, f"index {system.index}"
 

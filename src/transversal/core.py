@@ -9,8 +9,9 @@ whose union is too small; both sides are independently checkable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
+from functools import reduce
+from math import comb, prod
+from operator import add, or_
 
 from . import _bitmatch
 from .errors import ResourceLimitError, ValidationError
@@ -18,9 +19,9 @@ from .errors import ResourceLimitError, ValidationError
 RYSER_CEILING = 20
 ARRAY_CELL_CEILING = 16
 
-# Work guard for counting: the column inclusion-exclusion may touch up to
-# sum(C(|union|, k) for k <= n) terms, which explodes when the ground set is
-# far larger than the family.
+# Work guard for counting: the column inclusion-exclusion touches
+# sum(C(|union|, k) for 1 <= k <= n) terms, which explodes when the ground
+# set is far larger than the family.
 _COUNT_TERM_GUARD = 1 << 26
 
 
@@ -175,10 +176,12 @@ class HallViolator:
 
 @dataclass(frozen=True)
 class DefectReport:
-    """Largest-possible partial assignment and the shortfall it leaves."""
+    """Largest-possible partial assignment, the shortfall it leaves and, if
+    any, a violator whose union falls short by it, proving it maximum."""
 
     defect: int
     partial: dict
+    violator: HallViolator | None = None
 
     def __post_init__(self):
         if self.defect < 0:
@@ -314,19 +317,24 @@ def _violator_union(family: SetFamily, indices, stated_union):
 
 
 def partial_sdr(family: SetFamily) -> DefectReport:
-    """Largest partial assignment, with the defect it cannot avoid."""
-    match_row, _ = _bitmatch.max_matching(family._masks, len(family.ground))
+    """Largest partial assignment, with the defect it cannot avoid and the
+    canonical violator that proves it."""
+    match_row, match_col = _bitmatch.max_matching(family._masks, len(family.ground))
     partial = {
         i: family.ground[c]
         for i, c in enumerate(match_row)
         if c != _bitmatch.UNMATCHED
     }
-    return DefectReport(defect=family.n - len(partial), partial=partial)
+    defect = family.n - len(partial)
+    violator = _hall_violator(family, match_row, match_col) if defect else None
+    return DefectReport(defect, partial, violator)
 
 
 def verify_defect(family: SetFamily, cert: dict) -> tuple[bool, str | None]:
     """Check a ``defect`` certificate object: "partial" maps set indices, as
-    decimal strings, to distinct members, for all but "defect" sets."""
+    decimal strings, to distinct members, for all but "defect" sets.  A
+    defect above 0 needs a witness that no assignment does better: sets
+    under "indices" whose "union" has exactly "defect" fewer elements."""
     defect, partial = _cert_field(cert, "defect", int), _cert_field(cert, "partial", dict)
     if len(partial) != family.n - defect:
         return False, "partial size does not match n - defect"
@@ -335,55 +343,66 @@ def verify_defect(family: SetFamily, cert: dict) -> tuple[bool, str | None]:
     for key, x in partial.items():
         if x not in sets.get(key, ()):
             return False, f"assignment {key} -> {x!r} is not a membership"
+    if defect:
+        indices, union = _cert_field(cert, "indices"), _cert_field(cert, "union")
+        union, reason = _violator_union(family, indices, union)
+        if union is None:
+            return False, reason
+        if len(indices) - len(union) != defect:
+            return False, (f"'indices' and 'union' fall short by {len(indices) - len(union)}, "
+                           f"not by the defect {defect}")
     return True, None
 
 
-def count_sdrs(family: SetFamily, *, ceiling: int = RYSER_CEILING) -> int:
-    """Exact number of distinct representative tuples.
+def _permanent_rows(rows) -> int:
+    """Permanent of an n-by-m matrix, n <= m, by inclusion-exclusion over
+    the column sets T with |T| <= n (Ryser's formula when m = n):
 
-    Computed as the permanent of the n-by-|ground| 0/1 incidence structure
-    by inclusion-exclusion over column subsets T of the support union:
+        per = sum over T of (-1)^(n-|T|) C(m-|T|, n-|T|) prod_i sum_{j in T} rows[i][j]
 
-        per = sum over |T| <= n of (-1)^(n-|T|) C(m-|T|, n-|T|) prod_i |T_i & T|
-
-    which reduces to the classical n-set alternating sum when the union has
-    exactly n elements.
+    The sets are walked depth first on an explicit stack, each child's row
+    sums being its parent's plus one column: sum(C(m, k) for 1 <= k <= n)
+    terms.  Entries may be any exact numbers (int or Fraction).
     """
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = len(rows[0])
+    cols = list(zip(*rows))
+    by_size = [0] * (n + 1)  # by_size[k]: the product sum over the k-column sets
+    stack = [((0,) * n, 0, 0)]  # (row sums of T, first column T may add, |T|)
+    while stack:
+        sums, start, size = stack.pop()
+        size += 1
+        total = 0
+        for j in range(start, m):
+            child = list(map(add, sums, cols[j]))
+            total += prod(child)
+            if size < n and j + 1 < m:
+                stack.append((child, j + 1, size))
+        by_size[size] += total
+    return sum((-1) ** (n - k) * comb(m - k, n - k) * by_size[k] for k in range(1, n + 1))
+
+
+def count_sdrs(family: SetFamily, *, ceiling: int = RYSER_CEILING) -> int:
+    """Exact number of distinct representative tuples: the permanent of the
+    n-by-|union| 0/1 incidence matrix over the support union of the sets."""
     n = family.n
     if n > ceiling:
         raise ResourceLimitError(f"family has {n} sets, above the counting ceiling {ceiling}")
     if n == 0:
         return 1
-    union_mask = 0
-    for m in family._masks:
-        union_mask |= m
-    cols = list(_bitmatch.bits_of(union_mask))
+    cols = list(_bitmatch.bits_of(reduce(or_, family._masks)))
     m = len(cols)
     if m < n:
         return 0
-    if sum(comb(m, k) for k in range(n + 1)) > _COUNT_TERM_GUARD:
+    terms = sum(comb(m, k) for k in range(1, n + 1))
+    if terms >= _COUNT_TERM_GUARD:
         raise ResourceLimitError(
-            "support union is too large relative to the family for exact counting"
+            f"{n} sets over a {m}-element union need {terms} terms to count, "
+            f"not below the term ceiling {_COUNT_TERM_GUARD}"
         )
-    masks = family._masks
-    total = 0
-    for k in range(1, n + 1):
-        sign = -1 if (n - k) % 2 else 1
-        scale = comb(m - k, n - k)
-        for subset in combinations(cols, k):
-            tmask = 0
-            for p in subset:
-                tmask |= 1 << p
-            prod = 1
-            for rm in masks:
-                hits = (rm & tmask).bit_count()
-                if not hits:
-                    prod = 0
-                    break
-                prod *= hits
-            if prod:
-                total += sign * scale * prod
-    return total
+    return _permanent_rows([[(mask >> p) & 1 for p in cols] for mask in family._masks])
 
 
 def array_sdr(arr: ArrayFamily, *, ceiling: int = ARRAY_CELL_CEILING):

@@ -19,19 +19,26 @@ ENTRY_CEILING = 1 << 20  # stored image entries: group order times degree
 
 def _close(generators, degree):
     """Yield the group the 1-based image tuples `generators` generate,
-    identity first, breadth first: one product per element and generator."""
+    identity first, each element once as it is found.  A generator in the
+    group of those before it (as the identity: itemgetter gives no tuple at
+    degree 1) gets no step: one product per element and generator kept."""
     queue = [tuple(range(1, degree + 1))]
     seen = set(queue)
-    # Skip identities: they add nothing, and at degree 1 itemgetter gives no tuple.
-    steps = [itemgetter(*[i - 1 for i in s]) for s in generators if s != queue[0]]
-    for p in queue:
-        yield p
-        for step in steps:
-            q = step(p)
-            if q not in seen:
-                seen.add(q)
-                queue.append(q)
-                _check_entries(len(queue), degree)
+    yield queue[0]
+    steps = []
+    for s in generators:
+        if s in seen:
+            continue
+        steps.append(itemgetter(*[i - 1 for i in s]))
+        closed = len(queue)  # the group so far, closed under the earlier steps
+        for k, p in enumerate(queue):
+            for step in steps[-1:] if k < closed else steps:
+                q = step(p)
+                if q not in seen:
+                    seen.add(q)
+                    queue.append(q)
+                    _check_entries(len(queue), degree)
+                    yield q
 
 
 def _check_entries(order, degree):
@@ -205,16 +212,8 @@ def _subgroup_indices(g: FiniteGroup, subgroup) -> list[int]:
     seen = set(h)
     if g._index[g.identity] not in seen:
         raise ValidationError("subgroup must contain the identity")
-    # Closed iff the closure of generators picked greedily from it stays inside.
-    gens, reached = [], set()
-    for k in h:
-        if k not in reached:
-            gens.append(k)
-            reached = set()
-            for y in g._generated(gens):
-                if y not in seen:
-                    raise ValidationError("subgroup is not closed under the product")
-                reached.add(y)
+    if any(y not in seen for y in g._generated(h)):  # stops at the first one outside
+        raise ValidationError("subgroup is not closed under the product")
     return h
 
 

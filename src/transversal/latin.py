@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import _bitmatch, core
-from .birkhoff import _permanent_rows
+from .core import _permanent_rows
 from .errors import AlreadyCompleteError, ResourceLimitError, ValidationError
 
 EXTENSION_COUNT_CEILING = 8

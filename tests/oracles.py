@@ -203,10 +203,11 @@ def brute_min_cover_bipartite(adj, na, nb) -> int:
 
 
 def brute_permanent(rows):
-    """Permanent as the raw sum over permutations."""
+    """Permanent as the raw sum over injective maps of the rows into the
+    columns: over permutations when the matrix is square."""
     n = len(rows)
     total = 0
-    for perm in permutations(range(n)):
+    for perm in permutations(range(len(rows[0]) if rows else 0), n):
         prod = 1
         for i in range(n):
             prod *= rows[i][perm[i]]

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 from oracles import bfs_max_matching, brute_lex_least, rematch_lex_least
-from transversal import _bitmatch, birkhoff, latin
+from transversal import _bitmatch, birkhoff, core, latin
 
 
 def random_masks(rng, n_rows, n_cols, density):
@@ -76,10 +76,8 @@ class TestMaxMatching:
             assert match_row.count(-1) == expected.count(-1)
 
 
-def test_no_recursion_in_bitmatch():
-    """No function in the engine calls itself, so no input size can exhaust
-    the interpreter stack."""
-    tree = ast.parse(inspect.getsource(_bitmatch))
+def assert_no_self_call(obj):
+    tree = ast.parse(inspect.getsource(obj))
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             called = {
@@ -88,6 +86,16 @@ def test_no_recursion_in_bitmatch():
                 if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
             }
             assert node.name not in called, f"{node.name} calls itself"
+
+
+def test_no_recursion_in_bitmatch():
+    """No function in the engine calls itself, so no input size can exhaust
+    the interpreter stack."""
+    assert_no_self_call(_bitmatch)
+
+
+def test_no_recursion_in_the_permanent_kernel():
+    assert_no_self_call(core._permanent_rows)
 
 
 class TestLexLeast:

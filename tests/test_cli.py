@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from transversal import cli, core, matroids
+from transversal import cli, core, groups, matroids
 
 
 def run(capsys, *argv):
@@ -114,6 +114,31 @@ class TestCoreCommands:
         assert code == 0 and env["payload"]["defect"] == 1
         cert = write(tmp_path, "cert.json", env["payload"])
         assert run(capsys, "defect", path, "--verify", cert)[0] == 0
+
+    @pytest.mark.parametrize("cert, reason", [
+        ({"defect": 2, "partial": {}}, "(field: indices)"),
+        ({"defect": 2, "partial": {}, "indices": [0, 1]}, "(field: union)"),
+        ({"defect": 2, "partial": {}, "indices": [0, 1], "union": ["a", "b"]},
+         "fall short by 0, not by the defect 2"),
+        ({"defect": 2, "partial": {}, "indices": [0], "union": ["b"]},
+         "stated union differs"),
+    ])
+    def test_defect_needs_a_witness_of_its_size(self, capsys, tmp_path, cert, reason):
+        path = write(tmp_path, "d.json", {"ground": ["a", "b"], "sets": [["a"], ["b"]]})
+        code, env, _ = run(capsys, "defect", path, "--verify", write(tmp_path, "c.json", cert))
+        assert code == 1 and env["payload"]["valid"] is False
+        assert reason in env["payload"]["reason"]
+
+    def test_defect_witness_short_of_the_defect(self, capsys, tmp_path):
+        path = write(
+            tmp_path, "d.json", {"ground": ["1", "2"], "sets": [["1"], ["1"], ["1"], ["1", "2"]]}
+        )
+        code, env, _ = run(capsys, "defect", path)
+        assert code == 0 and env["payload"]["defect"] == 2
+        assert env["payload"]["indices"] == [0, 1, 2] and env["payload"]["union"] == ["1"]
+        short = {**env["payload"], "indices": [0, 1], "union": ["1"]}
+        code, env, _ = run(capsys, "defect", path, "--verify", write(tmp_path, "c.json", short))
+        assert code == 1 and "fall short by 1, not by the defect 2" in env["payload"]["reason"]
 
     def test_count_sdr(self, capsys, fam3):
         code, env, _ = run(capsys, "count-sdr", fam3)
@@ -455,6 +480,15 @@ class TestCosetsCommand:
         path = write(tmp_path, "s3.json", {"permutations": [[2, 1, 3], [2, 3, 1]], "degree": 3})
         code, env, _ = run(capsys, "cosets", path, "--generators", "[[2, 1, 3]]")
         assert code == 0 and len(env["payload"]["reps"]) == 3
+
+    def test_one_coset_system_per_solve(self, capsys, tmp_path, monkeypatch):
+        path = write(tmp_path, "s4.json", {"permutations": [[2, 1, 3, 4], [2, 3, 4, 1]],
+                                           "degree": 4})
+        calls, system = [], groups.coset_system
+        monkeypatch.setattr(groups, "coset_system", lambda *a: calls.append(a) or system(*a))
+        code, env, _ = run(capsys, "cosets", path, "--generators", "[[2, 1, 3, 4]]")
+        assert code == 0 and len(calls) == 1
+        assert env["payload"]["family"] == groups.coset_family(*calls[0]).to_json()
 
     def test_s7_with_an_order_24_subgroup_within_a_second(self, capsys, tmp_path):
         s7 = {"permutations": [[2, 1, 3, 4, 5, 6, 7], [2, 3, 4, 5, 6, 7, 1]], "degree": 7}

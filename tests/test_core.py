@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
-from oracles import (all_families, bfs_max_matching, brute_all_sdrs, brute_defect, brute_sdr_exists,
-                     hall_via_menger)
+from oracles import (all_families, bfs_max_matching, brute_all_sdrs, brute_defect,
+                     brute_permanent, brute_sdr_exists, hall_via_menger)
 from transversal import _bitmatch, core
 from transversal.errors import ResourceLimitError, ValidationError
 
@@ -181,6 +183,46 @@ class TestCountSdrs:
             core.count_sdrs(f)
         assert core.count_sdrs(f, ceiling=21) == 1
 
+    def test_term_guard_states_its_work(self):
+        # 20 sets over a 30-element union: sum(C(30, k) for 1 <= k <= 20) terms.
+        f = fam(list(range(30)), [list(range(30))] * 20)
+        with pytest.raises(ResourceLimitError) as info:
+            core.count_sdrs(f)
+        terms = sum(comb(30, k) for k in range(1, 21))
+        assert str(terms) in str(info.value) and str(core._COUNT_TERM_GUARD) in str(info.value)
+
+    def test_union_smaller_than_the_family_counts_zero(self):
+        rng = random.Random(5150)
+        for _ in range(200):
+            n = rng.randint(1, 7)
+            union = rng.sample(range(9), rng.randint(0, n - 1))
+            sets = [rng.sample(union, rng.randint(0, len(union))) for _ in range(n)]
+            assert core.count_sdrs(fam(range(9), sets)) == 0 == len(brute_all_sdrs(sets))
+
+
+class TestPermanentKernel:
+    def test_matches_brute_force(self):
+        rng = random.Random(6174)
+        kinds = {"square": 0, "wide": 0, "empty": 0, "negative": 0, "zero-row": 0}
+        for _ in range(600):
+            n = rng.randint(0, 7)
+            m = rng.randint(n, 7)
+            rows = [[rng.randint(-4, 4) if rng.random() < 0.7 else 0 for _ in range(m)]
+                    for _ in range(n)]
+            if n and rng.random() < 0.15:
+                rows[rng.randrange(n)] = [0] * m
+            assert core._permanent_rows(rows) == brute_permanent(rows), rows
+            kinds["square"] += 0 < n == m
+            kinds["wide"] += 0 < n < m
+            kinds["empty"] += n == 0
+            kinds["negative"] += any(x < 0 for row in rows for x in row)
+            kinds["zero-row"] += [0] * m in rows
+        assert all(count >= 20 for count in kinds.values()), kinds
+
+    def test_fraction_entries(self):
+        rows = [[Fraction(1, 2), Fraction(-1, 3), 2], [1, Fraction(3, 4), Fraction(-5, 2)]]
+        assert core._permanent_rows(rows) == brute_permanent(rows)
+
 
 class TestArraySdr:
     def test_single_cell(self):
@@ -238,6 +280,12 @@ class TestInvariants:
                 report = core.partial_sdr(f)
                 assert (report.defect == 0) == expected
                 assert report.defect == brute_defect(sets, ground)
+                if report.defect:
+                    violator = report.violator
+                    assert core.verify_hall_violator(f, violator) == (True, None)
+                    assert len(violator.indices) - len(violator.union) == report.defect
+                else:
+                    assert report.violator is None
                 # counting consistency
                 count = core.count_sdrs(f)
                 assert count == len(brute_all_sdrs(sets))

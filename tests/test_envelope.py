@@ -112,7 +112,7 @@ CERT_VALUES = st.recursive(
 # subcommand -> the keys of the payload it emits, hence of its certificate
 CERT_KEYS = {
     "sdr": ("reps", "indices", "union"),
-    "defect": ("defect", "partial"),
+    "defect": ("defect", "partial", "indices", "union"),
     "array-sdr": ("grid",),
     "matching": ("edges", "size"),
     "cover": ("matching", "cover", "size"),

@@ -1,4 +1,6 @@
-from itertools import product
+import random
+import time
+from itertools import islice, product
 
 import pytest
 
@@ -51,6 +53,45 @@ class TestFiniteGroup:
         assert g.order == 2
         h = groups.group_from_json({"permutations": [[2, 1, 3]], "degree": 3})
         assert h.order == 2
+
+
+def brute_closure(generators, degree):
+    """The permutations that products of `generators` reach, by repeated
+    composition from the identity."""
+    found = {tuple(range(1, degree + 1))}
+    frontier = list(found)
+    while frontier:
+        reached = {tuple(p[i - 1] for i in g) for p in frontier for g in generators}
+        frontier = list(reached - found)
+        found |= reached
+    return found
+
+
+class TestClose:
+    def test_generators_that_add_nothing_get_no_step(self):
+        rng = random.Random(300)
+        gens = [tuple(rng.sample(range(1, 9), 8)) for _ in range(300)]
+        start = time.perf_counter()
+        assert groups.FiniteGroup.from_permutations(gens, 8).order == 40320
+        assert time.perf_counter() - start < 2.0
+        kept, closure = [], brute_closure([], 8)
+        for g in gens:
+            if g not in closure:
+                kept.append(g)
+                closure = brute_closure(kept, 8)
+        found = list(groups._close(gens, 8))
+        assert len(found) == len(set(found)) and set(found) == closure
+        assert len(kept) < 5
+
+    def test_elements_come_once_each_and_lazily(self):
+        # S_10 is over the entry ceiling, so only a lazy closure yields these.
+        s10 = [(2, 1, *range(3, 11)), (*range(2, 11), 1)]
+        first = list(islice(groups._close(s10, 10), 1000))
+        assert len(set(first)) == 1000 and first[0] == tuple(range(1, 11))
+        d5 = [(2, 3, 4, 5, 1), (1, 5, 4, 3, 2), (2, 3, 4, 5, 1)]
+        found = list(groups._close(d5, 5))
+        assert len(found) == len(set(found)) == 10
+        assert set(found) == brute_closure(d5, 5)
 
 
 class TestSubgroupClosure:
