@@ -211,8 +211,10 @@ def birkhoff_decompose(m: RationalMatrix) -> BirkhoffDecomposition:
 def permanent(m: RationalMatrix, *, ceiling: int = PERMANENT_CEILING) -> Fraction:
     """Exact permanent of a rational matrix.
 
-    The inclusion-exclusion method costs 2^n products, hence the ceiling;
-    the determinant shortcut does not exist for permanents.  Rows are
+    The kernel splits the nonzero pattern into its connected blocks and
+    runs Ryser's inclusion-exclusion on each, at 2^(k-1) products for a
+    k-by-k block (2^(n-1) for a dense matrix), hence the ceiling; the
+    determinant shortcut does not exist for permanents.  Rows are
     rescaled to integers first (the permanent is linear in each row), which
     keeps the inner loop on machine arithmetic.
     """

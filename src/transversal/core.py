@@ -19,10 +19,12 @@ from .errors import ResourceLimitError, ValidationError
 RYSER_CEILING = 20
 ARRAY_CELL_CEILING = 16
 
-# Work guard for counting: the column inclusion-exclusion touches
-# sum(C(|union|, k) for 1 <= k <= n) terms, which explodes when the ground
-# set is far larger than the family.
-_COUNT_TERM_GUARD = 1 << 26
+# Work guard for counting: the column sets the permanent kernel visits,
+# summed over the components of the family (`_sets_walked`).  A wide
+# component visits sum(C(c, k) for 1 <= k <= r) sets, which explodes when its
+# union is far larger than its r sets.  At about 2 microseconds a set
+# (2-vCPU Xeon), the largest count admitted takes some 18 s.
+_COUNT_TERM_GUARD = 1 << 23
 
 
 def _index_labels(labels, field) -> dict:
@@ -354,34 +356,102 @@ def verify_defect(family: SetFamily, cert: dict) -> tuple[bool, str | None]:
     return True, None
 
 
-def _permanent_rows(rows) -> int:
-    """Permanent of an n-by-m matrix, n <= m, by inclusion-exclusion over
-    the column sets T with |T| <= n (Ryser's formula when m = n):
+def _components(masks) -> list:
+    """Connected components of the rows of a 0/1 pattern, one bitmask of
+    columns per row: two rows meet when they share a column, directly or
+    through other rows.  Returns (row indices, column mask) pairs, each
+    grown from the lowest unplaced row; an all-zero row is its own
+    component with no columns.
+    """
+    out = []
+    left = list(range(len(masks)))
+    while left:
+        members, cols = [left[0]], masks[left[0]]
+        left, grew = left[1:], True
+        while grew:
+            grew, rest = False, []
+            for i in left:
+                if masks[i] & cols:
+                    members.append(i)
+                    cols |= masks[i]
+                    grew = True
+                else:
+                    rest.append(i)
+            left = rest
+        out.append((sorted(members), cols))
+    return out
 
-        per = sum over T of (-1)^(n-|T|) C(m-|T|, n-|T|) prod_i sum_{j in T} rows[i][j]
+
+def _sets_walked(r: int, c: int) -> int:
+    """Column sets `_permanent_rows` visits on an r-by-c component, r <= c."""
+    return 1 << (r - 1) if r == c else sum(comb(c, k) for k in range(1, r + 1))
+
+
+def _column_set_sums(start, cols, limit) -> list:
+    """by_size[k]: the sum, over the k-sets T of `cols` with k <= `limit`,
+    of the product of the row sums `start` + (sum of the columns in T).
 
     The sets are walked depth first on an explicit stack, each child's row
-    sums being its parent's plus one column: sum(C(m, k) for 1 <= k <= n)
-    terms.  Entries may be any exact numbers (int or Fraction).
+    sums being its parent's plus one column.
     """
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = len(rows[0])
-    cols = list(zip(*rows))
-    by_size = [0] * (n + 1)  # by_size[k]: the product sum over the k-column sets
-    stack = [((0,) * n, 0, 0)]  # (row sums of T, first column T may add, |T|)
+    m = len(cols)
+    by_size = [0] * (limit + 1)
+    by_size[0] = prod(start)
+    # (row sums of T, first column T may add, |T|)
+    stack = [(start, 0, 0)] if limit else []
     while stack:
-        sums, start, size = stack.pop()
+        sums, first, size = stack.pop()
         size += 1
         total = 0
-        for j in range(start, m):
+        for j in range(first, m):
             child = list(map(add, sums, cols[j]))
             total += prod(child)
-            if size < n and j + 1 < m:
+            if size < limit and j + 1 < m:
                 stack.append((child, j + 1, size))
         by_size[size] += total
-    return sum((-1) ** (n - k) * comb(m - k, n - k) * by_size[k] for k in range(1, n + 1))
+    return by_size
+
+
+def _permanent_rows(rows):
+    """Permanent of an n-by-m matrix of exact numbers (int or Fraction).
+
+    The rows are split into the connected components of their nonzero
+    pattern (`_components`); an injective map of the rows to nonzero
+    entries never leaves a component, so the permanent is the product of
+    the components' permanents, and 0 when one has more rows than columns.
+    An r-by-c component with r < c is summed by inclusion-exclusion
+    over its column sets T with |T| <= r:
+
+        per = sum over T of (-1)^(r-|T|) C(c-|T|, r-|T|) prod_i sum_{j in T} a_ij
+
+    and a square one by Ryser's formula in the Nijenhuis-Wilf form, over the
+    sets S of its first r-1 columns only:
+
+        per = (-1)^(r-1) 2^(1-r) sum over S of (-1)^|S| prod_i (v_i + 2 sum_{j in S} a_ij)
+
+    with v_i = 2 a_ir - sum_j a_ij; the division is exact.  So a component
+    visits `_sets_walked(r, c)` column sets.
+    """
+    masks = [sum(1 << j for j, x in enumerate(row) if x) for row in rows]
+    blocks = [(members, list(_bitmatch.bits_of(cols))) for members, cols in _components(masks)]
+    if any(len(members) > len(picked) for members, picked in blocks):
+        return 0
+    result = 1
+    for members, picked in blocks:
+        r, c = len(members), len(picked)
+        cols = [tuple(rows[i][j] for i in members) for j in picked]
+        if r < c:
+            by_size = _column_set_sums((0,) * r, cols, r)
+            result *= sum((-1) ** (r - k) * comb(c - k, r - k) * by_size[k]
+                          for k in range(1, r + 1))
+            continue
+        start = tuple(2 * x - sum(row) for x, row in zip(cols[-1], zip(*cols)))
+        doubled = [tuple(2 * x for x in col) for col in cols[:-1]]
+        by_size = _column_set_sums(start, doubled, r - 1)
+        signed = (-1) ** (r - 1) * sum((-1) ** k * t for k, t in enumerate(by_size))
+        scale = 1 << (r - 1)
+        result *= signed // scale if isinstance(signed, int) else signed / scale
+    return result
 
 
 def count_sdrs(family: SetFamily, *, ceiling: int = RYSER_CEILING) -> int:
@@ -394,9 +464,10 @@ def count_sdrs(family: SetFamily, *, ceiling: int = RYSER_CEILING) -> int:
         return 1
     cols = list(_bitmatch.bits_of(reduce(or_, family._masks)))
     m = len(cols)
-    if m < n:
+    shapes = [(len(rows), mask.bit_count()) for rows, mask in _components(family._masks)]
+    if any(r > c for r, c in shapes):
         return 0
-    terms = sum(comb(m, k) for k in range(1, n + 1))
+    terms = sum(_sets_walked(r, c) for r, c in shapes)
     if terms >= _COUNT_TERM_GUARD:
         raise ResourceLimitError(
             f"{n} sets over a {m}-element union need {terms} terms to count, "

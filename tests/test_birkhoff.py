@@ -1,6 +1,8 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -123,6 +125,25 @@ class TestPermanent:
                 for _ in range(5)
             ]
             assert birkhoff.permanent(M(rows)) == brute_permanent(rows)
+
+    def test_hidden_blocks_are_fast(self):
+        # four 5-by-5 blocks under random row and column permutations: the
+        # dense 20-by-20 walk would take seconds
+        rng = random.Random(1729)
+        blocks = [[[rng.randint(1, 9) if i == j or rng.random() < 0.7 else 0
+                    for j in range(5)] for i in range(5)] for _ in range(4)]
+        dense = [[0] * 20 for _ in range(20)]
+        for b, block in enumerate(blocks):
+            for i in range(5):
+                dense[5 * b + i][5 * b:5 * b + 5] = block[i]
+        row_perm, col_perm = list(range(20)), list(range(20))
+        rng.shuffle(row_perm)
+        rng.shuffle(col_perm)
+        rows = [[dense[row_perm[i]][col_perm[j]] for j in range(20)] for i in range(20)]
+        start = time.perf_counter()
+        got = birkhoff.permanent(M(rows))
+        assert time.perf_counter() - start < 1
+        assert got == prod(brute_permanent(block) for block in blocks) > 0
 
     def test_ceiling(self):
         with pytest.raises(ResourceLimitError):

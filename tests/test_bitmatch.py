@@ -95,7 +95,9 @@ def test_no_recursion_in_bitmatch():
 
 
 def test_no_recursion_in_the_permanent_kernel():
-    assert_no_self_call(core._permanent_rows)
+    for helper in (core._permanent_rows, core._components, core._sets_walked,
+                   core._column_set_sums):
+        assert_no_self_call(helper)
 
 
 class TestLexLeast:

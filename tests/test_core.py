@@ -1,7 +1,8 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -191,6 +192,31 @@ class TestCountSdrs:
         terms = sum(comb(30, k) for k in range(1, 21))
         assert str(terms) in str(info.value) and str(core._COUNT_TERM_GUARD) in str(info.value)
 
+    def test_dense_wide_family_is_refused_at_once(self):
+        # 20 sets of density 1/2 over 24 elements: one wide component.
+        rng = random.Random(2024)
+        sets = [[x for x in range(24) if rng.random() < 0.5] for _ in range(20)]
+        f = fam(list(range(24)), sets)
+        assert len(set().union(*sets)) == 24
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError) as info:
+            core.count_sdrs(f)
+        assert time.perf_counter() - start < 1
+        terms = sum(comb(24, k) for k in range(1, 21))
+        assert str(terms) in str(info.value) and "8388608" in str(info.value)
+
+    def test_disjoint_blocks_count_as_a_product(self):
+        # Four 5-set blocks over disjoint 10-element grounds: one 20-by-40
+        # matrix, but four components of sum(C(10, k) for k <= 5) sets each.
+        rng = random.Random(4242)
+        blocks = [[rng.sample(range(10 * b, 10 * b + 10), rng.randint(2, 6)) for _ in range(5)]
+                  for b in range(4)]
+        f = fam(list(range(40)), [s for block in blocks for s in block])
+        start = time.perf_counter()
+        got = core.count_sdrs(f)
+        assert time.perf_counter() - start < 1
+        assert got == prod(len(brute_all_sdrs(block)) for block in blocks) > 0
+
     def test_union_smaller_than_the_family_counts_zero(self):
         rng = random.Random(5150)
         for _ in range(200):
@@ -222,6 +248,71 @@ class TestPermanentKernel:
     def test_fraction_entries(self):
         rows = [[Fraction(1, 2), Fraction(-1, 3), 2], [1, Fraction(3, 4), Fraction(-5, 2)]]
         assert core._permanent_rows(rows) == brute_permanent(rows)
+
+    def test_hidden_blocks_match_brute_force(self):
+        rng = random.Random(8128)
+        kinds = {"split": 0, "tall-block": 0, "zero-row": 0, "zero-column": 0, "fraction": 0}
+        for _ in range(300):
+            n = rng.randint(0, 8)
+            m = rng.randint(n, 8)
+            rational = rng.random() < 0.25
+            rows, cols = list(range(n)), list(range(m))
+            rng.shuffle(rows)
+            rng.shuffle(cols)
+            matrix = [[0] * m for _ in range(n)]
+            while rows:
+                block_rows = [rows.pop() for _ in range(rng.randint(1, len(rows)))]
+                block_cols = [cols.pop() for _ in range(rng.randint(0, min(len(cols), 4)))]
+                for i in block_rows:
+                    for j in block_cols:
+                        if rng.random() < 0.8:
+                            x = rng.choice((-3, -2, -1, 1, 2, 3))
+                            matrix[i][j] = Fraction(x, rng.randint(1, 5)) if rational else x
+            assert core._permanent_rows(matrix) == brute_permanent(matrix), matrix
+            masks = [sum(1 << j for j, x in enumerate(row) if x) for row in matrix]
+            shapes = [(len(r), c.bit_count()) for r, c in core._components(masks)]
+            kinds["split"] += len(shapes) > 1
+            kinds["tall-block"] += any(r > c > 0 for r, c in shapes)
+            kinds["zero-row"] += 0 in masks
+            kinds["zero-column"] += not all(any(row[j] for row in matrix) for j in range(m))
+            kinds["fraction"] += rational
+        assert all(count >= 20 for count in kinds.values()), kinds
+
+    def test_zero_rows_and_zero_columns(self):
+        assert core._permanent_rows([[0, 0, 0], [1, 2, 3]]) == 0
+        rows = [[0, 2, 0, 1, 0], [0, 3, 0, 0, 0], [0, 0, 0, 5, 7]]
+        assert core._permanent_rows(rows) == brute_permanent(rows) == 21
+        assert core._permanent_rows([[]]) == 0
+
+    def test_block_with_more_rows_than_columns(self):
+        # rows 0-2 share the two columns 0-1; rows 3-4 a 2-by-4 block
+        rows = [[1, 2, 0, 0, 0, 0], [3, 0, 0, 0, 0, 0], [4, 5, 0, 0, 0, 0],
+                [0, 0, 1, 1, 1, 1], [0, 0, 1, 1, 1, 1]]
+        assert core._permanent_rows(rows) == 0 == brute_permanent(rows)
+
+    def test_negative_block_with_zero_permanent(self):
+        # [[1, 1], [1, -1]] and [[1, 1, 1], [1, 1, 1], [-1, -1, 2]] both
+        # have permanent 0, beside a block of permanent 3
+        for zero in ([[1, 1], [1, -1]], [[1, 1, 1], [1, 1, 1], [-1, -1, 2]]):
+            assert brute_permanent(zero) == 0
+            k = len(zero)
+            rows = [row + [0, 0] for row in zero] + [[0] * k + [1, 1], [0] * k + [1, 2]]
+            assert core._permanent_rows(rows) == 0 == brute_permanent(rows)
+            assert core._permanent_rows(rows[k:]) == 3
+
+    def test_square_blocks_of_odd_and_even_order(self):
+        rng = random.Random(496)
+        for k in range(1, 8):
+            for rational in (False, True):
+                block = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(k)]
+                if rational:
+                    block = [[Fraction(x, rng.randint(1, 6)) for x in row] for row in block]
+                got = core._permanent_rows(block)
+                assert got == brute_permanent(block), block
+                assert rational or type(got) is int
+                # beside a 1-by-1 block of 3 the product is tripled
+                rows = [row + [0] for row in block] + [[0] * k + [3]]
+                assert core._permanent_rows(rows) == 3 * got
 
 
 class TestArraySdr:
