@@ -10,6 +10,7 @@ certificate using only validators, never solvers.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -335,6 +336,7 @@ def _cmd_hyper_sdr(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="transversal",
@@ -391,6 +393,10 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
+    """Run one subcommand on `argv` (default: the process arguments), print
+    its envelope and return the exit code.  The parser is built on the first
+    call and serves every later call in the process; argparse keeps no state
+    between parses, so one call's options never reach the next."""
     args = _build_parser().parse_args(argv)
     try:
         status, payload, diagnostics = args.handler(args)

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 from oracles import bfs_max_matching, brute_lex_least, rematch_lex_least
-from transversal import _bitmatch, birkhoff, core, latin
+from transversal import _bitmatch, birkhoff, core, latin, matroids
 
 
 def random_masks(rng, n_rows, n_cols, density):
@@ -97,6 +97,12 @@ def test_no_recursion_in_bitmatch():
 def test_no_recursion_in_the_permanent_kernel():
     for helper in (core._permanent_rows, core._components, core._sets_walked,
                    core._column_set_sums):
+        assert_no_self_call(helper)
+
+
+def test_no_recursion_in_the_rado_search():
+    for helper in (matroids._sir_augmenting, matroids._exchange_path,
+                   matroids._alternating_sets, matroids._walk_back):
         assert_no_self_call(helper)
 
 

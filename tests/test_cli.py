@@ -673,6 +673,36 @@ class TestRadoCertificates:
 C5 = {"vertices": [0, 1, 2, 3, 4], "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]}
 
 
+class TestParserReuse:
+    """One parser serves every call in a process, and no call's options or
+    errors reach the next."""
+
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_options_do_not_leak(self, capsys, tmp_path):
+        ground = [str(i) for i in range(6)]
+        path = write(tmp_path, "wide.json", {"ground": ground, "sets": [[g] for g in ground]})
+        assert run(capsys, "count-sdr", path, "--ceiling", "1")[0] == 3
+        code, env, _ = run(capsys, "count-sdr", path)
+        assert code == 0 and env["payload"] == {"count": 1}
+
+    def test_verify_then_solve(self, capsys, tmp_path, fam3):
+        solved = run(capsys, "sdr", fam3)
+        cert = write(tmp_path, "cert.json", solved[1]["payload"])
+        code, env, _ = run(capsys, "sdr", fam3, "--verify", cert)
+        assert code == 0 and env["payload"]["valid"] is True
+        assert run(capsys, "sdr", fam3) == solved
+
+    def test_usage_error_then_valid_call(self, capsys, fam3):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["count-sdr", fam3, "--ceiling", "many"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, env, _ = run(capsys, "count-sdr", fam3)
+        assert code == 0 and env["payload"] == {"count": 2}
+
+
 class TestCertificateBoundary:
     @pytest.mark.parametrize("command, cert", [
         ("matching", {"edges": [1]}),

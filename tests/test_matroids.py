@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from oracles import all_families, brute_sdr_exists, brute_sir_exists
-from transversal import core, matroids
+from transversal import _bitmatch, core, matroids
 from transversal.errors import ResourceLimitError, ValidationError
 
 
@@ -207,3 +207,102 @@ class TestRadoCheck:
                 fam = core.SetFamily(ground, sets)
                 result = matroids.rado_check(fam, free)
                 assert isinstance(result, matroids.Sir) == brute_sdr_exists(sets)
+
+
+def random_matroid(rng, kind, n_elements):
+    """A seeded graphic, linear or partition matroid on `n_elements` labels."""
+    labels = [f"x{k}" for k in range(n_elements)]
+    if kind == "graphic":
+        n_vertices = rng.randint(6, 8)
+        pairs = [(u, v) for u in range(n_vertices) for v in range(u + 1, n_vertices)]
+        return matroids.graphic_matroid(dict(zip(labels, rng.sample(pairs, n_elements))))
+    if kind == "linear":
+        p, width = rng.choice((2, 3)), rng.randint(5, 8)
+        return matroids.linear_matroid(
+            {x: [rng.randrange(p) for _ in range(width)] for x in labels}, p)
+    rng.shuffle(labels)
+    cuts = sorted(rng.sample(range(1, n_elements), rng.randint(1, 4)))
+    blocks = [labels[a:b] for a, b in zip([0, *cuts], [*cuts, n_elements])]
+    return matroids.partition_matroid(blocks, [rng.randint(1, len(b)) for b in blocks])
+
+
+def seeded_graphic_family(n_sets):
+    """Sets of five random edges of a seeded random simple graph with 120
+    vertices and 360 edges."""
+    rng = random.Random(110)
+    pairs = set()
+    while len(pairs) < 360:
+        u, v = rng.sample(range(120), 2)
+        pairs.add((min(u, v), max(u, v)))
+    edges = {f"e{k}": pair for k, pair in enumerate(sorted(pairs))}
+    sets = [rng.sample(list(edges), 5) for _ in range(n_sets)]
+    return core.SetFamily(list(edges), sets), matroids.graphic_matroid(edges)
+
+
+def count_searches_and_matchings(monkeypatch):
+    """Wrap the exchange search and the matching engine.  Returns three
+    lists: the path each search found (None when it failed), the number of
+    representatives each search reached over an exchange arc, and the row
+    count of each matching."""
+    search, engine = matroids._exchange_path, _bitmatch.max_matching
+    paths, arcs, matchings = [], [], []
+
+    def counted_search(current, *rest):
+        paths.append(search(current, *rest))
+        arcs.append(sum(x in rest[-1] for x in current))
+        return paths[-1]
+
+    def counted_engine(*args):
+        matchings.append(len(args[0]))
+        return engine(*args)
+
+    monkeypatch.setattr(matroids, "_exchange_path", counted_search)
+    monkeypatch.setattr(_bitmatch, "max_matching", counted_engine)
+    return paths, arcs, matchings
+
+
+class TestRadoAtScale:
+    def test_sweep_agrees_with_brute_force(self, monkeypatch):
+        """5-8 sets over 8-12 elements, enough for exchange searches to walk
+        arcs and for paths to swap representatives; every verdict against
+        backtracking, every certificate re-checked."""
+        paths, arcs, _ = count_searches_and_matchings(monkeypatch)
+        rng = random.Random(5812)
+        verdicts = {(kind, found): 0 for kind in ("graphic", "linear", "partition")
+                    for found in (True, False)}
+        for trial in range(600):
+            kind = ("graphic", "linear", "partition")[trial % 3]
+            m = random_matroid(rng, kind, rng.randint(8, 12))
+            ground = list(m.ground)
+            sets = [rng.sample(ground, rng.randint(2, 3)) for _ in range(rng.randint(5, 8))]
+            fam = core.SetFamily(ground, sets)
+            result = matroids.rado_check(fam, m)
+            found = isinstance(result, matroids.Sir)
+            assert found == brute_sir_exists(fam.sets, m), (kind, sets)
+            if found:
+                assert matroids.validate_sir(fam, m, result.reps) == (True, None)
+            else:
+                assert matroids.verify_rado_violator(fam, m, result) == (True, None)
+            verdicts[kind, found] += 1
+        assert all(count >= 50 for count in verdicts.values()), verdicts
+        assert sum(len(p) >= 3 for p in paths if p) >= 25
+        assert sum(count > 0 for count in arcs) >= 40
+
+    def test_one_matching_per_exchange_search(self, monkeypatch):
+        """A matching per search, one for the representatives and one for a
+        violator: no matching per exchange arc."""
+        paths, _, matchings = count_searches_and_matchings(monkeypatch)
+        fam, m = seeded_graphic_family(110)
+        result = matroids.rado_check(fam, m)
+        assert isinstance(result, matroids.Sir)
+        assert matroids.validate_sir(fam, m, result.reps) == (True, None)
+        assert len(paths) == 110 and len(matchings) <= len(paths) + 2 <= 112
+        rng = random.Random(7)
+        for _ in range(40):
+            m = random_matroid(rng, rng.choice(("graphic", "linear", "partition")), 10)
+            ground = list(m.ground)
+            fam = core.SetFamily(ground, [rng.sample(ground, 3) for _ in range(7)])
+            paths.clear()
+            matchings.clear()
+            matroids.rado_check(fam, m)
+            assert len(matchings) <= len(paths) + 2
