@@ -36,8 +36,6 @@ from .graphs import (
     Graph,
     Matching,
     VertexCover,
-    family_to_graph,
-    graph_to_family,
     konig_cover,
     max_flow_min_cut,
     max_matching,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from . import _bitmatch, core
@@ -209,24 +208,6 @@ class FlowNetwork:
         return cls(nodes, arcs, obj["source"], obj["sink"])
 
 
-def family_to_graph(family: core.SetFamily) -> BipartiteGraph:
-    """Bipartite view of a family: set indices on one side, ground on the other."""
-    edges = []
-    for i, members in enumerate(family.sets):
-        for x in members:
-            edges.append((i, x))
-    return BipartiteGraph(range(family.n), family.ground, edges)
-
-
-def graph_to_family(g: BipartiteGraph) -> core.SetFamily:
-    """Inverse of family_to_graph: each part-A vertex becomes its neighbour set."""
-    sets = []
-    for a in g.part_a:
-        mask = g._masks[g._a_index[a]]
-        sets.append([g.part_b[p] for p in _bitmatch.bits_of(mask)])
-    return core.SetFamily(g.part_b, sets)
-
-
 def max_matching(g: BipartiteGraph) -> Matching:
     """A maximum matching; deterministic for a fixed input order."""
     match_row, _ = _bitmatch.max_matching(g._masks, len(g.part_b))
@@ -313,15 +294,25 @@ def verify_cover(g: BipartiteGraph, cert: dict) -> tuple[bool, str | None]:
 
 
 # ---------------------------------------------------------------------------
-# Integer max-flow (breadth-first augmentation) and its cut.
+# Integer max-flow (Dinic phases) and its cut.
 
 
 def _edmonds_karp(n_nodes, arcs, s, t):
     """Return (value, flow per arc, residual-reachable node set).
 
-    ``arcs`` is a list of (u, v, capacity) triples over node indices; the
-    search augments along breadth-first shortest paths, scanning arcs in
-    input order, so the resulting flow is deterministic.
+    ``arcs`` is a list of (u, v, capacity) triples over node indices.  The
+    flow is found in Dinic phases, whatever the name says.  Each phase
+    levels the nodes by a breadth-first search of the residual graph,
+    scanning arcs in input order, and stops as soon as the sink has a
+    level: every node one level short of it has its level by then.  A
+    sweep back from the sink ranks the nodes that lie on a shortest path,
+    and a depth-first search on an explicit stack saturates such paths.
+    ``current[u]`` is the next arc node u has to try in the phase, so no
+    arc is tried twice, and a node with none left loses its rank.  The flow
+    is deterministic for a fixed input order.  The last search, which
+    misses the sink, levels exactly the residual source side.  That side is
+    the same for every maximum flow, so the cut read off it does not depend
+    on the engine.
     """
     cap = []
     to = []
@@ -335,42 +326,68 @@ def _edmonds_karp(n_nodes, arcs, s, t):
         to.append(u)
     value = 0
     while True:
-        parent_arc = [-1] * n_nodes
-        parent_arc[s] = -2
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            if u == t:
-                break
+        level = [-1] * n_nodes
+        level[s] = 0
+        queue = [s]
+        k = 0
+        while k < len(queue) and level[t] < 0:
+            u = queue[k]
+            k += 1
+            below = level[u] + 1
             for a in head[u]:
                 v = to[a]
-                if cap[a] > 0 and parent_arc[v] == -1:
-                    parent_arc[v] = a
+                if cap[a] and level[v] < 0:
+                    level[v] = below
+                    if v == t:
+                        break
                     queue.append(v)
-        if parent_arc[t] == -1:
+        if level[t] < 0:
             break
-        bottleneck = None
-        v = t
-        while v != s:
-            a = parent_arc[v]
-            bottleneck = cap[a] if bottleneck is None else min(bottleneck, cap[a])
-            v = to[a ^ 1]
-        v = t
-        while v != s:
-            a = parent_arc[v]
-            cap[a] -= bottleneck
-            cap[a ^ 1] += bottleneck
-            v = to[a ^ 1]
-        value += bottleneck
-    reachable = {s}
-    stack = [s]
-    while stack:
-        u = stack.pop()
-        for a in head[u]:
-            v = to[a]
-            if cap[a] > 0 and v not in reachable:
-                reachable.add(v)
-                stack.append(v)
+        # rank[u] is level[u] if a shortest path runs on from u to the sink,
+        # else -1, so the depth-first search enters no dead end it can see.
+        rank = [-1] * n_nodes
+        rank[t] = level[t]
+        stack = [t]
+        while stack:
+            v = stack.pop()
+            above = rank[v] - 1
+            for a in head[v]:
+                u = to[a]
+                if rank[u] < 0 and level[u] == above and cap[a ^ 1]:
+                    rank[u] = above
+                    stack.append(u)
+        current = [0] * n_nodes
+        path = []  # arcs from s to u, each one rank deeper
+        u = s
+        while True:
+            if u == t:
+                bottleneck = min(cap[a] for a in path)
+                for a in path:
+                    cap[a] -= bottleneck
+                    cap[a ^ 1] += bottleneck
+                value += bottleneck
+                # Resume from the tail of the first arc the path saturated.
+                j = 0
+                while cap[path[j]]:
+                    j += 1
+                u = to[path[j] ^ 1]
+                del path[j:]
+                continue
+            out = head[u]
+            i = current[u]
+            below = rank[u] + 1
+            while i < len(out) and not (cap[out[i]] and rank[to[out[i]]] == below):
+                i += 1
+            current[u] = i
+            if i < len(out):
+                path.append(out[i])
+                u = to[out[i]]
+            elif u == s:
+                break
+            else:
+                rank[u] = -1
+                u = to[path.pop() ^ 1]
+    reachable = {u for u in range(n_nodes) if level[u] >= 0}
     flows = [arcs[k][2] - cap[2 * k] for k in range(len(arcs))]
     return value, flows, reachable
 

@@ -5,7 +5,8 @@ backtracking, union scans) and never calls the library's solvers, so the
 tests compare two genuinely different computations.  A few are the simple
 algorithms the library used before faster ones replaced them, kept as
 references: `bfs_max_matching` (one breadth-first augmenting path per row),
-`rematch_lex_least` (a full re-matching per candidate column) and
+`rematch_lex_least` (a full re-matching per candidate column),
+`edmonds_karp` (one breadth-first search per augmenting path) and
 `warshall_closure` (the n^2 closure loop).  The cross-check paths at the end
 reach the same answer as a library solver through another part of the
 library: `hall_via_menger` (a flow), `hall_from_dilworth` (a chain partition)
@@ -132,6 +133,66 @@ def rematch_lex_least(row_masks, n_cols):
         else:
             return None
     return chosen
+
+
+def edmonds_karp(n_nodes, arcs, s, t):
+    """Edmonds-Karp: one breadth-first search per augmenting path.
+
+    Same contract as `graphs._edmonds_karp`: ``arcs`` is a list of (u, v,
+    capacity) triples over node indices, and the result is (value, flow per
+    arc, residual-reachable node set).  Arcs are scanned in input order, so
+    the flow is deterministic.
+    """
+    cap = []
+    to = []
+    head = [[] for _ in range(n_nodes)]
+    for u, v, c in arcs:
+        head[u].append(len(cap))
+        cap.append(c)
+        to.append(v)
+        head[v].append(len(cap))
+        cap.append(0)
+        to.append(u)
+    value = 0
+    while True:
+        parent_arc = [-1] * n_nodes
+        parent_arc[s] = -2
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            if u == t:
+                break
+            for a in head[u]:
+                v = to[a]
+                if cap[a] > 0 and parent_arc[v] == -1:
+                    parent_arc[v] = a
+                    queue.append(v)
+        if parent_arc[t] == -1:
+            break
+        bottleneck = None
+        v = t
+        while v != s:
+            a = parent_arc[v]
+            bottleneck = cap[a] if bottleneck is None else min(bottleneck, cap[a])
+            v = to[a ^ 1]
+        v = t
+        while v != s:
+            a = parent_arc[v]
+            cap[a] -= bottleneck
+            cap[a ^ 1] += bottleneck
+            v = to[a ^ 1]
+        value += bottleneck
+    reachable = {s}
+    stack = [s]
+    while stack:
+        u = stack.pop()
+        for a in head[u]:
+            v = to[a]
+            if cap[a] > 0 and v not in reachable:
+                reachable.add(v)
+                stack.append(v)
+    flows = [arcs[k][2] - cap[2 * k] for k in range(len(arcs))]
+    return value, flows, reachable
 
 
 def brute_all_sdrs(sets):
@@ -436,6 +497,24 @@ def count_latin_squares_by_rows(n) -> int:
 
     descend(0, [0] * n)
     return count
+
+
+def family_to_graph(family: core.SetFamily) -> graphs.BipartiteGraph:
+    """Bipartite view of a family: set indices on one side, ground on the other."""
+    edges = []
+    for i, members in enumerate(family.sets):
+        for x in members:
+            edges.append((i, x))
+    return graphs.BipartiteGraph(range(family.n), family.ground, edges)
+
+
+def graph_to_family(g: graphs.BipartiteGraph) -> core.SetFamily:
+    """Inverse of family_to_graph: each part-A vertex becomes its neighbour set."""
+    sets = []
+    for a in g.part_a:
+        mask = g._masks[g._a_index[a]]
+        sets.append([g.part_b[p] for p in _bitmatch.bits_of(mask)])
+    return core.SetFamily(g.part_b, sets)
 
 
 def hall_via_menger(family: core.SetFamily):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 from oracles import bfs_max_matching, brute_lex_least, rematch_lex_least
-from transversal import _bitmatch, birkhoff, core, latin, matroids
+from transversal import _bitmatch, birkhoff, core, graphs, latin, matroids
 
 
 def random_masks(rng, n_rows, n_cols, density):
@@ -104,6 +104,11 @@ def test_no_recursion_in_the_rado_search():
     for helper in (matroids._sir_augmenting, matroids._exchange_path,
                    matroids._alternating_sets, matroids._walk_back):
         assert_no_self_call(helper)
+
+
+def test_no_recursion_in_graphs():
+    """Covers the flow engine, `_net_flows` and `_decompose_paths`."""
+    assert_no_self_call(graphs)
 
 
 class TestLexLeast:

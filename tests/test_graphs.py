@@ -1,33 +1,34 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
 
 from oracles import (all_families, brute_min_cover_bipartite, brute_sdr_exists, connected_without,
-                     hall_via_menger)
-from transversal import core, graphs
+                     edmonds_karp, family_to_graph, graph_to_family, hall_via_menger)
+from transversal import _bitmatch, core, graphs
 from transversal.errors import ValidationError
 
 
 class TestConversions:
     def test_family_to_graph_edges(self):
         f = core.SetFamily([1, 2], [[1, 2], [2]])
-        g = graphs.family_to_graph(f)
+        g = family_to_graph(f)
         assert set(g.edges) == {(0, 1), (0, 2), (1, 2)}
 
     def test_empty_family(self):
-        g = graphs.family_to_graph(core.SetFamily([1], []))
+        g = family_to_graph(core.SetFamily([1], []))
         assert g.part_a == () and g.part_b == (1,)
 
     def test_matrix_support_sets(self):
         # support sets of [[1,0],[1,1]] over columns c1, c2
         f = core.SetFamily(["c1", "c2"], [["c1"], ["c1", "c2"]])
-        g = graphs.family_to_graph(f)
+        g = family_to_graph(f)
         assert set(g.edges) == {(0, "c1"), (1, "c1"), (1, "c2")}
 
     def test_round_trip(self):
         f = core.SetFamily(["a", "b", "c"], [["a", "c"], [], ["b"]])
-        assert graphs.graph_to_family(graphs.family_to_graph(f)) == f
+        assert graph_to_family(family_to_graph(f)) == f
 
 
 def complete_bipartite(na, nb):
@@ -81,7 +82,7 @@ class TestKonig:
         assert len(matching) == 3 and len(cover) == 3
 
     def test_doubled_singleton_family(self):
-        g = graphs.family_to_graph(core.SetFamily([1], [[1], [1]]))
+        g = family_to_graph(core.SetFamily([1], [[1], [1]]))
         matching, cover = graphs.konig_cover(g)
         assert len(matching) == 1
         assert len(cover) == 1 and cover.in_b == (1,)
@@ -223,6 +224,110 @@ class TestMaxFlow:
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValidationError):
             graphs.FlowNetwork("st", [("s", "t", -1)], "s", "t")
+
+
+def random_network(rng):
+    """A network on nodes 0..n-1, source 0 and sink n-1, with zero
+    capacities, antiparallel arcs, isolated endpoints and cut-off sinks
+    mixed in."""
+    n = rng.randint(2, 10)
+    density = rng.choice((0.3, 0.5, 0.75))
+    arcs = [
+        (u, v, rng.choice((0, 1, 1, 2, rng.randint(1, 12), rng.randint(1, 12))))
+        for u in range(n)
+        for v in range(n)
+        if u != v and rng.random() < density
+    ]
+    shape = rng.random()
+    if shape < 0.1:
+        end = rng.choice((0, n - 1))
+        arcs = [arc for arc in arcs if end not in arc[:2]]
+    elif shape < 0.2:
+        arcs = [arc for arc in arcs if arc[1] != n - 1]
+    rng.shuffle(arcs)
+    return n, arcs
+
+
+def random_graph(rng):
+    n = rng.randint(2, 10)
+    edges = [e for e in combinations(range(n), 2) if rng.random() < rng.choice((0.2, 0.4, 0.7))]
+    s, t = rng.sample(range(n), 2)
+    return graphs.Graph(range(n), edges), s, t
+
+
+class TestFlowEngine:
+    """The shipped flow engine against `oracles.edmonds_karp`, the engine it
+    replaced.  Per-arc flows and Menger paths may differ between the two; the
+    value and the residual source side, and so every cut, may not."""
+
+    def test_agrees_with_edmonds_karp(self):
+        rng = random.Random(1970)
+        kinds = dict.fromkeys(
+            ("zero-capacity", "antiparallel", "no-flow", "isolated-end", "value-over-5"), 0
+        )
+        for _ in range(400):
+            n, arcs = random_network(rng)
+            value, flows, reachable = graphs._edmonds_karp(n, arcs, 0, n - 1)
+            ref_value, _, ref_reachable = edmonds_karp(n, arcs, 0, n - 1)
+            assert (value, reachable) == (ref_value, ref_reachable), (n, arcs)
+            net = graphs.FlowNetwork(range(n), arcs, 0, n - 1)
+            assignment = {(u, v): f for (u, v, _), f in zip(arcs, flows)}
+            assert graphs.validate_flow(net, value, assignment) == (True, None)
+            pairs = {(u, v) for u, v, _ in arcs}
+            ends = {x for pair in pairs for x in pair}
+            kinds["zero-capacity"] += any(c == 0 for *_, c in arcs)
+            kinds["antiparallel"] += any((v, u) in pairs for u, v in pairs)
+            kinds["no-flow"] += value == 0
+            kinds["isolated-end"] += 0 not in ends or n - 1 not in ends
+            kinds["value-over-5"] += value > 5
+        assert all(count >= 40 for count in kinds.values()), kinds
+
+    def test_cuts_do_not_depend_on_the_engine(self, monkeypatch):
+        rng = random.Random(1975)
+        networks = [random_network(rng) for _ in range(300)]
+        menger = [random_graph(rng) for _ in range(300)]
+
+        def solve_all():
+            flows = [
+                graphs.max_flow_min_cut(graphs.FlowNetwork(range(n), arcs, 0, n - 1))[:2]
+                for n, arcs in networks
+            ]
+            systems = []
+            for g, s, t in menger:
+                for mode in ("edge", "vertex"):
+                    if mode == "edge" or not g.adjacent(s, t):
+                        paths, cut = graphs.menger_paths(g, s, t, mode)
+                        validate_menger(g, s, t, mode, paths, cut)
+                        systems.append((len(paths), cut))
+            return flows, systems
+
+        shipped = solve_all()
+        monkeypatch.setattr(graphs, "_edmonds_karp", edmonds_karp)
+        assert solve_all() == shipped
+        assert sum(value > 0 for value, _ in shipped[0]) >= 150
+        assert sum(count > 1 for count, _ in shipped[1]) >= 100
+
+    def test_unit_network_at_scale(self):
+        """2000 + 2000 nodes with four arcs out of each left node: the flow
+        value is the size of a maximum matching of the same bipartite graph,
+        found by the bipartite engine.  The reference takes about 5 s here."""
+        n = 2000
+        rng = random.Random(2000)
+        masks = [0] * n
+        arcs = [("s", f"a{i}", 1) for i in range(n)]
+        for i in range(n):
+            for j in rng.sample(range(n), 4):
+                masks[i] |= 1 << j
+                arcs.append((f"a{i}", f"b{j}", 1))
+        arcs += [(f"b{j}", "t", 1) for j in range(n)]
+        net = graphs.FlowNetwork(dict.fromkeys(x for arc in arcs for x in arc[:2]), arcs, "s", "t")
+        start = time.perf_counter()
+        value, cut, flow = graphs.max_flow_min_cut(net)
+        assert time.perf_counter() - start < 1.5
+        match_row, _ = _bitmatch.max_matching(masks, n)
+        assert value == sum(c != _bitmatch.UNMATCHED for c in match_row) > 1900
+        assert len(cut) == value
+        assert graphs.validate_flow(net, value, flow) == (True, None)
 
 
 class TestHallViaMenger:
