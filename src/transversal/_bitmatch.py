@@ -3,8 +3,14 @@
 Rows are numbered 0..len(row_masks)-1 and row_masks[i] has bit c set when
 row i may be assigned column c.  Every scan runs in ascending index order,
 so all results are deterministic for a fixed input.  No function here
-recurses: every search keeps its own queue or stack, so a path of any
-length costs no interpreter stack.
+recurses: every search keeps its own queue, stack or frontier mask, so a
+path of any length costs no interpreter stack.
+
+Three matching searches share the engine: Hopcroft-Karp phases for a
+maximum matching, the forward alternating reach behind Hall violators and
+König covers, and the backward reach sweep of the lex-least assignment.  That
+sweep settles every candidate column of a row at once, so the assignment
+never runs a search that fails.
 """
 
 from collections import deque
@@ -41,40 +47,6 @@ def max_matching(row_masks, n_cols):
     if short:
         _hopcroft_karp(row_masks, match_row, match_col)
     return match_row, match_col
-
-
-def _augment_bfs(row_masks, match_row, match_col, start, allowed=None):
-    """Grow the matching by one alternating path out of free row `start`.
-
-    If `allowed` is given, only the columns set in it are entered.  On
-    failure the matching is left unchanged.
-    """
-    parent = {}
-    queue = deque([start])
-    while queue:
-        r = queue.popleft()
-        mask = row_masks[r]
-        if allowed is not None:
-            mask &= allowed
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            c = low.bit_length() - 1
-            if c in parent:
-                continue
-            parent[c] = r
-            holder = match_col[c]
-            if holder == UNMATCHED:
-                while True:
-                    r2 = parent[c]
-                    previous = match_row[r2]
-                    match_row[r2] = c
-                    match_col[c] = r2
-                    if previous == UNMATCHED:
-                        return True
-                    c = previous
-            queue.append(holder)
-    return False
 
 
 def _hopcroft_karp(row_masks, match_row, match_col):
@@ -189,41 +161,98 @@ def lex_least_assignment(row_masks, n_cols):
 
     One maximum matching is found first; if it leaves a row unmatched there
     is no assignment.  Rows are then fixed in ascending order, each to the
-    smallest column the later rows can still be matched around.  Rows before
-    i hold their fixed columns; row i tries its unused columns c in
-    ascending order.  A free c, or row i's own column, is taken at once; an
-    occupied c is taken when the holder of c finds an alternating path,
-    avoiding the fixed columns and c, to a free column or to the column row
-    i gives up.  The matching stays perfect on the rows throughout, so each
-    probe costs at most one breadth-first search and no re-matching.  The
-    answer is unique, so it does not depend on the first matching found.
+    smallest column the later rows can still be matched around, and the
+    matching stays perfect on the rows throughout.  Row i lets go of its
+    column, which joins the free columns, and takes its least unused
+    column if that is free.  Otherwise one backward sweep from the free
+    columns marks, layer by layer, every later row that can give up its
+    column: a row is marked when it has an edge into a free column or into
+    the column of a row marked in an earlier layer.  Row i can take column
+    c exactly when c is free or its holder is marked (an edge lies in some
+    maximum matching iff it is matched or on an alternating path to a free
+    column, Régin 1994).  Row i takes the least such column; its holder
+    moves to its least column in the earlier layers, and so on down to a
+    free column, so no search fails.  The sweep stops once the holder of
+    row i's least candidate is marked.  The answer is unique, so it does
+    not depend on the first matching found.
     """
     n_rows = len(row_masks)
     match_row, match_col = max_matching(row_masks, n_cols)
     if UNMATCHED in match_row:
         return None
+    col_rows = None  # built at the first sweep
+    free = (1 << n_cols) - 1
+    for c in match_row:
+        free ^= 1 << c
+    toward = [0] * n_rows
     used = 0
     for i in range(n_rows):
-        # Row i lets go of its column while it probes, so that column counts
-        # as free; it is among the candidates, so the loop ends at a break.
-        match_col[match_row[i]] = UNMATCHED
-        mask = row_masks[i] & ~used
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            c = low.bit_length() - 1
-            holder = match_col[c]
-            if holder == UNMATCHED:
-                break
-            match_row[holder] = match_col[c] = UNMATCHED
-            if _augment_bfs(row_masks, match_row, match_col, holder, ~(used | low)):
-                break
-            match_row[holder] = c
-            match_col[c] = holder
+        own = match_row[i]
+        match_col[own] = UNMATCHED
+        free |= 1 << own
+        candidates = row_masks[i] & ~used
+        first = candidates & -candidates
+        if not first & free:
+            # Layered backward sweep: rows 0..i are never marked, every
+            # later row at most once, and `reach` gathers the columns whose
+            # holder can move (the free ones included).  toward[r] is the
+            # reach before r's layer.  The sweep stops once the holder of
+            # the least candidate has an edge into `reach`.
+            holder = match_col[first.bit_length() - 1]
+            if col_rows is None:
+                col_rows = _column_rows(row_masks, n_cols)
+            marked = (2 << i) - 1
+            reach = frontier = free
+            while frontier:
+                if row_masks[holder] & reach:
+                    toward[holder] = reach
+                    break
+                rows = 0
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    rows |= col_rows[low.bit_length() - 1]
+                rows &= ~marked
+                marked |= rows
+                while rows:
+                    low = rows & -rows
+                    rows ^= low
+                    r = low.bit_length() - 1
+                    toward[r] = reach
+                    frontier |= 1 << match_row[r]
+                reach |= frontier
+            else:
+                first = candidates & reach
+                first &= -first
+        c = first.bit_length() - 1
+        r = match_col[c]
         match_row[i] = c
         match_col[c] = i
-        used |= low
+        used |= first
+        while r != UNMATCHED:
+            # r gives up c and moves one layer nearer the free columns.
+            c = row_masks[r] & toward[r]
+            c = (c & -c).bit_length() - 1
+            following = match_col[c]
+            match_row[r] = c
+            match_col[c] = r
+            r = following
+        free ^= 1 << c
     return match_row
+
+
+def _column_rows(row_masks, n_cols):
+    """The column-to-rows table: bit r of entry c is set when row r may take
+    column c.  A block of rows at a time is written out as one string of
+    binary digits, highest column first, and each column is read back as a
+    stepped slice, which costs far less than visiting every set bit."""
+    col_rows = [0] * n_cols
+    width = f"0{n_cols}b"
+    for start in range(0, len(row_masks), 256):
+        text = "".join([format(mask, width) for mask in reversed(row_masks[start:start + 256])])
+        for c in range(n_cols):
+            col_rows[c] |= int(text[n_cols - 1 - c::n_cols], 2) << start
+    return col_rows
 
 
 def bits_of(mask):

@@ -113,19 +113,35 @@ def extend_row(rect: LatinRectangle) -> LatinRectangle:
     """
     if rect.is_square:
         raise AlreadyCompleteError("rectangle is already a square")
-    masks = rect.column_deficiencies()
-    assignment = _bitmatch.lex_least_assignment(masks, rect.n)
-    if assignment is None:  # ruled out by regularity
-        raise AssertionError("deficiency family unexpectedly has no SDR")
-    new_row = tuple(c + 1 for c in assignment)
+    new_row = _next_row(rect.column_deficiencies())
     return LatinRectangle(rect.n, rect.rows + (new_row,))
 
 
 def complete(rect: LatinRectangle) -> LatinRectangle:
-    """Extend row by row until square."""
-    while not rect.is_square:
-        rect = extend_row(rect)
-    return rect
+    """Extend row by row until square.
+
+    The column deficiency masks are carried from row to row, each new row
+    clearing its symbols, and the square is built and validated once.
+    """
+    if rect.is_square:
+        return rect
+    masks = rect.column_deficiencies()
+    rows = list(rect.rows)
+    while len(rows) < rect.n:
+        new_row = _next_row(masks)
+        rows.append(new_row)
+        for c, symbol in enumerate(new_row):
+            masks[c] &= ~(1 << (symbol - 1))
+    return LatinRectangle(rect.n, rows)
+
+
+def _next_row(masks):
+    """The lexicographically least row whose column c holds a symbol from
+    deficiency mask c, as symbols 1..n."""
+    assignment = _bitmatch.lex_least_assignment(masks, len(masks))
+    if assignment is None:  # ruled out by regularity
+        raise AssertionError("deficiency family unexpectedly has no SDR")
+    return tuple(c + 1 for c in assignment)
 
 
 def count_extensions(rect: LatinRectangle, *, ceiling: int = EXTENSION_COUNT_CEILING) -> int:

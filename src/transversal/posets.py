@@ -11,6 +11,7 @@ from .errors import ResourceLimitError, ValidationError
 from .graphs import Graph
 
 PERFECT_CEILING = 10
+TABLE_CEILING = 1 << 20  # entries in each subset table of is_perfect
 
 
 class Poset:
@@ -337,11 +338,16 @@ def is_perfect(g: Graph, *, ceiling: int = PERFECT_CEILING):
     """Exhaustive clique-number / chromatic-number comparison.
 
     Returns (True, None), or (False, witness vertices) for the smallest
-    induced subgraph on which the two numbers differ.
+    induced subgraph on which the two numbers differ.  The clique and
+    chromatic tables hold 2^n entries each, so a graph is refused by
+    `TABLE_CEILING` before they are allocated, whatever `ceiling` allows.
     """
     n = len(g.vertices)
     if n > ceiling:
         raise ResourceLimitError(f"graph has {n} vertices, above the ceiling {ceiling}")
+    if 1 << n > TABLE_CEILING:
+        raise ResourceLimitError(f"{n} vertices need two tables of 2^{n} entries each,"
+                                 f" above the table ceiling of {TABLE_CEILING} entries")
     adj = g.adjacency_masks()
     cliques = _clique_table(adj, n)
     chromatics = _chromatic_table(adj, n)
@@ -355,7 +361,8 @@ def is_perfect(g: Graph, *, ceiling: int = PERFECT_CEILING):
 def verify_perfect(g: Graph, cert: dict, *,
                    ceiling: int = PERFECT_CEILING) -> tuple[bool, str | None]:
     """Check a ``perfect`` certificate object: the "witness" vertices induce
-    a subgraph whose clique number is below its chromatic number."""
+    a subgraph whose clique number is below its chromatic number.  The
+    witness goes through `is_perfect`, so its size ceilings apply."""
     witness = core._cert_field(cert, "witness", index=g._index)
     members = core._index_labels(witness, "witness")
     sub = Graph(members, [e for e in g.edges if e[0] in members and e[1] in members])

@@ -6,6 +6,7 @@ tests compare two genuinely different computations.  A few are the simple
 algorithms the library used before faster ones replaced them, kept as
 references: `bfs_max_matching` (one breadth-first augmenting path per row),
 `rematch_lex_least` (a full re-matching per candidate column),
+`probe_lex_least` (one breadth-first probe search per candidate column),
 `edmonds_karp` (one breadth-first search per augmenting path) and
 `warshall_closure` (the n^2 closure loop).  The cross-check paths at the end
 reach the same answer as a library solver through another part of the
@@ -133,6 +134,71 @@ def rematch_lex_least(row_masks, n_cols):
         else:
             return None
     return chosen
+
+
+def probe_lex_least(row_masks, n_cols):
+    """The lex-least assignment by probe searches on one kept matching.
+
+    Rows are fixed in ascending order.  Row i lets go of its column and
+    tries its unused columns c in ascending order: a free c is taken at
+    once, and an occupied c is taken when its holder finds an alternating
+    path, avoiding the fixed columns and c, to a free column.  Most probes
+    fail on large squares, each after walking all it can reach.
+    """
+    n_rows = len(row_masks)
+    match_row, match_col = bfs_max_matching(row_masks, n_cols)
+    if UNMATCHED in match_row:
+        return None
+    used = 0
+    for i in range(n_rows):
+        match_col[match_row[i]] = UNMATCHED
+        mask = row_masks[i] & ~used
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            c = low.bit_length() - 1
+            holder = match_col[c]
+            if holder == UNMATCHED:
+                break
+            match_row[holder] = match_col[c] = UNMATCHED
+            if _augment_bfs(row_masks, match_row, match_col, holder, ~(used | low)):
+                break
+            match_row[holder] = c
+            match_col[c] = holder
+        match_row[i] = c
+        match_col[c] = i
+        used |= low
+    return match_row
+
+
+def _augment_bfs(row_masks, match_row, match_col, start, allowed):
+    """Grow the matching by one alternating path out of free row `start`,
+    entering only the columns set in `allowed`.  On failure the matching is
+    left unchanged."""
+    parent = {}
+    queue = deque([start])
+    while queue:
+        r = queue.popleft()
+        mask = row_masks[r] & allowed
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            c = low.bit_length() - 1
+            if c in parent:
+                continue
+            parent[c] = r
+            holder = match_col[c]
+            if holder == UNMATCHED:
+                while True:
+                    r2 = parent[c]
+                    previous = match_row[r2]
+                    match_row[r2] = c
+                    match_col[c] = r2
+                    if previous == UNMATCHED:
+                        return True
+                    c = previous
+            queue.append(holder)
+    return False
 
 
 def edmonds_karp(n_nodes, arcs, s, t):

@@ -3,13 +3,27 @@ import inspect
 import random
 from fractions import Fraction
 
-from oracles import bfs_max_matching, brute_lex_least, rematch_lex_least
+from oracles import bfs_max_matching, brute_lex_least, probe_lex_least, rematch_lex_least
 from transversal import _bitmatch, birkhoff, core, graphs, latin, matroids
 
 
 def random_masks(rng, n_rows, n_cols, density):
     return [sum(1 << c for c in range(n_cols) if rng.random() < density)
             for _ in range(n_rows)]
+
+
+def random_doubly_stochastic(rng, n, terms):
+    """A weighted sum of `terms` random permutation matrices, normalised."""
+    acc = [[0] * n for _ in range(n)]
+    total = 0
+    for _ in range(terms):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        w = rng.randint(1, 30)
+        total += w
+        for i in range(n):
+            acc[i][perm[i]] += w
+    return birkhoff.RationalMatrix([[Fraction(x, total) for x in row] for row in acc])
 
 
 def paley_43():
@@ -154,6 +168,123 @@ class TestLexLeast:
         assert calls == [30]
 
 
+def refused_rows(row_masks, assignment):
+    """The number of rows that did not get their least unused column,
+    because its holder could not move in any completion."""
+    used = 0
+    refused = 0
+    for mask, c in zip(row_masks, assignment):
+        free = mask & ~used
+        refused += free & -free != 1 << c
+        used |= 1 << c
+    return refused
+
+
+def pinned_masks(rng, n_rows, n_cols, density):
+    """Random masks in which some later rows keep only the least column of
+    an earlier row, so that row's least candidate is held by a row that
+    cannot move."""
+    masks = random_masks(rng, n_rows, n_cols, density)
+    for _ in range(rng.randint(1, max(1, n_rows // 3))):
+        i = rng.randrange(n_rows)
+        if masks[i] and i + 1 < n_rows:
+            j = rng.randrange(i + 1, n_rows)
+            masks[j] = masks[i] & -masks[i]
+    return masks
+
+
+def agree_on_shapes(rng, trials, max_rows, densities, oracle):
+    """Compare the sweep with `oracle` on random wide, square and tall
+    masks, half of them with pinned rows; count the kinds drawn."""
+    kinds = {"wide": 0, "tall": 0, "infeasible": 0, "refused": 0, "wide-refused": 0}
+    for _ in range(trials):
+        n_rows = rng.randint(1, max_rows)
+        n_cols = rng.choice((rng.randint(n_rows, max_rows + max_rows // 5 + 1),
+                             rng.randint(n_rows // 2, n_rows)))
+        draw = pinned_masks if rng.random() < 0.5 else random_masks
+        masks = draw(rng, n_rows, n_cols, rng.choice(densities))
+        got = _bitmatch.lex_least_assignment(masks, n_cols)
+        assert got == oracle(masks, n_cols), (masks, n_cols)
+        refused = refused_rows(masks, got) if got else 0
+        kinds["wide"] += n_rows < n_cols
+        kinds["tall"] += n_rows > n_cols
+        kinds["infeasible"] += got is None and n_rows <= n_cols
+        kinds["refused"] += refused > 0
+        kinds["wide-refused"] += refused > 0 and n_rows < n_cols
+    return kinds
+
+
+def test_column_rows_transposes_across_blocks():
+    """The table is read 256 rows at a time; shapes on both sides of a block
+    boundary, and wide ones, give the transpose of the row masks."""
+    rng = random.Random(256)
+    for n_rows, n_cols in ((1, 1), (255, 3), (256, 9), (257, 9), (600, 70), (5, 300)):
+        masks = random_masks(rng, n_rows, n_cols, 0.3)
+        expected = [sum(1 << r for r, mask in enumerate(masks) if (mask >> c) & 1)
+                    for c in range(n_cols)]
+        assert _bitmatch._column_rows(masks, n_cols) == expected
+
+
+class TestLexLeastShapes:
+    """Random agreement on the shapes the Latin, Youden and Birkhoff callers
+    never build: wide ones, whose free columns seed the sweep, tall and
+    infeasible ones, and rows whose least candidate is held by a row that
+    cannot move."""
+
+    def test_matches_brute_force(self):
+        kinds = agree_on_shapes(random.Random(7120), 2000, 7, (0.2, 0.4, 0.7), brute_lex_least)
+        assert all(count >= 50 for count in kinds.values()), kinds
+
+    def test_matches_probe_search(self):
+        kinds = agree_on_shapes(random.Random(7121), 400, 40, (0.05, 0.1, 0.2, 0.5),
+                                probe_lex_least)
+        assert all(count >= 20 for count in kinds.values()), kinds
+
+    def test_pinned_holders(self):
+        # Row 1 keeps only column 0 and row 3 only column 3, which pins row 2
+        # to column 1, so row 0 passes over both to column 2.
+        masks = [0b0111, 0b0001, 0b1010, 0b1000]
+        assert _bitmatch.lex_least_assignment(masks, 4) == [2, 0, 1, 3]
+        assert brute_lex_least(masks, 4) == [2, 0, 1, 3]
+
+
+def agree_with_probe_search(monkeypatch):
+    """Route every lex-least call through the sweep and the probe search;
+    count the calls."""
+    sweep = _bitmatch.lex_least_assignment
+    calls = []
+
+    def both(row_masks, n_cols):
+        got = sweep(row_masks, n_cols)
+        assert got == probe_lex_least(row_masks, n_cols), (row_masks, n_cols)
+        calls.append(len(row_masks))
+        return got
+
+    monkeypatch.setattr(_bitmatch, "lex_least_assignment", both)
+    return calls
+
+
+class TestAgreesWithProbeSearch:
+    def test_latin_complete_60(self, monkeypatch):
+        rng = random.Random(60)
+        row = list(range(1, 61))
+        rng.shuffle(row)
+        calls = agree_with_probe_search(monkeypatch)
+        square = latin.complete(latin.LatinRectangle(60, [row]))
+        assert square.is_square and len(calls) == 59
+
+    def test_youden_paley_43(self, monkeypatch):
+        calls = agree_with_probe_search(monkeypatch)
+        assert len(latin.youden_from_design(paley_43())) == len(calls) == 21
+
+    def test_birkhoff_24(self, monkeypatch):
+        m = random_doubly_stochastic(random.Random(24), 24, 120)
+        calls = agree_with_probe_search(monkeypatch)
+        decomposition = birkhoff.birkhoff_decompose(m)
+        assert len(decomposition) == len(calls) >= 24
+        assert decomposition.as_matrix(24) == m
+
+
 class TestAgreesWithRematching:
     def test_latin_complete(self, monkeypatch):
         rng = random.Random(30)
@@ -169,17 +300,7 @@ class TestAgreesWithRematching:
         assert len(rows) == len(calls) == 21
 
     def test_birkhoff_16(self, monkeypatch):
-        rng = random.Random(16)
-        acc = [[0] * 16 for _ in range(16)]
-        total = 0
-        for _ in range(40):
-            perm = list(range(16))
-            rng.shuffle(perm)
-            w = rng.randint(1, 30)
-            total += w
-            for i in range(16):
-                acc[i][perm[i]] += w
-        m = birkhoff.RationalMatrix([[Fraction(x, total) for x in row] for row in acc])
+        m = random_doubly_stochastic(random.Random(16), 16, 40)
         calls = agree_on_every_call(monkeypatch)
         decomposition = birkhoff.birkhoff_decompose(m)
         assert len(decomposition) == len(calls) >= 1

@@ -281,6 +281,14 @@ class TestPosetCommands:
         code, env, _ = run(capsys, "perfect", path)
         assert code == 0 and env["payload"]["perfect"] and env["payload"]["berge"]
 
+    def test_perfect_refused_by_table_size(self, capsys, tmp_path):
+        ring = {"vertices": list(range(40)), "edges": [[i, (i + 1) % 40] for i in range(40)]}
+        path = write(tmp_path, "c40.json", ring)
+        env = refused_within_a_second(capsys, "perfect", path, "--ceiling", "64")
+        assert "2^40 entries" in env["diagnostics"] and str(1 << 20) in env["diagnostics"]
+        cert = write(tmp_path, "cert.json", {"witness": list(range(40))})
+        refused_within_a_second(capsys, "perfect", path, "--ceiling", "64", "--verify", cert)
+
     def test_perfect_false_with_witness(self, capsys, tmp_path):
         path = write(
             tmp_path,

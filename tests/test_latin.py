@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -90,6 +91,31 @@ class TestComplete:
     def test_empty_gives_lex_least(self):
         square = latin.complete(R(3, []))
         assert square.rows == ((1, 2, 3), (2, 3, 1), (3, 1, 2))
+
+    def test_equals_row_by_row_and_validates_once(self, monkeypatch):
+        rng = random.Random(12)
+        row = list(range(1, 13))
+        rng.shuffle(row)
+        rect = R(12, [row])
+        stepwise = rect
+        while not stepwise.is_square:
+            stepwise = latin.extend_row(stepwise)
+        built = []
+
+        class Counted(R):
+            __slots__ = ()
+
+            def __init__(self, n, rows):
+                built.append(len(rows))
+                super().__init__(n, rows)
+
+        monkeypatch.setattr(latin, "LatinRectangle", Counted)
+        square = latin.complete(rect)
+        assert square.rows == stepwise.rows and built == [12]
+
+    def test_square_is_returned(self):
+        square = latin.complete(R(3, [[1, 2, 3], [2, 3, 1], [3, 1, 2]]))
+        assert latin.complete(square) is square
 
     def test_all_three_by_four(self):
         for rect in all_rectangles(3, 4):

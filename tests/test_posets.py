@@ -243,3 +243,17 @@ class TestPerfection:
             posets.is_perfect(g)
         with pytest.raises(ResourceLimitError):
             posets.berge_check(g)
+
+    def test_table_ceiling_before_allocation(self):
+        """A raised ceiling still refuses by the 2^40-entry tables it would
+        need, and the refusal names them and the table ceiling."""
+        g = cycle_graph(40)
+        with pytest.raises(ResourceLimitError, match=r"2\^40 entries.*1048576"):
+            posets.is_perfect(g, ceiling=64)
+        with pytest.raises(ResourceLimitError, match=r"2\^40 entries"):
+            posets.verify_perfect(g, {"witness": list(range(40))}, ceiling=64)
+
+    def test_table_ceiling_refuses_21_vertices(self):
+        assert posets.TABLE_CEILING == 1 << 20 > 1 << posets.PERFECT_CEILING
+        with pytest.raises(ResourceLimitError, match="table ceiling"):
+            posets.is_perfect(Graph(range(21), []), ceiling=21)
