@@ -18,23 +18,36 @@ from collections import deque
 UNMATCHED = -1
 
 
-def max_matching(row_masks, n_cols):
+def max_matching(row_masks, n_cols, start=None):
     """Return (match_of_row, match_of_col) for a maximum matching.
 
-    A greedy pass first gives each row its lowest free column.  Hopcroft-Karp
-    phases then run while a row with columns is left unmatched: a
-    breadth-first search layers the rows by their alternating distance from
-    the free rows, and a depth-first search on an explicit stack augments
-    out of each free row along paths that go one layer further at each step.
+    `start`, if given, is a matching to extend: a column per row, or
+    UNMATCHED, with every pair allowed by `row_masks` and no column twice.
+    It is copied, not changed, and every row it matches stays matched.  A
+    greedy pass first gives each row that is not matched yet its lowest
+    free column.  Hopcroft-Karp phases then run while a row with columns is
+    left unmatched: a breadth-first search layers the rows by their
+    alternating distance from the free rows, and a depth-first search on an
+    explicit stack augments out of each free row along paths that go one
+    layer further at each step.
     Which maximum matching comes out depends on the engine; certificates that
     must not (Hall violators, König covers, antichains) are read off the
     Dulmage-Mendelsohn sets, which are the same for every maximum matching.
     """
-    match_row = [UNMATCHED] * len(row_masks)
     match_col = [UNMATCHED] * n_cols
     taken = 0
+    if start is None:
+        match_row = [UNMATCHED] * len(row_masks)
+        rows = enumerate(row_masks)
+    else:
+        match_row = list(start)
+        for r, c in enumerate(match_row):
+            if c != UNMATCHED:
+                match_col[c] = r
+                taken |= 1 << c
+        rows = [(r, row_masks[r]) for r, c in enumerate(match_row) if c == UNMATCHED]
     short = False
-    for r, mask in enumerate(row_masks):
+    for r, mask in rows:
         mask &= ~taken
         if mask:
             low = mask & -mask
@@ -156,28 +169,31 @@ def reachable(adj, start, blocked=0):
     return reach
 
 
-def lex_least_assignment(row_masks, n_cols):
+def lex_least_assignment(row_masks, n_cols, start=None):
     """Lexicographically least injective row-to-column assignment, or None.
 
-    One maximum matching is found first; if it leaves a row unmatched there
-    is no assignment.  Rows are then fixed in ascending order, each to the
-    smallest column the later rows can still be matched around, and the
-    matching stays perfect on the rows throughout.  Row i lets go of its
-    column, which joins the free columns, and takes its least unused
-    column if that is free.  Otherwise one backward sweep from the free
-    columns marks, layer by layer, every later row that can give up its
-    column: a row is marked when it has an edge into a free column or into
-    the column of a row marked in an earlier layer.  Row i can take column
-    c exactly when c is free or its holder is marked (an edge lies in some
-    maximum matching iff it is matched or on an alternating path to a free
-    column, Régin 1994).  Row i takes the least such column; its holder
-    moves to its least column in the earlier layers, and so on down to a
-    free column, so no search fails.  The sweep stops once the holder of
-    row i's least candidate is marked.  The answer is unique, so it does
-    not depend on the first matching found.
+    One maximum matching is found first, extending the partial matching
+    `start` if one is given (see `max_matching`); if it leaves a row
+    unmatched there is no assignment.  A start close to the answer, such as
+    the last answer on masks that lost a few bits, leaves most rows already
+    on their least column, and those rows need no sweep.  Rows are then
+    fixed in ascending order, each to the smallest column the later rows can
+    still be matched around, and the matching stays perfect on the rows
+    throughout.  Row i lets go of its column, which joins the free columns,
+    and takes its least unused column if that is free.  Otherwise one
+    backward sweep from the free columns marks, layer by layer, every later
+    row that can give up its column: a row is marked when it has an edge
+    into a free column or into the column of a row marked in an earlier
+    layer.  Row i can take column c exactly when c is free or its holder is
+    marked (an edge lies in some maximum matching iff it is matched or on an
+    alternating path to a free column, Régin 1994).  Row i takes the least
+    such column; its holder moves to its least column in the earlier layers,
+    and so on down to a free column, so no search fails.  The sweep stops
+    once the holder of row i's least candidate is marked.  The answer is
+    unique, so it does not depend on the first matching found.
     """
     n_rows = len(row_masks)
-    match_row, match_col = max_matching(row_masks, n_cols)
+    match_row, match_col = max_matching(row_masks, n_cols, start)
     if UNMATCHED in match_row:
         return None
     col_rows = None  # built at the first sweep

@@ -1,9 +1,10 @@
 """Exact rational matrices: doubly stochastic checks, constructive convex
 decomposition into permutation matrices, permanents, and counting bounds.
 
-Everything here is exact Fraction arithmetic; there is deliberately no
-floating point, because decomposition termination and the equality cases of
-the bounds are exact claims.
+Everything here is exact: entries, bounds and permanents are Fractions,
+and decomposition runs on integers over one common denominator.  There is
+deliberately no floating point, because decomposition termination and the
+equality cases of the bounds are exact claims.
 """
 
 from __future__ import annotations
@@ -180,9 +181,12 @@ def birkhoff_decompose(m: RationalMatrix) -> BirkhoffDecomposition:
     Each round finds the lexicographically least permutation supported on
     the positive entries, subtracts it scaled by its minimum entry, and
     repeats; every round kills at least one entry, so at most
-    nnz - n + 1 terms appear and the reconstruction is exact.  The support
-    masks are built once; a round clears the bit of each entry it brings
-    to zero.
+    nnz - n + 1 terms appear and the reconstruction is exact.  The rounds
+    run on integers: the matrix is scaled once by the least common
+    denominator D of its entries, and each coefficient is mu / D.  The
+    support masks are built once; a round clears the bit of each entry it
+    brings to zero, and the next round's matching starts from this round's
+    permutation less those entries.
     """
     ok, reason = is_doubly_stochastic(m)
     if not ok:
@@ -190,21 +194,25 @@ def birkhoff_decompose(m: RationalMatrix) -> BirkhoffDecomposition:
     n = m.n
     if n == 0:
         return BirkhoffDecomposition(())
-    work = [list(row) for row in m.entries]
+    scale = lcm(*(x.denominator for row in m.entries for x in row))
+    work = [[x.numerator * (scale // x.denominator) for x in row] for row in m.entries]
     masks = [sum(1 << j for j, x in enumerate(row) if x) for row in work]
     terms = []
-    remaining = Fraction(1)
-    while remaining > 0:
-        perm = _bitmatch.lex_least_assignment(masks, n)
+    remaining = scale
+    start = None
+    while remaining:
+        perm = _bitmatch.lex_least_assignment(masks, n, start)
         if perm is None:  # impossible for a doubly stochastic remainder
             raise AssertionError("no permutation on the positive support")
         mu = min(work[i][perm[i]] for i in range(n))
-        terms.append((mu, tuple(perm)))
+        terms.append((Fraction(mu, scale), tuple(perm)))
         for i, j in enumerate(perm):
             work[i][j] -= mu
             if not work[i][j]:
                 masks[i] &= ~(1 << j)
+                perm[i] = _bitmatch.UNMATCHED
         remaining -= mu
+        start = perm
     return BirkhoffDecomposition(tuple(terms))
 
 

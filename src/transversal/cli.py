@@ -405,8 +405,8 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         status, payload, diagnostics = "resource-limit", None, str(exc)
     envelope = ResultEnvelope(status, payload, diagnostics)
-    json.dump(envelope.to_json(), sys.stdout)
-    sys.stdout.write("\n")
+    # json.dumps runs the C encoder; json.dump always encodes in Python.
+    sys.stdout.write(json.dumps(envelope.to_json()) + "\n")
     if status in ("invalid-input", "resource-limit"):
         print(diagnostics, file=sys.stderr)
     return envelope.exit_code

@@ -7,8 +7,9 @@ algorithms the library used before faster ones replaced them, kept as
 references: `bfs_max_matching` (one breadth-first augmenting path per row),
 `rematch_lex_least` (a full re-matching per candidate column),
 `probe_lex_least` (one breadth-first probe search per candidate column),
-`edmonds_karp` (one breadth-first search per augmenting path) and
-`warshall_closure` (the n^2 closure loop).  The cross-check paths at the end
+`fraction_birkhoff` (Birkhoff rounds in Fraction arithmetic, each from a
+fresh matching), `edmonds_karp` (one breadth-first search per augmenting
+path) and `warshall_closure` (the n^2 closure loop).  The cross-check paths at the end
 reach the same answer as a library solver through another part of the
 library: `hall_via_menger` (a flow), `hall_from_dilworth` (a chain partition)
 and `hall_coset_reps` (the marriage theorem, for simultaneous coset
@@ -18,6 +19,7 @@ representatives).
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 from itertools import combinations, permutations
 
 from transversal import _bitmatch, core, graphs, groups, posets
@@ -169,6 +171,27 @@ def probe_lex_least(row_masks, n_cols):
         match_col[c] = i
         used |= low
     return match_row
+
+
+def fraction_birkhoff(entries):
+    """Birkhoff terms ((coefficient, permutation), ...) of a doubly
+    stochastic matrix of Fractions, by the round loop on Fractions: each
+    round rebuilds the support masks, takes their lex-least permutation by
+    `probe_lex_least`, and subtracts it scaled by its least entry until the
+    coefficients sum to 1."""
+    n = len(entries)
+    work = [list(row) for row in entries]
+    terms = []
+    remaining = Fraction(1) if n else Fraction(0)
+    while remaining > 0:
+        masks = [sum(1 << j for j, x in enumerate(row) if x) for row in work]
+        perm = probe_lex_least(masks, n)
+        mu = min(work[i][perm[i]] for i in range(n))
+        terms.append((mu, tuple(perm)))
+        for i, j in enumerate(perm):
+            work[i][j] -= mu
+        remaining -= mu
+    return tuple(terms)
 
 
 def _augment_bfs(row_masks, match_row, match_col, start, allowed):
@@ -470,8 +493,6 @@ def connected_without(vertices, edges, s, t, removed_edges=(), removed_vertices=
 def random_doubly_stochastic_rows(rng, n, terms=None):
     """Rows of a random normalised positive combination of permutation
     matrices (exact Fractions)."""
-    from fractions import Fraction
-
     if terms is None:
         terms = rng.randint(1, n * n)
     perms = []

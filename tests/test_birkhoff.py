@@ -6,7 +6,7 @@ from math import prod
 
 import pytest
 
-from oracles import brute_permanent
+from oracles import brute_permanent, fraction_birkhoff
 from transversal import birkhoff
 from transversal.errors import ResourceLimitError, ValidationError
 
@@ -94,6 +94,74 @@ class TestDecomposition:
             assert all(c > 0 for c, _ in dec.terms)
             assert dec.as_matrix(n) == m
             assert len(dec) <= nnz - n + 1
+
+
+PRIMES = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
+
+
+def mixed_weights(rng, denominators):
+    """Weights that sum to 1: one Fraction(a, b) for each denominator b that
+    still fits under 1, and the rest of 1 last."""
+    weights = []
+    for b in denominators:
+        w = Fraction(rng.randint(1, max(1, b // (len(denominators) + 1))), b)
+        if sum(weights) + w < 1:
+            weights.append(w)
+    return weights + [1 - sum(weights)]
+
+
+def weighted_permutations(rng, n, weights):
+    acc = [[Fraction(0)] * n for _ in range(n)]
+    for w in weights:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        for i in range(n):
+            acc[i][perm[i]] += w
+    return acc
+
+
+def decimal_string(rng, x, places):
+    """`x`, whose denominator divides 10**places, as a decimal string with a
+    point or with an exponent."""
+    scaled = x * 10**places
+    assert scaled.denominator == 1
+    if rng.random() < 0.5:
+        return f"{scaled.numerator}e-{places}"
+    whole, part = divmod(scaled.numerator, 10**places)
+    return f"{whole}.{part:0{places}d}"
+
+
+class TestIntegerRounds:
+    """The integer rounds, warm-started, give the terms of the Fraction
+    round loop: the same coefficients and permutations in the same order."""
+
+    def test_prime_denominators(self):
+        rng = random.Random(9797)
+        sizes = set()
+        for _ in range(80):
+            n = rng.randint(1, 9)
+            weights = mixed_weights(rng, rng.sample(PRIMES, rng.randint(0, 11)))
+            entries = [[str(x) for x in row] for row in weighted_permutations(rng, n, weights)]
+            m = M(entries)
+            assert birkhoff.birkhoff_decompose(m).terms == fraction_birkhoff(m.entries)
+            sizes.add(len(weights))
+        assert max(sizes) >= 8
+
+    def test_decimal_strings(self):
+        rng = random.Random(1010)
+        places = 4
+        for _ in range(80):
+            n = rng.randint(1, 9)
+            weights = mixed_weights(rng, rng.choices([10, 100, 1000, 10**places],
+                                                      k=rng.randint(0, 11)))
+            acc = weighted_permutations(rng, n, weights)
+            m = M([[decimal_string(rng, x, places) for x in row] for row in acc])
+            assert m.entries == tuple(map(tuple, acc))
+            assert birkhoff.birkhoff_decompose(m).terms == fraction_birkhoff(m.entries)
+
+    def test_sixteen(self):
+        m = random_doubly_stochastic(random.Random(1616), 16, 40)
+        assert birkhoff.birkhoff_decompose(m).terms == fraction_birkhoff(m.entries)
 
 
 class TestPermanent:

@@ -39,8 +39,8 @@ def agree_on_every_call(monkeypatch):
     incremental = _bitmatch.lex_least_assignment
     calls = []
 
-    def both(row_masks, n_cols):
-        got = incremental(row_masks, n_cols)
+    def both(row_masks, n_cols, *rest):
+        got = incremental(row_masks, n_cols, *rest)
         assert got == rematch_lex_least(row_masks, n_cols), (row_masks, n_cols)
         calls.append(len(row_masks))
         return got
@@ -88,6 +88,54 @@ class TestMaxMatching:
             check_matching(masks, n_cols, match_row, match_col)
             expected, _ = bfs_max_matching(masks, n_cols)
             assert match_row.count(-1) == expected.count(-1)
+
+
+def random_starts(rng, masks, n_cols):
+    """Partial matchings to start from: empty, a maximum one, and a maximum
+    one with random rows dropped."""
+    full, _ = _bitmatch.max_matching(masks, n_cols)
+    dropped = [_bitmatch.UNMATCHED if rng.random() < 0.4 else c for c in full]
+    return {"empty": [_bitmatch.UNMATCHED] * len(masks), "full": full, "dropped": dropped}
+
+
+class TestWarmStart:
+    def test_max_matching_extends_start(self):
+        rng = random.Random(1313)
+        for _ in range(1500):
+            n_rows, n_cols = rng.randint(0, 12), rng.randint(0, 12)
+            masks = random_masks(rng, n_rows, n_cols, rng.choice((0.1, 0.3, 0.6, 0.9)))
+            expected, _ = bfs_max_matching(masks, n_cols)
+            for kind, start in random_starts(rng, masks, n_cols).items():
+                kept = list(start)
+                match_row, match_col = _bitmatch.max_matching(masks, n_cols, start)
+                assert start == kept, "the start is not changed"
+                check_matching(masks, n_cols, match_row, match_col)
+                assert match_row.count(-1) == expected.count(-1), (kind, masks, n_cols)
+                assert all(c != -1 for c, s in zip(match_row, start) if s != -1)
+                if kind == "full":
+                    assert match_row == start
+
+    def test_lex_least_ignores_start(self):
+        rng = random.Random(1314)
+        for _ in range(1500):
+            n_rows = rng.randint(0, 7)
+            n_cols = rng.randint(n_rows, 8) if rng.random() < 0.8 else rng.randint(0, 8)
+            masks = random_masks(rng, n_rows, n_cols, rng.choice((0.2, 0.4, 0.6, 0.9)))
+            cold = _bitmatch.lex_least_assignment(masks, n_cols)
+            assert cold == brute_lex_least(masks, n_cols), (masks, n_cols)
+            for start in random_starts(rng, masks, n_cols).values():
+                assert _bitmatch.lex_least_assignment(masks, n_cols, start) == cold
+
+    def test_lex_least_ignores_start_large(self):
+        rng = random.Random(1315)
+        for _ in range(60):
+            n_rows = rng.randint(10, 40)
+            n_cols = rng.randint(n_rows, n_rows + 5)
+            masks = pinned_masks(rng, n_rows, n_cols, rng.choice((0.1, 0.2, 0.5)))
+            cold = _bitmatch.lex_least_assignment(masks, n_cols)
+            assert cold == probe_lex_least(masks, n_cols), (masks, n_cols)
+            for start in random_starts(rng, masks, n_cols).values():
+                assert _bitmatch.lex_least_assignment(masks, n_cols, start) == cold
 
 
 def assert_no_self_call(obj):
@@ -254,8 +302,8 @@ def agree_with_probe_search(monkeypatch):
     sweep = _bitmatch.lex_least_assignment
     calls = []
 
-    def both(row_masks, n_cols):
-        got = sweep(row_masks, n_cols)
+    def both(row_masks, n_cols, *rest):
+        got = sweep(row_masks, n_cols, *rest)
         assert got == probe_lex_least(row_masks, n_cols), (row_masks, n_cols)
         calls.append(len(row_masks))
         return got
