@@ -55,7 +55,6 @@ from .hypersdr import (
     HyperSdr,
     ah_condition,
     find_hyper_sdr,
-    is_pinned,
 )
 from .latin import (
     BlockDesign,
@@ -74,14 +73,12 @@ from .matroids import (
     make_matroid,
     rado_check,
     rank,
-    validate_matroid,
 )
 from .posets import (
     AntichainPartition,
     ChainPartition,
     Poset,
     berge_check,
-    comparability_graph,
     dilworth,
     is_perfect,
     mirsky,

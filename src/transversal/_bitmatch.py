@@ -11,14 +11,51 @@ maximum matching, the forward alternating reach behind Hall violators and
 König covers, and the backward reach sweep of the lex-least assignment.  That
 sweep settles every candidate column of a row at once, so the assignment
 never runs a search that fails.
+
+The maximum matching and the forward reach each come in two forms that scan
+in the same order and so return the same result.  The mask form steps
+through a row's mask; the list form walks the row's columns as a list.  A
+mask operation costs time in proportion to the mask's width, so on wide,
+sparse rows (thousands of columns, a handful per row) every edge the mask
+form touches costs a pass over the whole row, and the list form wins; on
+narrow or dense rows one mask operation settles many columns at once, and
+the mask form wins.  `column_lists` makes the choice from the shape.
 """
 
 from collections import deque
 
 UNMATCHED = -1
 
+# The shape rule of `column_lists`, measured by running the matching calls
+# recorded from the benchmark workloads, and random rows of each width and
+# degree, through both forms (see CHANGES.md).
+LIST_MIN_COLS = 256
+LIST_MAX_DEGREE = 8
 
-def max_matching(row_masks, n_cols, start=None):
+
+def column_lists(row_masks, n_cols, row_cols=None):
+    """The rows as ascending column sequences when the list forms suit
+    them, else None.
+
+    The list forms are chosen for rows over at least LIST_MIN_COLS columns
+    that hold at most LIST_MAX_DEGREE columns each on average.  `row_cols`,
+    if given, are those sequences already made and are returned as they
+    are; otherwise they are read off the masks.
+    """
+    if n_cols < LIST_MIN_COLS or not row_masks:
+        return None
+    if row_cols is None:
+        edges = sum(mask.bit_count() for mask in row_masks)
+    else:
+        edges = sum(map(len, row_cols))
+    if edges > LIST_MAX_DEGREE * len(row_masks):
+        return None
+    if row_cols is None:
+        row_cols = [list(bits_of(mask)) for mask in row_masks]
+    return row_cols
+
+
+def max_matching(row_masks, n_cols, start=None, row_cols=None):
     """Return (match_of_row, match_of_col) for a maximum matching.
 
     `start`, if given, is a matching to extend: a column per row, or
@@ -29,11 +66,20 @@ def max_matching(row_masks, n_cols, start=None):
     left unmatched: a breadth-first search layers the rows by their
     alternating distance from the free rows, and a depth-first search on an
     explicit stack augments out of each free row along paths that go one
-    layer further at each step.
+    layer further at each step.  `row_cols` are the rows' ascending column
+    sequences, if the caller has them; `column_lists` picks the form.
     Which maximum matching comes out depends on the engine; certificates that
     must not (Hall violators, König covers, antichains) are read off the
     Dulmage-Mendelsohn sets, which are the same for every maximum matching.
     """
+    row_cols = column_lists(row_masks, n_cols, row_cols)
+    if row_cols is None:
+        return _match_masks(row_masks, n_cols, start)
+    return _match_lists(row_cols, n_cols, start)
+
+
+def _match_masks(row_masks, n_cols, start):
+    """`max_matching` on the masks."""
     match_col = [UNMATCHED] * n_cols
     taken = 0
     if start is None:
@@ -129,23 +175,116 @@ def _hopcroft_karp(row_masks, match_row, match_col):
                     rows.append(holder)
 
 
-def alternating_reachable(row_masks, match_row, match_col, sources):
+def _match_lists(row_cols, n_cols, start):
+    """`max_matching` on the column lists: the same scans in the same order."""
+    match_col = [UNMATCHED] * n_cols
+    if start is None:
+        match_row = [UNMATCHED] * len(row_cols)
+        rows = range(len(row_cols))
+    else:
+        match_row = list(start)
+        for r, c in enumerate(match_row):
+            if c != UNMATCHED:
+                match_col[c] = r
+        rows = [r for r, c in enumerate(match_row) if c == UNMATCHED]
+    short = False
+    for r in rows:
+        for c in row_cols[r]:
+            if match_col[c] == UNMATCHED:
+                match_row[r] = c
+                match_col[c] = r
+                break
+        else:
+            if row_cols[r]:
+                short = True
+    if short:
+        _hopcroft_karp_lists(row_cols, match_row, match_col)
+    return match_row, match_col
+
+
+def _hopcroft_karp_lists(row_cols, match_row, match_col):
+    """`_hopcroft_karp` on the column lists.  ``seen`` marks the columns
+    entered, and ``tried[r]`` counts the columns row r has tried in the
+    phase, in place of the masks."""
+    n_rows = len(row_cols)
+    infinity = n_rows + 1
+    while True:
+        dist = [infinity] * n_rows
+        queue = []
+        for r in range(n_rows):
+            if match_row[r] == UNMATCHED and row_cols[r]:
+                dist[r] = 0
+                queue.append(r)
+        seen = bytearray(len(match_col))
+        reachable_free = False
+        for r in queue:  # the queue grows while it is read
+            layer = dist[r] + 1
+            for c in row_cols[r]:
+                if seen[c]:
+                    continue
+                seen[c] = 1
+                holder = match_col[c]
+                if holder == UNMATCHED:
+                    reachable_free = True
+                else:
+                    dist[holder] = layer
+                    queue.append(holder)
+        if not reachable_free:
+            return
+        tried = [0] * n_rows
+        for root in range(n_rows):
+            if dist[root] != 0:
+                continue
+            rows = [root]
+            cols = []
+            while rows:
+                r = rows[-1]
+                k = tried[r]
+                if k == len(row_cols[r]):
+                    dist[r] = infinity
+                    rows.pop()
+                    if cols:
+                        cols.pop()
+                    continue
+                tried[r] = k + 1
+                c = row_cols[r][k]
+                holder = match_col[c]
+                if holder == UNMATCHED:
+                    cols.append(c)
+                    for r2, c2 in zip(rows, cols):
+                        match_row[r2] = c2
+                        match_col[c2] = r2
+                    break
+                if dist[holder] == dist[r] + 1:
+                    cols.append(c)
+                    rows.append(holder)
+
+
+def alternating_reachable(row_masks, match_row, match_col, sources, row_cols=None):
     """Rows and columns reachable from the source rows by alternating paths.
 
     Paths leave a row along any incident edge and return from a column along
     its matching edge, the standard construction for Hall violators and
-    minimum vertex covers.  Returns (row set, column set).
+    minimum vertex covers.  Returns (row set, column set).  The list form
+    runs only on `row_cols` the caller has, since the search enters each row
+    at most once and reading the columns off every mask would cost more than
+    the mask form's whole search.
     """
+    if row_cols is not None:
+        row_cols = column_lists(row_masks, len(match_col), row_cols)
+    if row_cols is None:
+        return _reach(lambda r: bits_of(row_masks[r]), match_col, sources)
+    return _reach(row_cols.__getitem__, match_col, sources)
+
+
+def _reach(columns_of, match_col, sources):
+    """`alternating_reachable`, with `columns_of(r)` giving row r's columns
+    in ascending order from its mask or its list."""
     seen_rows = set(sources)
     seen_cols = set()
     stack = list(sources)
     while stack:
-        r = stack.pop()
-        mask = row_masks[r]
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            c = low.bit_length() - 1
+        for c in columns_of(stack.pop()):
             if c in seen_cols:
                 continue
             seen_cols.add(c)

@@ -115,15 +115,26 @@ class BirkhoffDecomposition:
     def __len__(self):
         return len(self.terms)
 
+    def scaled(self, n: int) -> tuple[int, int, list]:
+        """(D, the coefficient sum times D, the rebuilt n x n matrix times D),
+        all integers, for D the least common denominator of the coefficients."""
+        scale = lcm(*(c.denominator for c, _ in self.terms))
+        acc = [[0] * n for _ in range(n)]
+        total = 0
+        for coefficient, perm in self.terms:
+            weight = coefficient.numerator * (scale // coefficient.denominator)
+            total += weight
+            for i in range(n):
+                acc[i][perm[i]] += weight
+        return scale, total, acc
+
     def coefficient_sum(self) -> Fraction:
-        return sum((c for c, _ in self.terms), Fraction(0))
+        scale, total, _ = self.scaled(0)
+        return Fraction(total, scale)
 
     def as_matrix(self, n: int) -> RationalMatrix:
-        acc = [[Fraction(0)] * n for _ in range(n)]
-        for coefficient, perm in self.terms:
-            for i in range(n):
-                acc[i][perm[i]] += coefficient
-        return RationalMatrix(acc)
+        scale, _, acc = self.scaled(n)
+        return RationalMatrix([[Fraction(x, scale) for x in row] for row in acc])
 
 
 def term_bound(m: RationalMatrix) -> int:
@@ -145,13 +156,15 @@ def verify_birkhoff(m: RationalMatrix, cert: dict) -> tuple[bool, str | None]:
             return False, f"term {k} is not a permutation of 0..{m.n - 1}"
         terms.append((_to_fraction(term.get("coefficient"), f"terms[{k}]"),
                       tuple(columns[j] for j in perm)))
-    dec = BirkhoffDecomposition(tuple(terms))
     if any(c <= 0 for c, _ in terms):
         return False, "coefficients must be positive"
-    if dec.coefficient_sum() != 1:
+    scale, total, acc = BirkhoffDecomposition(tuple(terms)).scaled(m.n)
+    if total != scale:
         return False, "coefficients do not sum to 1"
-    if dec.as_matrix(m.n) != m:
-        return False, "terms do not reconstruct the matrix"
+    for row, target in zip(acc, m.entries):
+        for x, y in zip(row, target):
+            if x * y.denominator != y.numerator * scale:
+                return False, "terms do not reconstruct the matrix"
     if len(terms) > term_bound(m):
         return False, "more terms than the support allows"
     return True, None

@@ -65,6 +65,21 @@ def _mask_of(members, index, field) -> int:
     return mask
 
 
+def _positions_of(members, index, field) -> list:
+    """The positions that `index` gives to one list of members, in its
+    order, with the checks and errors of `_mask_of`.  A wide mask is slow to
+    read positions back from, so families take these first."""
+    if isinstance(members, str):
+        raise ValidationError(f"{field} must be a list, not a string", field=field)
+    try:
+        return [index[x] for x in members]
+    except KeyError as exc:
+        raise ValidationError(f"{field} holds {exc.args[0]!r}, which is not a label",
+                              field=field) from None
+    except TypeError as exc:
+        raise ValidationError(f"{field} must be a list of labels: {exc}", field=field) from exc
+
+
 def _cert_field(cert, key, kind=list, index=None):
     """``cert[key]``, checked to be a `kind` (a bool is no int) and, when
     `index` is given, a list of its labels.  Raises ``ValidationError``."""
@@ -97,18 +112,26 @@ class SetFamily:
     solver, and members of each set are stored in that order.
     """
 
-    __slots__ = ("ground", "sets", "_index", "_masks")
+    __slots__ = ("ground", "sets", "_index", "_masks", "_cols")
 
     def __init__(self, ground, sets):
         if isinstance(ground, str):
             raise ValidationError("the ground set must be a list, not a string", field="ground")
         index = _index_labels(ground, "ground")
         ground = tuple(index)
-        masks = [_mask_of(subset, index, f"sets[{i}]") for i, subset in enumerate(sets)]
+        cols = [sorted(set(_positions_of(subset, index, f"sets[{i}]")))
+                for i, subset in enumerate(sets)]
+        masks = []
+        for positions in cols:
+            mask = 0
+            for pos in positions:
+                mask |= 1 << pos
+            masks.append(mask)
         self.ground = ground
-        self.sets = tuple(tuple(ground[p] for p in _bitmatch.bits_of(m)) for m in masks)
+        self.sets = tuple(tuple(ground[p] for p in c) for c in cols)
         self._index = index
         self._masks = masks
+        self._cols = cols  # each set's positions, ascending, for the matching engine
 
     @property
     def n(self) -> int:
@@ -267,7 +290,8 @@ def hall_check(family: SetFamily) -> Sdr | HallViolator:
     from the unassigned ones: the Dulmage-Mendelsohn set, the same for every
     maximum matching, whose union falls short of it by the defect.
     """
-    match_row, match_col = _bitmatch.max_matching(family._masks, len(family.ground))
+    match_row, match_col = _bitmatch.max_matching(family._masks, len(family.ground),
+                                                  row_cols=family._cols)
     if all(c != _bitmatch.UNMATCHED for c in match_row):
         return Sdr(tuple(family.ground[c] for c in match_row))
     return _hall_violator(family, match_row, match_col)
@@ -281,7 +305,8 @@ def _hall_violator(family: SetFamily, match_row, match_col) -> HallViolator:
     is named; the result does not depend on which maximum matching is given.
     """
     free = [i for i, c in enumerate(match_row) if c == _bitmatch.UNMATCHED]
-    rows, _ = _bitmatch.alternating_reachable(family._masks, match_row, match_col, free)
+    rows, _ = _bitmatch.alternating_reachable(family._masks, match_row, match_col, free,
+                                              family._cols)
     indices = tuple(sorted(rows))
     return HallViolator(indices=indices, union=family.union_of(indices))
 
@@ -321,7 +346,8 @@ def _violator_union(family: SetFamily, indices, stated_union):
 def partial_sdr(family: SetFamily) -> DefectReport:
     """Largest partial assignment, with the defect it cannot avoid and the
     canonical violator that proves it."""
-    match_row, match_col = _bitmatch.max_matching(family._masks, len(family.ground))
+    match_row, match_col = _bitmatch.max_matching(family._masks, len(family.ground),
+                                                  row_cols=family._cols)
     partial = {
         i: family.ground[c]
         for i, c in enumerate(match_row)

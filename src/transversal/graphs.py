@@ -17,7 +17,7 @@ class BipartiteGraph:
     elements often do).
     """
 
-    __slots__ = ("part_a", "part_b", "edges", "_a_index", "_b_index", "_masks")
+    __slots__ = ("part_a", "part_b", "edges", "_a_index", "_b_index", "_masks", "_cols")
 
     def __init__(self, part_a, part_b, edges):
         a_index = core._index_labels(part_a, "partA")
@@ -25,6 +25,7 @@ class BipartiteGraph:
         part_a = tuple(a_index)
         part_b = tuple(b_index)
         masks = [0] * len(part_a)
+        cols = [[] for _ in part_a]
         kept = []
         seen = set()
         for k, e in enumerate(edges):
@@ -40,17 +41,22 @@ class BipartiteGraph:
                 raise ValidationError(f"edge endpoint {a!r} is not in partA", field=f"edges[{k}]")
             if ib is None:
                 raise ValidationError(f"edge endpoint {b!r} is not in partB", field=f"edges[{k}]")
-            if (a, b) in seen:
+            pair = (a, b)
+            if pair in seen:
                 continue
-            seen.add((a, b))
-            kept.append((a, b))
+            seen.add(pair)
+            kept.append(pair)
             masks[ia] |= 1 << ib
+            cols[ia].append(ib)
         self.part_a = part_a
         self.part_b = part_b
         self.edges = tuple(kept)
         self._a_index = a_index
         self._b_index = b_index
         self._masks = masks
+        for c in cols:
+            c.sort()
+        self._cols = cols  # each part-A vertex's part-B positions, for the matching engine
 
     def has_edge(self, a, b) -> bool:
         ia = self._a_index.get(a)
@@ -210,7 +216,7 @@ class FlowNetwork:
 
 def max_matching(g: BipartiteGraph) -> Matching:
     """A maximum matching; deterministic for a fixed input order."""
-    match_row, _ = _bitmatch.max_matching(g._masks, len(g.part_b))
+    match_row, _ = _bitmatch.max_matching(g._masks, len(g.part_b), row_cols=g._cols)
     edges = tuple(
         (g.part_a[i], g.part_b[c])
         for i, c in enumerate(match_row)
@@ -226,9 +232,9 @@ def konig_cover(g: BipartiteGraph) -> tuple[Matching, VertexCover]:
     vertices; equality of the two sizes certifies that the matching is
     maximum and the cover minimum.
     """
-    match_row, match_col = _bitmatch.max_matching(g._masks, len(g.part_b))
+    match_row, match_col = _bitmatch.max_matching(g._masks, len(g.part_b), row_cols=g._cols)
     free = [i for i, c in enumerate(match_row) if c == _bitmatch.UNMATCHED]
-    rows, cols = _bitmatch.alternating_reachable(g._masks, match_row, match_col, free)
+    rows, cols = _bitmatch.alternating_reachable(g._masks, match_row, match_col, free, g._cols)
     in_a = tuple(
         g.part_a[i]
         for i in range(len(g.part_a))

@@ -61,16 +61,6 @@ class HyperSdr:
     selection: tuple
 
 
-def is_pinned(f_edges, k_edges) -> bool:
-    """True when every edge of `f_edges` meets some edge of `k_edges`."""
-    pins = [set(e) for e in k_edges]
-    for edge in f_edges:
-        e = set(edge)
-        if not any(e & p for p in pins):
-            return False
-    return True
-
-
 def _check_ceilings(fam, max_subfamily, max_edges):
     total = sum(len(h.edges) for h in fam.members)
     if len(fam.members) > max_subfamily or total > max_edges:

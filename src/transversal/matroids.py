@@ -9,12 +9,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import _bitmatch, core
-from .errors import ResourceLimitError, ValidationError
-
-VALIDATE_CEILING = 10
+from .errors import ValidationError
 
 
 class MatroidOracle:
@@ -237,49 +234,6 @@ def matroid_from_json(obj: dict) -> MatroidOracle:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValidationError("matroid file needs 'kind'", field="kind")
     return make_matroid(**obj)
-
-
-# ---------------------------------------------------------------------------
-# Axiom checking.
-
-
-def validate_matroid(m: MatroidOracle, *, ceiling: int = VALIDATE_CEILING):
-    """Exhaustively check nonemptiness, downward closure, and exchange.
-
-    Returns (True, None) or (False, witness) where the witness names the
-    failing axiom and the offending set or pair.
-    """
-    ground = m.ground
-    if len(ground) > ceiling:
-        raise ResourceLimitError(f"{len(ground)} elements is above the ceiling {ceiling}")
-    subsets = []
-    for k in range(len(ground) + 1):
-        subsets.extend(frozenset(c) for c in combinations(ground, k))
-    status = {s: bool(m._indep(s)) for s in subsets}
-    if not status[frozenset()]:
-        return False, {"axiom": "nonempty", "set": ()}
-    for s in subsets:
-        if not status[s]:
-            continue
-        for x in s:
-            if not status[s - {x}]:
-                return False, {
-                    "axiom": "downward-closure",
-                    "set": tuple(sorted(s, key=m._index.get)),
-                    "element": x,
-                }
-    independent = [s for s in subsets if status[s]]
-    for a in independent:
-        for b in independent:
-            if len(b) <= len(a):
-                continue
-            if not any(status[a | {x}] for x in b - a):
-                return False, {
-                    "axiom": "exchange",
-                    "a": tuple(sorted(a, key=m._index.get)),
-                    "b": tuple(sorted(b, key=m._index.get)),
-                }
-    return True, None
 
 
 # ---------------------------------------------------------------------------

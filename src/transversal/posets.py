@@ -143,9 +143,10 @@ def dilworth(p: Poset) -> tuple[ChainPartition, tuple]:
     set of elements both of whose copies avoid the matching's vertex cover.
     """
     n = p.n
-    match_row, match_col = _bitmatch.max_matching(p._above, n)
+    above = _bitmatch.column_lists(p._above, n)  # None where the masks serve better
+    match_row, match_col = _bitmatch.max_matching(p._above, n, row_cols=above)
     free = [i for i in range(n) if match_row[i] == _bitmatch.UNMATCHED]
-    rows, cols = _bitmatch.alternating_reachable(p._above, match_row, match_col, free)
+    rows, cols = _bitmatch.alternating_reachable(p._above, match_row, match_col, free, above)
     # Cover: matched left copies outside `rows`, right copies inside `cols`.
     antichain = tuple(
         p.elements[i]
@@ -200,15 +201,6 @@ def mirsky(p: Poset) -> tuple[AntichainPartition, tuple]:
             )
             chain.append(p.elements[current])
     return AntichainPartition(tuple(levels)), tuple(chain)
-
-
-def comparability_graph(p: Poset, complement: bool = False) -> Graph:
-    """Graph joining comparable pairs (or incomparable ones)."""
-    edges = []
-    for a, b in combinations(p.elements, 2):
-        if p.comparable(a, b) != complement:
-            edges.append((a, b))
-    return Graph(p.elements, edges)
 
 
 def _positions(p: Poset, items):

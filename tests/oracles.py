@@ -8,12 +8,14 @@ references: `bfs_max_matching` (one breadth-first augmenting path per row),
 `rematch_lex_least` (a full re-matching per candidate column),
 `probe_lex_least` (one breadth-first probe search per candidate column),
 `fraction_birkhoff` (Birkhoff rounds in Fraction arithmetic, each from a
-fresh matching), `edmonds_karp` (one breadth-first search per augmenting
+fresh matching), `fraction_verify_birkhoff` (the Birkhoff certificate check
+summed in Fractions), `edmonds_karp` (one breadth-first search per augmenting
 path) and `warshall_closure` (the n^2 closure loop).  The cross-check paths at the end
 reach the same answer as a library solver through another part of the
 library: `hall_via_menger` (a flow), `hall_from_dilworth` (a chain partition)
 and `hall_coset_reps` (the marriage theorem, for simultaneous coset
-representatives).
+representatives).  Last come the exhaustive checks the command line never
+runs: `is_pinned`, `validate_matroid` and `comparability_graph`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from transversal import _bitmatch, core, graphs, groups, posets
+from transversal import _bitmatch, birkhoff, core, graphs, groups, posets
+from transversal.errors import ResourceLimitError, ValidationError
 
 UNMATCHED = -1
 
@@ -192,6 +195,35 @@ def fraction_birkhoff(entries):
             work[i][j] -= mu
         remaining -= mu
     return tuple(terms)
+
+
+def fraction_verify_birkhoff(m, cert):
+    """`birkhoff.verify_birkhoff` with the coefficients and the rebuilt
+    matrix summed in Fractions: the same checks, in the same order, with the
+    same reasons."""
+    columns = {j: j for j in range(m.n)}
+    terms = []
+    for k, term in enumerate(core._cert_field(cert, "terms")):
+        if not isinstance(term, dict):
+            raise ValidationError(f"terms[{k}] must be an object", field=f"terms[{k}]")
+        perm = core._cert_field(term, "permutation", index=columns)
+        if len(perm) != m.n or len(set(perm)) != m.n:
+            return False, f"term {k} is not a permutation of 0..{m.n - 1}"
+        terms.append((birkhoff._to_fraction(term.get("coefficient"), f"terms[{k}]"),
+                      tuple(columns[j] for j in perm)))
+    if any(c <= 0 for c, _ in terms):
+        return False, "coefficients must be positive"
+    if sum((c for c, _ in terms), Fraction(0)) != 1:
+        return False, "coefficients do not sum to 1"
+    acc = [[Fraction(0)] * m.n for _ in range(m.n)]
+    for coefficient, perm in terms:
+        for i in range(m.n):
+            acc[i][perm[i]] += coefficient
+    if birkhoff.RationalMatrix(acc) != m:
+        return False, "terms do not reconstruct the matrix"
+    if len(terms) > birkhoff.term_bound(m):
+        return False, "more terms than the support allows"
+    return True, None
 
 
 def _augment_bfs(row_masks, match_row, match_col, start, allowed):
@@ -678,3 +710,68 @@ def hall_coset_reps(g, subgroup):
     reps = tuple(min(set(system.left[i]) & set(system.right[j]), key=g.elements.index)
                  for i, j in enumerate(sdr.reps))
     return family, reps
+
+
+# Exhaustive checks that the command line never runs, kept to cross-check the
+# library's constructions.
+
+VALIDATE_CEILING = 10
+
+
+def is_pinned(f_edges, k_edges) -> bool:
+    """True when every edge of `f_edges` meets some edge of `k_edges`."""
+    pins = [set(e) for e in k_edges]
+    for edge in f_edges:
+        e = set(edge)
+        if not any(e & p for p in pins):
+            return False
+    return True
+
+
+def validate_matroid(m, *, ceiling: int = VALIDATE_CEILING):
+    """Exhaustively check the matroid axioms of a `matroids.MatroidOracle`:
+    nonemptiness, downward closure, and exchange.
+
+    Returns (True, None) or (False, witness) where the witness names the
+    failing axiom and the offending set or pair.
+    """
+    ground = m.ground
+    if len(ground) > ceiling:
+        raise ResourceLimitError(f"{len(ground)} elements is above the ceiling {ceiling}")
+    subsets = []
+    for k in range(len(ground) + 1):
+        subsets.extend(frozenset(c) for c in combinations(ground, k))
+    status = {s: bool(m._indep(s)) for s in subsets}
+    if not status[frozenset()]:
+        return False, {"axiom": "nonempty", "set": ()}
+    for s in subsets:
+        if not status[s]:
+            continue
+        for x in s:
+            if not status[s - {x}]:
+                return False, {
+                    "axiom": "downward-closure",
+                    "set": tuple(sorted(s, key=m._index.get)),
+                    "element": x,
+                }
+    independent = [s for s in subsets if status[s]]
+    for a in independent:
+        for b in independent:
+            if len(b) <= len(a):
+                continue
+            if not any(status[a | {x}] for x in b - a):
+                return False, {
+                    "axiom": "exchange",
+                    "a": tuple(sorted(a, key=m._index.get)),
+                    "b": tuple(sorted(b, key=m._index.get)),
+                }
+    return True, None
+
+
+def comparability_graph(p: posets.Poset, complement: bool = False) -> graphs.Graph:
+    """Graph joining comparable pairs (or incomparable ones)."""
+    edges = []
+    for a, b in combinations(p.elements, 2):
+        if p.comparable(a, b) != complement:
+            edges.append((a, b))
+    return graphs.Graph(p.elements, edges)

@@ -6,7 +6,7 @@ from math import prod
 
 import pytest
 
-from oracles import brute_permanent, fraction_birkhoff
+from oracles import brute_permanent, fraction_birkhoff, fraction_verify_birkhoff
 from transversal import birkhoff
 from transversal.errors import ResourceLimitError, ValidationError
 
@@ -94,6 +94,48 @@ class TestDecomposition:
             assert all(c > 0 for c, _ in dec.terms)
             assert dec.as_matrix(n) == m
             assert len(dec) <= nnz - n + 1
+
+
+def tampered(rng, terms, n):
+    """A copy of certificate terms with one random fault, or none."""
+    terms = [dict(t, permutation=list(t["permutation"])) for t in terms]
+    k = rng.randrange(len(terms))
+    kind = rng.choice(("none", "coefficient", "swap", "drop", "repeat", "split", "negate"))
+    if kind == "coefficient":
+        terms[k]["coefficient"] = str(Fraction(terms[k]["coefficient"]) + Fraction(1, rng.randint(2, 9)))
+    elif kind == "swap" and n > 1:
+        perm = terms[k]["permutation"]
+        i, j = rng.sample(range(n), 2)
+        perm[i], perm[j] = perm[j], perm[i]
+    elif kind == "drop" and len(terms) > 1:
+        del terms[k]
+    elif kind == "repeat":
+        terms.append(dict(terms[k]))
+    elif kind == "split":
+        # Two halves of one term: the same matrix and sum, one term more.
+        half = str(Fraction(terms[k]["coefficient"]) / 2)
+        terms[k]["coefficient"] = half
+        terms.append(dict(terms[k], permutation=list(terms[k]["permutation"])))
+    elif kind == "negate":
+        terms[k]["coefficient"] = "-" + terms[k]["coefficient"]
+    return terms
+
+
+def test_verify_agrees_with_fraction_sums():
+    """The integer check gives the Fraction check's verdict and reason on
+    valid certificates and on each kind of tampered one."""
+    rng = random.Random(8128)
+    verdicts = set()
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        m = random_doubly_stochastic(rng, n)
+        terms = [{"coefficient": str(c), "permutation": list(p)}
+                 for c, p in birkhoff.birkhoff_decompose(m).terms]
+        cert = {"terms": tampered(rng, terms, n)}
+        got = birkhoff.verify_birkhoff(m, cert)
+        assert got == fraction_verify_birkhoff(m, cert), (m, cert)
+        verdicts.add(got)
+    assert len(verdicts) == 5, verdicts
 
 
 PRIMES = [p for p in range(2, 98) if all(p % q for q in range(2, p))]

