@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from oracles import bfs_max_matching, brute_lex_least, probe_lex_least, rematch_lex_least
 import transversal
-from transversal import _bitmatch, birkhoff, core, latin
+from transversal import _bitmatch, birkhoff, core, graphs, latin, matroids
 
 
 def random_masks(rng, n_rows, n_cols, density):
@@ -279,6 +279,33 @@ def test_no_recursion_in_the_package():
         module = importlib.import_module(f"transversal.{name}")
         found |= self_calls(inspect.getsource(module), name)
     assert found == RECURSIVE
+
+
+def assert_no_self_call(obj):
+    assert self_calls(inspect.getsource(obj), obj.__name__) == set()
+
+
+def test_no_recursion_in_bitmatch():
+    """No function in the engine calls itself, in either row form, so no
+    input size can exhaust the interpreter stack."""
+    assert_no_self_call(_bitmatch)
+
+
+def test_no_recursion_in_the_permanent_kernel():
+    for helper in (core._permanent_rows, core._components, core._sets_walked,
+                   core._column_set_sums):
+        assert_no_self_call(helper)
+
+
+def test_no_recursion_in_the_rado_search():
+    for helper in (matroids._sir_augmenting, matroids._exchange_path,
+                   matroids._alternating_sets, matroids._walk_back):
+        assert_no_self_call(helper)
+
+
+def test_no_recursion_in_graphs():
+    """Covers the flow engine, `_net_flows` and `_decompose_paths`."""
+    assert_no_self_call(graphs)
 
 
 def test_self_calls_sees_closures_and_methods():
