@@ -19,7 +19,9 @@ mask operation costs time in proportion to the mask's width, so on wide,
 sparse rows (thousands of columns, a handful per row) every edge the mask
 form touches costs a pass over the whole row, and the list form wins; on
 narrow or dense rows one mask operation settles many columns at once, and
-the mask form wins.  `column_lists` makes the choice from the shape.
+the mask form wins.  `column_lists` makes the choice from the shape, and the
+list forms run only on column lists the caller hands over, so a caller that
+has only masks keeps the mask forms.
 """
 
 from collections import deque
@@ -67,12 +69,14 @@ def max_matching(row_masks, n_cols, start=None, row_cols=None):
     alternating distance from the free rows, and a depth-first search on an
     explicit stack augments out of each free row along paths that go one
     layer further at each step.  `row_cols` are the rows' ascending column
-    sequences, if the caller has them; `column_lists` picks the form.
+    sequences, if the caller has them; with them `column_lists` picks the
+    form, and without them the masks are used.
     Which maximum matching comes out depends on the engine; certificates that
     must not (Hall violators, König covers, antichains) are read off the
     Dulmage-Mendelsohn sets, which are the same for every maximum matching.
     """
-    row_cols = column_lists(row_masks, n_cols, row_cols)
+    if row_cols is not None:
+        row_cols = column_lists(row_masks, n_cols, row_cols)
     if row_cols is None:
         return _match_masks(row_masks, n_cols, start)
     return _match_lists(row_cols, n_cols, start)
@@ -273,18 +277,39 @@ def alternating_reachable(row_masks, match_row, match_col, sources, row_cols=Non
     if row_cols is not None:
         row_cols = column_lists(row_masks, len(match_col), row_cols)
     if row_cols is None:
-        return _reach(lambda r: bits_of(row_masks[r]), match_col, sources)
-    return _reach(row_cols.__getitem__, match_col, sources)
+        return _reach_masks(row_masks, match_col, sources)
+    return _reach_lists(row_cols, match_col, sources)
 
 
-def _reach(columns_of, match_col, sources):
-    """`alternating_reachable`, with `columns_of(r)` giving row r's columns
-    in ascending order from its mask or its list."""
+def _reach_masks(row_masks, match_col, sources):
+    """`alternating_reachable` on the masks."""
     seen_rows = set(sources)
     seen_cols = set()
     stack = list(sources)
     while stack:
-        for c in columns_of(stack.pop()):
+        r = stack.pop()
+        mask = row_masks[r]
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            c = low.bit_length() - 1
+            if c in seen_cols:
+                continue
+            seen_cols.add(c)
+            holder = match_col[c]
+            if holder != UNMATCHED and holder not in seen_rows:
+                seen_rows.add(holder)
+                stack.append(holder)
+    return seen_rows, seen_cols
+
+
+def _reach_lists(row_cols, match_col, sources):
+    """`alternating_reachable` on the column lists: the same scan order."""
+    seen_rows = set(sources)
+    seen_cols = set()
+    stack = list(sources)
+    while stack:
+        for c in row_cols[stack.pop()]:
             if c in seen_cols:
                 continue
             seen_cols.add(c)

@@ -45,30 +45,13 @@ def _index_labels(labels, field) -> dict:
     return index
 
 
-def _mask_of(members, index, field) -> int:
-    """Bitmask of the positions that `index` gives to one list of members.
+def _positions_of(members, index, field) -> list:
+    """The positions that `index` gives to one list of members, in its
+    order.
 
     Raises ``ValidationError`` naming `field` when `members` is a string or
     cannot be iterated, or holds an unhashable value or one not in `index`.
     """
-    if isinstance(members, str):
-        raise ValidationError(f"{field} must be a list, not a string", field=field)
-    mask = 0
-    try:
-        for x in members:
-            pos = index.get(x)
-            if pos is None:
-                raise ValidationError(f"{field} holds {x!r}, which is not a label", field=field)
-            mask |= 1 << pos
-    except TypeError as exc:
-        raise ValidationError(f"{field} must be a list of labels: {exc}", field=field) from exc
-    return mask
-
-
-def _positions_of(members, index, field) -> list:
-    """The positions that `index` gives to one list of members, in its
-    order, with the checks and errors of `_mask_of`.  A wide mask is slow to
-    read positions back from, so families take these first."""
     if isinstance(members, str):
         raise ValidationError(f"{field} must be a list, not a string", field=field)
     try:
@@ -78,6 +61,19 @@ def _positions_of(members, index, field) -> list:
                               field=field) from None
     except TypeError as exc:
         raise ValidationError(f"{field} must be a list of labels: {exc}", field=field) from exc
+
+
+def _mask_at(positions) -> int:
+    """Bitmask with the bits at `positions` set."""
+    mask = 0
+    for pos in positions:
+        mask |= 1 << pos
+    return mask
+
+
+def _mask_of(members, index, field) -> int:
+    """Bitmask of `_positions_of(members, index, field)`, with its checks."""
+    return _mask_at(_positions_of(members, index, field))
 
 
 def _cert_field(cert, key, kind=list, index=None):
@@ -121,12 +117,7 @@ class SetFamily:
         ground = tuple(index)
         cols = [sorted(set(_positions_of(subset, index, f"sets[{i}]")))
                 for i, subset in enumerate(sets)]
-        masks = []
-        for positions in cols:
-            mask = 0
-            for pos in positions:
-                mask |= 1 << pos
-            masks.append(mask)
+        masks = [_mask_at(positions) for positions in cols]
         self.ground = ground
         self.sets = tuple(tuple(ground[p] for p in c) for c in cols)
         self._index = index

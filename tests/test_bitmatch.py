@@ -197,7 +197,8 @@ class TestRowForms:
                 assert match_row.count(-1) == expected.count(-1), shape
                 free = [r for r, c in enumerate(match_row) if c == _bitmatch.UNMATCHED]
                 reach = _bitmatch.alternating_reachable(masks, *got, free)
-                assert _bitmatch._reach(cols.__getitem__, match_col, free) == reach
+                assert _bitmatch._reach_lists(cols, match_col, free) == reach
+                assert _bitmatch._reach_masks(masks, match_col, free) == reach
                 assert _bitmatch.alternating_reachable(masks, *got, free, cols) == reach
         # Every row-count shape, rows with empty ones, and sparse rows over
         # 200 to 3000 columns, on both sides of the rule; narrow or dense
@@ -216,6 +217,19 @@ class TestRowForms:
         cols = [tuple(range(degree))] * 10
         assert _bitmatch.column_lists(at_most, width, cols) is cols
         assert _bitmatch.column_lists([], width) is None
+
+    def test_masks_without_lists(self, monkeypatch):
+        """A caller that hands over no column lists stays on the masks, even
+        on rows the rule puts on lists."""
+        masks = [0b11 << (2 * i) for i in range(200)] + [1, 1, 1]  # 400 columns
+        assert _bitmatch.column_lists(masks, 400) is not None
+        monkeypatch.setattr(_bitmatch, "_match_lists", None)
+        monkeypatch.setattr(_bitmatch, "_reach_lists", None)
+        match_row, match_col = _bitmatch.max_matching(masks, 400)
+        free = [r for r, c in enumerate(match_row) if c == _bitmatch.UNMATCHED]
+        assert len(free) == 2
+        rows, cols = _bitmatch.alternating_reachable(masks, match_row, match_col, free)
+        assert rows == {200, 201, 202} and cols == {0}
 
     def test_chain_runs_on_lists(self, monkeypatch):
         """The 1500-step chain: set i holds elements i and i + 1, and a last
