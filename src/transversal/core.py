@@ -72,8 +72,21 @@ def _mask_at(positions) -> int:
 
 
 def _mask_of(members, index, field) -> int:
-    """Bitmask of `_positions_of(members, index, field)`, with its checks."""
-    return _mask_at(_positions_of(members, index, field))
+    """Bitmask of the positions that `index` gives to one list of members.
+
+    Raises the ``ValidationError`` of `_positions_of` for members that it
+    refuses; valid members are read in one pass, with no list of positions.
+    """
+    mask = 0
+    try:
+        if isinstance(members, str):
+            raise TypeError
+        for x in members:
+            mask |= 1 << index[x]
+    except (KeyError, TypeError):
+        _positions_of(members, index, field)
+        raise
+    return mask
 
 
 def _cert_field(cert, key, kind=list, index=None):
