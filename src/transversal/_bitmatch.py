@@ -8,9 +8,11 @@ path of any length costs no interpreter stack.
 
 Three matching searches share the engine: Hopcroft-Karp phases for a
 maximum matching, the forward alternating reach behind Hall violators and
-König covers, and the backward reach sweep of the lex-least assignment.  That
-sweep settles every candidate column of a row at once, so the assignment
-never runs a search that fails.
+König covers, and the backward reach sweep of the lex-least assignment
+(`_take`).  That sweep both repairs the rows a greedy pass leaves unmatched
+and fixes each row to its least column; it settles every candidate column
+of a row at once, so the assignment runs no maximum matching and no search
+that fails.
 
 The maximum matching and the forward reach each come in two forms that scan
 in the same order and so return the same result.  The mask form steps
@@ -57,18 +59,15 @@ def column_lists(row_masks, n_cols, row_cols=None):
     return row_cols
 
 
-def max_matching(row_masks, n_cols, start=None, row_cols=None):
+def max_matching(row_masks, n_cols, row_cols=None):
     """Return (match_of_row, match_of_col) for a maximum matching.
 
-    `start`, if given, is a matching to extend: a column per row, or
-    UNMATCHED, with every pair allowed by `row_masks` and no column twice.
-    It is copied, not changed, and every row it matches stays matched.  A
-    greedy pass first gives each row that is not matched yet its lowest
-    free column.  Hopcroft-Karp phases then run while a row with columns is
-    left unmatched: a breadth-first search layers the rows by their
-    alternating distance from the free rows, and a depth-first search on an
-    explicit stack augments out of each free row along paths that go one
-    layer further at each step.  `row_cols` are the rows' ascending column
+    A greedy pass first gives each row its lowest free column.
+    Hopcroft-Karp phases then run while a row with columns is left
+    unmatched: a breadth-first search layers the rows by their alternating
+    distance from the free rows, and a depth-first search on an explicit
+    stack augments out of each free row along paths that go one layer
+    further at each step.  `row_cols` are the rows' ascending column
     sequences, if the caller has them; with them `column_lists` picks the
     form, and without them the masks are used.
     Which maximum matching comes out depends on the engine; certificates that
@@ -78,26 +77,17 @@ def max_matching(row_masks, n_cols, start=None, row_cols=None):
     if row_cols is not None:
         row_cols = column_lists(row_masks, n_cols, row_cols)
     if row_cols is None:
-        return _match_masks(row_masks, n_cols, start)
-    return _match_lists(row_cols, n_cols, start)
+        return _match_masks(row_masks, n_cols)
+    return _match_lists(row_cols, n_cols)
 
 
-def _match_masks(row_masks, n_cols, start):
+def _match_masks(row_masks, n_cols):
     """`max_matching` on the masks."""
+    match_row = [UNMATCHED] * len(row_masks)
     match_col = [UNMATCHED] * n_cols
     taken = 0
-    if start is None:
-        match_row = [UNMATCHED] * len(row_masks)
-        rows = enumerate(row_masks)
-    else:
-        match_row = list(start)
-        for r, c in enumerate(match_row):
-            if c != UNMATCHED:
-                match_col[c] = r
-                taken |= 1 << c
-        rows = [(r, row_masks[r]) for r, c in enumerate(match_row) if c == UNMATCHED]
     short = False
-    for r, mask in rows:
+    for r, mask in enumerate(row_masks):
         mask &= ~taken
         if mask:
             low = mask & -mask
@@ -179,27 +169,19 @@ def _hopcroft_karp(row_masks, match_row, match_col):
                     rows.append(holder)
 
 
-def _match_lists(row_cols, n_cols, start):
+def _match_lists(row_cols, n_cols):
     """`max_matching` on the column lists: the same scans in the same order."""
+    match_row = [UNMATCHED] * len(row_cols)
     match_col = [UNMATCHED] * n_cols
-    if start is None:
-        match_row = [UNMATCHED] * len(row_cols)
-        rows = range(len(row_cols))
-    else:
-        match_row = list(start)
-        for r, c in enumerate(match_row):
-            if c != UNMATCHED:
-                match_col[c] = r
-        rows = [r for r, c in enumerate(match_row) if c == UNMATCHED]
     short = False
-    for r in rows:
-        for c in row_cols[r]:
+    for r, cols in enumerate(row_cols):
+        for c in cols:
             if match_col[c] == UNMATCHED:
                 match_row[r] = c
                 match_col[c] = r
                 break
         else:
-            if row_cols[r]:
+            if cols:
                 short = True
     if short:
         _hopcroft_karp_lists(row_cols, match_row, match_col)
@@ -333,38 +315,72 @@ def reachable(adj, start, blocked=0):
     return reach
 
 
-def lex_least_assignment(row_masks, n_cols, start=None):
+def lex_least_assignment(row_masks, n_cols, start=None, col_rows=None):
     """Lexicographically least injective row-to-column assignment, or None.
 
-    One maximum matching is found first, extending the partial matching
-    `start` if one is given (see `max_matching`); if it leaves a row
-    unmatched there is no assignment.  A start close to the answer, such as
-    the last answer on masks that lost a few bits, leaves most rows already
-    on their least column, and those rows need no sweep.  Rows are then
-    fixed in ascending order, each to the smallest column the later rows can
-    still be matched around, and the matching stays perfect on the rows
-    throughout.  Row i lets go of its column, which joins the free columns,
-    and takes its least unused column if that is free.  Otherwise one
-    backward sweep from the free columns marks, layer by layer, every later
-    row that can give up its column: a row is marked when it has an edge
-    into a free column or into the column of a row marked in an earlier
-    layer.  Row i can take column c exactly when c is free or its holder is
-    marked (an edge lies in some maximum matching iff it is matched or on an
-    alternating path to a free column, Régin 1994).  Row i takes the least
-    such column; its holder moves to its least column in the earlier layers,
-    and so on down to a free column, so no search fails.  The sweep stops
-    once the holder of row i's least candidate is marked.  The answer is
-    unique, so it does not depend on the first matching found.
+    A matching on all the rows comes first, with no maximum-matching search.
+    It begins at `start`, if given: a column per row, or UNMATCHED, with
+    every pair allowed by `row_masks` and no column twice; it is copied, not
+    changed.  A greedy pass gives each row still unmatched its lowest free
+    column, and each row left over after that is repaired, in ascending
+    order, by `_take`.  A row that `_take` cannot repair has no augmenting
+    path, and no later augmentation gives it one, so no matching covers the
+    rows and there is no assignment.  A start close to the answer, such as
+    the last answer on masks that lost a few bits, leaves few rows to repair
+    and most rows already on their least column.
+
+    Rows are then fixed in ascending order, each to the smallest column the
+    later rows can still be matched around, and the matching stays perfect
+    on the rows throughout.  Row i lets go of its column, which joins the
+    free columns, and takes its least unused column if that is free, else
+    the least unused column `_take` can give it, with rows 0..i never moved.
+    The answer is unique, so it does not depend on the start.
+
+    `col_rows`, if given, is the column-to-rows table of `row_masks` (see
+    `_column_rows`); it is read, never changed.  A caller that runs round
+    after round on masks that only lose bits keeps one table and clears its
+    bit wherever it clears a mask bit.  Without it the table is built at the
+    first sweep.
     """
     n_rows = len(row_masks)
-    match_row, match_col = max_matching(row_masks, n_cols, start)
-    if UNMATCHED in match_row:
-        return None
-    col_rows = None  # built at the first sweep
+    match_col = [UNMATCHED] * n_cols
     free = (1 << n_cols) - 1
-    for c in match_row:
-        free ^= 1 << c
+    if start is None:
+        match_row = [UNMATCHED] * n_rows
+    else:
+        match_row = list(start)
+        for r, c in enumerate(match_row):
+            if c != UNMATCHED:
+                match_col[c] = r
+                free ^= 1 << c
+    unmatched = 0
+    for r, c in enumerate(match_row):
+        if c == UNMATCHED:
+            mask = row_masks[r] & free
+            if mask:
+                low = mask & -mask
+                c = low.bit_length() - 1
+                match_row[r] = c
+                match_col[c] = r
+                free ^= low
+            elif row_masks[r]:
+                unmatched |= 1 << r
+            else:
+                return None
     toward = [0] * n_rows
+    if unmatched and col_rows is None:
+        col_rows = _column_rows(row_masks, n_cols)
+    pending = unmatched
+    while pending:
+        low = pending & -pending
+        pending ^= low
+        r = low.bit_length() - 1
+        c = _take(row_masks, col_rows, match_row, match_col, r, row_masks[r], unmatched, free,
+                  toward)
+        if c == UNMATCHED:
+            return None
+        free ^= 1 << c
+        unmatched ^= low
     used = 0
     for i in range(n_rows):
         own = match_row[i]
@@ -372,53 +388,78 @@ def lex_least_assignment(row_masks, n_cols, start=None):
         free |= 1 << own
         candidates = row_masks[i] & ~used
         first = candidates & -candidates
-        if not first & free:
-            # Layered backward sweep: rows 0..i are never marked, every
-            # later row at most once, and `reach` gathers the columns whose
-            # holder can move (the free ones included).  toward[r] is the
-            # reach before r's layer.  The sweep stops once the holder of
-            # the least candidate has an edge into `reach`.
-            holder = match_col[first.bit_length() - 1]
+        if first & free:
+            c = first.bit_length() - 1
+            match_row[i] = c
+            match_col[c] = i
+        else:
             if col_rows is None:
                 col_rows = _column_rows(row_masks, n_cols)
-            marked = (2 << i) - 1
-            reach = frontier = free
-            while frontier:
-                if row_masks[holder] & reach:
-                    toward[holder] = reach
-                    break
-                rows = 0
-                while frontier:
-                    low = frontier & -frontier
-                    frontier ^= low
-                    rows |= col_rows[low.bit_length() - 1]
-                rows &= ~marked
-                marked |= rows
-                while rows:
-                    low = rows & -rows
-                    rows ^= low
-                    r = low.bit_length() - 1
-                    toward[r] = reach
-                    frontier |= 1 << match_row[r]
-                reach |= frontier
-            else:
-                first = candidates & reach
-                first &= -first
-        c = first.bit_length() - 1
-        r = match_col[c]
-        match_row[i] = c
-        match_col[c] = i
+            c = _take(row_masks, col_rows, match_row, match_col, i, candidates, (2 << i) - 1,
+                      free, toward)
+            first = 1 << match_row[i]
         used |= first
-        while r != UNMATCHED:
-            # r gives up c and moves one layer nearer the free columns.
-            c = row_masks[r] & toward[r]
-            c = (c & -c).bit_length() - 1
-            following = match_col[c]
-            match_row[r] = c
-            match_col[c] = r
-            r = following
         free ^= 1 << c
     return match_row
+
+
+def _take(row_masks, col_rows, match_row, match_col, row, cols, marked, free, toward):
+    """Give `row`, which holds no column, the least column of `cols` that it
+    can take with every other matched row kept matched, and return the free
+    column the move uses up, or UNMATCHED if it can take none of them.
+
+    The least column of `cols` must be held.  One layered backward sweep
+    from the free columns marks, layer by layer, every row outside `marked`
+    that can give up its column: a row is marked when it has an edge into a
+    free column or into the column of a row marked in an earlier layer, and
+    toward[r] is the reach before r's layer.  `row` can take column c
+    exactly when c is free or its holder is marked (an edge lies in some
+    maximum matching iff it is matched or on an alternating path to a free
+    column, Régin 1994).  The sweep stops once the holder of the least
+    column has an edge into the reach; otherwise `row` takes the least
+    column of `cols` in the whole reach.  Its holder then moves to its least
+    column in the earlier layers, and so on down to a free column, so no
+    search fails.  `col_rows` is the column-to-rows table (`_column_rows`).
+    """
+    first = cols & -cols
+    holder = match_col[first.bit_length() - 1]
+    reach = frontier = free
+    while frontier:
+        if row_masks[holder] & reach:
+            toward[holder] = reach
+            break
+        rows = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            rows |= col_rows[low.bit_length() - 1]
+        rows &= ~marked
+        marked |= rows
+        while rows:
+            low = rows & -rows
+            rows ^= low
+            r = low.bit_length() - 1
+            toward[r] = reach
+            frontier |= 1 << match_row[r]
+        reach |= frontier
+    else:
+        first = cols & reach
+        if not first:
+            return UNMATCHED
+        first &= -first
+    c = first.bit_length() - 1
+    r = match_col[c]
+    match_row[row] = c
+    match_col[c] = row
+    while r != UNMATCHED:
+        # r gives up c and moves one layer nearer the free columns.
+        c = row_masks[r] & toward[r]
+        c = (c & -c).bit_length() - 1
+        following = match_col[c]
+        match_row[r] = c
+        match_col[c] = r
+        r = following
+    return c
 
 
 def _column_rows(row_masks, n_cols):

@@ -172,20 +172,33 @@ def verify_birkhoff(m: RationalMatrix, cert: dict) -> tuple[bool, str | None]:
 
 def is_doubly_stochastic(m: RationalMatrix) -> tuple[bool, str | None]:
     """Exact nonnegativity and unit row/column sum check."""
-    one = Fraction(1)
-    for i, row in enumerate(m.entries):
+    reason = _stochastic_failure(*_scaled(m))
+    return reason is None, reason
+
+
+def _scaled(m: RationalMatrix) -> tuple[int, list]:
+    """(D, the entries times D as integer rows), for D the least common
+    denominator of the entries."""
+    scale = lcm(*(x.denominator for row in m.entries for x in row))
+    return scale, [[x.numerator * (scale // x.denominator) for x in row] for row in m.entries]
+
+
+def _stochastic_failure(scale: int, work: list) -> str | None:
+    """Why the matrix `work` / `scale` is not doubly stochastic, or None.
+    The sums are integers; a Fraction is built only for a failure."""
+    for i, row in enumerate(work):
         for j, x in enumerate(row):
             if x < 0:
-                return False, f"entry ({i},{j}) is negative"
-    for i, row in enumerate(m.entries):
-        total = sum(row, Fraction(0))
-        if total != one:
-            return False, f"row {i} sums to {total}"
-    for j in range(m.n):
-        total = sum((row[j] for row in m.entries), Fraction(0))
-        if total != one:
-            return False, f"column {j} sums to {total}"
-    return True, None
+                return f"entry ({i},{j}) is negative"
+    for i, row in enumerate(work):
+        total = sum(row)
+        if total != scale:
+            return f"row {i} sums to {Fraction(total, scale)}"
+    for j, column in enumerate(zip(*work)):
+        total = sum(column)
+        if total != scale:
+            return f"column {j} sums to {Fraction(total, scale)}"
+    return None
 
 
 def birkhoff_decompose(m: RationalMatrix) -> BirkhoffDecomposition:
@@ -197,24 +210,25 @@ def birkhoff_decompose(m: RationalMatrix) -> BirkhoffDecomposition:
     nnz - n + 1 terms appear and the reconstruction is exact.  The rounds
     run on integers: the matrix is scaled once by the least common
     denominator D of its entries, and each coefficient is mu / D.  The
-    support masks are built once; a round clears the bit of each entry it
-    brings to zero, and the next round's matching starts from this round's
-    permutation less those entries.
+    support masks and their column-to-rows table are built once; a round
+    clears the bit of each entry it brings to zero in both, and the next
+    round's assignment starts from this round's permutation less those
+    entries.
     """
-    ok, reason = is_doubly_stochastic(m)
-    if not ok:
+    scale, work = _scaled(m)
+    reason = _stochastic_failure(scale, work)
+    if reason is not None:
         raise ValidationError(f"matrix is not doubly stochastic: {reason}")
     n = m.n
     if n == 0:
         return BirkhoffDecomposition(())
-    scale = lcm(*(x.denominator for row in m.entries for x in row))
-    work = [[x.numerator * (scale // x.denominator) for x in row] for row in m.entries]
     masks = [sum(1 << j for j, x in enumerate(row) if x) for row in work]
+    col_rows = _bitmatch._column_rows(masks, n)
     terms = []
     remaining = scale
     start = None
     while remaining:
-        perm = _bitmatch.lex_least_assignment(masks, n, start)
+        perm = _bitmatch.lex_least_assignment(masks, n, start, col_rows)
         if perm is None:  # impossible for a doubly stochastic remainder
             raise AssertionError("no permutation on the positive support")
         mu = min(work[i][perm[i]] for i in range(n))
@@ -223,6 +237,7 @@ def birkhoff_decompose(m: RationalMatrix) -> BirkhoffDecomposition:
             work[i][j] -= mu
             if not work[i][j]:
                 masks[i] &= ~(1 << j)
+                col_rows[j] &= ~(1 << i)
                 perm[i] = _bitmatch.UNMATCHED
         remaining -= mu
         start = perm

@@ -45,22 +45,27 @@ def _index_labels(labels, field) -> dict:
     return index
 
 
-def _positions_of(members, index, field) -> list:
+def _positions_of(members, index, field, k=None) -> list:
     """The positions that `index` gives to one list of members, in its
     order.
 
-    Raises ``ValidationError`` naming `field` when `members` is a string or
-    cannot be iterated, or holds an unhashable value or one not in `index`.
+    Raises ``ValidationError`` naming `field`, or ``field[k]`` when `k` is
+    given, when `members` is a string or cannot be iterated, or holds an
+    unhashable value or one not in `index`.  The name is formatted only
+    for a refusal.
     """
-    if isinstance(members, str):
-        raise ValidationError(f"{field} must be a list, not a string", field=field)
+    cause = None
     try:
-        return [index[x] for x in members]
+        if not isinstance(members, str):
+            return [index[x] for x in members]
+        problem = "must be a list, not a string"
     except KeyError as exc:
-        raise ValidationError(f"{field} holds {exc.args[0]!r}, which is not a label",
-                              field=field) from None
+        problem = f"holds {exc.args[0]!r}, which is not a label"
     except TypeError as exc:
-        raise ValidationError(f"{field} must be a list of labels: {exc}", field=field) from exc
+        problem, cause = f"must be a list of labels: {exc}", exc
+    if k is not None:
+        field = f"{field}[{k}]"
+    raise ValidationError(f"{field} {problem}", field=field) from cause
 
 
 def _mask_at(positions) -> int:
@@ -128,7 +133,7 @@ class SetFamily:
             raise ValidationError("the ground set must be a list, not a string", field="ground")
         index = _index_labels(ground, "ground")
         ground = tuple(index)
-        cols = [sorted(set(_positions_of(subset, index, f"sets[{i}]")))
+        cols = [sorted(set(_positions_of(subset, index, "sets", i)))
                 for i, subset in enumerate(sets)]
         masks = [_mask_at(positions) for positions in cols]
         self.ground = ground

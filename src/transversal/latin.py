@@ -120,25 +120,29 @@ def extend_row(rect: LatinRectangle) -> LatinRectangle:
 def complete(rect: LatinRectangle) -> LatinRectangle:
     """Extend row by row until square.
 
-    The column deficiency masks are carried from row to row, each new row
-    clearing its symbols, and the square is built and validated once.
+    The column deficiency masks and their symbol-to-columns table are
+    carried from row to row, each new row clearing its symbols from both,
+    and the square is built and validated once.
     """
     if rect.is_square:
         return rect
     masks = rect.column_deficiencies()
+    col_rows = _bitmatch._column_rows(masks, rect.n)
     rows = list(rect.rows)
     while len(rows) < rect.n:
-        new_row = _next_row(masks)
+        new_row = _next_row(masks, col_rows)
         rows.append(new_row)
         for c, symbol in enumerate(new_row):
             masks[c] &= ~(1 << (symbol - 1))
+            col_rows[symbol - 1] &= ~(1 << c)
     return LatinRectangle(rect.n, rows)
 
 
-def _next_row(masks):
+def _next_row(masks, col_rows=None):
     """The lexicographically least row whose column c holds a symbol from
-    deficiency mask c, as symbols 1..n."""
-    assignment = _bitmatch.lex_least_assignment(masks, len(masks))
+    deficiency mask c, as symbols 1..n; `col_rows`, if given, is the
+    masks' column-to-rows table."""
+    assignment = _bitmatch.lex_least_assignment(masks, len(masks), None, col_rows)
     if assignment is None:  # ruled out by regularity
         raise AssertionError("deficiency family unexpectedly has no SDR")
     return tuple(c + 1 for c in assignment)
@@ -281,14 +285,16 @@ def youden_from_design(d: BlockDesign):
     if d.replication is None:
         raise ValidationError("design must be equireplicate")
     remaining = list(d._block_masks)
+    col_rows = _bitmatch._column_rows(remaining, d.v)
     out = []
     for _ in range(k):
-        assignment = _bitmatch.lex_least_assignment(remaining, d.v)
+        assignment = _bitmatch.lex_least_assignment(remaining, d.v, None, col_rows)
         if assignment is None:  # ruled out by regularity
             raise AssertionError("remainder family unexpectedly has no SDR")
         out.append(tuple(d.points[p] for p in assignment))
         for j, p in enumerate(assignment):
             remaining[j] &= ~(1 << p)
+            col_rows[p] &= ~(1 << j)
     return tuple(out)
 
 

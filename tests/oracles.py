@@ -9,7 +9,8 @@ references: `bfs_max_matching` (one breadth-first augmenting path per row),
 `probe_lex_least` (one breadth-first probe search per candidate column),
 `fraction_birkhoff` (Birkhoff rounds in Fraction arithmetic, each from a
 fresh matching), `fraction_verify_birkhoff` (the Birkhoff certificate check
-summed in Fractions), `edmonds_karp` (one breadth-first search per augmenting
+summed in Fractions), `fraction_is_doubly_stochastic` (the doubly
+stochastic check summed in Fractions), `edmonds_karp` (one breadth-first search per augmenting
 path) and `warshall_closure` (the n^2 closure loop).  The cross-check paths at the end
 reach the same answer as a library solver through another part of the
 library: `hall_via_menger` (a flow), `hall_from_dilworth` (a chain partition)
@@ -223,6 +224,24 @@ def fraction_verify_birkhoff(m, cert):
         return False, "terms do not reconstruct the matrix"
     if len(terms) > birkhoff.term_bound(m):
         return False, "more terms than the support allows"
+    return True, None
+
+
+def fraction_is_doubly_stochastic(m):
+    """`birkhoff.is_doubly_stochastic` with the row and column sums taken in
+    Fractions: the same checks, in the same order, with the same reasons."""
+    for i, row in enumerate(m.entries):
+        for j, x in enumerate(row):
+            if x < 0:
+                return False, f"entry ({i},{j}) is negative"
+    for i, row in enumerate(m.entries):
+        total = sum(row, Fraction(0))
+        if total != 1:
+            return False, f"row {i} sums to {total}"
+    for j in range(m.n):
+        total = sum((row[j] for row in m.entries), Fraction(0))
+        if total != 1:
+            return False, f"column {j} sums to {total}"
     return True, None
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import product
@@ -6,7 +7,8 @@ from math import prod
 
 import pytest
 
-from oracles import brute_permanent, fraction_birkhoff, fraction_verify_birkhoff
+from oracles import (brute_permanent, fraction_birkhoff, fraction_is_doubly_stochastic,
+                     fraction_verify_birkhoff)
 from transversal import birkhoff
 from transversal.errors import ResourceLimitError, ValidationError
 
@@ -60,6 +62,37 @@ class TestDoublyStochastic:
     def test_negative_entry(self):
         ok, reason = birkhoff.is_doubly_stochastic(M([["-1", "2"], ["2", "-1"]]))
         assert not ok and "negative" in reason
+
+    def test_reasons_match_fraction_sums(self):
+        """The integer sums over the common denominator give the Fraction
+        check's verdict and reason, word for word, on doubly stochastic
+        matrices and on ones with an entry moved, negated or scaled; the
+        decomposition refuses with the same reason."""
+        rng = random.Random(3131)
+        reasons = set()
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            rows = [list(row) for row in random_doubly_stochastic(rng, n).entries]
+            fault = rng.choice(("none", "move", "negate", "scale"))
+            i, j = rng.randrange(n), rng.randrange(n)
+            if fault == "move":
+                delta = Fraction(rng.randint(1, 9), rng.choice((2, 3, 7, 10)))
+                rows[i][j] += delta
+                rows[rng.randrange(n)][rng.randrange(n)] -= delta
+            elif fault == "negate":
+                rows[i][j] = -rows[i][j] or Fraction(-1, 5)
+            elif fault == "scale":
+                rows[i] = [x * Fraction(rng.randint(1, 5), rng.randint(1, 5)) for x in rows[i]]
+            m = M(rows)
+            expected = fraction_is_doubly_stochastic(m)
+            assert birkhoff.is_doubly_stochastic(m) == expected, rows
+            if expected[0]:
+                assert birkhoff.birkhoff_decompose(m).as_matrix(n) == m
+            else:
+                reasons.add(expected[1].split()[0])
+                with pytest.raises(ValidationError, match=re.escape(expected[1])):
+                    birkhoff.birkhoff_decompose(m)
+        assert reasons == {"entry", "row", "column"}, reasons
 
 
 class TestDecomposition:

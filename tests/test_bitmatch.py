@@ -102,21 +102,32 @@ def random_starts(rng, masks, n_cols):
 
 
 class TestWarmStart:
-    def test_max_matching_extends_start(self):
+    def test_lex_least_extends_partial_start(self):
+        """Every partial start, the empty one, a maximum matching and one
+        with rows dropped, is kept as given and leads to the probe search's
+        answer, None included when no matching covers the rows."""
         rng = random.Random(1313)
+        kinds = {"square": 0, "wide": 0, "tall": 0, "none-from-full-start": 0}
         for _ in range(1500):
             n_rows, n_cols = rng.randint(0, 12), rng.randint(0, 12)
             masks = random_masks(rng, n_rows, n_cols, rng.choice((0.1, 0.3, 0.6, 0.9)))
-            expected, _ = bfs_max_matching(masks, n_cols)
+            expected = probe_lex_least(masks, n_cols)
             for kind, start in random_starts(rng, masks, n_cols).items():
                 kept = list(start)
-                match_row, match_col = _bitmatch.max_matching(masks, n_cols, start)
+                got = _bitmatch.lex_least_assignment(masks, n_cols, start)
+                assert got == expected, (kind, masks, n_cols, start)
                 assert start == kept, "the start is not changed"
-                check_matching(masks, n_cols, match_row, match_col)
-                assert match_row.count(-1) == expected.count(-1), (kind, masks, n_cols)
-                assert all(c != -1 for c, s in zip(match_row, start) if s != -1)
-                if kind == "full":
-                    assert match_row == start
+                kinds["none-from-full-start"] += kind == "full" and got is None and n_rows <= n_cols
+            kinds["square"] += n_rows == n_cols > 0
+            kinds["wide"] += 0 < n_rows < n_cols
+            kinds["tall"] += n_rows > n_cols
+        assert all(count >= 50 for count in kinds.values()), kinds
+
+    def test_start_that_cannot_cover_the_rows(self):
+        assert _bitmatch.lex_least_assignment([0b1, 0b1], 1, [0, -1]) is None
+        assert _bitmatch.lex_least_assignment([0b1, 0b1], 2, [0, -1]) is None
+        assert _bitmatch.lex_least_assignment([0b11, 0b01, 0b10], 3, [0, -1, -1]) is None
+        assert _bitmatch.lex_least_assignment([0b11, 0b01, 0b110], 3, [0, -1, -1]) == [1, 0, 2]
 
     def test_lex_least_ignores_start(self):
         rng = random.Random(1314)
@@ -174,8 +185,9 @@ def draw_rows(rng):
 
 class TestRowForms:
     def test_forms_agree(self):
-        """The mask and list forms give the same matching from every start
-        and the same reach, of the size `bfs_max_matching` finds."""
+        """The mask and list forms give the same matching and the same
+        reach, of the size `bfs_max_matching` finds, and the lex-least
+        assignment is the same from every start on these shapes too."""
         rng = random.Random(6174)
         sides = set()
         for _ in range(120):
@@ -186,20 +198,21 @@ class TestRowForms:
                      else "square"] + ["empty-row"] * (0 in masks)
             sides.update((kind, lists) for kind in kinds)
             expected, _ = bfs_max_matching(masks, n_cols)
-            starts = [None, *random_starts(rng, masks, n_cols).values()]
-            for start in starts:
-                got = _bitmatch._match_masks(masks, n_cols, start)
-                assert _bitmatch._match_lists(cols, n_cols, start) == got, (shape, start)
-                assert _bitmatch.max_matching(masks, n_cols, start) == got
-                assert _bitmatch.max_matching(masks, n_cols, start, cols) == got
-                match_row, match_col = got
-                check_matching(masks, n_cols, match_row, match_col)
-                assert match_row.count(-1) == expected.count(-1), shape
-                free = [r for r, c in enumerate(match_row) if c == _bitmatch.UNMATCHED]
-                reach = _bitmatch.alternating_reachable(masks, *got, free)
-                assert _bitmatch._reach_lists(cols, match_col, free) == reach
-                assert _bitmatch._reach_masks(masks, match_col, free) == reach
-                assert _bitmatch.alternating_reachable(masks, *got, free, cols) == reach
+            got = _bitmatch._match_masks(masks, n_cols)
+            assert _bitmatch._match_lists(cols, n_cols) == got, shape
+            assert _bitmatch.max_matching(masks, n_cols) == got
+            assert _bitmatch.max_matching(masks, n_cols, cols) == got
+            match_row, match_col = got
+            check_matching(masks, n_cols, match_row, match_col)
+            assert match_row.count(-1) == expected.count(-1), shape
+            free = [r for r, c in enumerate(match_row) if c == _bitmatch.UNMATCHED]
+            reach = _bitmatch.alternating_reachable(masks, *got, free)
+            assert _bitmatch._reach_lists(cols, match_col, free) == reach
+            assert _bitmatch._reach_masks(masks, match_col, free) == reach
+            assert _bitmatch.alternating_reachable(masks, *got, free, cols) == reach
+            cold = _bitmatch.lex_least_assignment(masks, n_cols)
+            for start in random_starts(rng, masks, n_cols).values():
+                assert _bitmatch.lex_least_assignment(masks, n_cols, start) == cold, shape
         # Every row-count shape, rows with empty ones, and sparse rows over
         # 200 to 3000 columns, on both sides of the rule; narrow or dense
         # rows on the mask side only.
@@ -361,23 +374,25 @@ class TestLexLeast:
         assert _bitmatch.lex_least_assignment([0b11, 0b11, 0b11], 2) is None
         assert _bitmatch.lex_least_assignment([0b110, 0b011], 3) == [1, 0]
 
-    def test_one_full_matching_per_call(self, monkeypatch):
-        engine = _bitmatch.max_matching
+    def test_no_maximum_matching_call(self, monkeypatch):
+        """The rows are matched by the greedy pass and the sweep's repairs,
+        with no Hopcroft-Karp phase, cold or from a partial start."""
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(len(args[0]))
-            return engine(*args, **kwargs)
+            raise AssertionError("a maximum matching was run")
 
-        monkeypatch.setattr(_bitmatch, "max_matching", counted)
+        for name in ("max_matching", "_match_masks", "_match_lists", "_hopcroft_karp"):
+            monkeypatch.setattr(_bitmatch, name, counted)
         rng = random.Random(3)
         row = list(range(1, 31))
         rng.shuffle(row)
         masks = latin.LatinRectangle(30, [row]).column_deficiencies()
         assert _bitmatch.lex_least_assignment(masks, 30) == rematch_lex_least(masks, 30)
-        calls.clear()
-        _bitmatch.lex_least_assignment(masks, 30)
-        assert calls == [30]
+        m = random_doubly_stochastic(rng, 12, 30)
+        assert birkhoff.birkhoff_decompose(m).as_matrix(12) == m
+        assert calls == []
 
 
 def refused_rows(row_masks, assignment):
@@ -460,14 +475,82 @@ class TestLexLeastShapes:
         assert brute_lex_least(masks, 4) == [2, 0, 1, 3]
 
 
+def shrinking_rounds(rng, n_rows, n_cols, oracle):
+    """Run lex-least rounds on masks that lose bits, as the Birkhoff, Latin
+    and Youden callers do: each round starts from the last answer less its
+    cleared entries and reads one kept table, cleared bit for bit with the
+    masks.  Returns the number of rounds that had an answer."""
+    masks = pinned_masks(rng, n_rows, n_cols, rng.choice((0.3, 0.5, 0.8)))
+    table = _bitmatch._column_rows(masks, n_cols)
+    start = None
+    answered = 0
+    while True:
+        got = _bitmatch.lex_least_assignment(masks, n_cols, start, table)
+        assert table == _bitmatch._column_rows(masks, n_cols), "the table is not changed"
+        assert got == oracle(masks, n_cols), (masks, n_cols, start)
+        if got is None:
+            return answered
+        answered += 1
+        start = list(got)
+        for r in rng.sample(range(n_rows), rng.randint(1, max(1, n_rows // 4))):
+            c = got[r] if rng.random() < 0.7 else rng.randrange(n_cols)
+            masks[r] &= ~(1 << c)
+            table[c] &= ~(1 << r)
+            if c == got[r]:
+                start[r] = _bitmatch.UNMATCHED
+
+
+class TestKeptTable:
+    def test_shrinking_rounds_brute_force(self):
+        rng = random.Random(8800)
+        answered = [shrinking_rounds(rng, rng.randint(1, 7), rng.randint(7, 8), brute_lex_least)
+                    for _ in range(150)]
+        assert sum(answered) >= 300 and answered.count(0) < 50, answered
+
+    def test_shrinking_rounds_probe_search(self):
+        rng = random.Random(8801)
+        answered = []
+        for _ in range(25):
+            n_rows = rng.randint(10, 40)
+            answered.append(shrinking_rounds(rng, n_rows, n_rows + rng.randint(0, 4),
+                                             probe_lex_least))
+        assert sum(answered) >= 50, answered
+
+    def test_one_table_per_solve(self, monkeypatch):
+        """Birkhoff, Latin completion and Youden each build the table once
+        and keep it across their rounds."""
+        transpose = _bitmatch._column_rows
+        built = []
+
+        def counted(row_masks, n_cols):
+            built.append(n_cols)
+            return transpose(row_masks, n_cols)
+
+        monkeypatch.setattr(_bitmatch, "_column_rows", counted)
+        m = random_doubly_stochastic(random.Random(20), 20, 60)
+        assert len(birkhoff.birkhoff_decompose(m)) > 20 and built == [20]
+        built.clear()
+        rng = random.Random(40)
+        row = list(range(1, 41))
+        rng.shuffle(row)
+        assert latin.complete(latin.LatinRectangle(40, [row])).is_square and built == [40]
+        built.clear()
+        assert len(latin.youden_from_design(paley_43())) == 21 and built == [43]
+
+
 def agree_with_probe_search(monkeypatch):
-    """Route every lex-least call through the sweep and the probe search;
-    count the calls."""
+    """Route every lex-least call through the sweep and the probe search,
+    checking that a table handed over is the transpose of the masks; count
+    the calls."""
     sweep = _bitmatch.lex_least_assignment
     calls = []
 
-    def both(row_masks, n_cols, *rest):
-        got = sweep(row_masks, n_cols, *rest)
+    def both(row_masks, n_cols, start=None, col_rows=None):
+        if col_rows is not None:
+            assert col_rows == _bitmatch._column_rows(row_masks, n_cols)
+        kept = list(col_rows or ())
+        got = sweep(row_masks, n_cols, start, col_rows)
+        assert list(col_rows or ()) == kept, "the table is not changed"
         assert got == probe_lex_least(row_masks, n_cols), (row_masks, n_cols)
         calls.append(len(row_masks))
         return got

@@ -97,6 +97,7 @@ class TestSdrCommand:
         ({"ground": ["1"], "sets": [["1"], "1"]}, "sets[1]"),
         ({"ground": [[1]], "sets": []}, "ground"),
         ({"ground": "ab", "sets": [["a"]]}, "ground"),
+        ({"ground": ["1"], "sets": [["1"], ["1"], [["1"]]]}, "sets[2]"),
     ])
     def test_malformed_family_names_field(self, capsys, tmp_path, family, field):
         path = write(tmp_path, "shape.json", family)
