@@ -44,15 +44,16 @@ def column_lists(row_masks, n_cols, row_cols=None):
     The list forms are chosen for rows over at least LIST_MIN_COLS columns
     that hold at most LIST_MAX_DEGREE columns each on average.  `row_cols`,
     if given, are those sequences already made and are returned as they
-    are; otherwise they are read off the masks.
+    are, and `row_masks` is not read; otherwise they are read off the masks.
     """
-    if n_cols < LIST_MIN_COLS or not row_masks:
+    rows = row_masks if row_cols is None else row_cols
+    if n_cols < LIST_MIN_COLS or not rows:
         return None
     if row_cols is None:
         edges = sum(mask.bit_count() for mask in row_masks)
     else:
         edges = sum(map(len, row_cols))
-    if edges > LIST_MAX_DEGREE * len(row_masks):
+    if edges > LIST_MAX_DEGREE * len(rows):
         return None
     if row_cols is None:
         row_cols = [list(bits_of(mask)) for mask in row_masks]
@@ -69,7 +70,9 @@ def max_matching(row_masks, n_cols, row_cols=None):
     stack augments out of each free row along paths that go one layer
     further at each step.  `row_cols` are the rows' ascending column
     sequences, if the caller has them; with them `column_lists` picks the
-    form, and without them the masks are used.
+    form, and without them the masks are used.  `row_masks` is read only in
+    the mask form, so a caller whose lists the rule picks may pass them in
+    its place and make no mask.
     Which maximum matching comes out depends on the engine; certificates that
     must not (Hall violators, König covers, antichains) are read off the
     Dulmage-Mendelsohn sets, which are the same for every maximum matching.
@@ -254,7 +257,8 @@ def alternating_reachable(row_masks, match_row, match_col, sources, row_cols=Non
     minimum vertex covers.  Returns (row set, column set).  The list form
     runs only on `row_cols` the caller has, since the search enters each row
     at most once and reading the columns off every mask would cost more than
-    the mask form's whole search.
+    the mask form's whole search.  As in `max_matching`, `row_masks` is read
+    only in the mask form.
     """
     if row_cols is not None:
         row_cols = column_lists(row_masks, len(match_col), row_cols)

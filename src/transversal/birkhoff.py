@@ -71,23 +71,6 @@ class RationalMatrix:
     def __repr__(self):
         return f"RationalMatrix({[[str(x) for x in row] for row in self.entries]})"
 
-    @classmethod
-    def uniform(cls, n: int) -> "RationalMatrix":
-        cell = Fraction(1, n)
-        return cls([[cell] * n for _ in range(n)])
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_permutation(cls, perm) -> "RationalMatrix":
-        perm = tuple(perm)
-        n = len(perm)
-        if sorted(perm) != list(range(n)):
-            raise ValidationError(f"{perm!r} is not a permutation of 0..{n - 1}")
-        return cls([[Fraction(int(perm[i] == j)) for j in range(n)] for i in range(n)])
-
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -127,14 +110,6 @@ class BirkhoffDecomposition:
             for i in range(n):
                 acc[i][perm[i]] += weight
         return scale, total, acc
-
-    def coefficient_sum(self) -> Fraction:
-        scale, total, _ = self.scaled(0)
-        return Fraction(total, scale)
-
-    def as_matrix(self, n: int) -> RationalMatrix:
-        scale, _, acc = self.scaled(n)
-        return RationalMatrix([[Fraction(x, scale) for x in row] for row in acc])
 
 
 def term_bound(m: RationalMatrix) -> int:

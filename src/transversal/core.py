@@ -118,51 +118,71 @@ def _cert_rows(cert, key, index=None, width=None):
     return rows
 
 
+def _engine_rows(owner, n_cols):
+    """The rows of `owner`, a family or a bipartite graph, as the matching
+    engine takes them: (lists, lists) when `_bitmatch.column_lists` picks the
+    column lists that `owner` stores, so that no mask is made, else (masks,
+    None)."""
+    lists = _bitmatch.column_lists(None, n_cols, owner._cols)
+    return (owner._masks, None) if lists is None else (lists, lists)
+
+
 class SetFamily:
     """An ordered tuple of subsets of a finite ground set.
 
     Element ids are opaque hashable values (strings in the JSON format).
     The order of ``ground`` fixes the deterministic scan order used by every
     solver, and members of each set are stored in that order.
+
+    Each set is stored as its ascending list of ground positions, the form
+    the matching engine walks on wide, sparse families.  The bitmasks and
+    the ``sets`` label tuples are made from those lists on first read and
+    then kept.
     """
 
-    __slots__ = ("ground", "sets", "_index", "_masks", "_cols")
+    __slots__ = ("ground", "_index", "_cols", "_mask_list", "_label_sets")
 
     def __init__(self, ground, sets):
         if isinstance(ground, str):
             raise ValidationError("the ground set must be a list, not a string", field="ground")
         index = _index_labels(ground, "ground")
-        ground = tuple(index)
-        cols = [sorted(set(_positions_of(subset, index, "sets", i)))
-                for i, subset in enumerate(sets)]
-        masks = [_mask_at(positions) for positions in cols]
-        self.ground = ground
-        self.sets = tuple(tuple(ground[p] for p in c) for c in cols)
+        self.ground = tuple(index)
         self._index = index
-        self._masks = masks
-        self._cols = cols  # each set's positions, ascending, for the matching engine
+        self._cols = [sorted(set(_positions_of(subset, index, "sets", i)))
+                      for i, subset in enumerate(sets)]
+        self._mask_list = self._label_sets = None
+
+    @property
+    def sets(self) -> tuple:
+        if self._label_sets is None:
+            label = self.ground.__getitem__
+            self._label_sets = tuple(tuple(map(label, c)) for c in self._cols)
+        return self._label_sets
+
+    @property
+    def _masks(self) -> list:
+        if self._mask_list is None:
+            self._mask_list = [_mask_at(c) for c in self._cols]
+        return self._mask_list
 
     @property
     def n(self) -> int:
-        return len(self.sets)
+        return len(self._cols)
 
     def mask(self, i: int) -> int:
         return self._masks[i]
 
-    def elements_of(self, mask: int) -> tuple:
-        return tuple(self.ground[p] for p in _bitmatch.bits_of(mask))
-
     def union_of(self, indices) -> tuple:
-        mask = 0
+        positions = set()
         for i in indices:
-            mask |= self._masks[i]
-        return self.elements_of(mask)
+            positions.update(self._cols[i])
+        return tuple(map(self.ground.__getitem__, sorted(positions)))
 
     def __eq__(self, other):
         return (
             isinstance(other, SetFamily)
             and self.ground == other.ground
-            and self.sets == other.sets
+            and self._cols == other._cols
         )
 
     def __hash__(self):
@@ -271,10 +291,10 @@ def validate_sdr(family: SetFamily, candidate) -> tuple[bool, str | None]:
         raise ValidationError(
             f"candidate has {len(candidate)} entries for {family.n} sets", field="reps"
         )
+    index, cols = family._index, family._cols
     seen: dict = {}
     for i, a in enumerate(candidate):
-        pos = family._index.get(a)
-        if pos is None or not (family._masks[i] >> pos) & 1:
+        if index.get(a) not in cols[i]:  # a label not in the ground is None, in no list
             return False, f"membership fails at index {i}: {a!r} is not in set {i}"
         if a in seen:
             return False, f"distinctness fails at indices ({seen[a]}, {i})"
@@ -299,8 +319,8 @@ def hall_check(family: SetFamily) -> Sdr | HallViolator:
     from the unassigned ones: the Dulmage-Mendelsohn set, the same for every
     maximum matching, whose union falls short of it by the defect.
     """
-    match_row, match_col = _bitmatch.max_matching(family._masks, len(family.ground),
-                                                  row_cols=family._cols)
+    rows, lists = _engine_rows(family, len(family.ground))
+    match_row, match_col = _bitmatch.max_matching(rows, len(family.ground), lists)
     if all(c != _bitmatch.UNMATCHED for c in match_row):
         return Sdr(tuple(family.ground[c] for c in match_row))
     return _hall_violator(family, match_row, match_col)
@@ -314,9 +334,9 @@ def _hall_violator(family: SetFamily, match_row, match_col) -> HallViolator:
     is named; the result does not depend on which maximum matching is given.
     """
     free = [i for i, c in enumerate(match_row) if c == _bitmatch.UNMATCHED]
-    rows, _ = _bitmatch.alternating_reachable(family._masks, match_row, match_col, free,
-                                              family._cols)
-    indices = tuple(sorted(rows))
+    rows, lists = _engine_rows(family, len(family.ground))
+    reached, _ = _bitmatch.alternating_reachable(rows, match_row, match_col, free, lists)
+    indices = tuple(sorted(reached))
     return HallViolator(indices=indices, union=family.union_of(indices))
 
 
@@ -355,8 +375,8 @@ def _violator_union(family: SetFamily, indices, stated_union):
 def partial_sdr(family: SetFamily) -> DefectReport:
     """Largest partial assignment, with the defect it cannot avoid and the
     canonical violator that proves it."""
-    match_row, match_col = _bitmatch.max_matching(family._masks, len(family.ground),
-                                                  row_cols=family._cols)
+    rows, lists = _engine_rows(family, len(family.ground))
+    match_row, match_col = _bitmatch.max_matching(rows, len(family.ground), lists)
     partial = {
         i: family.ground[c]
         for i, c in enumerate(match_row)
@@ -376,9 +396,11 @@ def verify_defect(family: SetFamily, cert: dict) -> tuple[bool, str | None]:
     if len(partial) != family.n - defect:
         return False, "partial size does not match n - defect"
     _index_labels(partial.values(), "partial")  # hashable and distinct
-    sets = {str(i): members for i, members in enumerate(family.sets)}
+    numbers = {str(i): i for i in range(family.n)}
+    index, cols = family._index, family._cols
     for key, x in partial.items():
-        if x not in sets.get(key, ()):
+        i = numbers.get(key)
+        if i is None or index.get(x) not in cols[i]:
             return False, f"assignment {key} -> {x!r} is not a membership"
     if defect:
         indices, union = _cert_field(cert, "indices"), _cert_field(cert, "union")

@@ -15,16 +15,19 @@ class BipartiteGraph:
     first entry names a part-A vertex and the second a part-B vertex, so a
     label may legitimately appear on both sides (set indices and ground
     elements often do).
+
+    Each part-A vertex's part-B positions are stored as an ascending list,
+    the form the matching engine walks on wide, sparse graphs; the bitmasks
+    are made from those lists on first read and then kept.
     """
 
-    __slots__ = ("part_a", "part_b", "edges", "_a_index", "_b_index", "_masks", "_cols")
+    __slots__ = ("part_a", "part_b", "edges", "_a_index", "_b_index", "_cols", "_mask_list")
 
     def __init__(self, part_a, part_b, edges):
         a_index = core._index_labels(part_a, "partA")
         b_index = core._index_labels(part_b, "partB")
         part_a = tuple(a_index)
         part_b = tuple(b_index)
-        masks = [0] * len(part_a)
         cols = [[] for _ in part_a]
         kept = []
         seen = set()
@@ -46,22 +49,26 @@ class BipartiteGraph:
                 continue
             seen.add(pair)
             kept.append(pair)
-            masks[ia] |= 1 << ib
             cols[ia].append(ib)
         self.part_a = part_a
         self.part_b = part_b
         self.edges = tuple(kept)
         self._a_index = a_index
         self._b_index = b_index
-        self._masks = masks
         for c in cols:
             c.sort()
-        self._cols = cols  # each part-A vertex's part-B positions, for the matching engine
+        self._cols = cols
+        self._mask_list = None
+
+    @property
+    def _masks(self) -> list:
+        if self._mask_list is None:
+            self._mask_list = [core._mask_at(c) for c in self._cols]
+        return self._mask_list
 
     def has_edge(self, a, b) -> bool:
         ia = self._a_index.get(a)
-        ib = self._b_index.get(b)
-        return ia is not None and ib is not None and (self._masks[ia] >> ib) & 1 == 1
+        return ia is not None and self._b_index.get(b) in self._cols[ia]
 
     def to_json(self) -> dict:
         return {
@@ -216,7 +223,8 @@ class FlowNetwork:
 
 def max_matching(g: BipartiteGraph) -> Matching:
     """A maximum matching; deterministic for a fixed input order."""
-    match_row, _ = _bitmatch.max_matching(g._masks, len(g.part_b), row_cols=g._cols)
+    rows, lists = core._engine_rows(g, len(g.part_b))
+    match_row, _ = _bitmatch.max_matching(rows, len(g.part_b), lists)
     edges = tuple(
         (g.part_a[i], g.part_b[c])
         for i, c in enumerate(match_row)
@@ -232,13 +240,14 @@ def konig_cover(g: BipartiteGraph) -> tuple[Matching, VertexCover]:
     vertices; equality of the two sizes certifies that the matching is
     maximum and the cover minimum.
     """
-    match_row, match_col = _bitmatch.max_matching(g._masks, len(g.part_b), row_cols=g._cols)
+    rows, lists = core._engine_rows(g, len(g.part_b))
+    match_row, match_col = _bitmatch.max_matching(rows, len(g.part_b), lists)
     free = [i for i, c in enumerate(match_row) if c == _bitmatch.UNMATCHED]
-    rows, cols = _bitmatch.alternating_reachable(g._masks, match_row, match_col, free, g._cols)
+    reached, cols = _bitmatch.alternating_reachable(rows, match_row, match_col, free, lists)
     in_a = tuple(
         g.part_a[i]
         for i in range(len(g.part_a))
-        if match_row[i] != _bitmatch.UNMATCHED and i not in rows
+        if match_row[i] != _bitmatch.UNMATCHED and i not in reached
     )
     in_b = tuple(g.part_b[c] for c in sorted(cols))
     matching = Matching(

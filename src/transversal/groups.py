@@ -121,13 +121,6 @@ class FiniteGroup:
         for p in _close(gens, len(self._perms[0])):
             yield self._at[p]
 
-    def mul(self, a, b):
-        return self.elements[self._product(self._index[a], self._index[b])]
-
-    def inverse(self, a):
-        p = self._perms[self._index[a]]
-        return self.elements[self._at[tuple(sorted(range(1, len(p) + 1), key=lambda i: p[i - 1]))]]
-
     @classmethod
     def from_permutations(cls, generators, degree: int) -> "FiniteGroup":
         """Close a list of permutations (1-based image tuples) under
@@ -168,26 +161,6 @@ def group_from_json(obj: dict) -> FiniteGroup:
             raise ValidationError("'permutations' must be a list", field="permutations")
         return FiniteGroup.from_permutations(obj["permutations"], obj["degree"])
     raise ValidationError("group file needs 'table' or 'permutations'", field="table")
-
-
-def cyclic_group(n: int) -> FiniteGroup:
-    shift = tuple(list(range(2, n + 1)) + [1])
-    return FiniteGroup.from_permutations([shift], n)
-
-
-def symmetric_group(n: int) -> FiniteGroup:
-    if n == 1:
-        return FiniteGroup.from_permutations([(1,)], 1)
-    swap = tuple([2, 1] + list(range(3, n + 1)))
-    cycle = tuple(list(range(2, n + 1)) + [1])
-    return FiniteGroup.from_permutations([swap, cycle], n)
-
-
-def dihedral_group(n: int) -> FiniteGroup:
-    """Symmetries of an n-gon, as permutations of its corners (order 2n)."""
-    rotation = tuple(list(range(2, n + 1)) + [1])
-    reflection = tuple(((n - i) % n) + 1 for i in range(n))
-    return FiniteGroup.from_permutations([rotation, reflection], n)
 
 
 def elements_from_json(values, field: str) -> list:

@@ -245,18 +245,6 @@ class BlockDesign:
             return counts[0]
         return None
 
-    def is_symmetric_bibd(self) -> bool:
-        """v = b, constant block size, and every point pair in a constant
-        number of blocks."""
-        if self.v != self.b or self.block_size is None or self.replication is None:
-            return False
-        lambdas = set()
-        for i in range(self.v):
-            for j in range(i + 1, self.v):
-                pair = (1 << i) | (1 << j)
-                lambdas.add(sum(1 for m in self._block_masks if m & pair == pair))
-        return len(lambdas) <= 1
-
     @classmethod
     def from_json(cls, obj: dict) -> "BlockDesign":
         if not isinstance(obj, dict) or "points" not in obj or "blocks" not in obj:

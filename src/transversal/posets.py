@@ -23,7 +23,7 @@ class Poset:
     directly.
     """
 
-    __slots__ = ("elements", "less", "_index", "_below", "_above")
+    __slots__ = ("elements", "_index", "_above")
 
     def __init__(self, elements, pairs):
         index = core._index_labels(elements, "elements")
@@ -38,20 +38,9 @@ class Poset:
                 raise ValidationError(f"{pair!r} is not a pair of elements",
                                       field="less_than") from exc
             succ[ia] |= 1 << ib
-        above = _closure(succ, elements)  # above[i]: the j with elements[i] < elements[j]
-        below = [0] * n
-        for i in range(n):
-            for j in _bitmatch.bits_of(above[i]):
-                below[j] |= 1 << i
         self.elements = elements
         self._index = index
-        self._above = above
-        self._below = below
-        self.less = frozenset(
-            (elements[i], elements[j])
-            for i in range(n)
-            for j in _bitmatch.bits_of(above[i])
-        )
+        self._above = _closure(succ, elements)  # _above[i]: the j with elements[i] < elements[j]
 
     @property
     def n(self) -> int:

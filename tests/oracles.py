@@ -15,8 +15,14 @@ path) and `warshall_closure` (the n^2 closure loop).  The cross-check paths at t
 reach the same answer as a library solver through another part of the
 library: `hall_via_menger` (a flow), `hall_from_dilworth` (a chain partition)
 and `hall_coset_reps` (the marriage theorem, for simultaneous coset
-representatives).  Last come the exhaustive checks the command line never
-runs: `is_pinned`, `validate_matroid` and `comparability_graph`.
+representatives).  Then come the exhaustive checks the command line never
+runs: `is_pinned`, `validate_matroid` and `comparability_graph`.  Last come
+references and constructors that only tests use: `EagerFamily` and
+`EagerGraph` (every mask and label tuple made at construction), the
+Birkhoff sums `decomposition_matrix` and `coefficient_sum`, the matrices
+`identity_matrix` and `uniform_matrix`, `group_mul` and `group_inverse`,
+the groups `cyclic_group`, `symmetric_group` and `dihedral_group`, and
+`is_symmetric_bibd`.
 """
 
 from __future__ import annotations
@@ -794,3 +800,121 @@ def comparability_graph(p: posets.Poset, complement: bool = False) -> graphs.Gra
         if p.comparable(a, b) != complement:
             edges.append((a, b))
     return graphs.Graph(p.elements, edges)
+
+
+# Reference constructors and operations that only tests use.
+
+
+class EagerFamily:
+    """A reference for `core.SetFamily` that makes the bitmask and the label
+    tuple of every set at construction.  Each set's members are put in
+    ground order by scanning its mask's binary digits, with no column list."""
+
+    def __init__(self, ground, sets):
+        self.ground = tuple(ground)
+        position = {x: p for p, x in enumerate(self.ground)}
+        self.masks = []
+        for members in sets:
+            mask = 0
+            for x in members:
+                mask |= 1 << position[x]
+            self.masks.append(mask)
+        self.sets = tuple(self._labels(mask) for mask in self.masks)
+
+    def _labels(self, mask):
+        digits = bin(mask)[:1:-1]  # lowest position first
+        return tuple(x for x, digit in zip(self.ground, digits) if digit == "1")
+
+    def union_of(self, indices):
+        mask = 0
+        for i in indices:
+            mask |= self.masks[i]
+        return self._labels(mask)
+
+    def __hash__(self):
+        return hash((self.ground, self.sets))
+
+    def __repr__(self):
+        return f"SetFamily(ground={self.ground!r}, sets={self.sets!r})"
+
+    def to_json(self):
+        return {"ground": list(self.ground), "sets": [list(s) for s in self.sets]}
+
+
+class EagerGraph:
+    """`graphs.BipartiteGraph` edges as a bitmask per part-A vertex, made
+    at construction."""
+
+    def __init__(self, part_a, part_b, edges):
+        self.masks = {a: 0 for a in part_a}
+        position = {b: p for p, b in enumerate(part_b)}
+        for a, b in edges:
+            self.masks[a] |= 1 << position[b]
+        self.position = position
+
+    def has_edge(self, a, b):
+        if a not in self.masks or b not in self.position:
+            return False
+        return (self.masks[a] >> self.position[b]) & 1 == 1
+
+
+def decomposition_matrix(decomposition, n):
+    """The n-by-n matrix a Birkhoff decomposition sums to, in Fractions."""
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for coefficient, perm in decomposition.terms:
+        for i in range(n):
+            rows[i][perm[i]] += coefficient
+    return birkhoff.RationalMatrix(rows)
+
+
+def coefficient_sum(decomposition):
+    return sum((c for c, _ in decomposition.terms), Fraction(0))
+
+
+def identity_matrix(n):
+    return birkhoff.RationalMatrix([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+
+
+def uniform_matrix(n):
+    return birkhoff.RationalMatrix([[Fraction(1, n)] * n for _ in range(n)])
+
+
+def group_mul(g, a, b):
+    """The product of a and b in the `groups.FiniteGroup` g."""
+    return g.elements[g._product(g._index[a], g._index[b])]
+
+
+def group_inverse(g, a):
+    """The element whose product with a is the identity, found by search."""
+    return next(x for x in g.elements if group_mul(g, a, x) == g.identity)
+
+
+def cyclic_group(n):
+    shift = tuple(list(range(2, n + 1)) + [1])
+    return groups.FiniteGroup.from_permutations([shift], n)
+
+
+def symmetric_group(n):
+    if n == 1:
+        return groups.FiniteGroup.from_permutations([(1,)], 1)
+    swap = tuple([2, 1] + list(range(3, n + 1)))
+    cycle = tuple(list(range(2, n + 1)) + [1])
+    return groups.FiniteGroup.from_permutations([swap, cycle], n)
+
+
+def dihedral_group(n):
+    """Symmetries of an n-gon, as permutations of its corners (order 2n)."""
+    rotation = tuple(list(range(2, n + 1)) + [1])
+    reflection = tuple(((n - i) % n) + 1 for i in range(n))
+    return groups.FiniteGroup.from_permutations([rotation, reflection], n)
+
+
+def is_symmetric_bibd(design):
+    """v = b, constant block size, and every point pair in a constant number
+    of blocks."""
+    if design.v != design.b or design.block_size is None or design.replication is None:
+        return False
+    blocks = [set(block) for block in design.blocks]
+    lambdas = {sum(1 for block in blocks if x in block and y in block)
+               for x, y in combinations(design.points, 2)}
+    return len(lambdas) <= 1

@@ -19,12 +19,19 @@ from oracles import (
     brute_permanent,
     brute_sdr_exists,
     brute_sir_exists,
+    coefficient_sum,
     connected_without,
     count_latin_squares_by_rows,
+    cyclic_group,
+    decomposition_matrix,
+    dihedral_group,
     edges_of_mask,
     graphs_up_to_iso,
     hall_coset_reps,
+    is_symmetric_bibd,
     random_doubly_stochastic_rows,
+    symmetric_group,
+    uniform_matrix,
 )
 from transversal import birkhoff, core, graphs, groups, hypersdr, latin, matroids, posets
 from transversal.graphs import Graph
@@ -248,8 +255,8 @@ def test_birkhoff_reconstruction():
         assert birkhoff.is_doubly_stochastic(m) == (True, None)
         nnz = sum(1 for row in m.entries for x in row if x)
         decomposition = birkhoff.birkhoff_decompose(m)
-        assert decomposition.as_matrix(n) == m
-        assert decomposition.coefficient_sum() == Fraction(1)
+        assert decomposition_matrix(decomposition, n) == m
+        assert coefficient_sum(decomposition) == Fraction(1)
         assert all(c > 0 for c, _ in decomposition.terms)
         assert len(decomposition) <= nnz - n + 1
 
@@ -285,7 +292,7 @@ def test_van_der_waerden_bound():
     matrix."""
     rng = random.Random(314159)
     for n in range(1, 7):
-        uniform = birkhoff.RationalMatrix.uniform(n)
+        uniform = uniform_matrix(n)
         assert birkhoff.permanent(uniform) == birkhoff.vdw_bound(n)
     for _ in range(100):
         n = rng.randint(1, 6)
@@ -293,7 +300,7 @@ def test_van_der_waerden_bound():
         value = birkhoff.permanent(m)
         bound = birkhoff.vdw_bound(n)
         assert value >= bound
-        if m != birkhoff.RationalMatrix.uniform(n):
+        if m != uniform_matrix(n):
             assert value > bound
 
 
@@ -381,7 +388,7 @@ def test_youden_constructions():
         range(1, 8),
         [[1, 2, 4], [2, 3, 5], [3, 4, 6], [4, 5, 7], [5, 6, 1], [6, 7, 2], [7, 1, 3]],
     )
-    assert fano.is_symmetric_bibd()
+    assert is_symmetric_bibd(fano)
     array = latin.youden_from_design(fano)
     assert latin.validate_youden(fano, array) == (True, None)
     rng = random.Random(60221023)
@@ -490,18 +497,18 @@ def test_coset_representatives():
     once, and so do those of the Hall route; the family read off the double
     cosets is the family of meets, and it always passes the Hall check."""
     fixture_groups = [
-        groups.cyclic_group(n) for n in (1, 2, 3, 4, 5, 6, 8, 12)
+        cyclic_group(n) for n in (1, 2, 3, 4, 5, 6, 8, 12)
     ]
     fixture_groups += [
         groups.FiniteGroup(
             "eabc", [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
         ),
-        groups.symmetric_group(3),
-        groups.symmetric_group(4),
-        groups.dihedral_group(3),
-        groups.dihedral_group(4),
-        groups.dihedral_group(5),
-        groups.dihedral_group(6),
+        symmetric_group(3),
+        symmetric_group(4),
+        dihedral_group(3),
+        dihedral_group(4),
+        dihedral_group(5),
+        dihedral_group(6),
         groups.FiniteGroup.from_permutations([(2, 3, 1, 4), (2, 1, 4, 3)], 4),  # A4
     ]
     subgroup_total = 0

@@ -5,7 +5,8 @@ import pkgutil
 import random
 from fractions import Fraction
 
-from oracles import bfs_max_matching, brute_lex_least, probe_lex_least, rematch_lex_least
+from oracles import (bfs_max_matching, brute_lex_least, decomposition_matrix, probe_lex_least,
+                     rematch_lex_least)
 import transversal
 from transversal import _bitmatch, birkhoff, core, graphs, latin, matroids
 
@@ -391,7 +392,7 @@ class TestLexLeast:
         masks = latin.LatinRectangle(30, [row]).column_deficiencies()
         assert _bitmatch.lex_least_assignment(masks, 30) == rematch_lex_least(masks, 30)
         m = random_doubly_stochastic(rng, 12, 30)
-        assert birkhoff.birkhoff_decompose(m).as_matrix(12) == m
+        assert decomposition_matrix(birkhoff.birkhoff_decompose(m), 12) == m
         assert calls == []
 
 
@@ -577,7 +578,7 @@ class TestAgreesWithProbeSearch:
         calls = agree_with_probe_search(monkeypatch)
         decomposition = birkhoff.birkhoff_decompose(m)
         assert len(decomposition) == len(calls) >= 24
-        assert decomposition.as_matrix(24) == m
+        assert decomposition_matrix(decomposition, 24) == m
 
 
 class TestAgreesWithRematching:
@@ -599,4 +600,4 @@ class TestAgreesWithRematching:
         calls = agree_on_every_call(monkeypatch)
         decomposition = birkhoff.birkhoff_decompose(m)
         assert len(decomposition) == len(calls) >= 1
-        assert decomposition.as_matrix(16) == m
+        assert decomposition_matrix(decomposition, 16) == m

@@ -115,6 +115,14 @@ class TestCoreCommands:
         assert code == 0 and env["payload"]["defect"] == 1
         cert = write(tmp_path, "cert.json", env["payload"])
         assert run(capsys, "defect", path, "--verify", cert)[0] == 0
+        # A key names a set only as the decimal string of its index.
+        (first, x), *rest = env["payload"]["partial"].items()
+        for key in ("01", "-1", "3", f" {first}", f"+{first}"):
+            forged = {**env["payload"], "partial": dict([(key, x), *rest])}
+            code, venv, _ = run(capsys, "defect", path, "--verify",
+                                write(tmp_path, "forged.json", forged))
+            assert code == 1
+            assert venv["payload"]["reason"] == f"assignment {key} -> {x!r} is not a membership"
 
     @pytest.mark.parametrize("cert, reason", [
         ({"defect": 2, "partial": {}}, "(field: indices)"),

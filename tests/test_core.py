@@ -6,9 +6,9 @@ from math import comb, prod
 
 import pytest
 
-from oracles import (all_families, bfs_max_matching, brute_all_sdrs, brute_defect,
-                     brute_permanent, brute_sdr_exists, hall_via_menger)
-from transversal import _bitmatch, core
+from oracles import (EagerFamily, EagerGraph, all_families, bfs_max_matching, brute_all_sdrs,
+                     brute_defect, brute_permanent, brute_sdr_exists, hall_via_menger)
+from transversal import _bitmatch, core, graphs
 from transversal.errors import ResourceLimitError, ValidationError
 
 
@@ -32,6 +32,103 @@ class TestSetFamily:
     def test_json_round_trip(self):
         f = fam(["a", "b", "c"], [["a", "b"], ["c"]])
         assert core.SetFamily.from_json(f.to_json()) == f
+
+
+def seeded_sets(rng, ground):
+    """Sets drawn from `ground`, narrow and dense or wide and sparse by its
+    size: members listed in any order, some repeated, and some sets empty."""
+    most = 8 if len(ground) >= _bitmatch.LIST_MIN_COLS else len(ground)
+    sets = []
+    for _ in range(rng.randint(0, 60 if most == 8 else 12)):
+        members = rng.sample(ground, rng.randint(0, most))
+        if members and rng.random() < 0.3:
+            members += rng.choices(members, k=rng.randint(1, 3))
+        rng.shuffle(members)
+        sets.append(members)
+    return sets
+
+
+class TestLazyForms:
+    """Families and bipartite graphs store column lists and make masks and
+    label tuples on first read; every reader agrees with `EagerFamily` and
+    `EagerGraph`, which make them all at construction, whatever is read
+    first."""
+
+    def test_family_readers_match_the_eager_reference(self):
+        rng = random.Random(2718)
+        wide = 0
+        for _ in range(80):
+            ground = [f"g{k}" for k in rng.sample(range(5000), rng.choice((1, 6, 30, 300, 900)))]
+            sets = seeded_sets(rng, ground)
+            ref = EagerFamily(ground, sets)
+            f = fam(ground, sets)
+            wide += _bitmatch.column_lists(None, len(ground), f._cols) is not None
+            readers = [
+                lambda: f.sets == ref.sets,
+                lambda: [f.mask(i) for i in range(f.n)] == ref.masks,
+                lambda: repr(f) == repr(ref),
+                lambda: f.to_json() == ref.to_json(),
+                lambda: hash(f) == hash(ref),
+            ]
+            rng.shuffle(readers)
+            assert all(read() for read in readers), (ground, sets)
+            for _ in range(5):
+                indices = rng.sample(range(f.n), rng.randint(0, f.n))
+                assert f.union_of(indices) == ref.union_of(indices)
+            twin = fam(ground, [list(reversed(s)) for s in sets])
+            assert twin == f and hash(twin) == hash(f)
+            if sets and len(ground) > 1:
+                other = [list(s) for s in sets]
+                other[-1] = [x for x in ground if x not in other[-1]][:1]
+                assert fam(ground, other) != f
+        assert 10 <= wide < 80, wide
+
+    def test_graph_edges_match_the_eager_reference(self):
+        rng = random.Random(1618)
+        for _ in range(40):
+            part_b = [f"b{k}" for k in range(rng.choice((3, 20, 400)))]
+            sets = seeded_sets(rng, part_b)
+            part_a = list(range(len(sets)))
+            edges = [(a, b) for a, members in zip(part_a, sets) for b in members]
+            ref = EagerGraph(part_a, part_b, edges)
+            g = graphs.BipartiteGraph(part_a, part_b, edges)
+            probes = [(rng.choice(part_a + [-1]), rng.choice(part_b + ["zz"]))
+                      for _ in range(30)] + edges[:30]
+            assert [g.has_edge(a, b) for a, b in probes] == [ref.has_edge(a, b)
+                                                            for a, b in probes]
+            assert g._masks == [ref.masks[a] for a in part_a]
+
+    def test_wide_sparse_solves_make_no_mask(self):
+        """On sets of at most 8 over 256 and more columns every solver and
+        checker of families and bipartite graphs runs on the column lists:
+        no mask list and no label tuples are made."""
+        n = 400
+        ground = list(range(n))
+        sets = [[i, (i + 1) % n, (i + 7) % n] for i in range(n - 10)]
+        sets += [[3], [3], [5, 6]]  # two sets on one element: a violator
+        for solve in (core.hall_check, core.partial_sdr):
+            f = fam(ground, sets)
+            result = solve(f)
+            if solve is core.hall_check:
+                assert isinstance(result, core.HallViolator)
+                assert core.verify_hall_violator(f, result) == (True, None)
+            else:
+                assert result.defect == 1
+                cert = {"defect": 1, "partial": {str(i): x for i, x in result.partial.items()},
+                        "indices": list(result.violator.indices),
+                        "union": list(result.violator.union)}
+                assert core.verify_defect(f, cert) == (True, None)
+            assert f._mask_list is None and f._label_sets is None
+        f = fam(ground, sets[:-3])
+        assert core.validate_sdr(f, core.hall_check(f).reps) == (True, None)
+        assert f._mask_list is None and f._label_sets is None
+        edges = [(i, x) for i, members in enumerate(sets) for x in members]
+        g = graphs.BipartiteGraph(range(len(sets)), ground, edges)
+        assert graphs.validate_matching(g, graphs.max_matching(g)) == (True, None)
+        matching, cover = graphs.konig_cover(g)
+        assert len(matching) == len(cover) == len(sets) - 1
+        assert graphs.validate_cover(g, cover) == (True, None)
+        assert g._mask_list is None
 
 
 class TestValidateSdr:

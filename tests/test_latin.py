@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from oracles import count_latin_squares_by_rows
+from oracles import count_latin_squares_by_rows, is_symmetric_bibd
 from transversal import latin
 from transversal.errors import AlreadyCompleteError, ResourceLimitError, ValidationError
 
@@ -195,12 +195,12 @@ class TestBlockDesign:
         assert FANO.v == FANO.b == 7
         assert FANO.block_size == 3
         assert FANO.replication == 3
-        assert FANO.is_symmetric_bibd()
+        assert is_symmetric_bibd(FANO)
 
     def test_cyclic_pairs_not_bibd(self):
         d = latin.BlockDesign([1, 2, 3, 4], [[1, 2], [2, 3], [3, 4], [4, 1]])
         assert d.replication == 2
-        assert not d.is_symmetric_bibd()
+        assert not is_symmetric_bibd(d)
 
     def test_unknown_point_rejected(self):
         with pytest.raises(ValidationError):

@@ -103,6 +103,18 @@ class TestDilworth:
             assert posets.validate_antichain(p, antichain) == (True, None)
             assert len(partition) == len(antichain) == brute_max_antichain(above, 4)
 
+    def test_long_chain_from_json(self):
+        """A 3000-element chain given by its 2999 covering pairs: the poset
+        keeps its closure as one mask per element, not the 4.5 million
+        comparable pairs."""
+        labels = [f"e{k}" for k in range(3000)]
+        p = posets.Poset.from_json({"elements": labels,
+                                    "less_than": [list(pair) for pair in zip(labels, labels[1:])]})
+        assert p.lt("e0", "e2999") and not p.lt("e2999", "e0")
+        partition, antichain = posets.dilworth(p)
+        assert partition.chains == (tuple(labels),)
+        assert antichain == ("e2999",)
+
 
 class TestMirsky:
     def test_chain(self):
