@@ -101,7 +101,7 @@ def _cert_field(cert, key, kind=list, index=None):
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ValidationError(f"{key!r} must be of type {kind.__name__}", field=key)
     if index is not None:
-        _mask_of(value, index, key)
+        _positions_of(value, index, key)
     return value
 
 
@@ -114,7 +114,7 @@ def _cert_rows(cert, key, index=None, width=None):
         if not isinstance(row, list) or width not in (None, len(row)):
             raise ValidationError(f"{field} is not a list of the right size", field=field)
         if index is not None:
-            _mask_of(row, index, field)
+            _positions_of(row, index, field)
     return rows
 
 

@@ -99,10 +99,15 @@ def partition_matroid(blocks, caps) -> MatroidOracle:
 def graphic_matroid(edges) -> MatroidOracle:
     """Edges of a simple graph; a subset is independent when it is acyclic.
 
-    ``edges`` maps an edge id to its endpoint pair.
+    ``edges`` maps an edge id to its endpoint pair.  Each endpoint gets an
+    integer index once, here (labels that compare equal, such as 1 and
+    True, share one), and ``ends`` holds each edge's pair of indices.  The
+    oracle runs a union-find with path halving over those indices, in a
+    table that holds only the endpoints of the subset's edges.
     """
     if not isinstance(edges, dict):
         raise ValidationError("'graph' must map edge ids to endpoint pairs", field="graph")
+    vertex = {}
     ends = {}
     seen_pairs = set()
     for eid, pair in edges.items():
@@ -119,25 +124,27 @@ def graphic_matroid(edges) -> MatroidOracle:
         if key in seen_pairs:
             raise ValidationError(f"edge {eid!r} duplicates an endpoint pair", field="graph")
         seen_pairs.add(key)
-        ends[eid] = (u, v)
+        ends[eid] = (vertex.setdefault(u, len(vertex)), vertex.setdefault(v, len(vertex)))
 
     edge_order = tuple(ends)
 
     def indep(subset):
-        parent = {}
-
-        def find(a):
-            while parent.get(a, a) != a:
-                parent[a] = parent.get(parent[a], parent[a])
-                a = parent[a]
-            return a
-
+        parent = {}  # an endpoint with no entry is a root
         for eid in subset:  # whether the edges are acyclic does not depend on the order
             u, v = ends[eid]
-            ru, rv = find(u), find(v)
-            if ru == rv:
+            while u in parent:  # halving: point u at its grandparent, and go there
+                a = parent[u]
+                if a in parent:
+                    a = parent[u] = parent[a]
+                u = a
+            while v in parent:
+                a = parent[v]
+                if a in parent:
+                    a = parent[v] = parent[a]
+                v = a
+            if u == v:
                 return False
-            parent[ru] = rv
+            parent[u] = v
         return True
 
     return MatroidOracle(edge_order, indep, kind="graphic")
@@ -263,11 +270,14 @@ class RadoViolator:
 def rado_check(family: core.SetFamily, m: MatroidOracle):
     """Find a system of independent representatives or a rank violator.
 
-    One polynomial path: a matroid-intersection exchange search grows the
-    representatives, and when it stops short the elements its last search
-    reached give a tight rank cut (Edmonds' min-max theorem), from which the
-    violator is read off.  There is no size ceiling on either certificate,
-    and the violator is not necessarily a smallest one.
+    One polynomial path: a greedy pass takes every representative that an
+    exchange path of length one would add (Cunningham's greedy start), then
+    matroid-intersection exchange searches grow the representatives, and
+    when they stop short the elements the last search reached give a tight
+    rank cut (Edmonds' min-max theorem), from which the violator is read
+    off.  There is no size ceiling on either certificate, and the violator
+    is not necessarily a smallest one.  A graphic matroid's oracle runs a
+    union-find over endpoint indices fixed when the matroid is built.
     """
     if any(x not in m._index for x in family.ground):
         raise ValidationError("family ground is not contained in the matroid ground")
@@ -280,7 +290,9 @@ def rado_check(family: core.SetFamily, m: MatroidOracle):
 
 def _sir_augmenting(family, m, reached):
     """Maximum common independent set of the matroid and the family's
-    transversal structure, grown one exchange path at a time.
+    transversal structure: `_greedy_start`, then grown one exchange path at
+    a time.  The greedy pass adds what the searches would add one path of
+    length one each, so the result is that of the searches alone.
 
     Returns the representatives, or None; then ``reached`` holds every
     element the last, failed, exchange-path search reached.
@@ -295,7 +307,7 @@ def _sir_augmenting(family, m, reached):
             containing[x] |= 1 << i
     candidates = [x for x in family.ground if x in containing]
 
-    current: list = []
+    current = _greedy_start(candidates, m, containing, n)
     while len(current) < n:
         reached.clear()
         path = _exchange_path(current, candidates, m, containing, n, reached)
@@ -309,6 +321,50 @@ def _sir_augmenting(family, m, reached):
     masks = [containing[x] for x in current]
     match_row, match_col = _bitmatch.max_matching(masks, n)
     return tuple(current[match_col[i]] for i in range(n))
+
+
+def _greedy_start(candidates, m, containing, n):
+    """The representatives that exchange paths of length one add, found in
+    one pass in `candidates` order.
+
+    An outsider y joins I when I + y is independent and an augmenting
+    search from the sets holding y, through a matching of I into the n sets
+    kept across the pass, reaches a set the matching leaves free.  Both
+    tests are monotone in I, so an outsider refused once stays refused: the
+    pass adds the same elements, in the same order, as one exchange search
+    each, and no exchange path of length one is left after it.  The search
+    runs first, so an outsider that cannot be matched costs no oracle call.
+    """
+    chosen = []
+    iset = frozenset()
+    holder = [None] * n  # holder[j]: the element matched to set j
+    free = (1 << n) - 1
+    for y in candidates:
+        via = {}  # via[j]: the set whose element the search stepped from to j; none for y's sets
+        reach = todo = containing[y]
+        while todo and not reach & free:
+            low = todo & -todo
+            todo ^= low
+            j = low.bit_length() - 1
+            step = containing[holder[j]] & ~reach
+            reach |= step
+            todo |= step
+            for k in _bitmatch.bits_of(step):
+                via[k] = j
+        if not reach & free:
+            continue
+        grown = iset | {y}
+        if not m._indep(grown):
+            continue
+        j = (reach & free & -(reach & free)).bit_length() - 1
+        free ^= 1 << j
+        while j in via:  # shift each element on the path one set along it
+            holder[j] = holder[via[j]]
+            j = via[j]
+        holder[j] = y
+        chosen.append(y)
+        iset = grown
+    return chosen
 
 
 def _exchange_path(current, candidates, m, containing, n, parent):
@@ -373,8 +429,7 @@ def _alternating_sets(start, through):
     set j also reaches the sets in ``through[j]``.
 
     ``_bitmatch.reachable`` starts from one position; feeding it each
-    outsider as an extra position took ``rado_check`` on the benchmark's
-    30-set graphic case from 3.9 to 4.9 ms (2-vCPU Xeon)."""
+    outsider as an extra position made ``rado_check`` slower."""
     reach = todo = start
     while todo:
         low = todo & -todo

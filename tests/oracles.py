@@ -70,6 +70,32 @@ def brute_sir_exists(sets, oracle) -> bool:
     return descend(0, frozenset())
 
 
+def is_forest(pairs) -> bool:
+    """Whether the edges `pairs` hold no cycle: every connected component
+    they span has one edge fewer than it has vertices.  Components are
+    found by breadth-first search; no union-find."""
+    adjacent = {}
+    for u, v in pairs:
+        adjacent.setdefault(u, []).append(v)
+        adjacent.setdefault(v, []).append(u)
+    seen = set()
+    for start in adjacent:
+        if start in seen:
+            continue
+        seen.add(start)
+        component, queue = [start], deque([start])
+        while queue:
+            for w in adjacent[queue.popleft()]:
+                if w not in seen:
+                    seen.add(w)
+                    component.append(w)
+                    queue.append(w)
+        edge_count = sum(len(adjacent[x]) for x in component) // 2
+        if edge_count != len(component) - 1:
+            return False
+    return True
+
+
 def brute_lex_least(row_masks, n_cols):
     """Lexicographically least injective row-to-column assignment, or None,
     by backtracking over columns in ascending order: the first complete

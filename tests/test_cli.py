@@ -75,6 +75,15 @@ class TestSdrCommand:
         cert = write(tmp_path, "forged.json", {"reps": ["1", "1", "3"]})
         code, env, _ = run(capsys, "sdr", fam3, "--verify", cert)
         assert code == 1 and env["payload"]["valid"] is False
+        for reps, reason in (
+            ("123", "'reps' must be of type list (field: reps)"),
+            (["1", ["2"], "3"], "reps must be a list of labels: unhashable type: 'list' "
+                                "(field: reps)"),
+            (["1", "zz", "3"], "reps holds 'zz', which is not a label (field: reps)"),
+        ):
+            cert = write(tmp_path, "forged.json", {"reps": reps})
+            code, env, _ = run(capsys, "sdr", fam3, "--verify", cert)
+            assert code == 1 and env["payload"] == {"valid": False, "reason": reason}
 
     def test_schema_violation_names_field(self, capsys, tmp_path):
         path = write(tmp_path, "junk.json", {"sets": []})
@@ -172,6 +181,15 @@ class TestCoreCommands:
         assert code == 0
         cert = write(tmp_path, "cert.json", env["payload"])
         assert run(capsys, "array-sdr", path, "--verify", cert)[0] == 0
+        for row, reason in (
+            ("21", "grid[1] is not a list of the right size (field: grid[1])"),
+            (["2", {}], "grid[1] must be a list of labels: unhashable type: 'dict' "
+                        "(field: grid[1])"),
+            (["zz", "1"], "grid[1] holds 'zz', which is not a label (field: grid[1])"),
+        ):
+            cert = write(tmp_path, "cert.json", {"grid": [["1", "2"], row]})
+            code, env, _ = run(capsys, "array-sdr", path, "--verify", cert)
+            assert code == 1 and env["payload"] == {"valid": False, "reason": reason}
 
     def test_array_sdr_none(self, capsys, tmp_path):
         path = write(

@@ -3,7 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from oracles import all_families, brute_sdr_exists, brute_sir_exists, validate_matroid
+from oracles import (all_families, brute_sdr_exists, brute_sir_exists, is_forest,
+                     validate_matroid)
 from transversal import _bitmatch, core, matroids
 from transversal.errors import ResourceLimitError, ValidationError
 
@@ -290,13 +291,14 @@ class TestRadoAtScale:
 
     def test_one_matching_per_exchange_search(self, monkeypatch):
         """A matching per search, one for the representatives and one for a
-        violator: no matching per exchange arc."""
+        violator: no matching per exchange arc.  On the 110-set family the
+        greedy start takes 109 representatives, so one search is left."""
         paths, _, matchings = count_searches_and_matchings(monkeypatch)
         fam, m = seeded_graphic_family(110)
         result = matroids.rado_check(fam, m)
         assert isinstance(result, matroids.Sir)
         assert matroids.validate_sir(fam, m, result.reps) == (True, None)
-        assert len(paths) == 110 and len(matchings) <= len(paths) + 2 <= 112
+        assert len(paths) == 1 and len(matchings) <= 3
         rng = random.Random(7)
         for _ in range(40):
             m = random_matroid(rng, rng.choice(("graphic", "linear", "partition")), 10)
@@ -306,3 +308,88 @@ class TestRadoAtScale:
             matchings.clear()
             matroids.rado_check(fam, m)
             assert len(matchings) <= len(paths) + 2
+
+
+def exchange_only_rado(family, m, lengths):
+    """`rado_check` with no greedy start: `current` grows from empty by
+    `matroids._exchange_path` alone, one search per representative.  Appends
+    the length of every path found to `lengths`."""
+    n = family.n
+    if n == 0:
+        return matroids.Sir(())
+    containing = {}
+    for i, s in enumerate(family.sets):
+        for x in s:
+            containing[x] = containing.get(x, 0) | 1 << i
+    candidates = [x for x in family.ground if x in containing]
+    current, reached = [], {}
+    while len(current) < n:
+        reached.clear()
+        path = matroids._exchange_path(current, candidates, m, containing, n, reached)
+        if path is None:
+            return matroids._violator_from_cut(family, m, reached)
+        lengths.append(len(path))
+        chosen = set(current) ^ set(path)
+        current = [x for x in candidates if x in chosen]
+    match_row, match_col = _bitmatch.max_matching([containing[x] for x in current], n)
+    return matroids.Sir(tuple(current[match_col[i]] for i in range(n)))
+
+
+class TestGreedyStart:
+    def test_same_result_as_exchange_searches_alone(self):
+        """The greedy start adds what exchange paths of length one would, so
+        the representatives, the violator and the cut it is read from are
+        those of the searches alone."""
+        rng = random.Random(1986)
+        lengths = []
+        cases = [seeded_graphic_family(n) for n in (40, 110, 200, 300)]
+        for trial in range(400):
+            kind = ("graphic", "linear", "partition", "uniform")[trial % 4]
+            n_elements = rng.randint(8, 10)
+            if kind == "uniform":
+                m = matroids.uniform_matroid([f"x{k}" for k in range(n_elements)],
+                                             rng.randint(3, 8))
+            else:
+                m = random_matroid(rng, kind, n_elements)
+            ground = list(m.ground)
+            sets = [rng.sample(ground, rng.randint(2, 3)) for _ in range(rng.randint(4, 7))]
+            cases.append((core.SetFamily(ground, sets), m))
+        found = {True: 0, False: 0}
+        for fam, m in cases:
+            result = matroids.rado_check(fam, m)
+            assert repr(result) == repr(exchange_only_rado(fam, m, lengths))
+            found[isinstance(result, matroids.Sir)] += 1
+        assert found[True] >= 50 and found[False] >= 50, found
+        assert sum(length >= 3 for length in lengths) >= 10
+
+
+class TestGraphicOracle:
+    @pytest.mark.parametrize("labels", ["int", "str", "one-and-true"])
+    def test_agrees_with_forest_count(self, labels):
+        """Random subsets of random simple graphs against edge and vertex
+        counts per component; 1 and True are one vertex, as in a dict."""
+        rng = random.Random(labels)
+        for _ in range(60):
+            n_vertices = rng.randint(2, 9)
+            names = {"int": list(range(n_vertices)),
+                     "str": [f"v{k}" for k in range(n_vertices)],
+                     "one-and-true": ["a", 1, "b", "c", 2, "d", "e", "f", "g"]}[labels]
+            pairs = list(combinations(names[:n_vertices], 2))
+            edges = dict(enumerate(rng.sample(pairs, rng.randint(1, min(12, len(pairs))))))
+            if labels == "one-and-true":  # vertex 1 is named 1 on some edges, True on others
+                edges = {k: tuple(rng.choice((1, True)) if x == 1 else x for x in pair)
+                         for k, pair in edges.items()}
+            m = matroids.graphic_matroid(edges)
+            for _ in range(20):
+                subset = {e for e in edges if rng.random() < 0.6}
+                assert m.independent(subset) == is_forest([edges[e] for e in subset])
+
+    def test_long_path(self):
+        """A 20,000-edge path is a forest, and one more edge closing it
+        makes a cycle: the union-find runs in loops, so no length of path
+        costs interpreter stack."""
+        path = {k: (k, k + 1) for k in range(20_000)}
+        m = matroids.graphic_matroid({**path, "close": (0, 20_000)})
+        assert m.independent(set(path))
+        assert not m.independent(set(m.ground))
+        assert is_forest(path.values())
