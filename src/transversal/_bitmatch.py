@@ -24,11 +24,23 @@ narrow or dense rows one mask operation settles many columns at once, and
 the mask form wins.  `column_lists` makes the choice from the shape, and the
 list forms run only on column lists the caller hands over, so a caller that
 has only masks keeps the mask forms.
+
+The exhaustive searches (SDRs of arrays, Latin-square counting, hypergraph
+SDRs and the Aharoni-Haxell condition) all run `disjoint_choices`: one value
+per level, masks pairwise disjoint, on a stack of untried positions.  It
+counts the nodes it enters and raises ResourceLimitError past NODE_BUDGET,
+so an input whose search is too large ends in a diagnostic (the CLI's exit
+3), whatever size ceiling its caller admitted.
 """
 
 from collections import deque
 
+from .errors import ResourceLimitError
+
 UNMATCHED = -1
+
+# The Latin count at n=7 runs into it after about 2 s (2-vCPU Xeon).
+NODE_BUDGET = 1 << 22
 
 # The shape rule of `column_lists`, measured by running the matching calls
 # recorded from the benchmark workloads, and random rows of each width and
@@ -486,3 +498,43 @@ def bits_of(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def disjoint_choices(options):
+    """Yield, in lexicographic order of option positions, each tuple that
+    takes one value per level and whose masks are pairwise disjoint.
+
+    `options[i]` is level i's sequence of (mask, value) pairs.  Zero levels
+    yield one empty tuple.  Each option entered counts one node and each
+    choice yielded counts its length, the order of the caller's work on it;
+    past NODE_BUDGET nodes the search raises ResourceLimitError.
+    """
+    depth = len(options)
+    chosen = [None] * depth
+    used = [0] * (depth + 1)
+    untried = [0] * depth
+    nodes = 0
+    level = 0
+    while level >= 0:
+        if nodes > NODE_BUDGET:
+            raise ResourceLimitError(
+                f"the search entered {nodes} nodes, over the node budget of {NODE_BUDGET}")
+        if level == depth:
+            nodes += depth
+            yield tuple(chosen)
+            level -= 1
+            continue
+        level_options = options[level]
+        taken = used[level]
+        k = untried[level]
+        while k < len(level_options) and level_options[k][0] & taken:
+            k += 1
+        if k == len(level_options):
+            untried[level] = 0
+            level -= 1
+            continue
+        untried[level] = k + 1
+        mask, chosen[level] = level_options[k]
+        used[level + 1] = taken | mask
+        nodes += 1
+        level += 1

@@ -536,41 +536,31 @@ def count_sdrs(family: SetFamily, *, ceiling: int = RYSER_CEILING) -> int:
 def array_sdr(arr: ArrayFamily, *, ceiling: int = ARRAY_CELL_CEILING):
     """Distinct representatives per row and per column of a grid, or None.
 
-    Exhaustive backtracking in row-major order (the problem is NP-hard in
-    general, hence the cell ceiling); the first solution in ground order is
-    returned, so output is deterministic.
+    Exhaustive search in row-major order (the problem is NP-hard in
+    general, hence the cell ceiling and the search's node budget); the first
+    solution in ground order is returned, so output is deterministic.
     """
     n_rows, n_cols = arr.shape
     cells = n_rows * n_cols
     if cells > ceiling:
         raise ResourceLimitError(f"grid has {cells} cells, above the ceiling {ceiling}")
-    if cells == 0:
-        return tuple(() for _ in arr.grid)
-    row_used = [0] * n_rows
-    col_used = [0] * n_cols
-    chosen = [[None] * n_cols for _ in range(n_rows)]
+    choice = next(_grid_fillings(arr._masks, arr.ground), None)
+    if choice is None:
+        return None
+    return tuple(choice[r * n_cols:(r + 1) * n_cols] for r in range(n_rows))
 
-    def descend(pos):
-        if pos == cells:
-            return True
-        r, c = divmod(pos, n_cols)
-        avail = arr._masks[r][c] & ~row_used[r] & ~col_used[c]
-        while avail:
-            low = avail & -avail
-            avail ^= low
-            row_used[r] |= low
-            col_used[c] |= low
-            chosen[r][c] = arr.ground[low.bit_length() - 1]
-            if descend(pos + 1):
-                return True
-            row_used[r] ^= low
-            col_used[c] ^= low
-        chosen[r][c] = None
-        return False
 
-    if descend(0):
-        return tuple(tuple(row) for row in chosen)
-    return None
+def _grid_fillings(cell_masks, labels):
+    """Each row-major filling of a grid, one label per cell from its mask of
+    positions in `labels`, with no label twice in a row or a column; in
+    lexicographic order of those positions."""
+    width = len(labels)
+    col_base = len(cell_masks) * width
+    return _bitmatch.disjoint_choices([
+        [(1 << (r * width + p) | 1 << (col_base + c * width + p), labels[p])
+         for p in _bitmatch.bits_of(mask)]
+        for r, row in enumerate(cell_masks) for c, mask in enumerate(row)
+    ])
 
 
 def validate_array_sdr(arr: ArrayFamily, grid) -> tuple[bool, str | None]:

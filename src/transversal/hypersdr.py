@@ -4,7 +4,9 @@ sufficient condition, and exhaustive SDR search over edge choices."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 from . import _bitmatch, core
 from .errors import ResourceLimitError, ValidationError
@@ -82,44 +84,24 @@ def _union_edge_masks(fam, group):
 
 
 def _maximal_matchings(masks):
-    n = len(masks)
-    found = []
-
-    def descend(idx, used, chosen):
-        extended = False
-        for j in range(idx, n):
-            if masks[j] & used:
-                continue
-            extended = True
-            descend(j + 1, used | masks[j], chosen + [masks[j]])
-        if not extended and all(masks[j] & used for j in range(idx)):
-            found.append(chosen)
-
-    descend(0, 0, [])
-    return found
+    """Yield each maximal set of pairwise disjoint edges from `masks`."""
+    # one level per edge: take it, or skip it (value 0)
+    for choice in _bitmatch.disjoint_choices([((m, m), (0, 0)) for m in masks]):
+        used = reduce(or_, choice, 0)
+        if all(edge or mask & used for mask, edge in zip(masks, choice)):
+            yield [edge for edge in choice if edge]
 
 
 def _pinnable(targets, masks, limit):
     """Can some set of at most `limit` pairwise disjoint edges from `masks`
     meet every target edge?"""
-
-    def descend(start, used, depth, remaining):
-        if not remaining:
+    # one level per pin edge: an edge that meets a target, or none (value 0)
+    hitting = [(m, m) for m in masks if any(m & t for t in targets)] + [(0, 0)]
+    for choice in _bitmatch.disjoint_choices([hitting] * limit):
+        used = reduce(or_, choice, 0)
+        if all(t & used for t in targets):
             return True
-        if depth == limit:
-            return False
-        for j in range(start, len(masks)):
-            e = masks[j]
-            if e & used:
-                continue
-            thinned = [t for t in remaining if not (t & e)]
-            if len(thinned) == len(remaining):
-                continue
-            if descend(j + 1, used | e, depth + 1, thinned):
-                return True
-        return False
-
-    return descend(0, 0, 0, list(targets))
+    return False
 
 
 def ah_condition(
@@ -157,30 +139,15 @@ def find_hyper_sdr(
     max_subfamily: int = SUBFAMILY_CEILING,
     max_edges: int = EDGE_CEILING,
 ):
-    """Exhaustive backtracking over edge choices with disjointness pruning.
+    """Exhaustive search over edge choices with disjointness pruning.
 
     Returns the lexicographically least selection (by listed edge order) or
     None after exhausting the search space.
     """
     _check_ceilings(fam, max_subfamily, max_edges)
-    m = len(fam.members)
-
-    def descend(i, used, chosen):
-        if i == m:
-            return tuple(chosen)
-        member = fam.members[i]
-        for edge, mask in zip(member.edges, member._masks):
-            if mask & used:
-                continue
-            result = descend(i + 1, used | mask, chosen + [edge])
-            if result is not None:
-                return result
-        return None
-
-    selection = descend(0, 0, [])
-    if selection is None:
-        return None
-    return HyperSdr(selection)
+    options = [list(zip(h._masks, h.edges)) for h in fam.members]
+    selection = next(_bitmatch.disjoint_choices(options), None)
+    return None if selection is None else HyperSdr(selection)
 
 
 def validate_hyper_sdr(fam: HypergraphFamily, sdr: HyperSdr) -> tuple[bool, str | None]:

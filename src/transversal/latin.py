@@ -11,7 +11,7 @@ from .core import _permanent_rows
 from .errors import AlreadyCompleteError, ResourceLimitError, ValidationError
 
 EXTENSION_COUNT_CEILING = 8
-SQUARE_COUNT_CEILING = 5
+SQUARE_COUNT_CEILING = 6
 WIDTH_CEILING = 1 << 14  # a rectangle holds n column masks of n bits
 
 
@@ -161,33 +161,22 @@ def count_extensions(rect: LatinRectangle, *, ceiling: int = EXTENSION_COUNT_CEI
 
 
 def count_latin_squares(n: int, *, ceiling: int = SQUARE_COUNT_CEILING) -> int:
-    """Exhaustive count of all n-by-n Latin squares over symbols 1..n."""
+    """Exact number of n-by-n Latin squares over symbols 1..n.
+
+    Counts the reduced squares, whose first row and first column are
+    1..n in order, and multiplies by n!(n-1)!: permuting the symbols and
+    then the rows other than the first maps the reduced squares onto all
+    of them, each square reached once.
+    """
     if n < 1:
         raise ValidationError("n must be positive")
     if n > ceiling:
         raise ResourceLimitError(f"order {n} is above the counting ceiling {ceiling}")
     full = (1 << n) - 1
-    col_masks = [0] * n
-    count = 0
-
-    def fill(r, c, row_mask):
-        nonlocal count
-        if c == n:
-            if r == n - 1:
-                count += 1
-                return
-            fill(r + 1, 0, 0)
-            return
-        avail = full & ~row_mask & ~col_masks[c]
-        while avail:
-            low = avail & -avail
-            avail ^= low
-            col_masks[c] |= low
-            fill(r, c + 1, row_mask | low)
-            col_masks[c] ^= low
-
-    fill(0, 0, 0)
-    return count
+    cells = [[1 << max(r, c) if r == 0 or c == 0 else full for c in range(n)]
+             for r in range(n)]
+    reduced = sum(1 for _ in core._grid_fillings(cells, range(n)))
+    return reduced * factorial(n) * factorial(n - 1)
 
 
 def latin_lower_bound(n: int) -> Fraction:

@@ -4,11 +4,15 @@ import inspect
 import pkgutil
 import random
 from fractions import Fraction
+from itertools import combinations, product
+
+import pytest
 
 from oracles import (bfs_max_matching, brute_lex_least, decomposition_matrix, probe_lex_least,
                      rematch_lex_least)
 import transversal
 from transversal import _bitmatch, birkhoff, core, graphs, latin, matroids
+from transversal.errors import ResourceLimitError
 
 
 def random_masks(rng, n_rows, n_cols, density):
@@ -257,15 +261,37 @@ class TestRowForms:
         assert report.defect == 0 and len(report.partial) == n + 1
 
 
-# The backtrackers that still recurse, each to a depth that only a size
-# ceiling bounds.  Making one iterative must take it off this list.
-RECURSIVE = {
-    "core.array_sdr.descend",
-    "latin.count_latin_squares.fill",
-    "hypersdr.find_hyper_sdr.descend",
-    "hypersdr._maximal_matchings.descend",
-    "hypersdr._pinnable.descend",
-}
+class TestDisjointChoices:
+    def test_against_product_filter(self):
+        rng = random.Random(2718)
+        for _ in range(600):
+            options = [[(rng.getrandbits(6) & rng.getrandbits(6), (level, k))
+                        for k in range(rng.randint(0, 4))]
+                       for level in range(rng.randint(0, 5))]
+            brute = [tuple(value for _, value in picks) for picks in product(*options)
+                     if all(not a[0] & b[0] for a, b in combinations(picks, 2))]
+            assert list(_bitmatch.disjoint_choices(options)) == brute, options
+
+    def test_zero_levels_yield_one_empty_choice(self):
+        assert list(_bitmatch.disjoint_choices([])) == [()]
+
+    def test_empty_level_yields_nothing(self):
+        assert list(_bitmatch.disjoint_choices([[(1, "a")], [], [(2, "b")]])) == []
+
+    def test_node_budget(self, monkeypatch):
+        monkeypatch.setattr(_bitmatch, "NODE_BUDGET", 10)
+        options = [[(0, k) for k in range(3)]] * 4
+        with pytest.raises(ResourceLimitError) as info:
+            list(_bitmatch.disjoint_choices(options))
+        text = str(info.value)
+        assert "node budget of 10" in text
+        assert int(text.split("entered ")[1].split(" nodes")[0]) > 10
+
+
+# Functions of the package that call themselves: none.  The exhaustive
+# searches run on `_bitmatch.disjoint_choices`, which keeps its own stack, so
+# no input size can exhaust the interpreter stack anywhere in the package.
+RECURSIVE = set()
 
 
 def self_calls(source, prefix):
@@ -296,10 +322,10 @@ def self_calls(source, prefix):
 
 
 def test_no_recursion_in_the_package():
-    """Outside the listed backtrackers no function of the package calls
-    itself, so no input size can exhaust the interpreter stack there: the
-    matching engine in both row forms, the flow engine, the permanent kernel
-    and the Rado search included."""
+    """No function of the package calls itself, so no input size can
+    exhaust the interpreter stack: the matching engine in both row forms,
+    the flow engine, the permanent kernel, the Rado search and the
+    exhaustive searches included."""
     names = [info.name for info in pkgutil.iter_modules(transversal.__path__)]
     assert {"_bitmatch", "core", "graphs", "matroids", "cli"} <= set(names)
     found = set()

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from transversal import cli, core, groups, matroids
+from transversal import _bitmatch, cli, core, groups, matroids
 
 
 def run(capsys, *argv):
@@ -196,6 +196,17 @@ class TestCoreCommands:
             tmp_path, "arr0.json", {"ground": ["1"], "grid": [[["1"], ["1"]]]}
         )
         assert run(capsys, "array-sdr", path)[0] == 1
+
+    def test_array_sdr_deep_grid(self, capsys, tmp_path):
+        # 1600 cells, two candidates each: a search 1600 levels deep
+        n = 40
+        grid = [[[str((r + c) % n), str((r + c + 1) % n)] for c in range(n)] for r in range(n)]
+        path = write(tmp_path, "arr40.json", {"ground": [str(k) for k in range(n)], "grid": grid})
+        code, env, _ = run(capsys, "array-sdr", path, "--ceiling", "5000")
+        assert code == 0 and env["status"] == "found"
+        cert = write(tmp_path, "cert.json", env["payload"])
+        code, env, _ = run(capsys, "array-sdr", path, "--ceiling", "5000", "--verify", cert)
+        assert code == 0 and env["payload"]["valid"] is True
 
 
 @pytest.fixture
@@ -390,6 +401,12 @@ class TestLatinCommands:
     def test_count_limit(self, capsys):
         assert run(capsys, "latin-count", "9")[0] == 3
 
+    def test_count_node_budget(self, capsys):
+        # admitted by the raised ceiling, refused by the search's node budget
+        code, env, _ = run(capsys, "latin-count", "7", "--ceiling", "7")
+        assert code == 3 and env["status"] == "resource-limit"
+        assert "node budget" in env["diagnostics"]
+
     def test_youden(self, capsys, tmp_path):
         path = write(
             tmp_path,
@@ -579,6 +596,16 @@ class TestHyperCommand:
         )
         code, env, _ = run(capsys, "hyper-sdr", path)
         assert code == 1 and env["payload"]["witness"] == [0, 1]
+
+    def test_node_budget(self, capsys, tmp_path):
+        # 1100 disjoint pairs and one edge on all their vertices: the
+        # maximal matchings of the pairs are a search 1100 levels deep
+        vertices = [str(k) for k in range(2200)]
+        pairs = [vertices[k:k + 2] for k in range(0, 2200, 2)]
+        path = write(tmp_path, "h.json", {"vertices": vertices, "hypergraphs": [pairs, [vertices]]})
+        code, env, _ = run(capsys, "hyper-sdr", path, "--ceiling", "5000")
+        assert code == 3 and env["status"] == "resource-limit"
+        assert f"node budget of {_bitmatch.NODE_BUDGET}" in env["diagnostics"]
 
 
 FAMILY = {"ground": ["a", "b"], "sets": [["a"], ["a", "b"]]}

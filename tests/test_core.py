@@ -432,21 +432,30 @@ class TestArraySdr:
             core.array_sdr(arr)
 
     def test_exhaustive_against_brute(self):
-        # every 2x2 grid over ground {1,2}: solver verdict matches brute force
+        # every 2x2 grid over ground {1,2}, then random 2x3 grids over four
+        # symbols: the solver returns the first valid grid in row-major
+        # ground order, as brute force finds it
         from itertools import product
 
+        def first_valid(arr):
+            n_cols = arr.shape[1]
+            for cells in product(*(cell for row in arr.grid for cell in row)):
+                grid = tuple(cells[r * n_cols:(r + 1) * n_cols] for r in range(arr.shape[0]))
+                if core.validate_array_sdr(arr, grid)[0]:
+                    return grid
+            return None
+
         cells = [(), (1,), (2,), (1, 2)]
-        for choice in product(cells, repeat=4):
-            arr = core.ArrayFamily([1, 2], [[choice[0], choice[1]], [choice[2], choice[3]]])
+        arrays = [core.ArrayFamily([1, 2], [[a, b], [c, d]])
+                  for a, b, c, d in product(cells, repeat=4)]
+        rng = random.Random(31)
+        ground = [4, 1, 3, 2]
+        arrays += [core.ArrayFamily(ground, [[rng.sample(ground, rng.randint(1, 4))
+                                              for _ in range(3)] for _ in range(2)])
+                   for _ in range(150)]
+        for arr in arrays:
             grid = core.array_sdr(arr)
-            exists = any(
-                core.validate_array_sdr(arr, ((a, b), (c, d)))[0]
-                for a in (1, 2)
-                for b in (1, 2)
-                for c in (1, 2)
-                for d in (1, 2)
-            )
-            assert (grid is not None) == exists
+            assert grid == first_valid(arr)
             if grid is not None:
                 assert core.validate_array_sdr(arr, grid) == (True, None)
 

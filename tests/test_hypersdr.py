@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -94,6 +94,10 @@ class TestSufficiency:
             fam = family(vertices, *lists)
             holds, witness = hypersdr.ah_condition(fam)
             found = hypersdr.find_hyper_sdr(fam)
+            # the first disjoint selection in listed edge order
+            first = next((picks for picks in product(*(h.edges for h in fam.members))
+                          if all(not a & b for a, b in combinations(picks, 2))), None)
+            assert found == (None if first is None else hypersdr.HyperSdr(first))
             if holds:
                 assert found is not None
             if found is not None:

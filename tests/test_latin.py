@@ -167,9 +167,13 @@ class TestCountSquares:
         assert latin.count_latin_squares(4) == 576
         assert count_latin_squares_by_rows(4) == 576
 
+    def test_six(self):
+        # 6!5! times the 9408 reduced squares (McKay & Wanless 2005)
+        assert latin.count_latin_squares(6) == 812_851_200
+
     def test_ceiling(self):
         with pytest.raises(ResourceLimitError):
-            latin.count_latin_squares(6)
+            latin.count_latin_squares(7)
         with pytest.raises(ValidationError):
             latin.count_latin_squares(0)
 
