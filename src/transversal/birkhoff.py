@@ -227,7 +227,10 @@ def permanent(m: RationalMatrix, *, ceiling: int = PERMANENT_CEILING) -> Fractio
     k-by-k block (2^(n-1) for a dense matrix), hence the ceiling; the
     determinant shortcut does not exist for permanents.  Rows are
     rescaled to integers first (the permanent is linear in each row), which
-    keeps the inner loop on machine arithmetic.
+    keeps the inner loop on machine arithmetic.  A block of at least
+    `core._SPLIT_SETS` column sets (from k = 15) is walked in disjoint
+    chunks on the usable CPUs, one forked child per extra CPU; the result
+    is the same as on one CPU.
     """
     if m.n > ceiling:
         raise ResourceLimitError(f"order {m.n} is above the permanent ceiling {ceiling}")

@@ -293,25 +293,34 @@ def _clique_table(adj, n):
     return table
 
 
-def _chromatic_table(adj, n):
+def _chromatic_table(adj, n, cliques):
+    """Chromatic numbers of the 2^n induced subgraphs, from the clique
+    table.  With v the lowest vertex of x, chi(x) is chi(x - v) or one more,
+    and never below omega(x).  So a clique number above chi(x - v) settles
+    chi(x) with no search; otherwise chi(x) = chi(x - v) exactly when some
+    colour class I of v (an independent subset of x holding v) leaves
+    chi(x - I) = chi(x - v) - 1, and the search stops at the first one.
+    """
     size = 1 << n
     table = [0] * size
     for x in range(1, size):
-        v = (x & -x).bit_length() - 1
-        best = n + 1
-        # Colour class of v: any independent subset of x containing v.
-        stack = [(1 << v, x & ~adj[v] & ~(1 << v))]
+        low = x & -x
+        v = low.bit_length() - 1
+        base = table[x ^ low]
+        table[x] = base + 1
+        if cliques[x] > base:
+            continue
+        stack = [(low, x & ~adj[v] & ~low)]
         while stack:
             chosen, candidates = stack.pop()
-            rest = table[x & ~chosen]
-            if rest + 1 < best:
-                best = rest + 1
+            if table[x & ~chosen] < base:
+                table[x] = base
+                break
             while candidates:
-                low = candidates & -candidates
-                candidates ^= low
-                u = low.bit_length() - 1
-                stack.append((chosen | low, candidates & ~adj[u]))
-        table[x] = best
+                bit = candidates & -candidates
+                candidates ^= bit
+                u = bit.bit_length() - 1
+                stack.append((chosen | bit, candidates & ~adj[u]))
     return table
 
 
@@ -331,7 +340,7 @@ def is_perfect(g: Graph, *, ceiling: int = PERFECT_CEILING):
                                  f" above the table ceiling of {TABLE_CEILING} entries")
     adj = g.adjacency_masks()
     cliques = _clique_table(adj, n)
-    chromatics = _chromatic_table(adj, n)
+    chromatics = _chromatic_table(adj, n, cliques)
     bad = [x for x in range(1 << n) if cliques[x] != chromatics[x]]
     if not bad:
         return True, None

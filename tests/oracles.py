@@ -16,7 +16,9 @@ reach the same answer as a library solver through another part of the
 library: `hall_via_menger` (a flow), `hall_from_dilworth` (a chain partition)
 and `hall_coset_reps` (the marriage theorem, for simultaneous coset
 representatives).  Then come the exhaustive checks the command line never
-runs: `is_pinned`, `validate_matroid` and `comparability_graph`.  Last come
+runs: `is_pinned`, `validate_matroid`, `exhaustive_chromatic_table` (every
+colour class searched, the table `posets.is_perfect` used before the clique
+bound) and `comparability_graph`.  Last come
 references and constructors that only tests use: `EagerFamily` and
 `EagerGraph` (every mask and label tuple made at construction), the
 Birkhoff sums `decomposition_matrix` and `coefficient_sum`, the matrices
@@ -817,6 +819,28 @@ def validate_matroid(m, *, ceiling: int = VALIDATE_CEILING):
                     "b": tuple(sorted(b, key=m._index.get)),
                 }
     return True, None
+
+
+def exhaustive_chromatic_table(adj, n):
+    """Chromatic numbers of the 2^n induced subgraphs of a graph given by
+    adjacency masks: chi(x) is 1 + the least chi(x - I) over every colour
+    class I of the lowest vertex v of x (an independent subset of x holding
+    v), with no clique bound and no early stop."""
+    table = [0] * (1 << n)
+    for x in range(1, 1 << n):
+        v = (x & -x).bit_length() - 1
+        best = n + 1
+        stack = [(1 << v, x & ~adj[v] & ~(1 << v))]
+        while stack:
+            chosen, candidates = stack.pop()
+            best = min(best, table[x & ~chosen] + 1)
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                u = low.bit_length() - 1
+                stack.append((chosen | low, candidates & ~adj[u]))
+        table[x] = best
+    return table
 
 
 def comparability_graph(p: posets.Poset, complement: bool = False) -> graphs.Graph:

@@ -1,4 +1,6 @@
+import os
 import random
+import threading
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -410,6 +412,159 @@ class TestPermanentKernel:
                 # beside a 1-by-1 block of 3 the product is tripled
                 rows = [row + [0] for row in block] + [[0] * k + [3]]
                 assert core._permanent_rows(rows) == 3 * got
+
+
+ONES_5 = [[1] * 5 for _ in range(5)]  # permanent 5! = 120
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Split every walk of two sets or more; the returned function sets the
+    CPU count, and so the job count."""
+    monkeypatch.setattr(core, "_SPLIT_SETS", 2)
+
+    def use(cpus):
+        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    return use
+
+
+@pytest.fixture
+def wrong_in_children(monkeypatch):
+    """Forked children send a least sum 2^10 too large, which moves a
+    permanent of `ONES_5` by 2^10 / 2^4, so a child message that the parent
+    accepts shows in the result."""
+    parent, walk = os.getpid(), core._column_set_sums
+
+    def child_walk(start, cols, limit):
+        sums = walk(start, cols, limit)
+        return sums if os.getpid() == parent else [sums[0] + 1024] + sums[1:]
+    monkeypatch.setattr(core, "_column_set_sums", child_walk)
+    return parent
+
+
+class TestSplitWalk:
+    def test_job_count(self, monkeypatch):
+        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(3)))
+        assert core._walk_jobs(core._SPLIT_SETS - 1) == 1
+        assert core._walk_jobs(core._SPLIT_SETS) == 2
+        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(4)))
+        assert core._walk_jobs(core._SPLIT_SETS) == 4
+        monkeypatch.delattr(core.os, "sched_getaffinity")
+        monkeypatch.setattr(core.os, "cpu_count", lambda: 7)
+        assert core._walk_jobs(core._SPLIT_SETS) == 4
+        monkeypatch.setattr(core.os, "cpu_count", lambda: None)
+        assert core._walk_jobs(core._SPLIT_SETS) == 1
+        monkeypatch.setattr(core.os, "cpu_count", lambda: 2)
+        monkeypatch.delattr(core.os, "fork")
+        assert core._walk_jobs(core._SPLIT_SETS) == 1
+
+    def test_serial_while_another_thread_runs(self, monkeypatch):
+        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(2)))
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert core._walk_jobs(core._SPLIT_SETS) == 1
+        finally:
+            stop.set()
+            thread.join()
+        assert core._walk_jobs(core._SPLIT_SETS) == 2
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_matches_serial_walk_and_brute_force(self, split, cpus):
+        split(cpus)
+        rng = random.Random(1009 + cpus)
+        kinds = {"square": 0, "wide": 0, "negative": 0, "fraction": 0}
+        for _ in range(30):
+            n = rng.randint(1, 6)
+            m = rng.randint(n, 7)
+            rows = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)]
+            rational = rng.random() < 0.4
+            if rational:
+                rows = [[Fraction(x, rng.randint(1, 5)) for x in row] for row in rows]
+            got = core._permanent_rows(rows)
+            assert got == brute_permanent(rows), rows
+            assert rational or type(got) is int
+            kinds["square"] += n == m
+            kinds["wide"] += n < m
+            kinds["negative"] += any(x < 0 for row in rows for x in row)
+            kinds["fraction"] += rational
+        assert all(count >= 5 for count in kinds.values()), kinds
+
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_split_sums_equal_the_serial_walk(self, jobs):
+        rng = random.Random(31 + jobs)
+        for _ in range(30):
+            r, m = rng.randint(1, 5), rng.randint(0, 6)
+            start = tuple(rng.randint(-3, 3) for _ in range(r))
+            cols = [tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.3
+                          else rng.randint(-4, 4) for _ in range(r)) for _ in range(m)]
+            limit = rng.randint(0, m)
+            serial = core._column_set_sums(start, cols, limit)
+            assert core._split_column_set_sums(start, cols, limit, jobs) == serial
+
+    def test_fork_failure_walks_here(self, split, monkeypatch):
+        split(4)
+
+        def refuse():
+            raise OSError("no process slots")
+        monkeypatch.setattr(core.os, "fork", refuse)
+        assert core._permanent_rows(ONES_5) == 120
+
+    def test_child_exit_status_one_is_walked_here(self, split, wrong_in_children, monkeypatch):
+        split(2)
+        assert core._permanent_rows(ONES_5) != 120  # a child's message is used
+        exit_ = os._exit
+        monkeypatch.setattr(core.os, "_exit", lambda status: exit_(1))
+        assert core._permanent_rows(ONES_5) == 120
+
+    def test_truncated_message_is_walked_here(self, split, wrong_in_children, monkeypatch):
+        split(4)
+        write = os.write
+
+        def half_write(fd, data):
+            if os.getpid() == wrong_in_children:
+                return write(fd, data)
+            write(fd, bytes(data[:len(data) // 2]))
+            return len(data)
+        monkeypatch.setattr(core.os, "write", half_write)
+        assert core._permanent_rows(ONES_5) == 120
+
+    def test_interrupt_kills_and_reaps_every_child(self, split, monkeypatch):
+        split(4)
+        parent, walk = os.getpid(), core._column_set_sums
+
+        def interrupted(start, cols, limit):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return walk(start, cols, limit)
+        monkeypatch.setattr(core, "_column_set_sums", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            core._permanent_rows(ONES_5)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_message_parse(self):
+        cases = [(b"a -f 1/3\n", 3, [10, -15, Fraction(1, 3)]), (b"a -f", 2, None),
+                 (b"a\n", 2, None), (b"zz\n", 1, None), (b"1/0\n", 1, None)]
+        for message, size, expected in cases:
+            read, write = os.pipe()
+            os.write(write, message)
+            os.close(write)
+            try:
+                got = core._read_column_set_sums(read, size)
+            finally:
+                os.close(read)
+            assert got == expected, message
+            assert expected is None or [type(x) for x in got] == [type(x) for x in expected]
+
+    def test_no_duplicated_stdout(self, split, capfd):
+        split(4)
+        with open(os.dup(1), "w", buffering=1 << 16) as stream:
+            stream.write("buffered before the walk\n")
+            print("printed before the walk")
+            assert core._permanent_rows(ONES_5) == 120
+        assert capfd.readouterr().out == "printed before the walk\nbuffered before the walk\n"
 
 
 class TestArraySdr:

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from oracles import (all_poset_masks, brute_longest_chain, brute_max_antichain, comparability_graph,
-                     hall_from_dilworth, warshall_closure)
+                     exhaustive_chromatic_table, hall_from_dilworth, warshall_closure)
 from transversal import core, posets
 from transversal.errors import ResourceLimitError, ValidationError
 from transversal.graphs import Graph
@@ -248,6 +248,18 @@ class TestPerfection:
                 g = Graph(range(n), edges)
                 perfect, _ = posets.is_perfect(g)
                 assert perfect == posets.berge_check(g)
+
+    def test_chromatic_table_matches_exhaustive(self):
+        """The clique-bounded table with its early stop equals the table of
+        every colour class, on random graphs of up to 10 vertices."""
+        rng = random.Random(2718)
+        for _ in range(300):
+            n = rng.randint(0, 10)
+            density = rng.random()
+            g = Graph(range(n), [e for e in combinations(range(n), 2) if rng.random() < density])
+            adj = g.adjacency_masks()
+            got = posets._chromatic_table(adj, n, posets._clique_table(adj, n))
+            assert got == exhaustive_chromatic_table(adj, n), g.edges
 
     def test_ceiling(self):
         g = Graph(range(11), [])
