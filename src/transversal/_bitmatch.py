@@ -1,8 +1,8 @@
 """Bitmask bipartite matching engine shared by the solver modules.
 
 Rows are numbered 0..len(row_masks)-1 and row_masks[i] has bit c set when
-row i may be assigned column c.  Every scan runs in ascending index order,
-so all results are deterministic for a fixed input.  No function here
+row i may be assigned column c.  Every scan runs in an order fixed by the
+input, mostly ascending index order, so all results are deterministic.  No function here
 recurses: every search keeps its own queue, stack or frontier mask, so a
 path of any length costs no interpreter stack.
 
@@ -14,16 +14,21 @@ and fixes each row to its least column; it settles every candidate column
 of a row at once, so the assignment runs no maximum matching and no search
 that fails.
 
-The maximum matching and the forward reach each come in two forms that scan
-in the same order and so return the same result.  The mask form steps
-through a row's mask; the list form walks the row's columns as a list.  A
-mask operation costs time in proportion to the mask's width, so on wide,
-sparse rows (thousands of columns, a handful per row) every edge the mask
-form touches costs a pass over the whole row, and the list form wins; on
-narrow or dense rows one mask operation settles many columns at once, and
-the mask form wins.  `column_lists` makes the choice from the shape, and the
-list forms run only on column lists the caller hands over, so a caller that
-has only masks keeps the mask forms.
+The maximum matching and the forward reach each come in two forms.  The
+mask form steps through a row's mask; the list form walks the row's columns
+as a list.  The two reach forms scan in the same order and return the same
+sets.  The two matching forms run the same Hopcroft-Karp phases from
+different starts: the mask form from a greedy pass, the list form from a
+Karp-Sipser start, which on sparse rows leaves far fewer rows for the
+phases.  So they may return different maximum matchings, of one size, and
+the reach out of either one's free rows is the same.  A mask operation
+costs time in proportion to the mask's width, so on wide, sparse rows
+(thousands of columns, a handful per row) every edge the mask form touches
+costs a pass over the whole row, and the list form wins; on narrow or dense
+rows one mask operation settles many columns at once, and the mask form
+wins.  `column_lists` makes the choice from the shape, and the list forms
+run only on column lists the caller hands over, so a caller that has only
+masks keeps the mask forms.
 
 The exhaustive searches (SDRs of arrays, Latin-square counting, hypergraph
 SDRs and the Aharoni-Haxell condition) all run `disjoint_choices`: one value
@@ -44,7 +49,9 @@ NODE_BUDGET = 1 << 22
 
 # The shape rule of `column_lists`, measured by running the matching calls
 # recorded from the benchmark workloads, and random rows of each width and
-# degree, through both forms (see CHANGES.md).
+# degree, through both forms (see CHANGES.md).  Both forms had the greedy
+# start then; the list form's Karp-Sipser start came later, and the
+# crossover was not measured again with it.
 LIST_MIN_COLS = 256
 LIST_MAX_DEGREE = 8
 
@@ -75,19 +82,22 @@ def column_lists(row_masks, n_cols, row_cols=None):
 def max_matching(row_masks, n_cols, row_cols=None):
     """Return (match_of_row, match_of_col) for a maximum matching.
 
-    A greedy pass first gives each row its lowest free column.
-    Hopcroft-Karp phases then run while a row with columns is left
-    unmatched: a breadth-first search layers the rows by their alternating
-    distance from the free rows, and a depth-first search on an explicit
-    stack augments out of each free row along paths that go one layer
-    further at each step.  `row_cols` are the rows' ascending column
-    sequences, if the caller has them; with them `column_lists` picks the
-    form, and without them the masks are used.  `row_masks` is read only in
-    the mask form, so a caller whose lists the rule picks may pass them in
-    its place and make no mask.
-    Which maximum matching comes out depends on the engine; certificates that
-    must not (Hall violators, König covers, antichains) are read off the
-    Dulmage-Mendelsohn sets, which are the same for every maximum matching.
+    A start matches most rows first: in the mask form a greedy pass gives
+    each row its lowest free column, and in the list form a Karp-Sipser
+    start first matches any row or column with one free neighbour (see
+    `_match_lists`).  Hopcroft-Karp phases then run while a row with
+    columns is left unmatched: a breadth-first search layers the rows by
+    their alternating distance from the free rows, and a depth-first search
+    on an explicit stack augments out of each free row along paths that go
+    one layer further at each step.  `row_cols` are the rows' ascending
+    column sequences, if the caller has them; with them `column_lists`
+    picks the form, and without them the masks are used.  `row_masks` is
+    read only in the mask form, so a caller whose lists the rule picks may
+    pass them in its place and make no mask.
+    Which maximum matching comes out depends on the engine and on the form;
+    certificates that must not (Hall violators, König covers, antichains)
+    are read off the Dulmage-Mendelsohn sets, which are the same for every
+    maximum matching.
     """
     if row_cols is not None:
         row_cols = column_lists(row_masks, n_cols, row_cols)
@@ -185,20 +195,72 @@ def _hopcroft_karp(row_masks, match_row, match_col):
 
 
 def _match_lists(row_cols, n_cols):
-    """`max_matching` on the column lists: the same scans in the same order."""
-    match_row = [UNMATCHED] * len(row_cols)
+    """`max_matching` on the column lists, from a Karp-Sipser start.
+
+    ``row_deg[r]`` and ``col_deg[c]`` count the free neighbours of each
+    vertex.  While a free row or column has exactly one, it is matched to
+    that one: such an edge lies in some maximum matching, so this step never
+    costs size (Karp & Sipser 1981).  Otherwise the lowest free row with a
+    free neighbour takes its lowest free column, the greedy step, which may.
+    Degree-one vertices wait on a stack, rows as r and columns as ~c; it
+    starts with the degree-one rows, lowest on top, above the degree-one
+    columns, so the order, and the result, is fixed by the input.  A
+    vertex's degree reaches one at most once, so the start costs O(edges).
+    On sparse rows it leaves few rows for the Hopcroft-Karp phases, which
+    still run while a row with columns is free and prove the result
+    maximum.
+    """
+    n_rows = len(row_cols)
+    match_row = [UNMATCHED] * n_rows
     match_col = [UNMATCHED] * n_cols
-    short = False
+    col_rows = [[] for _ in range(n_cols)]
     for r, cols in enumerate(row_cols):
         for c in cols:
-            if match_col[c] == UNMATCHED:
-                match_row[r] = c
-                match_col[c] = r
-                break
+            col_rows[c].append(r)
+    row_deg = list(map(len, row_cols))
+    col_deg = list(map(len, col_rows))
+    stack = [~c for c in range(n_cols - 1, -1, -1) if col_deg[c] == 1]
+    stack += [r for r in range(n_rows - 1, -1, -1) if row_deg[r] == 1]
+    low = 0
+    while True:
+        if stack:
+            v = stack.pop()
+            if v >= 0:
+                r = v
+                if match_row[r] != UNMATCHED or row_deg[r] != 1:
+                    continue
+                for c in row_cols[r]:
+                    if match_col[c] == UNMATCHED:
+                        break
+            else:
+                c = ~v
+                if match_col[c] != UNMATCHED or col_deg[c] != 1:
+                    continue
+                for r in col_rows[c]:
+                    if match_row[r] == UNMATCHED:
+                        break
         else:
-            if cols:
-                short = True
-    if short:
+            while low < n_rows and (match_row[low] != UNMATCHED or not row_deg[low]):
+                low += 1
+            if low == n_rows:
+                break
+            r = low
+            for c in row_cols[r]:
+                if match_col[c] == UNMATCHED:
+                    break
+        match_row[r] = c
+        match_col[c] = r
+        for c2 in row_cols[r]:
+            d = col_deg[c2] - 1
+            col_deg[c2] = d
+            if d == 1 and match_col[c2] == UNMATCHED:
+                stack.append(~c2)
+        for r2 in col_rows[c]:
+            d = row_deg[r2] - 1
+            row_deg[r2] = d
+            if d == 1 and match_row[r2] == UNMATCHED:
+                stack.append(r2)
+    if any(c == UNMATCHED and cols for c, cols in zip(match_row, row_cols)):
         _hopcroft_karp_lists(row_cols, match_row, match_col)
     return match_row, match_col
 

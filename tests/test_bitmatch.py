@@ -190,9 +190,13 @@ def draw_rows(rng):
 
 class TestRowForms:
     def test_forms_agree(self):
-        """The mask and list forms give the same matching and the same
-        reach, of the size `bfs_max_matching` finds, and the lex-least
-        assignment is the same from every start on these shapes too."""
+        """The mask and list forms each give a valid matching of the size
+        `bfs_max_matching` finds.  The list form starts from Karp-Sipser and
+        the mask form from the greedy pass, so the two matchings may differ,
+        but the reach from each form's own free rows may not: those are the
+        Dulmage-Mendelsohn sets, the same for every maximum matching.  The
+        lex-least assignment is the same from every start on these shapes
+        too."""
         rng = random.Random(6174)
         sides = set()
         for _ in range(120):
@@ -203,18 +207,23 @@ class TestRowForms:
                      else "square"] + ["empty-row"] * (0 in masks)
             sides.update((kind, lists) for kind in kinds)
             expected, _ = bfs_max_matching(masks, n_cols)
-            got = _bitmatch._match_masks(masks, n_cols)
-            assert _bitmatch._match_lists(cols, n_cols) == got, shape
-            assert _bitmatch.max_matching(masks, n_cols) == got
-            assert _bitmatch.max_matching(masks, n_cols, cols) == got
-            match_row, match_col = got
-            check_matching(masks, n_cols, match_row, match_col)
-            assert match_row.count(-1) == expected.count(-1), shape
-            free = [r for r, c in enumerate(match_row) if c == _bitmatch.UNMATCHED]
-            reach = _bitmatch.alternating_reachable(masks, *got, free)
-            assert _bitmatch._reach_lists(cols, match_col, free) == reach
-            assert _bitmatch._reach_masks(masks, match_col, free) == reach
-            assert _bitmatch.alternating_reachable(masks, *got, free, cols) == reach
+            by_masks = _bitmatch._match_masks(masks, n_cols)
+            by_lists = _bitmatch._match_lists(cols, n_cols)
+            assert _bitmatch.max_matching(masks, n_cols) == by_masks
+            assert _bitmatch.max_matching(masks, n_cols, cols) == (by_lists if lists else by_masks)
+            reaches = []
+            for (match_row, match_col), reach_form, rows in (
+                    (by_masks, _bitmatch._reach_masks, masks),
+                    (by_lists, _bitmatch._reach_lists, cols)):
+                check_matching(masks, n_cols, match_row, match_col)
+                assert match_row.count(-1) == expected.count(-1), shape
+                free = [r for r, c in enumerate(match_row) if c == _bitmatch.UNMATCHED]
+                reach = reach_form(rows, match_col, free)
+                assert _bitmatch.alternating_reachable(masks, match_row, match_col, free) == reach
+                assert _bitmatch.alternating_reachable(masks, match_row, match_col, free,
+                                                       cols) == reach
+                reaches.append(reach)
+            assert reaches[0] == reaches[1], shape
             cold = _bitmatch.lex_least_assignment(masks, n_cols)
             for start in random_starts(rng, masks, n_cols).values():
                 assert _bitmatch.lex_least_assignment(masks, n_cols, start) == cold, shape
@@ -251,14 +260,81 @@ class TestRowForms:
 
     def test_chain_runs_on_lists(self, monkeypatch):
         """The 1500-step chain: set i holds elements i and i + 1, and a last
-        set holds element 0, so the final augmenting path runs through the
-        whole chain, on the list path with no interpreter stack."""
+        set holds element 0, on the list path.  The last set has one
+        element, so the Karp-Sipser start settles the whole chain from it
+        and no augmenting path runs; `test_long_augmenting_path` runs one."""
         n = 1500
         family = core.SetFamily(range(n + 1), [[i, i + 1] for i in range(n)] + [[0]])
         monkeypatch.setattr(_bitmatch, "_match_masks", None)
         assert core.hall_check(family).reps == tuple(range(1, n + 1)) + (0,)
         report = core.partial_sdr(family)
         assert report.defect == 0 and len(report.partial) == n + 1
+
+    def test_long_augmenting_path(self):
+        """From the greedy start on the chain (row i on column i, the last
+        row free), both phase engines run the 1500-step augmenting path to
+        the one perfect matching with no interpreter stack."""
+        masks, cols, _ = chain_rows(1500)
+        for phases, rows in ((_bitmatch._hopcroft_karp, masks),
+                             (_bitmatch._hopcroft_karp_lists, cols)):
+            match_row = list(range(1500)) + [_bitmatch.UNMATCHED]
+            match_col = list(range(1500)) + [_bitmatch.UNMATCHED]
+            phases(rows, match_row, match_col)
+            assert match_row == list(range(1, 1501)) + [0]
+            assert match_col == [1500] + list(range(1500))
+
+    def test_start_settles_forests(self, monkeypatch):
+        """A forest with an edge has a leaf, and matching a leaf to its one
+        neighbour leaves a forest, so on a forest the Karp-Sipser start
+        takes no greedy step and is maximum on its own.  These forests, and
+        the chain, match every row, so the list form runs no phase."""
+        def no_phase(*args):
+            raise AssertionError("Hopcroft-Karp ran")
+
+        monkeypatch.setattr(_bitmatch, "_hopcroft_karp_lists", no_phase)
+        rng = random.Random(9127)
+        cases = [chain_rows(1500)]
+        for _ in range(40):
+            n_cols = rng.randint(256, 600)
+            cases.append(random_forest(rng, rng.randint(40, n_cols), n_cols))
+        for masks, cols, n_cols in cases:
+            assert _bitmatch.column_lists(masks, n_cols, cols) is cols
+            match_row, match_col = _bitmatch.max_matching(masks, n_cols, cols)
+            check_matching(masks, n_cols, match_row, match_col)
+            expected, _ = bfs_max_matching(masks, n_cols)
+            assert match_row.count(-1) == expected.count(-1) == 0
+
+
+def chain_rows(n):
+    """(masks, column lists, n_cols) of the chain: row i holds columns i and
+    i + 1, and a last row holds column 0."""
+    cols = [[i, i + 1] for i in range(n)] + [[0]]
+    return [sum(1 << c for c in row) for row in cols], cols, n + 1
+
+
+def random_forest(rng, n_rows, n_cols):
+    """(masks, column lists, n_cols) of a random bipartite forest over n_cols
+    columns with a matching of every row: each row takes a column of its
+    own, then up to 7 more, each from a different tree."""
+    tree = list(range(n_cols))
+
+    def root(c):
+        while tree[c] != c:
+            tree[c] = tree[tree[c]]
+            c = tree[c]
+        return c
+
+    own = rng.sample(range(n_cols), n_rows)
+    cols = []
+    for r in range(n_rows):
+        row = [own[r]]
+        for c in rng.sample(range(n_cols), rng.randint(0, 7)):
+            if root(c) not in {root(d) for d in row}:
+                row.append(c)
+        for c in row[1:]:
+            tree[root(c)] = root(own[r])
+        cols.append(sorted(row))
+    return [sum(1 << c for c in row) for row in cols], cols, n_cols
 
 
 class TestDisjointChoices:

@@ -59,7 +59,9 @@ class TestMatching:
 
     def test_hopcroft_karp_long_chain(self):
         # Row i meets columns i and i + 1 and a last row meets column 0
-        # only, so the final augmenting path runs the whole chain.
+        # only.  That last row has one column, so the Karp-Sipser start
+        # settles the whole chain and no augmenting path runs; the engine's
+        # own test_long_augmenting_path runs the 1500-step path.
         n = 1500
         a = list(range(n + 1))
         b = [f"b{j}" for j in range(n + 1)]
