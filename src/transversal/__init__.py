@@ -78,7 +78,6 @@ from .posets import (
     AntichainPartition,
     ChainPartition,
     Poset,
-    berge_check,
     dilworth,
     is_perfect,
     mirsky,

@@ -205,10 +205,10 @@ def _cmd_mirsky(args):
 def _cmd_perfect(args):
     g = graphs.Graph.from_json(_load(args.graph))
     if args.verify:
-        return _verify(args.verify, posets.verify_perfect, g, **_ceiling(args))
+        return _verify(args.verify, posets.verify_perfect, g)
     perfect, witness = posets.is_perfect(g, **_ceiling(args))
-    berge = posets.berge_check(g, **_ceiling(args))
-    payload = {"perfect": perfect, "berge": berge, "witness": list(witness) if witness else None}
+    # A graph is Berge (no odd hole or antihole) exactly when it is perfect.
+    payload = {"perfect": perfect, "berge": perfect, "witness": list(witness) if witness else None}
     if perfect:
         return "found", payload, "graph is perfect"
     return "not-found", payload, "imperfect; witness subgraph attached"
@@ -399,6 +399,8 @@ def main(argv=None) -> int:
     between parses, so one call's options never reach the next."""
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "ceiling", None) is not None and args.ceiling < 0:
+            raise ValidationError(f"--ceiling {args.ceiling} is negative", field="ceiling")
         status, payload, diagnostics = args.handler(args)
     except ValidationError as exc:
         status, payload, diagnostics = "invalid-input", None, _described(exc)

@@ -16,9 +16,12 @@ reach the same answer as a library solver through another part of the
 library: `hall_via_menger` (a flow), `hall_from_dilworth` (a chain partition)
 and `hall_coset_reps` (the marriage theorem, for simultaneous coset
 representatives).  Then come the exhaustive checks the command line never
-runs: `is_pinned`, `validate_matroid`, `exhaustive_chromatic_table` (every
-colour class searched, the table `posets.is_perfect` used before the clique
-bound) and `comparability_graph`.  Last come
+runs: `is_pinned`, `validate_matroid`, the subset tables that
+`posets.is_perfect` used before its odd-hole search, kept as its reference
+(`clique_table`, `chromatic_table` with its clique bound and early stop,
+`exhaustive_chromatic_table` with every colour class searched, and
+`table_is_perfect`, which compares the first two), and
+`comparability_graph`.  Last come
 references and constructors that only tests use: `EagerFamily` and
 `EagerGraph` (every mask and label tuple made at construction), the
 Birkhoff sums `decomposition_matrix` and `coefficient_sum`, the matrices
@@ -819,6 +822,67 @@ def validate_matroid(m, *, ceiling: int = VALIDATE_CEILING):
                     "b": tuple(sorted(b, key=m._index.get)),
                 }
     return True, None
+
+
+def clique_table(adj, n):
+    """Clique numbers of the 2^n induced subgraphs of a graph given by
+    adjacency masks: omega(x) is the larger of omega(x - v) and
+    1 + omega(x & N(v)), with v the lowest vertex of x."""
+    size = 1 << n
+    table = [0] * size
+    for x in range(1, size):
+        low = x & -x
+        v = low.bit_length() - 1
+        without = table[x ^ low]
+        with_v = 1 + table[x & adj[v]]
+        table[x] = with_v if with_v > without else without
+    return table
+
+
+def chromatic_table(adj, n, cliques):
+    """Chromatic numbers of the 2^n induced subgraphs, from the clique
+    table.  With v the lowest vertex of x, chi(x) is chi(x - v) or one more,
+    and never below omega(x).  So a clique number above chi(x - v) settles
+    chi(x) with no search; otherwise chi(x) = chi(x - v) exactly when some
+    colour class I of v (an independent subset of x holding v) leaves
+    chi(x - I) = chi(x - v) - 1, and the search stops at the first one.
+    """
+    size = 1 << n
+    table = [0] * size
+    for x in range(1, size):
+        low = x & -x
+        v = low.bit_length() - 1
+        base = table[x ^ low]
+        table[x] = base + 1
+        if cliques[x] > base:
+            continue
+        stack = [(low, x & ~adj[v] & ~low)]
+        while stack:
+            chosen, candidates = stack.pop()
+            if table[x & ~chosen] < base:
+                table[x] = base
+                break
+            while candidates:
+                bit = candidates & -candidates
+                candidates ^= bit
+                u = bit.bit_length() - 1
+                stack.append((chosen | bit, candidates & ~adj[u]))
+    return table
+
+
+def table_is_perfect(g: graphs.Graph):
+    """`posets.is_perfect` by the subset tables: (True, None), or (False,
+    witness vertices) for the induced subgraph of fewest vertices, then
+    least vertex mask, whose clique and chromatic numbers differ."""
+    n = len(g.vertices)
+    adj = g.adjacency_masks()
+    cliques = clique_table(adj, n)
+    chromatics = chromatic_table(adj, n, cliques)
+    bad = [x for x in range(1 << n) if cliques[x] != chromatics[x]]
+    if not bad:
+        return True, None
+    witness = min(bad, key=lambda x: (x.bit_count(), x))
+    return False, tuple(g.vertices[i] for i in _bitmatch.bits_of(witness))
 
 
 def exhaustive_chromatic_table(adj, n):

@@ -31,6 +31,7 @@ from oracles import (
     is_symmetric_bibd,
     random_doubly_stochastic_rows,
     symmetric_group,
+    table_is_perfect,
     uniform_matrix,
 )
 from transversal import birkhoff, core, graphs, groups, hypersdr, latin, matroids, posets
@@ -193,7 +194,7 @@ def test_dilworth_and_mirsky():
 
 
 def test_perfect_graph_coherence():
-    """The clique/chromatic sweep agrees with the odd-hole/antihole scan on
+    """The odd-hole search gives the subset tables' verdict and witness on
     every graph with at most seven vertices (labelled-exhaustive to six,
     one representative per isomorphism class plus relabelings at seven),
     and every comparability graph of a poset on at most six elements
@@ -205,13 +206,13 @@ def test_perfect_graph_coherence():
         for bits in range(1 << len(slots)):
             edges = [slots[k] for k in range(len(slots)) if (bits >> k) & 1]
             g = Graph(range(n), edges)
-            perfect, _ = posets.is_perfect(g)
-            assert perfect == posets.berge_check(g)
+            perfect, witness = posets.is_perfect(g)
+            assert (perfect, witness) == table_is_perfect(g)
             table[bits] = perfect
         verdicts[n] = table
-    # Seven vertices: every graph is isomorphic to one representative, and
-    # both predicates only consume the adjacency structure; relabelings
-    # guard against any vertex-order dependence.
+    # Seven vertices: every graph is isomorphic to one representative;
+    # relabelings guard against any vertex-order dependence of the verdict
+    # and of the least-mask witness.
     rng = random.Random(7777)
     relabelings = [tuple(rng.sample(range(7), 7)) for _ in range(3)]
     classes7 = graphs_up_to_iso(7)[7]
@@ -219,13 +220,13 @@ def test_perfect_graph_coherence():
     for mask in classes7:
         base_edges = edges_of_mask(mask, 7)
         g = Graph(range(7), base_edges)
-        perfect, _ = posets.is_perfect(g)
-        assert perfect == posets.berge_check(g)
+        perfect, witness = posets.is_perfect(g)
+        assert (perfect, witness) == table_is_perfect(g)
         for p in relabelings:
             h = Graph(range(7), [(p[u], p[v]) for u, v in base_edges])
-            relabelled_perfect, _ = posets.is_perfect(h)
+            relabelled_perfect, relabelled_witness = posets.is_perfect(h)
             assert relabelled_perfect == perfect
-            assert posets.berge_check(h) == perfect
+            assert (relabelled_perfect, relabelled_witness) == table_is_perfect(h)
     # Comparability graphs of small posets are always perfect.
     for n in range(7):
         slots = {pair: k for k, pair in enumerate(combinations(range(n), 2))}

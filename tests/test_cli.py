@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from transversal import _bitmatch, cli, core, groups, matroids
+from transversal import _bitmatch, cli, core, groups, matroids, posets
 
 
 def run(capsys, *argv):
@@ -319,13 +319,31 @@ class TestPosetCommands:
         code, env, _ = run(capsys, "perfect", path)
         assert code == 0 and env["payload"]["perfect"] and env["payload"]["berge"]
 
-    def test_perfect_refused_by_table_size(self, capsys, tmp_path):
+    def test_perfect_refused_by_node_budget(self, capsys, tmp_path):
+        """An 8x8 grid at a raised ceiling is refused by the search's node
+        budget; the 40-cycle is perfect, and its 40 vertices are no witness."""
+        cells = [(r, c) for r in range(8) for c in range(8)]
+        grid = {"vertices": [f"{r},{c}" for r, c in cells],
+                "edges": [[f"{r},{c}", f"{r + dr},{c + dc}"] for r, c in cells
+                          for dr, dc in ((0, 1), (1, 0)) if r + dr < 8 and c + dc < 8]}
+        path = write(tmp_path, "grid.json", grid)
+        env = refused_within_a_second(capsys, "perfect", path, "--ceiling", "64")
+        budget = posets.PERFECT_BUDGET
+        assert f"entered {budget + 1} paths" in env["diagnostics"]
+        assert f"node budget of {budget}" in env["diagnostics"]
         ring = {"vertices": list(range(40)), "edges": [[i, (i + 1) % 40] for i in range(40)]}
         path = write(tmp_path, "c40.json", ring)
-        env = refused_within_a_second(capsys, "perfect", path, "--ceiling", "64")
-        assert "2^40 entries" in env["diagnostics"] and str(1 << 20) in env["diagnostics"]
+        code, env, _ = run(capsys, "perfect", path, "--ceiling", "64")
+        assert code == 0 and env["payload"]["perfect"] is True
         cert = write(tmp_path, "cert.json", {"witness": list(range(40))})
-        refused_within_a_second(capsys, "perfect", path, "--ceiling", "64", "--verify", cert)
+        code, env, _ = run(capsys, "perfect", path, "--ceiling", "64", "--verify", cert)
+        assert code == 1 and "40 vertices" in env["payload"]["reason"]
+
+    @pytest.mark.parametrize("n, perfect", [(4, True), (5, False)])
+    def test_berge_equals_perfect(self, capsys, tmp_path, n, perfect):
+        ring = {"vertices": list(range(n)), "edges": [[i, (i + 1) % n] for i in range(n)]}
+        env = run(capsys, "perfect", write(tmp_path, "ring.json", ring))[1]
+        assert env["payload"]["perfect"] is perfect and env["payload"]["berge"] is perfect
 
     def test_perfect_false_with_witness(self, capsys, tmp_path):
         path = write(
@@ -672,6 +690,22 @@ class TestMalformedInputs:
         code, env, _ = run_on(capsys, tmp_path, command, objs, extra)
         assert code == 2 and env["status"] == "invalid-input"
         assert f"(field: {field})" in env["diagnostics"]
+
+    CEILING_INPUTS = {
+        "count-sdr": ([FAMILY], ()),
+        "array-sdr": VALID_INPUTS["array-sdr"],
+        "perfect": ([{"vertices": [], "edges": []}], ()),
+        "permanent": ([{"n": 1, "entries": [["1"]]}], ()),
+        "latin-count": ([], ("3",)),
+        "hyper-sdr": VALID_INPUTS["hyper-sdr"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(CEILING_INPUTS))
+    def test_negative_ceiling(self, capsys, tmp_path, command):
+        objs, extra = self.CEILING_INPUTS[command]
+        code, env, _ = run_on(capsys, tmp_path, command, objs, (*extra, "--ceiling", "-3"))
+        assert code == 2 and env["status"] == "invalid-input"
+        assert "(field: ceiling)" in env["diagnostics"]
 
     @pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 100000 + b"]" * 100000])
     def test_unreadable_json(self, capsys, tmp_path, content):

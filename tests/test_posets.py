@@ -1,10 +1,12 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
 
-from oracles import (all_poset_masks, brute_longest_chain, brute_max_antichain, comparability_graph,
-                     exhaustive_chromatic_table, hall_from_dilworth, warshall_closure)
+from oracles import (all_poset_masks, brute_longest_chain, brute_max_antichain, chromatic_table,
+                     clique_table, comparability_graph, exhaustive_chromatic_table,
+                     hall_from_dilworth, table_is_perfect, warshall_closure)
 from transversal import core, posets
 from transversal.errors import ResourceLimitError, ValidationError
 from transversal.graphs import Graph
@@ -207,6 +209,12 @@ def cycle_graph(n):
     return Graph(range(n), [(i, (i + 1) % n) for i in range(n)])
 
 
+def grid_graph(rows, cols):
+    return Graph(range(rows * cols),
+                 [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+                 + [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)])
+
+
 def complement_graph(g):
     present = {frozenset(e) for e in g.edges}
     return Graph(
@@ -231,23 +239,55 @@ class TestPerfection:
             assert posets.is_perfect(g) == (True, None)
 
     def test_berge_c5(self):
-        assert not posets.berge_check(cycle_graph(5))
+        """Odd holes are witnesses the checker accepts."""
+        for n in (5, 7):
+            g = cycle_graph(n)
+            assert posets.is_perfect(g) == (False, tuple(range(n)))
+            assert posets.verify_perfect(g, {"witness": list(range(n))}) == (True, None)
 
     def test_berge_c7_complement(self):
-        assert not posets.berge_check(complement_graph(cycle_graph(7)))
+        g = complement_graph(cycle_graph(7))
+        assert posets.is_perfect(g) == (False, tuple(range(7)))
+        assert posets.verify_perfect(g, {"witness": [3, 1, 4, 0, 5, 2, 6]}) == (True, None)
 
     def test_berge_bipartite(self):
         g = Graph(range(8), [(i, j) for i in range(0, 8, 2) for j in range(1, 8, 2)])
-        assert posets.berge_check(g)
+        assert posets.is_perfect(g) == (True, None)
+
+    @pytest.mark.parametrize("g, witness", [
+        (cycle_graph(4), [0, 1, 2, 3]),
+        (cycle_graph(6), [0, 1, 2, 3, 4, 5]),
+        (Graph(range(7), cycle_graph(7).edges + ((0, 3),)), list(range(7))),
+        (Graph(range(6), cycle_graph(5).edges + ((0, 5),)), list(range(6))),
+        (Graph(range(7), cycle_graph(5).edges + ((0, 5), (5, 6))), list(range(7))),
+    ], ids=["C4", "C6", "chorded-C7", "C5-plus-one", "C5-plus-two"])
+    def test_checker_refuses_what_is_no_odd_hole_or_antihole(self, g, witness):
+        ok, reason = posets.verify_perfect(g, {"witness": witness})
+        assert not ok and reason
 
     def test_agreement_up_to_five(self):
+        """The search gives the subset tables' verdict and witness on every
+        labelled graph of up to five vertices, and the checker accepts every
+        witness."""
         for n in range(6):
             slots = list(combinations(range(n), 2))
             for bits in range(1 << len(slots)):
                 edges = [slots[k] for k in range(len(slots)) if (bits >> k) & 1]
                 g = Graph(range(n), edges)
-                perfect, _ = posets.is_perfect(g)
-                assert perfect == posets.berge_check(g)
+                perfect, witness = posets.is_perfect(g)
+                assert (perfect, witness) == table_is_perfect(g)
+                if not perfect:
+                    assert posets.verify_perfect(g, {"witness": list(witness)}) == (True, None)
+
+    def test_agreement_on_seeded_graphs(self):
+        """Verdict and witness equal the subset tables' on 1500 seeded graphs
+        of 1 to 10 vertices at densities 0.2 to 0.8."""
+        rng = random.Random(1500)
+        for _ in range(1500):
+            n = rng.randint(1, 10)
+            density = rng.uniform(0.2, 0.8)
+            g = Graph(range(n), [e for e in combinations(range(n), 2) if rng.random() < density])
+            assert posets.is_perfect(g) == table_is_perfect(g), g.edges
 
     def test_chromatic_table_matches_exhaustive(self):
         """The clique-bounded table with its early stop equals the table of
@@ -258,26 +298,39 @@ class TestPerfection:
             density = rng.random()
             g = Graph(range(n), [e for e in combinations(range(n), 2) if rng.random() < density])
             adj = g.adjacency_masks()
-            got = posets._chromatic_table(adj, n, posets._clique_table(adj, n))
+            got = chromatic_table(adj, n, clique_table(adj, n))
             assert got == exhaustive_chromatic_table(adj, n), g.edges
 
     def test_ceiling(self):
-        g = Graph(range(11), [])
-        with pytest.raises(ResourceLimitError):
+        g = Graph(range(posets.PERFECT_CEILING + 1), [])
+        with pytest.raises(ResourceLimitError, match="above the ceiling"):
             posets.is_perfect(g)
-        with pytest.raises(ResourceLimitError):
-            posets.berge_check(g)
 
-    def test_table_ceiling_before_allocation(self):
-        """A raised ceiling still refuses by the 2^40-entry tables it would
-        need, and the refusal names them and the table ceiling."""
-        g = cycle_graph(40)
-        with pytest.raises(ResourceLimitError, match=r"2\^40 entries.*1048576"):
-            posets.is_perfect(g, ceiling=64)
-        with pytest.raises(ResourceLimitError, match=r"2\^40 entries"):
-            posets.verify_perfect(g, {"witness": list(range(40))}, ceiling=64)
+    def test_node_budget_refusal(self):
+        """A raised ceiling lets a 64-vertex grid in, and the search refuses
+        it within a second by its node budget, naming the nodes entered and
+        the budget.  The 40-cycle is perfect at once, and its 40 vertices
+        are no odd cycle for the checker."""
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError,
+                           match=rf"entered {posets.PERFECT_BUDGET + 1} paths.*"
+                                 rf"budget of {posets.PERFECT_BUDGET}"):
+            posets.is_perfect(grid_graph(8, 8), ceiling=64)
+        assert time.perf_counter() - start < 1.0
+        ring = cycle_graph(40)
+        assert posets.is_perfect(ring, ceiling=64) == (True, None)
+        ok, reason = posets.verify_perfect(ring, {"witness": list(range(40))})
+        assert not ok and "40 vertices" in reason
 
-    def test_table_ceiling_refuses_21_vertices(self):
-        assert posets.TABLE_CEILING == 1 << 20 > 1 << posets.PERFECT_CEILING
-        with pytest.raises(ResourceLimitError, match="table ceiling"):
-            posets.is_perfect(Graph(range(21), []), ceiling=21)
+    def test_graphs_at_the_ceiling(self):
+        """Perfect graphs of PERFECT_CEILING vertices are answered, and of
+        two odd holes of 23 vertices the one of least mask is the witness."""
+        n = posets.PERFECT_CEILING
+        assert posets.is_perfect(grid_graph(4, n // 4)) == (True, None)
+        rng = random.Random(24)
+        left = set(rng.sample(range(n), n // 2))
+        bipartite = Graph(range(n), [(u, v) for u, v in combinations(range(n), 2)
+                                     if (u in left) != (v in left) and rng.random() < 0.5])
+        assert posets.is_perfect(bipartite) == (True, None)
+        hole = Graph(range(n), cycle_graph(23).edges + ((0, 23), (2, 23)))
+        assert posets.is_perfect(hole) == (False, tuple(range(23)))
