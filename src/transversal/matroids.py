@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 from . import _bitmatch, core
 from .errors import ValidationError
@@ -17,18 +18,24 @@ from .errors import ValidationError
 class MatroidOracle:
     """A ground set plus a black-box independence predicate.
 
-    Rank is always derived by greedy extension through the oracle, never
+    Rank is derived by greedy extension of an incremental basis, never
     trusted from the caller; the exchange property makes the greedy result
-    well defined.
+    well defined.  A built-in kind passes its own basis, from which its
+    predicate is derived too; a predicate alone gets `_OracleBasis`.
     """
 
-    __slots__ = ("ground", "kind", "_indep", "_index")
+    __slots__ = ("ground", "kind", "_indep", "_index", "_new_basis")
 
-    def __init__(self, ground, indep, kind="custom"):
+    def __init__(self, ground, indep=None, kind="custom", basis=None):
         self._index = core._index_labels(ground, "ground")
         self.ground = tuple(self._index)
         self.kind = kind
-        self._indep = indep
+        self._new_basis = basis
+        self._indep = indep if basis is None else partial(_grows, basis)
+
+    def basis(self):
+        """An empty basis, with the methods of `_OracleBasis`."""
+        return _OracleBasis(self) if self._new_basis is None else self._new_basis()
 
     def _within_ground(self, subset) -> frozenset:
         """`subset` as a frozenset, after checking that it lies in the ground."""
@@ -43,11 +50,167 @@ class MatroidOracle:
 
     def rank_of(self, subset) -> int:
         subset = self._within_ground(subset)
-        chosen: set = set()
+        b = self.basis()
         for x in self.ground:
-            if x in subset and self._indep(frozenset(chosen | {x})):
-                chosen.add(x)
-        return len(chosen)
+            if x in subset and b.independent_with(x):
+                b.add(x)
+        return len(b.members)
+
+
+def _grows(new_basis, subset) -> bool:
+    """Whether each element of `subset` in turn can join an empty basis."""
+    b = new_basis()
+    for x in subset:
+        if not b.independent_with(x):
+            return False
+        b.add(x)
+    return True
+
+
+class _OracleBasis:
+    """An independent set I, the list ``members``, grown by ``add(y)``.
+
+    ``independent_with(y)`` says whether I + y is independent, and
+    ``circuit(y)`` is None when it is, else y's fundamental circuit: what
+    it holds is the x in I for which I - x + y is independent.  This one
+    asks the predicate, and asks it about an x when ``x in circuit`` is.
+    """
+
+    __slots__ = ("m", "members")
+
+    def __init__(self, m):
+        self.m, self.members = m, []
+
+    def independent_with(self, y):
+        return bool(self.m._indep(frozenset([*self.members, y])))
+
+    def add(self, y):
+        self.members.append(y)
+
+    def circuit(self, y):
+        return None if self.independent_with(y) else _AskedCircuit((self, y))
+
+
+class _AskedCircuit(tuple):
+    """(basis, y); ``x in`` it asks whether I - x + y is independent."""
+
+    def __contains__(self, x):
+        basis, y = self
+        return bool(basis.m._indep(frozenset([z for z in basis.members if z != x] + [y])))
+
+
+class _CountBasis:
+    """Partition, uniform and free kinds: I + y is independent while I
+    holds fewer than ``caps[b]`` members of y's block b = ``block[y]``."""
+
+    __slots__ = ("block", "room", "members")
+
+    def __init__(self, block, caps):
+        self.block, self.room, self.members = block, list(caps), []
+
+    def independent_with(self, y):
+        return self.room[self.block[y]] > 0
+
+    def add(self, y):
+        self.room[self.block[y]] -= 1
+        self.members.append(y)
+
+    def circuit(self, y):
+        b = self.block[y]
+        return None if self.room[b] else {x for x in self.members if self.block[x] == b}
+
+
+class _GraphicBasis:
+    """A forest: union-find with path halving over endpoint indices, and,
+    for circuits, the forest rooted once after the last ``add``, so that a
+    circuit is the tree path between y's ends."""
+
+    __slots__ = ("ends", "parent", "members", "_up")
+
+    def __init__(self, ends):
+        self.ends, self.parent, self.members, self._up = ends, {}, [], None
+
+    def _root(self, u):
+        parent = self.parent  # an endpoint with no entry is a root
+        while u in parent:  # halving: point u at its grandparent, and go there
+            a = parent[u]
+            if a in parent:
+                a = parent[u] = parent[a]
+            u = a
+        return u
+
+    def independent_with(self, y):
+        u, v = self.ends[y]
+        return self._root(u) != self._root(v)
+
+    def add(self, y):
+        u, v = self.ends[y]
+        self.parent[self._root(u)] = self._root(v)
+        self.members.append(y)
+        self._up = None
+
+    def circuit(self, y):
+        if self.independent_with(y):
+            return None
+        if self._up is None:  # up[w]: parent vertex, edge to it, and depth in a BFS forest
+            near, up = {}, {}
+            for e in self.members:
+                u, v = self.ends[e]
+                near.setdefault(u, []).append((v, e))
+                near.setdefault(v, []).append((u, e))
+            for root in near:
+                queue = [] if root in up else [root]
+                up.setdefault(root, (root, None, 0))
+                for w in queue:
+                    for z, e in near[w]:
+                        if z not in up:
+                            up[z] = (w, e, up[w][2] + 1)
+                            queue.append(z)
+            self._up = up
+        (u, v), path = self.ends[y], set()
+        while u != v:
+            if self._up[u][2] < self._up[v][2]:
+                u, v = v, u
+            u, edge, _ = self._up[u]
+            path.add(edge)
+        return path
+
+
+class _LinearBasis:
+    """Columns over GF(p) in echelon rows [vector | combination]: position
+    width + k of a row holds the coefficient of the k-th member in the sum
+    of member columns that equals its vector.  A row is zero at the pivots
+    of the rows before it, so one pass in row order reduces a vector."""
+
+    __slots__ = ("vecs", "p", "width", "rows", "members")
+
+    def __init__(self, vecs, p, width):
+        self.vecs, self.p, self.width, self.rows, self.members = vecs, p, width, [], []
+
+    def _reduce(self, v):
+        p = self.p
+        for c, row in self.rows:
+            f = v[c]
+            if f:
+                v = [(a - f * b) % p for a, b in zip(v, row)]
+        return v
+
+    def independent_with(self, y):
+        return any(self._reduce(self.vecs[y]))  # the vector part alone: zip stops there
+
+    def add(self, y):
+        v = [*self.vecs[y], *[0] * self.width]
+        v[self.width + len(self.members)] = 1
+        v = self._reduce(v)
+        c = next(i for i, a in enumerate(v) if a)
+        inv = pow(v[c], -1, self.p)
+        self.rows.append((c, [a * inv % self.p for a in v]))
+        self.members.append(y)
+
+    def circuit(self, y):
+        v = self._reduce([*self.vecs[y], *[0] * self.width])
+        return None if any(v[:self.width]) else {
+            x for x, f in zip(self.members, v[self.width:]) if f}
 
 
 def rank(m: MatroidOracle, subset) -> int:
@@ -60,13 +223,20 @@ def rank(m: MatroidOracle, subset) -> int:
 
 
 def free_matroid(ground) -> MatroidOracle:
-    return MatroidOracle(ground, lambda s: True, kind="free")
+    return _one_block(ground, None, "free")
 
 
 def uniform_matroid(ground, k: int) -> MatroidOracle:
     if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise ValidationError("uniform rank must be a nonnegative integer", field="rank")
-    return MatroidOracle(ground, lambda s: len(s) <= k, kind="uniform")
+    return _one_block(ground, k, "uniform")
+
+
+def _one_block(ground, k, kind):
+    """Every element in block 0, whose cap is `k`, or the ground size for None."""
+    index = core._index_labels(ground, "ground")
+    block, caps = dict.fromkeys(index, 0), [len(index) if k is None else k]
+    return MatroidOracle(index, kind=kind, basis=lambda: _CountBasis(block, caps))
 
 
 def partition_matroid(blocks, caps) -> MatroidOracle:
@@ -83,17 +253,9 @@ def partition_matroid(blocks, caps) -> MatroidOracle:
         ground.extend(block)
         owner.extend([bi] * len(block))
     index = core._index_labels(ground, "blocks")  # an element in two blocks repeats
-
-    def indep(subset):
-        counts = [0] * len(blocks)
-        for x in subset:
-            bi = owner[index[x]]
-            counts[bi] += 1
-            if counts[bi] > caps[bi]:
-                return False
-        return True
-
-    return MatroidOracle(ground, indep, kind="partition")
+    block = {x: owner[pos] for x, pos in index.items()}
+    caps = list(caps)
+    return MatroidOracle(ground, kind="partition", basis=lambda: _CountBasis(block, caps))
 
 
 def graphic_matroid(edges) -> MatroidOracle:
@@ -101,9 +263,8 @@ def graphic_matroid(edges) -> MatroidOracle:
 
     ``edges`` maps an edge id to its endpoint pair.  Each endpoint gets an
     integer index once, here (labels that compare equal, such as 1 and
-    True, share one), and ``ends`` holds each edge's pair of indices.  The
-    oracle runs a union-find with path halving over those indices, in a
-    table that holds only the endpoints of the subset's edges.
+    True, share one), and ``ends`` holds each edge's pair of indices, over
+    which `_GraphicBasis` runs.
     """
     if not isinstance(edges, dict):
         raise ValidationError("'graph' must map edge ids to endpoint pairs", field="graph")
@@ -125,52 +286,7 @@ def graphic_matroid(edges) -> MatroidOracle:
             raise ValidationError(f"edge {eid!r} duplicates an endpoint pair", field="graph")
         seen_pairs.add(key)
         ends[eid] = (vertex.setdefault(u, len(vertex)), vertex.setdefault(v, len(vertex)))
-
-    edge_order = tuple(ends)
-
-    def indep(subset):
-        parent = {}  # an endpoint with no entry is a root
-        for eid in subset:  # whether the edges are acyclic does not depend on the order
-            u, v = ends[eid]
-            while u in parent:  # halving: point u at its grandparent, and go there
-                a = parent[u]
-                if a in parent:
-                    a = parent[u] = parent[a]
-                u = a
-            while v in parent:
-                a = parent[v]
-                if a in parent:
-                    a = parent[v] = parent[a]
-                v = a
-            if u == v:
-                return False
-            parent[u] = v
-        return True
-
-    return MatroidOracle(edge_order, indep, kind="graphic")
-
-
-def _gf_rank(vectors, p) -> int:
-    rows = [[x % p for x in v] for v in vectors]
-    if not rows:
-        return 0
-    width = len(rows[0])
-    r = 0
-    for c in range(width):
-        pivot = next((k for k in range(r, len(rows)) if rows[k][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][c]:
-                f = rows[k][c]
-                rows[k] = [(x - f * y) % p for x, y in zip(rows[k], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+    return MatroidOracle(tuple(ends), kind="graphic", basis=lambda: _GraphicBasis(ends))
 
 
 def _is_prime(p) -> bool:
@@ -185,7 +301,9 @@ def _is_prime(p) -> bool:
 
 
 def linear_matroid(columns, modulus: int) -> MatroidOracle:
-    """Column labels of a matrix over a prime field; independence is linear."""
+    """Column labels of a matrix over a prime field; independence is linear.
+
+    Each column is a list of integers, all of one length."""
     if isinstance(modulus, bool) or not isinstance(modulus, int) or not _is_prime(modulus):
         raise ValidationError("modulus must be a prime number", field="modulus")
     if not isinstance(columns, dict):
@@ -193,21 +311,16 @@ def linear_matroid(columns, modulus: int) -> MatroidOracle:
     vecs = {}
     width = None
     for label, v in columns.items():
-        try:
-            v = tuple(int(x) for x in v)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"column {label!r}: {exc}", field="columns") from exc
+        if not isinstance(v, (list, tuple)) or not {*map(type, v)} <= {int}:  # no bool
+            raise ValidationError(f"column {label!r} must be a list of integers",
+                                  field="columns")
         if width is None:
             width = len(v)
         elif len(v) != width:
             raise ValidationError(f"column {label!r} has the wrong length", field="columns")
-        vecs[label] = v
-
-    def indep(subset):
-        chosen = [vecs[x] for x in subset]  # the rank does not depend on the order
-        return _gf_rank(chosen, modulus) == len(chosen)
-
-    return MatroidOracle(tuple(vecs), indep, kind="linear")
+        vecs[label] = [x % modulus for x in v]
+    return MatroidOracle(tuple(vecs), kind="linear",
+                         basis=lambda: _LinearBasis(vecs, modulus, width or 0))
 
 
 # Kind name -> (constructor, parameter names in argument order).  The names
@@ -240,6 +353,8 @@ def make_matroid(kind: str, **params) -> MatroidOracle:
 def matroid_from_json(obj: dict) -> MatroidOracle:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValidationError("matroid file needs 'kind'", field="kind")
+    if isinstance(obj.get("ground"), str):
+        raise ValidationError("the ground set must be a list, not a string", field="ground")
     return make_matroid(**obj)
 
 
@@ -276,8 +391,9 @@ def rado_check(family: core.SetFamily, m: MatroidOracle):
     when they stop short the elements the last search reached give a tight
     rank cut (Edmonds' min-max theorem), from which the violator is read
     off.  There is no size ceiling on either certificate, and the violator
-    is not necessarily a smallest one.  A graphic matroid's oracle runs a
-    union-find over endpoint indices fixed when the matroid is built.
+    is not necessarily a smallest one.  Both run on the matroid's
+    incremental basis (`MatroidOracle.basis`), so a built-in kind makes no
+    call to its independence predicate.
     """
     if any(x not in m._index for x in family.ground):
         raise ValidationError("family ground is not contained in the matroid ground")
@@ -333,10 +449,10 @@ def _greedy_start(candidates, m, containing, n):
     tests are monotone in I, so an outsider refused once stays refused: the
     pass adds the same elements, in the same order, as one exchange search
     each, and no exchange path of length one is left after it.  The search
-    runs first, so an outsider that cannot be matched costs no oracle call.
+    runs first, so an outsider that cannot be matched costs no independence
+    test.
     """
-    chosen = []
-    iset = frozenset()
+    basis = m.basis()
     holder = [None] * n  # holder[j]: the element matched to set j
     free = (1 << n) - 1
     for y in candidates:
@@ -353,8 +469,7 @@ def _greedy_start(candidates, m, containing, n):
                 via[k] = j
         if not reach & free:
             continue
-        grown = iset | {y}
-        if not m._indep(grown):
+        if not basis.independent_with(y):
             continue
         j = (reach & free & -(reach & free)).bit_length() - 1
         free ^= 1 << j
@@ -362,9 +477,8 @@ def _greedy_start(candidates, m, containing, n):
             holder[j] = holder[via[j]]
             j = via[j]
         holder[j] = y
-        chosen.append(y)
-        iset = grown
-    return chosen
+        basis.add(y)
+    return basis.members
 
 
 def _exchange_path(current, candidates, m, containing, n, parent):
@@ -382,9 +496,12 @@ def _exchange_path(current, candidates, m, containing, n, parent):
     matches to it.  I + y is matchable exactly when the search reaches a
     set M leaves free; otherwise I - x + y is matchable exactly when it
     reaches M(x), the set matched to x.
+
+    The matroid side costs one fundamental circuit C(y) per outsider y,
+    from a basis holding I: y is a source when C(y) is None, and otherwise
+    I - x + y is independent exactly when x is in C(y).
     """
     inside = set(current)
-    iset = frozenset(inside)
     outside = [y for y in candidates if y not in inside]
     match_row, match_col = _bitmatch.max_matching([containing[x] for x in current], n)
     through = [0] * n  # through[j]: the sets holding the element matched to set j
@@ -395,9 +512,14 @@ def _exchange_path(current, candidates, m, containing, n, parent):
         else:
             through[j] = containing[current[r]]
     reach = {y: _alternating_sets(containing[y], through) for y in outside}
+    basis = m.basis()
+    for x in current:
+        basis.add(x)
+    circuit = {}  # circuit[y]: y's fundamental circuit, for an outsider that is no source
     queue = deque()
     for y in outside:
-        if m._indep(iset | {y}):
+        circuit[y] = basis.circuit(y)
+        if circuit[y] is None:
             if reach[y] & free:
                 return [y]
             parent[y] = None
@@ -405,11 +527,8 @@ def _exchange_path(current, candidates, m, containing, n, parent):
     while queue:
         u = queue.popleft()
         if u in inside:
-            base = iset - {u}
             for y in outside:
-                if y in parent:
-                    continue
-                if m._indep(base | {y}):
+                if y not in parent and u in circuit[y]:
                     parent[y] = u
                     if reach[y] & free:
                         return _walk_back(parent, y)

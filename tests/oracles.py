@@ -11,7 +11,8 @@ references: `bfs_max_matching` (one breadth-first augmenting path per row),
 fresh matching), `fraction_verify_birkhoff` (the Birkhoff certificate check
 summed in Fractions), `fraction_is_doubly_stochastic` (the doubly
 stochastic check summed in Fractions), `edmonds_karp` (one breadth-first search per augmenting
-path) and `warshall_closure` (the n^2 closure loop).  The cross-check paths at the end
+path), `warshall_closure` (the n^2 closure loop) and `gf_rank` (Gaussian
+elimination over a prime field, from scratch per call).  The cross-check paths at the end
 reach the same answer as a library solver through another part of the
 library: `hall_via_menger` (a flow), `hall_from_dilworth` (a chain partition)
 and `hall_coset_reps` (the marriage theorem, for simultaneous coset
@@ -99,6 +100,26 @@ def is_forest(pairs) -> bool:
         if edge_count != len(component) - 1:
             return False
     return True
+
+
+def gf_rank(vectors, p) -> int:
+    """Rank of `vectors` over GF(p), by Gauss-Jordan elimination from
+    scratch on a copy reduced mod p."""
+    rows = [[x % p for x in v] for v in vectors]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((k for k in range(r, len(rows)) if rows[k][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [(x * inv) % p for x in rows[r]]
+        for k in range(len(rows)):
+            if k != r and rows[k][c]:
+                f = rows[k][c]
+                rows[k] = [(x - f * y) % p for x, y in zip(rows[k], rows[r])]
+        r += 1
+    return r
 
 
 def brute_lex_least(row_masks, n_cols):

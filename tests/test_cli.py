@@ -513,6 +513,21 @@ class TestRadoCommand:
         code, env, _ = run(capsys, "rado", fam3, matroid)
         assert code == 2 and "(field: graph)" in env["diagnostics"]
 
+    @pytest.mark.parametrize("matroid, field", [
+        ({"kind": "linear", "columns": {"1": "12", "2": "24"}, "modulus": 5}, "columns"),
+        ({"kind": "linear", "columns": {"1": [1.5, 0], "2": [0, 1]}, "modulus": 5}, "columns"),
+        ({"kind": "linear", "columns": {"1": [True, 0], "2": [0, 1]}, "modulus": 5}, "columns"),
+        ({"kind": "linear", "columns": {"1": ["1", 0], "2": [0, 1]}, "modulus": 5}, "columns"),
+        ({"kind": "uniform", "ground": "12", "rank": 1}, "ground"),
+        ({"kind": "free", "ground": "12"}, "ground"),
+    ])
+    def test_malformed_values_name_field(self, capsys, tmp_path, matroid, field):
+        """A string column or ground is not split into characters, and a
+        column entry that is not an integer is not rounded or converted."""
+        fam = write(tmp_path, "f.json", {"ground": ["1", "2"], "sets": [["1", "2"], ["1", "2"]]})
+        code, env, _ = run(capsys, "rado", fam, write(tmp_path, "mat.json", matroid))
+        assert code == 2 and f"(field: {field})" in env["diagnostics"]
+
     def test_graphic_30_violator(self, capsys, tmp_path):
         family_obj, matroid_obj = graphic_30()
         family = core.SetFamily.from_json(family_obj)

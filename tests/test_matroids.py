@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from oracles import (all_families, brute_sdr_exists, brute_sir_exists, is_forest,
+from oracles import (all_families, brute_sdr_exists, brute_sir_exists, gf_rank, is_forest,
                      validate_matroid)
 from transversal import _bitmatch, core, matroids
 from transversal.errors import ResourceLimitError, ValidationError
@@ -266,7 +266,8 @@ class TestRadoAtScale:
     def test_sweep_agrees_with_brute_force(self, monkeypatch):
         """5-8 sets over 8-12 elements, enough for exchange searches to walk
         arcs and for paths to swap representatives; every verdict against
-        backtracking, every certificate re-checked."""
+        backtracking, every certificate re-checked.  Each matroid runs
+        twice: as built, and as a custom `MatroidOracle` over its predicate."""
         paths, arcs, _ = count_searches_and_matchings(monkeypatch)
         rng = random.Random(5812)
         verdicts = {(kind, found): 0 for kind in ("graphic", "linear", "partition")
@@ -285,6 +286,15 @@ class TestRadoAtScale:
             else:
                 assert matroids.verify_rado_violator(fam, m, result) == (True, None)
             verdicts[kind, found] += 1
+            # The same matroid known by its predicate alone runs on the
+            # generic basis, and gives the same certificate.  Its searches
+            # are left out of the path and arc counts below.
+            searched = len(paths)
+            custom = matroids.MatroidOracle(ground, m._indep)
+            asked = matroids.rado_check(fam, custom)
+            assert isinstance(asked, matroids.Sir) == brute_sir_exists(fam.sets, custom)
+            assert repr(asked) == repr(result)
+            del paths[searched:], arcs[searched:]
         assert all(count >= 50 for count in verdicts.values()), verdicts
         assert sum(len(p) >= 3 for p in paths if p) >= 25
         assert sum(count > 0 for count in arcs) >= 40
@@ -361,6 +371,147 @@ class TestGreedyStart:
             found[isinstance(result, matroids.Sir)] += 1
         assert found[True] >= 50 and found[False] >= 50, found
         assert sum(length >= 3 for length in lengths) >= 10
+
+
+KINDS = ("free", "uniform", "partition", "graphic", "linear", "custom")
+
+
+def matroid_and_brute(rng, kind, n_elements):
+    """A seeded matroid of `kind` on `n_elements` labels, and its
+    independence predicate written from the oracles alone: a forest test,
+    Gaussian elimination from scratch, block counts, a size test.  The
+    custom kind is a `MatroidOracle` over the forest test."""
+    labels = [f"x{k}" for k in range(n_elements)]
+    if kind in ("graphic", "custom"):
+        n_vertices = rng.randint(5, 8)
+        pairs = [(u, v) for u in range(n_vertices) for v in range(u + 1, n_vertices)]
+        edges = dict(zip(labels, rng.sample(pairs, min(n_elements, len(pairs)))))
+
+        def brute(s):
+            return is_forest([edges[e] for e in s])
+
+        if kind == "custom":
+            return matroids.MatroidOracle(list(edges), brute), brute
+        return matroids.graphic_matroid(edges), brute
+    if kind == "linear":
+        p, width = rng.choice((2, 3, 5)), rng.randint(2, 6)
+        cols = {x: [rng.randrange(-p, p) for _ in range(width)] for x in labels}
+        return (matroids.linear_matroid(cols, p),
+                lambda s: gf_rank([cols[x] for x in s], p) == len(s))
+    if kind == "partition":
+        cuts = sorted(rng.sample(range(1, n_elements), rng.randint(1, 3)))
+        blocks = [labels[a:b] for a, b in zip([0, *cuts], [*cuts, n_elements])]
+        caps = [rng.randint(0, len(b)) for b in blocks]
+        return (matroids.partition_matroid(blocks, caps),
+                lambda s: all(sum(x in b for x in s) <= c for b, c in zip(blocks, caps)))
+    if kind == "uniform":
+        k = rng.randint(0, n_elements)
+        return matroids.uniform_matroid(labels, k), lambda s: len(s) <= k
+    return matroids.free_matroid(labels), lambda s: True
+
+
+class TestBasis:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_circuits_against_brute_force(self, kind):
+        """For a random independent I and every outsider y: y is addable
+        exactly when I + y is independent, and otherwise its circuit holds
+        exactly the x in I for which I - x + y is independent."""
+        rng = random.Random(f"circuit-{kind}")
+        dependent = 0
+        for _ in range(60):
+            m, brute = matroid_and_brute(rng, kind, rng.randint(4, 10))
+            order = list(m.ground)
+            rng.shuffle(order)
+            basis, members = m.basis(), []
+            for x in order:
+                if rng.random() < 0.8 and brute(members + [x]):
+                    basis.add(x)
+                    members.append(x)
+            assert basis.members == members
+            for y in m.ground:
+                if y in members:
+                    continue
+                assert basis.independent_with(y) == brute(members + [y])
+                circuit = basis.circuit(y)
+                if brute(members + [y]):
+                    assert circuit is None
+                    continue
+                dependent += 1
+                expect = {x for x in members if brute([z for z in members if z != x] + [y])}
+                assert {x for x in members if x in circuit} == expect, (members, y)
+                if kind != "custom":
+                    assert set(circuit) == expect
+        assert dependent >= (0 if kind == "free" else 40)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rank_against_brute_force(self, kind):
+        """`rank_of` is the size of a largest subset the brute predicate
+        calls independent, found by trying every subset."""
+        rng = random.Random(f"rank-{kind}")
+        for _ in range(40):
+            m, brute = matroid_and_brute(rng, kind, rng.randint(4, 10))
+            subset = [x for x in m.ground if rng.random() < 0.7]
+            best = next(k for k in range(len(subset), -1, -1)
+                        if any(brute(list(t)) for t in combinations(subset, k)))
+            assert m.rank_of(subset) == best
+
+
+class TestNoPredicateCall:
+    def test_built_in_kinds(self):
+        """With a built-in kind, `rado_check`, `rank_of` and
+        `verify_rado_violator` run on the basis alone: a counter wrapped
+        round the predicate reads 0.  The same matroid known only by its
+        predicate does call it."""
+        rng = random.Random(31)
+        cases = [(*seeded_graphic_family(110), "graphic"), (*seeded_graphic_family(300), "graphic")]
+        for trial in range(150):
+            kind = KINDS[trial % 5]
+            m, _ = matroid_and_brute(rng, kind, rng.randint(6, 10))
+            ground = list(m.ground)
+            sets = [rng.sample(ground, rng.randint(1, 3)) for _ in range(rng.randint(2, 7))]
+            cases.append((core.SetFamily(ground, sets), m, kind))
+        verdicts = set()
+        for fam, m, kind in cases:
+            for counted in (m, matroids.MatroidOracle(m.ground, m._indep)):
+                calls = []
+                indep = counted._indep
+                counted._indep = lambda s, indep=indep: calls.append(s) or indep(s)
+                result = matroids.rado_check(fam, counted)
+                counted.rank_of(fam.ground)
+                if isinstance(result, matroids.RadoViolator):
+                    assert matroids.verify_rado_violator(fam, counted, result) == (True, None)
+                if counted is m:
+                    assert calls == [], kind
+                    verdicts.add((kind, isinstance(result, matroids.Sir)))
+                elif fam.n:
+                    assert calls
+        assert verdicts == {(kind, found) for kind in KINDS[:5] for found in (True, False)}
+
+
+class TestCrossKind:
+    def test_graphic_and_signed_incidence_agree(self):
+        """A graph's cycle matroid, given as `graphic` and as `linear` over
+        the signed incidence vectors of its edges, gives the same
+        certificate: certificates depend only on the matroid and the ground
+        order."""
+        rng = random.Random(1942)
+        found = {True: 0, False: 0}
+        for trial in range(240):
+            n_vertices = rng.randint(4, 9) if trial % 8 else 24
+            pairs = [(u, v) for u in range(n_vertices) for v in range(u + 1, n_vertices)]
+            edges = dict(enumerate(rng.sample(pairs, min(len(pairs), 3 * n_vertices))))
+            ground = list(edges)
+            n_sets = rng.randint(n_vertices - 3, n_vertices + 1)
+            fam = core.SetFamily(ground, [rng.sample(ground, rng.randint(2, 4))
+                                          for _ in range(n_sets)])
+            graphic = matroids.rado_check(fam, matroids.graphic_matroid(edges))
+            for p in (3, 5):
+                incidence = {e: [(w == u) - (w == v) for w in range(n_vertices)]
+                             for e, (u, v) in edges.items()}
+                linear = matroids.rado_check(fam, matroids.linear_matroid(incidence, p))
+                assert repr(linear) == repr(graphic)
+            found[isinstance(graphic, matroids.Sir)] += 1
+        assert min(found.values()) >= 40, found
 
 
 class TestGraphicOracle:
