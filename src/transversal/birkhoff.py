@@ -222,15 +222,16 @@ def birkhoff_decompose(m: RationalMatrix) -> BirkhoffDecomposition:
 def permanent(m: RationalMatrix, *, ceiling: int = PERMANENT_CEILING) -> Fraction:
     """Exact permanent of a rational matrix.
 
-    The kernel splits the nonzero pattern into its connected blocks and
-    runs Ryser's inclusion-exclusion on each, at 2^(k-1) products for a
-    k-by-k block (2^(n-1) for a dense matrix), hence the ceiling; the
-    determinant shortcut does not exist for permanents.  Rows are
-    rescaled to integers first (the permanent is linear in each row), which
-    keeps the inner loop on machine arithmetic.  A block of at least
-    `core._SPLIT_SETS` column sets (from k = 15) is walked in disjoint
-    chunks on the usable CPUs, one forked child per extra CPU; the result
-    is the same as on one CPU.
+    Rows are rescaled to integers first (the permanent is linear in each
+    row), and the integer kernel `core._permanent_rows` splits the nonzero
+    pattern into its connected blocks and runs Ryser's inclusion-exclusion
+    on each, at 2^(k-1) products for a k-by-k block (2^(n-1) for a dense
+    matrix), hence the order ceiling; the determinant shortcut does not
+    exist for permanents.  The kernel's work guard refuses blocks that
+    would walk too many column sets, whatever the ceiling.  A block of at
+    least `core._SPLIT_SETS` column sets (from k = 15) is walked in
+    disjoint chunks on the usable CPUs, one forked child per extra CPU;
+    the result is the same as on one CPU.
     """
     if m.n > ceiling:
         raise ResourceLimitError(f"order {m.n} is above the permanent ceiling {ceiling}")

@@ -20,6 +20,11 @@ from .errors import ResourceLimitError, ValidationError
 
 _EXIT = {"found": 0, "not-found": 1, "invalid-input": 2, "resource-limit": 3}
 
+# `bounds` prints exact fractions.  From n = 43 on, the Latin bound
+# (n!)^(2n) / n^(n^2) can pass CPython's 4300-digit limit for printing an
+# int, and in the hundreds it takes seconds to compute.
+_BOUNDS_CEILING = 42
+
 
 @dataclass
 class ResultEnvelope:
@@ -235,6 +240,8 @@ def _cmd_permanent(args):
 
 
 def _cmd_bounds(args):
+    if args.n > _BOUNDS_CEILING:
+        raise ResourceLimitError(f"n = {args.n} is above the bounds ceiling {_BOUNDS_CEILING}")
     payload = {
         "n": args.n,
         "vdw": str(birkhoff.vdw_bound(args.n)),

@@ -8,6 +8,7 @@ whose union is too small; both sides are independently checkable.
 
 from __future__ import annotations
 
+import marshal
 import os
 import threading
 from dataclasses import dataclass
@@ -21,12 +22,14 @@ from .errors import ResourceLimitError, ValidationError
 RYSER_CEILING = 20
 ARRAY_CELL_CEILING = 16
 
-# Work guard for counting: the column sets the permanent kernel visits,
-# summed over the components of the family (`_sets_walked`).  A wide
-# component visits sum(C(c, k) for 1 <= k <= r) sets, which explodes when its
-# union is far larger than its r sets.  The guard counts sets, not wall time:
-# at about 2 microseconds a set (2-vCPU Xeon), the largest count admitted
-# takes some 18 s on one CPU, and less when the walk is split across CPUs.
+# Work guard of the permanent kernel, and so of every count through it
+# (`count_sdrs`, `birkhoff.permanent`, `latin.count_extensions`): the column
+# sets `_permanent_rows` visits, summed over the components of the matrix
+# (`_sets_walked`).  A wide component visits sum(C(c, k) for 1 <= k <= r)
+# sets, which explodes when it has far more columns than its r rows.  The
+# guard counts sets, not wall time or CPUs, so what it refuses is
+# deterministic: at about 2 microseconds a set (2-vCPU Xeon), the largest
+# walk admitted takes some 18 s on one CPU, and less when it is split.
 _COUNT_TERM_GUARD = 1 << 23
 
 # A component walk of at least this many column sets is split across the
@@ -493,12 +496,10 @@ def _walk_jobs(walked: int) -> int:
 
 def _fork_column_set_sums(start, cols, limit):
     """Fork a child that writes `_column_set_sums(start, cols, limit)` to a
-    pipe as text and exits: status 0 only after the whole message is
-    written, 1 otherwise.  Returns (child pid, read end of the pipe).
-
-    The message is one token per set size, then a newline: an int in hex,
-    or a Fraction as hex numerator "/" hex denominator.  `os._exit` skips
-    the parent's exit handlers and buffered output in the child.
+    pipe, a list of ints in `marshal` form, and exits: status 0 only after
+    the whole message is written, 1 otherwise.  Returns (child pid, read end
+    of the pipe).  `os._exit` skips the parent's exit handlers and buffered
+    output in the child.
     """
     read, write = os.pipe()
     try:
@@ -511,10 +512,7 @@ def _fork_column_set_sums(start, cols, limit):
         status = 1
         try:
             os.close(read)
-            sums = _column_set_sums(start, cols, limit)
-            text = " ".join(f"{x:x}" if type(x) is int else f"{x.numerator:x}/{x.denominator:x}"
-                            for x in sums)
-            data = memoryview((text + "\n").encode())
+            data = memoryview(marshal.dumps(_column_set_sums(start, cols, limit)))
             while data:
                 data = data[os.write(write, data):]
             status = 0
@@ -525,25 +523,16 @@ def _fork_column_set_sums(start, cols, limit):
 
 
 def _read_column_set_sums(read, size):
-    """The `size` sums a child wrote to the pipe end `read`, or None when the
-    message is cut short or malformed."""
+    """The `size` int sums a child wrote to the pipe end `read`, or None when
+    the message is cut short or malformed."""
     parts = []
     while part := os.read(read, 1 << 16):
         parts.append(part)
-    text = b"".join(parts)
-    tokens = text.split()
-    if not text.endswith(b"\n") or len(tokens) != size:
-        return None
-    sums = []
     try:
-        for token in tokens:
-            num, slash, den = token.partition(b"/")
-            if slash:
-                from fractions import Fraction
-                sums.append(Fraction(int(num, 16), int(den, 16)))
-            else:
-                sums.append(int(num, 16))
-    except (ValueError, ZeroDivisionError):
+        sums = marshal.loads(b"".join(parts))
+    except (EOFError, ValueError, TypeError):
+        return None
+    if type(sums) is not list or len(sums) != size or any(type(x) is not int for x in sums):
         return None
     return sums
 
@@ -595,8 +584,8 @@ def _split_column_set_sums(start, cols, limit, jobs) -> list:
     return by_size
 
 
-def _permanent_rows(rows):
-    """Permanent of an n-by-m matrix of exact numbers (int or Fraction).
+def _permanent_rows(rows) -> int:
+    """Permanent of an n-by-m matrix of integers.
 
     The rows are split into the connected components of their nonzero
     pattern (`_components`); an injective map of the rows to nonzero
@@ -613,7 +602,9 @@ def _permanent_rows(rows):
         per = (-1)^(r-1) 2^(1-r) sum over S of (-1)^|S| prod_i (v_i + 2 sum_{j in S} a_ij)
 
     with v_i = 2 a_ir - sum_j a_ij; the division is exact.  So a component
-    visits `_sets_walked(r, c)` column sets.  A component of at least
+    visits `_sets_walked(r, c)` column sets, and a matrix whose components
+    visit `_COUNT_TERM_GUARD` sets or more is refused with
+    ``ResourceLimitError`` before any is walked.  A component of at least
     `_SPLIT_SETS` sets is walked in disjoint chunks on the usable CPUs, one
     forked child per extra CPU (`_split_column_set_sums`); the sums, and so
     the result, are the same as on one CPU.
@@ -622,11 +613,17 @@ def _permanent_rows(rows):
     blocks = [(members, list(_bitmatch.bits_of(cols))) for members, cols in _components(masks)]
     if any(len(members) > len(picked) for members, picked in blocks):
         return 0
+    walked = [_sets_walked(len(members), len(picked)) for members, picked in blocks]
+    if sum(walked) >= _COUNT_TERM_GUARD:
+        raise ResourceLimitError(
+            f"a permanent of {len(rows)} rows walks {sum(walked)} column sets, "
+            f"not below the work ceiling {_COUNT_TERM_GUARD}"
+        )
     result = 1
-    for members, picked in blocks:
+    for (members, picked), sets in zip(blocks, walked):
         r, c = len(members), len(picked)
         cols = [tuple(rows[i][j] for i in members) for j in picked]
-        jobs = _walk_jobs(_sets_walked(r, c))
+        jobs = _walk_jobs(sets)
         if r < c:
             by_size = _split_column_set_sums((0,) * r, cols, r, jobs)
             result *= sum((-1) ** (r - k) * comb(c - k, r - k) * by_size[k]
@@ -636,33 +633,19 @@ def _permanent_rows(rows):
         doubled = [tuple(2 * x for x in col) for col in cols[:-1]]
         by_size = _split_column_set_sums(start, doubled, r - 1, jobs)
         signed = (-1) ** (r - 1) * sum((-1) ** k * t for k, t in enumerate(by_size))
-        scale = 1 << (r - 1)
-        result *= signed // scale if isinstance(signed, int) else signed / scale
+        result *= signed // (1 << (r - 1))
     return result
 
 
 def count_sdrs(family: SetFamily, *, ceiling: int = RYSER_CEILING) -> int:
     """Exact number of distinct representative tuples: the permanent of the
     n-by-|union| 0/1 incidence matrix over the support union of the sets.
-    A component that walks at least `_SPLIT_SETS` column sets is split
-    across the usable CPUs (see `_permanent_rows`); the count is the same
-    as on one CPU."""
+    Refused above `ceiling` sets, and by the kernel's work guard (see
+    `_permanent_rows`)."""
     n = family.n
     if n > ceiling:
         raise ResourceLimitError(f"family has {n} sets, above the counting ceiling {ceiling}")
-    if n == 0:
-        return 1
-    cols = list(_bitmatch.bits_of(reduce(or_, family._masks)))
-    m = len(cols)
-    shapes = [(len(rows), mask.bit_count()) for rows, mask in _components(family._masks)]
-    if any(r > c for r, c in shapes):
-        return 0
-    terms = sum(_sets_walked(r, c) for r, c in shapes)
-    if terms >= _COUNT_TERM_GUARD:
-        raise ResourceLimitError(
-            f"{n} sets over a {m}-element union need {terms} terms to count, "
-            f"not below the term ceiling {_COUNT_TERM_GUARD}"
-        )
+    cols = list(_bitmatch.bits_of(reduce(or_, family._masks, 0)))
     return _permanent_rows([[(mask >> p) & 1 for p in cols] for mask in family._masks])
 
 

@@ -150,14 +150,15 @@ def _next_row(masks, col_rows=None):
 
 def count_extensions(rect: LatinRectangle, *, ceiling: int = EXTENSION_COUNT_CEILING) -> int:
     """Exact number of valid next rows, as a permanent of the availability
-    matrix (column against symbol)."""
+    matrix (column against symbol).  Refused above width `ceiling`, and by
+    the permanent kernel's work guard."""
     if rect.is_square:
         raise AlreadyCompleteError("rectangle is already a square")
     if rect.n > ceiling:
         raise ResourceLimitError(f"width {rect.n} is above the counting ceiling {ceiling}")
     masks = rect.column_deficiencies()
     rows = [[(mask >> s) & 1 for s in range(rect.n)] for mask in masks]
-    return int(_permanent_rows(rows))
+    return _permanent_rows(rows)
 
 
 def count_latin_squares(n: int, *, ceiling: int = SQUARE_COUNT_CEILING) -> int:

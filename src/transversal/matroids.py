@@ -10,9 +10,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
+from math import isqrt
 
 from . import _bitmatch, core
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
+
+# A linear matroid's modulus is tested prime by trial division, some 2^20
+# divisions for the largest prime below this ceiling (0.09 s, 2-vCPU Xeon).
+_MODULUS_CEILING = 1 << 40
 
 
 class MatroidOracle:
@@ -290,14 +295,11 @@ def graphic_matroid(edges) -> MatroidOracle:
 
 
 def _is_prime(p) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    """Trial division up to the square root of `p`, refused from
+    `_MODULUS_CEILING` on."""
+    if p >= _MODULUS_CEILING:
+        raise ResourceLimitError(f"modulus {p} is not below the ceiling {_MODULUS_CEILING}")
+    return p > 1 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 def linear_matroid(columns, modulus: int) -> MatroidOracle:

@@ -388,6 +388,18 @@ class TestBirkhoffCommands:
         assert code == 0
         assert env["payload"]["vdw"] == "2/9"
         assert env["payload"]["regular"] == "16/9"
+        code, env, _ = run(capsys, "bounds", "42")  # the largest n below the ceiling
+        assert code == 0 and env["payload"]["latin"].count("/") == 1
+
+    def test_permanent_work_guard_above_a_raised_ceiling(self, capsys, tmp_path):
+        path = write(tmp_path, "m.json", {"n": 28, "entries": [["1"] * 28] * 28})
+        env = refused_within_a_second(capsys, "permanent", path, "--ceiling", "40")
+        assert str(1 << 27) in env["diagnostics"] and "8388608" in env["diagnostics"]
+
+    @pytest.mark.parametrize("n", ["43", "1000"])
+    def test_bounds_ceiling(self, capsys, n):
+        env = refused_within_a_second(capsys, "bounds", n)
+        assert n in env["diagnostics"] and "ceiling 42" in env["diagnostics"]
 
 
 class TestLatinCommands:
@@ -527,6 +539,11 @@ class TestRadoCommand:
         fam = write(tmp_path, "f.json", {"ground": ["1", "2"], "sets": [["1", "2"], ["1", "2"]]})
         code, env, _ = run(capsys, "rado", fam, write(tmp_path, "mat.json", matroid))
         assert code == 2 and f"(field: {field})" in env["diagnostics"]
+
+    def test_huge_prime_modulus_hits_the_ceiling(self, capsys, tmp_path, fam3):
+        matroid = {"kind": "linear", "columns": {"1": [1], "2": [1]}, "modulus": (1 << 61) - 1}
+        env = refused_within_a_second(capsys, "rado", fam3, write(tmp_path, "mat.json", matroid))
+        assert str(1 << 40) in env["diagnostics"]
 
     def test_graphic_30_violator(self, capsys, tmp_path):
         family_obj, matroid_obj = graphic_30()

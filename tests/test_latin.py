@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import permutations
 
@@ -152,6 +153,15 @@ class TestCountExtensions:
     def test_ceiling(self):
         with pytest.raises(ResourceLimitError):
             latin.count_extensions(R(9, []))
+
+    def test_work_guard_above_a_raised_ceiling(self):
+        # The empty width-28 rectangle is a 28-by-28 all-ones permanent:
+        # 2^27 column sets, refused by the kernel before any is walked.
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError) as info:
+            latin.count_extensions(R(28, []), ceiling=30)
+        assert time.perf_counter() - start < 1
+        assert str(1 << 27) in str(info.value)
 
 
 class TestCountSquares:
