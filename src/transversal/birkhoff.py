@@ -229,9 +229,10 @@ def permanent(m: RationalMatrix, *, ceiling: int = PERMANENT_CEILING) -> Fractio
     matrix), hence the order ceiling; the determinant shortcut does not
     exist for permanents.  The kernel's work guard refuses blocks that
     would walk too many column sets, whatever the ceiling.  A block of at
-    least `core._SPLIT_SETS` column sets (from k = 15) is walked in
-    disjoint chunks on the usable CPUs, one forked child per extra CPU;
-    the result is the same as on one CPU.
+    least `core._SPLIT_SETS` column sets once equal columns are grouped
+    (from k = 15 when they are distinct) is walked in disjoint chunks on
+    the usable CPUs, one forked child per extra CPU; the result is the
+    same as on one CPU.
     """
     if m.n > ceiling:
         raise ResourceLimitError(f"order {m.n} is above the permanent ceiling {ceiling}")

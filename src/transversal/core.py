@@ -11,10 +11,10 @@ from __future__ import annotations
 import marshal
 import os
 import threading
+from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
 from math import comb, prod
-from operator import add, or_
+from operator import add
 
 from . import _bitmatch
 from .errors import ResourceLimitError, ValidationError
@@ -24,19 +24,29 @@ ARRAY_CELL_CEILING = 16
 
 # Work guard of the permanent kernel, and so of every count through it
 # (`count_sdrs`, `birkhoff.permanent`, `latin.count_extensions`): the column
-# sets `_permanent_rows` visits, summed over the components of the matrix
+# sets `_permanent_of` visits, summed over the components of the matrix
 # (`_sets_walked`).  A wide component visits sum(C(c, k) for 1 <= k <= r)
 # sets, which explodes when it has far more columns than its r rows.  The
-# guard counts sets, not wall time or CPUs, so what it refuses is
-# deterministic: at about 2 microseconds a set (2-vCPU Xeon), the largest
-# walk admitted takes some 18 s on one CPU, and less when it is split.
+# guard counts sets by shape, not after grouping, nor wall time or CPUs, so
+# what it refuses is deterministic: at about 1.2-1.4 microseconds a set
+# with distinct columns (J - I of order 20 and 21, 2-vCPU Xeon), the
+# largest walk admitted takes some 11 s on one CPU, and less when it is
+# split or has equal columns.
 _COUNT_TERM_GUARD = 1 << 23
 
-# A component walk of at least this many column sets is split across the
-# usable CPUs (`_walk_jobs`).  Forking a child, reading its sums from a pipe
-# and reaping it took a median of 3.3-4.5 ms and at most 10 ms in a 33 MB
-# process (2-vCPU Xeon), against some 35 ms for 2^14 sets on one CPU.
+# A component walk of at least this many column sets, once equal columns are
+# grouped (`_grouped_sets`), is split across the usable CPUs (`_walk_jobs`).
+# Forking a child, reading its sums from a pipe and reaping it took a median
+# of 3.3-4.5 ms and at most 10 ms in a 33 MB process (2-vCPU Xeon), against
+# some 15 ms for 2^14 sets on one CPU (J - I of order 15), which two
+# processes walked in 12 ms.
 _SPLIT_SETS = 1 << 14
+
+# Entries of the grouped table of tail-column sets that `_column_set_sums`
+# joins with each head set (`_tail_table`).  A walk over at most 8 columns,
+# at most this many sets, is not worth a table: on 6-by-6 and 7-by-7
+# components, building one cost more than it saved.
+_TABLE_ENTRIES = 1 << 8
 
 
 def _index_labels(labels, field) -> dict:
@@ -428,57 +438,132 @@ def verify_defect(family: SetFamily, cert: dict) -> tuple[bool, str | None]:
 def _components(masks) -> list:
     """Connected components of the rows of a 0/1 pattern, one bitmask of
     columns per row: two rows meet when they share a column, directly or
-    through other rows.  Returns (row indices, column mask) pairs, each
-    grown from the lowest unplaced row; an all-zero row is its own
-    component with no columns.
+    through other rows.  Returns (row indices, column mask) pairs in the
+    order of their lowest rows; an all-zero row is its own component with
+    no columns.
+
+    One pass over the rows keeps a forest of rows, each root holding its
+    component's column mask, and, for each column seen so far, a row that
+    has it.  A row joins, under itself, each component its mask meets in a
+    column seen before: one step per component met, not per column, and
+    one per new column.  A second pass groups the rows by their root.
     """
-    out = []
-    left = list(range(len(masks)))
-    while left:
-        members, cols = [left[0]], masks[left[0]]
-        left, grew = left[1:], True
-        while grew:
-            grew, rest = False, []
-            for i in left:
-                if masks[i] & cols:
-                    members.append(i)
-                    cols |= masks[i]
-                    grew = True
-                else:
-                    rest.append(i)
-            left = rest
-        out.append((sorted(members), cols))
-    return out
+    parent = list(range(len(masks)))
+    cols = list(masks)  # at each root, the column mask of its component
+    owner = {}  # 1 << column -> a row that has the column
+    seen = 0
+    for i, mask in enumerate(masks):
+        met = mask & seen
+        while met:
+            r = owner[met & -met]
+            while parent[r] != r:
+                parent[r] = r = parent[parent[r]]
+            parent[r] = i
+            cols[i] |= cols[r]
+            met &= ~cols[r]
+        new = mask & ~seen
+        while new:
+            low = new & -new
+            owner[low] = i
+            new ^= low
+        seen |= mask
+    blocks = {}  # root -> (row indices, column mask), by lowest row
+    for i, r in enumerate(parent):
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        if r in blocks:
+            blocks[r][0].append(i)
+        else:
+            blocks[r] = ([i], cols[r])
+    return list(blocks.values())
 
 
 def _sets_walked(r: int, c: int) -> int:
-    """Column sets `_permanent_rows` visits on an r-by-c component, r <= c."""
+    """Column sets `_permanent_of` visits on an r-by-c component, r <= c,
+    counted by shape: equal columns are not grouped here."""
     return 1 << (r - 1) if r == c else sum(comb(c, k) for k in range(1, r + 1))
+
+
+def _tail_table(cols, limit):
+    """Split `cols` into head columns and a table of the column sets of the
+    rest, the tail.  Returns (head, levels): levels[k] lists (q, w) for the
+    k-sets of the tail, q a sum of k tail columns and w the number of
+    k-sets with that sum.
+
+    Equal columns are grouped: a class of mu equal columns gives C(mu, t)
+    sets that take t of them, all with one sum.  The tail takes the most
+    repeated classes first, while the table stays within `_TABLE_ENTRIES`
+    entries; the head keeps each column of the other classes.
+    """
+    counts = Counter(cols)
+    classes = sorted(counts, key=counts.__getitem__)  # most repeated last
+    levels = [[((0,) * len(cols[0]), 1)]]
+    while classes:
+        mu = counts[classes[-1]]
+        if sum(len(level) * (min(mu, limit - s) + 1)
+               for s, level in enumerate(levels)) > _TABLE_ENTRIES:
+            break
+        v = classes.pop()
+        top = len(levels) - 1
+        levels += [[] for _ in range(min(mu, limit - top))]
+        for s in range(top, -1, -1):  # levels[s] is read before it grows
+            step = v
+            for t in range(1, min(mu, limit - s) + 1):
+                c = comb(mu, t)
+                levels[s + t] += [(tuple(map(add, q, step)), w * c) for q, w in levels[s]]
+                step = tuple(map(add, step, v))
+    return [v for v in classes for _ in range(counts[v])], levels
 
 
 def _column_set_sums(start, cols, limit) -> list:
     """by_size[k]: the sum, over the k-sets T of `cols` with k <= `limit`,
     of the product of the row sums `start` + (sum of the columns in T).
 
-    The sets are walked depth first on an explicit stack, each child's row
-    sums being its parent's plus one column.
+    When `cols` has more than `_TABLE_ENTRIES` subsets, it is split into
+    head columns and a grouped table of the sets of the tail (`_tail_table`).
+    The sets of the head are walked depth first on an explicit stack, each
+    child's row sums being its parent's plus one column, and each is joined
+    with every table entry whose size still fits under `limit`, in one list
+    comprehension per size; so the cost of a step is paid once per head
+    set, not once per set.
     """
-    m = len(cols)
+    head, levels = cols, None
+    if 1 << len(cols) > _TABLE_ENTRIES:
+        head, levels = _tail_table(cols, limit)
+    m = len(head)
     by_size = [0] * (limit + 1)
-    by_size[0] = prod(start)
-    # (row sums of T, first column T may add, |T|)
-    stack = [(start, 0, 0)] if limit else []
+    if levels is None:
+        by_size[0] = prod(start)
+    else:
+        for k, level in enumerate(levels):
+            by_size[k] = sum([w * prod(map(add, start, q)) for q, w in level])
+    # (row sums of a head set S, first column S may add, |S|)
+    stack = [(start, 0, 0)] if limit and m else []
     while stack:
         sums, first, size = stack.pop()
         size += 1
         total = 0
         for j in range(first, m):
-            child = list(map(add, sums, cols[j]))
-            total += prod(child)
+            child = list(map(add, sums, head[j]))
+            if levels is None:
+                total += prod(child)
+            else:
+                for k, level in enumerate(levels[:limit - size + 1], size):
+                    by_size[k] += sum([w * prod(map(add, child, q)) for q, w in level])
             if size < limit and j + 1 < m:
                 stack.append((child, j + 1, size))
         by_size[size] += total
     return by_size
+
+
+def _grouped_sets(cols, limit) -> int:
+    """Column sets of at most `limit` of `cols`, where the sets that take
+    the same number of columns from each class of equal columns count once:
+    the size of the walk once equal columns are grouped."""
+    ways = [1] + [0] * limit  # ways[k]: choices of k columns from the classes so far
+    for mu in Counter(cols).values():
+        ways = [sum(ways[max(0, k - mu):k + 1]) for k in range(limit + 1)]
+    return sum(ways)
 
 
 def _walk_jobs(walked: int) -> int:
@@ -546,6 +631,8 @@ def _split_column_set_sums(start, cols, limit, jobs) -> list:
     whose child fails, or cannot be forked, is walked here.  Every child
     is killed and reaped before this returns or raises.
     """
+    if jobs == 1:
+        return _column_set_sums(start, cols, limit)
     b = min(jobs.bit_length() - 1, len(cols))
     head, tail = cols[:b], cols[b:]
     chunks = []  # (|P|, start + sum of the columns in P), P nonempty
@@ -585,14 +672,22 @@ def _split_column_set_sums(start, cols, limit, jobs) -> list:
 
 
 def _permanent_rows(rows) -> int:
-    """Permanent of an n-by-m matrix of integers.
+    """Permanent of an n-by-m matrix of integers (`_permanent_of`)."""
+    masks = [sum(1 << j for j, x in enumerate(row) if x) for row in rows]
+    return _permanent_of(masks, lambda members, j: tuple(rows[i][j] for i in members))
 
-    The rows are split into the connected components of their nonzero
-    pattern (`_components`); an injective map of the rows to nonzero
-    entries never leaves a component, so the permanent is the product of
-    the components' permanents, and 0 when one has more rows than columns.
-    An r-by-c component with r < c is summed by inclusion-exclusion
-    over its column sets T with |T| <= r:
+
+def _permanent_of(masks, column) -> int:
+    """Permanent of an integer matrix given by its nonzero pattern `masks`,
+    one bitmask of columns per row, and by `column(members, j)`, the
+    entries of column j in the rows `members`, in that order.
+
+    The rows are split into the connected components of the pattern
+    (`_components`); an injective map of the rows to nonzero entries never
+    leaves a component, so the permanent is the product of the components'
+    permanents, and 0 when one has more rows than columns.  An r-by-c
+    component with r < c is summed by inclusion-exclusion over its column
+    sets T with |T| <= r:
 
         per = sum over T of (-1)^(r-|T|) C(c-|T|, r-|T|) prod_i sum_{j in T} a_ij
 
@@ -602,51 +697,55 @@ def _permanent_rows(rows) -> int:
         per = (-1)^(r-1) 2^(1-r) sum over S of (-1)^|S| prod_i (v_i + 2 sum_{j in S} a_ij)
 
     with v_i = 2 a_ir - sum_j a_ij; the division is exact.  So a component
-    visits `_sets_walked(r, c)` column sets, and a matrix whose components
-    visit `_COUNT_TERM_GUARD` sets or more is refused with
-    ``ResourceLimitError`` before any is walked.  A component of at least
-    `_SPLIT_SETS` sets is walked in disjoint chunks on the usable CPUs, one
+    visits `_sets_walked(r, c)` column sets, counted by shape, and a matrix
+    whose components visit `_COUNT_TERM_GUARD` sets or more is refused with
+    ``ResourceLimitError`` before any column is read.  A component whose
+    walk has at least `_SPLIT_SETS` sets once equal columns are grouped
+    (`_grouped_sets`) is walked in disjoint chunks on the usable CPUs, one
     forked child per extra CPU (`_split_column_set_sums`); the sums, and so
     the result, are the same as on one CPU.
     """
-    masks = [sum(1 << j for j, x in enumerate(row) if x) for row in rows]
     blocks = [(members, list(_bitmatch.bits_of(cols))) for members, cols in _components(masks)]
     if any(len(members) > len(picked) for members, picked in blocks):
         return 0
     walked = [_sets_walked(len(members), len(picked)) for members, picked in blocks]
     if sum(walked) >= _COUNT_TERM_GUARD:
         raise ResourceLimitError(
-            f"a permanent of {len(rows)} rows walks {sum(walked)} column sets, "
+            f"a permanent of {len(masks)} rows walks {sum(walked)} column sets, "
             f"not below the work ceiling {_COUNT_TERM_GUARD}"
         )
     result = 1
     for (members, picked), sets in zip(blocks, walked):
         r, c = len(members), len(picked)
-        cols = [tuple(rows[i][j] for i in members) for j in picked]
-        jobs = _walk_jobs(sets)
+        cols = [column(members, j) for j in picked]
         if r < c:
-            by_size = _split_column_set_sums((0,) * r, cols, r, jobs)
+            start, limit = (0,) * r, r
+        else:
+            start = tuple(2 * x - sum(row) for x, row in zip(cols[-1], zip(*cols)))
+            cols, limit = [tuple(2 * x for x in col) for col in cols[:-1]], r - 1
+        if sets >= _SPLIT_SETS:  # grouping never makes a walk longer
+            sets = _grouped_sets(cols, limit)
+        by_size = _split_column_set_sums(start, cols, limit, _walk_jobs(sets))
+        if r < c:
             result *= sum((-1) ** (r - k) * comb(c - k, r - k) * by_size[k]
                           for k in range(1, r + 1))
-            continue
-        start = tuple(2 * x - sum(row) for x, row in zip(cols[-1], zip(*cols)))
-        doubled = [tuple(2 * x for x in col) for col in cols[:-1]]
-        by_size = _split_column_set_sums(start, doubled, r - 1, jobs)
-        signed = (-1) ** (r - 1) * sum((-1) ** k * t for k, t in enumerate(by_size))
-        result *= signed // (1 << (r - 1))
+        else:
+            signed = (-1) ** (r - 1) * sum((-1) ** k * t for k, t in enumerate(by_size))
+            result *= signed // (1 << (r - 1))
     return result
 
 
 def count_sdrs(family: SetFamily, *, ceiling: int = RYSER_CEILING) -> int:
     """Exact number of distinct representative tuples: the permanent of the
-    n-by-|union| 0/1 incidence matrix over the support union of the sets.
-    Refused above `ceiling` sets, and by the kernel's work guard (see
-    `_permanent_rows`)."""
+    0/1 incidence matrix of sets and elements.  The kernel reads it from the
+    sets' masks, one component at a time, so no n-by-|union| matrix is
+    made.  Refused above `ceiling` sets, and by the kernel's work guard (see
+    `_permanent_of`)."""
     n = family.n
     if n > ceiling:
         raise ResourceLimitError(f"family has {n} sets, above the counting ceiling {ceiling}")
-    cols = list(_bitmatch.bits_of(reduce(or_, family._masks, 0)))
-    return _permanent_rows([[(mask >> p) & 1 for p in cols] for mask in family._masks])
+    masks = family._masks
+    return _permanent_of(masks, lambda members, j: tuple(masks[i] >> j & 1 for i in members))
 
 
 def array_sdr(arr: ArrayFamily, *, ceiling: int = ARRAY_CELL_CEILING):

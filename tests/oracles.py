@@ -10,7 +10,8 @@ references: `bfs_max_matching` (one breadth-first augmenting path per row),
 `fraction_birkhoff` (Birkhoff rounds in Fraction arithmetic, each from a
 fresh matching), `fraction_verify_birkhoff` (the Birkhoff certificate check
 summed in Fractions), `fraction_is_doubly_stochastic` (the doubly
-stochastic check summed in Fractions), `edmonds_karp` (one breadth-first search per augmenting
+stochastic check summed in Fractions), `column_set_sums` (the permanent
+kernel's column-set walk, one set at a time with no grouping), `edmonds_karp` (one breadth-first search per augmenting
 path), `warshall_closure` (the n^2 closure loop) and `gf_rank` (Gaussian
 elimination over a prime field, from scratch per call).  The cross-check paths at the end
 reach the same answer as a library solver through another part of the
@@ -36,6 +37,8 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import prod
+from operator import add
 
 from transversal import _bitmatch, birkhoff, core, graphs, groups, posets
 from transversal.errors import ResourceLimitError, ValidationError
@@ -474,6 +477,28 @@ def brute_permanent(rows):
                 break
         total += prod
     return total
+
+
+def column_set_sums(start, cols, limit):
+    """by_size[k]: the sum, over the k-sets T of `cols` with k <= `limit`,
+    of the product of the row sums `start` + (sum of the columns in T);
+    each set walked on its own, depth first on an explicit stack."""
+    m = len(cols)
+    by_size = [0] * (limit + 1)
+    by_size[0] = prod(start)
+    # (row sums of T, first column T may add, |T|)
+    stack = [(start, 0, 0)] if limit else []
+    while stack:
+        sums, first, size = stack.pop()
+        size += 1
+        total = 0
+        for j in range(first, m):
+            child = list(map(add, sums, cols[j]))
+            total += prod(child)
+            if size < limit and j + 1 < m:
+                stack.append((child, j + 1, size))
+        by_size[size] += total
+    return by_size
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import os
 import random
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, lcm, prod
@@ -10,7 +11,8 @@ from math import comb, factorial, lcm, prod
 import pytest
 
 from oracles import (EagerFamily, EagerGraph, all_families, bfs_max_matching, brute_all_sdrs,
-                     brute_defect, brute_permanent, brute_sdr_exists, hall_via_menger)
+                     brute_defect, brute_permanent, brute_sdr_exists, column_set_sums,
+                     hall_via_menger)
 from transversal import _bitmatch, core, graphs
 from transversal.errors import ResourceLimitError, ValidationError
 
@@ -325,6 +327,61 @@ class TestCountSdrs:
         assert core.count_sdrs(f) == len(brute_all_sdrs(f.sets)) > 0
         assert len(passes) == 1
 
+    def test_many_singletons_need_no_dense_matrix(self):
+        # 2000 singleton sets are 2000 one-by-one components: the count
+        # reads each from its mask, with no 2000-by-2000 matrix (32 MB of
+        # entries alone) and no pass that is quadratic in the components.
+        f = fam(list(range(2000)), [[x] for x in range(2000)])
+        start = time.perf_counter()
+        assert core.count_sdrs(f, ceiling=5000) == 1
+        assert time.perf_counter() - start < 1
+        tracemalloc.start()
+        try:
+            assert core.count_sdrs(f, ceiling=5000) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, peak
+
+    def test_guard_refuses_before_any_column_is_read(self, monkeypatch):
+        # Above a raised ceiling, a dense 40-set family walks 2^39 sets and
+        # is refused on its shape alone: no column of the matrix is made.
+        read, kernel = [], core._permanent_of
+        monkeypatch.setattr(core, "_permanent_of", lambda masks, column: kernel(
+            masks, lambda members, j: read.append(j) or column(members, j)))
+        f = fam(list(range(40)), [list(range(40))] * 40)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError) as info:
+            core.count_sdrs(f, ceiling=100)
+        assert time.perf_counter() - start < 1
+        assert str(1 << 39) in str(info.value) and read == []
+        assert core.count_sdrs(fam(range(3), [[0, 1], [1, 2]]), ceiling=100) == 3
+        assert read == [0, 1, 2]
+
+    def test_components_in_one_pass(self):
+        # Rows joined only through a chain of later rows, zero rows, and
+        # components listed by their lowest row, each with sorted members.
+        masks = [0b1, 0, 0b100, 0b1000, 0b110, 0b11, 0, 0b10000 << 60]
+        assert core._components(masks) == [([0, 2, 4, 5], 0b111), ([1], 0), ([3], 0b1000),
+                                           ([6], 0), ([7], 0b10000 << 60)]
+        assert core._components([]) == []
+        rng = random.Random(77)
+        for _ in range(300):
+            masks = [rng.getrandbits(12) & rng.getrandbits(12) & rng.getrandbits(12)
+                     for _ in range(rng.randint(0, 12))]
+            # grow each component from its lowest unplaced row until no row joins
+            expected, left = [], list(range(len(masks)))
+            while left:
+                members = [left.pop(0)]
+                cols = masks[members[0]]
+                while joined := [i for i in left if masks[i] & cols]:
+                    members += joined
+                    left = [i for i in left if i not in joined]
+                    for i in joined:
+                        cols |= masks[i]
+                expected.append((sorted(members), cols))
+            assert core._components(masks) == expected
+
     def test_union_smaller_than_the_family_counts_zero(self):
         rng = random.Random(5150)
         for _ in range(200):
@@ -440,6 +497,76 @@ class TestPermanentKernel:
                 assert core._permanent_rows(rows) == 3 * got
 
 
+def repeated_columns(rng, r, m, n_classes, big=False):
+    """m columns of length r, each of `n_classes` <= m random columns at
+    least once, in random order, with entries in [-4, 4], or past 64 bits
+    when `big`."""
+    shift = 70 if big else 0
+    classes = [tuple(rng.randint(-4, 4) << shift for _ in range(r)) for _ in range(n_classes)]
+    cols = classes + [rng.choice(classes) for _ in range(m - n_classes)]
+    rng.shuffle(cols)
+    return cols
+
+
+class TestColumnSetSums:
+    """The grouped table walk against the one-set-at-a-time reference."""
+
+    def test_matches_the_reference_walk(self):
+        rng = random.Random(2718)
+        kinds = {"all-equal": 0, "repeats": 0, "distinct": 0, "big": 0, "negative": 0,
+                 "empty": 0, "head": 0, "table": 0}
+        for _ in range(160):
+            r = rng.randint(1, 5)
+            m = 0 if rng.random() < 0.05 else rng.choice((rng.randint(1, 8), rng.randint(9, 13)))
+            n_classes = min(m, rng.choice((1, rng.randint(1, max(1, m)), m)))
+            big = rng.random() < 0.3
+            cols = repeated_columns(rng, r, m, n_classes, big)
+            start = tuple(rng.randint(-3, 3) for _ in range(r))
+            for limit in range(m + 1):
+                assert core._column_set_sums(start, cols, limit) == \
+                    column_set_sums(start, cols, limit), (start, cols, limit)
+            distinct = len(set(cols))
+            kinds["all-equal"] += m > 1 and distinct == 1
+            kinds["repeats"] += 1 < distinct < m
+            kinds["distinct"] += m > 1 and distinct == m
+            kinds["big"] += big and any(x for col in cols for x in col)
+            kinds["negative"] += any(x < 0 for col in cols for x in col)
+            kinds["empty"] += m == 0
+            if 1 << m > core._TABLE_ENTRIES:
+                head, levels = core._tail_table(cols, m)
+                kinds["head"] += bool(head)
+                kinds["table"] += sum(map(len, levels)) > 1
+        assert all(count >= 5 for count in kinds.values()), kinds
+
+    def test_table_holds_at_most_its_entries(self):
+        # Thirteen distinct columns: the table takes eight (2^8 entries) and
+        # the head walks the other five; one class of 300 equal columns is
+        # all table, one entry of weight C(300, k) for each size k <= limit.
+        cols = [(j, 1, -j, j * j) for j in range(13)]
+        head, levels = core._tail_table(cols, 13)
+        assert len(head) == 5 and sum(map(len, levels)) == 1 << 8
+        assert [len(level) for level in levels] == [comb(8, k) for k in range(9)]
+        head, levels = core._tail_table([(1, 2)] * 300, 6)
+        assert head == [] and levels == [[((k, 2 * k), comb(300, k))] for k in range(7)]
+        for limit in (0, 3, 6):
+            assert core._column_set_sums((1, -1), [(1, 2)] * 300, limit) == [
+                comb(300, k) * (1 + k) * (2 * k - 1) for k in range(limit + 1)]
+
+    def test_grouped_sets(self):
+        rng = random.Random(99)
+        for _ in range(100):
+            m = rng.randint(0, 9)
+            cols = [(rng.randint(0, 2),) for _ in range(m)]
+            limit = rng.randint(0, m)
+            picks = {tuple(sorted(cols[j] for j in t))
+                     for k in range(limit + 1) for t in combinations(range(m), k)}
+            assert core._grouped_sets(cols, limit) == len(picks)
+        ones = [(2,) * 16] * 15
+        assert core._grouped_sets(ones, 15) == 16
+        derange = [tuple(0 if i == j else 2 for i in range(17)) for j in range(16)]
+        assert core._grouped_sets(derange, 16) == 1 << 16
+
+
 ONES_5 = [[1] * 5 for _ in range(5)]  # permanent 5! = 120
 
 
@@ -528,6 +655,31 @@ class TestSplitWalk:
             limit = rng.randint(0, m)
             serial = core._column_set_sums(start, cols, limit)
             assert core._split_column_set_sums(start, cols, limit, jobs) == serial
+
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_repeated_columns_split_equal_the_reference(self, jobs):
+        # Repeated columns past the table size, so each chunk groups its
+        # tail, some past 64 bits so the children send long ints.
+        rng = random.Random(57 + jobs)
+        for _ in range(6):
+            r, m = rng.randint(1, 5), rng.randint(9, 12)
+            cols = repeated_columns(rng, r, m, rng.randint(1, m - 1), rng.random() < 0.5)
+            start = tuple(rng.randint(-3, 3) for _ in range(r))
+            limit = rng.randint(0, m)
+            expected = column_set_sums(start, cols, limit)
+            assert core._split_column_set_sums(start, cols, limit, jobs) == expected
+
+    def test_split_decided_on_the_grouped_walk(self, monkeypatch):
+        # With 2 CPUs, a 16-by-16 all-ones matrix is 16 grouped sets and
+        # forks no child; J - I of order 17 (2^16 sets) forks one.
+        forks, fork = [], os.fork
+        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(2)))
+        monkeypatch.setattr(core.os, "fork", lambda: forks.append(1) or fork())
+        assert core._permanent_rows([[1] * 16] * 16) == factorial(16)
+        assert forks == []
+        derange = [[0 if i == j else 1 for j in range(17)] for i in range(17)]
+        assert core._permanent_rows(derange) == 130850092279664
+        assert forks == [1]
 
     def test_fork_failure_walks_here(self, split, monkeypatch):
         split(4)
