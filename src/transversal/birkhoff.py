@@ -30,6 +30,9 @@ def _to_fraction(value, where: str) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
+        digits = value[1:] if value[:1] in ("+", "-") else value
+        if digits.isascii() and digits.isdigit() and len(digits) <= _DIGIT_CEILING:
+            return Fraction(int(value))  # a plain integer skips Fraction's parse
         exponent = value.replace("_", "").lower().partition("e")[2].strip().lstrip("+-")
         if sum(c.isdecimal() for c in value) > _DIGIT_CEILING or (
             exponent.isdecimal() and int(exponent) > _DIGIT_CEILING
@@ -77,8 +80,9 @@ class RationalMatrix:
             "entries": [[str(x) for x in row] for row in self.entries],
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "RationalMatrix":
+    @staticmethod
+    def _json_rows(obj) -> list:
+        """The rows of a matrix file, checked for shape but not yet parsed."""
         if not isinstance(obj, dict) or "entries" not in obj:
             raise ValidationError("matrix file needs 'entries'", field="entries")
         rows = obj["entries"]
@@ -86,7 +90,11 @@ class RationalMatrix:
             raise ValidationError("'entries' must be a list of rows", field="entries")
         if "n" in obj and len(rows) != obj["n"]:
             raise ValidationError("'n' does not match the number of rows", field="n")
-        return cls(rows)
+        return rows
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "RationalMatrix":
+        return cls(cls._json_rows(obj))
 
 
 @dataclass(frozen=True)
@@ -232,17 +240,32 @@ def permanent(m: RationalMatrix, *, ceiling: int = PERMANENT_CEILING) -> Fractio
     least `core._SPLIT_SETS` column sets once equal columns are grouped
     (from k = 15 when they are distinct) is walked in disjoint chunks on
     the usable CPUs, one forked child per extra CPU; the result is the
-    same as on one CPU.
+    same as on one CPU.  A dense 0/1 block may instead be counted from the
+    rook numbers of its complement, when that is estimated to be cheaper
+    (`core._permanent_of`).
     """
-    if m.n > ceiling:
-        raise ResourceLimitError(f"order {m.n} is above the permanent ceiling {ceiling}")
+    _check_order(m.n, ceiling)
     scale = 1
     rows = []
     for row in m.entries:
         d = lcm(*(x.denominator for x in row)) if row else 1
         scale *= d
-        rows.append([int(x * d) for x in row])
+        rows.append([x.numerator * (d // x.denominator) for x in row])
     return Fraction(_permanent_rows(rows), scale)
+
+
+def _check_order(n: int, ceiling: int) -> None:
+    if n > ceiling:
+        raise ResourceLimitError(f"order {n} is above the permanent ceiling {ceiling}")
+
+
+def matrix_for_permanent(obj: dict, *, ceiling: int = PERMANENT_CEILING) -> RationalMatrix:
+    """`RationalMatrix.from_json` for `permanent`: a file whose order is
+    above `ceiling` is refused after its shape is checked and before any
+    entry is parsed, so a huge matrix costs no Fractions."""
+    rows = RationalMatrix._json_rows(obj)
+    _check_order(len(rows), ceiling)
+    return RationalMatrix(rows)
 
 
 def vdw_bound(n: int) -> Fraction:

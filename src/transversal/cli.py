@@ -234,7 +234,7 @@ def _cmd_birkhoff(args):
 
 
 def _cmd_permanent(args):
-    m = birkhoff.RationalMatrix.from_json(_load(args.matrix))
+    m = birkhoff.matrix_for_permanent(_load(args.matrix), **_ceiling(args))
     value = birkhoff.permanent(m, **_ceiling(args))
     return "found", {"permanent": str(value)}, "permanent computed"
 

@@ -13,8 +13,9 @@ import os
 import threading
 from collections import Counter
 from dataclasses import dataclass
-from math import comb, prod
-from operator import add
+from itertools import accumulate
+from math import comb, perm, prod
+from operator import add, sub
 
 from . import _bitmatch
 from .errors import ResourceLimitError, ValidationError
@@ -24,14 +25,15 @@ ARRAY_CELL_CEILING = 16
 
 # Work guard of the permanent kernel, and so of every count through it
 # (`count_sdrs`, `birkhoff.permanent`, `latin.count_extensions`): the column
-# sets `_permanent_of` visits, summed over the components of the matrix
-# (`_sets_walked`).  A wide component visits sum(C(c, k) for 1 <= k <= r)
-# sets, which explodes when it has far more columns than its r rows.  The
-# guard counts sets by shape, not after grouping, nor wall time or CPUs, so
-# what it refuses is deterministic: at about 1.2-1.4 microseconds a set
-# with distinct columns (J - I of order 20 and 21, 2-vCPU Xeon), the
-# largest walk admitted takes some 11 s on one CPU, and less when it is
-# split or has equal columns.
+# sets the Ryser walk of `_permanent_of` would visit, summed over the
+# components of the matrix (`_sets_walked`).  A wide component visits
+# sum(C(c, k) for 1 <= k <= r) sets, which explodes when it has far more
+# columns than its r rows.  The guard counts the walk's sets by shape, not
+# after grouping, nor wall time or CPUs, and whichever route then counts a
+# component, so what it refuses is deterministic: at about 1.2-1.4
+# microseconds a set with distinct columns (J - I of order 20 and 21 on the
+# walk, 2-vCPU Xeon), the largest walk admitted takes some 11 s on one CPU,
+# and less when it is split, has equal columns or goes by the complement.
 _COUNT_TERM_GUARD = 1 << 23
 
 # A component walk of at least this many column sets, once equal columns are
@@ -47,6 +49,15 @@ _SPLIT_SETS = 1 << 14
 # at most this many sets, is not worth a table: on 6-by-6 and 7-by-7
 # components, building one cost more than it saved.
 _TABLE_ENTRIES = 1 << 8
+
+# A 0/1 component whose walk has more than `_TABLE_ENTRIES` column sets by
+# shape is counted from the rook numbers of its complement instead when the
+# row expansion's state updates (`_expansion_work`) are fewer than this many
+# times the walk's column sets, grouped as for the split.  On random dense
+# 10-by-10 to 16-by-16 blocks (2-vCPU Xeon, one CPU), a column set of the
+# walk cost 1.2-1.4 microseconds and an estimated state update 0.09-0.15;
+# a walk split over two CPUs costs about half as much a set.
+_UPDATES_PER_SET = 4
 
 
 def _index_labels(labels, field) -> dict:
@@ -562,7 +573,9 @@ def _grouped_sets(cols, limit) -> int:
     the size of the walk once equal columns are grouped."""
     ways = [1] + [0] * limit  # ways[k]: choices of k columns from the classes so far
     for mu in Counter(cols).values():
-        ways = [sum(ways[max(0, k - mu):k + 1]) for k in range(limit + 1)]
+        # ways'[k] = ways[k - mu] + ... + ways[k], a difference of prefix sums
+        sums = [0] * (mu + 1) + list(accumulate(ways))
+        ways = list(map(sub, sums[mu + 1:], sums[:limit + 1]))
     return sum(ways)
 
 
@@ -677,6 +690,92 @@ def _permanent_rows(rows) -> int:
     return _permanent_of(masks, lambda members, j: tuple(rows[i][j] for i in members))
 
 
+def _live_after(rows) -> list:
+    """later[t]: the columns, as a bitmask, of the rows after row t."""
+    later, acc = [], 0
+    for row in reversed(rows):
+        later.append(acc)
+        acc |= row
+    return later[::-1]
+
+
+def _expansion_work(rows) -> int:
+    """State updates `_matching_counts(rows)` makes at most: before row t,
+    its states are the subsets of the columns seen so far that row t or a
+    later row still has, and each state makes one update per column of
+    row t plus one that leaves row t out."""
+    work, seen = 0, 0
+    for row, later in zip(rows, _live_after(rows)):
+        work += (1 << (seen & (row | later)).bit_count()) * (row.bit_count() + 1)
+        seen |= row
+    return work
+
+
+def _expand_row(states, row, later, width) -> dict:
+    """One row of `_matching_counts`: each state (the used columns that
+    this row or a later one has, to its packed counts) either leaves the
+    row out or matches it to a free column, one size up; then the columns
+    no row after this one has, outside `later`, are dropped from the keys,
+    merging the states that differ only there."""
+    grown = {}
+    for used, counts in states.items():
+        key = used & later
+        grown[key] = grown.get(key, 0) + counts
+        counts <<= width  # one more row matched
+        free = row & ~used
+        while free:
+            low = free & -free
+            free ^= low
+            key = (used | low) & later
+            grown[key] = grown.get(key, 0) + counts
+    return grown
+
+
+def _matching_counts(rows, width) -> int:
+    """The k-matchings of the 0/1 pattern `rows`, one bitmask of columns per
+    row, for each k: the ways to pick k of the rows and a distinct column
+    in each.  The counts come packed into one int, the count for k in bits
+    [k * width, (k + 1) * width); `width` must exceed the bit length of
+    every count.  One expansion row by row (`_expand_row`), whose states
+    are the used columns that later rows still have.
+    """
+    states = {0: 1}
+    for row, later in zip(rows, _live_after(rows)):
+        states = _expand_row(states, row, later, width)
+    return states[0]
+
+
+def _complement_plan(masks, members, cols):
+    """The components of the complement B of a 0/1 component's pattern
+    within its columns `cols`, gaps[i] = cols - row i, as lists of gap
+    masks; rows with no gap are left out.  Returns (components, the state
+    updates their expansions make at most, `_expansion_work`)."""
+    gaps = [cols & ~masks[i] for i in members]
+    parts = [[gaps[i] for i in rows] for rows, seen in _components(gaps) if seen]
+    return parts, sum(map(_expansion_work, parts))
+
+
+def _complement_permanent(parts, r, c) -> int:
+    """Permanent of an r-by-c 0/1 component, r <= c, from the rook numbers
+    N_k of the complement B of its pattern (Kaplansky-Riordan): each k-set
+    of forbidden cells in distinct rows and columns extends to
+    (c-k)!/(c-r)! injective maps of the other rows, so
+
+        per = sum over k of (-1)^k N_k (c-k)!/(c-r)!
+
+    N is the product of the matching-count polynomials of B's components
+    `parts` (`_matching_counts`), each packed into one int, so the product
+    is one of ints.  No coefficient of any factor or partial product
+    exceeds the product over B's rows of (row degree + 1), the ways to
+    pick a column or none in each row, so fields that wide never carry.
+    """
+    width = prod(row.bit_count() + 1 for part in parts for row in part).bit_length()
+    packed = prod(_matching_counts(part, width) for part in parts)
+    field = (1 << width) - 1
+    return sum((-1) ** k * (packed >> (k * width) & field) * perm(c - k, r - k)
+               for k in range(r + 1))
+
+
 def _permanent_of(masks, column) -> int:
     """Permanent of an integer matrix given by its nonzero pattern `masks`,
     one bitmask of columns per row, and by `column(members, j)`, the
@@ -704,32 +803,49 @@ def _permanent_of(masks, column) -> int:
     (`_grouped_sets`) is walked in disjoint chunks on the usable CPUs, one
     forked child per extra CPU (`_split_column_set_sums`); the sums, and so
     the result, are the same as on one CPU.
+
+    A component whose entries are all 1 on its pattern, and whose walk has
+    more than `_TABLE_ENTRIES` sets by shape, has a second route: the rook
+    numbers of the complement of its pattern within its columns
+    (`_complement_permanent`), one row expansion per component of the
+    complement.  The route is chosen per component before any walk: the
+    complement is taken when the expansion's state updates
+    (`_expansion_work`) are fewer than `_UPDATES_PER_SET` times the column
+    sets of the walk, grouped as above.  So J - I, whose complement is a
+    diagonal, and an all-ones block, whose complement is empty, are counted
+    without a walk; the guard above still counts the walk's sets by shape,
+    whichever route runs.
     """
-    blocks = [(members, list(_bitmatch.bits_of(cols))) for members, cols in _components(masks)]
-    if any(len(members) > len(picked) for members, picked in blocks):
+    blocks = _components(masks)
+    if any(len(members) > cols.bit_count() for members, cols in blocks):
         return 0
-    walked = [_sets_walked(len(members), len(picked)) for members, picked in blocks]
+    walked = [_sets_walked(len(members), cols.bit_count()) for members, cols in blocks]
     if sum(walked) >= _COUNT_TERM_GUARD:
         raise ResourceLimitError(
             f"a permanent of {len(masks)} rows walks {sum(walked)} column sets, "
             f"not below the work ceiling {_COUNT_TERM_GUARD}"
         )
     result = 1
-    for (members, picked), sets in zip(blocks, walked):
+    for (members, mask), shape in zip(blocks, walked):
+        picked = list(_bitmatch.bits_of(mask))
         r, c = len(members), len(picked)
         cols = [column(members, j) for j in picked]
-        if r < c:
-            start, limit = (0,) * r, r
-        else:
-            start = tuple(2 * x - sum(row) for x, row in zip(cols[-1], zip(*cols)))
-            cols, limit = [tuple(2 * x for x in col) for col in cols[:-1]], r - 1
+        sets = shape
         if sets >= _SPLIT_SETS:  # grouping never makes a walk longer
-            sets = _grouped_sets(cols, limit)
-        by_size = _split_column_set_sums(start, cols, limit, _walk_jobs(sets))
+            sets = _grouped_sets(cols, r) if r < c else _grouped_sets(cols[:-1], r - 1)
+        if shape > _TABLE_ENTRIES and {x for col in cols for x in col} <= {0, 1}:
+            parts, work = _complement_plan(masks, members, mask)
+            if work < _UPDATES_PER_SET * sets:
+                result *= _complement_permanent(parts, r, c)
+                continue
         if r < c:
+            by_size = _split_column_set_sums((0,) * r, cols, r, _walk_jobs(sets))
             result *= sum((-1) ** (r - k) * comb(c - k, r - k) * by_size[k]
                           for k in range(1, r + 1))
         else:
+            start = tuple(2 * x - sum(row) for x, row in zip(cols[-1], zip(*cols)))
+            cols = [tuple(2 * x for x in col) for col in cols[:-1]]
+            by_size = _split_column_set_sums(start, cols, r - 1, _walk_jobs(sets))
             signed = (-1) ** (r - 1) * sum((-1) ** k * t for k, t in enumerate(by_size))
             result *= signed // (1 << (r - 1))
     return result

@@ -479,6 +479,16 @@ def brute_permanent(rows):
     return total
 
 
+def brute_matching_counts(rows, width):
+    """counts[k]: the k-matchings of the 0/1 pattern `rows`, one bitmask of
+    `width` columns per row, by trying every k of the rows against every
+    ordered choice of k distinct columns."""
+    return [sum(all(rows[i] >> j & 1 for i, j in zip(picked, cols))
+                for picked in combinations(range(len(rows)), k)
+                for cols in permutations(range(width), k))
+            for k in range(len(rows) + 1)]
+
+
 def column_set_sums(start, cols, limit):
     """by_size[k]: the sum, over the k-sets T of `cols` with k <= `limit`,
     of the product of the row sums `start` + (sum of the columns in T);

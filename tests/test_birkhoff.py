@@ -47,6 +47,21 @@ class TestMatrix:
         with pytest.raises(ValidationError):
             M([["x"]])
 
+    @pytest.mark.parametrize("value", ["7", "+7", "-7", "-0", "007", "1" * 4300, " 3", "3 ",
+                                       "1_000", "\u0663", "-\u0663", "2/4", "1.5", "1e3"])
+    def test_integer_strings_parse_as_fraction_does(self, value):
+        got = birkhoff._to_fraction(value, "x")
+        assert type(got) is Fraction and got == Fraction(value)
+
+    @pytest.mark.parametrize("value", ["", "+", "-", "+-1", "--1", "1 2", "\u00b2"])
+    def test_near_integer_junk_rejected(self, value):
+        with pytest.raises(ValidationError):
+            birkhoff._to_fraction(value, "x")
+
+    def test_integer_past_the_digit_ceiling_refused(self):
+        with pytest.raises(ResourceLimitError):
+            birkhoff._to_fraction("-" + "1" * 4301, "x")
+
 
 class TestDoublyStochastic:
     def test_identity(self):
@@ -288,6 +303,11 @@ class TestPermanent:
         got = birkhoff.permanent(M(rows))
         assert time.perf_counter() - start < 1
         assert got == prod(brute_permanent(block) for block in blocks) > 0
+
+    def test_rescaled_rows(self):
+        # each row is scaled by the lcm of its denominators, exactly
+        rows = [[Fraction(1, 6), Fraction(-3, 4)], [Fraction(10**30, 7), Fraction(2)]]
+        assert birkhoff.permanent(M(rows)) == brute_permanent(rows)
 
     def test_ceiling(self):
         with pytest.raises(ResourceLimitError):

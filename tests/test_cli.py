@@ -396,6 +396,14 @@ class TestBirkhoffCommands:
         env = refused_within_a_second(capsys, "permanent", path, "--ceiling", "40")
         assert str(1 << 27) in env["diagnostics"] and "8388608" in env["diagnostics"]
 
+    def test_permanent_order_refused_before_parsing(self, capsys, tmp_path):
+        path = write(tmp_path, "m.json", {"entries": [["1"] * 700] * 700})
+        env = refused_within_a_second(capsys, "permanent", path)
+        assert env["diagnostics"] == "order 700 is above the permanent ceiling 20"
+        path = write(tmp_path, "m.json", {"n": 699, "entries": [["1"] * 700] * 700})
+        code, env, _ = run(capsys, "permanent", path)
+        assert code == 2 and "(field: n)" in env["diagnostics"]
+
     @pytest.mark.parametrize("n", ["43", "1000"])
     def test_bounds_ceiling(self, capsys, n):
         env = refused_within_a_second(capsys, "bounds", n)

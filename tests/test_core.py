@@ -11,9 +11,9 @@ from math import comb, factorial, lcm, prod
 import pytest
 
 from oracles import (EagerFamily, EagerGraph, all_families, bfs_max_matching, brute_all_sdrs,
-                     brute_defect, brute_permanent, brute_sdr_exists, column_set_sums,
-                     hall_via_menger)
-from transversal import _bitmatch, core, graphs
+                     brute_defect, brute_matching_counts, brute_permanent, brute_sdr_exists,
+                     column_set_sums, hall_via_menger)
+from transversal import _bitmatch, core, graphs, latin
 from transversal.errors import ResourceLimitError, ValidationError
 
 
@@ -670,15 +670,17 @@ class TestSplitWalk:
             assert core._split_column_set_sums(start, cols, limit, jobs) == expected
 
     def test_split_decided_on_the_grouped_walk(self, monkeypatch):
-        # With 2 CPUs, a 16-by-16 all-ones matrix is 16 grouped sets and
-        # forks no child; J - I of order 17 (2^16 sets) forks one.
+        # With 2 CPUs, a 16-by-16 all-ones matrix forks no child; J - I of
+        # order 17 with row 0 doubled (2^16 sets over distinct columns, and
+        # entries 0/2, so no complement route) forks one.
         forks, fork = [], os.fork
         monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(2)))
         monkeypatch.setattr(core.os, "fork", lambda: forks.append(1) or fork())
         assert core._permanent_rows([[1] * 16] * 16) == factorial(16)
         assert forks == []
         derange = [[0 if i == j else 1 for j in range(17)] for i in range(17)]
-        assert core._permanent_rows(derange) == 130850092279664
+        derange[0] = [2 * x for x in derange[0]]
+        assert core._permanent_rows(derange) == 2 * 130850092279664
         assert forks == [1]
 
     def test_fork_failure_walks_here(self, split, monkeypatch):
@@ -743,6 +745,134 @@ class TestSplitWalk:
             print("printed before the walk")
             assert core._permanent_rows(ONES_5) == 120
         assert capfd.readouterr().out == "printed before the walk\nbuffered before the walk\n"
+
+
+def derangement_numbers(n):
+    """D_0..D_n by D_k = (k - 1)(D_(k-1) + D_(k-2))."""
+    d = [1, 0]
+    for k in range(2, n + 1):
+        d.append((k - 1) * (d[-1] + d[-2]))
+    return d[:n + 1]
+
+
+def menage_number(n):
+    """Touchard's formula for the reduced menage number U_n, n >= 2."""
+    return sum((-1) ** k * 2 * n * comb(2 * n - k, k) // (2 * n - k) * factorial(n - k)
+               for k in range(n + 1))
+
+
+class TestComplementRoute:
+    """Dense 0/1 components counted from the rook numbers of the complement
+    of their pattern, beside the Ryser walk."""
+
+    def test_matching_counts_equal_brute_force(self):
+        rng = random.Random(404)
+        for _ in range(60):
+            width = rng.randint(1, 6)
+            rows = [rng.getrandbits(width) for _ in range(rng.randint(0, 5))]
+            bits = prod(row.bit_count() + 1 for row in rows).bit_length()
+            packed = core._matching_counts(rows, bits)
+            counts = [packed >> (k * bits) & ((1 << bits) - 1) for k in range(len(rows) + 1)]
+            assert counts == brute_matching_counts(rows, width), rows
+
+    def test_complement_permanent_at_any_size(self):
+        # The route itself, without the choice, on small 0/1 matrices; the
+        # first has one row of 4 gaps, so its counts fill their fields.
+        rng = random.Random(403)
+        cases = [[[1, 1, 1, 1, 1, 1], [1, 0, 0, 0, 0, 1], [1, 1, 1, 1, 1, 1]]]
+        for _ in range(80):
+            c = rng.randint(1, 6)
+            r = rng.randint(1, c)
+            density = rng.uniform(0.3, 1)
+            cases.append([[int(rng.random() < density) for _ in range(c)] for _ in range(r)])
+        for rows in cases:
+            masks = [sum(x << j for j, x in enumerate(row)) for row in rows]
+            full = (1 << len(rows[0])) - 1
+            parts, _ = core._complement_plan(masks, range(len(rows)), full)
+            assert core._complement_permanent(parts, len(rows), len(rows[0])) == \
+                brute_permanent(rows), rows
+
+    def test_estimate_bounds_the_state_updates(self, monkeypatch):
+        updates, expand = [], core._expand_row
+
+        def counted(states, row, later, width):
+            updates.append(sum(1 + (row & ~used).bit_count() for used in states))
+            return expand(states, row, later, width)
+        monkeypatch.setattr(core, "_expand_row", counted)
+        rng = random.Random(405)
+        tight = 0
+        for _ in range(200):
+            width = rng.randint(1, 10)
+            rows = [rng.getrandbits(width) & rng.getrandbits(width)
+                    for _ in range(rng.randint(0, 8))]
+            updates.clear()
+            core._matching_counts(rows, 64)
+            assert sum(updates) <= core._expansion_work(rows), rows
+            tight += sum(updates) == core._expansion_work(rows)
+        assert tight >= 5
+
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        """Counts of the components each route counted, wide and with a
+        complement of several components among them."""
+        seen = {"complement": 0, "ryser": 0, "wide": 0, "several": 0}
+        complement, walk = core._complement_permanent, core._split_column_set_sums
+
+        def by_complement(parts, r, c):
+            seen["complement"] += 1
+            seen["wide"] += r < c
+            seen["several"] += len(parts) > 1
+            return complement(parts, r, c)
+
+        def by_walk(*args):
+            seen["ryser"] += 1
+            return walk(*args)
+        monkeypatch.setattr(core, "_complement_permanent", by_complement)
+        monkeypatch.setattr(core, "_split_column_set_sums", by_walk)
+        return seen
+
+    def test_dense_zero_one_sweep(self, routes):
+        rng = random.Random(406)
+        for _ in range(50):
+            c = rng.choice((rng.randint(1, 9), 9))  # 5 or 6 rows on 9 columns may take either route
+            r = rng.randint(max(1, c - 4), min(c, 6))
+            density = rng.uniform(0.6, 0.95)
+            rows = [[int(rng.random() < density) for _ in range(c)] for _ in range(r)]
+            assert core._permanent_rows(rows) == brute_permanent(rows), rows
+            family = fam(range(c), [[j for j in range(c) if row[j]] for row in rows])
+            assert core.count_sdrs(family) == len(brute_all_sdrs(family.sets)), rows
+        assert all(count >= 5 for count in routes.values()), routes
+
+    def test_derangement_numbers(self, routes):
+        d = derangement_numbers(20)
+        for n in range(1, 21):
+            rows = [[int(i != j) for j in range(n)] for i in range(n)]
+            assert core._permanent_rows(rows) == d[n]
+            family = fam(range(n), [[j for j in range(n) if j != i] for i in range(n)])
+            assert core.count_sdrs(family, ceiling=20) == d[n]
+        assert routes["complement"] == routes["several"] == 2 * 11  # orders 10 to 20
+
+    def test_menage_numbers(self, routes):
+        for n in range(3, 21):
+            rect = latin.LatinRectangle(n, [list(range(1, n + 1)), [*range(2, n + 1), 1]])
+            assert latin.count_extensions(rect, ceiling=n) == menage_number(n), n
+        assert routes["complement"] >= 10
+
+    def test_derangements_of_order_17_walk_no_set(self, monkeypatch):
+        walks, forks = [], []
+        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(2)))
+        monkeypatch.setattr(core.os, "fork", lambda: forks.append(1))
+        monkeypatch.setattr(core, "_column_set_sums", lambda *args: walks.append(args))
+        rows = [[int(i != j) for j in range(17)] for i in range(17)]
+        assert core._permanent_rows(rows) == derangement_numbers(17)[17]
+        assert walks == [] and forks == []
+
+    def test_guard_still_counts_by_shape(self):
+        # J - I of order 24 is cheap by its complement, but its walk by
+        # shape (2^23 sets) is refused with the same text as before.
+        rows = [[int(i != j) for j in range(24)] for i in range(24)]
+        with pytest.raises(ResourceLimitError, match=f"walks {1 << 23} column sets"):
+            core._permanent_rows(rows)
 
 
 class TestArraySdr:
