@@ -54,8 +54,8 @@ _TABLE_ENTRIES = 1 << 8
 # shape is counted from the rook numbers of its complement instead when the
 # row expansion's state updates (`_expansion_work`) are fewer than this many
 # times the walk's column sets, grouped as for the split.  On random dense
-# 10-by-10 to 16-by-16 blocks (2-vCPU Xeon, one CPU), a column set of the
-# walk cost 1.2-1.4 microseconds and an estimated state update 0.09-0.15;
+# 12-by-12 to 16-by-16 blocks (2-vCPU Xeon, one CPU), a column set of the
+# walk cost 0.9-1.5 microseconds and an estimated state update 0.09-0.16;
 # a walk split over two CPUs costs about half as much a set.
 _UPDATES_PER_SET = 4
 
