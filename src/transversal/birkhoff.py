@@ -34,9 +34,9 @@ def _to_fraction(value, where: str) -> Fraction:
         if digits.isascii() and digits.isdigit() and len(digits) <= _DIGIT_CEILING:
             return Fraction(int(value))  # a plain integer skips Fraction's parse
         exponent = value.replace("_", "").lower().partition("e")[2].strip().lstrip("+-")
-        if sum(c.isdecimal() for c in value) > _DIGIT_CEILING or (
-            exponent.isdecimal() and int(exponent) > _DIGIT_CEILING
-        ):
+        # A string no longer than the ceiling holds no more digits than it.
+        many = len(value) > _DIGIT_CEILING and sum(c.isdecimal() for c in value) > _DIGIT_CEILING
+        if many or (exponent.isdecimal() and int(exponent) > _DIGIT_CEILING):
             raise ResourceLimitError(
                 f"{where}: {value[:20]!r}... has over {_DIGIT_CEILING} digits or exponent"
             )
@@ -236,13 +236,9 @@ def permanent(m: RationalMatrix, *, ceiling: int = PERMANENT_CEILING) -> Fractio
     on each, at 2^(k-1) products for a k-by-k block (2^(n-1) for a dense
     matrix), hence the order ceiling; the determinant shortcut does not
     exist for permanents.  The kernel's work guard refuses blocks that
-    would walk too many column sets, whatever the ceiling.  A block of at
-    least `core._SPLIT_SETS` column sets once equal columns are grouped
-    (from k = 15 when they are distinct) is walked in disjoint chunks on
-    the usable CPUs, one forked child per extra CPU; the result is the
-    same as on one CPU.  A dense 0/1 block may instead be counted from the
-    rook numbers of its complement, when that is estimated to be cheaper
-    (`core._permanent_of`).
+    would walk too many column sets, whatever the ceiling.  A dense 0/1
+    block may instead be counted from the rook numbers of its complement,
+    when that is estimated to be cheaper (`core._permanent_of`).
     """
     _check_order(m.n, ceiling)
     scale = 1

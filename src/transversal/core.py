@@ -8,9 +8,6 @@ whose union is too small; both sides are independently checkable.
 
 from __future__ import annotations
 
-import marshal
-import os
-import threading
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
@@ -29,20 +26,12 @@ ARRAY_CELL_CEILING = 16
 # components of the matrix (`_sets_walked`).  A wide component visits
 # sum(C(c, k) for 1 <= k <= r) sets, which explodes when it has far more
 # columns than its r rows.  The guard counts the walk's sets by shape, not
-# after grouping, nor wall time or CPUs, and whichever route then counts a
+# after grouping, nor wall time, and whichever route then counts a
 # component, so what it refuses is deterministic: at about 1.2-1.4
 # microseconds a set with distinct columns (J - I of order 20 and 21 on the
-# walk, 2-vCPU Xeon), the largest walk admitted takes some 11 s on one CPU,
-# and less when it is split, has equal columns or goes by the complement.
+# walk, 2-vCPU Xeon), the largest walk admitted takes some 11 s, and less
+# when it has equal columns or goes by the complement.
 _COUNT_TERM_GUARD = 1 << 23
-
-# A component walk of at least this many column sets, once equal columns are
-# grouped (`_grouped_sets`), is split across the usable CPUs (`_walk_jobs`).
-# Forking a child, reading its sums from a pipe and reaping it took a median
-# of 3.3-4.5 ms and at most 10 ms in a 33 MB process (2-vCPU Xeon), against
-# some 15 ms for 2^14 sets on one CPU (J - I of order 15), which two
-# processes walked in 12 ms.
-_SPLIT_SETS = 1 << 14
 
 # Entries of the grouped table of tail-column sets that `_column_set_sums`
 # joins with each head set (`_tail_table`).  A walk over at most 8 columns,
@@ -53,10 +42,10 @@ _TABLE_ENTRIES = 1 << 8
 # A 0/1 component whose walk has more than `_TABLE_ENTRIES` column sets by
 # shape is counted from the rook numbers of its complement instead when the
 # row expansion's state updates (`_expansion_work`) are fewer than this many
-# times the walk's column sets, grouped as for the split.  On random dense
-# 12-by-12 to 16-by-16 blocks (2-vCPU Xeon, one CPU), a column set of the
-# walk cost 0.9-1.5 microseconds and an estimated state update 0.09-0.16;
-# a walk split over two CPUs costs about half as much a set.
+# times the walk's column sets once equal columns are grouped
+# (`_grouped_sets`).  On random dense 12-by-12 to 16-by-16 blocks (2-vCPU
+# Xeon), a column set of the walk cost 0.9-1.5 microseconds and an
+# estimated state update 0.09-0.16.
 _UPDATES_PER_SET = 4
 
 
@@ -579,111 +568,6 @@ def _grouped_sets(cols, limit) -> int:
     return sum(ways)
 
 
-def _walk_jobs(walked: int) -> int:
-    """Processes that share a component walk of `walked` column sets: the
-    largest power of two no larger than the usable CPUs, or 1 when the walk
-    is below `_SPLIT_SETS`, `os.fork` is missing or other threads run."""
-    if walked < _SPLIT_SETS or not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return 1 << (cpus.bit_length() - 1)
-
-
-def _fork_column_set_sums(start, cols, limit):
-    """Fork a child that writes `_column_set_sums(start, cols, limit)` to a
-    pipe, a list of ints in `marshal` form, and exits: status 0 only after
-    the whole message is written, 1 otherwise.  Returns (child pid, read end
-    of the pipe).  `os._exit` skips the parent's exit handlers and buffered
-    output in the child.
-    """
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read)
-            data = memoryview(marshal.dumps(_column_set_sums(start, cols, limit)))
-            while data:
-                data = data[os.write(write, data):]
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write)
-    return pid, read
-
-
-def _read_column_set_sums(read, size):
-    """The `size` int sums a child wrote to the pipe end `read`, or None when
-    the message is cut short or malformed."""
-    parts = []
-    while part := os.read(read, 1 << 16):
-        parts.append(part)
-    try:
-        sums = marshal.loads(b"".join(parts))
-    except (EOFError, ValueError, TypeError):
-        return None
-    if type(sums) is not list or len(sums) != size or any(type(x) is not int for x in sums):
-        return None
-    return sums
-
-
-def _split_column_set_sums(start, cols, limit, jobs) -> list:
-    """`_column_set_sums(start, cols, limit)` shared by `jobs` processes, a
-    power of two.  With b = log2(jobs) head columns, the sets taking exactly
-    the head columns P are `_column_set_sums(start + sum of P, tail,
-    limit - |P|)`, shifted up by |P|.  This process walks P = {} (with one
-    job, the whole walk) and forks one child for each other P; a chunk
-    whose child fails, or cannot be forked, is walked here.  Every child
-    is killed and reaped before this returns or raises.
-    """
-    if jobs == 1:
-        return _column_set_sums(start, cols, limit)
-    b = min(jobs.bit_length() - 1, len(cols))
-    head, tail = cols[:b], cols[b:]
-    chunks = []  # (|P|, start + sum of the columns in P), P nonempty
-    for mask in range(1, 1 << b):
-        picked = [col for j, col in enumerate(head) if mask >> j & 1]
-        if len(picked) <= limit:
-            chunks.append((len(picked), tuple(map(sum, zip(start, *picked)))))
-    children = {}  # chunk index -> (pid, read end), until reaped
-    try:
-        for i, (size, shifted) in enumerate(chunks):
-            try:
-                children[i] = _fork_column_set_sums(shifted, tail, limit - size)
-            except OSError:
-                break
-        by_size = _column_set_sums(start, tail, limit)
-        for i, (size, shifted) in enumerate(chunks):
-            sums = None
-            if i in children:
-                pid, read = children[i]
-                sums = _read_column_set_sums(read, limit - size + 1)
-                if os.waitpid(pid, 0)[1]:
-                    sums = None
-                del children[i]
-                os.close(read)
-            if sums is None:
-                sums = _column_set_sums(shifted, tail, limit - size)
-            for k, total in enumerate(sums, size):
-                by_size[k] += total
-    finally:
-        if children:
-            from signal import SIGKILL
-        for pid, read in children.values():
-            os.close(read)
-            os.kill(pid, SIGKILL)
-            os.waitpid(pid, 0)
-    return by_size
-
-
 def _permanent_rows(rows) -> int:
     """Permanent of an n-by-m matrix of integers (`_permanent_of`)."""
     masks = [sum(1 << j for j, x in enumerate(row) if x) for row in rows]
@@ -798,11 +682,7 @@ def _permanent_of(masks, column) -> int:
     with v_i = 2 a_ir - sum_j a_ij; the division is exact.  So a component
     visits `_sets_walked(r, c)` column sets, counted by shape, and a matrix
     whose components visit `_COUNT_TERM_GUARD` sets or more is refused with
-    ``ResourceLimitError`` before any column is read.  A component whose
-    walk has at least `_SPLIT_SETS` sets once equal columns are grouped
-    (`_grouped_sets`) is walked in disjoint chunks on the usable CPUs, one
-    forked child per extra CPU (`_split_column_set_sums`); the sums, and so
-    the result, are the same as on one CPU.
+    ``ResourceLimitError`` before any column is read.
 
     A component whose entries are all 1 on its pattern, and whose walk has
     more than `_TABLE_ENTRIES` sets by shape, has a second route: the rook
@@ -811,10 +691,10 @@ def _permanent_of(masks, column) -> int:
     complement.  The route is chosen per component before any walk: the
     complement is taken when the expansion's state updates
     (`_expansion_work`) are fewer than `_UPDATES_PER_SET` times the column
-    sets of the walk, grouped as above.  So J - I, whose complement is a
-    diagonal, and an all-ones block, whose complement is empty, are counted
-    without a walk; the guard above still counts the walk's sets by shape,
-    whichever route runs.
+    sets of the walk once equal columns are grouped (`_grouped_sets`).  So
+    J - I, whose complement is a diagonal, and an all-ones block, whose
+    complement is empty, are counted without a walk; the guard above still
+    counts the walk's sets by shape, whichever route runs.
     """
     blocks = _components(masks)
     if any(len(members) > cols.bit_count() for members, cols in blocks):
@@ -830,22 +710,20 @@ def _permanent_of(masks, column) -> int:
         picked = list(_bitmatch.bits_of(mask))
         r, c = len(members), len(picked)
         cols = [column(members, j) for j in picked]
-        sets = shape
-        if sets >= _SPLIT_SETS:  # grouping never makes a walk longer
-            sets = _grouped_sets(cols, r) if r < c else _grouped_sets(cols[:-1], r - 1)
         if shape > _TABLE_ENTRIES and {x for col in cols for x in col} <= {0, 1}:
             parts, work = _complement_plan(masks, members, mask)
+            sets = _grouped_sets(cols, r) if r < c else _grouped_sets(cols[:-1], r - 1)
             if work < _UPDATES_PER_SET * sets:
                 result *= _complement_permanent(parts, r, c)
                 continue
         if r < c:
-            by_size = _split_column_set_sums((0,) * r, cols, r, _walk_jobs(sets))
+            by_size = _column_set_sums((0,) * r, cols, r)
             result *= sum((-1) ** (r - k) * comb(c - k, r - k) * by_size[k]
                           for k in range(1, r + 1))
         else:
             start = tuple(2 * x - sum(row) for x, row in zip(cols[-1], zip(*cols)))
             cols = [tuple(2 * x for x in col) for col in cols[:-1]]
-            by_size = _split_column_set_sums(start, cols, r - 1, _walk_jobs(sets))
+            by_size = _column_set_sums(start, cols, r - 1)
             signed = (-1) ** (r - 1) * sum((-1) ** k * t for k, t in enumerate(by_size))
             result *= signed // (1 << (r - 1))
     return result

@@ -14,7 +14,8 @@ def pytest_runtest_logreport(report):
 @pytest.fixture(autouse=True)
 def no_child_process_left():
     """Fail any test after which this process still has a child, running or
-    unreaped: every process the package forks is reaped before it returns."""
+    unreaped: the package starts no process, and every subprocess a test
+    starts is waited for before the test ends."""
     yield
     try:
         pid, status = os.waitpid(-1, os.WNOHANG)

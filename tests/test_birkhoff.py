@@ -61,6 +61,11 @@ class TestMatrix:
     def test_integer_past_the_digit_ceiling_refused(self):
         with pytest.raises(ResourceLimitError):
             birkhoff._to_fraction("-" + "1" * 4301, "x")
+        # A "p/q" string counts the digits on both sides of the bar.
+        with pytest.raises(ResourceLimitError):
+            birkhoff._to_fraction("1" * 2151 + "/" + "3" * 2150, "x")
+        assert birkhoff._to_fraction("1" * 2150 + "/" + "3" * 2150, "x") == \
+            Fraction(int("1" * 2150), int("3" * 2150))
 
 
 class TestDoublyStochastic:

@@ -421,18 +421,6 @@ def test_no_recursion_in_bitmatch():
     assert_no_self_call(_bitmatch)
 
 
-def test_no_recursion_in_the_permanent_kernel():
-    """The split walk forks its chunks in a loop, and the complement's row
-    expansion runs row by row, never by calling itself."""
-    for helper in (core._permanent_rows, core._permanent_of, core._components,
-                   core._sets_walked, core._tail_table, core._column_set_sums,
-                   core._grouped_sets, core._walk_jobs, core._split_column_set_sums,
-                   core._fork_column_set_sums, core._read_column_set_sums,
-                   core._live_after, core._expansion_work, core._expand_row,
-                   core._matching_counts, core._complement_plan, core._complement_permanent):
-        assert_no_self_call(helper)
-
-
 def test_no_recursion_in_the_rado_search():
     for helper in (matroids._sir_augmenting, matroids._exchange_path,
                    matroids._alternating_sets, matroids._walk_back):

@@ -1,7 +1,5 @@
-import marshal
 import os
 import random
-import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -496,6 +494,42 @@ class TestPermanentKernel:
                 rows = [row + [0] for row in block] + [[0] * k + [3]]
                 assert core._permanent_rows(rows) == 3 * got
 
+    def test_random_matrices_match_brute_force(self):
+        for seed in (1010, 1011, 1013):
+            rng = random.Random(seed)
+            kinds = {"square": 0, "wide": 0, "negative": 0, "big": 0}
+            for _ in range(30):
+                n = rng.randint(1, 6)
+                m = rng.randint(n, 7)
+                rows = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)]
+                big = rng.random() < 0.4
+                if big:  # past 64 bits
+                    rows = [[x << rng.randint(60, 90) for x in row] for row in rows]
+                got = core._permanent_rows(rows)
+                assert got == brute_permanent(rows), rows
+                assert type(got) is int
+                kinds["square"] += n == m
+                kinds["wide"] += n < m
+                kinds["negative"] += any(x < 0 for row in rows for x in row)
+                kinds["big"] += big
+            assert all(count >= 5 for count in kinds.values()), (seed, kinds)
+
+    def test_one_process_walks_every_component(self, monkeypatch):
+        # J - I of order 17 with row 0 doubled: 2^16 sets over distinct
+        # columns and entries 0/2, so no complement route, and no child
+        # process however many CPUs the process may run on.
+        forks = []
+
+        def fork():
+            forks.append(1)
+            raise OSError("no process slots")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+        monkeypatch.setattr(os, "fork", fork)
+        derange = [[0 if i == j else 1 for j in range(17)] for i in range(17)]
+        derange[0] = [2 * x for x in derange[0]]
+        assert core._permanent_rows(derange) == 2 * 130850092279664
+        assert forks == []
+
 
 def repeated_columns(rng, r, m, n_classes, big=False):
     """m columns of length r, each of `n_classes` <= m random columns at
@@ -567,186 +601,6 @@ class TestColumnSetSums:
         assert core._grouped_sets(derange, 16) == 1 << 16
 
 
-ONES_5 = [[1] * 5 for _ in range(5)]  # permanent 5! = 120
-
-
-@pytest.fixture
-def split(monkeypatch):
-    """Split every walk of two sets or more; the returned function sets the
-    CPU count, and so the job count."""
-    monkeypatch.setattr(core, "_SPLIT_SETS", 2)
-
-    def use(cpus):
-        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    return use
-
-
-@pytest.fixture
-def wrong_in_children(monkeypatch):
-    """Forked children send a least sum 2^10 too large, which moves a
-    permanent of `ONES_5` by 2^10 / 2^4, so a child message that the parent
-    accepts shows in the result."""
-    parent, walk = os.getpid(), core._column_set_sums
-
-    def child_walk(start, cols, limit):
-        sums = walk(start, cols, limit)
-        return sums if os.getpid() == parent else [sums[0] + 1024] + sums[1:]
-    monkeypatch.setattr(core, "_column_set_sums", child_walk)
-    return parent
-
-
-class TestSplitWalk:
-    def test_job_count(self, monkeypatch):
-        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(3)))
-        assert core._walk_jobs(core._SPLIT_SETS - 1) == 1
-        assert core._walk_jobs(core._SPLIT_SETS) == 2
-        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(4)))
-        assert core._walk_jobs(core._SPLIT_SETS) == 4
-        monkeypatch.delattr(core.os, "sched_getaffinity")
-        monkeypatch.setattr(core.os, "cpu_count", lambda: 7)
-        assert core._walk_jobs(core._SPLIT_SETS) == 4
-        monkeypatch.setattr(core.os, "cpu_count", lambda: None)
-        assert core._walk_jobs(core._SPLIT_SETS) == 1
-        monkeypatch.setattr(core.os, "cpu_count", lambda: 2)
-        monkeypatch.delattr(core.os, "fork")
-        assert core._walk_jobs(core._SPLIT_SETS) == 1
-
-    def test_serial_while_another_thread_runs(self, monkeypatch):
-        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(2)))
-        stop = threading.Event()
-        thread = threading.Thread(target=stop.wait)
-        thread.start()
-        try:
-            assert core._walk_jobs(core._SPLIT_SETS) == 1
-        finally:
-            stop.set()
-            thread.join()
-        assert core._walk_jobs(core._SPLIT_SETS) == 2
-
-    @pytest.mark.parametrize("cpus", [1, 2, 4])
-    def test_matches_serial_walk_and_brute_force(self, split, cpus):
-        split(cpus)
-        rng = random.Random(1009 + cpus)
-        kinds = {"square": 0, "wide": 0, "negative": 0, "big": 0}
-        for _ in range(30):
-            n = rng.randint(1, 6)
-            m = rng.randint(n, 7)
-            rows = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)]
-            big = rng.random() < 0.4
-            if big:  # past 64 bits, so the children send long ints
-                rows = [[x << rng.randint(60, 90) for x in row] for row in rows]
-            got = core._permanent_rows(rows)
-            assert got == brute_permanent(rows), rows
-            assert type(got) is int
-            kinds["square"] += n == m
-            kinds["wide"] += n < m
-            kinds["negative"] += any(x < 0 for row in rows for x in row)
-            kinds["big"] += big
-        assert all(count >= 5 for count in kinds.values()), kinds
-
-    @pytest.mark.parametrize("jobs", [1, 2, 4])
-    def test_split_sums_equal_the_serial_walk(self, jobs):
-        rng = random.Random(31 + jobs)
-        for _ in range(30):
-            r, m = rng.randint(1, 5), rng.randint(0, 6)
-            start = tuple(rng.randint(-3, 3) for _ in range(r))
-            cols = [tuple(rng.randint(-4, 4) << 80 if rng.random() < 0.3
-                          else rng.randint(-4, 4) for _ in range(r)) for _ in range(m)]
-            limit = rng.randint(0, m)
-            serial = core._column_set_sums(start, cols, limit)
-            assert core._split_column_set_sums(start, cols, limit, jobs) == serial
-
-    @pytest.mark.parametrize("jobs", [1, 2, 4])
-    def test_repeated_columns_split_equal_the_reference(self, jobs):
-        # Repeated columns past the table size, so each chunk groups its
-        # tail, some past 64 bits so the children send long ints.
-        rng = random.Random(57 + jobs)
-        for _ in range(6):
-            r, m = rng.randint(1, 5), rng.randint(9, 12)
-            cols = repeated_columns(rng, r, m, rng.randint(1, m - 1), rng.random() < 0.5)
-            start = tuple(rng.randint(-3, 3) for _ in range(r))
-            limit = rng.randint(0, m)
-            expected = column_set_sums(start, cols, limit)
-            assert core._split_column_set_sums(start, cols, limit, jobs) == expected
-
-    def test_split_decided_on_the_grouped_walk(self, monkeypatch):
-        # With 2 CPUs, a 16-by-16 all-ones matrix forks no child; J - I of
-        # order 17 with row 0 doubled (2^16 sets over distinct columns, and
-        # entries 0/2, so no complement route) forks one.
-        forks, fork = [], os.fork
-        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(2)))
-        monkeypatch.setattr(core.os, "fork", lambda: forks.append(1) or fork())
-        assert core._permanent_rows([[1] * 16] * 16) == factorial(16)
-        assert forks == []
-        derange = [[0 if i == j else 1 for j in range(17)] for i in range(17)]
-        derange[0] = [2 * x for x in derange[0]]
-        assert core._permanent_rows(derange) == 2 * 130850092279664
-        assert forks == [1]
-
-    def test_fork_failure_walks_here(self, split, monkeypatch):
-        split(4)
-
-        def refuse():
-            raise OSError("no process slots")
-        monkeypatch.setattr(core.os, "fork", refuse)
-        assert core._permanent_rows(ONES_5) == 120
-
-    def test_child_exit_status_one_is_walked_here(self, split, wrong_in_children, monkeypatch):
-        split(2)
-        assert core._permanent_rows(ONES_5) != 120  # a child's message is used
-        exit_ = os._exit
-        monkeypatch.setattr(core.os, "_exit", lambda status: exit_(1))
-        assert core._permanent_rows(ONES_5) == 120
-
-    def test_truncated_message_is_walked_here(self, split, wrong_in_children, monkeypatch):
-        split(4)
-        write = os.write
-
-        def half_write(fd, data):
-            if os.getpid() == wrong_in_children:
-                return write(fd, data)
-            write(fd, bytes(data[:len(data) // 2]))
-            return len(data)
-        monkeypatch.setattr(core.os, "write", half_write)
-        assert core._permanent_rows(ONES_5) == 120
-
-    def test_interrupt_kills_and_reaps_every_child(self, split, monkeypatch):
-        split(4)
-        parent, walk = os.getpid(), core._column_set_sums
-
-        def interrupted(start, cols, limit):
-            if os.getpid() == parent:
-                raise KeyboardInterrupt
-            return walk(start, cols, limit)
-        monkeypatch.setattr(core, "_column_set_sums", interrupted)
-        with pytest.raises(KeyboardInterrupt):
-            core._permanent_rows(ONES_5)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_message_parse(self):
-        full = marshal.dumps([10, -15, 1 << 100])
-        cases = [(full, 3, [10, -15, 1 << 100]), (full[:-4], 3, None), (full, 2, None),
-                 (marshal.dumps([10, 1.5]), 2, None)]
-        for message, size, expected in cases:
-            read, write = os.pipe()
-            os.write(write, message)
-            os.close(write)
-            try:
-                got = core._read_column_set_sums(read, size)
-            finally:
-                os.close(read)
-            assert got == expected, message
-
-    def test_no_duplicated_stdout(self, split, capfd):
-        split(4)
-        with open(os.dup(1), "w", buffering=1 << 16) as stream:
-            stream.write("buffered before the walk\n")
-            print("printed before the walk")
-            assert core._permanent_rows(ONES_5) == 120
-        assert capfd.readouterr().out == "printed before the walk\nbuffered before the walk\n"
-
-
 def derangement_numbers(n):
     """D_0..D_n by D_k = (k - 1)(D_(k-1) + D_(k-2))."""
     d = [1, 0]
@@ -816,7 +670,7 @@ class TestComplementRoute:
         """Counts of the components each route counted, wide and with a
         complement of several components among them."""
         seen = {"complement": 0, "ryser": 0, "wide": 0, "several": 0}
-        complement, walk = core._complement_permanent, core._split_column_set_sums
+        complement, walk = core._complement_permanent, core._column_set_sums
 
         def by_complement(parts, r, c):
             seen["complement"] += 1
@@ -828,7 +682,7 @@ class TestComplementRoute:
             seen["ryser"] += 1
             return walk(*args)
         monkeypatch.setattr(core, "_complement_permanent", by_complement)
-        monkeypatch.setattr(core, "_split_column_set_sums", by_walk)
+        monkeypatch.setattr(core, "_column_set_sums", by_walk)
         return seen
 
     def test_dense_zero_one_sweep(self, routes):
@@ -859,13 +713,11 @@ class TestComplementRoute:
         assert routes["complement"] >= 10
 
     def test_derangements_of_order_17_walk_no_set(self, monkeypatch):
-        walks, forks = [], []
-        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(2)))
-        monkeypatch.setattr(core.os, "fork", lambda: forks.append(1))
+        walks = []
         monkeypatch.setattr(core, "_column_set_sums", lambda *args: walks.append(args))
         rows = [[int(i != j) for j in range(17)] for i in range(17)]
         assert core._permanent_rows(rows) == derangement_numbers(17)[17]
-        assert walks == [] and forks == []
+        assert walks == []
 
     def test_guard_still_counts_by_shape(self):
         # J - I of order 24 is cheap by its complement, but its walk by
