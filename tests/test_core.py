@@ -494,26 +494,6 @@ class TestPermanentKernel:
                 rows = [row + [0] for row in block] + [[0] * k + [3]]
                 assert core._permanent_rows(rows) == 3 * got
 
-    def test_random_matrices_match_brute_force(self):
-        for seed in (1010, 1011, 1013):
-            rng = random.Random(seed)
-            kinds = {"square": 0, "wide": 0, "negative": 0, "big": 0}
-            for _ in range(30):
-                n = rng.randint(1, 6)
-                m = rng.randint(n, 7)
-                rows = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)]
-                big = rng.random() < 0.4
-                if big:  # past 64 bits
-                    rows = [[x << rng.randint(60, 90) for x in row] for row in rows]
-                got = core._permanent_rows(rows)
-                assert got == brute_permanent(rows), rows
-                assert type(got) is int
-                kinds["square"] += n == m
-                kinds["wide"] += n < m
-                kinds["negative"] += any(x < 0 for row in rows for x in row)
-                kinds["big"] += big
-            assert all(count >= 5 for count in kinds.values()), (seed, kinds)
-
     def test_one_process_walks_every_component(self, monkeypatch):
         # J - I of order 17 with row 0 doubled: 2^16 sets over distinct
         # columns and entries 0/2, so no complement route, and no child
@@ -528,6 +508,39 @@ class TestPermanentKernel:
         derange = [[0 if i == j else 1 for j in range(17)] for i in range(17)]
         derange[0] = [2 * x for x in derange[0]]
         assert core._permanent_rows(derange) == 2 * derangement_numbers(17)[17]
+        assert forks == []
+
+
+class TestSplitWalk:
+    """The walk that once split over child processes: the same integers
+    however many CPUs are reported, and no child process."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_matches_serial_walk_and_brute_force(self, monkeypatch, cpus):
+        forks = []
+
+        def fork():
+            forks.append(1)
+            raise OSError("no process slots")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(os, "fork", fork)
+        rng = random.Random(1009 + cpus)
+        kinds = {"square": 0, "wide": 0, "negative": 0, "big": 0}
+        for _ in range(30):
+            n = rng.randint(1, 6)
+            m = rng.randint(n, 7)
+            rows = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)]
+            big = rng.random() < 0.4
+            if big:  # past 64 bits
+                rows = [[x << rng.randint(60, 90) for x in row] for row in rows]
+            got = core._permanent_rows(rows)
+            assert got == brute_permanent(rows), rows
+            assert type(got) is int
+            kinds["square"] += n == m
+            kinds["wide"] += n < m
+            kinds["negative"] += any(x < 0 for row in rows for x in row)
+            kinds["big"] += big
+        assert all(count >= 5 for count in kinds.values()), kinds
         assert forks == []
 
 
