@@ -1,8 +1,9 @@
 """Exact rational matrices: doubly stochastic checks, constructive convex
 decomposition into permutation matrices, permanents, and counting bounds.
 
-Everything here is exact: entries, bounds and permanents are Fractions,
-and decomposition runs on integers over one common denominator.  There is
+Everything here is exact: a matrix holds its entries as integer rows over
+one common denominator, decomposition and the doubly stochastic check run
+on those integers, and bounds and permanents are Fractions.  There is
 deliberately no floating point, because decomposition termination and the
 equality cases of the bounds are exact claims.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from . import _bitmatch, core
 from .core import _permanent_rows
@@ -19,20 +20,20 @@ from .errors import ResourceLimitError, ValidationError
 
 PERMANENT_CEILING = 20
 # A rational string with more digits than this, or a larger exponent, is
-# refused before Fraction builds its integers.  It is CPython's own default
-# limit for converting a decimal string to an int.
+# refused before its integers are built.  It is CPython's own default
+# limit for converting a decimal string to an int, but it is checked here by
+# length, whatever `sys.set_int_max_str_digits` says.
 _DIGIT_CEILING = 4300
 
 
 def _to_fraction(value, where: str) -> Fraction:
+    """`value` as a Fraction: an int, a Fraction, or a string that
+    `Fraction` parses with at most `_DIGIT_CEILING` digits and exponent."""
     if isinstance(value, bool):
         raise ValidationError(f"{where}: booleans are not rationals", field=where)
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
-        digits = value[1:] if value[:1] in ("+", "-") else value
-        if digits.isascii() and digits.isdigit() and len(digits) <= _DIGIT_CEILING:
-            return Fraction(int(value))  # a plain integer skips Fraction's parse
         exponent = value.replace("_", "").lower().partition("e")[2].strip().lstrip("+-")
         # A string no longer than the ceiling holds no more digits than it.
         many = len(value) > _DIGIT_CEILING and sum(c.isdecimal() for c in value) > _DIGIT_CEILING
@@ -47,10 +48,66 @@ def _to_fraction(value, where: str) -> Fraction:
     raise ValidationError(f"{where}: unsupported type {type(value).__name__}", field=where)
 
 
-class RationalMatrix:
-    """A square matrix of exact rationals."""
+def _plain_pair(value) -> tuple[int, int] | None:
+    """(numerator, denominator) in lowest terms of an int, or of a "p" or
+    "p/q" string of ASCII digits with an optional sign and a nonzero q,
+    within the digit ceiling; None for every other value."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is not str or not value.isascii():
+        return None
+    num, bar, den = value.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if not digits.isdigit() or len(digits) + len(den) > _DIGIT_CEILING:
+        return None
+    if not bar:
+        return int(num), 1
+    if not den.isdigit():
+        return None
+    p, q = int(num), int(den)
+    if not q:
+        return None
+    g = gcd(p, q)
+    return p // g, q // g
 
-    __slots__ = ("n", "entries")
+
+def _to_pair(value, where: str) -> tuple[int, int]:
+    """`_to_fraction(value, where)` as (numerator, denominator), with no
+    Fraction built for the values `_plain_pair` reads."""
+    pair = _plain_pair(value)
+    if pair is None:
+        x = _to_fraction(value, where)
+        pair = x.numerator, x.denominator
+    return pair
+
+
+def _row_pairs(row: list, i: int) -> tuple[list, list | None]:
+    """The numerators and denominators of row `i`; None for denominators
+    that are all 1."""
+    try:
+        text = "".join(row)  # a TypeError unless every entry is a string
+    except TypeError:
+        text = None
+    # A row of ASCII integer strings is read in one pass: int() reads a
+    # subset of what Fraction reads, to the same values, and a row no longer
+    # than the digit ceiling holds no entry past it.  A row int() refuses is
+    # read entry by entry.
+    if text is not None and len(text) <= _DIGIT_CEILING and text.isascii() and "/" not in text:
+        try:
+            return list(map(int, row)), None
+        except ValueError:
+            pass
+    pairs = [_plain_pair(x) or _to_pair(x, f"entries[{i}][{j}]") for j, x in enumerate(row)]
+    return [p for p, _ in pairs], [q for _, q in pairs]
+
+
+class RationalMatrix:
+    """A square matrix of exact rationals, held as `rows`, integer rows
+    over the common denominator `scale`: entry (i, j) is
+    rows[i][j] / scale, and `scale` is the least common denominator of the
+    entries, so equal matrices hold equal rows."""
+
+    __slots__ = ("n", "scale", "rows")
 
     def __init__(self, rows):
         rows = [list(r) for r in rows]
@@ -59,17 +116,28 @@ class RationalMatrix:
             if len(row) != n:
                 raise ValidationError(f"row {i} has {len(row)} entries in an order-{n} matrix",
                                       field=f"entries[{i}]")
+        parsed = [_row_pairs(row, i) for i, row in enumerate(rows)]
+        scale = lcm(*(q for _, dens in parsed if dens for q in dens))
         self.n = n
-        self.entries = tuple(
-            tuple(_to_fraction(x, f"entries[{i}][{j}]") for j, x in enumerate(row))
-            for i, row in enumerate(rows)
+        self.scale = scale
+        self.rows = tuple(
+            tuple(nums) if scale == 1 else
+            tuple(p * scale for p in nums) if dens is None else
+            tuple(p * (scale // q) for p, q in zip(nums, dens))
+            for nums, dens in parsed
         )
 
+    @property
+    def entries(self) -> tuple:
+        """The entries as rows of Fractions."""
+        return tuple(tuple(Fraction(x, self.scale) for x in row) for row in self.rows)
+
     def __eq__(self, other):
-        return isinstance(other, RationalMatrix) and self.entries == other.entries
+        return (isinstance(other, RationalMatrix) and self.scale == other.scale
+                and self.rows == other.rows)
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self.scale, self.rows))
 
     def __repr__(self):
         return f"RationalMatrix({[[str(x) for x in row] for row in self.entries]})"
@@ -106,29 +174,19 @@ class BirkhoffDecomposition:
     def __len__(self):
         return len(self.terms)
 
-    def scaled(self, n: int) -> tuple[int, int, list]:
-        """(D, the coefficient sum times D, the rebuilt n x n matrix times D),
-        all integers, for D the least common denominator of the coefficients."""
-        scale = lcm(*(c.denominator for c, _ in self.terms))
-        acc = [[0] * n for _ in range(n)]
-        total = 0
-        for coefficient, perm in self.terms:
-            weight = coefficient.numerator * (scale // coefficient.denominator)
-            total += weight
-            for i in range(n):
-                acc[i][perm[i]] += weight
-        return scale, total, acc
-
 
 def term_bound(m: RationalMatrix) -> int:
     """The most terms a decomposition of `m` needs: nnz - n + 1."""
-    return sum(1 for row in m.entries for x in row if x) - m.n + 1
+    return sum(1 for row in m.rows for x in row if x) - m.n + 1
 
 
 def verify_birkhoff(m: RationalMatrix, cert: dict) -> tuple[bool, str | None]:
     """Check a ``birkhoff`` certificate object: "terms" with positive
     rational "coefficient"s summing to 1 whose "permutation"s (the column
-    of each row) rebuild `m`, at most ``term_bound(m)`` of them."""
+    of each row) rebuild `m`, at most ``term_bound(m)`` of them.  The sums
+    run on integers over the least common denominator D of the
+    coefficients: the coefficients times D must sum to D, and the rebuilt
+    matrix times D must equal `m.rows` times D / `m.scale`."""
     columns = {j: j for j in range(m.n)}
     terms = []
     for k, term in enumerate(core._cert_field(cert, "terms")):
@@ -137,16 +195,21 @@ def verify_birkhoff(m: RationalMatrix, cert: dict) -> tuple[bool, str | None]:
         perm = core._cert_field(term, "permutation", index=columns)
         if len(perm) != m.n or len(set(perm)) != m.n:
             return False, f"term {k} is not a permutation of 0..{m.n - 1}"
-        terms.append((_to_fraction(term.get("coefficient"), f"terms[{k}]"),
-                      tuple(columns[j] for j in perm)))
-    if any(c <= 0 for c, _ in terms):
+        p, q = _to_pair(term.get("coefficient"), f"terms[{k}]")
+        terms.append((p, q, tuple(columns[j] for j in perm)))
+    if any(p <= 0 for p, _, _ in terms):
         return False, "coefficients must be positive"
-    scale, total, acc = BirkhoffDecomposition(tuple(terms)).scaled(m.n)
-    if total != scale:
+    scale = lcm(*(q for _, q, _ in terms))
+    weights = [p * (scale // q) for p, q, _ in terms]
+    if sum(weights) != scale:
         return False, "coefficients do not sum to 1"
-    for row, target in zip(acc, m.entries):
+    acc = [[0] * m.n for _ in range(m.n)]
+    for weight, (_, _, perm) in zip(weights, terms):
+        for i, j in enumerate(perm):
+            acc[i][j] += weight
+    for row, target in zip(acc, m.rows):
         for x, y in zip(row, target):
-            if x * y.denominator != y.numerator * scale:
+            if x * m.scale != y * scale:
                 return False, "terms do not reconstruct the matrix"
     if len(terms) > term_bound(m):
         return False, "more terms than the support allows"
@@ -155,18 +218,11 @@ def verify_birkhoff(m: RationalMatrix, cert: dict) -> tuple[bool, str | None]:
 
 def is_doubly_stochastic(m: RationalMatrix) -> tuple[bool, str | None]:
     """Exact nonnegativity and unit row/column sum check."""
-    reason = _stochastic_failure(*_scaled(m))
+    reason = _stochastic_failure(m.scale, m.rows)
     return reason is None, reason
 
 
-def _scaled(m: RationalMatrix) -> tuple[int, list]:
-    """(D, the entries times D as integer rows), for D the least common
-    denominator of the entries."""
-    scale = lcm(*(x.denominator for row in m.entries for x in row))
-    return scale, [[x.numerator * (scale // x.denominator) for x in row] for row in m.entries]
-
-
-def _stochastic_failure(scale: int, work: list) -> str | None:
+def _stochastic_failure(scale: int, work) -> str | None:
     """Why the matrix `work` / `scale` is not doubly stochastic, or None.
     The sums are integers; a Fraction is built only for a failure."""
     for i, row in enumerate(work):
@@ -176,12 +232,22 @@ def _stochastic_failure(scale: int, work: list) -> str | None:
     for i, row in enumerate(work):
         total = sum(row)
         if total != scale:
-            return f"row {i} sums to {Fraction(total, scale)}"
+            return _sum_failure(f"row {i}", total, scale)
     for j, column in enumerate(zip(*work)):
         total = sum(column)
         if total != scale:
-            return f"column {j} sums to {Fraction(total, scale)}"
+            return _sum_failure(f"column {j}", total, scale)
     return None
+
+
+def _sum_failure(what: str, total: int, scale: int) -> str:
+    """Why a row or column whose entries sum to `total` / `scale` fails.
+    The sum is printed unless a side of its bar has more digits than the
+    ceiling, which str() would refuse."""
+    x = Fraction(total, scale)
+    if max(abs(x.numerator), x.denominator) < 10**_DIGIT_CEILING:
+        return f"{what} sums to {x}"
+    return f"{what} does not sum to 1: its sum has over {_DIGIT_CEILING} digits"
 
 
 def birkhoff_decompose(m: RationalMatrix) -> BirkhoffDecomposition:
@@ -191,14 +257,14 @@ def birkhoff_decompose(m: RationalMatrix) -> BirkhoffDecomposition:
     the positive entries, subtracts it scaled by its minimum entry, and
     repeats; every round kills at least one entry, so at most
     nnz - n + 1 terms appear and the reconstruction is exact.  The rounds
-    run on integers: the matrix is scaled once by the least common
-    denominator D of its entries, and each coefficient is mu / D.  The
+    run on a copy of `m.rows`, the entries times their least common
+    denominator D, and each coefficient is mu / D.  The
     support masks and their column-to-rows table are built once; a round
     clears the bit of each entry it brings to zero in both, and the next
     round's assignment starts from this round's permutation less those
     entries.
     """
-    scale, work = _scaled(m)
+    scale, work = m.scale, [list(row) for row in m.rows]
     reason = _stochastic_failure(scale, work)
     if reason is not None:
         raise ValidationError(f"matrix is not doubly stochastic: {reason}")
@@ -230,8 +296,10 @@ def birkhoff_decompose(m: RationalMatrix) -> BirkhoffDecomposition:
 def permanent(m: RationalMatrix, *, ceiling: int = PERMANENT_CEILING) -> Fraction:
     """Exact permanent of a rational matrix.
 
-    Rows are rescaled to integers first (the permanent is linear in each
-    row), and the integer kernel `core._permanent_rows` splits the nonzero
+    Each row is rescaled to integers first by the least common denominator
+    of its entries (the permanent is linear in each row): row i of
+    `m.rows` divided by gcd(`m.scale`, row i), which is that row times that
+    denominator.  The integer kernel `core._permanent_rows` splits the nonzero
     pattern into its connected blocks and runs Ryser's inclusion-exclusion
     on each, at 2^(k-1) products for a k-by-k block (2^(n-1) for a dense
     matrix), hence the order ceiling; the determinant shortcut does not
@@ -243,10 +311,10 @@ def permanent(m: RationalMatrix, *, ceiling: int = PERMANENT_CEILING) -> Fractio
     _check_order(m.n, ceiling)
     scale = 1
     rows = []
-    for row in m.entries:
-        d = lcm(*(x.denominator for x in row)) if row else 1
-        scale *= d
-        rows.append([x.numerator * (d // x.denominator) for x in row])
+    for row in m.rows:
+        g = gcd(m.scale, *row)
+        scale *= m.scale // g
+        rows.append([x // g for x in row] if g > 1 else list(row))
     return Fraction(_permanent_rows(rows), scale)
 
 
@@ -258,7 +326,7 @@ def _check_order(n: int, ceiling: int) -> None:
 def matrix_for_permanent(obj: dict, *, ceiling: int = PERMANENT_CEILING) -> RationalMatrix:
     """`RationalMatrix.from_json` for `permanent`: a file whose order is
     above `ceiling` is refused after its shape is checked and before any
-    entry is parsed, so a huge matrix costs no Fractions."""
+    entry is parsed, so a huge matrix costs no parsing."""
     rows = RationalMatrix._json_rows(obj)
     _check_order(len(rows), ceiling)
     return RationalMatrix(rows)

@@ -10,7 +10,8 @@ references: `bfs_max_matching` (one breadth-first augmenting path per row),
 `fraction_birkhoff` (Birkhoff rounds in Fraction arithmetic, each from a
 fresh matching), `fraction_verify_birkhoff` (the Birkhoff certificate check
 summed in Fractions), `fraction_is_doubly_stochastic` (the doubly
-stochastic check summed in Fractions), `column_set_sums` (the permanent
+stochastic check summed in Fractions), `fraction_entry` (an entry parsed
+to a Fraction, as every entry was before the pair parser), `column_set_sums` (the permanent
 kernel's column-set walk, one set at a time with no grouping), `edmonds_karp` (one breadth-first search per augmenting
 path), `warshall_closure` (the n^2 closure loop) and `gf_rank` (Gaussian
 elimination over a prime field, from scratch per call).  The cross-check paths at the end
@@ -304,6 +305,29 @@ def fraction_is_doubly_stochastic(m):
         if total != 1:
             return False, f"column {j} sums to {total}"
     return True, None
+
+
+def fraction_entry(value, where):
+    """A matrix entry or coefficient as a Fraction, by the parser that built
+    one per entry: the same values, error classes and messages as
+    `birkhoff._to_pair` must give."""
+    if isinstance(value, bool):
+        raise ValidationError(f"{where}: booleans are not rationals", field=where)
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    if isinstance(value, str):
+        digits = value[1:] if value[:1] in ("+", "-") else value
+        if digits.isascii() and digits.isdigit() and len(digits) <= 4300:
+            return Fraction(int(value))
+        exponent = value.replace("_", "").lower().partition("e")[2].strip().lstrip("+-")
+        many = len(value) > 4300 and sum(c.isdecimal() for c in value) > 4300
+        if many or (exponent.isdecimal() and int(exponent) > 4300):
+            raise ResourceLimitError(f"{where}: {value[:20]!r}... has over 4300 digits or exponent")
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"{where}: cannot parse {value!r}", field=where) from exc
+    raise ValidationError(f"{where}: unsupported type {type(value).__name__}", field=where)
 
 
 def _augment_bfs(row_masks, match_row, match_col, start, allowed):

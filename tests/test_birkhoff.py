@@ -1,15 +1,16 @@
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import lcm, prod
 
 import pytest
 
 from oracles import (brute_permanent, coefficient_sum, decomposition_matrix, fraction_birkhoff,
-                     fraction_is_doubly_stochastic, fraction_verify_birkhoff, identity_matrix,
-                     uniform_matrix)
+                     fraction_entry, fraction_is_doubly_stochastic, fraction_verify_birkhoff,
+                     identity_matrix, uniform_matrix)
 from transversal import birkhoff
 from transversal.errors import ResourceLimitError, ValidationError
 
@@ -66,6 +67,138 @@ class TestMatrix:
             birkhoff._to_fraction("1" * 2151 + "/" + "3" * 2150, "x")
         assert birkhoff._to_fraction("1" * 2150 + "/" + "3" * 2150, "x") == \
             Fraction(int("1" * 2150), int("3" * 2150))
+
+
+def outcome(parse, value):
+    """The Fraction `parse(value, "x")` gives, or its error's class, message
+    and field."""
+    try:
+        return parse(value, "x")
+    except (ValidationError, ResourceLimitError) as exc:
+        return type(exc), str(exc), getattr(exc, "field", None)
+
+
+def pair_fraction(value, where):
+    p, q = birkhoff._to_pair(value, where)
+    x = Fraction(p, q)
+    assert (p, q) == (x.numerator, x.denominator), value  # lowest terms, q > 0
+    return x
+
+
+def long_digits(rng, count):
+    return str(rng.randint(1, 9)) + "".join(rng.choice("0123456789") for _ in range(count - 1))
+
+
+def parser_corpus(rng):
+    """Strings around each branch of the pair parser and its fallback:
+    signs, whitespace (also around the bar), underscores, Unicode digits,
+    zero denominators, decimals and exponents, all at random, then digit
+    counts at the ceiling on either side of the bar."""
+    corpus = ["+3/6", "-0/5", "1/0", "-3/0", "0/0", " 2/3", "2/3 ", "2 /3", "2/ 3", "1_0/3",
+              "1/3_0", "1.5", "-1.5/2", "1e3", "1E-3", "1/2e3", "\u0663/2", "2/\u0663",
+              "\u0663", "", "/", "1/", "/2", "+/2", "1//2", "1/2/3", "3/-5", "1/+2", "+-1/2",
+              "007/014", "1 2", "\u00b2", "\x1c3", "\u20003", "1__0", "_1", "1_", "inf", "nan",
+              "0x10", "\uff13/4"]
+    signs = ["", "", "", "+", "-", "-", "--"]
+    spaces = ["", "", "", "", "", "", " ", "\t", "\u2000"]
+    parts = ["0", "1", "7", "12", "600", "0", "1", "35", "", "1_0", "\u0663", "1.5", "2e1", "-2",
+             "0_0"]
+    for _ in range(1500):
+        text = rng.choice(spaces) + rng.choice(signs) + rng.choice(parts) + rng.choice(spaces)
+        if rng.random() < 0.7:
+            text += "/" + rng.choice(spaces) + rng.choice(parts) + rng.choice(spaces)
+        corpus.append(text)
+    for left, right in ((4300, 0), (4301, 0), (4299, 1), (4300, 1), (1, 4299), (1, 4300),
+                        (2150, 2150), (2151, 2150), (4300, 4300), (4301, 4301)):
+        num = long_digits(rng, left)
+        text = num if not right else num + "/" + long_digits(rng, right)
+        corpus += [text, "-" + text, "+" + text, " " + text, text.replace("1", "\u0661")]
+    return corpus
+
+
+NON_STRINGS = [True, False, 0, -7, 10**50, 1.5, float("nan"), None, Fraction(3, 6), [1], {}]
+
+
+class TestPairParser:
+    """`_to_pair` reads every entry as the Fraction-per-entry parser did:
+    the same value, or the same refusal."""
+
+    def test_corpus_parses_as_fraction_entry_does(self):
+        for value in parser_corpus(random.Random(2718)) + NON_STRINGS:
+            got = outcome(pair_fraction, value)
+            assert got == outcome(fraction_entry, value), repr(value)[:60]
+            if isinstance(value, str) and isinstance(got, Fraction):
+                assert got == Fraction(value), repr(value)[:60]
+
+    def test_ceiling_does_not_follow_the_int_limit(self):
+        """With int()'s own limit lifted, the digit ceiling still refuses
+        past 4300 digits, on either side of the bar and across it."""
+        rng = random.Random(4301)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            for left, right, ok in ((4300, 0, True), (4301, 0, False), (4299, 1, True),
+                                    (1, 4300, False), (4300, 4300, False)):
+                text = long_digits(rng, left) + ("/" + long_digits(rng, right) if right else "")
+                for value in (text, "-" + text, text + " "):
+                    got = outcome(pair_fraction, value)
+                    assert got == outcome(fraction_entry, value)
+                    assert isinstance(got, Fraction) if ok else got[0] is ResourceLimitError
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_plain_forms_build_no_fraction(self):
+        assert birkhoff._plain_pair("+3/6") == (1, 2)
+        assert birkhoff._plain_pair("-0/5") == (0, 1)
+        assert birkhoff._plain_pair("-12") == (-12, 1)
+        assert birkhoff._plain_pair(-12) == (-12, 1)
+        for value in (" 2/3", "1/0", "1_0/3", "\u0663/2", "1.5", True, Fraction(1, 2), None):
+            assert birkhoff._plain_pair(value) is None
+
+    def test_matrices_parse_as_fraction_entries_do(self):
+        """Whole matrices, so integer rows take the one-pass read: the same
+        entries, or the first refusal in row order."""
+        rng = random.Random(6174)
+        pool = ["0", "1", "-2", "+3", " 4", "5 ", "1_0", "007", "\u0663", "\x1c3", "3/6", "-0/5",
+                "1.5", 2, 0, "1/0", "x", "", None, True, "1" * 4300, "-" + "1" * 4301]
+        weights = [12, 12, 4, 4, 2, 2, 2, 2, 2, 1, 4, 2, 2, 4, 4, 1, 1, 1, 1, 1, 1, 1]
+        for _ in range(400):
+            n = rng.randint(0, 4)
+            rows = [rng.choices(pool, weights, k=n) for _ in range(n)]
+            try:
+                expected = [[fraction_entry(x, f"entries[{i}][{j}]") for j, x in enumerate(row)]
+                            for i, row in enumerate(rows)]
+            except (ValidationError, ResourceLimitError) as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    M(rows)
+                continue
+            m = M(rows)
+            assert m.entries == tuple(map(tuple, expected)) and m == M(expected)
+
+
+class TestCanonicalForm:
+    def test_equal_matrices_hold_equal_rows(self):
+        a, b = M([["2/4"]]), M([[Fraction(1, 2)]])
+        assert a == b and hash(a) == hash(b)
+        assert (a.scale, a.rows) == (2, ((1,),))
+        assert M([["1/2", "1/3"], ["1/6", "0"]]).rows == ((3, 2), (1, 0))
+        assert M([["1/2", "1/3"], ["1/6", "0"]]).scale == 6
+        assert M([["1", "0"], ["0", "1"]]) != M([["1", "0"], ["0", "1/2"]])
+
+    def test_entries_are_fractions(self):
+        m = M([["2/4", 3], ["-0/5", "1e-2"]])
+        assert m.entries == ((Fraction(1, 2), Fraction(3)), (Fraction(0), Fraction(1, 100)))
+        assert all(type(x) is Fraction for row in m.entries for x in row)
+
+    def test_text_forms(self):
+        m = M([["2/4", "-0/5"], ["3", "1_0/4"]])
+        assert m.to_json() == {"n": 2, "entries": [["1/2", "0"], ["3", "5/2"]]}
+        assert repr(m) == "RationalMatrix([['1/2', '0'], ['3', '5/2']])"
+        assert M([]).to_json() == {"n": 0, "entries": []} and repr(M([])) == "RationalMatrix([])"
+        zero = M([["0", "-0/3"], [0, "0.0"]])
+        assert zero.to_json() == {"n": 2, "entries": [["0", "0"], ["0", "0"]]}
+        assert repr(zero) == "RationalMatrix([['0', '0'], ['0', '0']])"
+        assert (M([]).scale, M([]).rows, zero.scale, zero.rows) == (1, (), 1, ((0, 0), (0, 0)))
 
 
 class TestDoublyStochastic:
@@ -313,6 +446,43 @@ class TestPermanent:
         # each row is scaled by the lcm of its denominators, exactly
         rows = [[Fraction(1, 6), Fraction(-3, 4)], [Fraction(10**30, 7), Fraction(2)]]
         assert birkhoff.permanent(M(rows)) == brute_permanent(rows)
+
+    def test_kernel_gets_the_rows_rescaled_by_their_denominators(self, monkeypatch):
+        """Row i reaches the kernel as row i times the least common
+        denominator of its entries, and that denominator divides the answer."""
+        seen = []
+        monkeypatch.setattr(birkhoff, "_permanent_rows", lambda rows: seen.append(rows) or 1)
+        rng = random.Random(5050)
+        for _ in range(100):
+            n = rng.randint(0, 5)
+            rows = [[Fraction(rng.choice((0, 0, 1, -3, 4)), rng.choice((1, 2, 6, 9, 35)))
+                     for _ in range(n)] for _ in range(n)]
+            got = birkhoff.permanent(M(rows))
+            scales = [lcm(*(x.denominator for x in row)) for row in rows]
+            assert seen.pop() == [[int(x * d) for x in row] for row, d in zip(rows, scales)]
+            assert got == Fraction(1, prod(scales))
+
+    def test_one_fraction_per_permanent(self, monkeypatch):
+        """Parsing a 19-by-19 matrix of "p/q" strings and taking its
+        permanent builds one Fraction: the answer."""
+        built = []
+
+        class Counted(Fraction):
+            def __new__(cls, *args, **kwargs):
+                built.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        rng = random.Random(1919)
+        blocks, cols = [range(0, 6), range(6, 12), range(12, 19)], list(range(19))
+        rng.shuffle(cols)
+        block_of = {j: b for b, block in enumerate(blocks) for j in block}
+        entries = [[f"{rng.randint(1, 9)}/{rng.randint(1, 6)}"
+                    if block_of[i] == block_of[cols[j]] and rng.random() < 0.8 else "0/5"
+                    for j in range(19)] for i in range(19)]
+        expected = birkhoff.permanent(M(entries))
+        monkeypatch.setattr(birkhoff, "Fraction", Counted)
+        assert birkhoff.permanent(M(entries)) == expected
+        assert len(built) == 1
 
     def test_ceiling(self):
         with pytest.raises(ResourceLimitError):

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from transversal import _bitmatch, cli, core, groups, matroids, posets
+from transversal import _bitmatch, birkhoff, cli, core, groups, matroids, posets
 
 
 def run(capsys, *argv):
@@ -375,6 +375,19 @@ class TestBirkhoffCommands:
     def test_birkhoff_rejects_non_stochastic(self, capsys, tmp_path):
         path = write(tmp_path, "m.json", {"n": 2, "entries": [["1", "1"], ["0", "0"]]})
         assert run(capsys, "birkhoff", path)[0] == 2
+
+    def test_birkhoff_long_denominators_not_stochastic(self, capsys, tmp_path):
+        """Row sums over denominators of 2000 digits are too long to print:
+        the refusal names the row and exits 2 without printing its sum."""
+        rng = random.Random(2000)
+        entries = [[f"1/{rng.randrange(10**1999, 10**2000)}" for _ in range(4)] for _ in range(4)]
+        path = write(tmp_path, "m.json", {"n": 4, "entries": entries})
+        code, env, err = run(capsys, "birkhoff", path)
+        assert code == 2 and env["status"] == "invalid-input"
+        assert env["diagnostics"].startswith("matrix is not doubly stochastic: row 0 ")
+        assert len(env["diagnostics"]) < 200
+        ok, reason = birkhoff.is_doubly_stochastic(birkhoff.RationalMatrix(entries))
+        assert not ok and reason.startswith("row 0 ")
 
     def test_permanent(self, capsys, tmp_path):
         path = write(

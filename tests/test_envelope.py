@@ -20,9 +20,14 @@ from test_cli import VALID_INPUTS
 from transversal import cli, matroids
 
 # Integers stay small: files may name sizes (a Latin width, a permutation
-# degree), and large sizes belong to the resource-limit contract.
+# degree), and large sizes belong to the resource-limit contract.  The
+# rational strings reach each branch of the matrix entry parser: signs,
+# zero denominators, whitespace, underscores, decimals, Unicode digits and a
+# denominator of 2000 digits.
+RATIONALS = ["+3/6", "-0/5", "1/0", " 2/3", "1_0/3", "1.5", "\u0663/2", "1/" + "7" * 2000]
 SCALARS = st.one_of(
-    st.none(), st.booleans(), st.integers(-1, 4), st.sampled_from(["a", "b", "1", "1/2"])
+    st.none(), st.booleans(), st.integers(-1, 4),
+    st.sampled_from(["a", "b", "1", "1/2", *RATIONALS])
 )
 VALUES = st.recursive(
     SCALARS,
