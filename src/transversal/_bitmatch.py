@@ -2,9 +2,9 @@
 
 Rows are numbered 0..len(row_masks)-1 and row_masks[i] has bit c set when
 row i may be assigned column c.  Every scan runs in an order fixed by the
-input, mostly ascending index order, so all results are deterministic.  No function here
-recurses: every search keeps its own queue, stack or frontier mask, so a
-path of any length costs no interpreter stack.
+input, mostly ascending index order, so all results are deterministic.  No
+function here recurses: every search keeps its own queue, stack or frontier
+mask, so a path of any length costs no interpreter stack.
 
 Three matching searches share the engine: Hopcroft-Karp phases for a
 maximum matching, the forward alternating reach behind Hall violators and
@@ -26,9 +26,11 @@ costs time in proportion to the mask's width, so on wide, sparse rows
 (thousands of columns, a handful per row) every edge the mask form touches
 costs a pass over the whole row, and the list form wins; on narrow or dense
 rows one mask operation settles many columns at once, and the mask form
-wins.  `column_lists` makes the choice from the shape, and the list forms
-run only on column lists the caller hands over, so a caller that has only
-masks keeps the mask forms.
+wins.  `column_lists` makes the choice from the shape, once per solve, in
+the caller that owns the rows (`core._engine_rows` and `posets.dilworth`).
+`max_matching` and `alternating_reachable` then read the form off the rows
+they are handed, ints for masks and sequences for column lists, so a caller
+that has only masks keeps the mask forms.
 
 The exhaustive searches (SDRs of arrays, Latin-square counting, hypergraph
 SDRs and the Aharoni-Haxell condition) all run `disjoint_choices`: one value
@@ -79,31 +81,27 @@ def column_lists(row_masks, n_cols, row_cols=None):
     return row_cols
 
 
-def max_matching(row_masks, n_cols, row_cols=None):
+def max_matching(rows, n_cols):
     """Return (match_of_row, match_of_col) for a maximum matching.
 
-    A start matches most rows first: in the mask form a greedy pass gives
-    each row its lowest free column, and in the list form a Karp-Sipser
-    start first matches any row or column with one free neighbour (see
-    `_match_lists`).  Hopcroft-Karp phases then run while a row with
-    columns is left unmatched: a breadth-first search layers the rows by
-    their alternating distance from the free rows, and a depth-first search
-    on an explicit stack augments out of each free row along paths that go
-    one layer further at each step.  `row_cols` are the rows' ascending
-    column sequences, if the caller has them; with them `column_lists`
-    picks the form, and without them the masks are used.  `row_masks` is
-    read only in the mask form, so a caller whose lists the rule picks may
-    pass them in its place and make no mask.
+    `rows` are in the form the caller picked: masks (ints), or the
+    ascending column sequences that `column_lists` returned.  A start
+    matches most rows first: in the mask form a greedy pass gives each row
+    its lowest free column, and in the list form a Karp-Sipser start first
+    matches any row or column with one free neighbour (see `_match_lists`).
+    Hopcroft-Karp phases then run while a row with columns is left
+    unmatched: a breadth-first search layers the rows by their alternating
+    distance from the free rows, and a depth-first search on an explicit
+    stack augments out of each free row along paths that go one layer
+    further at each step.
     Which maximum matching comes out depends on the engine and on the form;
     certificates that must not (Hall violators, König covers, antichains)
     are read off the Dulmage-Mendelsohn sets, which are the same for every
     maximum matching.
     """
-    if row_cols is not None:
-        row_cols = column_lists(row_masks, n_cols, row_cols)
-    if row_cols is None:
-        return _match_masks(row_masks, n_cols)
-    return _match_lists(row_cols, n_cols)
+    if rows and not isinstance(rows[0], int):
+        return _match_lists(rows, n_cols)
+    return _match_masks(rows, n_cols)
 
 
 def _match_masks(row_masks, n_cols):
@@ -323,22 +321,22 @@ def _hopcroft_karp_lists(row_cols, match_row, match_col):
                     rows.append(holder)
 
 
-def alternating_reachable(row_masks, match_row, match_col, sources, row_cols=None):
-    """Rows and columns reachable from the source rows by alternating paths.
+def alternating_reachable(rows, match_row, match_col):
+    """Rows and columns reachable from the unmatched rows by alternating
+    paths.
 
     Paths leave a row along any incident edge and return from a column along
     its matching edge, the standard construction for Hall violators and
-    minimum vertex covers.  Returns (row set, column set).  The list form
-    runs only on `row_cols` the caller has, since the search enters each row
-    at most once and reading the columns off every mask would cost more than
-    the mask form's whole search.  As in `max_matching`, `row_masks` is read
-    only in the mask form.
+    minimum vertex covers.  Returns (row set, column set).  `rows` are in
+    the form the caller picked, as for `max_matching`; the two forms give
+    the same sets.  The search enters each row at most once, so reading
+    column lists off the masks here would cost more than the mask form's
+    whole search.
     """
-    if row_cols is not None:
-        row_cols = column_lists(row_masks, len(match_col), row_cols)
-    if row_cols is None:
-        return _reach_masks(row_masks, match_col, sources)
-    return _reach_lists(row_cols, match_col, sources)
+    sources = [r for r, c in enumerate(match_row) if c == UNMATCHED]
+    if rows and not isinstance(rows[0], int):
+        return _reach_lists(rows, match_col, sources)
+    return _reach_masks(rows, match_col, sources)
 
 
 def _reach_masks(row_masks, match_col, sources):

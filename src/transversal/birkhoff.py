@@ -110,15 +110,9 @@ class RationalMatrix:
     __slots__ = ("n", "scale", "rows")
 
     def __init__(self, rows):
-        rows = [list(r) for r in rows]
-        n = len(rows)
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise ValidationError(f"row {i} has {len(row)} entries in an order-{n} matrix",
-                                      field=f"entries[{i}]")
-        parsed = [_row_pairs(row, i) for i, row in enumerate(rows)]
+        parsed = self._parsed(rows)
         scale = lcm(*(q for _, dens in parsed if dens for q in dens))
-        self.n = n
+        self.n = len(parsed)
         self.scale = scale
         self.rows = tuple(
             tuple(nums) if scale == 1 else
@@ -147,6 +141,18 @@ class RationalMatrix:
             "n": self.n,
             "entries": [[str(x) for x in row] for row in self.entries],
         }
+
+    @staticmethod
+    def _parsed(rows) -> list:
+        """`_row_pairs` of each row of a square matrix; a row of the wrong
+        length is refused first."""
+        rows = [list(r) for r in rows]
+        n = len(rows)
+        for i, row in enumerate(rows):
+            if len(row) != n:
+                raise ValidationError(f"row {i} has {len(row)} entries in an order-{n} matrix",
+                                      field=f"entries[{i}]")
+        return [_row_pairs(row, i) for i, row in enumerate(rows)]
 
     @staticmethod
     def _json_rows(obj) -> list:
@@ -304,18 +310,26 @@ def permanent(m: RationalMatrix, *, ceiling: int = PERMANENT_CEILING) -> Fractio
     on each, at 2^(k-1) products for a k-by-k block (2^(n-1) for a dense
     matrix), hence the order ceiling; the determinant shortcut does not
     exist for permanents.  The kernel's work guard refuses blocks that
-    would walk too many column sets, whatever the ceiling.  A dense 0/1
-    block may instead be counted from the rook numbers of its complement,
-    when that is estimated to be cheaper (`core._permanent_of`).
+    would walk too many column sets, weighed by the size of their entries,
+    whatever the ceiling.  A dense 0/1 block may instead be counted from the
+    rook numbers of its complement, when that is estimated to be cheaper
+    (`core._permanent_of`).
     """
     _check_order(m.n, ceiling)
+    return _row_permanent([(row, m.scale) for row in m.rows])
+
+
+def _row_permanent(rows) -> Fraction:
+    """The permanent of the matrix whose row i is the integers rows[i][0]
+    over the denominator rows[i][1], each row first divided by the gcd of
+    its integers and its denominator."""
     scale = 1
-    rows = []
-    for row in m.rows:
-        g = gcd(m.scale, *row)
-        scale *= m.scale // g
-        rows.append([x // g for x in row] if g > 1 else list(row))
-    return Fraction(_permanent_rows(rows), scale)
+    scaled = []
+    for row, d in rows:
+        g = gcd(d, *row)
+        scale *= d // g
+        scaled.append([x // g for x in row] if g > 1 else list(row))
+    return Fraction(_permanent_rows(scaled), scale)
 
 
 def _check_order(n: int, ceiling: int) -> None:
@@ -323,13 +337,25 @@ def _check_order(n: int, ceiling: int) -> None:
         raise ResourceLimitError(f"order {n} is above the permanent ceiling {ceiling}")
 
 
-def matrix_for_permanent(obj: dict, *, ceiling: int = PERMANENT_CEILING) -> RationalMatrix:
-    """`RationalMatrix.from_json` for `permanent`: a file whose order is
-    above `ceiling` is refused after its shape is checked and before any
-    entry is parsed, so a huge matrix costs no parsing."""
+def file_permanent(obj: dict, *, ceiling: int = PERMANENT_CEILING) -> Fraction:
+    """`permanent` of the matrix in a matrix file's object, read row by row.
+
+    A file whose order is above `ceiling` is refused after its shape is
+    checked and before any entry is parsed, so a huge matrix costs no
+    parsing.  Each row is then put over the least common denominator of its
+    own entries, the rows `permanent` hands the kernel, and no common
+    denominator of the whole matrix is built: with many long, distinct
+    denominators it can have hundreds of thousands of digits, and building
+    it and dividing it out of every row costs seconds, while the kernel's
+    work guard refuses such a matrix from its short rows at once.
+    """
     rows = RationalMatrix._json_rows(obj)
     _check_order(len(rows), ceiling)
-    return RationalMatrix(rows)
+    scaled = []
+    for nums, dens in RationalMatrix._parsed(rows):
+        d = 1 if dens is None else lcm(*dens)
+        scaled.append((nums if d == 1 else [p * (d // q) for p, q in zip(nums, dens)], d))
+    return _row_permanent(scaled)
 
 
 def vdw_bound(n: int) -> Fraction:

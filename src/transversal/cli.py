@@ -61,20 +61,38 @@ def _described(exc: ValidationError) -> str:
     return f"{exc} (field: {exc.field})" if exc.field else str(exc)
 
 
-def _verify(path, check, *problem, **options):
-    """Re-check the certificate at `path` with ``check(*problem, cert,
-    **options)``.  Only a certificate that is not a JSON object is invalid
-    input; one that fails any check, its shape included, is rejected."""
+def _verify(path, check, *problem):
+    """Re-check the certificate at `path` with ``check(*problem, cert)``.
+    Only a certificate that is not a JSON object is invalid input; one that
+    fails any check, its shape included, is rejected."""
     cert = _load(path)
     if not isinstance(cert, dict):
         raise ValidationError(f"{path} must hold a JSON object", field="certificate")
     try:
-        ok, reason = check(*problem, cert, **options)
+        ok, reason = check(*problem, cert)
     except ValidationError as exc:
         ok, reason = False, _described(exc)
     if ok:
         return "found", {"valid": True}, "certificate re-validates"
     return "not-found", {"valid": False, "reason": reason}, f"certificate rejected: {reason}"
+
+
+@functools.cache
+def _print_limit():
+    """10^4300: CPython prints no int of more digits (see
+    `sys.get_int_max_str_digits`), and neither str() nor json.dumps can
+    print a number that has a side of its bar at or past this."""
+    return 10**birkhoff._DIGIT_CEILING
+
+
+def _check_printable(what, *numbers):
+    """Refuse, as too large to print (exit 3), a result whose `numbers`,
+    ints or Fractions, have a side of the bar at or past `_print_limit()`."""
+    limit = _print_limit()
+    for x in numbers:
+        if max(abs(x.numerator), x.denominator) >= limit:
+            raise ResourceLimitError(
+                f"{what} has over {birkhoff._DIGIT_CEILING} digits, too many to print")
 
 
 def _ceiling(args):
@@ -175,6 +193,7 @@ def _cmd_maxflow(args):
     if args.verify:
         return _verify(args.verify, graphs.verify_maxflow, net)
     value, cut, flow = graphs.max_flow_min_cut(net)
+    _check_printable("the maximum flow", value)  # each arc's flow is within its parsed capacity
     payload = {
         "value": value,
         "cut": [list(e) for e in cut],
@@ -224,6 +243,7 @@ def _cmd_birkhoff(args):
     if args.verify:
         return _verify(args.verify, birkhoff.verify_birkhoff, m)
     dec = birkhoff.birkhoff_decompose(m)
+    _check_printable("a coefficient", *(c for c, _ in dec.terms))
     payload = {
         "terms": [
             {"coefficient": str(c), "permutation": list(perm)} for c, perm in dec.terms
@@ -234,8 +254,8 @@ def _cmd_birkhoff(args):
 
 
 def _cmd_permanent(args):
-    m = birkhoff.matrix_for_permanent(_load(args.matrix), **_ceiling(args))
-    value = birkhoff.permanent(m, **_ceiling(args))
+    value = birkhoff.file_permanent(_load(args.matrix), **_ceiling(args))
+    _check_printable("the permanent", value)
     return "found", {"permanent": str(value)}, "permanent computed"
 
 

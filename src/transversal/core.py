@@ -23,14 +23,16 @@ ARRAY_CELL_CEILING = 16
 # Work guard of the permanent kernel, and so of every count through it
 # (`count_sdrs`, `birkhoff.permanent`, `latin.count_extensions`): the column
 # sets the Ryser walk of `_permanent_of` would visit, summed over the
-# components of the matrix (`_sets_walked`).  A wide component visits
-# sum(C(c, k) for 1 <= k <= r) sets, which explodes when it has far more
-# columns than its r rows.  The guard counts the walk's sets by shape, not
-# after grouping, nor wall time, and whichever route then counts a
-# component, so what it refuses is deterministic: at about 1.2-1.4
-# microseconds a set with distinct columns (J - I of order 20 and 21 on the
-# walk, 2-vCPU Xeon), the largest walk admitted takes some 11 s, and less
-# when it has equal columns or goes by the complement.
+# components of the matrix (`_sets_walked`), each set weighed by the 64-bit
+# machine words of its component's largest entry (1 for any entry under 64
+# bits), since the products of big entries cost in proportion to their
+# size.  A wide component visits sum(C(c, k) for 1 <= k <= r) sets, which
+# explodes when it has far more columns than its r rows.  The guard counts
+# the walk's sets by shape, not after grouping, nor wall time, and whichever
+# route then counts a component, so what it refuses is deterministic: at
+# about 1.2-1.4 microseconds a set with distinct small columns (J - I of
+# order 20 and 21 on the walk, 2-vCPU Xeon), the largest walk admitted takes
+# some 11 s, and less when it has equal columns or goes by the complement.
 _COUNT_TERM_GUARD = 1 << 23
 
 # Entries of the grouped table of tail-column sets that `_column_set_sums`
@@ -141,12 +143,11 @@ def _cert_rows(cert, key, index=None, width=None):
 
 
 def _engine_rows(owner, n_cols):
-    """The rows of `owner`, a family or a bipartite graph, as the matching
-    engine takes them: (lists, lists) when `_bitmatch.column_lists` picks the
-    column lists that `owner` stores, so that no mask is made, else (masks,
-    None)."""
-    lists = _bitmatch.column_lists(None, n_cols, owner._cols)
-    return (owner._masks, None) if lists is None else (lists, lists)
+    """The rows of `owner`, a family or a bipartite graph, in the form the
+    matching engine is to run on for the whole solve: the column lists that
+    `owner` stores when `_bitmatch.column_lists` picks them, so that no mask
+    is made, else its masks."""
+    return _bitmatch.column_lists(None, n_cols, owner._cols) or owner._masks
 
 
 class SetFamily:
@@ -341,23 +342,22 @@ def hall_check(family: SetFamily) -> Sdr | HallViolator:
     from the unassigned ones: the Dulmage-Mendelsohn set, the same for every
     maximum matching, whose union falls short of it by the defect.
     """
-    rows, lists = _engine_rows(family, len(family.ground))
-    match_row, match_col = _bitmatch.max_matching(rows, len(family.ground), lists)
+    rows = _engine_rows(family, len(family.ground))
+    match_row, match_col = _bitmatch.max_matching(rows, len(family.ground))
     if all(c != _bitmatch.UNMATCHED for c in match_row):
         return Sdr(tuple(family.ground[c] for c in match_row))
-    return _hall_violator(family, match_row, match_col)
+    return _hall_violator(family, rows, match_row, match_col)
 
 
-def _hall_violator(family: SetFamily, match_row, match_col) -> HallViolator:
+def _hall_violator(family: SetFamily, rows, match_row, match_col) -> HallViolator:
     """The canonical violator read off a maximum matching that is not full.
 
+    `rows` are the family's rows in either engine form (`_engine_rows`), and
     `match_row`/`match_col` are the engine's (row -> column, column -> row)
     lists.  Every set reachable by alternating paths from an unassigned set
     is named; the result does not depend on which maximum matching is given.
     """
-    free = [i for i, c in enumerate(match_row) if c == _bitmatch.UNMATCHED]
-    rows, lists = _engine_rows(family, len(family.ground))
-    reached, _ = _bitmatch.alternating_reachable(rows, match_row, match_col, free, lists)
+    reached, _ = _bitmatch.alternating_reachable(rows, match_row, match_col)
     indices = tuple(sorted(reached))
     return HallViolator(indices=indices, union=family.union_of(indices))
 
@@ -397,15 +397,15 @@ def _violator_union(family: SetFamily, indices, stated_union):
 def partial_sdr(family: SetFamily) -> DefectReport:
     """Largest partial assignment, with the defect it cannot avoid and the
     canonical violator that proves it."""
-    rows, lists = _engine_rows(family, len(family.ground))
-    match_row, match_col = _bitmatch.max_matching(rows, len(family.ground), lists)
+    rows = _engine_rows(family, len(family.ground))
+    match_row, match_col = _bitmatch.max_matching(rows, len(family.ground))
     partial = {
         i: family.ground[c]
         for i, c in enumerate(match_row)
         if c != _bitmatch.UNMATCHED
     }
     defect = family.n - len(partial)
-    violator = _hall_violator(family, match_row, match_col) if defect else None
+    violator = _hall_violator(family, rows, match_row, match_col) if defect else None
     return DefectReport(defect, partial, violator)
 
 
@@ -571,7 +571,8 @@ def _grouped_sets(cols, limit) -> int:
 def _permanent_rows(rows) -> int:
     """Permanent of an n-by-m matrix of integers (`_permanent_of`)."""
     masks = [sum(1 << j for j, x in enumerate(row) if x) for row in rows]
-    return _permanent_of(masks, lambda members, j: tuple(rows[i][j] for i in members))
+    words = [(max(map(int.bit_length, row), default=0) + 63) // 64 for row in rows]
+    return _permanent_of(masks, lambda members, j: tuple(rows[i][j] for i in members), words)
 
 
 def _live_after(rows) -> list:
@@ -660,10 +661,12 @@ def _complement_permanent(parts, r, c) -> int:
                for k in range(r + 1))
 
 
-def _permanent_of(masks, column) -> int:
+def _permanent_of(masks, column, words=None) -> int:
     """Permanent of an integer matrix given by its nonzero pattern `masks`,
     one bitmask of columns per row, and by `column(members, j)`, the
-    entries of column j in the rows `members`, in that order.
+    entries of column j in the rows `members`, in that order.  `words[i]`,
+    if given, is the number of 64-bit words in row i's largest entry;
+    without it every entry fits in one.
 
     The rows are split into the connected components of the pattern
     (`_components`); an injective map of the rows to nonzero entries never
@@ -680,9 +683,10 @@ def _permanent_of(masks, column) -> int:
         per = (-1)^(r-1) 2^(1-r) sum over S of (-1)^|S| prod_i (v_i + 2 sum_{j in S} a_ij)
 
     with v_i = 2 a_ir - sum_j a_ij; the division is exact.  So a component
-    visits `_sets_walked(r, c)` column sets, counted by shape, and a matrix
-    whose components visit `_COUNT_TERM_GUARD` sets or more is refused with
-    ``ResourceLimitError`` before any column is read.
+    visits `_sets_walked(r, c)` column sets, counted by shape, each weighed
+    by the words of the component's largest entry (at least 1), and a
+    matrix whose components weigh `_COUNT_TERM_GUARD` or more is refused
+    with ``ResourceLimitError`` before any column is read.
 
     A component whose entries are all 1 on its pattern, and whose walk has
     more than `_TABLE_ENTRIES` sets by shape, has a second route: the rook
@@ -700,9 +704,14 @@ def _permanent_of(masks, column) -> int:
     if any(len(members) > cols.bit_count() for members, cols in blocks):
         return 0
     walked = [_sets_walked(len(members), cols.bit_count()) for members, cols in blocks]
-    if sum(walked) >= _COUNT_TERM_GUARD:
+    work = sets = sum(walked)
+    if words is not None:
+        work = sum(shape * max(1, *(words[i] for i in members))
+                   for (members, _), shape in zip(blocks, walked))
+    if work >= _COUNT_TERM_GUARD:
+        weighed = "" if work == sets else f", {work} weighed by the words of their entries"
         raise ResourceLimitError(
-            f"a permanent of {len(masks)} rows walks {sum(walked)} column sets, "
+            f"a permanent of {len(masks)} rows walks {sets} column sets{weighed}, "
             f"not below the work ceiling {_COUNT_TERM_GUARD}"
         )
     result = 1

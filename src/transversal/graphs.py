@@ -223,8 +223,7 @@ class FlowNetwork:
 
 def max_matching(g: BipartiteGraph) -> Matching:
     """A maximum matching; deterministic for a fixed input order."""
-    rows, lists = core._engine_rows(g, len(g.part_b))
-    match_row, _ = _bitmatch.max_matching(rows, len(g.part_b), lists)
+    match_row, _ = _bitmatch.max_matching(core._engine_rows(g, len(g.part_b)), len(g.part_b))
     edges = tuple(
         (g.part_a[i], g.part_b[c])
         for i, c in enumerate(match_row)
@@ -240,10 +239,9 @@ def konig_cover(g: BipartiteGraph) -> tuple[Matching, VertexCover]:
     vertices; equality of the two sizes certifies that the matching is
     maximum and the cover minimum.
     """
-    rows, lists = core._engine_rows(g, len(g.part_b))
-    match_row, match_col = _bitmatch.max_matching(rows, len(g.part_b), lists)
-    free = [i for i, c in enumerate(match_row) if c == _bitmatch.UNMATCHED]
-    reached, cols = _bitmatch.alternating_reachable(rows, match_row, match_col, free, lists)
+    rows = core._engine_rows(g, len(g.part_b))
+    match_row, match_col = _bitmatch.max_matching(rows, len(g.part_b))
+    reached, cols = _bitmatch.alternating_reachable(rows, match_row, match_col)
     in_a = tuple(
         g.part_a[i]
         for i in range(len(g.part_a))

@@ -585,8 +585,7 @@ def _violator_from_cut(family, m, reached):
             keep |= 1 << pos
     masks = [family.mask(i) & keep for i in range(family.n)]
     match_row, match_col = _bitmatch.max_matching(masks, len(family.ground))
-    free = [i for i, c in enumerate(match_row) if c == _bitmatch.UNMATCHED]
-    rows, _ = _bitmatch.alternating_reachable(masks, match_row, match_col, free)
+    rows, _ = _bitmatch.alternating_reachable(masks, match_row, match_col)
     indices = tuple(sorted(rows))
     union = family.union_of(indices)
     return RadoViolator(indices=indices, union=union, rank=m.rank_of(union))

@@ -133,10 +133,9 @@ def dilworth(p: Poset) -> tuple[ChainPartition, tuple]:
     set of elements both of whose copies avoid the matching's vertex cover.
     """
     n = p.n
-    above = _bitmatch.column_lists(p._above, n)  # None where the masks serve better
-    match_row, match_col = _bitmatch.max_matching(p._above, n, row_cols=above)
-    free = [i for i in range(n) if match_row[i] == _bitmatch.UNMATCHED]
-    rows, cols = _bitmatch.alternating_reachable(p._above, match_row, match_col, free, above)
+    above = _bitmatch.column_lists(p._above, n) or p._above  # the lists where they serve better
+    match_row, match_col = _bitmatch.max_matching(above, n)
+    rows, cols = _bitmatch.alternating_reachable(above, match_row, match_col)
     # Cover: matched left copies outside `rows`, right copies inside `cols`.
     antichain = tuple(
         p.elements[i]

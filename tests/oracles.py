@@ -801,7 +801,7 @@ def hall_via_menger(family: core.SetFamily):
             match_col[p] = i
     if value == n:
         return core.Sdr(tuple(family.ground[c] for c in match_row))
-    return core._hall_violator(family, match_row, match_col)
+    return core._hall_violator(family, family._masks, match_row, match_col)
 
 
 def hall_from_dilworth(family: core.SetFamily):

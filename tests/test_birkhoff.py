@@ -462,6 +462,27 @@ class TestPermanent:
             assert seen.pop() == [[int(x * d) for x in row] for row, d in zip(rows, scales)]
             assert got == Fraction(1, prod(scales))
 
+    def test_file_rows_match_the_matrix_rows(self, monkeypatch):
+        """`file_permanent` puts each row over its own denominator with no
+        common one: the kernel gets the rows `permanent` hands it, and the
+        answer is the same, on every entry form.  A ragged row is refused
+        with the same field."""
+        seen = []
+        kernel = birkhoff._permanent_rows
+        monkeypatch.setattr(birkhoff, "_permanent_rows",
+                            lambda rows: seen.append(rows) or kernel(rows))
+        rng = random.Random(6060)
+        forms = (0, 3, -2, "7", "-4/6", "0/5", "1/" + "9" * 40, "2.5", " 1/3", Fraction(5, 9))
+        for _ in range(200):
+            n = rng.randint(0, 5)
+            entries = [[rng.choice(forms) for _ in range(n)] for _ in range(n)]
+            expected = birkhoff.permanent(M(entries))
+            assert birkhoff.file_permanent({"entries": entries}) == expected
+            assert seen[-1] == seen[-2]
+        with pytest.raises(ValidationError) as info:
+            birkhoff.file_permanent({"entries": [["1", "2"], ["3"]]})
+        assert info.value.field == "entries[1]"
+
     def test_one_fraction_per_permanent(self, monkeypatch):
         """Parsing a 19-by-19 matrix of "p/q" strings and taking its
         permanent builds one Fraction: the answer."""

@@ -11,7 +11,7 @@ import pytest
 from oracles import (bfs_max_matching, brute_lex_least, decomposition_matrix, probe_lex_least,
                      rematch_lex_least)
 import transversal
-from transversal import _bitmatch, birkhoff, core, graphs, latin, matroids
+from transversal import _bitmatch, birkhoff, core, graphs, latin, matroids, posets
 from transversal.errors import ResourceLimitError
 
 
@@ -210,7 +210,9 @@ class TestRowForms:
             by_masks = _bitmatch._match_masks(masks, n_cols)
             by_lists = _bitmatch._match_lists(cols, n_cols)
             assert _bitmatch.max_matching(masks, n_cols) == by_masks
-            assert _bitmatch.max_matching(masks, n_cols, cols) == (by_lists if lists else by_masks)
+            assert _bitmatch.max_matching(cols, n_cols) == by_lists
+            picked = _bitmatch.column_lists(masks, n_cols) or masks
+            assert _bitmatch.max_matching(picked, n_cols) == (by_lists if lists else by_masks)
             reaches = []
             for (match_row, match_col), reach_form, rows in (
                     (by_masks, _bitmatch._reach_masks, masks),
@@ -219,9 +221,8 @@ class TestRowForms:
                 assert match_row.count(-1) == expected.count(-1), shape
                 free = [r for r, c in enumerate(match_row) if c == _bitmatch.UNMATCHED]
                 reach = reach_form(rows, match_col, free)
-                assert _bitmatch.alternating_reachable(masks, match_row, match_col, free) == reach
-                assert _bitmatch.alternating_reachable(masks, match_row, match_col, free,
-                                                       cols) == reach
+                assert _bitmatch.alternating_reachable(masks, match_row, match_col) == reach
+                assert _bitmatch.alternating_reachable(cols, match_row, match_col) == reach
                 reaches.append(reach)
             assert reaches[0] == reaches[1], shape
             cold = _bitmatch.lex_least_assignment(masks, n_cols)
@@ -246,17 +247,53 @@ class TestRowForms:
         assert _bitmatch.column_lists([], width) is None
 
     def test_masks_without_lists(self, monkeypatch):
-        """A caller that hands over no column lists stays on the masks, even
-        on rows the rule puts on lists."""
+        """Rows handed over as masks stay masks, even on rows the rule puts
+        on lists."""
         masks = [0b11 << (2 * i) for i in range(200)] + [1, 1, 1]  # 400 columns
         assert _bitmatch.column_lists(masks, 400) is not None
         monkeypatch.setattr(_bitmatch, "_match_lists", None)
         monkeypatch.setattr(_bitmatch, "_reach_lists", None)
         match_row, match_col = _bitmatch.max_matching(masks, 400)
-        free = [r for r, c in enumerate(match_row) if c == _bitmatch.UNMATCHED]
-        assert len(free) == 2
-        rows, cols = _bitmatch.alternating_reachable(masks, match_row, match_col, free)
+        assert match_row.count(_bitmatch.UNMATCHED) == 2
+        rows, cols = _bitmatch.alternating_reachable(masks, match_row, match_col)
         assert rows == {200, 201, 202} and cols == {0}
+
+    def test_one_form_choice_per_solve(self, monkeypatch):
+        """Each solve picks the row form once: one `column_lists` call in
+        `hall_check`, in `partial_sdr` with a defect, in `konig_cover` and in
+        `dilworth`, each on rows the rule puts on lists, and the matching
+        and the reach both run on those lists."""
+        sets = [[2 * i, 2 * i + 1] for i in range(200)] + [[0]] * 3  # 400 elements
+        family = core.SetFamily(range(400), sets)
+        graph = graphs.BipartiteGraph(range(len(sets)), range(400),
+                                      [(i, x) for i, s in enumerate(sets) for x in s])
+        poset = posets.Poset(range(300), [(i, i + 150) for i in range(150)])
+        picks, forms = [], []
+        column_lists = _bitmatch.column_lists
+
+        def counted(*args):
+            picks.append(column_lists(*args))
+            return picks[-1]
+
+        def spy(name):
+            engine = getattr(_bitmatch, name)
+
+            def spied(rows, *rest):
+                forms.append(type(rows[0]))
+                return engine(rows, *rest)
+            monkeypatch.setattr(_bitmatch, name, spied)
+
+        monkeypatch.setattr(_bitmatch, "column_lists", counted)
+        spy("max_matching")
+        spy("alternating_reachable")
+        for solve, arg in ((core.hall_check, family), (core.partial_sdr, family),
+                           (graphs.konig_cover, graph), (posets.dilworth, poset)):
+            picks.clear()
+            forms.clear()
+            solve(arg)
+            assert len(picks) == 1 and picks[0] is not None, solve.__name__
+            assert forms == [list, list], solve.__name__
+        assert core.partial_sdr(family).defect == 2
 
     def test_chain_runs_on_lists(self, monkeypatch):
         """The 1500-step chain: set i holds elements i and i + 1, and a last
@@ -299,7 +336,7 @@ class TestRowForms:
             cases.append(random_forest(rng, rng.randint(40, n_cols), n_cols))
         for masks, cols, n_cols in cases:
             assert _bitmatch.column_lists(masks, n_cols, cols) is cols
-            match_row, match_col = _bitmatch.max_matching(masks, n_cols, cols)
+            match_row, match_col = _bitmatch.max_matching(cols, n_cols)
             check_matching(masks, n_cols, match_row, match_col)
             expected, _ = bfs_max_matching(masks, n_cols)
             assert match_row.count(-1) == expected.count(-1) == 0
@@ -409,6 +446,40 @@ def test_no_recursion_in_the_package():
         module = importlib.import_module(f"transversal.{name}")
         found |= self_calls(inspect.getsource(module), name)
     assert found == RECURSIVE
+
+
+def engine_references():
+    """{(module.function, name)} for every reference in the package to
+    `column_lists` or to a form-specific engine (`_match_*`, `_reach_*`),
+    with the function that holds it ("<module>" outside any function)."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{where.split('.')[0]}.{child.name}")
+                continue
+            name = getattr(child, "id", None) if isinstance(child, ast.Name) else (
+                child.attr if isinstance(child, ast.Attribute) else None)
+            if name == "column_lists" or name and name.startswith(("_match_", "_reach_")):
+                found.add((where, name))
+            visit(child, where)
+
+    for info in pkgutil.iter_modules(transversal.__path__):
+        module = importlib.import_module(f"transversal.{info.name}")
+        visit(ast.parse(inspect.getsource(module)), f"{info.name}.<module>")
+    return found
+
+
+def test_form_rule_applied_by_the_row_owners_only():
+    """The row form is picked in one place per solve: only
+    `core._engine_rows` and `posets.dilworth` call `column_lists`, and only
+    `_bitmatch` itself reaches the form-specific engines."""
+    found = engine_references()
+    assert {where for where, name in found if name == "column_lists"} == {
+        "core._engine_rows", "posets.dilworth"}
+    private = {where for where, name in found if name != "column_lists"}
+    assert private and all(where.startswith("_bitmatch.") for where in private), private
 
 
 def assert_no_self_call(obj):

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -282,6 +283,20 @@ class TestGraphCommands:
         cert = write(tmp_path, "cert.json", env["payload"])
         assert run(capsys, "maxflow", path, "--verify", cert)[0] == 0
 
+    def test_maxflow_past_the_digit_limit(self, capsys, tmp_path):
+        """Capacities of 4300 nines each print, but the flow value, twice
+        one of them, has 4301 digits: exit 3, no traceback."""
+        big = int("9" * 4300)
+        net = {"source": "s", "sink": "t", "edges": [["s", "t", big], ["s", "m", big],
+                                                     ["m", "t", big]]}
+        path = write(tmp_path, "net.json", net)
+        env = refused_within_a_second(capsys, "maxflow", path)
+        assert env["diagnostics"] == "the maximum flow has over 4300 digits, too many to print"
+        net["edges"][0][2] = 0
+        path = write(tmp_path, "net.json", net)
+        code, env, _ = run(capsys, "maxflow", path)
+        assert code == 0 and env["payload"]["value"] == big
+
 
 class TestPosetCommands:
     @pytest.fixture
@@ -408,6 +423,45 @@ class TestBirkhoffCommands:
         path = write(tmp_path, "m.json", {"n": 28, "entries": [["1"] * 28] * 28})
         env = refused_within_a_second(capsys, "permanent", path, "--ceiling", "40")
         assert str(1 << 27) in env["diagnostics"] and "8388608" in env["diagnostics"]
+
+    def test_permanent_work_guard_weighs_big_entries(self, capsys, tmp_path):
+        """20x20 "1/q" entries with 300-digit q rescale to integers of some
+        6000 digits a row: under the default ceiling, the 2^19 sets of the
+        walk weigh about 300 machine words each and are refused at once."""
+        rng = random.Random(300)
+        entries = [[f"1/{rng.randrange(10**299, 10**300)}" for _ in range(20)] for _ in range(20)]
+        path = write(tmp_path, "m.json", {"n": 20, "entries": entries})
+        env = refused_within_a_second(capsys, "permanent", path)
+        assert f"walks {1 << 19} column sets, " in env["diagnostics"]
+        assert "weighed by the words of their entries" in env["diagnostics"]
+
+    def test_permanent_past_the_digit_limit(self, capsys, tmp_path):
+        """The permanent of 4x4 "1/q" entries with 2000-digit q has a
+        denominator of some 8000 digits, too many to print: exit 3, no
+        traceback."""
+        rng = random.Random(2000)
+        entries = [[f"1/{rng.randrange(10**1999, 10**2000)}" for _ in range(4)] for _ in range(4)]
+        path = write(tmp_path, "m.json", {"n": 4, "entries": entries})
+        env = refused_within_a_second(capsys, "permanent", path)
+        assert env["diagnostics"] == "the permanent has over 4300 digits, too many to print"
+
+    def test_birkhoff_coefficient_past_the_digit_limit(self, capsys, tmp_path):
+        """Each entry of this 8x8 doubly stochastic matrix prints in some
+        3000 digits, but a Birkhoff coefficient can combine the
+        denominators of several entries: here one passes 4300 digits, and
+        the refusal exits 3 with no traceback."""
+        rng = random.Random(3)
+        k, n = 4, 8
+        weights = []  # eight weights that sum to 1, in pairs of 1/k
+        for _ in range(k):
+            p = rng.randrange(10**1499, 10**1500)
+            x = Fraction(rng.randrange(1, p), k * p)
+            weights += [x, Fraction(1, k) - x]
+        # a Latin square of the weights: each row and column holds each once
+        entries = [[str(weights[(i + j) % n]) for j in range(n)] for i in range(n)]
+        path = write(tmp_path, "m.json", {"n": n, "entries": entries})
+        env = refused_within_a_second(capsys, "birkhoff", path)
+        assert env["diagnostics"] == "a coefficient has over 4300 digits, too many to print"
 
     def test_permanent_order_refused_before_parsing(self, capsys, tmp_path):
         path = write(tmp_path, "m.json", {"entries": [["1"] * 700] * 700})

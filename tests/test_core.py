@@ -209,7 +209,7 @@ class TestHallCheck:
             deficient += 1
             reference = bfs_max_matching(f._masks, len(ground))
             differ += reference != _bitmatch.max_matching(f._masks, len(ground))
-            assert result == core._hall_violator(f, *reference)
+            assert result == core._hall_violator(f, f._masks, *reference)
             assert result == hall_via_menger(f)
         assert deficient >= 200 and differ >= 50, (deficient, differ)
 
@@ -731,6 +731,25 @@ class TestComplementRoute:
         rows = [[int(i != j) for j in range(17)] for i in range(17)]
         assert core._permanent_rows(rows) == derangement_numbers(17)[17]
         assert walks == []
+
+    def test_guard_weighs_sets_by_machine_words(self, monkeypatch):
+        """Each walked set weighs the 64-bit words of its component's
+        largest entry, and at least 1.  J of order 17 walks 2^16 sets by
+        shape: entries under 64 bits are counted, and entries of 127 * 64 + 1
+        bits weigh 128 words a set, 2^23 in all, and are refused before any
+        set is walked.  The weight is per component: a big 2x2 block beside
+        a small 17x17 one adds only its own 2 sets."""
+        small = [[(1 << 63) - 1] * 17 for _ in range(17)]
+        assert core._permanent_rows(small) == factorial(17) * ((1 << 63) - 1) ** 17
+        huge = 1 << (127 * 64)
+        monkeypatch.setattr(core, "_column_set_sums", None)
+        with pytest.raises(ResourceLimitError, match=(
+                f"walks {1 << 16} column sets, {1 << 23} weighed by the words of their entries, "
+                f"not below the work ceiling {core._COUNT_TERM_GUARD}")):
+            core._permanent_rows([[huge] * 17 for _ in range(17)])
+        monkeypatch.undo()
+        rows = [[1] * 17 + [0, 0] for _ in range(17)] + [[0] * 17 + [huge, huge]] * 2
+        assert core._permanent_rows(rows) == factorial(17) * 2 * huge ** 2
 
     def test_guard_still_counts_by_shape(self):
         # J - I of order 24 is cheap by its complement, but its walk by
