@@ -273,7 +273,7 @@ def birkhoff_decompose(m: RationalMatrix) -> BirkhoffDecomposition:
     scale, work = m.scale, [list(row) for row in m.rows]
     reason = _stochastic_failure(scale, work)
     if reason is not None:
-        raise ValidationError(f"matrix is not doubly stochastic: {reason}")
+        raise ValidationError(f"matrix is not doubly stochastic: {reason}", field="entries")
     n = m.n
     if n == 0:
         return BirkhoffDecomposition(())
@@ -361,14 +361,15 @@ def file_permanent(obj: dict, *, ceiling: int = PERMANENT_CEILING) -> Fraction:
 def vdw_bound(n: int) -> Fraction:
     """The doubly stochastic permanent lower bound n!/n^n."""
     if n < 1:
-        raise ValidationError("n must be positive")
+        raise ValidationError("n must be positive", field="n")
     return Fraction(factorial(n), n**n)
 
 
 def regular_matching_bound(n: int, r: int) -> Fraction:
-    """Matching-count lower bound (r/n)^n n! for r-regular bipartite graphs."""
+    """Matching-count lower bound (r/n)^n n! for r-regular bipartite graphs.
+    A refusal of `r` names the field "regular", the option of ``bounds``."""
     if n < 1:
-        raise ValidationError("n must be positive")
+        raise ValidationError("n must be positive", field="n")
     if not 1 <= r <= n:
-        raise ValidationError("r must satisfy 1 <= r <= n")
+        raise ValidationError("r must satisfy 1 <= r <= n", field="regular")
     return Fraction(r, n) ** n * factorial(n)

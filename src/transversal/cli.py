@@ -5,6 +5,9 @@ Envelope: {"status": found|not-found|invalid-input|resource-limit,
 "payload": certificate, "diagnostics": text}; exit codes 0/1/2/3 in the
 same order.  ``--verify CERT.json`` re-checks a previously emitted
 certificate using only validators, never solvers.
+
+Each subcommand is one row of `_COMMANDS`, which builds the parser and
+drives `main`: load the files, make the problem, then verify or solve.
 """
 
 from __future__ import annotations
@@ -13,7 +16,10 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 from . import birkhoff, core, graphs, groups, hypersdr, latin, matroids, posets
 from .errors import ResourceLimitError, ValidationError
@@ -40,21 +46,17 @@ class ResultEnvelope:
         return _EXIT[self.status]
 
     def to_json(self) -> dict:
-        return {
-            "status": self.status,
-            "payload": self.payload,
-            "diagnostics": self.diagnostics,
-        }
+        return {"status": self.status, "payload": self.payload, "diagnostics": self.diagnostics}
 
 
-def _load(path):
+def _load(path, field):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
+        raise ValidationError(f"cannot read {path}: {exc}", field=field) from exc
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
-        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+        raise ValidationError(f"{path} is not valid JSON: {exc}", field=field) from exc
 
 
 def _described(exc: ValidationError) -> str:
@@ -65,7 +67,7 @@ def _verify(path, check, *problem):
     """Re-check the certificate at `path` with ``check(*problem, cert)``.
     Only a certificate that is not a JSON object is invalid input; one that
     fails any check, its shape included, is rejected."""
-    cert = _load(path)
+    cert = _load(path, "certificate")
     if not isinstance(cert, dict):
         raise ValidationError(f"{path} must hold a JSON object", field="certificate")
     try:
@@ -95,142 +97,102 @@ def _check_printable(what, *numbers):
                 f"{what} has over {birkhoff._DIGIT_CEILING} digits, too many to print")
 
 
-def _ceiling(args):
-    return {} if getattr(args, "ceiling", None) is None else {"ceiling": args.ceiling}
+def _library(path):
+    """The package attribute at `path`, such as "core.SetFamily.from_json",
+    looked up at each call, so that a wrapper set on it after import runs."""
+    return attrgetter(path)(sys.modules[__package__])
+
+
+def _build(*paths):
+    """A loader that builds its k-th value with the package function at the
+    k-th of `paths` and passes the values after them on as they are."""
+    def load(*values):
+        return (*[_library(p)(v) for p, v in zip(paths, values)], *values[len(paths):])
+    return load
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers.  Each loads its inputs, then either verifies the
-# --verify certificate or solves, and returns (status, payload, diagnostics).
+# Solvers.  Each takes the problem its command's loader made, and the
+# ceiling when its command takes one, and returns (status, payload,
+# diagnostics).  None is handed the arguments, so none can read a certificate.
 
 
-def _cmd_sdr(args):
-    family = core.SetFamily.from_json(_load(args.family))
-    if args.verify:
-        return _verify(args.verify, core.verify_sdr, family)
+def _violator(v, **extra):
+    return {"indices": list(v.indices), "union": list(v.union), **extra}
+
+
+def _sdr(family):
     result = core.hall_check(family)
     if isinstance(result, core.Sdr):
         return "found", {"reps": list(result.reps)}, "SDR found"
-    return (
-        "not-found",
-        {"indices": list(result.indices), "union": list(result.union)},
-        f"{len(result.indices)} sets with a union of size {len(result.union)}",
-    )
+    return ("not-found", _violator(result),
+            f"{len(result.indices)} sets with a union of size {len(result.union)}")
 
 
-def _cmd_defect(args):
-    family = core.SetFamily.from_json(_load(args.family))
-    if args.verify:
-        return _verify(args.verify, core.verify_defect, family)
+def _defect(family):
     report = core.partial_sdr(family)
-    payload = {
-        "defect": report.defect,
-        "partial": {str(i): x for i, x in sorted(report.partial.items())},
-    }
+    partial = {str(i): x for i, x in sorted(report.partial.items())}
+    payload = {"defect": report.defect, "partial": partial}
     if report.violator is not None:
-        payload["indices"] = list(report.violator.indices)
-        payload["union"] = list(report.violator.union)
+        payload.update(_violator(report.violator))
     return "found", payload, f"defect {report.defect}"
 
 
-def _cmd_count_sdr(args):
-    family = core.SetFamily.from_json(_load(args.family))
-    count = core.count_sdrs(family, **_ceiling(args))
+def _count_sdr(family, **limits):
+    count = core.count_sdrs(family, **limits)
     return "found", {"count": count}, f"{count} systems"
 
 
-def _cmd_array_sdr(args):
-    arr = core.ArrayFamily.from_json(_load(args.array))
-    if args.verify:
-        return _verify(args.verify, core.verify_array_sdr, arr)
-    grid = core.array_sdr(arr, **_ceiling(args))
+def _array_sdr(arr, **limits):
+    grid = core.array_sdr(arr, **limits)
     if grid is None:
         return "not-found", None, "exhaustive search found no array system"
     return "found", {"grid": [list(r) for r in grid]}, "array system found"
 
 
-def _cmd_matching(args):
-    g = graphs.BipartiteGraph.from_json(_load(args.graph))
-    if args.verify:
-        return _verify(args.verify, graphs.verify_matching, g)
+def _matching(g):
     matching = graphs.max_matching(g)
-    return (
-        "found",
-        {"edges": [list(e) for e in matching.edges], "size": len(matching)},
-        f"matching of size {len(matching)}",
-    )
+    payload = {"edges": [list(e) for e in matching.edges], "size": len(matching)}
+    return "found", payload, f"matching of size {len(matching)}"
 
 
-def _cmd_cover(args):
-    g = graphs.BipartiteGraph.from_json(_load(args.graph))
-    if args.verify:
-        return _verify(args.verify, graphs.verify_cover, g)
+def _cover(g):
     matching, cover = graphs.konig_cover(g)
-    payload = {
-        "matching": [list(e) for e in matching.edges],
-        "cover": {"partA": list(cover.in_a), "partB": list(cover.in_b)},
-        "size": len(matching),
-    }
+    payload = {"matching": [list(e) for e in matching.edges],
+               "cover": {"partA": list(cover.in_a), "partB": list(cover.in_b)},
+               "size": len(matching)}
     return "found", payload, f"matching and cover of size {len(matching)}"
 
 
-def _cmd_menger(args):
-    g = graphs.Graph.from_json(_load(args.graph))
-    if args.verify:
-        graphs.check_endpoints(g, args.source, args.sink)
-        return _verify(args.verify, graphs.verify_menger, g, args.source, args.sink, args.mode)
-    paths, cut = graphs.menger_paths(g, args.source, args.sink, args.mode)
-    payload = {
-        "paths": [list(p) for p in paths],
-        "cut": [list(e) if isinstance(e, tuple) else e for e in cut],
-        "count": len(paths),
-    }
+def _menger(g, source, sink, mode):
+    paths, cut = graphs.menger_paths(g, source, sink, mode)
+    cut = [list(e) if isinstance(e, tuple) else e for e in cut]
+    payload = {"paths": [list(p) for p in paths], "cut": cut, "count": len(paths)}
     return "found", payload, f"{len(paths)} disjoint paths, cut of equal size"
 
 
-def _cmd_maxflow(args):
-    net = graphs.FlowNetwork.from_json(_load(args.network))
-    if args.verify:
-        return _verify(args.verify, graphs.verify_maxflow, net)
+def _maxflow(net):
     value, cut, flow = graphs.max_flow_min_cut(net)
     _check_printable("the maximum flow", value)  # each arc's flow is within its parsed capacity
-    payload = {
-        "value": value,
-        "cut": [list(e) for e in cut],
-        "flow": [[u, v, f] for (u, v), f in flow.items()],
-    }
+    payload = {"value": value, "cut": [list(e) for e in cut],
+               "flow": [[u, v, f] for (u, v), f in flow.items()]}
     return "found", payload, f"maximum flow {value}"
 
 
-def _cmd_dilworth(args):
-    p = posets.Poset.from_json(_load(args.poset))
-    if args.verify:
-        return _verify(args.verify, posets.verify_dilworth, p)
+def _dilworth(p):
     partition, antichain = posets.dilworth(p)
-    payload = {
-        "chains": [list(c) for c in partition.chains],
-        "antichain": list(antichain),
-    }
+    payload = {"chains": [list(c) for c in partition.chains], "antichain": list(antichain)}
     return "found", payload, f"{len(partition)} chains"
 
 
-def _cmd_mirsky(args):
-    p = posets.Poset.from_json(_load(args.poset))
-    if args.verify:
-        return _verify(args.verify, posets.verify_mirsky, p)
+def _mirsky(p):
     partition, chain = posets.mirsky(p)
-    payload = {
-        "antichains": [list(a) for a in partition.antichains],
-        "chain": list(chain),
-    }
+    payload = {"antichains": [list(a) for a in partition.antichains], "chain": list(chain)}
     return "found", payload, f"{len(partition)} antichain levels"
 
 
-def _cmd_perfect(args):
-    g = graphs.Graph.from_json(_load(args.graph))
-    if args.verify:
-        return _verify(args.verify, posets.verify_perfect, g)
-    perfect, witness = posets.is_perfect(g, **_ceiling(args))
+def _perfect(g, **limits):
+    perfect, witness = posets.is_perfect(g, **limits)
     # A graph is Berge (no odd hole or antihole) exactly when it is perfect.
     payload = {"perfect": perfect, "berge": perfect, "witness": list(witness) if witness else None}
     if perfect:
@@ -238,184 +200,169 @@ def _cmd_perfect(args):
     return "not-found", payload, "imperfect; witness subgraph attached"
 
 
-def _cmd_birkhoff(args):
-    m = birkhoff.RationalMatrix.from_json(_load(args.matrix))
-    if args.verify:
-        return _verify(args.verify, birkhoff.verify_birkhoff, m)
+def _birkhoff(m):
     dec = birkhoff.birkhoff_decompose(m)
     _check_printable("a coefficient", *(c for c, _ in dec.terms))
-    payload = {
-        "terms": [
-            {"coefficient": str(c), "permutation": list(perm)} for c, perm in dec.terms
-        ],
-        "term_bound": birkhoff.term_bound(m),
-    }
-    return "found", payload, f"{len(dec)} terms"
+    terms = [{"coefficient": str(c), "permutation": list(perm)} for c, perm in dec.terms]
+    return "found", {"terms": terms, "term_bound": birkhoff.term_bound(m)}, f"{len(dec)} terms"
 
 
-def _cmd_permanent(args):
-    value = birkhoff.file_permanent(_load(args.matrix), **_ceiling(args))
+def _permanent(matrix, **limits):
+    value = birkhoff.file_permanent(matrix, **limits)
     _check_printable("the permanent", value)
     return "found", {"permanent": str(value)}, "permanent computed"
 
 
-def _cmd_bounds(args):
-    if args.n > _BOUNDS_CEILING:
-        raise ResourceLimitError(f"n = {args.n} is above the bounds ceiling {_BOUNDS_CEILING}")
-    payload = {
-        "n": args.n,
-        "vdw": str(birkhoff.vdw_bound(args.n)),
-        "latin": str(latin.latin_lower_bound(args.n)),
-        "regular": str(birkhoff.regular_matching_bound(args.n, args.regular))
-        if args.regular is not None
-        else None,
-    }
+def _bounds(n, regular):
+    if n > _BOUNDS_CEILING:
+        raise ResourceLimitError(f"n = {n} is above the bounds ceiling {_BOUNDS_CEILING}")
+    payload = {"n": n, "vdw": str(birkhoff.vdw_bound(n)),
+               "latin": str(latin.latin_lower_bound(n)),
+               "regular": None if regular is None
+               else str(birkhoff.regular_matching_bound(n, regular))}
     return "found", payload, "bounds computed"
 
 
-def _cmd_latin_extend(args):
-    rect = latin.LatinRectangle.from_json(_load(args.rectangle))
-    if args.verify:
-        return _verify(args.verify, latin.verify_extension, rect)
+def _latin_extend(rect):
     extended = latin.extend_row(rect)
     return "found", extended.to_json(), f"now {extended.m} rows"
 
 
-def _cmd_latin_complete(args):
-    rect = latin.LatinRectangle.from_json(_load(args.rectangle))
-    if args.verify:
-        return _verify(args.verify, latin.verify_completion, rect)
-    square = latin.complete(rect)
-    return "found", square.to_json(), "completed to a square"
+def _latin_complete(rect):
+    return "found", latin.complete(rect).to_json(), "completed to a square"
 
 
-def _cmd_latin_count(args):
-    count = latin.count_latin_squares(args.n, **_ceiling(args))
-    return "found", {"n": args.n, "count": count}, f"{count} squares"
+def _latin_count(n, **limits):
+    count = latin.count_latin_squares(n, **limits)
+    return "found", {"n": n, "count": count}, f"{count} squares"
 
 
-def _cmd_youden(args):
-    design = latin.BlockDesign.from_json(_load(args.design))
-    if args.verify:
-        return _verify(args.verify, latin.verify_youden, design)
+def _youden(design):
     array = latin.youden_from_design(design)
     return "found", {"array": [list(r) for r in array]}, f"{len(array)} rows"
 
 
-def _cmd_rado(args):
-    family = core.SetFamily.from_json(_load(args.family))
-    oracle = matroids.matroid_from_json(_load(args.matroid))
-    if args.verify:
-        return _verify(args.verify, matroids.verify_rado, family, oracle)
+def _rado(family, oracle):
     result = matroids.rado_check(family, oracle)
     if isinstance(result, matroids.Sir):
         return "found", {"reps": list(result.reps)}, "independent representatives found"
-    payload = {
-        "indices": list(result.indices),
-        "union": list(result.union),
-        "rank": result.rank,
-    }
-    return "not-found", payload, f"rank {result.rank} below {len(result.indices)} sets"
+    return ("not-found", _violator(result, rank=result.rank),
+            f"rank {result.rank} below {len(result.indices)} sets")
 
 
-def _cmd_cosets(args):
-    group = groups.group_from_json(_load(args.group))
+def _coset_problem(group, generators):
+    """The problem of `cosets`: the group that the group file holds, and the
+    subgroup that `generators`, a JSON list of element ids, generates."""
+    group = groups.group_from_json(group)
     try:
-        generators = json.loads(args.generators)
+        generators = json.loads(generators)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"--generators is not valid JSON: {exc}",
                               field="generators") from exc
-    subgroup = groups.subgroup_closure(group, groups.elements_from_json(generators, "generators"))
-    if args.verify:
-        return _verify(args.verify, groups.verify_cosets, group, subgroup)
+    generators = groups.elements_from_json(generators, "generators")
+    return group, groups.subgroup_closure(group, generators)
+
+
+def _cosets(group, subgroup):
     system = groups.coset_system(group, subgroup)
-    payload = {
-        "subgroup": list(system.subgroup),
-        "left": [list(c) for c in system.left],
-        "right": [list(c) for c in system.right],
-        "reps": list(system.reps),
-        "family": core.SetFamily(range(system.index), system.family).to_json(),
-    }
+    payload = {"subgroup": list(system.subgroup),
+               "left": [list(c) for c in system.left], "right": [list(c) for c in system.right],
+               "reps": list(system.reps),
+               "family": core.SetFamily(range(system.index), system.family).to_json()}
     return "found", payload, f"index {system.index}"
 
 
-def _cmd_hyper_sdr(args):
-    fam = hypersdr.HypergraphFamily.from_json(_load(args.family))
-    if args.verify:
-        return _verify(args.verify, hypersdr.verify_hyper_sdr, fam)
-    limits = {}
-    if args.ceiling is not None:
-        limits["max_edges"] = args.ceiling
+def _hyper_sdr(fam, ceiling=None):
+    limits = {} if ceiling is None else {"max_edges": ceiling}
     result = hypersdr.find_hyper_sdr(fam, **limits)
     if result is not None:
         payload = {"selection": [sorted(e, key=repr) for e in result.selection]}
         return "found", payload, "hypergraph SDR found"
     holds, witness = hypersdr.ah_condition(fam, **limits)
-    payload = {"witness": list(witness) if witness is not None else None}
-    note = (
-        "no SDR; sufficient condition fails at the attached subfamily"
-        if not holds
-        else "no SDR"
-    )
-    return "not-found", payload, note
+    note = "no SDR" if holds else "no SDR; sufficient condition fails at the attached subfamily"
+    return "not-found", {"witness": list(witness) if witness is not None else None}, note
 
 
-# ---------------------------------------------------------------------------
+class Command(NamedTuple):
+    """One subcommand.  `files` names its JSON files and `options` its other
+    arguments, as (flag, add_argument keywords).  `load` makes the problem
+    from the loaded files and then the option values.
+    `check` is the path of the library checker behind --verify, or None
+    for none; `precheck`, if set, must accept the problem before the
+    certificate is read.  `solve` takes the problem, and the ceiling when
+    `ceiling` is set and one is given."""
+
+    name: str
+    files: tuple
+    load: Callable
+    solve: Callable
+    check: str | None = None
+    ceiling: bool = False
+    options: tuple = ()
+    precheck: Callable | None = None
+
+
+_family = _build("core.SetFamily.from_json")
+_bigraph = _build("graphs.BipartiteGraph.from_json")
+_graph = _build("graphs.Graph.from_json")
+_poset = _build("posets.Poset.from_json")
+_rectangle = _build("latin.LatinRectangle.from_json")
+_ORDER = ("n", {"type": int})  # the order n of `bounds` and `latin-count`
+
+_COMMANDS = {c.name: c for c in (
+    Command("sdr", ("family",), _family, _sdr, "core.verify_sdr"),
+    Command("defect", ("family",), _family, _defect, "core.verify_defect"),
+    Command("count-sdr", ("family",), _family, _count_sdr, ceiling=True),
+    Command("array-sdr", ("array",), _build("core.ArrayFamily.from_json"), _array_sdr,
+            "core.verify_array_sdr", ceiling=True),
+    Command("matching", ("graph",), _bigraph, _matching, "graphs.verify_matching"),
+    Command("cover", ("graph",), _bigraph, _cover, "graphs.verify_cover"),
+    Command("menger", ("graph",), _graph, _menger, "graphs.verify_menger",
+            options=(("--source", {"required": True}), ("--sink", {"required": True}),
+                     ("--mode", {"choices": ("edge", "vertex"), "default": "vertex"})),
+            precheck=lambda g, source, sink, mode: graphs.check_endpoints(g, source, sink)),
+    Command("maxflow", ("network",), _build("graphs.FlowNetwork.from_json"), _maxflow,
+            "graphs.verify_maxflow"),
+    Command("dilworth", ("poset",), _poset, _dilworth, "posets.verify_dilworth"),
+    Command("mirsky", ("poset",), _poset, _mirsky, "posets.verify_mirsky"),
+    Command("perfect", ("graph",), _graph, _perfect, "posets.verify_perfect", ceiling=True),
+    Command("birkhoff", ("matrix",), _build("birkhoff.RationalMatrix.from_json"), _birkhoff,
+            "birkhoff.verify_birkhoff"),
+    Command("permanent", ("matrix",), _build(), _permanent, ceiling=True),
+    Command("bounds", (), _build(), _bounds, options=(_ORDER, ("--regular", {"type": int}))),
+    Command("latin-extend", ("rectangle",), _rectangle, _latin_extend, "latin.verify_extension"),
+    Command("latin-complete", ("rectangle",), _rectangle, _latin_complete,
+            "latin.verify_completion"),
+    Command("latin-count", (), _build(), _latin_count, ceiling=True, options=(_ORDER,)),
+    Command("youden", ("design",), _build("latin.BlockDesign.from_json"), _youden,
+            "latin.verify_youden"),
+    Command("rado", ("family", "matroid"),
+            _build("core.SetFamily.from_json", "matroids.matroid_from_json"), _rado,
+            "matroids.verify_rado"),
+    Command("cosets", ("group",), _coset_problem, _cosets, "groups.verify_cosets",
+            options=(("--generators", {"required": True,
+                                       "help": "JSON list of generator element ids"}),)),
+    Command("hyper-sdr", ("family",), _build("hypersdr.HypergraphFamily.from_json"), _hyper_sdr,
+            "hypersdr.verify_hyper_sdr", ceiling=True),
+)}
 
 
 @functools.cache
 def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="transversal",
-        description="Distinct-representative toolkit with verifiable certificates",
-    )
+    parser = argparse.ArgumentParser(prog="transversal", description=(
+        "Distinct-representative toolkit with verifiable certificates"))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, *, ceiling=False, verify=True):
-        p = sub.add_parser(name)
-        p.set_defaults(handler=handler)
-        if ceiling:
-            p.add_argument("--ceiling", type=int, default=None,
-                           help="override the desk-scale size limit")
-        if verify:
+    for command in _COMMANDS.values():
+        p = sub.add_parser(command.name)
+        if command.ceiling:
+            p.add_argument("--ceiling", type=int, help="override the desk-scale size limit")
+        if command.check:
             p.add_argument("--verify", metavar="CERT",
                            help="re-validate a previously emitted certificate")
-        return p
-
-    add("sdr", _cmd_sdr).add_argument("family")
-    add("defect", _cmd_defect).add_argument("family")
-    add("count-sdr", _cmd_count_sdr, ceiling=True, verify=False).add_argument("family")
-    add("array-sdr", _cmd_array_sdr, ceiling=True).add_argument("array")
-    add("matching", _cmd_matching).add_argument("graph")
-    add("cover", _cmd_cover).add_argument("graph")
-    p = add("menger", _cmd_menger)
-    p.add_argument("graph")
-    p.add_argument("--source", required=True)
-    p.add_argument("--sink", required=True)
-    p.add_argument("--mode", choices=("edge", "vertex"), default="vertex")
-    add("maxflow", _cmd_maxflow).add_argument("network")
-    add("dilworth", _cmd_dilworth).add_argument("poset")
-    add("mirsky", _cmd_mirsky).add_argument("poset")
-    add("perfect", _cmd_perfect, ceiling=True).add_argument("graph")
-    add("birkhoff", _cmd_birkhoff).add_argument("matrix")
-    add("permanent", _cmd_permanent, ceiling=True, verify=False).add_argument("matrix")
-    p = add("bounds", _cmd_bounds, verify=False)
-    p.add_argument("n", type=int)
-    p.add_argument("--regular", type=int, default=None)
-    add("latin-extend", _cmd_latin_extend).add_argument("rectangle")
-    add("latin-complete", _cmd_latin_complete).add_argument("rectangle")
-    add("latin-count", _cmd_latin_count, ceiling=True, verify=False).add_argument(
-        "n", type=int
-    )
-    add("youden", _cmd_youden).add_argument("design")
-    p = add("rado", _cmd_rado)
-    p.add_argument("family")
-    p.add_argument("matroid")
-    p = add("cosets", _cmd_cosets)
-    p.add_argument("group")
-    p.add_argument("--generators", required=True,
-                   help="JSON list of generator element ids")
-    add("hyper-sdr", _cmd_hyper_sdr, ceiling=True).add_argument("family")
+        for name in command.files:
+            p.add_argument(name)
+        for flag, keywords in command.options:
+            p.add_argument(flag, **keywords)
     return parser
 
 
@@ -425,10 +372,21 @@ def main(argv=None) -> int:
     call and serves every later call in the process; argparse keeps no state
     between parses, so one call's options never reach the next."""
     args = _build_parser().parse_args(argv)
+    command = _COMMANDS[args.command]
+    ceiling = getattr(args, "ceiling", None)
     try:
-        if getattr(args, "ceiling", None) is not None and args.ceiling < 0:
-            raise ValidationError(f"--ceiling {args.ceiling} is negative", field="ceiling")
-        status, payload, diagnostics = args.handler(args)
+        if ceiling is not None and ceiling < 0:
+            raise ValidationError(f"--ceiling {ceiling} is negative", field="ceiling")
+        # No reference to a loaded file outlives the build, so none is held during the solve.
+        problem = command.load(*[_load(getattr(args, name), name) for name in command.files],
+                               *[getattr(args, flag.lstrip("-")) for flag, _ in command.options])
+        if getattr(args, "verify", None):
+            if command.precheck:
+                command.precheck(*problem)
+            result = _verify(args.verify, _library(command.check), *problem)
+        else:
+            result = command.solve(*problem, **({} if ceiling is None else {"ceiling": ceiling}))
+        status, payload, diagnostics = result
     except ValidationError as exc:
         status, payload, diagnostics = "invalid-input", None, _described(exc)
     except ResourceLimitError as exc:

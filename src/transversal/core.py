@@ -69,6 +69,16 @@ def _index_labels(labels, field) -> dict:
     return index
 
 
+def _label_list(obj, key):
+    """``obj.get(key, ())``, a file's list of labels, refused when it is a
+    string, whose characters would each be taken as a label.  The
+    constructors keep taking any iterable of labels."""
+    labels = obj.get(key, ())
+    if isinstance(labels, str):
+        raise ValidationError(f"{key} must be a list, not a string", field=key)
+    return labels
+
+
 def _positions_of(members, index, field, k=None) -> list:
     """The positions that `index` gives to one list of members, in its
     order.
@@ -300,7 +310,7 @@ class ArrayFamily:
             raise ValidationError("array file needs 'ground' and 'grid'", field="ground")
         if not isinstance(obj["grid"], list):
             raise ValidationError("'grid' must be a list of rows", field="grid")
-        return cls(obj["ground"], obj["grid"])
+        return cls(_label_list(obj, "ground"), obj["grid"])
 
 
 def validate_sdr(family: SetFamily, candidate) -> tuple[bool, str | None]:

@@ -84,7 +84,7 @@ class BipartiteGraph:
                 raise ValidationError(f"graph file needs '{key}'", field=key)
         if not isinstance(obj["edges"], list):
             raise ValidationError("'edges' must be a list of pairs", field="edges")
-        return cls(obj["partA"], obj["partB"], obj["edges"])
+        return cls(core._label_list(obj, "partA"), core._label_list(obj, "partB"), obj["edges"])
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,7 @@ class Graph:
                 raise ValidationError(f"graph file needs '{key}'", field=key)
         if not isinstance(obj["edges"], list):
             raise ValidationError("'edges' must be a list of pairs", field="edges")
-        return cls(obj["vertices"], obj["edges"])
+        return cls(core._label_list(obj, "vertices"), obj["edges"])
 
 
 class FlowNetwork:
@@ -212,7 +212,7 @@ class FlowNetwork:
             if not isinstance(arc, list) or len(arc) != 3:
                 raise ValidationError(f"edge {k} is not [from, to, capacity]: {arc!r}",
                                       field=f"edges[{k}]")
-        listed = core._index_labels(obj.get("nodes", []), "nodes")
+        listed = core._index_labels(core._label_list(obj, "nodes"), "nodes")
         named = [*listed, *(x for arc in arcs for x in arc[:2]), obj["source"], obj["sink"]]
         try:
             nodes = list(dict.fromkeys(named))
@@ -487,16 +487,17 @@ def menger_paths(g: Graph, s, t, mode: str = "vertex"):
     if mode == "edge":
         return _menger_edge(g, s, t)
     if g.adjacent(s, t):
-        raise ValidationError("vertex mode needs non-adjacent endpoints")
+        raise ValidationError("vertex mode needs non-adjacent endpoints", field="mode")
     return _menger_vertex(g, s, t)
 
 
 def check_endpoints(g: Graph, s, t) -> None:
     """Raise ``ValidationError`` unless `s` and `t` are distinct vertices."""
     if s not in g._index or t not in g._index:
-        raise ValidationError("endpoints must be vertices of the graph")
+        field = "sink" if s in g._index else "source"
+        raise ValidationError("endpoints must be vertices of the graph", field=field)
     if s == t:
-        raise ValidationError("source and sink must differ")
+        raise ValidationError("source and sink must differ", field="sink")
 
 
 def verify_menger(g: Graph, s, t, mode: str, cert: dict) -> tuple[bool, str | None]:

@@ -153,7 +153,7 @@ def group_from_json(obj: dict) -> FiniteGroup:
     if "table" in obj:
         if "elements" not in obj:
             raise ValidationError("table input needs 'elements'", field="elements")
-        return FiniteGroup(obj["elements"], obj["table"])
+        return FiniteGroup(core._label_list(obj, "elements"), obj["table"])
     if "permutations" in obj:
         if "degree" not in obj:
             raise ValidationError("permutation input needs 'degree'", field="degree")

@@ -53,7 +53,7 @@ class HypergraphFamily:
         members = obj["hypergraphs"]
         if not isinstance(members, list) or not all(isinstance(h, list) for h in members):
             raise ValidationError("'hypergraphs' must hold lists of edges", field="hypergraphs")
-        return cls(obj["vertices"], members)
+        return cls(core._label_list(obj, "vertices"), members)
 
 
 @dataclass(frozen=True)

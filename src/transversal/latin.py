@@ -73,7 +73,7 @@ class LatinRectangle:
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise ValidationError("'rows' must be a list of lists", field="rows")
         if "alphabet" in obj:
-            order = core._index_labels(obj["alphabet"], "alphabet")
+            order = core._index_labels(core._label_list(obj, "alphabet"), "alphabet")
             try:
                 rows = [[order[x] + 1 for x in row] for row in rows]
             except (KeyError, TypeError) as exc:
@@ -170,7 +170,7 @@ def count_latin_squares(n: int, *, ceiling: int = SQUARE_COUNT_CEILING) -> int:
     of them, each square reached once.
     """
     if n < 1:
-        raise ValidationError("n must be positive")
+        raise ValidationError("n must be positive", field="n")
     if n > ceiling:
         raise ResourceLimitError(f"order {n} is above the counting ceiling {ceiling}")
     full = (1 << n) - 1
@@ -183,7 +183,7 @@ def count_latin_squares(n: int, *, ceiling: int = SQUARE_COUNT_CEILING) -> int:
 def latin_lower_bound(n: int) -> Fraction:
     """The counting bound (n!)^(2n) / n^(n^2)."""
     if n < 1:
-        raise ValidationError("n must be positive")
+        raise ValidationError("n must be positive", field="n")
     return Fraction(factorial(n) ** (2 * n), n ** (n * n))
 
 
@@ -256,12 +256,13 @@ def youden_from_design(d: BlockDesign):
     unused block remainders, which stay regular, so all k rows exist.
     """
     if d.v != d.b:
-        raise ValidationError(f"need as many blocks as points, got v={d.v}, b={d.b}")
+        raise ValidationError(f"need as many blocks as points, got v={d.v}, b={d.b}",
+                              field="blocks")
     k = d.block_size
     if k is None:
-        raise ValidationError("blocks must share one size")
+        raise ValidationError("blocks must share one size", field="blocks")
     if d.replication is None:
-        raise ValidationError("design must be equireplicate")
+        raise ValidationError("design must be equireplicate", field="blocks")
     remaining = list(d._block_masks)
     col_rows = _bitmatch._column_rows(remaining, d.v)
     out = []

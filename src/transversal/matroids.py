@@ -355,8 +355,7 @@ def make_matroid(kind: str, **params) -> MatroidOracle:
 def matroid_from_json(obj: dict) -> MatroidOracle:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValidationError("matroid file needs 'kind'", field="kind")
-    if isinstance(obj.get("ground"), str):
-        raise ValidationError("the ground set must be a list, not a string", field="ground")
+    core._label_list(obj, "ground")
     return make_matroid(**obj)
 
 
@@ -398,7 +397,8 @@ def rado_check(family: core.SetFamily, m: MatroidOracle):
     call to its independence predicate.
     """
     if any(x not in m._index for x in family.ground):
-        raise ValidationError("family ground is not contained in the matroid ground")
+        raise ValidationError("family ground is not contained in the matroid ground",
+                              field="ground")
     reached: dict = {}
     reps = _sir_augmenting(family, m, reached)
     if reps is not None:

@@ -60,7 +60,7 @@ class Poset:
                 raise ValidationError(f"poset file needs '{key}'", field=key)
         if not isinstance(obj["less_than"], list):
             raise ValidationError("'less_than' must be a list of pairs", field="less_than")
-        return cls(obj["elements"], obj["less_than"])
+        return cls(core._label_list(obj, "elements"), obj["less_than"])
 
 
 def _closure(succ, elements):
@@ -233,7 +233,8 @@ def validate_antichain(p: Poset, antichain) -> tuple[bool, str | None]:
     return True, None
 
 
-def validate_antichain_partition(p: Poset, partition: AntichainPartition) -> tuple[bool, str | None]:
+def validate_antichain_partition(p: Poset,
+                                 partition: AntichainPartition) -> tuple[bool, str | None]:
     return _validate_partition(p, partition.antichains, validate_antichain, "level")
 
 

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 import random
 from fractions import Fraction
@@ -446,6 +447,16 @@ def test_no_recursion_in_the_package():
         module = importlib.import_module(f"transversal.{name}")
         found |= self_calls(inspect.getsource(module), name)
     assert found == RECURSIVE
+
+
+def test_no_line_over_100_characters_in_the_package():
+    """So that a line count of the package measures code, not how tightly
+    it is joined."""
+    root = pathlib.Path(transversal.__file__).parent
+    long = [f"{path.name}:{k}" for path in sorted(root.glob("*.py"))
+            for k, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if len(line) > 100]
+    assert long == []
 
 
 def engine_references():

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import inspect
 import json
@@ -798,6 +799,67 @@ class TestMalformedInputs:
         assert code == 2 and env["status"] == "invalid-input"
         assert f"(field: {field})" in env["diagnostics"]
 
+    MENGER = {"vertices": ["s", "a", "t"], "edges": [["s", "a"], ["a", "t"], ["s", "t"]]}
+
+    @pytest.mark.parametrize("command, objs, extra, field", [
+        ("menger", [MENGER], ("--source", "zz", "--sink", "t"), "source"),
+        ("menger", [MENGER], ("--source", "s", "--sink", "zz"), "sink"),
+        ("menger", [MENGER], ("--source", "s", "--sink", "s"), "sink"),
+        ("menger", [MENGER], ("--source", "s", "--sink", "t"), "mode"),
+        ("birkhoff", [{"n": 1, "entries": [["1/2"]]}], (), "entries"),
+        ("bounds", [], ("0",), "n"),
+        ("bounds", [], ("3", "--regular", "4"), "regular"),
+        ("latin-count", [], ("0",), "n"),
+        ("youden", [{"points": [1, 2], "blocks": [[1]]}], (), "blocks"),
+        ("youden", [{"points": [1, 2], "blocks": [[1, 2], [1]]}], (), "blocks"),
+        ("youden", [{"points": [1, 2, 3], "blocks": [[1, 2], [1, 3], [1, 2]]}], (), "blocks"),
+        ("rado", [FAMILY, {"kind": "free", "ground": ["a"]}], (), "ground"),
+    ])
+    def test_every_refusal_names_a_field(self, capsys, tmp_path, command, objs, extra, field):
+        code, env, _ = run_on(capsys, tmp_path, command, objs, extra)
+        assert code == 2 and env["status"] == "invalid-input"
+        assert env["diagnostics"].endswith(f"(field: {field})")
+
+    @pytest.mark.parametrize("content, why", [(None, "cannot read"), (b"{", "not valid JSON")])
+    @pytest.mark.parametrize("argv, field", [
+        (("sdr", "BAD"), "family"),
+        (("rado", "FAMILY", "BAD"), "matroid"),
+        (("sdr", "FAMILY", "--verify", "BAD"), "certificate"),
+    ])
+    def test_unloadable_file_names_its_argument(self, capsys, tmp_path, content, why, argv,
+                                                field):
+        bad = tmp_path / "bad.json"
+        if content is not None:
+            bad.write_bytes(content)
+        files = {"FAMILY": write(tmp_path, "family.json", FAMILY), "BAD": str(bad)}
+        code, env, _ = run(capsys, *(files.get(a, a) for a in argv))
+        assert code == 2 and why in env["diagnostics"]
+        assert env["diagnostics"].endswith(f"(field: {field})")
+
+    @pytest.mark.parametrize("command, obj, field", [
+        ("array-sdr", {"ground": "ab", "grid": [[["a"]]]}, "ground"),
+        ("matching", {"partA": "x", "partB": ["y"], "edges": [["x", "y"]]}, "partA"),
+        ("cover", {"partA": ["x"], "partB": "y", "edges": [["x", "y"]]}, "partB"),
+        ("menger", {"vertices": "sat", "edges": [["s", "a"], ["a", "t"]]}, "vertices"),
+        ("perfect", {"vertices": "01", "edges": [["0", "1"]]}, "vertices"),
+        ("maxflow", {"nodes": "st", "source": "s", "sink": "t", "edges": [["s", "t", 1]]},
+         "nodes"),
+        ("dilworth", {"elements": "ab", "less_than": [["a", "b"]]}, "elements"),
+        ("mirsky", {"elements": "ab", "less_than": []}, "elements"),
+        ("latin-extend", {"n": 2, "rows": [["a", "b"]], "alphabet": "ab"}, "alphabet"),
+        ("latin-complete", {"n": 2, "rows": [], "alphabet": "ab"}, "alphabet"),
+        ("cosets", {"elements": "ea", "table": [[0, 1], [1, 0]]}, "elements"),
+        ("hyper-sdr", {"vertices": "1", "hypergraphs": [[["1"]]]}, "vertices"),
+        ("rado", {"kind": "free", "ground": "ab"}, "ground"),
+    ])
+    def test_label_list_given_as_a_string(self, capsys, tmp_path, command, obj, field):
+        """A string is not read as a list of one-character labels."""
+        objs, extra = VALID_INPUTS[command]
+        objs = [FAMILY, obj] if command == "rado" else [obj]
+        code, env, _ = run_on(capsys, tmp_path, command, objs, extra)
+        assert code == 2 and env["status"] == "invalid-input"
+        assert env["diagnostics"] == f"{field} must be a list, not a string (field: {field})"
+
     CEILING_INPUTS = {
         "count-sdr": ([FAMILY], ()),
         "array-sdr": VALID_INPUTS["array-sdr"],
@@ -985,26 +1047,76 @@ class TestCertificateBoundary:
         refused_within_a_second(capsys, *argv)
 
     def test_handlers_do_not_read_certificates(self):
-        """No subcommand handler subscripts, .gets or iterates a --verify
-        certificate: every check lives in the library, beside its solver."""
+        """Only `main` reads --verify, and only to hand the path to `_verify`,
+        which hands the certificate to nothing but the library checker: no
+        loader or solver of the command table sees the arguments or a
+        certificate, so every check lives in the library, beside its solver."""
         tree = ast.parse(inspect.getsource(cli))
-        handlers = [f for f in tree.body
-                    if isinstance(f, ast.FunctionDef) and f.name.startswith("_cmd_")]
-        assert len(handlers) == 21
+        defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        solvers = {command.solve.__name__ for command in cli._COMMANDS.values()}
+        assert len(cli._COMMANDS) == 21 and len(solvers) == 21 and solvers <= set(defs)
 
-        def loads_certificate(node):  # a call that is handed args.verify
-            return isinstance(node, ast.Call) and any(
-                isinstance(a, ast.Attribute) and a.attr == "verify" for a in node.args)
+        def loads(node, name):
+            return [n for n in ast.walk(node) if isinstance(n, ast.Name) and n.id == name]
 
-        for handler in handlers:
-            names = {t.id for node in ast.walk(handler)
-                     if isinstance(node, ast.Assign) and loads_certificate(node.value)
-                     for t in node.targets if isinstance(t, ast.Name)}
+        def passed_to(node, callee):  # the nodes handed as arguments to calls of `callee`
+            return {id(a) for n in ast.walk(node) if isinstance(n, ast.Call)
+                    and isinstance(n.func, ast.Name) and n.func.id in callee for a in n.args}
 
-            def is_cert(node):
-                return loads_certificate(node) or isinstance(node, ast.Name) and node.id in names
+        for node in tree.body:
+            if node not in (defs["main"], defs["_verify"]):
+                where = ast.unparse(node).split("\n")[0]
+                assert not loads(node, "args") and not loads(node, "cert"), where
+                assert not any(isinstance(n, ast.Attribute) and n.attr == "verify"
+                               for n in ast.walk(node)), where
+        main = defs["main"]
+        reads = [n for n in ast.walk(main) if isinstance(n, ast.Attribute) and n.attr == "verify"]
+        assert reads and {id(n) for n in reads} <= passed_to(main, {"_verify"})
+        verify = defs["_verify"]
+        uses = [n for n in loads(verify, "cert") if isinstance(n.ctx, ast.Load)]
+        assert len(uses) == 2
+        assert {id(n) for n in uses} <= passed_to(verify, {"isinstance", "check"})
 
-            for node in ast.walk(handler):
-                read = (isinstance(node, (ast.Subscript, ast.Attribute)) and is_cert(node.value)
-                        or isinstance(node, (ast.For, ast.comprehension)) and is_cert(node.iter))
-                assert not read, f"{handler.name} reads the certificate: {ast.unparse(node)}"
+    def test_parser_follows_the_table(self):
+        parser = cli._build_parser()
+        [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == list(cli._COMMANDS) and len(sub.choices) == 21
+        flags = {name: {f for a in p._actions for f in a.option_strings}
+                 for name, p in sub.choices.items()}
+        verify = {name for name, f in flags.items() if "--verify" in f}
+        ceiling = {name for name, f in flags.items() if "--ceiling" in f}
+        assert len(verify) == 17 and set(flags) - verify == {
+            "count-sdr", "permanent", "bounds", "latin-count"}
+        assert ceiling == {
+            "count-sdr", "array-sdr", "perfect", "permanent", "latin-count", "hyper-sdr"}
+        for name, command in cli._COMMANDS.items():
+            assert (name in verify) == bool(command.check)
+            assert (name in ceiling) == command.ceiling
+            positional = [a.dest for a in sub.choices[name]._actions if not a.option_strings]
+            assert positional == [*command.files, *(f for f, _ in command.options
+                                                    if not f.startswith("-"))]
+            if command.check:
+                assert command.check.split(".")[-1].startswith("verify_")
+                assert callable(cli._library(command.check))
+
+    def test_library_functions_are_looked_up_when_called(self, capsys, tmp_path, monkeypatch):
+        """A wrapper set on a package attribute after import, as a tracer
+        sets one, is the one that runs: builders, solvers and checkers."""
+        called = []
+
+        def spy(owner, name):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, **k: called.append(name) or real(*a, **k))
+
+        for owner, name in ((core, "hall_check"), (core, "verify_sdr"),
+                            (matroids, "matroid_from_json"), (matroids, "verify_rado")):
+            spy(owner, name)
+        objs, _ = VALID_INPUTS["rado"]
+        family = write(tmp_path, "family.json", objs[0])
+        matroid = write(tmp_path, "matroid.json", objs[1])
+        assert run(capsys, "sdr", family)[0] == 0
+        cert = write(tmp_path, "cert.json", run(capsys, "rado", family, matroid)[1]["payload"])
+        assert run(capsys, "sdr", family, "--verify", cert)[0] == 0
+        assert run(capsys, "rado", family, matroid, "--verify", cert)[0] == 0
+        assert called == ["hall_check", "matroid_from_json", "verify_sdr",
+                          "matroid_from_json", "verify_rado"]

@@ -1,8 +1,8 @@
 """The envelope contract on random input files.
 
 Whatever JSON value a subcommand reads, it answers with exactly one JSON
-object on stdout and an exit code in 0..3; an uncaught exception fails the
-test.  Objects are drawn with the keys of each file format, so the values
+object on stdout and an exit code in 0..3, and an exit 2 names a field; an
+uncaught exception fails the test.  Objects are drawn with the keys of each file format, so the values
 reach the constructors instead of stopping at a missing key.
 """
 
@@ -98,7 +98,9 @@ def test_random_input_keeps_the_envelope(command, data):
             code = cli.main([command, *paths, *extra])
     assert code in (0, 1, 2, 3)
     assert out.getvalue().count("\n") == 1
-    assert isinstance(json.loads(out.getvalue()), dict)
+    envelope = json.loads(out.getvalue())
+    assert isinstance(envelope, dict)
+    assert code != 2 or "(field: " in envelope["diagnostics"], envelope["diagnostics"]
 
 
 # Certificate values name the labels of the VALID_INPUTS problems, so that
