@@ -6,19 +6,19 @@ Envelope: {"status": found|not-found|invalid-input|resource-limit,
 same order.  ``--verify CERT.json`` re-checks a previously emitted
 certificate using only validators, never solvers.
 
-Each subcommand is one row of `_COMMANDS`, which builds the parser and
-drives `main`: load the files, make the problem, then verify or solve.
+Each subcommand is one row of `_COMMANDS`, by which `main` reads argv (no
+argparse) and runs: load the files, make the problem, then verify or solve.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from operator import attrgetter
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from . import birkhoff, core, graphs, groups, hypersdr, latin, matroids, posets
@@ -285,10 +285,10 @@ def _hyper_sdr(fam, ceiling=None):
 
 class Command(NamedTuple):
     """One subcommand.  `files` names its JSON files and `options` its other
-    arguments, as (flag, add_argument keywords).  `load` makes the problem
-    from the loaded files and then the option values.
-    `check` is the path of the library checker behind --verify, or None
-    for none; `precheck`, if set, must accept the problem before the
+    arguments, as (name, keywords): `type`, `choices`, `default`, `required`.
+    `load` makes the problem from the loaded files and then the option
+    values.  `check` is the path of the library checker behind --verify, or
+    None for none; `precheck`, if set, must accept the problem before the
     certificate is read.  `solve` takes the problem, and the ceiling when
     `ceiling` is set and one is given."""
 
@@ -307,7 +307,7 @@ _bigraph = _build("graphs.BipartiteGraph.from_json")
 _graph = _build("graphs.Graph.from_json")
 _poset = _build("posets.Poset.from_json")
 _rectangle = _build("latin.LatinRectangle.from_json")
-_ORDER = ("n", {"type": int})  # the order n of `bounds` and `latin-count`
+_ORDER = ("n", {"type": int, "required": True})  # the order n of `bounds` and `latin-count`
 
 _COMMANDS = {c.name: c for c in (
     Command("sdr", ("family",), _family, _sdr, "core.verify_sdr"),
@@ -340,8 +340,7 @@ _COMMANDS = {c.name: c for c in (
             _build("core.SetFamily.from_json", "matroids.matroid_from_json"), _rado,
             "matroids.verify_rado"),
     Command("cosets", ("group",), _coset_problem, _cosets, "groups.verify_cosets",
-            options=(("--generators", {"required": True,
-                                       "help": "JSON list of generator element ids"}),)),
+            options=(("--generators", {"required": True}),)),
     Command("hyper-sdr", ("family",), _build("hypersdr.HypergraphFamily.from_json"), _hyper_sdr,
             "hypersdr.verify_hyper_sdr", ceiling=True),
 )}
@@ -349,38 +348,79 @@ _COMMANDS = {c.name: c for c in (
 
 @functools.cache
 def _build_parser():
-    parser = argparse.ArgumentParser(prog="transversal", description=(
-        "Distinct-representative toolkit with verifiable certificates"))
-    sub = parser.add_subparsers(dest="command", required=True)
+    """Each subcommand's arguments, by name in table order: a dict from each flag, and
+    from the index of each positional, to (name, keywords as in `Command.options`)."""
+    specs = {}
     for command in _COMMANDS.values():
-        p = sub.add_parser(command.name)
-        if command.ceiling:
-            p.add_argument("--ceiling", type=int, help="override the desk-scale size limit")
-        if command.check:
-            p.add_argument("--verify", metavar="CERT",
-                           help="re-validate a previously emitted certificate")
-        for name in command.files:
-            p.add_argument(name)
-        for flag, keywords in command.options:
-            p.add_argument(flag, **keywords)
-    return parser
+        arguments = [*((name, {"required": True}) for name in command.files), *command.options,
+                     *[("--ceiling", {"type": int, "metavar": "N"})] * command.ceiling,
+                     *[("--verify", {"metavar": "CERT"})] * bool(command.check)]
+        spec = dict(enumerate((name, kw) for name, kw in arguments if name[:2] != "--"))
+        specs[command.name] = spec | {f: (f[2:], kw) for f, kw in arguments if f[:2] == "--"}
+    return specs
+
+
+def _print_usage(argv):
+    """Print the usage line of the subcommand that `argv` names, or of every one."""
+    specs = _build_parser()
+    for name in [argv[0]] if argv[0] in specs else specs:
+        words = ["usage: transversal", name]
+        for key, (dest, kw) in specs[name].items():
+            value = "|".join(kw.get("choices", ())) or kw.get("metavar", dest.upper())
+            word = dest if isinstance(key, int) else f"{key} {value}"
+            words.append(word if kw.get("required") else f"[{word}]")
+        print(" ".join(words))
+
+
+def _read_argv(argv):
+    """The row `argv` names and its arguments, as a namespace.  A flag is `--flag value` or
+    `--flag=value` by exact name, anywhere; the last repeat wins; after `--` all is positional."""
+    specs = _build_parser()
+    if not argv or argv[0] not in specs:
+        raise ValidationError(f"choose a subcommand from {', '.join(specs)}", field="command")
+    spec = specs[argv[0]]
+    values = {dest: kw.get("default") for dest, kw in spec.values()}
+    position, rest, tokens = 0, False, iter(argv[1:])
+    for token in tokens:
+        if not rest and (rest := token == "--"):
+            continue
+        if token.startswith("--") and not rest:
+            key, eq, value = token.partition("=")
+            if key in spec and not eq and (value := next(tokens, "--")).startswith("--"):
+                raise ValidationError(f"{key} needs a value", field=spec[key][0])
+        else:
+            key, value, position = position, token, position + 1
+        if key not in spec:
+            raise ValidationError(f"{argv[0]} takes no argument {token}", field="argv")
+        dest, kw = spec[key]
+        try:
+            values[dest] = kw.get("type", str)(value)
+            if values[dest] not in kw.get("choices", (values[dest],)):
+                raise ValueError(value)
+        except ValueError:
+            raise ValidationError(f"{value!r} is not a valid {dest}", field=dest) from None
+    missing = [dest for dest, kw in spec.values() if kw.get("required") and values[dest] is None]
+    if missing:
+        raise ValidationError(f"{argv[0]} needs {' and '.join(missing)}", field=missing[0])
+    return _COMMANDS[argv[0]], SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    """Run one subcommand on `argv` (default: the process arguments), print
-    its envelope and return the exit code.  The parser is built on the first
-    call and serves every later call in the process; argparse keeps no state
-    between parses, so one call's options never reach the next."""
-    args = _build_parser().parse_args(argv)
-    command = _COMMANDS[args.command]
-    ceiling = getattr(args, "ceiling", None)
+    """Run one subcommand on `argv` (default: the process arguments), print its envelope
+    and return the exit code; or, given -h or --help, print usage and return 0."""
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        _print_usage(argv)
+        return 0
     try:
+        command, args = _read_argv(argv)
+        ceiling = getattr(args, "ceiling", None)
         if ceiling is not None and ceiling < 0:
             raise ValidationError(f"--ceiling {ceiling} is negative", field="ceiling")
         # No reference to a loaded file outlives the build, so none is held during the solve.
         problem = command.load(*[_load(getattr(args, name), name) for name in command.files],
                                *[getattr(args, flag.lstrip("-")) for flag, _ in command.options])
-        if getattr(args, "verify", None):
+        if getattr(args, "verify", None) is not None:
             if command.precheck:
                 command.precheck(*problem)
             result = _verify(args.verify, _library(command.check), *problem)

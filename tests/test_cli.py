@@ -1,4 +1,3 @@
-import argparse
 import ast
 import inspect
 import json
@@ -942,8 +941,12 @@ class TestParserReuse:
     """One parser serves every call in a process, and no call's options or
     errors reach the next."""
 
-    def test_built_once(self):
+    def test_built_once(self, capsys, fam3):
         assert cli._build_parser() is cli._build_parser()
+        built = cli._build_parser.cache_info().misses
+        run(capsys, "sdr", fam3)
+        run(capsys, "count-sdr", fam3, "--ceiling", "many")
+        assert cli._build_parser.cache_info().misses == built == 1
 
     def test_options_do_not_leak(self, capsys, tmp_path):
         ground = [str(i) for i in range(6)]
@@ -960,13 +963,88 @@ class TestParserReuse:
         assert run(capsys, "sdr", fam3) == solved
 
     def test_usage_error_then_valid_call(self, capsys, fam3):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["count-sdr", fam3, "--ceiling", "many"])
-        assert exc.value.code == 2
-        capsys.readouterr()
+        code, env, _ = run(capsys, "count-sdr", fam3, "--ceiling", "many")
+        assert code == 2 and env["diagnostics"].endswith("(field: ceiling)")
         code, env, _ = run(capsys, "count-sdr", fam3)
         assert code == 0 and env["payload"] == {"count": 2}
 
+
+class TestArgv:
+    """`main` reads argv from the command table: every usage error is an
+    invalid-input envelope naming a field, and -h or --help prints usage."""
+
+    @pytest.mark.parametrize("argv, field", [
+        ((), "command"),
+        (("nope",), "command"),
+        (("--ceiling", "3", "count-sdr", "FAMILY"), "command"),
+        (("sdr",), "family"),
+        (("count-sdr", "FAMILY", "--ceiling", "many"), "ceiling"),
+        (("sdr", "FAMILY", "--bogus"), "argv"),
+        (("sdr", "FAMILY", "--ceiling", "3"), "argv"),
+        (("count-sdr", "FAMILY", "--ceil", "3"), "argv"),
+        (("sdr", "FAMILY", "--verify"), "verify"),
+        (("menger", "GRAPH", "--sink", "t", "--source", "--mode", "edge"), "source"),
+        (("menger", "GRAPH", "--source", "s", "--sink", "t", "--mode", "diagonal"), "mode"),
+        (("menger", "GRAPH", "--sink", "t"), "source"),
+        (("cosets", "GROUP"), "generators"),
+        (("sdr", "FAMILY", "FAMILY"), "argv"),
+        (("bounds",), "n"),
+        (("bounds", "three"), "n"),
+    ])
+    def test_usage_error_is_an_envelope(self, capsys, tmp_path, argv, field):
+        files = {"FAMILY": write(tmp_path, "family.json", FAMILY),
+                 "GRAPH": write(tmp_path, "graph.json", VALID_INPUTS["menger"][0][0]),
+                 "GROUP": write(tmp_path, "group.json", VALID_INPUTS["cosets"][0][0])}
+        code, env, err = run(capsys, *(files.get(a, a) for a in argv))
+        assert code == 2 and env["status"] == "invalid-input" and env["payload"] is None
+        assert env["diagnostics"].endswith(f"(field: {field})")
+        assert err == env["diagnostics"] + "\n"
+
+    @pytest.mark.parametrize("flag", [("--verify", ""), ("--verify=",)])
+    def test_empty_certificate_path_is_refused(self, capsys, fam3, flag):
+        code, env, _ = run(capsys, "sdr", fam3, *flag)
+        assert code == 2 and env["diagnostics"].endswith("(field: certificate)")
+
+    def test_flag_forms_agree(self, capsys, tmp_path):
+        graph = write(tmp_path, "graph.json", VALID_INPUTS["menger"][0][0])
+        expected = run(capsys, "menger", graph, "--source", "s", "--sink", "t")
+        assert expected[0] == 0
+        for argv in (("--source=s", graph, "--sink", "t"),
+                     ("--sink", "t", "--source", "zz", graph, "--source", "s"),
+                     ("--source", "s", "--sink=t", "--mode", "vertex", "--", graph)):
+            assert run(capsys, "menger", *argv) == expected
+        code, env, _ = run(capsys, "bounds", "-3")
+        assert code == 2 and env["diagnostics"] == "n must be positive (field: n)"
+        code, env, _ = run(capsys, "latin-count", "--ceiling=-1", "3")
+        assert code == 2 and env["diagnostics"] == "--ceiling -1 is negative (field: ceiling)"
+
+    def test_help_prints_usage(self, capsys):
+        assert cli.main(["--help"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[2] for line in lines] == list(cli._COMMANDS)
+        assert cli.main(["menger", "graph.json", "-h"]) == 0
+        assert capsys.readouterr().out == (
+            "usage: transversal menger graph --source SOURCE --sink SINK"
+            " [--mode edge|vertex] [--verify CERT]\n")
+
+    def test_entry_point(self, capsys, fam3):
+        src = os.path.dirname(os.path.dirname(inspect.getfile(cli)))
+
+        def python(*argv):
+            return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                                  timeout=60, env={**os.environ, "PYTHONPATH": src})
+
+        probe = python("-c", "import sys, transversal.cli; print('argparse' in sys.modules)")
+        assert probe.stdout == "False\n"
+        listed = python("-m", "transversal.cli", "--help")
+        assert listed.returncode == 0 and len(listed.stdout.splitlines()) == 21
+        assert all(f"usage: transversal {name} " in listed.stdout for name in cli._COMMANDS)
+        usage = python("-m", "transversal.cli", "sdr", "--help")
+        assert usage.returncode == 0
+        assert usage.stdout == "usage: transversal sdr family [--verify CERT]\n"
+        solved = python("-m", "transversal.cli", "sdr", fam3)
+        assert solved.returncode == cli.main(["sdr", fam3]) == 0
+        assert solved.stdout == capsys.readouterr().out
 
 class TestCertificateBoundary:
     @pytest.mark.parametrize("command, cert", [
@@ -1078,11 +1156,10 @@ class TestCertificateBoundary:
         assert {id(n) for n in uses} <= passed_to(verify, {"isinstance", "check"})
 
     def test_parser_follows_the_table(self):
-        parser = cli._build_parser()
-        [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        assert list(sub.choices) == list(cli._COMMANDS) and len(sub.choices) == 21
-        flags = {name: {f for a in p._actions for f in a.option_strings}
-                 for name, p in sub.choices.items()}
+        specs = cli._build_parser()
+        assert list(specs) == list(cli._COMMANDS) and len(specs) == 21
+        flags = {name: {key for key in spec if isinstance(key, str)}
+                 for name, spec in specs.items()}
         verify = {name for name, f in flags.items() if "--verify" in f}
         ceiling = {name for name, f in flags.items() if "--ceiling" in f}
         assert len(verify) == 17 and set(flags) - verify == {
@@ -1092,7 +1169,7 @@ class TestCertificateBoundary:
         for name, command in cli._COMMANDS.items():
             assert (name in verify) == bool(command.check)
             assert (name in ceiling) == command.ceiling
-            positional = [a.dest for a in sub.choices[name]._actions if not a.option_strings]
+            positional = [dest for key, (dest, _) in specs[name].items() if isinstance(key, int)]
             assert positional == [*command.files, *(f for f, _ in command.options
                                                     if not f.startswith("-"))]
             if command.check:
