@@ -1,9 +1,9 @@
 """Exact rational matrices: doubly stochastic checks, constructive convex
 decomposition into permutation matrices, permanents, and counting bounds.
 
-Everything here is exact: a matrix holds its entries as integer rows over
-one common denominator, decomposition and the doubly stochastic check run
-on those integers, and bounds and permanents are Fractions.  There is
+Everything here is exact: a matrix holds each row as integers over the
+row's own least common denominator, decomposition and the doubly stochastic
+check run on integers, and bounds and permanents are Fractions.  There is
 deliberately no floating point, because decomposition termination and the
 equality cases of the bounds are exact claims.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 
 from . import _bitmatch, core
 from .core import _permanent_rows
@@ -24,6 +24,7 @@ PERMANENT_CEILING = 20
 # limit for converting a decimal string to an int, but it is checked here by
 # length, whatever `sys.set_int_max_str_digits` says.
 _DIGIT_CEILING = 4300
+_PRINT_LIMIT = 10**_DIGIT_CEILING
 
 
 def _to_fraction(value, where: str) -> Fraction:
@@ -102,36 +103,33 @@ def _row_pairs(row: list, i: int) -> tuple[list, list | None]:
 
 
 class RationalMatrix:
-    """A square matrix of exact rationals, held as `rows`, integer rows
-    over the common denominator `scale`: entry (i, j) is
-    rows[i][j] / scale, and `scale` is the least common denominator of the
-    entries, so equal matrices hold equal rows."""
+    """A square matrix of exact rationals, held row by row: `rows[i]` is
+    row i's integers over `dens[i]`, the least common denominator of its
+    entries, so entry (i, j) is rows[i][j] / dens[i].  Entries are reduced
+    as they are parsed, so equal matrices hold equal rows."""
 
-    __slots__ = ("n", "scale", "rows")
+    __slots__ = ("n", "rows", "dens")
 
     def __init__(self, rows):
         parsed = self._parsed(rows)
-        scale = lcm(*(q for _, dens in parsed if dens for q in dens))
         self.n = len(parsed)
-        self.scale = scale
+        self.dens = tuple(1 if dens is None else lcm(*dens) for _, dens in parsed)
         self.rows = tuple(
-            tuple(nums) if scale == 1 else
-            tuple(p * scale for p in nums) if dens is None else
-            tuple(p * (scale // q) for p, q in zip(nums, dens))
-            for nums, dens in parsed
+            tuple(nums) if d == 1 else tuple(p * (d // q) for p, q in zip(nums, dens))
+            for (nums, dens), d in zip(parsed, self.dens)
         )
 
     @property
     def entries(self) -> tuple:
         """The entries as rows of Fractions."""
-        return tuple(tuple(Fraction(x, self.scale) for x in row) for row in self.rows)
+        return tuple(tuple(Fraction(x, d) for x in row) for row, d in zip(self.rows, self.dens))
 
     def __eq__(self, other):
-        return (isinstance(other, RationalMatrix) and self.scale == other.scale
-                and self.rows == other.rows)
+        return (isinstance(other, RationalMatrix) and self.rows == other.rows
+                and self.dens == other.dens)
 
     def __hash__(self):
-        return hash((self.scale, self.rows))
+        return hash((self.rows, self.dens))
 
     def __repr__(self):
         return f"RationalMatrix({[[str(x) for x in row] for row in self.entries]})"
@@ -191,8 +189,8 @@ def verify_birkhoff(m: RationalMatrix, cert: dict) -> tuple[bool, str | None]:
     rational "coefficient"s summing to 1 whose "permutation"s (the column
     of each row) rebuild `m`, at most ``term_bound(m)`` of them.  The sums
     run on integers over the least common denominator D of the
-    coefficients: the coefficients times D must sum to D, and the rebuilt
-    matrix times D must equal `m.rows` times D / `m.scale`."""
+    coefficients: the coefficients times D must sum to D, and row i of the
+    rebuilt matrix times D must equal `m.rows[i]` times D / `m.dens[i]`."""
     columns = {j: j for j in range(m.n)}
     terms = []
     for k, term in enumerate(core._cert_field(cert, "terms")):
@@ -213,9 +211,9 @@ def verify_birkhoff(m: RationalMatrix, cert: dict) -> tuple[bool, str | None]:
     for weight, (_, _, perm) in zip(weights, terms):
         for i, j in enumerate(perm):
             acc[i][j] += weight
-    for row, target in zip(acc, m.rows):
+    for row, target, d in zip(acc, m.rows, m.dens):
         for x, y in zip(row, target):
-            if x * m.scale != y * scale:
+            if x * d != y * scale:
                 return False, "terms do not reconstruct the matrix"
     if len(terms) > term_bound(m):
         return False, "more terms than the support allows"
@@ -224,36 +222,49 @@ def verify_birkhoff(m: RationalMatrix, cert: dict) -> tuple[bool, str | None]:
 
 def is_doubly_stochastic(m: RationalMatrix) -> tuple[bool, str | None]:
     """Exact nonnegativity and unit row/column sum check."""
-    reason = _stochastic_failure(m.scale, m.rows)
+    reason, _, _ = _stochastic_failure(m)
     return reason is None, reason
 
 
-def _stochastic_failure(scale: int, work) -> str | None:
-    """Why the matrix `work` / `scale` is not doubly stochastic, or None.
-    The sums are integers; a Fraction is built only for a failure."""
-    for i, row in enumerate(work):
+def _stochastic_failure(m: RationalMatrix) -> tuple:
+    """Why `m` is not doubly stochastic, or None; then, if it is, its least
+    common denominator D and its rows times D, else None and None.  Each row
+    sum is checked over the row's own denominator, and D is built only once
+    every row sums to 1.  The sums are integers; a Fraction is built only
+    for a failure."""
+    for i, row in enumerate(m.rows):
         for j, x in enumerate(row):
             if x < 0:
-                return f"entry ({i},{j}) is negative"
-    for i, row in enumerate(work):
+                return f"entry ({i},{j}) is negative", None, None
+    for i, (row, d) in enumerate(zip(m.rows, m.dens)):
         total = sum(row)
-        if total != scale:
-            return _sum_failure(f"row {i}", total, scale)
+        if total != d:
+            return _sum_failure(f"row {i}", total, d), None, None
+    scale = lcm(*m.dens)
+    work = [[x * k for x in row] if (k := scale // d) > 1 else list(row)
+            for row, d in zip(m.rows, m.dens)]
     for j, column in enumerate(zip(*work)):
         total = sum(column)
         if total != scale:
-            return _sum_failure(f"column {j}", total, scale)
-    return None
+            return _sum_failure(f"column {j}", total, scale), None, None
+    return None, scale, work
 
 
 def _sum_failure(what: str, total: int, scale: int) -> str:
     """Why a row or column whose entries sum to `total` / `scale` fails.
-    The sum is printed unless a side of its bar has more digits than the
-    ceiling, which str() would refuse."""
+    The sum is printed unless it is too long to print."""
     x = Fraction(total, scale)
-    if max(abs(x.numerator), x.denominator) < 10**_DIGIT_CEILING:
+    if _printable(x):
         return f"{what} sums to {x}"
     return f"{what} does not sum to 1: its sum has over {_DIGIT_CEILING} digits"
+
+
+def _printable(x) -> bool:
+    """Whether str() and json.dumps can print `x`, an int or a Fraction:
+    CPython prints no int of more than `_DIGIT_CEILING` digits (see
+    `sys.get_int_max_str_digits`), so each side of the bar must be below
+    `_PRINT_LIMIT`."""
+    return max(abs(x.numerator), x.denominator) < _PRINT_LIMIT
 
 
 def birkhoff_decompose(m: RationalMatrix) -> BirkhoffDecomposition:
@@ -263,15 +274,14 @@ def birkhoff_decompose(m: RationalMatrix) -> BirkhoffDecomposition:
     the positive entries, subtracts it scaled by its minimum entry, and
     repeats; every round kills at least one entry, so at most
     nnz - n + 1 terms appear and the reconstruction is exact.  The rounds
-    run on a copy of `m.rows`, the entries times their least common
-    denominator D, and each coefficient is mu / D.  The
-    support masks and their column-to-rows table are built once; a round
-    clears the bit of each entry it brings to zero in both, and the next
-    round's assignment starts from this round's permutation less those
-    entries.
+    run on the entries times their least common denominator D, the rows
+    that the doubly stochastic check builds, and each coefficient is
+    mu / D.  The support masks and their column-to-rows table are built
+    once; a round clears the bit of each entry it brings to zero in both,
+    and the next round's assignment starts from this round's permutation
+    less those entries.
     """
-    scale, work = m.scale, [list(row) for row in m.rows]
-    reason = _stochastic_failure(scale, work)
+    reason, scale, work = _stochastic_failure(m)
     if reason is not None:
         raise ValidationError(f"matrix is not doubly stochastic: {reason}", field="entries")
     n = m.n
@@ -302,34 +312,22 @@ def birkhoff_decompose(m: RationalMatrix) -> BirkhoffDecomposition:
 def permanent(m: RationalMatrix, *, ceiling: int = PERMANENT_CEILING) -> Fraction:
     """Exact permanent of a rational matrix.
 
-    Each row is rescaled to integers first by the least common denominator
-    of its entries (the permanent is linear in each row): row i of
-    `m.rows` divided by gcd(`m.scale`, row i), which is that row times that
-    denominator.  The integer kernel `core._permanent_rows` splits the nonzero
-    pattern into its connected blocks and runs Ryser's inclusion-exclusion
-    on each, at 2^(k-1) products for a k-by-k block (2^(n-1) for a dense
-    matrix), hence the order ceiling; the determinant shortcut does not
-    exist for permanents.  The kernel's work guard refuses blocks that
-    would walk too many column sets, weighed by the size of their entries,
-    whatever the ceiling.  A dense 0/1 block may instead be counted from the
-    rook numbers of its complement, when that is estimated to be cheaper
-    (`core._permanent_of`).
+    The permanent is linear in each row, so it is the permanent of the
+    integer rows `m.rows` over the product of their denominators `m.dens`.
+    No row needs dividing first: a prime power that exactly divides
+    `m.dens[i]` divides the reduced denominator of some entry of row i, and
+    so not that entry's integer.  The integer kernel `core._permanent_rows`
+    splits the nonzero pattern into its connected blocks and runs Ryser's
+    inclusion-exclusion on each, at 2^(k-1) products for a k-by-k block
+    (2^(n-1) for a dense matrix), hence the order ceiling; the determinant
+    shortcut does not exist for permanents.  The kernel's work guard
+    refuses blocks that would walk too many column sets, weighed by the
+    size of their entries, whatever the ceiling.  A dense 0/1 block may
+    instead be counted from the rook numbers of its complement, when that
+    is estimated to be cheaper (`core._permanent_of`).
     """
     _check_order(m.n, ceiling)
-    return _row_permanent([(row, m.scale) for row in m.rows])
-
-
-def _row_permanent(rows) -> Fraction:
-    """The permanent of the matrix whose row i is the integers rows[i][0]
-    over the denominator rows[i][1], each row first divided by the gcd of
-    its integers and its denominator."""
-    scale = 1
-    scaled = []
-    for row, d in rows:
-        g = gcd(d, *row)
-        scale *= d // g
-        scaled.append([x // g for x in row] if g > 1 else list(row))
-    return Fraction(_permanent_rows(scaled), scale)
+    return Fraction(_permanent_rows([list(row) for row in m.rows]), prod(m.dens))
 
 
 def _check_order(n: int, ceiling: int) -> None:
@@ -338,24 +336,12 @@ def _check_order(n: int, ceiling: int) -> None:
 
 
 def file_permanent(obj: dict, *, ceiling: int = PERMANENT_CEILING) -> Fraction:
-    """`permanent` of the matrix in a matrix file's object, read row by row.
-
-    A file whose order is above `ceiling` is refused after its shape is
-    checked and before any entry is parsed, so a huge matrix costs no
-    parsing.  Each row is then put over the least common denominator of its
-    own entries, the rows `permanent` hands the kernel, and no common
-    denominator of the whole matrix is built: with many long, distinct
-    denominators it can have hundreds of thousands of digits, and building
-    it and dividing it out of every row costs seconds, while the kernel's
-    work guard refuses such a matrix from its short rows at once.
-    """
+    """`permanent` of the matrix in a matrix file's object.  A file whose
+    order is above `ceiling` is refused after its shape is checked and
+    before any entry is parsed, so a huge matrix costs no parsing."""
     rows = RationalMatrix._json_rows(obj)
     _check_order(len(rows), ceiling)
-    scaled = []
-    for nums, dens in RationalMatrix._parsed(rows):
-        d = 1 if dens is None else lcm(*dens)
-        scaled.append((nums if d == 1 else [p * (d // q) for p, q in zip(nums, dens)], d))
-    return _row_permanent(scaled)
+    return permanent(RationalMatrix(rows), ceiling=ceiling)
 
 
 def vdw_bound(n: int) -> Fraction:

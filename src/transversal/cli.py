@@ -79,22 +79,12 @@ def _verify(path, check, *problem):
     return "not-found", {"valid": False, "reason": reason}, f"certificate rejected: {reason}"
 
 
-@functools.cache
-def _print_limit():
-    """10^4300: CPython prints no int of more digits (see
-    `sys.get_int_max_str_digits`), and neither str() nor json.dumps can
-    print a number that has a side of its bar at or past this."""
-    return 10**birkhoff._DIGIT_CEILING
-
-
 def _check_printable(what, *numbers):
     """Refuse, as too large to print (exit 3), a result whose `numbers`,
-    ints or Fractions, have a side of the bar at or past `_print_limit()`."""
-    limit = _print_limit()
-    for x in numbers:
-        if max(abs(x.numerator), x.denominator) >= limit:
-            raise ResourceLimitError(
-                f"{what} has over {birkhoff._DIGIT_CEILING} digits, too many to print")
+    ints or Fractions, are not all `birkhoff._printable`."""
+    if not all(map(birkhoff._printable, numbers)):
+        raise ResourceLimitError(
+            f"{what} has over {birkhoff._DIGIT_CEILING} digits, too many to print")
 
 
 def _library(path):

@@ -552,47 +552,23 @@ def _menger_edge(g, s, t):
 
 
 def _menger_vertex(g, s, t):
-    big = len(g.vertices) + 1
-    names = []
-    index = {}
-
-    def node(key):
-        if key not in index:
-            index[key] = len(names)
-            names.append(key)
-        return index[key]
-
-    arcs = []
-    split_in = {}
-    split_out = {}
-    for x in g.vertices:
-        if x in (s, t):
-            split_in[x] = split_out[x] = node(("v", x))
-        else:
-            split_in[x] = node(("in", x))
-            split_out[x] = node(("out", x))
-            arcs.append((split_in[x], split_out[x], 1))
+    """Vertex i enters the split network at node i and leaves it at node
+    n + i, through an arc of capacity 1; s and t are not split."""
+    index, names = g._index, g.vertices
+    n, si, ti = len(names), index[s], index[t]
+    out = [i if i in (si, ti) else n + i for i in range(n)]
+    arcs = [(i, n + i, 1) for i in range(n) if i not in (si, ti)]
     n_split = len(arcs)
     for u, v in g.edges:
-        arcs.append((split_out[u], split_in[v], big))
-        arcs.append((split_out[v], split_in[u], big))
-    value, flows, reachable = _edmonds_karp(len(names), arcs, index[("v", s)], index[("v", t)])
-    net_out = _net_flows(len(names), arcs, flows)
-    raw_paths = _decompose_paths(net_out, index[("v", s)], index[("v", t)], value, names)
-    paths = []
-    for raw in raw_paths:
-        collapsed = []
-        for key in raw:
-            label = key[1]
-            if not collapsed or collapsed[-1] != label:
-                collapsed.append(label)
-        paths.append(tuple(collapsed))
-    cut = tuple(
-        names[u][1]
-        for (u, v, _) in arcs[:n_split]
-        if u in reachable and v not in reachable
-    )
-    return tuple(paths), cut
+        arcs.append((out[index[u]], index[v], n + 1))
+        arcs.append((out[index[v]], index[u], n + 1))
+    value, flows, reachable = _edmonds_karp(2 * n, arcs, si, ti)
+    net_out = _net_flows(2 * n, arcs, flows)
+    raw_paths = _decompose_paths(net_out, si, ti, value, names * 2)
+    # A path enters and leaves each inner vertex, so each appears twice in a row.
+    paths = tuple((s, *raw[1:-1:2], t) for raw in raw_paths)
+    cut = tuple(names[u] for u, v, _ in arcs[:n_split] if u in reachable and v not in reachable)
+    return paths, cut
 
 
 def _net_flows(n_nodes, arcs, flows):

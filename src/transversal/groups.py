@@ -253,20 +253,28 @@ def simultaneous_reps(g: FiniteGroup, subgroup) -> tuple:
 
 
 def validate_simultaneous_reps(g: FiniteGroup, subgroup, reps) -> tuple[bool, str | None]:
-    """Each left coset and each right coset must hold exactly one entry."""
-    system = coset_system(g, subgroup)
+    """Each left coset and each right coset must hold exactly one entry:
+    there must be |G|/|H| entries, and their left cosets rH must be
+    pairwise disjoint, and so must their right cosets Hr.  That takes
+    2|G| products and runs no solver."""
+    h = _subgroup_indices(g, subgroup)
+    index = g.order // len(h)
     reps = tuple(reps)
-    if len(reps) != system.index:
-        return False, f"expected {system.index} representatives, got {len(reps)}"
+    if len(reps) != index:
+        return False, f"expected {index} representatives, got {len(reps)}"
     try:
-        chosen = core._mask_of(reps, g._index, "reps")
+        core._mask_of(reps, g._index, "reps")
     except ValidationError as exc:  # an unhashable or unknown entry
         return False, str(exc)
-    for name, cosets in (("left", system.left), ("right", system.right)):
-        for k, coset in enumerate(cosets):
-            hits = (core._mask_of(coset, g._index, name) & chosen).bit_count()
-            if hits != 1:
-                return False, f"{name} coset {k} holds {hits} representatives"
+    at = [g._index[r] for r in reps]
+    for side, times in (("left", g._product), ("right", lambda r, b: g._product(b, r))):
+        owner = [None] * g.order
+        for k, r in enumerate(at):
+            for b in h:
+                x = times(r, b)
+                if owner[x] is not None:
+                    return False, f"the {side} cosets of representatives {owner[x]} and {k} meet"
+                owner[x] = k
     return True, None
 
 

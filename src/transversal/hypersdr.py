@@ -167,5 +167,8 @@ def validate_hyper_sdr(fam: HypergraphFamily, sdr: HyperSdr) -> tuple[bool, str 
 
 def verify_hyper_sdr(fam: HypergraphFamily, cert: dict) -> tuple[bool, str | None]:
     """Check a ``hyper-sdr`` certificate object: "selection" lists one edge
-    per hypergraph."""
+    per hypergraph.  A not-found answer, with a "witness" and no
+    "selection", has nothing a checker could read."""
+    if "selection" not in cert and "witness" in cert:
+        return False, "a not-found answer carries no certificate a checker can read"
     return validate_hyper_sdr(fam, HyperSdr(tuple(core._cert_rows(cert, "selection", fam._index))))

@@ -341,7 +341,10 @@ def _least_odd_hole(adjs, n):
 def verify_perfect(g: Graph, cert: dict) -> tuple[bool, str | None]:
     """Check a ``perfect`` certificate object: the "witness" vertices induce
     an odd cycle of 5 or more vertices in the graph or in its complement,
-    so their clique number is below their chromatic number."""
+    so their clique number is below their chromatic number.  A perfect
+    answer has no witness, and nothing else a checker could read."""
+    if cert.get("perfect") is True:
+        return False, "a perfect answer carries no certificate a checker can read"
     witness = core._cert_field(cert, "witness", index=g._index)
     core._index_labels(witness, "witness")
     if len(witness) < 5 or len(witness) % 2 == 0:

@@ -1,3 +1,7 @@
+import ast
+import importlib
+import inspect
+import pkgutil
 import random
 import re
 import sys
@@ -11,6 +15,7 @@ import pytest
 from oracles import (brute_permanent, coefficient_sum, decomposition_matrix, fraction_birkhoff,
                      fraction_entry, fraction_is_doubly_stochastic, fraction_verify_birkhoff,
                      identity_matrix, uniform_matrix)
+import transversal
 from transversal import birkhoff
 from transversal.errors import ResourceLimitError, ValidationError
 
@@ -180,9 +185,9 @@ class TestCanonicalForm:
     def test_equal_matrices_hold_equal_rows(self):
         a, b = M([["2/4"]]), M([[Fraction(1, 2)]])
         assert a == b and hash(a) == hash(b)
-        assert (a.scale, a.rows) == (2, ((1,),))
+        assert (a.rows, a.dens) == (((1,),), (2,))
         assert M([["1/2", "1/3"], ["1/6", "0"]]).rows == ((3, 2), (1, 0))
-        assert M([["1/2", "1/3"], ["1/6", "0"]]).scale == 6
+        assert M([["1/2", "1/3"], ["1/6", "0"]]).dens == (6, 6)
         assert M([["1", "0"], ["0", "1"]]) != M([["1", "0"], ["0", "1/2"]])
 
     def test_entries_are_fractions(self):
@@ -198,7 +203,26 @@ class TestCanonicalForm:
         zero = M([["0", "-0/3"], [0, "0.0"]])
         assert zero.to_json() == {"n": 2, "entries": [["0", "0"], ["0", "0"]]}
         assert repr(zero) == "RationalMatrix([['0', '0'], ['0', '0']])"
-        assert (M([]).scale, M([]).rows, zero.scale, zero.rows) == (1, (), 1, ((0, 0), (0, 0)))
+        assert (M([]).rows, M([]).dens, zero.rows, zero.dens) == ((), (), ((0, 0), (0, 0)), (1, 1))
+
+
+class TestOneReader:
+    def test_entries_are_parsed_only_by_the_matrix(self):
+        """`RationalMatrix._parsed` and `_row_pairs` are named nowhere in the
+        package outside `RationalMatrix`, so every matrix reaches the
+        kernels in the one stored form and no second reader can come back."""
+        readers = {"_parsed", "_row_pairs"}
+        named = []
+        for info in pkgutil.iter_modules(transversal.__path__):
+            tree = ast.parse(inspect.getsource(importlib.import_module(f"transversal.{info.name}")))
+            inside = set()
+            for node in tree.body:
+                if isinstance(node, ast.ClassDef) and node.name == "RationalMatrix":
+                    inside = {id(n) for n in ast.walk(node)}
+            named += [(info.name, id(n) in inside) for n in ast.walk(tree)
+                      if isinstance(n, ast.Name) and n.id in readers
+                      or isinstance(n, ast.Attribute) and n.attr in readers]
+        assert named and set(named) == {("birkhoff", True)}
 
 
 class TestDoublyStochastic:

@@ -25,18 +25,20 @@ def write(tmp_path, name, obj):
     return str(path)
 
 
-def refused_within_a_second(capsys, *argv):
+def refused_within_a_second(capsys, *argv, exit_code=3):
     """Run argv in a separate process first, so that a missing ceiling fails
     the test instead of hanging it, then in this one against the clock; both
-    must exit 3.  Returns the envelope."""
+    must exit `exit_code`: 3, a resource limit, or 2, invalid input.
+    Returns the envelope."""
     src = os.path.dirname(os.path.dirname(inspect.getfile(cli)))
     proc = subprocess.run([sys.executable, "-m", "transversal.cli", *argv], timeout=30,
                           capture_output=True, env={**os.environ, "PYTHONPATH": src})
-    assert proc.returncode == 3
+    assert proc.returncode == exit_code
     start = time.perf_counter()
     code, env, _ = run(capsys, *argv)
     assert time.perf_counter() - start < 1.0
-    assert code == 3 and env["status"] == "resource-limit"
+    status = {2: "invalid-input", 3: "resource-limit"}[exit_code]
+    assert code == exit_code and env["status"] == status
     return env
 
 
@@ -403,6 +405,34 @@ class TestBirkhoffCommands:
         assert len(env["diagnostics"]) < 200
         ok, reason = birkhoff.is_doubly_stochastic(birkhoff.RationalMatrix(entries))
         assert not ok and reason.startswith("row 0 ")
+
+    def test_many_denominators_refused_within_a_second(self, capsys, tmp_path):
+        """40x40 "1/q" entries with 300-digit q have a common denominator of
+        some 12,000 digits, but row 0 already fails over its own: the
+        refusal names it and exits 2 before that denominator is built."""
+        rng = random.Random(40)
+        entries = [[f"1/{rng.randrange(10**299, 10**300)}" for _ in range(40)] for _ in range(40)]
+        path = write(tmp_path, "m.json", {"n": 40, "entries": entries})
+        env = refused_within_a_second(capsys, "birkhoff", path, exit_code=2)
+        assert env["diagnostics"] == ("matrix is not doubly stochastic: row 0 does not sum to 1: "
+                                      "its sum has over 4300 digits (field: entries)")
+
+    def test_many_denominators_decomposed_within_a_second(self, capsys, tmp_path):
+        """80 diagonal blocks [[1/q, 1 - 1/q], [1 - 1/q, 1/q]] with distinct
+        300-digit q give a common denominator of some 24,000 digits: each row
+        is brought to it with one division, not one per entry."""
+        rng, n = random.Random(160), 160
+        entries = [["0"] * n for _ in range(n)]
+        for k in range(0, n, 2):
+            q = rng.randrange(10**299, 10**300)
+            entries[k][k] = entries[k + 1][k + 1] = f"1/{q}"
+            entries[k][k + 1] = entries[k + 1][k] = f"{q - 1}/{q}"
+        path = write(tmp_path, "m.json", {"n": n, "entries": entries})
+        start = time.perf_counter()
+        code, env, _ = run(capsys, "birkhoff", path)
+        assert time.perf_counter() - start < 1.0 and code == 0
+        cert = write(tmp_path, "cert.json", env["payload"])
+        assert run(capsys, "birkhoff", path, "--verify", cert)[0] == 0
 
     def test_permanent(self, capsys, tmp_path):
         path = write(
@@ -1113,6 +1143,19 @@ class TestCertificateBoundary:
             path = write(tmp_path, "cert.json", payload)
             code, env, _ = run_on(capsys, tmp_path, command, objs, (*extra, "--verify", path))
             assert code == expect and env["payload"]["valid"] is (expect == 0)
+
+    @pytest.mark.parametrize("command, objs", [
+        ("perfect", VALID_INPUTS["perfect"][0]),
+        ("hyper-sdr", [{"vertices": ["1", "2"], "hypergraphs": [[["1", "2"]], [["1", "2"]]]}]),
+    ])
+    def test_uncertified_answer_rejected_with_a_reason(self, capsys, tmp_path, command, objs):
+        """A perfect graph and a hypergraph family with no SDR get answers
+        that carry nothing a checker can read: fed back through --verify,
+        each is refused with that reason, not with a shape error."""
+        cert = write(tmp_path, "cert.json", run_on(capsys, tmp_path, command, objs)[1]["payload"])
+        code, env, _ = run_on(capsys, tmp_path, command, objs, ("--verify", cert))
+        assert code == 1 and env["payload"]["valid"] is False
+        assert env["payload"]["reason"].endswith("carries no certificate a checker can read")
 
     @pytest.mark.parametrize("value", ["1e99999999", "-1e99999999", "1E+99_999_999"])
     @pytest.mark.parametrize("command", ["permanent", "birkhoff", "birkhoff-certificate"])

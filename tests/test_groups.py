@@ -208,6 +208,25 @@ class TestSimultaneousReps:
             assert groups.subgroup_closure(as_table, h) == h
             assert groups.simultaneous_reps(as_table, h) == groups.simultaneous_reps(s4, h)
 
+    def test_check_runs_no_solver(self, monkeypatch):
+        """`verify_cosets` reads the reps alone: with `coset_system` made to
+        raise, it still accepts simultaneous reps and refuses a left
+        transversal that is not a right one."""
+        s4 = symmetric_group(4)
+        h = groups.subgroup_closure(s4, [(2, 1, 3, 4)])
+        system = groups.coset_system(s4, h)
+        bad = tuple(c[0] for c in system.left)
+        assert not brute_left_is_right(s4, h, bad)
+
+        def solver(*args):
+            raise AssertionError("the check ran the solver")
+
+        monkeypatch.setattr(groups, "coset_system", solver)
+        as_json = {"reps": [list(x) for x in system.reps]}
+        assert groups.verify_cosets(s4, h, as_json) == (True, None)
+        ok, reason = groups.verify_cosets(s4, h, {"reps": [list(x) for x in bad]})
+        assert not ok and reason.startswith("the right cosets of representatives ")
+
     def test_every_pick_checked_against_brute_force(self):
         d4 = dihedral_group(4)
         for x in d4.elements:
