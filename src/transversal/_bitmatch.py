@@ -12,7 +12,10 @@ König covers, and the backward reach sweep of the lex-least assignment
 (`_take`).  That sweep both repairs the rows a greedy pass leaves unmatched
 and fixes each row to its least column; it settles every candidate column
 of a row at once, so the assignment runs no maximum matching and no search
-that fails.
+that fails.  `peel` runs it round after round, taking each answer out of
+the masks, for Birkhoff decomposition, Latin completion and Youden
+squares; it alone keeps the sweep's column-to-rows table and warm start
+in step with the masks.
 
 The maximum matching and the forward reach each come in two forms.  The
 mask form steps through a row's mask; the list form walks the row's columns
@@ -413,10 +416,8 @@ def lex_least_assignment(row_masks, n_cols, start=None, col_rows=None):
     The answer is unique, so it does not depend on the start.
 
     `col_rows`, if given, is the column-to-rows table of `row_masks` (see
-    `_column_rows`); it is read, never changed.  A caller that runs round
-    after round on masks that only lose bits keeps one table and clears its
-    bit wherever it clears a mask bit.  Without it the table is built at the
-    first sweep.
+    `_column_rows`), read and never changed; `peel` keeps one across its
+    rounds.  Without it the table is built at the first sweep.
     """
     n_rows = len(row_masks)
     match_col = [UNMATCHED] * n_cols
@@ -477,6 +478,40 @@ def lex_least_assignment(row_masks, n_cols, start=None, col_rows=None):
         used |= first
         free ^= 1 << c
     return match_row
+
+
+def peel(row_masks, n_cols, weights=None):
+    """Yield (mu, assignment) while any mask is nonzero: `assignment` is
+    the lex-least perfect assignment of what is left, as a tuple, and `mu`
+    the least of ``weights[r][c]`` on it, or 1 without weights.
+
+    Each weight on the assignment then drops by mu, and an entry that
+    reaches 0 leaves its row's mask and its column's bit of the
+    column-to-rows table; without weights every entry taken leaves.  The
+    table is built once, and each round starts from the entries the last
+    one kept.  This is König's peeling of a regular bipartite graph into
+    perfect matchings, and Birkhoff's of a doubly stochastic matrix: when
+    every row and column sums to the same total an assignment is always
+    left, so the AssertionError raised otherwise cannot happen.
+    `row_masks` and `weights` are consumed.
+    """
+    col_rows = _column_rows(row_masks, n_cols)
+    start = None
+    while any(row_masks):
+        assignment = lex_least_assignment(row_masks, n_cols, start, col_rows)
+        if assignment is None:
+            raise AssertionError("no perfect assignment is left to peel")
+        mu = 1 if weights is None else min(row[c] for row, c in zip(weights, assignment))
+        yield mu, tuple(assignment)
+        for r, c in enumerate(assignment):
+            if weights is not None:
+                weights[r][c] -= mu
+                if weights[r][c]:
+                    continue
+            row_masks[r] &= ~(1 << c)
+            col_rows[c] &= ~(1 << r)
+            assignment[r] = UNMATCHED
+        start = assignment
 
 
 def _take(row_masks, col_rows, match_row, match_col, row, cols, marked, free, toward):

@@ -270,43 +270,19 @@ def _printable(x) -> bool:
 def birkhoff_decompose(m: RationalMatrix) -> BirkhoffDecomposition:
     """Write a doubly stochastic matrix as a convex sum of permutations.
 
-    Each round finds the lexicographically least permutation supported on
-    the positive entries, subtracts it scaled by its minimum entry, and
-    repeats; every round kills at least one entry, so at most
-    nnz - n + 1 terms appear and the reconstruction is exact.  The rounds
-    run on the entries times their least common denominator D, the rows
-    that the doubly stochastic check builds, and each coefficient is
-    mu / D.  The support masks and their column-to-rows table are built
-    once; a round clears the bit of each entry it brings to zero in both,
-    and the next round's assignment starts from this round's permutation
-    less those entries.
+    Each round takes the lexicographically least permutation supported on
+    the positive entries, scaled by its minimum entry (`_bitmatch.peel`);
+    every round kills at least one entry, so at most nnz - n + 1 terms
+    appear and the reconstruction is exact.  The rounds run on the entries
+    times their least common denominator D, the rows that the doubly
+    stochastic check builds, and each coefficient is mu / D.
     """
     reason, scale, work = _stochastic_failure(m)
     if reason is not None:
         raise ValidationError(f"matrix is not doubly stochastic: {reason}", field="entries")
-    n = m.n
-    if n == 0:
-        return BirkhoffDecomposition(())
     masks = [sum(1 << j for j, x in enumerate(row) if x) for row in work]
-    col_rows = _bitmatch._column_rows(masks, n)
-    terms = []
-    remaining = scale
-    start = None
-    while remaining:
-        perm = _bitmatch.lex_least_assignment(masks, n, start, col_rows)
-        if perm is None:  # impossible for a doubly stochastic remainder
-            raise AssertionError("no permutation on the positive support")
-        mu = min(work[i][perm[i]] for i in range(n))
-        terms.append((Fraction(mu, scale), tuple(perm)))
-        for i, j in enumerate(perm):
-            work[i][j] -= mu
-            if not work[i][j]:
-                masks[i] &= ~(1 << j)
-                col_rows[j] &= ~(1 << i)
-                perm[i] = _bitmatch.UNMATCHED
-        remaining -= mu
-        start = perm
-    return BirkhoffDecomposition(tuple(terms))
+    return BirkhoffDecomposition(tuple(
+        (Fraction(mu, scale), perm) for mu, perm in _bitmatch.peel(masks, m.n, work)))
 
 
 def permanent(m: RationalMatrix, *, ceiling: int = PERMANENT_CEILING) -> Fraction:

@@ -262,8 +262,7 @@ def _cosets(group, subgroup):
     return "found", payload, f"index {system.index}"
 
 
-def _hyper_sdr(fam, ceiling=None):
-    limits = {} if ceiling is None else {"max_edges": ceiling}
+def _hyper_sdr(fam, **limits):
     result = hypersdr.find_hyper_sdr(fam, **limits)
     if result is not None:
         payload = {"selection": [sorted(e, key=repr) for e in result.selection]}
@@ -328,7 +327,7 @@ _COMMANDS = {c.name: c for c in (
             "latin.verify_youden"),
     Command("rado", ("family", "matroid"),
             _build("core.SetFamily.from_json", "matroids.matroid_from_json"), _rado,
-            "matroids.verify_rado"),
+            "matroids.verify_rado", precheck=matroids.check_ground),
     Command("cosets", ("group",), _coset_problem, _cosets, "groups.verify_cosets",
             options=(("--generators", {"required": True}),)),
     Command("hyper-sdr", ("family",), _build("hypersdr.HypergraphFamily.from_json"), _hyper_sdr,

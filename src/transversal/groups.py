@@ -53,8 +53,9 @@ class FiniteGroup:
     Permutation groups keep their elements, 1-based image tuples, sorted.  A
     table (``table[i][j]`` the index of elements[i] * elements[j]) becomes
     its left-regular representation, row i being x -> i * x, once its
-    identity and inverse laws hold and associativity is checked exhaustively
-    (refused above order 256)."""
+    identity and inverse laws hold and associativity is checked exhaustively.
+    A table above order 256 is refused as too large (ResourceLimitError)
+    once its shape is checked, before any law is."""
 
     __slots__ = ("elements", "identity", "_index", "_perms", "_at")
 
@@ -67,6 +68,9 @@ class FiniteGroup:
         ):
             raise ValidationError("table must be square and match the element count",
                                   field="table")
+        if n > ASSOCIATIVITY_CEILING:
+            raise ResourceLimitError(f"table group of order {n} is above the associativity "
+                                     f"ceiling {ASSOCIATIVITY_CEILING}")
         table = tuple(tuple(row) for row in table)
         for i, row in enumerate(table):
             for j, k in enumerate(row):
@@ -84,10 +88,6 @@ class FiniteGroup:
             if not any(table[i][j] == identity and table[j][i] == identity for j in range(n)):
                 raise ValidationError(f"element {elements[i]!r} has no inverse",
                                       field="table")
-        if n > ASSOCIATIVITY_CEILING:
-            raise ValidationError(
-                f"cannot verify associativity above order {ASSOCIATIVITY_CEILING}"
-            )
         for i in range(n):
             row_i = table[i]
             for j in range(n):

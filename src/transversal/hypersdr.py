@@ -63,12 +63,13 @@ class HyperSdr:
     selection: tuple
 
 
-def _check_ceilings(fam, max_subfamily, max_edges):
+def _check_ceilings(fam, ceiling):
+    """Refuse more than SUBFAMILY_CEILING hypergraphs or `ceiling` edges."""
     total = sum(len(h.edges) for h in fam.members)
-    if len(fam.members) > max_subfamily or total > max_edges:
+    if len(fam.members) > SUBFAMILY_CEILING or total > ceiling:
         raise ResourceLimitError(
             f"{len(fam.members)} hypergraphs / {total} edges exceeds the ceiling "
-            f"({max_subfamily} hypergraphs, {max_edges} edges)"
+            f"({SUBFAMILY_CEILING} hypergraphs, {ceiling} edges)"
         )
 
 
@@ -104,12 +105,7 @@ def _pinnable(targets, masks, limit):
     return False
 
 
-def ah_condition(
-    fam: HypergraphFamily,
-    *,
-    max_subfamily: int = SUBFAMILY_CEILING,
-    max_edges: int = EDGE_CEILING,
-):
+def ah_condition(fam: HypergraphFamily, *, ceiling: int = EDGE_CEILING):
     """The matching-based sufficient condition for a hypergraph SDR.
 
     True when every subfamily of size b admits a matching in the union of
@@ -118,7 +114,7 @@ def ah_condition(
     Only maximal matchings are inspected: a matching's supersets are at
     least as hard to pin, so nothing is lost.
     """
-    _check_ceilings(fam, max_subfamily, max_edges)
+    _check_ceilings(fam, ceiling)
     m = len(fam.members)
     for size in range(1, m + 1):
         for group in combinations(range(m), size):
@@ -133,18 +129,13 @@ def ah_condition(
     return True, None
 
 
-def find_hyper_sdr(
-    fam: HypergraphFamily,
-    *,
-    max_subfamily: int = SUBFAMILY_CEILING,
-    max_edges: int = EDGE_CEILING,
-):
+def find_hyper_sdr(fam: HypergraphFamily, *, ceiling: int = EDGE_CEILING):
     """Exhaustive search over edge choices with disjointness pruning.
 
     Returns the lexicographically least selection (by listed edge order) or
     None after exhausting the search space.
     """
-    _check_ceilings(fam, max_subfamily, max_edges)
+    _check_ceilings(fam, ceiling)
     options = [list(zip(h._masks, h.edges)) for h in fam.members]
     selection = next(_bitmatch.disjoint_choices(options), None)
     return None if selection is None else HyperSdr(selection)

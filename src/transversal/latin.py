@@ -112,40 +112,19 @@ def extend_row(rect: LatinRectangle) -> LatinRectangle:
     cannot fail; the lexicographically least row is chosen.
     """
     if rect.is_square:
-        raise AlreadyCompleteError("rectangle is already a square")
-    new_row = _next_row(rect.column_deficiencies())
-    return LatinRectangle(rect.n, rect.rows + (new_row,))
+        raise AlreadyCompleteError("rectangle is already a square", field="rows")
+    assignment = _bitmatch.lex_least_assignment(rect.column_deficiencies(), rect.n)
+    return LatinRectangle(rect.n, rect.rows + (tuple(c + 1 for c in assignment),))
 
 
 def complete(rect: LatinRectangle) -> LatinRectangle:
-    """Extend row by row until square.
-
-    The column deficiency masks and their symbol-to-columns table are
-    carried from row to row, each new row clearing its symbols from both,
-    and the square is built and validated once.
-    """
+    """Extend row by row until square, each row the lexicographically least
+    (`_bitmatch.peel` on the column deficiency masks); the square is built
+    and validated once."""
     if rect.is_square:
         return rect
-    masks = rect.column_deficiencies()
-    col_rows = _bitmatch._column_rows(masks, rect.n)
-    rows = list(rect.rows)
-    while len(rows) < rect.n:
-        new_row = _next_row(masks, col_rows)
-        rows.append(new_row)
-        for c, symbol in enumerate(new_row):
-            masks[c] &= ~(1 << (symbol - 1))
-            col_rows[symbol - 1] &= ~(1 << c)
-    return LatinRectangle(rect.n, rows)
-
-
-def _next_row(masks, col_rows=None):
-    """The lexicographically least row whose column c holds a symbol from
-    deficiency mask c, as symbols 1..n; `col_rows`, if given, is the
-    masks' column-to-rows table."""
-    assignment = _bitmatch.lex_least_assignment(masks, len(masks), None, col_rows)
-    if assignment is None:  # ruled out by regularity
-        raise AssertionError("deficiency family unexpectedly has no SDR")
-    return tuple(c + 1 for c in assignment)
+    peeled = _bitmatch.peel(rect.column_deficiencies(), rect.n)
+    return LatinRectangle(rect.n, rect.rows + tuple(tuple(c + 1 for c in a) for _, a in peeled))
 
 
 def count_extensions(rect: LatinRectangle, *, ceiling: int = EXTENSION_COUNT_CEILING) -> int:
@@ -153,7 +132,7 @@ def count_extensions(rect: LatinRectangle, *, ceiling: int = EXTENSION_COUNT_CEI
     matrix (column against symbol).  Refused above width `ceiling`, and by
     the permanent kernel's work guard."""
     if rect.is_square:
-        raise AlreadyCompleteError("rectangle is already a square")
+        raise AlreadyCompleteError("rectangle is already a square", field="rows")
     if rect.n > ceiling:
         raise ResourceLimitError(f"width {rect.n} is above the counting ceiling {ceiling}")
     masks = rect.column_deficiencies()
@@ -258,23 +237,12 @@ def youden_from_design(d: BlockDesign):
     if d.v != d.b:
         raise ValidationError(f"need as many blocks as points, got v={d.v}, b={d.b}",
                               field="blocks")
-    k = d.block_size
-    if k is None:
+    if d.block_size is None:
         raise ValidationError("blocks must share one size", field="blocks")
     if d.replication is None:
         raise ValidationError("design must be equireplicate", field="blocks")
-    remaining = list(d._block_masks)
-    col_rows = _bitmatch._column_rows(remaining, d.v)
-    out = []
-    for _ in range(k):
-        assignment = _bitmatch.lex_least_assignment(remaining, d.v, None, col_rows)
-        if assignment is None:  # ruled out by regularity
-            raise AssertionError("remainder family unexpectedly has no SDR")
-        out.append(tuple(d.points[p] for p in assignment))
-        for j, p in enumerate(assignment):
-            remaining[j] &= ~(1 << p)
-            col_rows[p] &= ~(1 << j)
-    return tuple(out)
+    peeled = _bitmatch.peel(list(d._block_masks), d.v)
+    return tuple(tuple(d.points[p] for p in assignment) for _, assignment in peeled)
 
 
 def validate_youden(d: BlockDesign, array) -> tuple[bool, str | None]:

@@ -383,6 +383,14 @@ class RadoViolator:
             raise ValidationError("violator rank is not below its index count")
 
 
+def check_ground(family: core.SetFamily, m: MatroidOracle) -> None:
+    """Raise ``ValidationError`` unless the family's ground lies in the
+    matroid's: neither a search nor a certificate check is defined then."""
+    if any(x not in m._index for x in family.ground):
+        raise ValidationError("family ground is not contained in the matroid ground",
+                              field="ground")
+
+
 def rado_check(family: core.SetFamily, m: MatroidOracle):
     """Find a system of independent representatives or a rank violator.
 
@@ -396,9 +404,7 @@ def rado_check(family: core.SetFamily, m: MatroidOracle):
     incremental basis (`MatroidOracle.basis`), so a built-in kind makes no
     call to its independence predicate.
     """
-    if any(x not in m._index for x in family.ground):
-        raise ValidationError("family ground is not contained in the matroid ground",
-                              field="ground")
+    check_ground(family, m)
     reached: dict = {}
     reps = _sir_augmenting(family, m, reached)
     if reps is not None:

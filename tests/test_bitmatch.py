@@ -697,7 +697,8 @@ class TestKeptTable:
 
     def test_one_table_per_solve(self, monkeypatch):
         """Birkhoff, Latin completion and Youden each build the table once
-        and keep it across their rounds."""
+        and keep it across their rounds; a Latin row extension, one round,
+        builds it only if a sweep needs it."""
         transpose = _bitmatch._column_rows
         built = []
 
@@ -715,6 +716,92 @@ class TestKeptTable:
         assert latin.complete(latin.LatinRectangle(40, [row])).is_square and built == [40]
         built.clear()
         assert len(latin.youden_from_design(paley_43())) == 21 and built == [43]
+        square = latin.complete(latin.LatinRectangle(40, [row]))
+        for m, tables in ((1, []), (5, [40]), (20, [40]), (39, [])):
+            built.clear()
+            assert latin.extend_row(latin.LatinRectangle(40, square.rows[:m])).m == m + 1
+            assert built == tables, m
+
+
+def disjoint_permutations(rng, n, k):
+    """k random permutations of range(n) that share no (row, column) pair:
+    row r of the t-th takes column cols[(rows[r] + shifts[t]) % n]."""
+    rows, cols = rng.sample(range(n), n), rng.sample(range(n), n)
+    return [[cols[(rows[r] + s) % n] for r in range(n)] for s in rng.sample(range(n), k)]
+
+
+class TestPeel:
+    def test_regular_masks_split_into_perfect_matchings(self):
+        """König: a k-regular bipartite graph is k disjoint perfect
+        matchings, and each round is the lex-least of what is left."""
+        rng = random.Random(3200)
+        for _ in range(40):
+            n = rng.randint(5, 40)
+            k = rng.randint(1, min(n, 5))
+            masks = [0] * n
+            for perm in disjoint_permutations(rng, n, k):
+                for r, c in enumerate(perm):
+                    masks[r] |= 1 << c
+            left = list(masks)
+            rounds = []
+            for mu, assignment in _bitmatch.peel(list(masks), n):
+                assert mu == 1
+                assert list(assignment) == rematch_lex_least(left, n), (left, n)
+                for r, c in enumerate(assignment):
+                    left[r] &= ~(1 << c)
+                rounds.append(assignment)
+            assert len(rounds) == k and not any(left)
+            edges = {(r, c) for assignment in rounds for r, c in enumerate(assignment)}
+            assert len(edges) == k * n
+            assert all((masks[r] >> c) & 1 for r, c in edges)
+
+    def test_weighted_rounds_rebuild_the_weights(self):
+        rng = random.Random(3201)
+        for _ in range(30):
+            n = rng.randint(1, 12)
+            weights = [[0] * n for _ in range(n)]
+            for _ in range(rng.randint(1, 3 * n)):
+                w = rng.randint(1, 9)
+                for r, c in enumerate(rng.sample(range(n), n)):
+                    weights[r][c] += w
+            masks = [sum(1 << c for c, x in enumerate(row) if x) for row in weights]
+            rebuilt = [[0] * n for _ in range(n)]
+            terms = list(_bitmatch.peel(list(masks), n, [list(row) for row in weights]))
+            for mu, assignment in terms:
+                assert mu > 0
+                for r, c in enumerate(assignment):
+                    rebuilt[r][c] += mu
+            assert rebuilt == weights
+            assert len(terms) <= sum(map(int.bit_count, masks)) - n + 1
+
+    def test_unpeelable_masks(self):
+        """Row 1 loses its one column to the first round, while row 0
+        keeps one: no second assignment exists."""
+        with pytest.raises(AssertionError):
+            list(_bitmatch.peel([0b11, 0b01], 2))
+
+    def test_nothing_to_peel(self):
+        assert list(_bitmatch.peel([], 0)) == list(_bitmatch.peel([0, 0], 3)) == []
+
+
+def test_rounds_run_only_in_bitmatch():
+    """The round loop lives in `_bitmatch.peel`: outside `_bitmatch`, no
+    module builds the column-to-rows table or hands `lex_least_assignment`
+    a start or a table."""
+    found = []
+    for info in pkgutil.iter_modules(transversal.__path__):
+        if info.name == "_bitmatch":
+            continue
+        module = importlib.import_module(f"transversal.{info.name}")
+        for call in ast.walk(ast.parse(inspect.getsource(module))):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "_column_rows" or (
+                    name == "lex_least_assignment" and len(call.args) + len(call.keywords) > 2):
+                found.append((info.name, call.lineno, name))
+    assert found == []
 
 
 def agree_with_probe_search(monkeypatch):

@@ -519,6 +519,11 @@ class TestLatinCommands:
         path = write(tmp_path, "r.json", {"n": 1, "rows": [[1]]})
         assert run(capsys, "latin-extend", path)[0] == 2
 
+    def test_extend_square_names_rows(self, capsys, tmp_path):
+        path = write(tmp_path, "r.json", {"n": 2, "rows": [[1, 2], [2, 1]]})
+        code, env, _ = run(capsys, "latin-extend", path)
+        assert code == 2 and env["diagnostics"].endswith("(field: rows)")
+
     def test_width_ceiling(self, capsys, tmp_path):
         path = write(tmp_path, "r.json", {"n": 20000, "rows": []})
         env = refused_within_a_second(capsys, "latin-extend", path)
@@ -645,6 +650,17 @@ class TestRadoCommand:
         code, env, _ = run(capsys, "rado", fam, write(tmp_path, "mat.json", matroid))
         assert code == 2 and f"(field: {field})" in env["diagnostics"]
 
+    def test_family_ground_outside_the_matroid(self, capsys, tmp_path):
+        """Solving and --verify both refuse the input, naming the ground;
+        --verify does so before it reads the certificate, here a missing
+        file."""
+        fam = write(tmp_path, "f.json", {"ground": ["1", "z"], "sets": [["1"], ["z"]]})
+        matroid = write(tmp_path, "mat.json", {"kind": "free", "ground": ["1", "2"]})
+        missing = str(tmp_path / "no-such-cert.json")
+        for extra in ((), ("--verify", missing)):
+            code, env, _ = run(capsys, "rado", fam, matroid, *extra)
+            assert code == 2 and env["diagnostics"].endswith("(field: ground)"), extra
+
     def test_huge_prime_modulus_hits_the_ceiling(self, capsys, tmp_path, fam3):
         matroid = {"kind": "linear", "columns": {"1": [1], "2": [1]}, "modulus": (1 << 61) - 1}
         env = refused_within_a_second(capsys, "rado", fam3, write(tmp_path, "mat.json", matroid))
@@ -723,6 +739,14 @@ class TestCosetsCommand:
         order = 104858 if group["degree"] == 10 else 1
         assert f"order reached {order}" in env["diagnostics"]
         assert "ceiling of 1048576" in env["diagnostics"]
+
+    def test_table_above_the_associativity_ceiling(self, capsys, tmp_path):
+        n = groups.ASSOCIATIVITY_CEILING + 1
+        group = {"elements": list(range(n)),
+                 "table": [[(i + j) % n for j in range(n)] for i in range(n)]}
+        env = refused_within_a_second(capsys, "cosets", write(tmp_path, "g.json", group),
+                                      "--generators", "[]")
+        assert f"order {n}" in env["diagnostics"] and "ceiling 256" in env["diagnostics"]
 
     @pytest.mark.parametrize("generators", ["5", '[{"x": 1}]', '"a"', '["zz"]', "[[1]]", "[1"])
     def test_malformed_generators_name_field(self, capsys, tmp_path, generators):

@@ -7,7 +7,7 @@ import pytest
 from oracles import (cyclic_group, dihedral_group, group_inverse, group_mul,
                      symmetric_group)
 from transversal import core, groups
-from transversal.errors import ValidationError
+from transversal.errors import ResourceLimitError, ValidationError
 
 
 def klein_table():
@@ -47,6 +47,12 @@ class TestFiniteGroup:
         ]
         with pytest.raises(ValidationError, match="associativity"):
             groups.FiniteGroup(range(5), table)
+
+    def test_table_above_the_associativity_ceiling_is_too_large(self):
+        n = groups.ASSOCIATIVITY_CEILING + 1
+        table = [[(i + j) % n for j in range(n)] for i in range(n)]
+        with pytest.raises(ResourceLimitError, match=f"order {n} .* ceiling 256"):
+            groups.FiniteGroup(range(n), table)
 
     def test_json_table_and_permutations(self):
         g = groups.group_from_json(

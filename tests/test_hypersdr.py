@@ -57,6 +57,16 @@ class TestAhCondition:
         with pytest.raises(ResourceLimitError):
             hypersdr.ah_condition(wide)
 
+    def test_ceiling_raises_the_edge_limit_only(self):
+        """`ceiling` admits more edges; the subfamily limit is a constant."""
+        wide = family([1], *[[[1]] * 7 for _ in range(2)])
+        assert hypersdr.ah_condition(wide, ceiling=14) == (False, (0, 1))
+        assert hypersdr.find_hyper_sdr(wide, ceiling=14) is None
+        big = family([1, 2], *[[[1], [2], [1, 2]] for _ in range(5)])
+        for search in (hypersdr.ah_condition, hypersdr.find_hyper_sdr):
+            with pytest.raises(ResourceLimitError, match="4 hypergraphs"):
+                search(big, ceiling=100)
+
 
 class TestFindHyperSdr:
     def test_basic_selection(self):

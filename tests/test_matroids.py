@@ -166,8 +166,11 @@ class TestRadoCheck:
 
     def test_ground_mismatch_rejected(self):
         fam = core.SetFamily(["x"], [["x"]])
-        with pytest.raises(ValidationError):
-            matroids.rado_check(fam, triangle())
+        for check in (matroids.rado_check, matroids.check_ground):
+            with pytest.raises(ValidationError) as caught:
+                check(fam, triangle())
+            assert caught.value.field == "ground"
+        assert matroids.check_ground(core.SetFamily(["e1"], [["e1"]]), triangle()) is None
 
     def test_strategies_agree_random(self):
         rng = random.Random(808)
