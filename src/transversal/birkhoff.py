@@ -187,10 +187,10 @@ def term_bound(m: RationalMatrix) -> int:
 def verify_birkhoff(m: RationalMatrix, cert: dict) -> tuple[bool, str | None]:
     """Check a ``birkhoff`` certificate object: "terms" with positive
     rational "coefficient"s summing to 1 whose "permutation"s (the column
-    of each row) rebuild `m`, at most ``term_bound(m)`` of them.  The sums
-    run on integers over the least common denominator D of the
-    coefficients: the coefficients times D must sum to D, and row i of the
-    rebuilt matrix times D must equal `m.rows[i]` times D / `m.dens[i]`."""
+    of each row) rebuild `m`, at most "term_bound", ``term_bound(m)``, of
+    them.  The sums run on integers over the least common denominator D of
+    the coefficients: the coefficients times D must sum to D, and row i of
+    the rebuilt matrix times D must equal `m.rows[i]` times D / `m.dens[i]`."""
     columns = {j: j for j in range(m.n)}
     terms = []
     for k, term in enumerate(core._cert_field(cert, "terms")):
@@ -215,7 +215,10 @@ def verify_birkhoff(m: RationalMatrix, cert: dict) -> tuple[bool, str | None]:
         for x, y in zip(row, target):
             if x * d != y * scale:
                 return False, "terms do not reconstruct the matrix"
-    if len(terms) > term_bound(m):
+    bound = term_bound(m)
+    if core._cert_field(cert, "term_bound", int) != bound:
+        return False, "term_bound differs from the bound of the matrix"
+    if len(terms) > bound:
         return False, "more terms than the support allows"
     return True, None
 

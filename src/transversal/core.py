@@ -56,9 +56,17 @@ def _index_labels(labels, field) -> dict:
 
     The dict keeps the input order, so ``tuple(index)`` is the label tuple.
     Raises ``ValidationError`` naming `field` when `labels` cannot be
-    iterated, or holds an unhashable or a repeated label.
+    iterated, or holds an unhashable or a repeated label.  A sized input is
+    indexed in one bulk pass; the walk below names a refusal, and indexes
+    an unsized one.
     """
-    index: dict = {}
+    try:
+        index = dict(zip(labels, range(len(labels))))
+        if len(index) == len(labels):
+            return index
+    except TypeError:
+        pass
+    index = {}
     try:
         for pos, x in enumerate(labels):
             if x in index:
@@ -67,6 +75,12 @@ def _index_labels(labels, field) -> dict:
     except TypeError as exc:
         raise ValidationError(f"{field} must be a list of labels: {exc}", field=field) from exc
     return index
+
+
+def _all_lists(items) -> bool:
+    """Whether every one of `items` is a list or a tuple, so that a bulk pass
+    may read them: no string, and no iterator that can be read only once."""
+    return all(issubclass(t, (list, tuple)) for t in {*map(type, items)})
 
 
 def _label_list(obj, key):
@@ -181,8 +195,15 @@ class SetFamily:
         index = _index_labels(ground, "ground")
         self.ground = tuple(index)
         self._index = index
-        self._cols = [sorted(set(_positions_of(subset, index, "sets", i)))
-                      for i, subset in enumerate(sets)]
+        sets = sets if isinstance(sets, list) else list(sets)
+        try:
+            if not _all_lists(sets):
+                raise TypeError
+            at = index.__getitem__
+            self._cols = [sorted({*map(at, s)}) for s in sets]
+        except (KeyError, TypeError):
+            self._cols = [sorted(set(_positions_of(s, index, "sets", i)))
+                          for i, s in enumerate(sets)]
         self._mask_list = self._label_sets = None
 
     @property

@@ -26,39 +26,27 @@ class BipartiteGraph:
     def __init__(self, part_a, part_b, edges):
         a_index = core._index_labels(part_a, "partA")
         b_index = core._index_labels(part_b, "partB")
-        part_a = tuple(a_index)
-        part_b = tuple(b_index)
-        cols = [[] for _ in part_a]
-        kept = []
-        seen = set()
-        for k, e in enumerate(edges):
-            if not isinstance(e, (list, tuple)) or len(e) != 2:
-                raise ValidationError(f"edge {k} is not an (a, b) pair: {e!r}",
-                                      field=f"edges[{k}]")
-            a, b = e
-            try:
-                ia, ib = a_index.get(a), b_index.get(b)
-            except TypeError as exc:
-                raise ValidationError(f"bad edge {k}: {exc}", field=f"edges[{k}]") from exc
-            if ia is None:
-                raise ValidationError(f"edge endpoint {a!r} is not in partA", field=f"edges[{k}]")
-            if ib is None:
-                raise ValidationError(f"edge endpoint {b!r} is not in partB", field=f"edges[{k}]")
-            pair = (a, b)
-            if pair in seen:
-                continue
-            seen.add(pair)
-            kept.append(pair)
-            cols[ia].append(ib)
-        self.part_a = part_a
-        self.part_b = part_b
-        self.edges = tuple(kept)
+        self.part_a = tuple(a_index)
+        self.part_b = tuple(b_index)
         self._a_index = a_index
         self._b_index = b_index
+        self._mask_list = None
+        edges = edges if isinstance(edges, list) else list(edges)
+        cols = [[] for _ in a_index]
+        try:
+            if not core._all_lists(edges):
+                raise TypeError
+            for a, b in edges:
+                cols[a_index[a]].append(b_index[b])
+        except (KeyError, TypeError, ValueError):
+            _refuse_pair(edges, a_index, b_index)
+            raise
         for c in cols:
             c.sort()
+        self.edges = tuple(map(tuple, edges))
+        if sum(map(len, map(set, cols))) != len(edges):  # keep each edge's first occurrence
+            self.edges, cols = tuple(dict.fromkeys(self.edges)), [sorted({*c}) for c in cols]
         self._cols = cols
-        self._mask_list = None
 
     @property
     def _masks(self) -> list:
@@ -85,6 +73,23 @@ class BipartiteGraph:
         if not isinstance(obj["edges"], list):
             raise ValidationError("'edges' must be a list of pairs", field="edges")
         return cls(core._label_list(obj, "partA"), core._label_list(obj, "partB"), obj["edges"])
+
+
+def _refuse_pair(edges, a_index, b_index):
+    """Raise the ``ValidationError`` that names the first of `edges` that a
+    bipartite graph on the parts of `a_index` and `b_index` refuses."""
+    for k, e in enumerate(edges):
+        if not isinstance(e, (list, tuple)) or len(e) != 2:
+            raise ValidationError(f"edge {k} is not an (a, b) pair: {e!r}", field=f"edges[{k}]")
+        a, b = e
+        try:
+            ia, ib = a_index.get(a), b_index.get(b)
+        except TypeError as exc:
+            raise ValidationError(f"bad edge {k}: {exc}", field=f"edges[{k}]") from exc
+        if ia is None:
+            raise ValidationError(f"edge endpoint {a!r} is not in partA", field=f"edges[{k}]")
+        if ib is None:
+            raise ValidationError(f"edge endpoint {b!r} is not in partB", field=f"edges[{k}]")
 
 
 @dataclass(frozen=True)
@@ -115,35 +120,24 @@ class Graph:
 
     def __init__(self, vertices, edges):
         index = core._index_labels(vertices, "vertices")
-        vertices = tuple(index)
-        adj = [0] * len(vertices)
-        kept = []
-        seen = set()
-        for k, e in enumerate(edges):
-            if not isinstance(e, (list, tuple)) or len(e) != 2:
-                raise ValidationError(f"edge {k} is not a (u, v) pair: {e!r}",
-                                      field=f"edges[{k}]")
-            u, v = e
-            try:
-                known = u in index and v in index
-            except TypeError as exc:
-                raise ValidationError(f"bad edge {k}: {exc}", field=f"edges[{k}]") from exc
-            if not known:
-                raise ValidationError(f"edge {e!r} mentions an unknown vertex", field="edges")
-            if u == v:
-                raise ValidationError(f"loop at {u!r} is not allowed", field="edges")
-            iu, iv = index[u], index[v]
-            key = (min(iu, iv), max(iu, iv))
-            if key in seen:
-                continue
-            seen.add(key)
-            kept.append((vertices[key[0]], vertices[key[1]]))
+        self.vertices = vertices = tuple(index)
+        self._index = index
+        self._adj = adj = [0] * len(vertices)
+        edges = edges if isinstance(edges, list) else list(edges)
+        try:
+            if not core._all_lists(edges):
+                raise TypeError
+            ends = [(index[u], index[v]) for u, v in edges]
+            if any(iu == iv for iu, iv in ends):
+                raise ValueError
+        except (KeyError, TypeError, ValueError):
+            _refuse_edge(edges, index)
+            raise
+        ends = dict.fromkeys((iu, iv) if iu < iv else (iv, iu) for iu, iv in ends)
+        for iu, iv in ends:  # each edge at its first occurrence
             adj[iu] |= 1 << iv
             adj[iv] |= 1 << iu
-        self.vertices = vertices
-        self.edges = tuple(kept)
-        self._index = index
-        self._adj = adj
+        self.edges = tuple((vertices[iu], vertices[iv]) for iu, iv in ends)
 
     def adjacent(self, u, v) -> bool:
         return (self._adj[self._index[u]] >> self._index[v]) & 1 == 1
@@ -162,6 +156,23 @@ class Graph:
         if not isinstance(obj["edges"], list):
             raise ValidationError("'edges' must be a list of pairs", field="edges")
         return cls(core._label_list(obj, "vertices"), obj["edges"])
+
+
+def _refuse_edge(edges, index):
+    """Raise the ``ValidationError`` that names the first of `edges` that a
+    graph on the vertices of `index` refuses."""
+    for k, e in enumerate(edges):
+        if not isinstance(e, (list, tuple)) or len(e) != 2:
+            raise ValidationError(f"edge {k} is not a (u, v) pair: {e!r}", field=f"edges[{k}]")
+        u, v = e
+        try:
+            known = u in index and v in index
+        except TypeError as exc:
+            raise ValidationError(f"bad edge {k}: {exc}", field=f"edges[{k}]") from exc
+        if not known:
+            raise ValidationError(f"edge {e!r} mentions an unknown vertex", field="edges")
+        if u == v:
+            raise ValidationError(f"loop at {u!r} is not allowed", field="edges")
 
 
 class FlowNetwork:
@@ -282,18 +293,23 @@ def validate_cover(g: BipartiteGraph, cover: VertexCover) -> tuple[bool, str | N
 
 def _matching_field(cert: dict, key: str) -> Matching:
     """The distinct (a, b) pairs a certificate lists under `key`."""
-    pairs = core._index_labels(map(tuple, core._cert_rows(cert, key, width=2)), key)
+    pairs = core._index_labels([*map(tuple, core._cert_rows(cert, key, width=2))], key)
     return Matching(tuple(pairs))
 
 
 def verify_matching(g: BipartiteGraph, cert: dict) -> tuple[bool, str | None]:
-    """Check a ``matching`` certificate object: "edges" is a matching of `g`."""
-    return validate_matching(g, _matching_field(cert, "edges"))
+    """Check a ``matching`` certificate object: "edges" is a matching of `g`
+    of "size" edges."""
+    matching = _matching_field(cert, "edges")
+    ok, reason = validate_matching(g, matching)
+    if ok and core._cert_field(cert, "size", int) != len(matching):
+        ok, reason = False, "size differs from the number of edges"
+    return ok, reason
 
 
 def verify_cover(g: BipartiteGraph, cert: dict) -> tuple[bool, str | None]:
     """Check a ``cover`` certificate object: a "matching" and a vertex
-    "cover" ({"partA": [...], "partB": [...]}) of the same size."""
+    "cover" ({"partA": [...], "partB": [...]}) of the same "size"."""
     matching = _matching_field(cert, "matching")
     cover = core._cert_field(cert, "cover", dict)
     in_a = core._index_labels(core._cert_field(cover, "partA"), "partA")
@@ -303,6 +319,8 @@ def verify_cover(g: BipartiteGraph, cert: dict) -> tuple[bool, str | None]:
         ok, reason = validate_cover(g, VertexCover(tuple(in_a), tuple(in_b)))
     if ok and len(matching) != len(in_a) + len(in_b):
         ok, reason = False, "matching and cover sizes differ"
+    if ok and core._cert_field(cert, "size", int) != len(matching):
+        ok, reason = False, "size differs from the number of edges"
     return ok, reason
 
 
@@ -450,8 +468,8 @@ def verify_maxflow(net: FlowNetwork, cert: dict) -> tuple[bool, str | None]:
     of a feasible flow of "value", and "cut" lists [from, to] arcs of that
     capacity whose removal leaves the sink unreachable from the source."""
     value, flow = core._cert_field(cert, "value", int), core._cert_rows(cert, "flow", width=3)
-    arcs = core._index_labels((tuple(row[:2]) for row in flow), "flow")
-    cut = core._index_labels(map(tuple, core._cert_rows(cert, "cut", width=2)), "cut")
+    arcs = core._index_labels([tuple(row[:2]) for row in flow], "flow")
+    cut = core._index_labels([*map(tuple, core._cert_rows(cert, "cut", width=2))], "cut")
     if not {(u, v) for u, v, _ in net.arcs}.issuperset([*arcs, *cut]):
         return False, "certificate names an arc that is not in the network"
     ok, reason = validate_flow(net, value, dict(zip(arcs, (row[2] for row in flow))))
@@ -502,8 +520,8 @@ def check_endpoints(g: Graph, s, t) -> None:
 
 def verify_menger(g: Graph, s, t, mode: str, cert: dict) -> tuple[bool, str | None]:
     """Check a ``menger`` certificate object: "paths" are `mode`-disjoint
-    s-t paths, and "cut" is as many edges ([u, v]) or inner vertices whose
-    removal leaves `t` unreachable from `s`."""
+    s-t paths, "count" of them, and "cut" is as many edges ([u, v]) or inner
+    vertices whose removal leaves `t` unreachable from `s`."""
     index, adj, edge_mode = g._index, g.adjacency_masks(), mode == "edge"
     paths = core._cert_rows(cert, "paths", index)
     if edge_mode:
@@ -513,6 +531,8 @@ def verify_menger(g: Graph, s, t, mode: str, cert: dict) -> tuple[bool, str | No
         blocked = core._mask_of(cut, index, "cut")
     if len(paths) != len(cut):
         return False, "path count differs from cut size"
+    if core._cert_field(cert, "count", int) != len(paths):
+        return False, "count differs from the number of paths"
     used = set()  # edges as position sets, or inner vertices, by mode
     for k, path in enumerate(paths):
         pos = [index[x] for x in path]

@@ -97,9 +97,11 @@ def _closure(succ, elements):
                 continue
             v = stack.pop()
             pending.pop()
-            closed = succ[v]
-            for w in _bitmatch.bits_of(succ[v]):
-                closed |= above[w]
+            closed = todo = succ[v]
+            while todo:
+                low = todo & -todo
+                closed |= above[low.bit_length() - 1]
+                todo ^= low
             above[v] = closed
             state[v] = 2
     return above

@@ -284,6 +284,8 @@ def fraction_verify_birkhoff(m, cert):
             acc[i][perm[i]] += coefficient
     if birkhoff.RationalMatrix(acc) != m:
         return False, "terms do not reconstruct the matrix"
+    if cert.get("term_bound") != birkhoff.term_bound(m):
+        return False, "term_bound differs from the bound of the matrix"
     if len(terms) > birkhoff.term_bound(m):
         return False, "more terms than the support allows"
     return True, None

@@ -342,7 +342,7 @@ def test_verify_agrees_with_fraction_sums():
         m = random_doubly_stochastic(rng, n)
         terms = [{"coefficient": str(c), "permutation": list(p)}
                  for c, p in birkhoff.birkhoff_decompose(m).terms]
-        cert = {"terms": tampered(rng, terms, n)}
+        cert = {"terms": tampered(rng, terms, n), "term_bound": birkhoff.term_bound(m)}
         got = birkhoff.verify_birkhoff(m, cert)
         assert got == fraction_verify_birkhoff(m, cert), (m, cert)
         verdicts.add(got)

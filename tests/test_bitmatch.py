@@ -493,6 +493,36 @@ def test_form_rule_applied_by_the_row_owners_only():
     assert private and all(where.startswith("_bitmatch.") for where in private), private
 
 
+def label_refusals():
+    """{module.function} for every function of the package that raises
+    ``ValidationError`` and spells out a label refusal: a string that says
+    a value "is not a label" or that something "repeats"."""
+    found = set()
+    for info in pkgutil.iter_modules(transversal.__path__):
+        module = importlib.import_module(f"transversal.{info.name}")
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            raises = any(isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call)
+                         and getattr(n.exc.func, "id", None) == "ValidationError"
+                         for n in ast.walk(node))
+            words = [n.value for n in ast.walk(node)
+                     if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+            if raises and any("which is not a label" in w or " repeats " in w for w in words):
+                found.add(f"{info.name}.{node.name}")
+    return found
+
+
+def test_one_label_reader():
+    """Labels are indexed and looked up by one helper each: only
+    `core._index_labels` refuses a repeated label and only
+    `core._positions_of` one that is not a label, so every constructor's
+    bulk pass and the walk that names its refusal share their wording.
+    `latin._add_row` checks the symbols 1..n of a Latin rectangle, which
+    are numbers checked by row and column, not labels."""
+    assert label_refusals() == {"core._index_labels", "core._positions_of", "latin._add_row"}
+
+
 def assert_no_self_call(obj):
     assert self_calls(inspect.getsource(obj), obj.__name__) == set()
 

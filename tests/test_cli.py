@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from transversal import _bitmatch, birkhoff, cli, core, groups, matroids, posets
+from transversal import _bitmatch, birkhoff, cli, core, groups, latin, matroids, posets
 
 
 def run(capsys, *argv):
@@ -540,6 +540,15 @@ class TestLatinCommands:
 
     def test_count_limit(self, capsys):
         assert run(capsys, "latin-count", "9")[0] == 3
+
+    def test_complete_work_budget(self, capsys, tmp_path):
+        # 3 kB in: completing it would take over 10 s and print 1.7 MB
+        path = write(tmp_path, "row.json", {"n": 600, "rows": [list(range(1, 601))]})
+        start = time.perf_counter()
+        code, env, _ = run(capsys, "latin-complete", path)
+        assert time.perf_counter() - start < 1
+        assert code == 3 and env["status"] == "resource-limit"
+        assert f"over the budget of {latin.COMPLETION_BUDGET}" in env["diagnostics"]
 
     def test_count_node_budget(self, capsys):
         # admitted by the raised ceiling, refused by the search's node budget
@@ -1167,6 +1176,33 @@ class TestCertificateBoundary:
             path = write(tmp_path, "cert.json", payload)
             code, env, _ = run_on(capsys, tmp_path, command, objs, (*extra, "--verify", path))
             assert code == expect and env["payload"]["valid"] is (expect == 0)
+
+    @pytest.mark.parametrize("command, key", [
+        ("matching", "size"), ("cover", "size"), ("menger", "count"), ("birkhoff", "term_bound"),
+    ])
+    def test_stated_size_is_checked(self, capsys, tmp_path, command, key):
+        """A size field of the payload is checked against what it counts:
+        dropped, the certificate is refused naming the field; one more, it
+        does not verify."""
+        objs, extra = VALID_INPUTS[command]
+        cert = run_on(capsys, tmp_path, command, objs, extra)[1]["payload"]
+        dropped = {k: v for k, v in cert.items() if k != key}
+        for forged, named in ((dropped, True), ({**cert, key: cert[key] + 1}, False)):
+            path = write(tmp_path, "cert.json", forged)
+            code, env, _ = run_on(capsys, tmp_path, command, objs, (*extra, "--verify", path))
+            assert code == 1 and env["payload"]["valid"] is False, forged
+            assert env["payload"]["reason"].endswith(f"(field: {key})") is named
+
+    @pytest.mark.parametrize("command, cert", [
+        ("cover", {"matching": [["x", "u"], ["y", "v"]], "cover": {"partA": ["x", "y"], "partB": []},
+                   "size": 9}),
+        ("matching", {"edges": [["x", "u"]], "size": 7}),
+    ])
+    def test_size_that_counts_nothing_rejected(self, capsys, tmp_path, command, cert):
+        graph = {"partA": ["x", "y"], "partB": ["u", "v"], "edges": [["x", "u"], ["y", "v"]]}
+        path = write(tmp_path, "cert.json", cert)
+        code, env, _ = run_on(capsys, tmp_path, command, [graph], ("--verify", path))
+        assert code == 1 and env["payload"]["reason"] == "size differs from the number of edges"
 
     @pytest.mark.parametrize("command, objs", [
         ("perfect", VALID_INPUTS["perfect"][0]),

@@ -81,7 +81,30 @@ class TestExtendRow:
             for m in range(n):
                 for rect in all_rectangles(m, n):
                     extended = latin.extend_row(rect)
-                    assert extended.m == m + 1  # constructor revalidates
+                    assert extended.m == m + 1  # the new row is checked
+                    assert extended._col_masks == R(n, extended.rows)._col_masks
+
+    def test_checks_only_the_new_row(self, monkeypatch):
+        """Extending m rows of width n checks the new row against the kept
+        column masks: O(n) steps, not the O(nm) of checking the rectangle
+        again, which took about 0.4 s here at n = 1000."""
+        n = 1000
+        rect = R(n, [[(i + j) % n + 1 for j in range(n)] for i in range(n - 1)])
+        checked, add_row = [], latin._add_row
+        monkeypatch.setattr(latin, "_add_row",
+                            lambda masks, r, row: checked.append(r) or add_row(masks, r, row))
+        start = time.perf_counter()
+        square = latin.extend_row(rect)
+        assert time.perf_counter() - start < 0.2
+        assert checked == [n - 1] and square.is_square
+        assert square.rows == (*rect.rows, tuple((n - 1 + j) % n + 1 for j in range(n)))
+        assert square.column_deficiencies() == [0] * n and rect.m == n - 1
+
+    def test_bad_new_row_refused(self):
+        rect = R(3, [[1, 2, 3]])
+        with pytest.raises(ValidationError, match="column 0 repeats symbol 1") as info:
+            rect._with_row((1, 3, 2))
+        assert info.value.field == "rows[1]" and rect.m == 1
 
 
 class TestComplete:
@@ -113,6 +136,20 @@ class TestComplete:
         monkeypatch.setattr(latin, "LatinRectangle", Counted)
         square = latin.complete(rect)
         assert square.rows == stepwise.rows and built == [12]
+
+    def test_work_over_the_budget_refused_before_solving(self):
+        """(n - m) * n^2 past the budget is refused at once; the one-row
+        rectangles of the benchmark (n <= 45) are far below it."""
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError) as info:
+            latin.complete(R(600, [range(1, 601)]))
+        assert time.perf_counter() - start < 1
+        assert str(info.value) == (f"completing 599 rows of width 600 is {599 * 600**2} units of"
+                                   f" work, over the budget of {latin.COMPLETION_BUDGET}")
+        widest = max(n for n in range(1, 1000) if (n - 1) * n * n <= latin.COMPLETION_BUDGET)
+        with pytest.raises(ResourceLimitError):
+            latin.complete(R(widest + 1, [range(1, widest + 2)]))
+        assert latin.complete(R(45, [range(1, 46)])).is_square
 
     def test_square_is_returned(self):
         square = latin.complete(R(3, [[1, 2, 3], [2, 3, 1], [3, 1, 2]]))
