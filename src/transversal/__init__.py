@@ -27,7 +27,6 @@ from .core import (
     count_sdrs,
     hall_check,
     partial_sdr,
-    validate_sdr,
 )
 from .errors import AlreadyCompleteError, ResourceLimitError, ValidationError
 from .graphs import (

@@ -4,7 +4,7 @@ and a machine-readable result envelope out.
 Envelope: {"status": found|not-found|invalid-input|resource-limit,
 "payload": certificate, "diagnostics": text}; exit codes 0/1/2/3 in the
 same order.  ``--verify CERT.json`` re-checks a previously emitted
-certificate using only validators, never solvers.
+certificate with the library checker of its subcommand, never a solver.
 
 Each subcommand is one row of `_COMMANDS`, by which `main` reads argv (no
 argparse) and runs: load the files, make the problem, then verify or solve.
@@ -16,7 +16,6 @@ import functools
 import json
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
 from operator import attrgetter
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -30,23 +29,6 @@ _EXIT = {"found": 0, "not-found": 1, "invalid-input": 2, "resource-limit": 3}
 # (n!)^(2n) / n^(n^2) can pass CPython's 4300-digit limit for printing an
 # int, and in the hundreds it takes seconds to compute.
 _BOUNDS_CEILING = 42
-
-
-@dataclass
-class ResultEnvelope:
-    """What every invocation prints: a status, the certificate payload, and
-    a short human-readable note."""
-
-    status: str
-    payload: object
-    diagnostics: str
-
-    @property
-    def exit_code(self) -> int:
-        return _EXIT[self.status]
-
-    def to_json(self) -> dict:
-        return {"status": self.status, "payload": self.payload, "diagnostics": self.diagnostics}
 
 
 def _load(path, field):
@@ -420,12 +402,12 @@ def main(argv=None) -> int:
         status, payload, diagnostics = "invalid-input", None, _described(exc)
     except ResourceLimitError as exc:
         status, payload, diagnostics = "resource-limit", None, str(exc)
-    envelope = ResultEnvelope(status, payload, diagnostics)
+    envelope = {"status": status, "payload": payload, "diagnostics": diagnostics}
     # json.dumps runs the C encoder; json.dump always encodes in Python.
-    sys.stdout.write(json.dumps(envelope.to_json()) + "\n")
+    sys.stdout.write(json.dumps(envelope) + "\n")
     if status in ("invalid-input", "resource-limit"):
         print(diagnostics, file=sys.stderr)
-    return envelope.exit_code
+    return _EXIT[status]
 
 
 if __name__ == "__main__":

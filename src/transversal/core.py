@@ -334,11 +334,10 @@ class ArrayFamily:
         return cls(_label_list(obj, "ground"), obj["grid"])
 
 
-def validate_sdr(family: SetFamily, candidate) -> tuple[bool, str | None]:
-    """Check membership and distinctness of a candidate representative tuple.
-
-    Returns (True, None) on success, else (False, reason) where the reason
-    names the violated clause and the first offending index.
+def _validate_sdr(family: SetFamily, candidate) -> tuple[bool, str | None]:
+    """Check membership and distinctness of a candidate representative tuple
+    (for `verify_sdr` and `matroids.verify_rado`).  Returns (True, None), or
+    (False, reason) naming the violated clause and the first offending index.
     """
     candidate = tuple(candidate)
     if len(candidate) != family.n:
@@ -360,9 +359,14 @@ def verify_sdr(family: SetFamily, cert: dict) -> tuple[bool, str | None]:
     """Check an ``sdr`` certificate object: an SDR under "reps", or else a
     violator under "indices" and "union"."""
     if "reps" in cert:
-        return validate_sdr(family, _cert_field(cert, "reps", index=family._index))
-    indices, union = _cert_field(cert, "indices"), _cert_field(cert, "union")
-    return verify_hall_violator(family, HallViolator(tuple(indices), tuple(union)))
+        return _validate_sdr(family, _cert_field(cert, "reps", index=family._index))
+    indices, stated = _cert_field(cert, "indices"), _cert_field(cert, "union")
+    union, reason = _violator_union(family, indices, stated)
+    if union is None:
+        return False, reason
+    if len(stated) >= len(indices):  # the stated union, repeats and all, is shorter too
+        return False, "union is not smaller than the index set"
+    return True, None
 
 
 def hall_check(family: SetFamily) -> Sdr | HallViolator:
@@ -391,16 +395,6 @@ def _hall_violator(family: SetFamily, rows, match_row, match_col) -> HallViolato
     reached, _ = _bitmatch.alternating_reachable(rows, match_row, match_col)
     indices = tuple(sorted(reached))
     return HallViolator(indices=indices, union=family.union_of(indices))
-
-
-def verify_hall_violator(family: SetFamily, violator: HallViolator) -> tuple[bool, str | None]:
-    """Recompute the union of the named sets and re-check the counting gap."""
-    union, reason = _violator_union(family, violator.indices, violator.union)
-    if union is None:
-        return False, reason
-    if len(union) >= len(violator.indices):
-        return False, "union is not smaller than the index set"
-    return True, None
 
 
 def _violator_union(family: SetFamily, indices, stated_union):
@@ -812,28 +806,22 @@ def _grid_fillings(cell_masks, labels):
     ])
 
 
-def validate_array_sdr(arr: ArrayFamily, grid) -> tuple[bool, str | None]:
-    """Check membership plus row and column distinctness of a filled grid."""
+def verify_array_sdr(arr: ArrayFamily, cert: dict) -> tuple[bool, str | None]:
+    """Check an ``array-sdr`` certificate object: "grid" is a filled grid,
+    each cell holding a member of its set, with no value twice in a row or a
+    column."""
+    grid = _cert_rows(cert, "grid", arr._index)
     n_rows, n_cols = arr.shape
-    grid = tuple(tuple(row) for row in grid)
     if len(grid) != n_rows or any(len(row) != n_cols for row in grid):
         return False, "grid shape does not match the array family"
     for r in range(n_rows):
         for c in range(n_cols):
-            x = grid[r][c]
-            pos = arr._index.get(x)
-            if pos is None or not (arr._masks[r][c] >> pos) & 1:
+            if not (arr._masks[r][c] >> arr._index[grid[r][c]]) & 1:
                 return False, f"membership fails at cell ({r},{c})"
     for r in range(n_rows):
         if len(set(grid[r])) != n_cols:
             return False, f"row {r} repeats a value"
-    for c in range(n_cols):
-        column = [grid[r][c] for r in range(n_rows)]
+    for c, column in enumerate(zip(*grid)):
         if len(set(column)) != n_rows:
             return False, f"column {c} repeats a value"
     return True, None
-
-
-def verify_array_sdr(arr: ArrayFamily, cert: dict) -> tuple[bool, str | None]:
-    """Check an ``array-sdr`` certificate object: "grid" is a filled grid."""
-    return validate_array_sdr(arr, _cert_rows(cert, "grid", arr._index))

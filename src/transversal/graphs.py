@@ -269,10 +269,16 @@ def konig_cover(g: BipartiteGraph) -> tuple[Matching, VertexCover]:
     return matching, VertexCover(in_a=in_a, in_b=in_b)
 
 
-def validate_matching(g: BipartiteGraph, matching: Matching) -> tuple[bool, str | None]:
+def _matching_field(cert: dict, key: str) -> dict:
+    """The distinct (a, b) pairs listed under `key`, as a dict from each to its position."""
+    return core._index_labels([*map(tuple, core._cert_rows(cert, key, width=2))], key)
+
+
+def _validate_matching(g: BipartiteGraph, pairs) -> tuple[bool, str | None]:
+    """Every one of `pairs` is an edge of `g`, and no two share a vertex."""
     seen_a = set()
     seen_b = set()
-    for a, b in matching.edges:
+    for a, b in pairs:
         if not g.has_edge(a, b):
             return False, f"({a!r},{b!r}) is not an edge of the graph"
         if a in seen_a or b in seen_b:
@@ -282,27 +288,12 @@ def validate_matching(g: BipartiteGraph, matching: Matching) -> tuple[bool, str 
     return True, None
 
 
-def validate_cover(g: BipartiteGraph, cover: VertexCover) -> tuple[bool, str | None]:
-    in_a = set(cover.in_a)
-    in_b = set(cover.in_b)
-    for a, b in g.edges:
-        if a not in in_a and b not in in_b:
-            return False, f"edge ({a!r},{b!r}) is uncovered"
-    return True, None
-
-
-def _matching_field(cert: dict, key: str) -> Matching:
-    """The distinct (a, b) pairs a certificate lists under `key`."""
-    pairs = core._index_labels([*map(tuple, core._cert_rows(cert, key, width=2))], key)
-    return Matching(tuple(pairs))
-
-
 def verify_matching(g: BipartiteGraph, cert: dict) -> tuple[bool, str | None]:
     """Check a ``matching`` certificate object: "edges" is a matching of `g`
     of "size" edges."""
-    matching = _matching_field(cert, "edges")
-    ok, reason = validate_matching(g, matching)
-    if ok and core._cert_field(cert, "size", int) != len(matching):
+    pairs = _matching_field(cert, "edges")
+    ok, reason = _validate_matching(g, pairs)
+    if ok and core._cert_field(cert, "size", int) != len(pairs):
         ok, reason = False, "size differs from the number of edges"
     return ok, reason
 
@@ -310,18 +301,21 @@ def verify_matching(g: BipartiteGraph, cert: dict) -> tuple[bool, str | None]:
 def verify_cover(g: BipartiteGraph, cert: dict) -> tuple[bool, str | None]:
     """Check a ``cover`` certificate object: a "matching" and a vertex
     "cover" ({"partA": [...], "partB": [...]}) of the same "size"."""
-    matching = _matching_field(cert, "matching")
+    pairs = _matching_field(cert, "matching")
     cover = core._cert_field(cert, "cover", dict)
     in_a = core._index_labels(core._cert_field(cover, "partA"), "partA")
     in_b = core._index_labels(core._cert_field(cover, "partB"), "partB")
-    ok, reason = validate_matching(g, matching)
-    if ok:
-        ok, reason = validate_cover(g, VertexCover(tuple(in_a), tuple(in_b)))
-    if ok and len(matching) != len(in_a) + len(in_b):
-        ok, reason = False, "matching and cover sizes differ"
-    if ok and core._cert_field(cert, "size", int) != len(matching):
-        ok, reason = False, "size differs from the number of edges"
-    return ok, reason
+    ok, reason = _validate_matching(g, pairs)
+    if not ok:
+        return False, reason
+    for a, b in g.edges:
+        if a not in in_a and b not in in_b:
+            return False, f"edge ({a!r},{b!r}) is uncovered"
+    if len(pairs) != len(in_a) + len(in_b):
+        return False, "matching and cover sizes differ"
+    if core._cert_field(cert, "size", int) != len(pairs):
+        return False, "size differs from the number of edges"
+    return True, None
 
 
 # ---------------------------------------------------------------------------
@@ -444,25 +438,6 @@ def max_flow_min_cut(net: FlowNetwork):
     return value, cut, assignment
 
 
-def validate_flow(net: FlowNetwork, value, assignment) -> tuple[bool, str | None]:
-    """Capacity, integrality, and conservation checks for a flow assignment."""
-    excess = {x: 0 for x in net.nodes}
-    for u, v, c in net.arcs:
-        f = assignment.get((u, v), 0)
-        if isinstance(f, bool) or not isinstance(f, int) or f < 0 or f > c:
-            return False, f"flow on {u!r}->{v!r} violates its capacity"
-        excess[u] -= f
-        excess[v] += f
-    for x in net.nodes:
-        if x in (net.source, net.sink):
-            continue
-        if excess[x] != 0:
-            return False, f"conservation fails at {x!r}"
-    if excess[net.sink] != value:
-        return False, "stated value differs from the net inflow at the sink"
-    return True, None
-
-
 def verify_maxflow(net: FlowNetwork, cert: dict) -> tuple[bool, str | None]:
     """Check a ``maxflow`` certificate object: "flow" lists [from, to, units]
     of a feasible flow of "value", and "cut" lists [from, to] arcs of that
@@ -472,9 +447,19 @@ def verify_maxflow(net: FlowNetwork, cert: dict) -> tuple[bool, str | None]:
     cut = core._index_labels([*map(tuple, core._cert_rows(cert, "cut", width=2))], "cut")
     if not {(u, v) for u, v, _ in net.arcs}.issuperset([*arcs, *cut]):
         return False, "certificate names an arc that is not in the network"
-    ok, reason = validate_flow(net, value, dict(zip(arcs, (row[2] for row in flow))))
-    if not ok:
-        return False, reason
+    units = dict(zip(arcs, (row[2] for row in flow)))
+    excess = dict.fromkeys(net.nodes, 0)
+    for u, v, c in net.arcs:
+        f = units.get((u, v), 0)
+        if isinstance(f, bool) or not isinstance(f, int) or f < 0 or f > c:
+            return False, f"flow on {u!r}->{v!r} violates its capacity"
+        excess[u] -= f
+        excess[v] += f
+    for x in net.nodes:
+        if x not in (net.source, net.sink) and excess[x] != 0:
+            return False, f"conservation fails at {x!r}"
+    if excess[net.sink] != value:
+        return False, "stated value differs from the net inflow at the sink"
     if sum(c for u, v, c in net.arcs if (u, v) in cut) != value:
         return False, "cut capacity differs from the flow value"
     index = net._index

@@ -252,33 +252,49 @@ def simultaneous_reps(g: FiniteGroup, subgroup) -> tuple:
     return coset_system(g, subgroup).reps
 
 
-def validate_simultaneous_reps(g: FiniteGroup, subgroup, reps) -> tuple[bool, str | None]:
-    """Each left coset and each right coset must hold exactly one entry:
-    there must be |G|/|H| entries, and their left cosets rH must be
-    pairwise disjoint, and so must their right cosets Hr.  That takes
-    2|G| products and runs no solver."""
+def verify_cosets(g: FiniteGroup, subgroup, cert: dict) -> tuple[bool, str | None]:
+    """Check a ``cosets`` certificate object for `subgroup`, H: |G|/|H|
+    "reps" whose left cosets rH are pairwise disjoint, and so are their right
+    cosets Hr; "subgroup" lists H; "left" and "right" list each left and each
+    right coset once, as blocks of |H| elements; and "family" is the family
+    over range(|G|/|H|) whose set i holds the right blocks that left block i
+    meets.  That takes 2|G| products and runs no solver."""
     h = _subgroup_indices(g, subgroup)
-    index = g.order // len(h)
-    reps = tuple(reps)
+    size, index = len(h), g.order // len(h)
+    reps = elements_from_json(cert.get("reps"), "reps")
     if len(reps) != index:
         return False, f"expected {index} representatives, got {len(reps)}"
     try:
         core._mask_of(reps, g._index, "reps")
     except ValidationError as exc:  # an unhashable or unknown entry
         return False, str(exc)
-    at = [g._index[r] for r in reps]
+    owners = []
     for side, times in (("left", g._product), ("right", lambda r, b: g._product(b, r))):
-        owner = [None] * g.order
-        for k, r in enumerate(at):
+        owner = [None] * g.order  # owner[x]: the representative whose coset holds x
+        for k, r in enumerate(g._index[r] for r in reps):
             for b in h:
                 x = times(r, b)
                 if owner[x] is not None:
                     return False, f"the {side} cosets of representatives {owner[x]} and {k} meet"
                 owner[x] = k
+        owners.append(owner)
+    listed = elements_from_json(cert.get("subgroup"), "subgroup")
+    if sorted(core._positions_of(listed, g._index, "subgroup")) != h:
+        return False, "subgroup lists other elements than the subgroup"
+    blocks = []
+    for side, owner in zip(("left", "right"), owners):
+        rows = core._cert_rows(cert, side)
+        listed = core._positions_of(elements_from_json([x for row in rows for x in row], side),
+                                    g._index, side)
+        held = [owner[x] for x in listed]  # the coset of each listed element
+        # |G| distinct elements in blocks of |H|, each block inside one coset
+        if (len(rows) != index or any(len(row) != size for row in rows)
+                or len(set(listed)) != g.order or held != [k for k in held[::size] for _ in h]):
+            return False, f"{side} does not list each {side} coset once"
+        blocks.append(listed)
+    right_block = {x: j // size for j, x in enumerate(blocks[1])}
+    sets = [sorted({right_block[x] for x in blocks[0][i:i + size]})
+            for i in range(0, g.order, size)]
+    if cert.get("family") != {"ground": list(range(index)), "sets": sets}:
+        return False, "family differs from the right blocks each left block meets"
     return True, None
-
-
-def verify_cosets(g: FiniteGroup, subgroup, cert: dict) -> tuple[bool, str | None]:
-    """Check a ``cosets`` certificate object: its "reps" are simultaneous
-    coset representatives of `subgroup`."""
-    return validate_simultaneous_reps(g, subgroup, elements_from_json(cert.get("reps"), "reps"))

@@ -141,25 +141,20 @@ def find_hyper_sdr(fam: HypergraphFamily, *, ceiling: int = EDGE_CEILING):
     return None if selection is None else HyperSdr(selection)
 
 
-def validate_hyper_sdr(fam: HypergraphFamily, sdr: HyperSdr) -> tuple[bool, str | None]:
-    """Each entry must be an edge of its hypergraph; entries must be disjoint."""
-    selection = tuple(frozenset(e) for e in sdr.selection)
+def verify_hyper_sdr(fam: HypergraphFamily, cert: dict) -> tuple[bool, str | None]:
+    """Check a ``hyper-sdr`` certificate object: "selection" lists one edge
+    per hypergraph, each an edge of its own, no two sharing a vertex.  A
+    not-found answer, with a "witness" and no "selection", has nothing a
+    checker could read."""
+    if "selection" not in cert and "witness" in cert:
+        return False, "a not-found answer carries no certificate a checker can read"
+    selection = [frozenset(e) for e in core._cert_rows(cert, "selection", fam._index)]
     if len(selection) != len(fam.members):
         return False, "selection length differs from the family size"
     for i, edge in enumerate(selection):
         if edge not in fam.members[i].edges:
             return False, f"entry {i} is not an edge of hypergraph {i}"
-    for i in range(len(selection)):
-        for j in range(i + 1, len(selection)):
-            if selection[i] & selection[j]:
-                return False, f"entries {i} and {j} share a vertex"
+    for i, j in combinations(range(len(selection)), 2):
+        if selection[i] & selection[j]:
+            return False, f"entries {i} and {j} share a vertex"
     return True, None
-
-
-def verify_hyper_sdr(fam: HypergraphFamily, cert: dict) -> tuple[bool, str | None]:
-    """Check a ``hyper-sdr`` certificate object: "selection" lists one edge
-    per hypergraph.  A not-found answer, with a "witness" and no
-    "selection", has nothing a checker could read."""
-    if "selection" not in cert and "witness" in cert:
-        return False, "a not-found answer carries no certificate a checker can read"
-    return validate_hyper_sdr(fam, HyperSdr(tuple(core._cert_rows(cert, "selection", fam._index))))

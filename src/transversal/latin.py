@@ -59,19 +59,26 @@ class LatinRectangle:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LatinRectangle":
-        if not isinstance(obj, dict) or "n" not in obj or "rows" not in obj:
-            raise ValidationError("rectangle file needs 'n' and 'rows'", field="n")
-        rows = obj["rows"]
-        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-            raise ValidationError("'rows' must be a list of lists", field="rows")
-        if "alphabet" in obj:
-            order = core._index_labels(core._label_list(obj, "alphabet"), "alphabet")
-            try:
-                rows = [[order[x] + 1 for x in row] for row in rows]
-            except (KeyError, TypeError) as exc:
-                raise ValidationError(f"a letter is not in the alphabet: {exc}",
-                                      field="rows") from exc
+        rows = _rows_in(obj)
         return cls(obj["n"], rows)
+
+
+def _rows_in(obj) -> list:
+    """The rows of a rectangle file, an "alphabet"'s letters read as 1..n in
+    its order.  Raises ``ValidationError`` for a malformed file."""
+    if not isinstance(obj, dict) or "n" not in obj or "rows" not in obj:
+        raise ValidationError("rectangle file needs 'n' and 'rows'", field="n")
+    rows = obj["rows"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValidationError("'rows' must be a list of lists", field="rows")
+    if "alphabet" in obj:
+        order = core._index_labels(core._label_list(obj, "alphabet"), "alphabet")
+        try:
+            rows = [[order[x] + 1 for x in row] for row in rows]
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(f"a letter is not in the alphabet: {exc}",
+                                  field="rows") from exc
+    return rows
 
 
 def _add_row(col_masks, r, row):
@@ -109,12 +116,21 @@ def verify_completion(rect: LatinRectangle, cert: dict) -> tuple[bool, str | Non
 def _verify_grown(rect, cert, m, reason):
     """(True, None) if `cert` is a Latin rectangle, in the input format, of
     `rect`'s width with `m` rows, the first of them `rect`'s; else (False,
-    reason).  The width is compared first: a huge one allocates nothing."""
-    if cert.get("n") == rect.n:
-        grown = LatinRectangle.from_json(cert)
-        if grown.m == m and grown.rows[: rect.m] == rect.rows:
-            return True, None
-    return False, reason
+    reason).  The width, then the row count and the first rows are compared,
+    so that only the new rows are checked, on a copy of `rect`'s columns."""
+    if cert.get("n") != rect.n:  # a huge width allocates nothing
+        return False, reason
+    n, rows = cert["n"], _rows_in(cert)
+    head = rows[:rect.m]
+    # A float equal to a symbol is no symbol: the sum is an int if none is one.
+    if (isinstance(n, bool) or not isinstance(n, int) or len(rows) != m
+            or not all(map(tuple.__eq__, rect.rows, map(tuple, head)))
+            or type(sum(map(sum, head))) is not int):
+        return False, reason
+    col_masks = list(rect._col_masks)
+    for r in range(rect.m, m):
+        _add_row(col_masks, r, rows[r])
+    return True, None
 
 
 def extend_row(rect: LatinRectangle) -> LatinRectangle:
@@ -262,9 +278,10 @@ def youden_from_design(d: BlockDesign):
     return tuple(tuple(d.points[p] for p in assignment) for _, assignment in peeled)
 
 
-def validate_youden(d: BlockDesign, array) -> tuple[bool, str | None]:
-    """Columns must equal their blocks as sets; rows must not repeat letters."""
-    array = tuple(tuple(row) for row in array)
+def verify_youden(d: BlockDesign, cert: dict) -> tuple[bool, str | None]:
+    """Check a ``youden`` certificate object: "array" lists the rows, which
+    repeat no letter, and column j holds the letters of block j."""
+    array = core._cert_rows(cert, "array", d._index)
     k = d.block_size
     if k is None or len(array) != k:
         return False, "array height differs from the block size"
@@ -278,8 +295,3 @@ def validate_youden(d: BlockDesign, array) -> tuple[bool, str | None]:
         if column != set(d.blocks[j]):
             return False, f"column {j} does not equal its block"
     return True, None
-
-
-def verify_youden(d: BlockDesign, cert: dict) -> tuple[bool, str | None]:
-    """Check a ``youden`` certificate object: "array" lists the rows."""
-    return validate_youden(d, core._cert_rows(cert, "array", d._index))

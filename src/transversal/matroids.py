@@ -597,35 +597,24 @@ def _violator_from_cut(family, m, reached):
     return RadoViolator(indices=indices, union=union, rank=m.rank_of(union))
 
 
-def verify_rado_violator(family: core.SetFamily, m: MatroidOracle,
-                         violator: RadoViolator) -> tuple[bool, str | None]:
-    """Recompute the union of the named sets and its rank, and re-check both."""
-    union, reason = core._violator_union(family, violator.indices, violator.union)
+def verify_rado(family: core.SetFamily, m: MatroidOracle, cert: dict) -> tuple[bool, str | None]:
+    """Check a ``rado`` certificate object: distinct representatives,
+    independent in `m`, under "reps"; or else a violator, sets under
+    "indices" whose "union" has the stated "rank", below their count."""
+    if "reps" in cert:
+        reps = core._cert_field(cert, "reps", index=family._index)
+        ok, reason = core._validate_sdr(family, reps)
+        if ok and not m.independent(frozenset(reps)):
+            ok, reason = False, "representatives are not independent in the matroid"
+        return ok, reason
+    indices, stated = core._cert_field(cert, "indices"), core._cert_field(cert, "union")
+    stated_rank = core._cert_field(cert, "rank", int)
+    union, reason = core._violator_union(family, indices, stated)
     if union is None:
         return False, reason
     rank = m.rank_of(union)
-    if rank != violator.rank:
+    if rank != stated_rank:
         return False, f"stated rank differs from the recomputed rank {rank}"
-    if rank >= len(violator.indices):
+    if rank >= len(indices):
         return False, "union rank is not below the index count"
     return True, None
-
-
-def validate_sir(family: core.SetFamily, m: MatroidOracle, reps) -> tuple[bool, str | None]:
-    """Membership, distinctness, and oracle-checked independence."""
-    ok, reason = core.validate_sdr(family, reps)
-    if not ok:
-        return False, reason
-    if not m.independent(frozenset(reps)):
-        return False, "representatives are not independent in the matroid"
-    return True, None
-
-
-def verify_rado(family: core.SetFamily, m: MatroidOracle, cert: dict) -> tuple[bool, str | None]:
-    """Check a ``rado`` certificate object: independent representatives
-    under "reps", or else a violator under "indices", "union" and "rank"."""
-    if "reps" in cert:
-        return validate_sir(family, m, core._cert_field(cert, "reps", index=family._index))
-    indices, union = core._cert_field(cert, "indices"), core._cert_field(cert, "union")
-    violator = RadoViolator(tuple(indices), tuple(union), core._cert_field(cert, "rank", int))
-    return verify_rado_violator(family, m, violator)

@@ -203,7 +203,7 @@ def _positions(p: Poset, items):
     return None if None in positions else positions
 
 
-def validate_chain(p: Poset, chain) -> tuple[bool, str | None]:
+def _validate_chain(p: Poset, chain) -> tuple[bool, str | None]:
     """Every entry of `chain` is an element below the next one."""
     chain = tuple(chain)
     positions = _positions(p, chain)
@@ -215,11 +215,7 @@ def validate_chain(p: Poset, chain) -> tuple[bool, str | None]:
     return True, None
 
 
-def validate_chain_partition(p: Poset, partition: ChainPartition) -> tuple[bool, str | None]:
-    return _validate_partition(p, partition.chains, validate_chain, "chain")
-
-
-def validate_antichain(p: Poset, antichain) -> tuple[bool, str | None]:
+def _validate_antichain(p: Poset, antichain) -> tuple[bool, str | None]:
     """No two entries of `antichain` are comparable: one mask test per entry."""
     antichain = tuple(antichain)
     positions = _positions(p, antichain)
@@ -233,11 +229,6 @@ def validate_antichain(p: Poset, antichain) -> tuple[bool, str | None]:
             y = p.elements[above.bit_length() - 1]
             return False, f"elements {x!r},{y!r} are comparable"
     return True, None
-
-
-def validate_antichain_partition(p: Poset,
-                                 partition: AntichainPartition) -> tuple[bool, str | None]:
-    return _validate_partition(p, partition.antichains, validate_antichain, "level")
 
 
 def _validate_partition(p, parts, validate_part, name):
@@ -260,9 +251,9 @@ def verify_dilworth(p: Poset, cert: dict) -> tuple[bool, str | None]:
     """Check a ``dilworth`` certificate object: "chains" partition `p` and
     "antichain" is an antichain of as many elements."""
     chains, antichain = core._cert_rows(cert, "chains"), core._cert_field(cert, "antichain")
-    ok, reason = validate_chain_partition(p, ChainPartition(tuple(map(tuple, chains))))
+    ok, reason = _validate_partition(p, chains, _validate_chain, "chain")
     if ok:
-        ok, reason = validate_antichain(p, antichain)
+        ok, reason = _validate_antichain(p, antichain)
     if ok and len(chains) != len(antichain):
         ok, reason = False, "chain count differs from the antichain size"
     return ok, reason
@@ -272,9 +263,9 @@ def verify_mirsky(p: Poset, cert: dict) -> tuple[bool, str | None]:
     """Check a ``mirsky`` certificate object: "antichains" partition `p` and
     "chain" is a chain of as many elements."""
     levels, chain = core._cert_rows(cert, "antichains"), core._cert_field(cert, "chain")
-    ok, reason = validate_antichain_partition(p, AntichainPartition(tuple(map(tuple, levels))))
+    ok, reason = _validate_partition(p, levels, _validate_antichain, "level")
     if ok:
-        ok, reason = validate_chain(p, chain)
+        ok, reason = _validate_chain(p, chain)
     if ok and len(levels) != len(chain):
         ok, reason = False, "level count differs from the chain length"
     return ok, reason

@@ -30,7 +30,9 @@ references and constructors that only tests use: `EagerFamily` and
 Birkhoff sums `decomposition_matrix` and `coefficient_sum`, the matrices
 `identity_matrix` and `uniform_matrix`, `group_mul` and `group_inverse`,
 the groups `cyclic_group`, `symmetric_group` and `dihedral_group`, and
-`is_symmetric_bibd`.
+`is_symmetric_bibd`.  `payload_of` alone runs a library solver: it gives the
+payload the command line prints for a library answer, which is what the
+answer's checker reads.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from itertools import combinations, permutations
 from math import prod
 from operator import add
 
-from transversal import _bitmatch, birkhoff, core, graphs, groups, posets
+from transversal import _bitmatch, birkhoff, cli, core, graphs, groups, posets
 from transversal.errors import ResourceLimitError, ValidationError
 
 UNMATCHED = -1
@@ -1114,3 +1116,9 @@ def is_symmetric_bibd(design):
     lambdas = {sum(1 for block in blocks if x in block and y in block)
                for x, y in combinations(design.points, 2)}
     return len(lambdas) <= 1
+
+
+def payload_of(name, *problem):
+    """The payload that subcommand `name` prints for `problem`, the values
+    its loader makes: the library's answer in the form its checker reads."""
+    return cli._COMMANDS[name].solve(*problem)[1]

@@ -29,6 +29,7 @@ from oracles import (
     graphs_up_to_iso,
     hall_coset_reps,
     is_symmetric_bibd,
+    payload_of,
     random_doubly_stochastic_rows,
     symmetric_group,
     table_is_perfect,
@@ -54,13 +55,9 @@ def test_hall_oracle_equivalence():
     checked = 0
     for sets in iter_families4():
         family = core.SetFamily(GROUND4, sets)
-        result = core.hall_check(family)
-        expected = brute_sdr_exists(sets)
-        assert isinstance(result, core.Sdr) == expected
-        if expected:
-            assert core.validate_sdr(family, result.reps) == (True, None)
-        else:
-            assert core.verify_hall_violator(family, result) == (True, None)
+        payload = payload_of("sdr", family)
+        assert ("reps" in payload) == brute_sdr_exists(sets)
+        assert core.verify_sdr(family, payload) == (True, None)
         checked += 1
     assert checked == 69905
 
@@ -78,13 +75,12 @@ def test_konig_equality():
         for bits in range(1 << (k * k)):
             edges = [(a, b_names[b]) for s, (a, b) in enumerate(slots) if (bits >> s) & 1]
             g = graphs.BipartiteGraph(range(k), b_names, edges)
-            matching, cover = graphs.konig_cover(g)
-            assert graphs.validate_matching(g, matching) == (True, None)
-            assert graphs.validate_cover(g, cover) == (True, None)
+            payload = payload_of("cover", g)
+            assert graphs.verify_cover(g, payload) == (True, None)  # one size for both sides
             adj = [0] * k
             for a, b in edges:
                 adj[a] |= 1 << int(b[1:])
-            assert len(matching) == len(cover) == brute_min_cover_bipartite(adj, k, k)
+            assert payload["size"] == brute_min_cover_bipartite(adj, k, k)
 
 
 # 3. ------------------------------------------------------------------------
@@ -179,15 +175,12 @@ def test_dilworth_and_mirsky():
                 (i, j) for i in range(n) for j in range(n) if (above[i] >> j) & 1
             ]
             p = posets.Poset(range(n), pairs)
-            partition, antichain = posets.dilworth(p)
-            assert posets.validate_chain_partition(p, partition) == (True, None)
-            assert posets.validate_antichain(p, antichain) == (True, None)
-            assert len(partition) == len(antichain) == brute_max_antichain(above, n)
-            levels, chain = posets.mirsky(p)
-            assert posets.validate_antichain_partition(p, levels) == (True, None)
-            for a, b in zip(chain, chain[1:]):
-                assert p.lt(a, b)
-            assert len(levels) == len(chain) == brute_longest_chain(above, n)
+            payload = payload_of("dilworth", p)
+            assert posets.verify_dilworth(p, payload) == (True, None)  # as many chains
+            assert len(payload["antichain"]) == brute_max_antichain(above, n)
+            payload = payload_of("mirsky", p)
+            assert posets.verify_mirsky(p, payload) == (True, None)  # as many levels
+            assert len(payload["chain"]) == brute_longest_chain(above, n)
 
 
 # 6. ------------------------------------------------------------------------
@@ -330,9 +323,9 @@ def test_regular_family_bound():
                 family = core.SetFamily(
                     range(n), [[j for j in range(n) if rows[i][j]] for i in range(n)]
                 )
-                result = core.hall_check(family)
-                assert isinstance(result, core.Sdr)
-                assert core.validate_sdr(family, result.reps) == (True, None)
+                payload = payload_of("sdr", family)
+                assert "reps" in payload
+                assert core.verify_sdr(family, payload) == (True, None)
             assert found > 0
 
 
@@ -390,8 +383,7 @@ def test_youden_constructions():
         [[1, 2, 4], [2, 3, 5], [3, 4, 6], [4, 5, 7], [5, 6, 1], [6, 7, 2], [7, 1, 3]],
     )
     assert is_symmetric_bibd(fano)
-    array = latin.youden_from_design(fano)
-    assert latin.validate_youden(fano, array) == (True, None)
+    assert latin.verify_youden(fano, payload_of("youden", fano)) == (True, None)
     rng = random.Random(60221023)
     for _ in range(20):
         v = rng.randint(1, 7)
@@ -400,8 +392,7 @@ def test_youden_constructions():
         blocks = [[(x + shift) % v for x in base] for shift in range(v)]
         design = latin.BlockDesign(range(v), blocks)
         assert design.v == design.b and design.replication == k
-        array = latin.youden_from_design(design)
-        assert latin.validate_youden(design, array) == (True, None)
+        assert latin.verify_youden(design, payload_of("youden", design)) == (True, None)
 
 
 # 14. -----------------------------------------------------------------------
@@ -420,11 +411,7 @@ def test_rado_equivalence():
         assert isinstance(result, matroids.Sir) == isinstance(
             core.hall_check(family), core.Sdr
         )
-        if isinstance(result, matroids.Sir):
-            assert matroids.validate_sir(family, free, result.reps) == (True, None)
-        else:
-            assert result.rank < len(result.indices)
-            assert free.rank_of(result.union) == result.rank
+        assert matroids.verify_rado(family, free, payload_of("rado", family, free)) == (True, None)
 
     oracles_by_kind = {
         "uniform": matroids.uniform_matroid("abcdef", 3),
@@ -463,11 +450,8 @@ def test_rado_equivalence():
             result = matroids.rado_check(family, oracle)
             expected = brute_sir_exists(family.sets, oracle)
             assert isinstance(result, matroids.Sir) == expected, (kind, sets)
-            if expected:
-                assert matroids.validate_sir(family, oracle, result.reps) == (True, None)
-            else:
-                assert result.rank < len(result.indices)
-                assert oracle.rank_of(result.union) == result.rank
+            payload = payload_of("rado", family, oracle)
+            assert matroids.verify_rado(family, oracle, payload) == (True, None)
 
 
 # 15. -----------------------------------------------------------------------
@@ -520,9 +504,10 @@ def test_coset_representatives():
             meets, hall_reps = hall_coset_reps(g, h)
             assert family.sets == meets.sets
             assert isinstance(core.hall_check(family), core.Sdr)
-            reps = groups.simultaneous_reps(g, h)
-            assert groups.validate_simultaneous_reps(g, h, reps) == (True, None)
-            assert groups.validate_simultaneous_reps(g, h, hall_reps) == (True, None)
+            payload = payload_of("cosets", g, h)
+            assert groups.verify_cosets(g, h, payload) == (True, None)
+            hall = {**payload, "reps": list(hall_reps)}
+            assert groups.verify_cosets(g, h, hall) == (True, None)
             subgroup_total += 1
     assert subgroup_total > 100
 
@@ -547,10 +532,10 @@ def test_hypergraph_sufficiency():
             found = hypersdr.find_hyper_sdr(fam)
             assert (found is not None) == brute_sdr_exists(sets)
             if found is not None:
-                assert hypersdr.validate_hyper_sdr(fam, found) == (True, None)
-                reps = tuple(next(iter(e)) for e in found.selection)
+                assert hypersdr.verify_hyper_sdr(fam, payload_of("hyper-sdr", fam)) == (True, None)
+                reps = [next(iter(e)) for e in found.selection]
                 family = core.SetFamily(vertices, sets)
-                assert core.validate_sdr(family, reps) == (True, None)
+                assert core.verify_sdr(family, {"reps": reps}) == (True, None)
     pool = [list(c) for k in (1, 2, 3) for c in combinations(vertices, k)]
     rng = random.Random(100003)
     implications = 0
@@ -566,5 +551,5 @@ def test_hypergraph_sufficiency():
         if found is None:
             assert not holds and witness is not None
         else:
-            assert hypersdr.validate_hyper_sdr(fam, found) == (True, None)
+            assert hypersdr.verify_hyper_sdr(fam, payload_of("hyper-sdr", fam)) == (True, None)
     assert implications > 100

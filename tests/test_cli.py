@@ -1,7 +1,9 @@
 import ast
+import importlib
 import inspect
 import json
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -10,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+import transversal
 from transversal import _bitmatch, birkhoff, cli, core, groups, latin, matroids, posets
 
 
@@ -1193,6 +1196,32 @@ class TestCertificateBoundary:
             assert code == 1 and env["payload"]["valid"] is False, forged
             assert env["payload"]["reason"].endswith(f"(field: {key})") is named
 
+    @pytest.mark.parametrize("key", ["subgroup", "left", "right", "family"])
+    def test_every_cosets_field_is_checked(self, capsys, tmp_path, key):
+        """On S_4 with H = <(2,1,3,4)>, which is not normal: a field of the
+        payload dropped, shortened by one entry or given one more is
+        refused, and so are left and right blocks swapped, while blocks
+        each rotated still verify."""
+        s4 = [{"degree": 4, "permutations": [[2, 1, 3, 4], [2, 3, 4, 1]]}]
+        extra = ("--generators", "[[2, 1, 3, 4]]")
+        cert = run_on(capsys, tmp_path, "cosets", s4, extra)[1]["payload"]
+        value = cert[key]
+        if key == "family":
+            shorter = {"ground": value["ground"][:-1], "sets": value["sets"][:-1]}
+            longer = {"ground": [*value["ground"], len(value["ground"])],
+                      "sets": [*value["sets"], value["sets"][-1]]}
+        else:
+            shorter, longer = value[:-1], [*value, value[-1]]
+        rotated = {**cert, "left": [c[1:] + c[:1] for c in cert["left"]],
+                   "right": [c[1:] + c[:1] for c in cert["right"]]}
+        swapped = {**cert, "left": cert["right"], "right": cert["left"]}
+        dropped = {k: v for k, v in cert.items() if k != key}
+        for forged, expect in ((cert, 0), (rotated, 0), (swapped, 1), (dropped, 1),
+                               ({**cert, key: shorter}, 1), ({**cert, key: longer}, 1)):
+            path = write(tmp_path, "cert.json", forged)
+            code, env, _ = run_on(capsys, tmp_path, "cosets", s4, (*extra, "--verify", path))
+            assert code == expect and env["payload"]["valid"] is (expect == 0), forged
+
     @pytest.mark.parametrize("command, cert", [
         ("cover", {"matching": [["x", "u"], ["y", "v"]], "cover": {"partA": ["x", "y"], "partB": []},
                    "size": 9}),
@@ -1257,6 +1286,28 @@ class TestCertificateBoundary:
         uses = [n for n in loads(verify, "cert") if isinstance(n.ctx, ast.Load)]
         assert len(uses) == 2
         assert {id(n) for n in uses} <= passed_to(verify, {"isinstance", "check"})
+
+    def test_one_checker_per_answer(self):
+        """Each answer kind has one checker: no public `validate_*` is left
+        in the package, every row's check is a `verify_*` of a subject
+        module, and every public `verify_*` is the check of exactly one row."""
+        subjects = {"core", "graphs", "posets", "latin", "birkhoff", "matroids", "groups",
+                    "hypersdr"}
+        rows = {}  # public verify_* of the package -> rows that name it
+        for info in pkgutil.iter_modules(transversal.__path__):
+            module = importlib.import_module(f"transversal.{info.name}")
+            tree = ast.parse(inspect.getsource(module))
+            names = [n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+            assert not [n for n in names if n.startswith("validate_")], info.name
+            rows.update({f"{info.name}.{n.name}": 0 for n in tree.body
+                         if isinstance(n, ast.FunctionDef) and n.name.startswith("verify_")})
+        for command in cli._COMMANDS.values():
+            if command.check:
+                module, name = command.check.split(".")
+                assert module in subjects and name.startswith("verify_"), command.check
+                assert cli._library(command.check).__module__ == f"transversal.{module}"
+                rows[command.check] += 1
+        assert len(rows) == 17 and set(rows.values()) == {1}, rows
 
     def test_parser_follows_the_table(self):
         specs = cli._build_parser()

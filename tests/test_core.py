@@ -10,7 +10,7 @@ import pytest
 
 from oracles import (EagerFamily, EagerGraph, all_families, bfs_max_matching, brute_all_sdrs,
                      brute_defect, brute_matching_counts, brute_permanent, brute_sdr_exists,
-                     column_set_sums, hall_via_menger)
+                     column_set_sums, hall_via_menger, payload_of)
 from transversal import _bitmatch, core, graphs, latin
 from transversal.errors import ResourceLimitError, ValidationError
 
@@ -109,48 +109,43 @@ class TestLazyForms:
         ground = list(range(n))
         sets = [[i, (i + 1) % n, (i + 7) % n] for i in range(n - 10)]
         sets += [[3], [3], [5, 6]]  # two sets on one element: a violator
-        for solve in (core.hall_check, core.partial_sdr):
+        for name, check in (("sdr", core.verify_sdr), ("defect", core.verify_defect)):
             f = fam(ground, sets)
-            result = solve(f)
-            if solve is core.hall_check:
-                assert isinstance(result, core.HallViolator)
-                assert core.verify_hall_violator(f, result) == (True, None)
-            else:
-                assert result.defect == 1
-                cert = {"defect": 1, "partial": {str(i): x for i, x in result.partial.items()},
-                        "indices": list(result.violator.indices),
-                        "union": list(result.violator.union)}
-                assert core.verify_defect(f, cert) == (True, None)
+            payload = payload_of(name, f)
+            assert "reps" not in payload and payload.get("defect", 1) == 1
+            assert check(f, payload) == (True, None)
             assert f._mask_list is None and f._label_sets is None
         f = fam(ground, sets[:-3])
-        assert core.validate_sdr(f, core.hall_check(f).reps) == (True, None)
+        assert core.verify_sdr(f, payload_of("sdr", f)) == (True, None)
         assert f._mask_list is None and f._label_sets is None
         edges = [(i, x) for i, members in enumerate(sets) for x in members]
         g = graphs.BipartiteGraph(range(len(sets)), ground, edges)
-        assert graphs.validate_matching(g, graphs.max_matching(g)) == (True, None)
-        matching, cover = graphs.konig_cover(g)
-        assert len(matching) == len(cover) == len(sets) - 1
-        assert graphs.validate_cover(g, cover) == (True, None)
+        assert graphs.verify_matching(g, payload_of("matching", g)) == (True, None)
+        payload = payload_of("cover", g)
+        assert payload["size"] == len(sets) - 1
+        assert graphs.verify_cover(g, payload) == (True, None)
         assert g._mask_list is None
 
 
 class TestValidateSdr:
+    """The representatives side of `core.verify_sdr`."""
+
     def test_accepts_valid(self):
-        assert core.validate_sdr(fam([1, 2, 3], [[1, 2], [2, 3]]), (1, 2)) == (True, None)
+        assert core.verify_sdr(fam([1, 2, 3], [[1, 2], [2, 3]]), {"reps": [1, 2]}) == (True, None)
 
     def test_distinctness_failure_names_indices(self):
-        ok, reason = core.validate_sdr(fam([1, 2, 3], [[1, 2], [2, 3]]), (2, 2))
+        ok, reason = core.verify_sdr(fam([1, 2, 3], [[1, 2], [2, 3]]), {"reps": [2, 2]})
         assert not ok
         assert "distinctness" in reason and "(0, 1)" in reason
 
     def test_membership_failure_names_index(self):
-        ok, reason = core.validate_sdr(fam([1, 2, 3], [[1, 2], [2, 3]]), (3, 2))
+        ok, reason = core.verify_sdr(fam([1, 2, 3], [[1, 2], [2, 3]]), {"reps": [3, 2]})
         assert not ok
         assert "membership" in reason and "index 0" in reason
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ValidationError):
-            core.validate_sdr(fam([1], [[1]]), (1, 1))
+            core.verify_sdr(fam([1], [[1]]), {"reps": [1, 1]})
 
 
 class TestHallCheck:
@@ -164,7 +159,7 @@ class TestHallCheck:
         f = fam([1, 2, 3], [[1, 2], [2, 3], [3, 1]])
         result = core.hall_check(f)
         assert isinstance(result, core.Sdr)
-        assert core.validate_sdr(f, result.reps) == (True, None)
+        assert core.verify_sdr(f, payload_of("sdr", f)) == (True, None)
         # brute force confirms at least one SDR exists
         assert brute_sdr_exists(f.sets)
 
@@ -176,11 +171,11 @@ class TestHallCheck:
         assert isinstance(result, core.HallViolator)
         assert len(result.union) == 5
         assert len(result.indices) == 6
-        assert core.verify_hall_violator(f, result) == (True, None)
+        assert core.verify_sdr(f, payload_of("sdr", f)) == (True, None)
 
     def test_verify_rejects_unhashable_union(self):
-        forged = core.HallViolator((0, 1), ([1],))
-        assert core.verify_hall_violator(fam([1], [[1], [1]]), forged) == (
+        forged = {"indices": [0, 1], "union": [[1]]}
+        assert core.verify_sdr(fam([1], [[1], [1]]), forged) == (
             False, "stated union differs from the recomputed union")
 
     def test_empty_family(self):
@@ -766,8 +761,7 @@ class TestArraySdr:
 
     def test_two_by_two(self):
         arr = core.ArrayFamily([1, 2], [[[1, 2], [1, 2]], [[1, 2], [1, 2]]])
-        grid = core.array_sdr(arr)
-        assert core.validate_array_sdr(arr, grid) == (True, None)
+        assert core.verify_array_sdr(arr, payload_of("array-sdr", arr)) == (True, None)
 
     def test_impossible_row(self):
         arr = core.ArrayFamily([1], [[[1], [1]], [[1], [1]]])
@@ -788,7 +782,7 @@ class TestArraySdr:
             n_cols = arr.shape[1]
             for cells in product(*(cell for row in arr.grid for cell in row)):
                 grid = tuple(cells[r * n_cols:(r + 1) * n_cols] for r in range(arr.shape[0]))
-                if core.validate_array_sdr(arr, grid)[0]:
+                if core.verify_array_sdr(arr, {"grid": [list(row) for row in grid]})[0]:
                     return grid
             return None
 
@@ -804,7 +798,7 @@ class TestArraySdr:
             grid = core.array_sdr(arr)
             assert grid == first_valid(arr)
             if grid is not None:
-                assert core.validate_array_sdr(arr, grid) == (True, None)
+                assert core.verify_array_sdr(arr, payload_of("array-sdr", arr)) == (True, None)
 
 
 class TestInvariants:
@@ -816,17 +810,14 @@ class TestInvariants:
                 result = core.hall_check(f)
                 expected = brute_sdr_exists(sets)
                 assert isinstance(result, core.Sdr) == expected
-                if expected:
-                    assert core.validate_sdr(f, result.reps) == (True, None)
-                else:
-                    assert core.verify_hall_violator(f, result) == (True, None)
+                assert core.verify_sdr(f, payload_of("sdr", f)) == (True, None)
                 # defect consistency
                 report = core.partial_sdr(f)
                 assert (report.defect == 0) == expected
                 assert report.defect == brute_defect(sets, ground)
                 if report.defect:
                     violator = report.violator
-                    assert core.verify_hall_violator(f, violator) == (True, None)
+                    assert core.verify_defect(f, payload_of("defect", f)) == (True, None)
                     assert len(violator.indices) - len(violator.union) == report.defect
                 else:
                     assert report.violator is None

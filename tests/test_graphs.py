@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from oracles import (all_families, brute_min_cover_bipartite, brute_sdr_exists, connected_without,
-                     edmonds_karp, family_to_graph, graph_to_family, hall_via_menger)
+                     edmonds_karp, family_to_graph, graph_to_family, hall_via_menger, payload_of)
 from transversal import _bitmatch, core, graphs
 from transversal.errors import ValidationError
 
@@ -69,7 +69,7 @@ class TestMatching:
         g = graphs.BipartiteGraph(a, b, edges)
         fast = graphs.max_matching(g)
         assert len(fast) == n + 1
-        assert graphs.validate_matching(g, fast) == (True, None)
+        assert graphs.verify_matching(g, payload_of("matching", g)) == (True, None)
 
 
 class TestKonig:
@@ -97,14 +97,12 @@ class TestKonig:
                 if (edge_bits >> k) & 1
             ]
             g = graphs.BipartiteGraph(range(3), [f"b{j}" for j in range(3)], edges)
-            matching, cover = graphs.konig_cover(g)
-            assert graphs.validate_matching(g, matching) == (True, None)
-            assert graphs.validate_cover(g, cover) == (True, None)
-            assert len(matching) == len(cover)
+            payload = payload_of("cover", g)
+            assert graphs.verify_cover(g, payload) == (True, None)  # one size for both sides
             adj = [0] * 3
             for a, b in edges:
                 adj[a] |= 1 << int(b[1:])
-            assert len(cover) == brute_min_cover_bipartite(adj, 3, 3)
+            assert payload["size"] == brute_min_cover_bipartite(adj, 3, 3)
 
 
 def validate_menger(g, s, t, mode, paths, cut):
@@ -180,9 +178,9 @@ class TestMenger:
 class TestMaxFlow:
     def test_single_edge(self):
         net = graphs.FlowNetwork("st", [("s", "t", 5)], "s", "t")
-        value, cut, flow = graphs.max_flow_min_cut(net)
+        value, cut, _ = graphs.max_flow_min_cut(net)
         assert value == 5 and cut == (("s", "t"),)
-        assert graphs.validate_flow(net, value, flow) == (True, None)
+        assert graphs.verify_maxflow(net, payload_of("maxflow", net)) == (True, None)
 
     def test_diamond(self):
         net = graphs.FlowNetwork(
@@ -191,16 +189,16 @@ class TestMaxFlow:
             "s",
             "t",
         )
-        value, cut, flow = graphs.max_flow_min_cut(net)
+        value, cut, _ = graphs.max_flow_min_cut(net)
         assert value == 2
         assert sum(c for u, v, c in net.arcs if (u, v) in set(cut)) == 2
-        assert graphs.validate_flow(net, value, flow) == (True, None)
+        assert graphs.verify_maxflow(net, payload_of("maxflow", net)) == (True, None)
 
     def test_zero_capacity(self):
         net = graphs.FlowNetwork("st", [("s", "t", 0)], "s", "t")
-        value, cut, flow = graphs.max_flow_min_cut(net)
+        value, cut, _ = graphs.max_flow_min_cut(net)
         assert value == 0
-        assert graphs.validate_flow(net, value, flow) == (True, None)
+        assert graphs.verify_maxflow(net, payload_of("maxflow", net)) == (True, None)
 
     def test_integrality_random(self):
         rng = random.Random(5)
@@ -216,7 +214,7 @@ class TestMaxFlow:
             value, cut, flow = graphs.max_flow_min_cut(net)
             assert isinstance(value, int)
             assert all(isinstance(f, int) for f in flow.values())
-            assert graphs.validate_flow(net, value, flow) == (True, None)
+            assert graphs.verify_maxflow(net, payload_of("maxflow", net)) == (True, None)
             assert sum(c for u, v, c in net.arcs if (u, v) in set(cut)) == value
 
     def test_duplicate_arc_rejected(self):
@@ -269,12 +267,11 @@ class TestFlowEngine:
         )
         for _ in range(400):
             n, arcs = random_network(rng)
-            value, flows, reachable = graphs._edmonds_karp(n, arcs, 0, n - 1)
+            value, _, reachable = graphs._edmonds_karp(n, arcs, 0, n - 1)
             ref_value, _, ref_reachable = edmonds_karp(n, arcs, 0, n - 1)
             assert (value, reachable) == (ref_value, ref_reachable), (n, arcs)
             net = graphs.FlowNetwork(range(n), arcs, 0, n - 1)
-            assignment = {(u, v): f for (u, v, _), f in zip(arcs, flows)}
-            assert graphs.validate_flow(net, value, assignment) == (True, None)
+            assert graphs.verify_maxflow(net, payload_of("maxflow", net)) == (True, None)
             pairs = {(u, v) for u, v, _ in arcs}
             ends = {x for pair in pairs for x in pair}
             kinds["zero-capacity"] += any(c == 0 for *_, c in arcs)
@@ -324,12 +321,12 @@ class TestFlowEngine:
         arcs += [(f"b{j}", "t", 1) for j in range(n)]
         net = graphs.FlowNetwork(dict.fromkeys(x for arc in arcs for x in arc[:2]), arcs, "s", "t")
         start = time.perf_counter()
-        value, cut, flow = graphs.max_flow_min_cut(net)
+        value, cut, _ = graphs.max_flow_min_cut(net)
         assert time.perf_counter() - start < 1.5
         match_row, _ = _bitmatch.max_matching(masks, n)
         assert value == sum(c != _bitmatch.UNMATCHED for c in match_row) > 1900
         assert len(cut) == value
-        assert graphs.validate_flow(net, value, flow) == (True, None)
+        assert graphs.verify_maxflow(net, payload_of("maxflow", net)) == (True, None)
 
 
 class TestHallViaMenger:
@@ -337,13 +334,14 @@ class TestHallViaMenger:
         f = core.SetFamily([1, 2, 3], [[1, 2], [2, 3], [3, 1]])
         result = hall_via_menger(f)
         assert isinstance(result, core.Sdr)
-        assert core.validate_sdr(f, result.reps) == (True, None)
+        assert core.verify_sdr(f, {"reps": list(result.reps)}) == (True, None)
 
     def test_violator(self):
         f = core.SetFamily([1], [[1], [1]])
         result = hall_via_menger(f)
         assert isinstance(result, core.HallViolator)
-        assert core.verify_hall_violator(f, result) == (True, None)
+        cert = {"indices": list(result.indices), "union": list(result.union)}
+        assert core.verify_sdr(f, cert) == (True, None)
 
     def test_empty(self):
         assert hall_via_menger(core.SetFamily([1], [])) == core.Sdr(())

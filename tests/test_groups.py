@@ -1,10 +1,11 @@
+import json
 import random
 import time
 from itertools import islice, product
 
 import pytest
 
-from oracles import (cyclic_group, dihedral_group, group_inverse, group_mul,
+from oracles import (cyclic_group, dihedral_group, group_inverse, group_mul, payload_of,
                      symmetric_group)
 from transversal import core, groups
 from transversal.errors import ResourceLimitError, ValidationError
@@ -159,14 +160,12 @@ class TestSimultaneousReps:
     def test_normal_subgroup(self):
         s3 = symmetric_group(3)
         a3 = groups.subgroup_closure(s3, [(2, 3, 1)])
-        reps = groups.simultaneous_reps(s3, a3)
-        assert groups.validate_simultaneous_reps(s3, a3, reps) == (True, None)
+        assert groups.verify_cosets(s3, a3, payload_of("cosets", s3, a3)) == (True, None)
 
     def test_s3_transposition_subgroup(self):
         s3 = symmetric_group(3)
         h = groups.subgroup_closure(s3, [(2, 1, 3)])
-        reps = groups.simultaneous_reps(s3, h)
-        assert groups.validate_simultaneous_reps(s3, h, reps) == (True, None)
+        assert groups.verify_cosets(s3, h, payload_of("cosets", s3, h)) == (True, None)
         assert brute_simultaneous_exists(s3, h)
 
     def test_dihedral_nonnormal_order_two(self):
@@ -177,27 +176,27 @@ class TestSimultaneousReps:
             and len(groups.subgroup_closure(d4, [x])) == 2
         )
         h = groups.subgroup_closure(d4, [reflection])
-        reps = groups.simultaneous_reps(d4, h)
-        assert len(reps) == 4
-        assert groups.validate_simultaneous_reps(d4, h, reps) == (True, None)
+        payload = payload_of("cosets", d4, h)
+        assert len(payload["reps"]) == 4
+        assert groups.verify_cosets(d4, h, payload) == (True, None)
 
     def test_wrong_reps_rejected_by_validator(self):
         s3 = symmetric_group(3)
         h = groups.subgroup_closure(s3, [(2, 1, 3)])
         system = groups.coset_system(s3, h)
         bad = tuple(c[0] for c in system.left)
-        ok, _ = groups.validate_simultaneous_reps(s3, h, bad)
+        ok, _ = groups.verify_cosets(s3, h, with_reps(s3, h, bad))
         # a plain left transversal usually misses some right coset
         assert ok == brute_left_is_right(s3, h, bad)
 
 
-    @pytest.mark.parametrize("stray", [[1, 2, 3], {"x": 1}, (9, 9, 9)])
+    @pytest.mark.parametrize("stray", [[[1, 2, 3]], {"x": 1}, (9, 9, 9)])
     def test_unhashable_or_unknown_rep_rejected(self, stray):
         s3 = symmetric_group(3)
         h = groups.subgroup_closure(s3, [(2, 1, 3)])
         reps = list(groups.simultaneous_reps(s3, h))
         reps[1] = stray
-        ok, reason = groups.validate_simultaneous_reps(s3, h, reps)
+        ok, reason = groups.verify_cosets(s3, h, with_reps(s3, h, reps))
         assert not ok and "reps" in reason
 
     def test_reps_do_not_depend_on_the_representation(self):
@@ -215,22 +214,23 @@ class TestSimultaneousReps:
             assert groups.simultaneous_reps(as_table, h) == groups.simultaneous_reps(s4, h)
 
     def test_check_runs_no_solver(self, monkeypatch):
-        """`verify_cosets` reads the reps alone: with `coset_system` made to
-        raise, it still accepts simultaneous reps and refuses a left
-        transversal that is not a right one."""
+        """With `coset_system` made to raise, `verify_cosets` still accepts
+        the payload and refuses it with reps that are a left transversal but
+        not a right one."""
         s4 = symmetric_group(4)
         h = groups.subgroup_closure(s4, [(2, 1, 3, 4)])
         system = groups.coset_system(s4, h)
         bad = tuple(c[0] for c in system.left)
         assert not brute_left_is_right(s4, h, bad)
+        as_json = json.loads(json.dumps(payload_of("cosets", s4, h)))
 
         def solver(*args):
             raise AssertionError("the check ran the solver")
 
         monkeypatch.setattr(groups, "coset_system", solver)
-        as_json = {"reps": [list(x) for x in system.reps]}
         assert groups.verify_cosets(s4, h, as_json) == (True, None)
-        ok, reason = groups.verify_cosets(s4, h, {"reps": [list(x) for x in bad]})
+        forged = {**as_json, "reps": [list(x) for x in bad]}
+        ok, reason = groups.verify_cosets(s4, h, forged)
         assert not ok and reason.startswith("the right cosets of representatives ")
 
     def test_every_pick_checked_against_brute_force(self):
@@ -239,8 +239,13 @@ class TestSimultaneousReps:
             h = groups.subgroup_closure(d4, [x])
             system = groups.coset_system(d4, h)
             for choice in product(*[list(c) for c in system.left]):
-                ok, _ = groups.validate_simultaneous_reps(d4, h, choice)
+                ok, _ = groups.verify_cosets(d4, h, with_reps(d4, h, choice))
                 assert ok == brute_left_is_right(d4, h, choice)
+
+
+def with_reps(g, subgroup, reps):
+    """The payload of `cosets` for `subgroup` of `g`, with `reps` for its reps."""
+    return {**payload_of("cosets", g, subgroup), "reps": list(reps)}
 
 
 def brute_left_is_right(g, subgroup, reps):

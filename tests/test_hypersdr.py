@@ -3,7 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
-from oracles import brute_sdr_exists, is_pinned
+from oracles import brute_sdr_exists, is_pinned, payload_of
 from transversal import core, hypersdr
 from transversal.errors import ResourceLimitError, ValidationError
 
@@ -74,7 +74,7 @@ class TestFindHyperSdr:
         result = hypersdr.find_hyper_sdr(fam)
         assert result is not None
         assert result.selection == (frozenset({3, 4}), frozenset({1, 2}))
-        assert hypersdr.validate_hyper_sdr(fam, result) == (True, None)
+        assert hypersdr.verify_hyper_sdr(fam, payload_of("hyper-sdr", fam)) == (True, None)
 
     def test_intersecting_pair(self):
         assert hypersdr.find_hyper_sdr(family([1, 2], [[1, 2]], [[1, 2]])) is None
@@ -84,8 +84,8 @@ class TestFindHyperSdr:
         fam = singleton_encoding([1, 2, 3], sets)
         result = hypersdr.find_hyper_sdr(fam)
         assert result is not None
-        reps = tuple(next(iter(e)) for e in result.selection)
-        assert core.validate_sdr(core.SetFamily([1, 2, 3], sets), reps) == (True, None)
+        reps = [next(iter(e)) for e in result.selection]
+        assert core.verify_sdr(core.SetFamily([1, 2, 3], sets), {"reps": reps}) == (True, None)
 
     def test_empty_family(self):
         assert hypersdr.find_hyper_sdr(family([1])) == hypersdr.HyperSdr(())
@@ -111,7 +111,7 @@ class TestSufficiency:
             if holds:
                 assert found is not None
             if found is not None:
-                assert hypersdr.validate_hyper_sdr(fam, found) == (True, None)
+                assert hypersdr.verify_hyper_sdr(fam, payload_of("hyper-sdr", fam)) == (True, None)
             else:
                 assert not holds
 
@@ -120,7 +120,7 @@ class TestSufficiency:
         fam = family([1, 2, 3, 4], [[1, 2], [2, 3]], [[3, 4]])
         found = hypersdr.find_hyper_sdr(fam)
         assert found is not None
-        assert hypersdr.validate_hyper_sdr(fam, found) == (True, None)
+        assert hypersdr.verify_hyper_sdr(fam, payload_of("hyper-sdr", fam)) == (True, None)
         holds, witness = hypersdr.ah_condition(fam)
         assert not holds
         assert witness == (0, 1)

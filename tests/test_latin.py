@@ -5,7 +5,7 @@ from itertools import permutations
 
 import pytest
 
-from oracles import count_latin_squares_by_rows, is_symmetric_bibd
+from oracles import count_latin_squares_by_rows, is_symmetric_bibd, payload_of
 from transversal import latin
 from transversal.errors import AlreadyCompleteError, ResourceLimitError, ValidationError
 
@@ -162,6 +162,91 @@ class TestComplete:
             assert square.rows[:3] == rect.rows
 
 
+def rebuilt_verdict(rect, cert, m):
+    """The check by rebuilding the whole certificate: a Latin rectangle in
+    the input format, of `rect`'s width, with `m` rows, `rect`'s first."""
+    if cert.get("n") != rect.n:
+        return False
+    try:
+        grown = R.from_json(cert)
+    except ValidationError:
+        return False
+    return grown.m == m and grown.rows[:rect.m] == rect.rows
+
+
+class TestGrownCheck:
+    """`verify_extension` and `verify_completion` compare the width, the
+    row count and the first rows, then check only the rows the certificate
+    adds, on a copy of the input's column masks."""
+
+    CHECKS = [("latin-extend", latin.verify_extension, lambda rect: rect.m + 1),
+              ("latin-complete", latin.verify_completion, lambda rect: rect.n)]
+
+    @pytest.mark.parametrize("name, check, m", CHECKS)
+    def test_add_row_runs_once_per_new_row(self, monkeypatch, name, check, m):
+        n = 300
+        rect = R(n, [[(i + j) % n + 1 for j in range(n)] for i in range(n - 3)])
+        payload = payload_of(name, rect)
+        checked, add_row = [], latin._add_row
+        monkeypatch.setattr(latin, "_add_row",
+                            lambda masks, r, row: checked.append(r) or add_row(masks, r, row))
+        assert check(rect, payload) == (True, None)
+        assert checked == list(range(rect.m, m(rect)))
+        assert rect._col_masks == R(n, rect.rows)._col_masks
+
+    @pytest.mark.parametrize("name, check, m", CHECKS)
+    def test_forgeries_refused(self, name, check, m):
+        rect = R(4, [[1, 2, 3, 4], [2, 1, 4, 3]])
+        payload = payload_of(name, rect)
+        rows = payload["rows"]
+        column_repeat = {**payload, "rows": [*rows[:-1], rows[0]]}
+        swapped = {**payload, "rows": [rows[1], rows[0], *rows[2:]]}  # still Latin
+        for forged in (column_repeat, swapped, {**payload, "n": 5}, {**payload, "n": 4.0},
+                       {**payload, "rows": [*rows, rows[-1]]}, {**payload, "rows": rows[:-1]},
+                       {**payload, "rows": [[1.0, 2, 3, 4], *rows[1:]]}):
+            try:
+                verdict = check(rect, forged)[0]
+            except ValidationError:
+                verdict = False
+            assert verdict is False, forged
+        with pytest.raises(ValidationError, match="column 0 repeats symbol 1"):
+            check(rect, column_repeat)
+
+    @pytest.mark.parametrize("name, check, m", CHECKS)
+    def test_same_verdicts_as_rebuilding_the_certificate(self, name, check, m):
+        """On random edits of valid certificates, some with an alphabet, the
+        check accepts and refuses just what rebuilding the whole
+        certificate does."""
+        rng = random.Random(314)
+        verdicts = set()
+        for trial in range(400):
+            n = rng.randint(1, 5)
+            rect = R(n, [rng.sample(range(1, n + 1), n)] if n > 1 else [])
+            cert = payload_of(name, rect)
+            pool = [0, 1, 2, n, n + 1, True, 1.0, "a", None, [1]]
+            if trial % 4 == 0:
+                letters = rng.sample("bcdefgh", n)
+                cert["alphabet"] = letters
+                cert["rows"] = [[letters[x - 1] for x in row] for row in cert["rows"]]
+                pool += letters
+            rows, edit = cert["rows"], rng.randrange(5)
+            if edit == 1:
+                rng.choice(rows)[rng.randrange(n)] = rng.choice(pool)
+            elif edit == 2:
+                cert["n"] = rng.choice([n - 1, n + 1, float(n), True, str(n)])
+            elif edit == 3:
+                rows.insert(rng.randrange(len(rows)), list(rows[-1]))
+            elif edit == 4:
+                del rows[rng.randrange(len(rows))]
+            try:
+                verdict = check(rect, cert)[0]
+            except ValidationError:
+                verdict = False
+            assert verdict == rebuilt_verdict(rect, cert, m(rect)), (rect.rows, cert)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+
 class TestCountExtensions:
     def test_forced(self):
         assert latin.count_extensions(R(3, [[1, 2, 3], [2, 3, 1]])) == 1
@@ -264,15 +349,15 @@ class TestYouden:
         assert latin.youden_from_design(d) == ((1, 2, 3),)
 
     def test_fano(self):
-        array = latin.youden_from_design(FANO)
-        assert len(array) == 3
-        assert latin.validate_youden(FANO, array) == (True, None)
+        payload = payload_of("youden", FANO)
+        assert len(payload["array"]) == 3
+        assert latin.verify_youden(FANO, payload) == (True, None)
 
     def test_cyclic_equireplicate_non_bibd(self):
         d = latin.BlockDesign([1, 2, 3, 4], [[1, 2], [2, 3], [3, 4], [4, 1]])
-        array = latin.youden_from_design(d)
-        assert len(array) == 2
-        assert latin.validate_youden(d, array) == (True, None)
+        payload = payload_of("youden", d)
+        assert len(payload["array"]) == 2
+        assert latin.verify_youden(d, payload) == (True, None)
 
     def test_rejects_rectangular_design(self):
         d = latin.BlockDesign([1, 2, 3], [[1, 2], [2, 3]])

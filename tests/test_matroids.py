@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from oracles import (all_families, brute_sdr_exists, brute_sir_exists, gf_rank, is_forest,
-                     validate_matroid)
+                     payload_of, validate_matroid)
 from transversal import _bitmatch, core, matroids
 from transversal.errors import ResourceLimitError, ValidationError
 
@@ -143,12 +143,10 @@ class TestValidateMatroid:
 class TestRadoCheck:
     def test_free_matroid_reduces_to_hall(self):
         fam = core.SetFamily([1, 2, 3], [[1, 2], [2, 3], [3, 1]])
-        result = matroids.rado_check(fam, matroids.free_matroid([1, 2, 3]))
+        free = matroids.free_matroid([1, 2, 3])
+        result = matroids.rado_check(fam, free)
         assert isinstance(result, matroids.Sir)
-        assert matroids.validate_sir(fam, matroids.free_matroid([1, 2, 3]), result.reps) == (
-            True,
-            None,
-        )
+        assert matroids.verify_rado(fam, free, payload_of("rado", fam, free)) == (True, None)
 
     def test_triangle_three_copies(self):
         fam = core.SetFamily(["e1", "e2", "e3"], [["e1", "e2", "e3"]] * 3)
@@ -162,7 +160,8 @@ class TestRadoCheck:
         fam = core.SetFamily(["e1", "e2", "e3"], [["e1", "e2", "e3"]] * 2)
         result = matroids.rado_check(fam, triangle())
         assert isinstance(result, matroids.Sir)
-        assert matroids.validate_sir(fam, triangle(), result.reps) == (True, None)
+        assert matroids.verify_rado(fam, triangle(), payload_of("rado", fam, triangle())) == (
+            True, None)
 
     def test_ground_mismatch_rejected(self):
         fam = core.SetFamily(["x"], [["x"]])
@@ -195,13 +194,7 @@ class TestRadoCheck:
                 fam = core.SetFamily(ground, sets)
                 fast = matroids.rado_check(fam, m)
                 assert isinstance(fast, matroids.Sir) == brute_sir_exists(fam.sets, m)
-                if isinstance(fast, matroids.Sir):
-                    assert matroids.validate_sir(fam, m, fast.reps) == (True, None)
-                else:
-                    assert fast.rank < len(fast.indices)
-                    assert m.rank_of(fast.union) == fast.rank
-                    recomputed = fam.union_of(fast.indices)
-                    assert set(recomputed) == set(fast.union)
+                assert matroids.verify_rado(fam, m, payload_of("rado", fam, m)) == (True, None)
 
     def test_free_agrees_with_hall_exhaustive(self):
         ground = (1, 2, 3)
@@ -284,15 +277,13 @@ class TestRadoAtScale:
             result = matroids.rado_check(fam, m)
             found = isinstance(result, matroids.Sir)
             assert found == brute_sir_exists(fam.sets, m), (kind, sets)
-            if found:
-                assert matroids.validate_sir(fam, m, result.reps) == (True, None)
-            else:
-                assert matroids.verify_rado_violator(fam, m, result) == (True, None)
             verdicts[kind, found] += 1
             # The same matroid known by its predicate alone runs on the
-            # generic basis, and gives the same certificate.  Its searches
-            # are left out of the path and arc counts below.
+            # generic basis, and gives the same certificate.  Its searches,
+            # and those of the solve whose payload is checked, are left out
+            # of the path and arc counts below.
             searched = len(paths)
+            assert matroids.verify_rado(fam, m, payload_of("rado", fam, m)) == (True, None)
             custom = matroids.MatroidOracle(ground, m._indep)
             asked = matroids.rado_check(fam, custom)
             assert isinstance(asked, matroids.Sir) == brute_sir_exists(fam.sets, custom)
@@ -310,8 +301,8 @@ class TestRadoAtScale:
         fam, m = seeded_graphic_family(110)
         result = matroids.rado_check(fam, m)
         assert isinstance(result, matroids.Sir)
-        assert matroids.validate_sir(fam, m, result.reps) == (True, None)
         assert len(paths) == 1 and len(matchings) <= 3
+        assert matroids.verify_rado(fam, m, payload_of("rado", fam, m)) == (True, None)
         rng = random.Random(7)
         for _ in range(40):
             m = random_matroid(rng, rng.choice(("graphic", "linear", "partition")), 10)
@@ -461,10 +452,10 @@ class TestBasis:
 
 class TestNoPredicateCall:
     def test_built_in_kinds(self):
-        """With a built-in kind, `rado_check`, `rank_of` and
-        `verify_rado_violator` run on the basis alone: a counter wrapped
-        round the predicate reads 0.  The same matroid known only by its
-        predicate does call it."""
+        """With a built-in kind, `rado_check`, `rank_of` and `verify_rado`
+        on a violator run on the basis alone: a counter wrapped round the
+        predicate reads 0.  The same matroid known only by its predicate
+        does call it."""
         rng = random.Random(31)
         cases = [(*seeded_graphic_family(110), "graphic"), (*seeded_graphic_family(300), "graphic")]
         for trial in range(150):
@@ -482,7 +473,8 @@ class TestNoPredicateCall:
                 result = matroids.rado_check(fam, counted)
                 counted.rank_of(fam.ground)
                 if isinstance(result, matroids.RadoViolator):
-                    assert matroids.verify_rado_violator(fam, counted, result) == (True, None)
+                    payload = payload_of("rado", fam, counted)
+                    assert matroids.verify_rado(fam, counted, payload) == (True, None)
                 if counted is m:
                     assert calls == [], kind
                     verdicts.add((kind, isinstance(result, matroids.Sir)))

@@ -12,6 +12,7 @@ from itertools import combinations
 
 import pytest
 
+from oracles import payload_of
 from transversal import graphs, posets
 
 nx = pytest.importorskip("networkx")
@@ -39,13 +40,13 @@ def test_maxflow_value_and_cut():
     assert any((v, u) in arcs for u, v in arcs)
     net = graphs.FlowNetwork(["s", "t", *nodes], [(u, v, c) for (u, v), c in arcs.items()],
                              "s", "t")
-    value, cut, flow = graphs.max_flow_min_cut(net)
+    value, cut, _ = graphs.max_flow_min_cut(net)
     digraph = nx.DiGraph()
     digraph.add_edges_from((u, v, {"capacity": c}) for (u, v), c in arcs.items())
     expected = nx.maximum_flow_value(digraph, "s", "t")
     assert value == expected > 0
     assert sum(arcs[arc] for arc in cut) == expected
-    assert graphs.validate_flow(net, value, flow) == (True, None)
+    assert graphs.verify_maxflow(net, payload_of("maxflow", net)) == (True, None)
 
 
 def ring_with_chords(rng, n, degree):

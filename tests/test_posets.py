@@ -6,7 +6,7 @@ import pytest
 
 from oracles import (all_poset_masks, brute_longest_chain, brute_max_antichain, chromatic_table,
                      clique_table, comparability_graph, exhaustive_chromatic_table,
-                     hall_from_dilworth, table_is_perfect, warshall_closure)
+                     hall_from_dilworth, payload_of, table_is_perfect, warshall_closure)
 from transversal import core, posets
 from transversal.errors import ResourceLimitError, ValidationError
 from transversal.graphs import Graph
@@ -94,16 +94,14 @@ class TestDilworth:
         partition, antichain = posets.dilworth(p)
         assert len(partition) == 3
         assert set(antichain) == {4, 5, 6}
-        assert posets.validate_chain_partition(p, partition) == (True, None)
-        assert posets.validate_antichain(p, antichain) == (True, None)
+        assert posets.verify_dilworth(p, payload_of("dilworth", p)) == (True, None)
 
     def test_exhaustive_small(self):
         for above in all_poset_masks(4):
             p = poset_from_masks(above)
-            partition, antichain = posets.dilworth(p)
-            assert posets.validate_chain_partition(p, partition) == (True, None)
-            assert posets.validate_antichain(p, antichain) == (True, None)
-            assert len(partition) == len(antichain) == brute_max_antichain(above, 4)
+            payload = payload_of("dilworth", p)
+            assert posets.verify_dilworth(p, payload) == (True, None)  # as many chains
+            assert len(payload["antichain"]) == brute_max_antichain(above, 4)
 
     def test_long_chain_from_json(self):
         """A 3000-element chain given by its 2999 covering pairs: the poset
@@ -136,11 +134,9 @@ class TestMirsky:
     def test_exhaustive_small(self):
         for above in all_poset_masks(4):
             p = poset_from_masks(above)
-            partition, chain = posets.mirsky(p)
-            assert posets.validate_antichain_partition(p, partition) == (True, None)
-            for a, b in zip(chain, chain[1:]):
-                assert p.lt(a, b)
-            assert len(partition) == len(chain) == brute_longest_chain(above, 4)
+            payload = payload_of("mirsky", p)
+            assert posets.verify_mirsky(p, payload) == (True, None)  # as many levels
+            assert len(payload["chain"]) == brute_longest_chain(above, 4)
 
 
 class TestVerifiers:
@@ -150,23 +146,23 @@ class TestVerifiers:
             for k in range(p.n + 1):
                 for subset in combinations(p.elements, k):
                     pairwise = not any(p.comparable(a, b) for a, b in combinations(subset, 2))
-                    assert posets.validate_antichain(p, subset)[0] == pairwise
+                    assert posets._validate_antichain(p, subset)[0] == pairwise
 
     def test_chain_matches_pairwise_check(self):
         p = divisibility()
         for chain in ((1, 2, 4), (1, 3, 6), (2, 3), (4, 2), (1,), (), (1, 1)):
             ordered = all(p.lt(a, b) for a, b in zip(chain, chain[1:]))
-            assert posets.validate_chain(p, chain)[0] == ordered
+            assert posets._validate_chain(p, chain)[0] == ordered
 
     @pytest.mark.parametrize("items", [("zz",), (1, "zz"), (1, [2])])
     def test_outsider_is_rejected_not_raised(self, items):
         p = divisibility()
-        for check in (posets.validate_antichain, posets.validate_chain):
+        for check in (posets._validate_antichain, posets._validate_chain):
             ok, reason = check(p, items)
             assert not ok and "not an element" in reason
 
     def test_repeated_antichain_entry(self):
-        assert posets.validate_antichain(divisibility(), (4, 4)) == (
+        assert posets._validate_antichain(divisibility(), (4, 4)) == (
             False, "antichain repeats an element")
 
 
@@ -175,7 +171,7 @@ class TestHallFromDilworth:
         f = core.SetFamily([1, 2, 3], [[1, 2], [2, 3], [3, 1]])
         result = hall_from_dilworth(f)
         assert result is not None
-        assert core.validate_sdr(f, result.reps) == (True, None)
+        assert core.verify_sdr(f, {"reps": list(result.reps)}) == (True, None)
         assert isinstance(core.hall_check(f), core.Sdr)
 
     def test_disjoint_singletons(self):
