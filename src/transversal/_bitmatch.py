@@ -24,16 +24,18 @@ sets.  The two matching forms run the same Hopcroft-Karp phases from
 different starts: the mask form from a greedy pass, the list form from a
 Karp-Sipser start, which on sparse rows leaves far fewer rows for the
 phases.  So they may return different maximum matchings, of one size, and
-the reach out of either one's free rows is the same.  A mask operation
-costs time in proportion to the mask's width, so on wide, sparse rows
-(thousands of columns, a handful per row) every edge the mask form touches
-costs a pass over the whole row, and the list form wins; on narrow or dense
-rows one mask operation settles many columns at once, and the mask form
-wins.  `column_lists` makes the choice from the shape, once per solve, in
-the caller that owns the rows (`core._engine_rows` and `posets.dilworth`).
-`max_matching` and `alternating_reachable` then read the form off the rows
-they are handed, ints for masks and sequences for column lists, so a caller
-that has only masks keeps the mask forms.
+the reach out of either one's free rows is the same.  `max_matching` and
+`alternating_reachable` read the form off the rows they are handed, ints
+for masks and sequences for column lists.  Families and bipartite graphs
+hand over the column lists they store, whatever their shape, so their
+matchings do not depend on the width of the ground or of part B.  The mask
+form serves the callers that hold only masks: the Rado search, and
+`posets.dilworth`, whose closure can be quadratic in its input.  Dilworth
+alone applies a shape rule, `column_lists`, once per solve: a mask
+operation costs time in proportion to the mask's width, so on wide, sparse
+rows (thousands of columns, a handful per row) the list form wins, and on
+narrow or dense rows one mask operation settles many columns at once and
+the mask form wins.
 
 The exhaustive searches (SDRs of arrays, Latin-square counting, hypergraph
 SDRs and the Aharoni-Haxell condition) all run `disjoint_choices`: one value
@@ -52,46 +54,35 @@ UNMATCHED = -1
 # The Latin count at n=7 runs into it after about 2 s (2-vCPU Xeon).
 NODE_BUDGET = 1 << 22
 
-# The shape rule of `column_lists`, measured by running the matching calls
-# recorded from the benchmark workloads, and random rows of each width and
-# degree, through both forms (see CHANGES.md).  Both forms had the greedy
-# start then; the list form's Karp-Sipser start came later, and the
-# crossover was not measured again with it.
+# The shape rule of `column_lists`, which only `posets.dilworth` applies,
+# measured by running the matching calls recorded from the benchmark
+# workloads, and random rows of each width and degree, through both forms
+# (see CHANGES.md).  Both forms had the greedy start then; the list form's
+# Karp-Sipser start came later, and the crossover was not measured again
+# with it.
 LIST_MIN_COLS = 256
 LIST_MAX_DEGREE = 8
 
 
-def column_lists(row_masks, n_cols, row_cols=None):
-    """The rows as ascending column sequences when the list forms suit
-    them, else None.
-
-    The list forms are chosen for rows over at least LIST_MIN_COLS columns
-    that hold at most LIST_MAX_DEGREE columns each on average.  `row_cols`,
-    if given, are those sequences already made and are returned as they
-    are, and `row_masks` is not read; otherwise they are read off the masks.
-    """
-    rows = row_masks if row_cols is None else row_cols
-    if n_cols < LIST_MIN_COLS or not rows:
+def column_lists(row_masks, n_cols):
+    """The rows as ascending column lists when the list forms suit them,
+    else None: for rows over at least LIST_MIN_COLS columns that hold at
+    most LIST_MAX_DEGREE columns each on average."""
+    if n_cols < LIST_MIN_COLS or not row_masks:
         return None
-    if row_cols is None:
-        edges = sum(mask.bit_count() for mask in row_masks)
-    else:
-        edges = sum(map(len, row_cols))
-    if edges > LIST_MAX_DEGREE * len(rows):
+    if sum(mask.bit_count() for mask in row_masks) > LIST_MAX_DEGREE * len(row_masks):
         return None
-    if row_cols is None:
-        row_cols = [list(bits_of(mask)) for mask in row_masks]
-    return row_cols
+    return [list(bits_of(mask)) for mask in row_masks]
 
 
 def max_matching(rows, n_cols):
     """Return (match_of_row, match_of_col) for a maximum matching.
 
-    `rows` are in the form the caller picked: masks (ints), or the
-    ascending column sequences that `column_lists` returned.  A start
-    matches most rows first: in the mask form a greedy pass gives each row
-    its lowest free column, and in the list form a Karp-Sipser start first
-    matches any row or column with one free neighbour (see `_match_lists`).
+    `rows` are in the form the caller picked: masks (ints), or ascending
+    column sequences.  A start matches most rows first: in the mask form a
+    greedy pass gives each row its lowest free column, and in the list form
+    a Karp-Sipser start first matches any row or column with one free
+    neighbour (see `_match_lists`).
     Hopcroft-Karp phases then run while a row with columns is left
     unmatched: a breadth-first search layers the rows by their alternating
     distance from the free rows, and a depth-first search on an explicit

@@ -278,11 +278,15 @@ def birkhoff_decompose(m: RationalMatrix) -> BirkhoffDecomposition:
     every round kills at least one entry, so at most nnz - n + 1 terms
     appear and the reconstruction is exact.  The rounds run on the entries
     times their least common denominator D, the rows that the doubly
-    stochastic check builds, and each coefficient is mu / D.
+    stochastic check builds, and each coefficient is mu / D.  The order-0
+    matrix has no entry to peel and is its own permutation matrix, the one
+    term with coefficient 1.
     """
     reason, scale, work = _stochastic_failure(m)
     if reason is not None:
         raise ValidationError(f"matrix is not doubly stochastic: {reason}", field="entries")
+    if not m.n:
+        return BirkhoffDecomposition(((Fraction(1), ()),))
     masks = [sum(1 << j for j, x in enumerate(row) if x) for row in work]
     return BirkhoffDecomposition(tuple(
         (Fraction(mu, scale), perm) for mu, perm in _bitmatch.peel(masks, m.n, work)))

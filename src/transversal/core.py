@@ -166,14 +166,6 @@ def _cert_rows(cert, key, index=None, width=None):
     return rows
 
 
-def _engine_rows(owner, n_cols):
-    """The rows of `owner`, a family or a bipartite graph, in the form the
-    matching engine is to run on for the whole solve: the column lists that
-    `owner` stores when `_bitmatch.column_lists` picks them, so that no mask
-    is made, else its masks."""
-    return _bitmatch.column_lists(None, n_cols, owner._cols) or owner._masks
-
-
 class SetFamily:
     """An ordered tuple of subsets of a finite ground set.
 
@@ -181,10 +173,11 @@ class SetFamily:
     The order of ``ground`` fixes the deterministic scan order used by every
     solver, and members of each set are stored in that order.
 
-    Each set is stored as its ascending list of ground positions, the form
-    the matching engine walks on wide, sparse families.  The bitmasks and
-    the ``sets`` label tuples are made from those lists on first read and
-    then kept.
+    Each set is stored as its ascending list of ground positions, the rows
+    the matching engine walks for every family, so a matching does not
+    depend on how wide the ground is.  The bitmasks, which counting and the
+    Rado search read, and the ``sets`` label tuples are made from those
+    lists on first read and then kept.
     """
 
     __slots__ = ("ground", "_index", "_cols", "_mask_list", "_label_sets")
@@ -364,7 +357,7 @@ def verify_sdr(family: SetFamily, cert: dict) -> tuple[bool, str | None]:
     union, reason = _violator_union(family, indices, stated)
     if union is None:
         return False, reason
-    if len(stated) >= len(indices):  # the stated union, repeats and all, is shorter too
+    if len(union) >= len(indices):
         return False, "union is not smaller than the index set"
     return True, None
 
@@ -377,30 +370,29 @@ def hall_check(family: SetFamily) -> Sdr | HallViolator:
     from the unassigned ones: the Dulmage-Mendelsohn set, the same for every
     maximum matching, whose union falls short of it by the defect.
     """
-    rows = _engine_rows(family, len(family.ground))
-    match_row, match_col = _bitmatch.max_matching(rows, len(family.ground))
+    match_row, match_col = _bitmatch.max_matching(family._cols, len(family.ground))
     if all(c != _bitmatch.UNMATCHED for c in match_row):
         return Sdr(tuple(family.ground[c] for c in match_row))
-    return _hall_violator(family, rows, match_row, match_col)
+    return _hall_violator(family, match_row, match_col)
 
 
-def _hall_violator(family: SetFamily, rows, match_row, match_col) -> HallViolator:
+def _hall_violator(family: SetFamily, match_row, match_col) -> HallViolator:
     """The canonical violator read off a maximum matching that is not full.
 
-    `rows` are the family's rows in either engine form (`_engine_rows`), and
     `match_row`/`match_col` are the engine's (row -> column, column -> row)
     lists.  Every set reachable by alternating paths from an unassigned set
     is named; the result does not depend on which maximum matching is given.
     """
-    reached, _ = _bitmatch.alternating_reachable(rows, match_row, match_col)
+    reached, _ = _bitmatch.alternating_reachable(family._cols, match_row, match_col)
     indices = tuple(sorted(reached))
     return HallViolator(indices=indices, union=family.union_of(indices))
 
 
 def _violator_union(family: SetFamily, indices, stated_union):
     """The checks every violator certificate shares: the indices are
-    distinct, nonempty and in range, and `stated_union` is the union of the
-    sets they name.  Returns (recomputed union, None) or (None, reason)."""
+    distinct, nonempty and in range, and `stated_union` lists the union of
+    the sets they name, each element once.  Returns (recomputed union, None)
+    or (None, reason)."""
     indices = tuple(indices)
     if not indices:
         return None, "violator names no sets"
@@ -411,26 +403,27 @@ def _violator_union(family: SetFamily, indices, stated_union):
         return None, "violator repeats an index"
     union = family.union_of(indices)
     try:
-        same = set(union) == set(stated_union)
+        stated = set(stated_union)
     except TypeError:  # an unhashable entry is no element
-        same = False
-    if not same:
+        stated = None
+    if stated != set(union):
         return None, "stated union differs from the recomputed union"
+    if len(stated) != len(stated_union):
+        return None, "stated union repeats an element"
     return union, None
 
 
 def partial_sdr(family: SetFamily) -> DefectReport:
     """Largest partial assignment, with the defect it cannot avoid and the
     canonical violator that proves it."""
-    rows = _engine_rows(family, len(family.ground))
-    match_row, match_col = _bitmatch.max_matching(rows, len(family.ground))
+    match_row, match_col = _bitmatch.max_matching(family._cols, len(family.ground))
     partial = {
         i: family.ground[c]
         for i, c in enumerate(match_row)
         if c != _bitmatch.UNMATCHED
     }
     defect = family.n - len(partial)
-    violator = _hall_violator(family, rows, match_row, match_col) if defect else None
+    violator = _hall_violator(family, match_row, match_col) if defect else None
     return DefectReport(defect, partial, violator)
 
 

@@ -17,11 +17,10 @@ class BipartiteGraph:
     elements often do).
 
     Each part-A vertex's part-B positions are stored as an ascending list,
-    the form the matching engine walks on wide, sparse graphs; the bitmasks
-    are made from those lists on first read and then kept.
+    the rows the matching engine walks for every graph; no bitmask is made.
     """
 
-    __slots__ = ("part_a", "part_b", "edges", "_a_index", "_b_index", "_cols", "_mask_list")
+    __slots__ = ("part_a", "part_b", "edges", "_a_index", "_b_index", "_cols")
 
     def __init__(self, part_a, part_b, edges):
         a_index = core._index_labels(part_a, "partA")
@@ -30,7 +29,6 @@ class BipartiteGraph:
         self.part_b = tuple(b_index)
         self._a_index = a_index
         self._b_index = b_index
-        self._mask_list = None
         edges = edges if isinstance(edges, list) else list(edges)
         cols = [[] for _ in a_index]
         try:
@@ -47,12 +45,6 @@ class BipartiteGraph:
         if sum(map(len, map(set, cols))) != len(edges):  # keep each edge's first occurrence
             self.edges, cols = tuple(dict.fromkeys(self.edges)), [sorted({*c}) for c in cols]
         self._cols = cols
-
-    @property
-    def _masks(self) -> list:
-        if self._mask_list is None:
-            self._mask_list = [core._mask_at(c) for c in self._cols]
-        return self._mask_list
 
     def has_edge(self, a, b) -> bool:
         ia = self._a_index.get(a)
@@ -234,7 +226,7 @@ class FlowNetwork:
 
 def max_matching(g: BipartiteGraph) -> Matching:
     """A maximum matching; deterministic for a fixed input order."""
-    match_row, _ = _bitmatch.max_matching(core._engine_rows(g, len(g.part_b)), len(g.part_b))
+    match_row, _ = _bitmatch.max_matching(g._cols, len(g.part_b))
     edges = tuple(
         (g.part_a[i], g.part_b[c])
         for i, c in enumerate(match_row)
@@ -250,9 +242,8 @@ def konig_cover(g: BipartiteGraph) -> tuple[Matching, VertexCover]:
     vertices; equality of the two sizes certifies that the matching is
     maximum and the cover minimum.
     """
-    rows = core._engine_rows(g, len(g.part_b))
-    match_row, match_col = _bitmatch.max_matching(rows, len(g.part_b))
-    reached, cols = _bitmatch.alternating_reachable(rows, match_row, match_col)
+    match_row, match_col = _bitmatch.max_matching(g._cols, len(g.part_b))
+    reached, cols = _bitmatch.alternating_reachable(g._cols, match_row, match_col)
     in_a = tuple(
         g.part_a[i]
         for i in range(len(g.part_a))

@@ -771,8 +771,7 @@ def graph_to_family(g: graphs.BipartiteGraph) -> core.SetFamily:
     """Inverse of family_to_graph: each part-A vertex becomes its neighbour set."""
     sets = []
     for a in g.part_a:
-        mask = g._masks[g._a_index[a]]
-        sets.append([g.part_b[p] for p in _bitmatch.bits_of(mask)])
+        sets.append([g.part_b[p] for p in g._cols[g._a_index[a]]])
     return core.SetFamily(g.part_b, sets)
 
 
@@ -791,7 +790,7 @@ def hall_via_menger(family: core.SetFamily):
     arcs = [(s, 2 + i, 1) for i in range(n)]
     sdr_arcs = []
     for i in range(n):
-        for p in _bitmatch.bits_of(family._masks[i]):
+        for p in family._cols[i]:
             sdr_arcs.append((i, p))
             arcs.append((2 + i, 2 + n + p, 1))
     for p in range(n_ground):
@@ -805,7 +804,7 @@ def hall_via_menger(family: core.SetFamily):
             match_col[p] = i
     if value == n:
         return core.Sdr(tuple(family.ground[c] for c in match_row))
-    return core._hall_violator(family, family._masks, match_row, match_col)
+    return core._hall_violator(family, match_row, match_col)
 
 
 def hall_from_dilworth(family: core.SetFamily):

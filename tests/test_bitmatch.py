@@ -243,8 +243,6 @@ class TestRowForms:
         assert _bitmatch.column_lists(at_most, width) == [list(range(degree))] * 10
         assert _bitmatch.column_lists(at_most, width - 1) is None
         assert _bitmatch.column_lists(at_most[:9] + [(1 << (degree + 1)) - 1], width) is None
-        cols = [tuple(range(degree))] * 10
-        assert _bitmatch.column_lists(at_most, width, cols) is cols
         assert _bitmatch.column_lists([], width) is None
 
     def test_masks_without_lists(self, monkeypatch):
@@ -260,16 +258,13 @@ class TestRowForms:
         assert rows == {200, 201, 202} and cols == {0}
 
     def test_one_form_choice_per_solve(self, monkeypatch):
-        """Each solve picks the row form once: one `column_lists` call in
-        `hall_check`, in `partial_sdr` with a defect, in `konig_cover` and in
-        `dilworth`, each on rows the rule puts on lists, and the matching
-        and the reach both run on those lists."""
-        sets = [[2 * i, 2 * i + 1] for i in range(200)] + [[0]] * 3  # 400 elements
-        family = core.SetFamily(range(400), sets)
-        graph = graphs.BipartiteGraph(range(len(sets)), range(400),
-                                      [(i, x) for i, s in enumerate(sets) for x in s])
-        poset = posets.Poset(range(300), [(i, i + 150) for i in range(150)])
-        picks, forms = [], []
+        """Families and bipartite graphs hand the engine the column lists
+        they store, `_cols` itself, on narrow and dense rows as on wide and
+        sparse ones, and pick no form: `hall_check`, `partial_sdr` with a
+        defect, `max_matching` and `konig_cover` make no `column_lists` call.
+        `dilworth` makes one, on its order's masks, and the matching and the
+        reach both run on the lists it returns."""
+        picks, handed = [], []
         column_lists = _bitmatch.column_lists
 
         def counted(*args):
@@ -280,21 +275,48 @@ class TestRowForms:
             engine = getattr(_bitmatch, name)
 
             def spied(rows, *rest):
-                forms.append(type(rows[0]))
+                handed.append(rows)
                 return engine(rows, *rest)
             monkeypatch.setattr(_bitmatch, name, spied)
 
         monkeypatch.setattr(_bitmatch, "column_lists", counted)
         spy("max_matching")
         spy("alternating_reachable")
-        for solve, arg in ((core.hall_check, family), (core.partial_sdr, family),
-                           (graphs.konig_cover, graph), (posets.dilworth, poset)):
-            picks.clear()
-            forms.clear()
-            solve(arg)
-            assert len(picks) == 1 and picks[0] is not None, solve.__name__
-            assert forms == [list, list], solve.__name__
-        assert core.partial_sdr(family).defect == 2
+        wide = [[2 * i, 2 * i + 1] for i in range(200)] + [[0]] * 3  # 400 elements
+        dense = [list(range(6))] * 3 + [[0]] * 3  # 6 elements
+        for sets, width in ((wide, 400), (dense, 6)):
+            family = core.SetFamily(range(width), sets)
+            graph = graphs.BipartiteGraph(range(len(sets)), range(width),
+                                          [(i, x) for i, s in enumerate(sets) for x in s])
+            for solve, owner, calls in ((core.hall_check, family, 2),
+                                        (core.partial_sdr, family, 2),
+                                        (graphs.max_matching, graph, 1),
+                                        (graphs.konig_cover, graph, 2)):
+                handed.clear()
+                solve(owner)
+                assert not picks, solve.__name__
+                assert len(handed) == calls, solve.__name__
+                assert all(rows is owner._cols for rows in handed), solve.__name__
+            assert core.partial_sdr(family).defect == 2
+        poset = posets.Poset(range(300), [(i, i + 150) for i in range(150)])
+        handed.clear()
+        posets.dilworth(poset)
+        assert len(picks) == 1 and picks[0] is not None
+        assert len(handed) == 2 and all(rows is picks[0] for rows in handed)
+
+    def test_padding_changes_no_answer(self):
+        """Labels that no set or edge uses change no answer: families and
+        bipartite graphs match on the same lists whatever the width of their
+        ground or part B, so 300 unused labels pick no other form."""
+        sets = [[0, 1, 2], [0, 1, 2]]
+        edges = [(0, 0), (0, 2), (2, 0), (2, 1), (2, 2)]
+        answers = []
+        for width in (3, 303):
+            family = core.SetFamily(range(width), sets)
+            graph = graphs.BipartiteGraph(range(3), range(width), edges)
+            answers.append((core.hall_check(family), core.partial_sdr(family),
+                            graphs.max_matching(graph), graphs.konig_cover(graph)))
+        assert answers[0] == answers[1]
 
     def test_chain_runs_on_lists(self, monkeypatch):
         """The 1500-step chain: set i holds elements i and i + 1, and a last
@@ -336,7 +358,7 @@ class TestRowForms:
             n_cols = rng.randint(256, 600)
             cases.append(random_forest(rng, rng.randint(40, n_cols), n_cols))
         for masks, cols, n_cols in cases:
-            assert _bitmatch.column_lists(masks, n_cols, cols) is cols
+            assert _bitmatch.column_lists(masks, n_cols) == cols
             match_row, match_col = _bitmatch.max_matching(cols, n_cols)
             check_matching(masks, n_cols, match_row, match_col)
             expected, _ = bfs_max_matching(masks, n_cols)
@@ -483,12 +505,12 @@ def engine_references():
 
 
 def test_form_rule_applied_by_the_row_owners_only():
-    """The row form is picked in one place per solve: only
-    `core._engine_rows` and `posets.dilworth` call `column_lists`, and only
-    `_bitmatch` itself reaches the form-specific engines."""
+    """Posets are the one row owner with a form rule: `posets.dilworth` is
+    the only caller of `column_lists`, `core` and `graphs` never name it
+    (families and bipartite graphs hand the engine their stored lists), and
+    only `_bitmatch` itself reaches the form-specific engines."""
     found = engine_references()
-    assert {where for where, name in found if name == "column_lists"} == {
-        "core._engine_rows", "posets.dilworth"}
+    assert {where for where, name in found if name == "column_lists"} == {"posets.dilworth"}
     private = {where for where, name in found if name != "column_lists"}
     assert private and all(where.startswith("_bitmatch.") for where in private), private
 

@@ -822,6 +822,42 @@ VALID_INPUTS = {
 }
 
 
+# subcommand -> {"empty": (files, extra arguments), "one": (files, extra arguments)}
+EDGE_INPUTS = {
+    command: {"empty": (empty, extra), "one": (one, one_extra)}
+    for command, empty, one, extra, one_extra in [
+        ("sdr", [{"ground": [], "sets": []}], [{"ground": ["a"], "sets": [["a"]]}], (), ()),
+        ("defect", [{"ground": [], "sets": []}], [{"ground": ["a"], "sets": [["a"]]}], (), ()),
+        ("array-sdr", [{"ground": [], "grid": []}], [{"ground": ["a"], "grid": [[["a"]]]}],
+         (), ()),
+        ("matching", [{"partA": [], "partB": [], "edges": []}],
+         [{"partA": ["x"], "partB": ["y"], "edges": [["x", "y"]]}], (), ()),
+        ("cover", [{"partA": [], "partB": [], "edges": []}],
+         [{"partA": ["x"], "partB": ["y"], "edges": [["x", "y"]]}], (), ()),
+        ("menger", [{"vertices": ["s", "t"], "edges": []}],
+         [{"vertices": ["s", "t"], "edges": [["s", "t"]]}],
+         ("--source", "s", "--sink", "t"), ("--source", "s", "--sink", "t", "--mode", "edge")),
+        ("maxflow", [{"source": "s", "sink": "t", "edges": []}],
+         [{"source": "s", "sink": "t", "edges": [["s", "t", 1]]}], (), ()),
+        ("dilworth", [{"elements": [], "less_than": []}],
+         [{"elements": ["a"], "less_than": []}], (), ()),
+        ("mirsky", [{"elements": [], "less_than": []}],
+         [{"elements": ["a"], "less_than": []}], (), ()),
+        ("perfect", [{"vertices": [], "edges": []}], [{"vertices": ["a"], "edges": []}], (), ()),
+        ("birkhoff", [{"n": 0, "entries": []}], [{"n": 1, "entries": [["1"]]}], (), ()),
+        ("latin-extend", [{"n": 1, "rows": []}], [{"n": 2, "rows": [[1, 2]]}], (), ()),
+        ("latin-complete", [{"n": 0, "rows": []}], [{"n": 2, "rows": [[2, 1]]}], (), ()),
+        ("youden", [{"points": [], "blocks": []}], [{"points": [1], "blocks": [[1]]}], (), ()),
+        ("rado", [{"ground": [], "sets": []}, {"kind": "free", "ground": []}],
+         [{"ground": ["a"], "sets": [["a"]]}, {"kind": "free", "ground": ["a"]}], (), ()),
+        ("cosets", [{"elements": ["e"], "table": [[0]]}], [{"elements": ["e"], "table": [[0]]}],
+         ("--generators", "[]"), ("--generators", '["e"]')),
+        ("hyper-sdr", [{"vertices": [], "hypergraphs": []}],
+         [{"vertices": ["1"], "hypergraphs": [[["1"]]]}], (), ()),
+    ]
+}
+
+
 def run_on(capsys, tmp_path, command, objs, extra=()):
     paths = [write(tmp_path, f"in{k}.json", obj) for k, obj in enumerate(objs)]
     return run(capsys, command, *paths, *extra)
@@ -1286,6 +1322,46 @@ class TestCertificateBoundary:
         uses = [n for n in loads(verify, "cert") if isinstance(n.ctx, ast.Load)]
         assert len(uses) == 2
         assert {id(n) for n in uses} <= passed_to(verify, {"isinstance", "check"})
+
+    @pytest.mark.parametrize("command", ["sdr", "defect", "rado"])
+    def test_violator_union_lists_each_element_once(self, capsys, tmp_path, command):
+        """Every violator check reads the stated union by one rule: the union
+        of the named sets, each element once.  Sets 0 and 1 are {a}; stated
+        as ["a"] the violator verifies, stated as ["a", "a"] it is refused."""
+        extra, cert = {"sdr": ([], {}),
+                       "defect": ([], {"defect": 1, "partial": {"0": "a", "2": "b"}}),
+                       "rado": ([{"kind": "free", "ground": ["a", "b", "c"]}], {"rank": 1}),
+                       }[command]
+        objs = [{"ground": ["a", "b", "c"], "sets": [["a"], ["a"], ["b", "c"]]}, *extra]
+        for union, expect in ((["a"], 0), (["a", "a"], 1)):
+            path = write(tmp_path, "cert.json", {**cert, "indices": [0, 1], "union": union})
+            code, env, _ = run_on(capsys, tmp_path, command, objs, ("--verify", path))
+            assert code == expect, env
+        assert env["payload"]["reason"] == "stated union repeats an element"
+
+    @pytest.mark.parametrize("size", ["empty", "one"])
+    @pytest.mark.parametrize("command", sorted(c.name for c in cli._COMMANDS.values() if c.check))
+    def test_edge_inputs_round_trip(self, capsys, tmp_path, command, size):
+        """The answer on the empty input, and on a one-element input, passes
+        its own --verify, except an answer that carries no certificate
+        (`perfect` true), which is refused with that reason.  Two empty
+        inputs have no answer and are refused as invalid input: the 0-by-0
+        Latin square has no row to add, and a design with no block has no
+        block size; `latin-extend` is fed the rectangle with no rows of
+        order 1 instead."""
+        objs, extra = EDGE_INPUTS[command][size]
+        code, env, _ = run_on(capsys, tmp_path, command, objs, extra)
+        if (command, size) == ("youden", "empty"):
+            assert code == 2 and env["diagnostics"].endswith("(field: blocks)")
+            return
+        assert code in (0, 1) and env["payload"] is not None, env
+        path = write(tmp_path, "cert.json", env["payload"])
+        uncertified = command == "perfect" and env["payload"]["perfect"]
+        code, env, _ = run_on(capsys, tmp_path, command, objs, (*extra, "--verify", path))
+        if uncertified:
+            assert code == 1 and env["payload"]["reason"].endswith("a checker can read")
+        else:
+            assert code == 0 and env["payload"] == {"valid": True}, env
 
     def test_one_checker_per_answer(self):
         """Each answer kind has one checker: no public `validate_*` is left

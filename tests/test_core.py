@@ -40,7 +40,7 @@ class TestSetFamily:
 def seeded_sets(rng, ground):
     """Sets drawn from `ground`, narrow and dense or wide and sparse by its
     size: members listed in any order, some repeated, and some sets empty."""
-    most = 8 if len(ground) >= _bitmatch.LIST_MIN_COLS else len(ground)
+    most = 8 if len(ground) >= 256 else len(ground)
     sets = []
     for _ in range(rng.randint(0, 60 if most == 8 else 12)):
         members = rng.sample(ground, rng.randint(0, most))
@@ -52,20 +52,18 @@ def seeded_sets(rng, ground):
 
 
 class TestLazyForms:
-    """Families and bipartite graphs store column lists and make masks and
-    label tuples on first read; every reader agrees with `EagerFamily` and
-    `EagerGraph`, which make them all at construction, whatever is read
-    first."""
+    """Families store column lists and make masks and label tuples on first
+    read, and bipartite graphs store only the lists; every reader agrees
+    with `EagerFamily` and `EagerGraph`, which make them all at
+    construction, whatever is read first."""
 
     def test_family_readers_match_the_eager_reference(self):
         rng = random.Random(2718)
-        wide = 0
         for _ in range(80):
             ground = [f"g{k}" for k in rng.sample(range(5000), rng.choice((1, 6, 30, 300, 900)))]
             sets = seeded_sets(rng, ground)
             ref = EagerFamily(ground, sets)
             f = fam(ground, sets)
-            wide += _bitmatch.column_lists(None, len(ground), f._cols) is not None
             readers = [
                 lambda: f.sets == ref.sets,
                 lambda: [f.mask(i) for i in range(f.n)] == ref.masks,
@@ -84,7 +82,6 @@ class TestLazyForms:
                 other = [list(s) for s in sets]
                 other[-1] = [x for x in ground if x not in other[-1]][:1]
                 assert fam(ground, other) != f
-        assert 10 <= wide < 80, wide
 
     def test_graph_edges_match_the_eager_reference(self):
         rng = random.Random(1618)
@@ -99,32 +96,32 @@ class TestLazyForms:
                       for _ in range(30)] + edges[:30]
             assert [g.has_edge(a, b) for a, b in probes] == [ref.has_edge(a, b)
                                                             for a, b in probes]
-            assert g._masks == [ref.masks[a] for a in part_a]
+            assert g._cols == [list(_bitmatch.bits_of(ref.masks[a])) for a in part_a]
 
     def test_wide_sparse_solves_make_no_mask(self):
-        """On sets of at most 8 over 256 and more columns every solver and
-        checker of families and bipartite graphs runs on the column lists:
-        no mask list and no label tuples are made."""
-        n = 400
-        ground = list(range(n))
-        sets = [[i, (i + 1) % n, (i + 7) % n] for i in range(n - 10)]
-        sets += [[3], [3], [5, 6]]  # two sets on one element: a violator
-        for name, check in (("sdr", core.verify_sdr), ("defect", core.verify_defect)):
-            f = fam(ground, sets)
-            payload = payload_of(name, f)
-            assert "reps" not in payload and payload.get("defect", 1) == 1
-            assert check(f, payload) == (True, None)
+        """Every solver and checker of families and bipartite graphs runs on
+        the column lists, over 400 columns as over 12: a family makes no
+        mask list and no label tuples, and a bipartite graph has no masks."""
+        for n in (400, 12):
+            ground = list(range(n))
+            sets = [[i, (i + 1) % n, (i + 7) % n] for i in range(n - 10)]
+            sets += [[3], [3], [5, 6]]  # two sets on one element: a violator
+            for name, check in (("sdr", core.verify_sdr), ("defect", core.verify_defect)):
+                f = fam(ground, sets)
+                payload = payload_of(name, f)
+                assert "reps" not in payload and payload.get("defect", 1) == 1
+                assert check(f, payload) == (True, None)
+                assert f._mask_list is None and f._label_sets is None
+            f = fam(ground, sets[:-3])
+            assert core.verify_sdr(f, payload_of("sdr", f)) == (True, None)
             assert f._mask_list is None and f._label_sets is None
-        f = fam(ground, sets[:-3])
-        assert core.verify_sdr(f, payload_of("sdr", f)) == (True, None)
-        assert f._mask_list is None and f._label_sets is None
-        edges = [(i, x) for i, members in enumerate(sets) for x in members]
-        g = graphs.BipartiteGraph(range(len(sets)), ground, edges)
-        assert graphs.verify_matching(g, payload_of("matching", g)) == (True, None)
-        payload = payload_of("cover", g)
-        assert payload["size"] == len(sets) - 1
-        assert graphs.verify_cover(g, payload) == (True, None)
-        assert g._mask_list is None
+            edges = [(i, x) for i, members in enumerate(sets) for x in members]
+            g = graphs.BipartiteGraph(range(len(sets)), ground, edges)
+            assert graphs.verify_matching(g, payload_of("matching", g)) == (True, None)
+            payload = payload_of("cover", g)
+            assert payload["size"] == len(sets) - 1
+            assert graphs.verify_cover(g, payload) == (True, None)
+        assert not {"_masks", "_mask_list"} & set(dir(g))
 
 
 class TestValidateSdr:
@@ -202,9 +199,9 @@ class TestHallCheck:
             if isinstance(result, core.Sdr):
                 continue
             deficient += 1
-            reference = bfs_max_matching(f._masks, len(ground))
-            differ += reference != _bitmatch.max_matching(f._masks, len(ground))
-            assert result == core._hall_violator(f, f._masks, *reference)
+            reference = bfs_max_matching([f.mask(i) for i in range(f.n)], len(ground))
+            differ += reference != _bitmatch.max_matching(f._cols, len(ground))
+            assert result == core._hall_violator(f, *reference)
             assert result == hall_via_menger(f)
         assert deficient >= 200 and differ >= 50, (deficient, differ)
 
