@@ -9,7 +9,6 @@ line fronts all of it with JSON files.
 """
 
 from .birkhoff import (
-    BirkhoffDecomposition,
     RationalMatrix,
     birkhoff_decompose,
     is_doubly_stochastic,
@@ -19,9 +18,6 @@ from .birkhoff import (
 )
 from .core import (
     ArrayFamily,
-    DefectReport,
-    HallViolator,
-    Sdr,
     SetFamily,
     array_sdr,
     count_sdrs,
@@ -33,15 +29,12 @@ from .graphs import (
     BipartiteGraph,
     FlowNetwork,
     Graph,
-    Matching,
-    VertexCover,
     konig_cover,
     max_flow_min_cut,
     max_matching,
     menger_paths,
 )
 from .groups import (
-    CosetSystem,
     FiniteGroup,
     coset_family,
     coset_system,
@@ -51,7 +44,6 @@ from .groups import (
 from .hypersdr import (
     Hypergraph,
     HypergraphFamily,
-    HyperSdr,
     ah_condition,
     find_hyper_sdr,
 )
@@ -67,15 +59,11 @@ from .latin import (
 )
 from .matroids import (
     MatroidOracle,
-    RadoViolator,
-    Sir,
     make_matroid,
     rado_check,
     rank,
 )
 from .posets import (
-    AntichainPartition,
-    ChainPartition,
     Poset,
     dilworth,
     is_perfect,

@@ -10,7 +10,6 @@ equality cases of the bounds are exact claims.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
 
@@ -169,16 +168,6 @@ class RationalMatrix:
         return cls(cls._json_rows(obj))
 
 
-@dataclass(frozen=True)
-class BirkhoffDecomposition:
-    """Convex combination of permutations: ((coefficient, permutation), ...)."""
-
-    terms: tuple
-
-    def __len__(self):
-        return len(self.terms)
-
-
 def term_bound(m: RationalMatrix) -> int:
     """The most terms a decomposition of `m` needs: nnz - n + 1."""
     return sum(1 for row in m.rows for x in row if x) - m.n + 1
@@ -270,8 +259,20 @@ def _printable(x) -> bool:
     return max(abs(x.numerator), x.denominator) < _PRINT_LIMIT
 
 
-def birkhoff_decompose(m: RationalMatrix) -> BirkhoffDecomposition:
-    """Write a doubly stochastic matrix as a convex sum of permutations.
+def _check_printable(what, *numbers):
+    """Refuse, as too large to print, a result whose `numbers`, ints or
+    Fractions, are not all `_printable`: raise ``ResourceLimitError``."""
+    if not all(map(_printable, numbers)):
+        raise ResourceLimitError(f"{what} has over {_DIGIT_CEILING} digits, too many to print")
+
+
+def birkhoff_decompose(m: RationalMatrix) -> tuple[str, dict, str]:
+    """Write a doubly stochastic matrix as a convex sum of permutations, as
+    ("found", payload, diagnostics), the payload being what
+    `verify_birkhoff` reads: "terms", each a "coefficient", a positive
+    rational string, and a "permutation", the column of each row; and
+    "term_bound", ``term_bound(m)``.  A coefficient too long to print is
+    refused with ``ResourceLimitError``.
 
     Each round takes the lexicographically least permutation supported on
     the positive entries, scaled by its minimum entry (`_bitmatch.peel`);
@@ -285,11 +286,15 @@ def birkhoff_decompose(m: RationalMatrix) -> BirkhoffDecomposition:
     reason, scale, work = _stochastic_failure(m)
     if reason is not None:
         raise ValidationError(f"matrix is not doubly stochastic: {reason}", field="entries")
-    if not m.n:
-        return BirkhoffDecomposition(((Fraction(1), ()),))
-    masks = [sum(1 << j for j, x in enumerate(row) if x) for row in work]
-    return BirkhoffDecomposition(tuple(
-        (Fraction(mu, scale), perm) for mu, perm in _bitmatch.peel(masks, m.n, work)))
+    if m.n:
+        masks = [sum(1 << j for j, x in enumerate(row) if x) for row in work]
+        terms = [(Fraction(mu, scale), perm) for mu, perm in _bitmatch.peel(masks, m.n, work)]
+    else:
+        terms = [(Fraction(1), ())]
+    _check_printable("a coefficient", *(c for c, _ in terms))
+    payload = {"terms": [{"coefficient": str(c), "permutation": list(perm)} for c, perm in terms],
+               "term_bound": term_bound(m)}
+    return "found", payload, f"{len(terms)} terms"
 
 
 def permanent(m: RationalMatrix, *, ceiling: int = PERMANENT_CEILING) -> Fraction:

@@ -8,6 +8,9 @@ certificate with the library checker of its subcommand, never a solver.
 
 Each subcommand is one row of `_COMMANDS`, by which `main` reads argv (no
 argparse) and runs: load the files, make the problem, then verify or solve.
+A row's solver is the library function that returns (status, payload,
+diagnostics) itself, or, for the commands whose library function returns a
+plain number, array or rectangle, a small adapter here.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from operator import attrgetter
 from types import SimpleNamespace
 from typing import NamedTuple
 
+# The rows name their builders, solvers and checkers by paths into these modules.
 from . import birkhoff, core, graphs, groups, hypersdr, latin, matroids, posets
 from .errors import ResourceLimitError, ValidationError
 
@@ -61,18 +65,11 @@ def _verify(path, check, *problem):
     return "not-found", {"valid": False, "reason": reason}, f"certificate rejected: {reason}"
 
 
-def _check_printable(what, *numbers):
-    """Refuse, as too large to print (exit 3), a result whose `numbers`,
-    ints or Fractions, are not all `birkhoff._printable`."""
-    if not all(map(birkhoff._printable, numbers)):
-        raise ResourceLimitError(
-            f"{what} has over {birkhoff._DIGIT_CEILING} digits, too many to print")
-
-
 def _library(path):
-    """The package attribute at `path`, such as "core.SetFamily.from_json",
-    looked up at each call, so that a wrapper set on it after import runs."""
-    return attrgetter(path)(sys.modules[__package__])
+    """The attribute at `path` of this module, such as "core.SetFamily.from_json"
+    or "_bounds", looked up at each call, so that a wrapper set on it after
+    import runs."""
+    return attrgetter(path)(sys.modules[__name__])
 
 
 def _build(*paths):
@@ -83,31 +80,25 @@ def _build(*paths):
     return load
 
 
+def _coset_problem(group, generators):
+    """The problem of `cosets`: the group that the group file holds, and the
+    subgroup that `generators`, a JSON list of element ids, generates."""
+    group = groups.group_from_json(group)
+    try:
+        generators = json.loads(generators)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"--generators is not valid JSON: {exc}",
+                              field="generators") from exc
+    generators = groups.elements_from_json(generators, "generators")
+    return group, groups.subgroup_closure(group, generators)
+
+
 # ---------------------------------------------------------------------------
-# Solvers.  Each takes the problem its command's loader made, and the
-# ceiling when its command takes one, and returns (status, payload,
-# diagnostics).  None is handed the arguments, so none can read a certificate.
-
-
-def _violator(v, **extra):
-    return {"indices": list(v.indices), "union": list(v.union), **extra}
-
-
-def _sdr(family):
-    result = core.hall_check(family)
-    if isinstance(result, core.Sdr):
-        return "found", {"reps": list(result.reps)}, "SDR found"
-    return ("not-found", _violator(result),
-            f"{len(result.indices)} sets with a union of size {len(result.union)}")
-
-
-def _defect(family):
-    report = core.partial_sdr(family)
-    partial = {str(i): x for i, x in sorted(report.partial.items())}
-    payload = {"defect": report.defect, "partial": partial}
-    if report.violator is not None:
-        payload.update(_violator(report.violator))
-    return "found", payload, f"defect {report.defect}"
+# Adapters, for the commands whose library function returns a plain value.
+# Each takes the problem its command's loader made, and the ceiling when its
+# command takes one, and returns (status, payload, diagnostics), as every
+# library solver a row names does.  None is handed the arguments, so none can
+# read a certificate.
 
 
 def _count_sdr(family, **limits):
@@ -122,66 +113,9 @@ def _array_sdr(arr, **limits):
     return "found", {"grid": [list(r) for r in grid]}, "array system found"
 
 
-def _matching(g):
-    matching = graphs.max_matching(g)
-    payload = {"edges": [list(e) for e in matching.edges], "size": len(matching)}
-    return "found", payload, f"matching of size {len(matching)}"
-
-
-def _cover(g):
-    matching, cover = graphs.konig_cover(g)
-    payload = {"matching": [list(e) for e in matching.edges],
-               "cover": {"partA": list(cover.in_a), "partB": list(cover.in_b)},
-               "size": len(matching)}
-    return "found", payload, f"matching and cover of size {len(matching)}"
-
-
-def _menger(g, source, sink, mode):
-    paths, cut = graphs.menger_paths(g, source, sink, mode)
-    cut = [list(e) if isinstance(e, tuple) else e for e in cut]
-    payload = {"paths": [list(p) for p in paths], "cut": cut, "count": len(paths)}
-    return "found", payload, f"{len(paths)} disjoint paths, cut of equal size"
-
-
-def _maxflow(net):
-    value, cut, flow = graphs.max_flow_min_cut(net)
-    _check_printable("the maximum flow", value)  # each arc's flow is within its parsed capacity
-    payload = {"value": value, "cut": [list(e) for e in cut],
-               "flow": [[u, v, f] for (u, v), f in flow.items()]}
-    return "found", payload, f"maximum flow {value}"
-
-
-def _dilworth(p):
-    partition, antichain = posets.dilworth(p)
-    payload = {"chains": [list(c) for c in partition.chains], "antichain": list(antichain)}
-    return "found", payload, f"{len(partition)} chains"
-
-
-def _mirsky(p):
-    partition, chain = posets.mirsky(p)
-    payload = {"antichains": [list(a) for a in partition.antichains], "chain": list(chain)}
-    return "found", payload, f"{len(partition)} antichain levels"
-
-
-def _perfect(g, **limits):
-    perfect, witness = posets.is_perfect(g, **limits)
-    # A graph is Berge (no odd hole or antihole) exactly when it is perfect.
-    payload = {"perfect": perfect, "berge": perfect, "witness": list(witness) if witness else None}
-    if perfect:
-        return "found", payload, "graph is perfect"
-    return "not-found", payload, "imperfect; witness subgraph attached"
-
-
-def _birkhoff(m):
-    dec = birkhoff.birkhoff_decompose(m)
-    _check_printable("a coefficient", *(c for c, _ in dec.terms))
-    terms = [{"coefficient": str(c), "permutation": list(perm)} for c, perm in dec.terms]
-    return "found", {"terms": terms, "term_bound": birkhoff.term_bound(m)}, f"{len(dec)} terms"
-
-
 def _permanent(matrix, **limits):
     value = birkhoff.file_permanent(matrix, **limits)
-    _check_printable("the permanent", value)
+    birkhoff._check_printable("the permanent", value)
     return "found", {"permanent": str(value)}, "permanent computed"
 
 
@@ -214,59 +148,19 @@ def _youden(design):
     return "found", {"array": [list(r) for r in array]}, f"{len(array)} rows"
 
 
-def _rado(family, oracle):
-    result = matroids.rado_check(family, oracle)
-    if isinstance(result, matroids.Sir):
-        return "found", {"reps": list(result.reps)}, "independent representatives found"
-    return ("not-found", _violator(result, rank=result.rank),
-            f"rank {result.rank} below {len(result.indices)} sets")
-
-
-def _coset_problem(group, generators):
-    """The problem of `cosets`: the group that the group file holds, and the
-    subgroup that `generators`, a JSON list of element ids, generates."""
-    group = groups.group_from_json(group)
-    try:
-        generators = json.loads(generators)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"--generators is not valid JSON: {exc}",
-                              field="generators") from exc
-    generators = groups.elements_from_json(generators, "generators")
-    return group, groups.subgroup_closure(group, generators)
-
-
-def _cosets(group, subgroup):
-    system = groups.coset_system(group, subgroup)
-    payload = {"subgroup": list(system.subgroup),
-               "left": [list(c) for c in system.left], "right": [list(c) for c in system.right],
-               "reps": list(system.reps),
-               "family": core.SetFamily(range(system.index), system.family).to_json()}
-    return "found", payload, f"index {system.index}"
-
-
-def _hyper_sdr(fam, **limits):
-    result = hypersdr.find_hyper_sdr(fam, **limits)
-    if result is not None:
-        payload = {"selection": [sorted(e, key=repr) for e in result.selection]}
-        return "found", payload, "hypergraph SDR found"
-    holds, witness = hypersdr.ah_condition(fam, **limits)
-    note = "no SDR" if holds else "no SDR; sufficient condition fails at the attached subfamily"
-    return "not-found", {"witness": list(witness) if witness is not None else None}, note
-
-
 class Command(NamedTuple):
     """One subcommand.  `files` names its JSON files and `options` its other
     arguments, as (name, keywords): `type`, `choices`, `default`, `required`.
     `load` makes the problem from the loaded files and then the option
-    values.  `check` is the path of the library checker behind --verify, or
-    None for none; `precheck`, if set, must accept the problem before the
-    certificate is read.  `solve` takes the problem, and the ceiling when
-    `ceiling` is set and one is given."""
+    values.  `solve` is the path of the solver, which takes the problem, and
+    the ceiling when `ceiling` is set and one is given.  `check` is the path
+    of the library checker behind --verify, or None for none; `precheck`, if
+    set, must accept the problem before the certificate is read."""
 
     name: str
     files: tuple
     load: Callable
-    solve: Callable
+    solve: str
     check: str | None = None
     ceiling: bool = False
     options: tuple = ()
@@ -281,39 +175,41 @@ _rectangle = _build("latin.LatinRectangle.from_json")
 _ORDER = ("n", {"type": int, "required": True})  # the order n of `bounds` and `latin-count`
 
 _COMMANDS = {c.name: c for c in (
-    Command("sdr", ("family",), _family, _sdr, "core.verify_sdr"),
-    Command("defect", ("family",), _family, _defect, "core.verify_defect"),
-    Command("count-sdr", ("family",), _family, _count_sdr, ceiling=True),
-    Command("array-sdr", ("array",), _build("core.ArrayFamily.from_json"), _array_sdr,
+    Command("sdr", ("family",), _family, "core.hall_check", "core.verify_sdr"),
+    Command("defect", ("family",), _family, "core.partial_sdr", "core.verify_defect"),
+    Command("count-sdr", ("family",), _family, "_count_sdr", ceiling=True),
+    Command("array-sdr", ("array",), _build("core.ArrayFamily.from_json"), "_array_sdr",
             "core.verify_array_sdr", ceiling=True),
-    Command("matching", ("graph",), _bigraph, _matching, "graphs.verify_matching"),
-    Command("cover", ("graph",), _bigraph, _cover, "graphs.verify_cover"),
-    Command("menger", ("graph",), _graph, _menger, "graphs.verify_menger",
+    Command("matching", ("graph",), _bigraph, "graphs.max_matching", "graphs.verify_matching"),
+    Command("cover", ("graph",), _bigraph, "graphs.konig_cover", "graphs.verify_cover"),
+    Command("menger", ("graph",), _graph, "graphs.menger_paths", "graphs.verify_menger",
             options=(("--source", {"required": True}), ("--sink", {"required": True}),
                      ("--mode", {"choices": ("edge", "vertex"), "default": "vertex"})),
             precheck=lambda g, source, sink, mode: graphs.check_endpoints(g, source, sink)),
-    Command("maxflow", ("network",), _build("graphs.FlowNetwork.from_json"), _maxflow,
-            "graphs.verify_maxflow"),
-    Command("dilworth", ("poset",), _poset, _dilworth, "posets.verify_dilworth"),
-    Command("mirsky", ("poset",), _poset, _mirsky, "posets.verify_mirsky"),
-    Command("perfect", ("graph",), _graph, _perfect, "posets.verify_perfect", ceiling=True),
-    Command("birkhoff", ("matrix",), _build("birkhoff.RationalMatrix.from_json"), _birkhoff,
-            "birkhoff.verify_birkhoff"),
-    Command("permanent", ("matrix",), _build(), _permanent, ceiling=True),
-    Command("bounds", (), _build(), _bounds, options=(_ORDER, ("--regular", {"type": int}))),
-    Command("latin-extend", ("rectangle",), _rectangle, _latin_extend, "latin.verify_extension"),
-    Command("latin-complete", ("rectangle",), _rectangle, _latin_complete,
+    Command("maxflow", ("network",), _build("graphs.FlowNetwork.from_json"),
+            "graphs.max_flow_min_cut", "graphs.verify_maxflow"),
+    Command("dilworth", ("poset",), _poset, "posets.dilworth", "posets.verify_dilworth"),
+    Command("mirsky", ("poset",), _poset, "posets.mirsky", "posets.verify_mirsky"),
+    Command("perfect", ("graph",), _graph, "posets.is_perfect", "posets.verify_perfect",
+            ceiling=True),
+    Command("birkhoff", ("matrix",), _build("birkhoff.RationalMatrix.from_json"),
+            "birkhoff.birkhoff_decompose", "birkhoff.verify_birkhoff"),
+    Command("permanent", ("matrix",), _build(), "_permanent", ceiling=True),
+    Command("bounds", (), _build(), "_bounds", options=(_ORDER, ("--regular", {"type": int}))),
+    Command("latin-extend", ("rectangle",), _rectangle, "_latin_extend",
+            "latin.verify_extension"),
+    Command("latin-complete", ("rectangle",), _rectangle, "_latin_complete",
             "latin.verify_completion"),
-    Command("latin-count", (), _build(), _latin_count, ceiling=True, options=(_ORDER,)),
-    Command("youden", ("design",), _build("latin.BlockDesign.from_json"), _youden,
+    Command("latin-count", (), _build(), "_latin_count", ceiling=True, options=(_ORDER,)),
+    Command("youden", ("design",), _build("latin.BlockDesign.from_json"), "_youden",
             "latin.verify_youden"),
     Command("rado", ("family", "matroid"),
-            _build("core.SetFamily.from_json", "matroids.matroid_from_json"), _rado,
-            "matroids.verify_rado", precheck=matroids.check_ground),
-    Command("cosets", ("group",), _coset_problem, _cosets, "groups.verify_cosets",
+            _build("core.SetFamily.from_json", "matroids.matroid_from_json"),
+            "matroids.rado_check", "matroids.verify_rado", precheck=matroids.check_ground),
+    Command("cosets", ("group",), _coset_problem, "groups.coset_system", "groups.verify_cosets",
             options=(("--generators", {"required": True}),)),
-    Command("hyper-sdr", ("family",), _build("hypersdr.HypergraphFamily.from_json"), _hyper_sdr,
-            "hypersdr.verify_hyper_sdr", ceiling=True),
+    Command("hyper-sdr", ("family",), _build("hypersdr.HypergraphFamily.from_json"),
+            "hypersdr.find_hyper_sdr", "hypersdr.verify_hyper_sdr", ceiling=True),
 )}
 
 
@@ -396,7 +292,8 @@ def main(argv=None) -> int:
                 command.precheck(*problem)
             result = _verify(args.verify, _library(command.check), *problem)
         else:
-            result = command.solve(*problem, **({} if ceiling is None else {"ceiling": ceiling}))
+            result = _library(command.solve)(*problem,
+                                             **({} if ceiling is None else {"ceiling": ceiling}))
         status, payload, diagnostics = result
     except ValidationError as exc:
         status, payload, diagnostics = "invalid-input", None, _described(exc)

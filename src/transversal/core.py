@@ -2,14 +2,14 @@
 
 The central object is the :class:`SetFamily`: an ordered tuple of subsets of
 a finite ground set.  Solvers either produce a system of distinct
-representatives (:class:`Sdr`) or a :class:`HallViolator`, a group of sets
-whose union is too small; both sides are independently checkable.
+representatives or a Hall violator, a group of sets whose union is too
+small, as the JSON payload that the matching `verify_*` reads; both sides
+are independently checkable.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate
 from math import comb, perm, prod
 from operator import add, sub
@@ -250,45 +250,6 @@ class SetFamily:
         return cls(obj["ground"], obj["sets"])
 
 
-@dataclass(frozen=True)
-class Sdr:
-    """A tuple of distinct representatives aligned with the family's sets."""
-
-    reps: tuple
-
-    @property
-    def transversal(self) -> frozenset:
-        return frozenset(self.reps)
-
-
-@dataclass(frozen=True)
-class HallViolator:
-    """A nonempty group of set indices whose union is strictly smaller."""
-
-    indices: tuple
-    union: tuple
-
-    def __post_init__(self):
-        if not self.indices:
-            raise ValidationError("violator must name at least one set")
-        if len(self.union) >= len(self.indices):
-            raise ValidationError("violator union is not smaller than its index set")
-
-
-@dataclass(frozen=True)
-class DefectReport:
-    """Largest-possible partial assignment, the shortfall it leaves and, if
-    any, a violator whose union falls short by it, proving it maximum."""
-
-    defect: int
-    partial: dict
-    violator: HallViolator | None = None
-
-    def __post_init__(self):
-        if self.defect < 0:
-            raise ValidationError("defect must be nonnegative")
-
-
 class ArrayFamily:
     """A rectangular grid of subsets of a shared ground set."""
 
@@ -362,8 +323,11 @@ def verify_sdr(family: SetFamily, cert: dict) -> tuple[bool, str | None]:
     return True, None
 
 
-def hall_check(family: SetFamily) -> Sdr | HallViolator:
-    """Find an SDR or a certificate that none exists.
+def hall_check(family: SetFamily) -> tuple[str, dict, str]:
+    """Find an SDR or a certificate that none exists, as (status, payload,
+    diagnostics), the payload being what `verify_sdr` reads: "found" with
+    "reps", one member of each set in set order, all distinct; or
+    "not-found" with "indices", sets whose "union" has fewer elements.
 
     Takes one maximum matching of sets to elements.  If it leaves sets
     unassigned, the violator is every set reachable by alternating paths
@@ -372,20 +336,23 @@ def hall_check(family: SetFamily) -> Sdr | HallViolator:
     """
     match_row, match_col = _bitmatch.max_matching(family._cols, len(family.ground))
     if all(c != _bitmatch.UNMATCHED for c in match_row):
-        return Sdr(tuple(family.ground[c] for c in match_row))
-    return _hall_violator(family, match_row, match_col)
+        return "found", {"reps": [family.ground[c] for c in match_row]}, "SDR found"
+    violator = _hall_violator(family, match_row, match_col)
+    return ("not-found", violator,
+            f"{len(violator['indices'])} sets with a union of size {len(violator['union'])}")
 
 
-def _hall_violator(family: SetFamily, match_row, match_col) -> HallViolator:
-    """The canonical violator read off a maximum matching that is not full.
+def _hall_violator(family: SetFamily, match_row, match_col) -> dict:
+    """The canonical violator read off a maximum matching that is not full,
+    as the payload fields "indices" and "union".
 
     `match_row`/`match_col` are the engine's (row -> column, column -> row)
     lists.  Every set reachable by alternating paths from an unassigned set
     is named; the result does not depend on which maximum matching is given.
     """
     reached, _ = _bitmatch.alternating_reachable(family._cols, match_row, match_col)
-    indices = tuple(sorted(reached))
-    return HallViolator(indices=indices, union=family.union_of(indices))
+    indices = sorted(reached)
+    return {"indices": indices, "union": list(family.union_of(indices))}
 
 
 def _violator_union(family: SetFamily, indices, stated_union):
@@ -413,18 +380,24 @@ def _violator_union(family: SetFamily, indices, stated_union):
     return union, None
 
 
-def partial_sdr(family: SetFamily) -> DefectReport:
+def partial_sdr(family: SetFamily) -> tuple[str, dict, str]:
     """Largest partial assignment, with the defect it cannot avoid and the
-    canonical violator that proves it."""
+    canonical violator that proves it: ("found", payload, diagnostics),
+    the payload being what `verify_defect` reads.  "partial" maps each
+    assigned set's index, as a decimal string, to its member; "defect"
+    counts the sets left out; above 0, "indices" and "union" name sets whose
+    union falls short of them by the defect."""
     match_row, match_col = _bitmatch.max_matching(family._cols, len(family.ground))
     partial = {
-        i: family.ground[c]
+        str(i): family.ground[c]
         for i, c in enumerate(match_row)
         if c != _bitmatch.UNMATCHED
     }
     defect = family.n - len(partial)
-    violator = _hall_violator(family, match_row, match_col) if defect else None
-    return DefectReport(defect, partial, violator)
+    payload = {"defect": defect, "partial": partial}
+    if defect:
+        payload.update(_hall_violator(family, match_row, match_col))
+    return "found", payload, f"defect {defect}"
 
 
 def verify_defect(family: SetFamily, cert: dict) -> tuple[bool, str | None]:

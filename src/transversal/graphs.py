@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from . import _bitmatch, core
+from . import _bitmatch, birkhoff, core
 from .errors import ValidationError
 
 
@@ -82,27 +80,6 @@ def _refuse_pair(edges, a_index, b_index):
             raise ValidationError(f"edge endpoint {a!r} is not in partA", field=f"edges[{k}]")
         if ib is None:
             raise ValidationError(f"edge endpoint {b!r} is not in partB", field=f"edges[{k}]")
-
-
-@dataclass(frozen=True)
-class Matching:
-    """Pairwise disjoint edges, stored in part-A order."""
-
-    edges: tuple
-
-    def __len__(self):
-        return len(self.edges)
-
-
-@dataclass(frozen=True)
-class VertexCover:
-    """Vertices meeting every edge, split by part."""
-
-    in_a: tuple
-    in_b: tuple
-
-    def __len__(self):
-        return len(self.in_a) + len(self.in_b)
 
 
 class Graph:
@@ -224,19 +201,27 @@ class FlowNetwork:
         return cls(nodes, arcs, obj["source"], obj["sink"])
 
 
-def max_matching(g: BipartiteGraph) -> Matching:
-    """A maximum matching; deterministic for a fixed input order."""
+def _matched_edges(g: BipartiteGraph, match_row) -> list:
+    """The [a, b] pairs of a matching, in part-A order."""
+    return [[g.part_a[i], g.part_b[c]] for i, c in enumerate(match_row)
+            if c != _bitmatch.UNMATCHED]
+
+
+def max_matching(g: BipartiteGraph) -> tuple[str, dict, str]:
+    """A maximum matching, deterministic for a fixed input order, as
+    ("found", payload, diagnostics), the payload being what
+    `verify_matching` reads: "edges", its [a, b] pairs in part-A order,
+    and "size", their number."""
     match_row, _ = _bitmatch.max_matching(g._cols, len(g.part_b))
-    edges = tuple(
-        (g.part_a[i], g.part_b[c])
-        for i, c in enumerate(match_row)
-        if c != _bitmatch.UNMATCHED
-    )
-    return Matching(edges)
+    edges = _matched_edges(g, match_row)
+    return "found", {"edges": edges, "size": len(edges)}, f"matching of size {len(edges)}"
 
 
-def konig_cover(g: BipartiteGraph) -> tuple[Matching, VertexCover]:
-    """A maximum matching and a vertex cover of the same size.
+def konig_cover(g: BipartiteGraph) -> tuple[str, dict, str]:
+    """A maximum matching and a vertex cover of the same size, as ("found",
+    payload, diagnostics), the payload being what `verify_cover` reads:
+    "matching", [a, b] pairs in part-A order; "cover", its vertices by
+    part, {"partA": [...], "partB": [...]}; and "size", the common size.
 
     The cover is read off alternating reachability from the free part-A
     vertices; equality of the two sizes certifies that the matching is
@@ -244,20 +229,15 @@ def konig_cover(g: BipartiteGraph) -> tuple[Matching, VertexCover]:
     """
     match_row, match_col = _bitmatch.max_matching(g._cols, len(g.part_b))
     reached, cols = _bitmatch.alternating_reachable(g._cols, match_row, match_col)
-    in_a = tuple(
+    in_a = [
         g.part_a[i]
         for i in range(len(g.part_a))
         if match_row[i] != _bitmatch.UNMATCHED and i not in reached
-    )
-    in_b = tuple(g.part_b[c] for c in sorted(cols))
-    matching = Matching(
-        tuple(
-            (g.part_a[i], g.part_b[c])
-            for i, c in enumerate(match_row)
-            if c != _bitmatch.UNMATCHED
-        )
-    )
-    return matching, VertexCover(in_a=in_a, in_b=in_b)
+    ]
+    in_b = [g.part_b[c] for c in sorted(cols)]
+    edges = _matched_edges(g, match_row)
+    payload = {"matching": edges, "cover": {"partA": in_a, "partB": in_b}, "size": len(edges)}
+    return "found", payload, f"matching and cover of size {len(edges)}"
 
 
 def _matching_field(cert: dict, key: str) -> dict:
@@ -408,25 +388,28 @@ def _edmonds_karp(n_nodes, arcs, s, t):
     return value, flows, reachable
 
 
-def max_flow_min_cut(net: FlowNetwork):
-    """An integral maximum flow, a minimum cut, and the per-arc assignment.
-
-    Returns (value, cut arcs, flow dict); the cut is the set of arcs leaving
-    the source side of the residual reachability split, and its capacity
-    equals the flow value.
+def max_flow_min_cut(net: FlowNetwork) -> tuple[str, dict, str]:
+    """An integral maximum flow and a minimum cut, as ("found", payload,
+    diagnostics), the payload being what `verify_maxflow` reads: "value";
+    "cut", the [from, to] arcs leaving the source side of the residual
+    reachability split, whose capacity equals the value; and "flow", the
+    [from, to, units] of every arc.  A value too long to print is refused
+    with ``ResourceLimitError``.
     """
     index = net._index
     arcs = [(index[u], index[v], c) for u, v, c in net.arcs]
     value, flows, reachable = _edmonds_karp(
         len(net.nodes), arcs, index[net.source], index[net.sink]
     )
-    cut = tuple(
-        (u, v)
+    # Only the value can be too long to print: each arc's flow is within its parsed capacity.
+    birkhoff._check_printable("the maximum flow", value)
+    cut = [
+        [u, v]
         for (u, v, _), (iu, iv, _) in zip(net.arcs, arcs)
         if iu in reachable and iv not in reachable
-    )
-    assignment = {(u, v): f for (u, v, _), f in zip(net.arcs, flows)}
-    return value, cut, assignment
+    ]
+    flow = [[u, v, f] for (u, v, _), f in zip(net.arcs, flows)]
+    return "found", {"value": value, "cut": cut, "flow": flow}, f"maximum flow {value}"
 
 
 def verify_maxflow(net: FlowNetwork, cert: dict) -> tuple[bool, str | None]:
@@ -467,22 +450,25 @@ def verify_maxflow(net: FlowNetwork, cert: dict) -> tuple[bool, str | None]:
 # Menger path systems on undirected graphs.
 
 
-def menger_paths(g: Graph, s, t, mode: str = "vertex"):
-    """Disjoint s-t paths with a cut certificate of the same size.
+def menger_paths(g: Graph, s, t, mode: str = "vertex") -> tuple[str, dict, str]:
+    """Disjoint s-t paths with a cut certificate of the same size, as
+    ("found", payload, diagnostics), the payload being what
+    `verify_menger` reads: "paths", each a vertex list from s to t;
+    "cut", as many edges [u, v] or inner vertices; and "count", their
+    number.
 
     ``mode`` selects what must be disjoint: "edge" gives edge-disjoint paths
     and an edge cut, "vertex" gives internally vertex-disjoint paths and a
     vertex cut (s and t must then be non-adjacent for the cut to exist).
-    Returns (paths, cut) with len(paths) == len(cut).
     """
     check_endpoints(g, s, t)
     if mode not in ("edge", "vertex"):
         raise ValidationError(f"unknown mode {mode!r}")
-    if mode == "edge":
-        return _menger_edge(g, s, t)
-    if g.adjacent(s, t):
+    if mode == "vertex" and g.adjacent(s, t):
         raise ValidationError("vertex mode needs non-adjacent endpoints", field="mode")
-    return _menger_vertex(g, s, t)
+    paths, cut = (_menger_edge if mode == "edge" else _menger_vertex)(g, s, t)
+    payload = {"paths": paths, "cut": cut, "count": len(paths)}
+    return "found", payload, f"{len(paths)} disjoint paths, cut of equal size"
 
 
 def check_endpoints(g: Graph, s, t) -> None:
@@ -539,11 +525,7 @@ def _menger_edge(g, s, t):
     value, flows, reachable = _edmonds_karp(len(g.vertices), arcs, index[s], index[t])
     net_out = _net_flows(len(g.vertices), arcs, flows)
     paths = _decompose_paths(net_out, index[s], index[t], value, list(g.vertices))
-    cut = tuple(
-        (u, v)
-        for u, v in g.edges
-        if (index[u] in reachable) != (index[v] in reachable)
-    )
+    cut = [[u, v] for u, v in g.edges if (index[u] in reachable) != (index[v] in reachable)]
     return paths, cut
 
 
@@ -562,8 +544,8 @@ def _menger_vertex(g, s, t):
     net_out = _net_flows(2 * n, arcs, flows)
     raw_paths = _decompose_paths(net_out, si, ti, value, names * 2)
     # A path enters and leaves each inner vertex, so each appears twice in a row.
-    paths = tuple((s, *raw[1:-1:2], t) for raw in raw_paths)
-    cut = tuple(names[u] for u, v, _ in arcs[:n_split] if u in reachable and v not in reachable)
+    paths = [[s, *raw[1:-1:2], t] for raw in raw_paths]
+    cut = [names[u] for u, v, _ in arcs[:n_split] if u in reachable and v not in reachable]
     return paths, cut
 
 
@@ -604,5 +586,5 @@ def _decompose_paths(net_out, s, t, value, names):
             else:
                 walk.append(v)
                 pos[v] = len(walk) - 1
-        paths.append(tuple(names[x] for x in walk))
-    return tuple(paths)
+        paths.append([names[x] for x in walk])
+    return paths

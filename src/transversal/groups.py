@@ -7,7 +7,6 @@ right cosets, every left one meeting every right one."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 
 from . import core
@@ -190,28 +189,15 @@ def _subgroup_indices(g: FiniteGroup, subgroup) -> list[int]:
     return h
 
 
-@dataclass(frozen=True)
-class CosetSystem:
-    """Left and right coset partitions of a subgroup, in least-element order;
-    ``family[i]`` numbers the right cosets in left coset i's double coset, and
-    ``reps[i]`` is left coset i's simultaneous representative."""
-
-    subgroup: tuple
-    left: tuple
-    right: tuple
-    family: tuple
-    reps: tuple
-
-    @property
-    def index(self) -> int:
-        return len(self.left)
-
-
-def coset_system(g: FiniteGroup, subgroup) -> CosetSystem:
-    """Cosets as H-orbits, at one product per element and side.  A double
-    coset HxH, x least, is the union of the left cosets hxH and of the right
-    cosets Hxh (h in H), each left one meeting each right one; its k-th left
-    and k-th right cosets give the least element of their meet as a rep."""
+def _cosets(g: FiniteGroup, subgroup):
+    """Cosets as H-orbits, at one product per element and side, as element
+    positions: (H, left cosets, right cosets, family, reps).  Each side is
+    in least-element order; ``family[i]`` numbers the right cosets in left
+    coset i's double coset, and ``reps[i]`` is left coset i's simultaneous
+    representative.  A double coset HxH, x least, is the union of the left
+    cosets hxH and of the right cosets Hxh (h in H), each left one meeting
+    each right one; its k-th left and k-th right cosets give the least
+    element of their meet as a rep."""
     h = _subgroup_indices(g, subgroup)
     sides = []
     for times in (g._product, lambda x, b: g._product(b, x)):
@@ -233,23 +219,38 @@ def coset_system(g: FiniteGroup, subgroup) -> CosetSystem:
             for i, j in zip(lefts, rights):
                 family[i] = rights
                 reps[i] = next(y for y in left[i] if right_of[y] == j)
+    return h, left, right, family, reps
+
+
+def coset_system(g: FiniteGroup, subgroup) -> tuple[str, dict, str]:
+    """The left and right cosets of `subgroup`, H, with simultaneous
+    representatives, as ("found", payload, diagnostics), the payload being
+    what `verify_cosets` reads: "subgroup", the elements of H; "left" and
+    "right", the cosets of each side in least-element order, each in
+    element order; "reps", one element of each left coset, hitting every
+    right coset once; and "family", the set family over range(|G|/|H|)
+    whose set i numbers the right cosets that left coset i meets."""
+    h, left, right, family, reps = _cosets(g, subgroup)
     named = g.elements.__getitem__
-    return CosetSystem(tuple(map(named, h)), tuple(tuple(map(named, c)) for c in left),
-                       tuple(tuple(map(named, c)) for c in right), tuple(family),
-                       tuple(map(named, reps)))
+    payload = {"subgroup": [*map(named, h)],
+               "left": [[*map(named, c)] for c in left],
+               "right": [[*map(named, c)] for c in right],
+               "reps": [*map(named, reps)],
+               "family": {"ground": list(range(len(left))), "sets": [*map(list, family)]}}
+    return "found", payload, f"index {len(left)}"
 
 
 def coset_family(g: FiniteGroup, subgroup) -> core.SetFamily:
     """T_i: the right cosets in left coset i's double coset, which are the
     ones left coset i meets.  A union of k of these sets has at least k
     members, as k left cosets hold k|H| elements, so an SDR always exists."""
-    system = coset_system(g, subgroup)
-    return core.SetFamily(range(system.index), system.family)
+    _, left, _, family, _ = _cosets(g, subgroup)
+    return core.SetFamily(range(len(left)), family)
 
 
 def simultaneous_reps(g: FiniteGroup, subgroup) -> tuple:
     """Elements hitting every left coset once and every right coset once."""
-    return coset_system(g, subgroup).reps
+    return tuple(map(g.elements.__getitem__, _cosets(g, subgroup)[4]))
 
 
 def verify_cosets(g: FiniteGroup, subgroup, cert: dict) -> tuple[bool, str | None]:

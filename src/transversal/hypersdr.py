@@ -3,7 +3,6 @@ sufficient condition, and exhaustive SDR search over edge choices."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import or_
@@ -54,13 +53,6 @@ class HypergraphFamily:
         if not isinstance(members, list) or not all(isinstance(h, list) for h in members):
             raise ValidationError("'hypergraphs' must hold lists of edges", field="hypergraphs")
         return cls(core._label_list(obj, "vertices"), members)
-
-
-@dataclass(frozen=True)
-class HyperSdr:
-    """One edge per hypergraph, pairwise disjoint."""
-
-    selection: tuple
 
 
 def _check_ceilings(fam, ceiling):
@@ -129,29 +121,41 @@ def ah_condition(fam: HypergraphFamily, *, ceiling: int = EDGE_CEILING):
     return True, None
 
 
-def find_hyper_sdr(fam: HypergraphFamily, *, ceiling: int = EDGE_CEILING):
-    """Exhaustive search over edge choices with disjointness pruning.
-
-    Returns the lexicographically least selection (by listed edge order) or
-    None after exhausting the search space.
+def find_hyper_sdr(fam: HypergraphFamily, *, ceiling: int = EDGE_CEILING) -> tuple[str, dict, str]:
+    """Exhaustive search over edge choices with disjointness pruning, as
+    (status, payload, diagnostics), the payload being what
+    `verify_hyper_sdr` reads.  "found" has "selection", the
+    lexicographically least choice (by listed edge order) of one edge per
+    hypergraph, each edge's vertices sorted by repr.  After the search space
+    is exhausted, "not-found" has "witness": the subfamily at which
+    `ah_condition` fails, or None when it holds.
     """
     _check_ceilings(fam, ceiling)
     options = [list(zip(h._masks, h.edges)) for h in fam.members]
     selection = next(_bitmatch.disjoint_choices(options), None)
-    return None if selection is None else HyperSdr(selection)
+    if selection is not None:
+        payload = {"selection": [sorted(e, key=repr) for e in selection]}
+        return "found", payload, "hypergraph SDR found"
+    holds, witness = ah_condition(fam, ceiling=ceiling)
+    note = "no SDR" if holds else "no SDR; sufficient condition fails at the attached subfamily"
+    return "not-found", {"witness": list(witness) if witness is not None else None}, note
 
 
 def verify_hyper_sdr(fam: HypergraphFamily, cert: dict) -> tuple[bool, str | None]:
     """Check a ``hyper-sdr`` certificate object: "selection" lists one edge
-    per hypergraph, each an edge of its own, no two sharing a vertex.  A
+    per hypergraph, each an edge of its own with no vertex listed twice, no
+    two sharing a vertex.  A
     not-found answer, with a "witness" and no "selection", has nothing a
     checker could read."""
     if "selection" not in cert and "witness" in cert:
         return False, "a not-found answer carries no certificate a checker can read"
-    selection = [frozenset(e) for e in core._cert_rows(cert, "selection", fam._index)]
+    rows = core._cert_rows(cert, "selection", fam._index)
+    selection = [frozenset(e) for e in rows]
     if len(selection) != len(fam.members):
         return False, "selection length differs from the family size"
-    for i, edge in enumerate(selection):
+    for i, (row, edge) in enumerate(zip(rows, selection)):
+        if len(edge) != len(row):
+            return False, f"entry {i} repeats a vertex"
         if edge not in fam.members[i].edges:
             return False, f"entry {i} is not an edge of hypergraph {i}"
     for i, j in combinations(range(len(selection)), 2):

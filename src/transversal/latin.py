@@ -204,7 +204,8 @@ class BlockDesign:
 
     ``replication`` is the common number of blocks through each point when
     the design is equireplicate, else None; ``block_size`` likewise for the
-    common block cardinality.
+    common block cardinality.  The design with no point has no block, and
+    both are 0 for it, so its Youden square is the empty array.
     """
 
     __slots__ = ("points", "blocks", "_index", "_block_masks")
@@ -232,7 +233,7 @@ class BlockDesign:
 
     @property
     def block_size(self) -> int | None:
-        sizes = {mask.bit_count() for mask in self._block_masks}
+        sizes = {mask.bit_count() for mask in self._block_masks} or {0}
         if len(sizes) == 1:
             return sizes.pop()
         return None
@@ -243,8 +244,9 @@ class BlockDesign:
         for mask in self._block_masks:
             for p in _bitmatch.bits_of(mask):
                 counts[p] += 1
-        if counts and len(set(counts)) == 1:
-            return counts[0]
+        counts = set(counts) or {0}
+        if len(counts) == 1:
+            return counts.pop()
         return None
 
     @classmethod

@@ -8,7 +8,6 @@ every k of its sets jointly span rank at least k.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import partial
 from math import isqrt
 
@@ -363,26 +362,6 @@ def matroid_from_json(obj: dict) -> MatroidOracle:
 # Rado's condition.
 
 
-@dataclass(frozen=True)
-class Sir:
-    """Distinct representatives whose set is independent in the matroid."""
-
-    reps: tuple
-
-
-@dataclass(frozen=True)
-class RadoViolator:
-    """Sets whose union has rank below their count."""
-
-    indices: tuple
-    union: tuple
-    rank: int
-
-    def __post_init__(self):
-        if self.rank >= len(self.indices):
-            raise ValidationError("violator rank is not below its index count")
-
-
 def check_ground(family: core.SetFamily, m: MatroidOracle) -> None:
     """Raise ``ValidationError`` unless the family's ground lies in the
     matroid's: neither a search nor a certificate check is defined then."""
@@ -391,8 +370,12 @@ def check_ground(family: core.SetFamily, m: MatroidOracle) -> None:
                               field="ground")
 
 
-def rado_check(family: core.SetFamily, m: MatroidOracle):
-    """Find a system of independent representatives or a rank violator.
+def rado_check(family: core.SetFamily, m: MatroidOracle) -> tuple[str, dict, str]:
+    """Find a system of independent representatives or a rank violator, as
+    (status, payload, diagnostics), the payload being what `verify_rado`
+    reads: "found" with "reps", one member of each set in set order, all
+    distinct and independent in `m`; or "not-found" with "indices", sets
+    whose "union" has "rank" below their count.
 
     One polynomial path: a greedy pass takes every representative that an
     exchange path of length one would add (Cunningham's greedy start), then
@@ -408,8 +391,10 @@ def rado_check(family: core.SetFamily, m: MatroidOracle):
     reached: dict = {}
     reps = _sir_augmenting(family, m, reached)
     if reps is not None:
-        return Sir(reps)
-    return _violator_from_cut(family, m, reached)
+        return "found", {"reps": reps}, "independent representatives found"
+    violator = _violator_from_cut(family, m, reached)
+    return ("not-found", violator,
+            f"rank {violator['rank']} below {len(violator['indices'])} sets")
 
 
 def _sir_augmenting(family, m, reached):
@@ -423,7 +408,7 @@ def _sir_augmenting(family, m, reached):
     """
     n = family.n
     if n == 0:
-        return ()
+        return []
     containing = {}
     for i in range(n):
         for x in family.sets[i]:
@@ -444,7 +429,7 @@ def _sir_augmenting(family, m, reached):
         return None
     masks = [containing[x] for x in current]
     match_row, match_col = _bitmatch.max_matching(masks, n)
-    return tuple(current[match_col[i]] for i in range(n))
+    return [current[match_col[i]] for i in range(n)]
 
 
 def _greedy_start(candidates, m, containing, n):
@@ -576,7 +561,8 @@ def _walk_back(parent, end):
 
 
 def _violator_from_cut(family, m, reached):
-    """The violator read off the reached set R of a failed exchange search.
+    """The violator read off the reached set R of a failed exchange search,
+    as the payload fields "indices", "union" and "rank".
 
     With S the elements of the n sets, I the representatives found and r_T
     the transversal rank, r(S - R) + r_T(R) = |I| < n.  Cut every set down
@@ -592,9 +578,9 @@ def _violator_from_cut(family, m, reached):
     masks = [family.mask(i) & keep for i in range(family.n)]
     match_row, match_col = _bitmatch.max_matching(masks, len(family.ground))
     rows, _ = _bitmatch.alternating_reachable(masks, match_row, match_col)
-    indices = tuple(sorted(rows))
+    indices = sorted(rows)
     union = family.union_of(indices)
-    return RadoViolator(indices=indices, union=union, rank=m.rank_of(union))
+    return {"indices": indices, "union": list(union), "rank": m.rank_of(union)}
 
 
 def verify_rado(family: core.SetFamily, m: MatroidOracle, cert: dict) -> tuple[bool, str | None]:

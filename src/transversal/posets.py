@@ -4,8 +4,6 @@ hole or odd antihole."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import _bitmatch, core
 from .errors import ResourceLimitError, ValidationError
 from .graphs import Graph
@@ -107,28 +105,11 @@ def _closure(succ, elements):
     return above
 
 
-@dataclass(frozen=True)
-class ChainPartition:
-    """Disjoint totally ordered sequences covering every element."""
-
-    chains: tuple
-
-    def __len__(self):
-        return len(self.chains)
-
-
-@dataclass(frozen=True)
-class AntichainPartition:
-    """Disjoint pairwise-incomparable sets covering every element."""
-
-    antichains: tuple
-
-    def __len__(self):
-        return len(self.antichains)
-
-
-def dilworth(p: Poset) -> tuple[ChainPartition, tuple]:
-    """Minimum chain partition with a maximum antichain of matching size.
+def dilworth(p: Poset) -> tuple[str, dict, str]:
+    """Minimum chain partition with a maximum antichain of matching size, as
+    ("found", payload, diagnostics), the payload being what
+    `verify_dilworth` reads: "chains", each listed from the bottom up, and
+    "antichain", as many elements.
 
     Built from a maximum matching on the split graph (one copy of the poset
     on each side, an edge for every strict relation); the antichain is the
@@ -139,12 +120,12 @@ def dilworth(p: Poset) -> tuple[ChainPartition, tuple]:
     match_row, match_col = _bitmatch.max_matching(above, n)
     rows, cols = _bitmatch.alternating_reachable(above, match_row, match_col)
     # Cover: matched left copies outside `rows`, right copies inside `cols`.
-    antichain = tuple(
+    antichain = [
         p.elements[i]
         for i in range(n)
         if not (match_row[i] != _bitmatch.UNMATCHED and i not in rows)
         and i not in cols
-    )
+    ]
     successor = {i: c for i, c in enumerate(match_row) if c != _bitmatch.UNMATCHED}
     has_predecessor = set(successor.values())
     chains = []
@@ -156,12 +137,15 @@ def dilworth(p: Poset) -> tuple[ChainPartition, tuple]:
         while j in successor:
             j = successor[j]
             chain.append(p.elements[j])
-        chains.append(tuple(chain))
-    return ChainPartition(tuple(chains)), antichain
+        chains.append(chain)
+    return "found", {"chains": chains, "antichain": antichain}, f"{len(chains)} chains"
 
 
-def mirsky(p: Poset) -> tuple[AntichainPartition, tuple]:
-    """Antichain levels by stripping maximal elements, plus a longest chain."""
+def mirsky(p: Poset) -> tuple[str, dict, str]:
+    """Antichain levels by stripping maximal elements, plus a longest chain,
+    as ("found", payload, diagnostics), the payload being what
+    `verify_mirsky` reads: "antichains", the levels from the top down, and
+    "chain", as many elements, listed from the bottom up."""
     n = p.n
     remaining = (1 << n) - 1
     levels = []
@@ -170,7 +154,7 @@ def mirsky(p: Poset) -> tuple[AntichainPartition, tuple]:
         for i in _bitmatch.bits_of(remaining):
             if not (p._above[i] & remaining):
                 level |= 1 << i
-        levels.append(tuple(p.elements[i] for i in _bitmatch.bits_of(level)))
+        levels.append([p.elements[i] for i in _bitmatch.bits_of(level)])
         remaining &= ~level
     # height[i]: longest chain starting at i.  Anything above i has strictly
     # fewer elements above it, so increasing |above| is a valid DP order.
@@ -191,7 +175,8 @@ def mirsky(p: Poset) -> tuple[AntichainPartition, tuple]:
                 if height[j] == height[current] - 1
             )
             chain.append(p.elements[current])
-    return AntichainPartition(tuple(levels)), tuple(chain)
+    payload = {"antichains": levels, "chain": chain}
+    return "found", payload, f"{len(levels)} antichain levels"
 
 
 def _positions(p: Poset, items):
@@ -275,10 +260,14 @@ def verify_mirsky(p: Poset, cert: dict) -> tuple[bool, str | None]:
 # Perfection by the smallest odd hole or odd antihole.
 
 
-def is_perfect(g: Graph, *, ceiling: int = PERFECT_CEILING):
-    """Returns (True, None), or (False, witness vertices) for the smallest
-    induced subgraph whose clique number is below its chromatic number,
-    the least vertex mask among ties.
+def is_perfect(g: Graph, *, ceiling: int = PERFECT_CEILING) -> tuple[str, dict, str]:
+    """Whether `g` is perfect, as (status, payload, diagnostics), the
+    payload being what `verify_perfect` reads: "perfect", and "berge" equal
+    to it (a graph is Berge, with no odd hole or antihole, exactly when it
+    is perfect); and "witness".  A perfect graph is "found" with no
+    witness; an imperfect one is "not-found" with the vertices of the
+    smallest induced subgraph whose clique number is below its chromatic
+    number, the least vertex mask among ties.
 
     Such a subgraph is minimally imperfect, so by the strong perfect graph
     theorem it is an odd hole or an odd antihole, and `_least_odd_hole`
@@ -291,10 +280,12 @@ def is_perfect(g: Graph, *, ceiling: int = PERFECT_CEILING):
     adj = g.adjacency_masks()
     full = (1 << n) - 1
     co_adj = [full & ~adj[i] & ~(1 << i) for i in range(n)]
-    witness = _least_odd_hole((adj, co_adj), n)
-    if not witness:
-        return True, None
-    return False, tuple(g.vertices[i] for i in _bitmatch.bits_of(witness))
+    hole = _least_odd_hole((adj, co_adj), n)
+    if not hole:
+        return "found", {"perfect": True, "berge": True, "witness": None}, "graph is perfect"
+    witness = [g.vertices[i] for i in _bitmatch.bits_of(hole)]
+    payload = {"perfect": False, "berge": False, "witness": witness}
+    return "not-found", payload, "imperfect; witness subgraph attached"
 
 
 def _least_odd_hole(adjs, n):
@@ -334,10 +325,16 @@ def _least_odd_hole(adjs, n):
 def verify_perfect(g: Graph, cert: dict) -> tuple[bool, str | None]:
     """Check a ``perfect`` certificate object: the "witness" vertices induce
     an odd cycle of 5 or more vertices in the graph or in its complement,
-    so their clique number is below their chromatic number.  A perfect
-    answer has no witness, and nothing else a checker could read."""
-    if cert.get("perfect") is True:
+    so their clique number is below their chromatic number; "perfect" is
+    false, and so is "berge" if it is given.  A perfect answer has no
+    witness, and nothing else a checker could read."""
+    perfect = cert.get("perfect")
+    if perfect is True:
         return False, "a perfect answer carries no certificate a checker can read"
+    if perfect is not False:
+        raise ValidationError("'perfect' must be false beside a witness", field="perfect")
+    if cert.get("berge", False) is not False:
+        raise ValidationError("'berge' must equal 'perfect'", field="berge")
     witness = core._cert_field(cert, "witness", index=g._index)
     core._index_labels(witness, "witness")
     if len(witness) < 5 or len(witness) % 2 == 0:

@@ -27,12 +27,11 @@ runs: `is_pinned`, `validate_matroid`, the subset tables that
 `comparability_graph`.  Last come
 references and constructors that only tests use: `EagerFamily` and
 `EagerGraph` (every mask and label tuple made at construction), the
-Birkhoff sums `decomposition_matrix` and `coefficient_sum`, the matrices
+Birkhoff payload readers `decomposition_terms`, `decomposition_matrix` and
+`coefficient_sum`, the matrices
 `identity_matrix` and `uniform_matrix`, `group_mul` and `group_inverse`,
 the groups `cyclic_group`, `symmetric_group` and `dihedral_group`, and
-`is_symmetric_bibd`.  `payload_of` alone runs a library solver: it gives the
-payload the command line prints for a library answer, which is what the
-answer's checker reads.
+`is_symmetric_bibd`.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from itertools import combinations, permutations
 from math import prod
 from operator import add
 
-from transversal import _bitmatch, birkhoff, cli, core, graphs, groups, posets
+from transversal import _bitmatch, birkhoff, core, graphs, groups, posets
 from transversal.errors import ResourceLimitError, ValidationError
 
 UNMATCHED = -1
@@ -781,7 +780,8 @@ def hall_via_menger(family: core.SetFamily):
     A new source is joined to every set index and every ground element to a
     new sink, all capacities one; a full flow yields an SDR and a short one
     yields the same Dulmage-Mendelsohn violator as core.hall_check.  Exists
-    as a cross-check path for core.hall_check.
+    as a cross-check path for core.hall_check, and gives the payload it
+    gives.
     """
     n = family.n
     n_ground = len(family.ground)
@@ -803,7 +803,7 @@ def hall_via_menger(family: core.SetFamily):
             match_row[i] = p
             match_col[p] = i
     if value == n:
-        return core.Sdr(tuple(family.ground[c] for c in match_row))
+        return {"reps": [family.ground[c] for c in match_row]}
     return core._hall_violator(family, match_row, match_col)
 
 
@@ -814,6 +814,7 @@ def hall_from_dilworth(family: core.SetFamily):
     family has an SDR the minimum chain partition has exactly |ground|
     chains, each set sitting atop its representative; any empty set
     degenerates the construction and is reported as an immediate failure.
+    Returns the payload {"reps": [...]} or None.
     """
     if any(not s for s in family.sets):
         return None
@@ -823,31 +824,31 @@ def hall_from_dilworth(family: core.SetFamily):
         for x in members:
             pairs.append((("elt", x), ("set", i)))
     p = posets.Poset(tagged, pairs)
-    partition, _ = posets.dilworth(p)
-    if len(partition) != len(family.ground):
+    chains = posets.dilworth(p)[1]["chains"]
+    if len(chains) != len(family.ground):
         return None
     reps: dict = {}
-    for chain in partition.chains:
+    for chain in chains:
         if len(chain) == 2:
             (_, x), (_, i) = chain
             reps[i] = x
     if len(reps) != family.n:
         return None
-    return core.Sdr(tuple(reps[i] for i in range(family.n)))
+    return {"reps": [reps[i] for i in range(family.n)]}
 
 
 def hall_coset_reps(g, subgroup):
     """(family, reps) by the Hall route: the family of the right cosets that
     each left coset meets, an SDR of it from core.hall_check, and the least
     element of each chosen meet."""
-    system = groups.coset_system(g, subgroup)
-    right_of = {x: j for j, coset in enumerate(system.right) for x in coset}
-    family = core.SetFamily(range(system.index),
-                            [{right_of[x] for x in coset} for coset in system.left])
-    sdr = core.hall_check(family)
-    assert isinstance(sdr, core.Sdr), "a coset family always has an SDR"
-    reps = tuple(min(set(system.left[i]) & set(system.right[j]), key=g.elements.index)
-                 for i, j in enumerate(sdr.reps))
+    system = groups.coset_system(g, subgroup)[1]
+    left, right = system["left"], system["right"]
+    right_of = {x: j for j, coset in enumerate(right) for x in coset}
+    family = core.SetFamily(range(len(left)), [{right_of[x] for x in coset} for coset in left])
+    status, sdr, _ = core.hall_check(family)
+    assert status == "found", "a coset family always has an SDR"
+    reps = tuple(min(set(left[i]) & set(right[j]), key=g.elements.index)
+                 for i, j in enumerate(sdr["reps"]))
     return family, reps
 
 
@@ -954,18 +955,20 @@ def chromatic_table(adj, n, cliques):
 
 
 def table_is_perfect(g: graphs.Graph):
-    """`posets.is_perfect` by the subset tables: (True, None), or (False,
-    witness vertices) for the induced subgraph of fewest vertices, then
-    least vertex mask, whose clique and chromatic numbers differ."""
+    """The payload of `posets.is_perfect` by the subset tables: "perfect"
+    and "berge" true and no "witness", or both false and the witness
+    vertices of the induced subgraph of fewest vertices, then least vertex
+    mask, whose clique and chromatic numbers differ."""
     n = len(g.vertices)
     adj = g.adjacency_masks()
     cliques = clique_table(adj, n)
     chromatics = chromatic_table(adj, n, cliques)
     bad = [x for x in range(1 << n) if cliques[x] != chromatics[x]]
     if not bad:
-        return True, None
+        return {"perfect": True, "berge": True, "witness": None}
     witness = min(bad, key=lambda x: (x.bit_count(), x))
-    return False, tuple(g.vertices[i] for i in _bitmatch.bits_of(witness))
+    return {"perfect": False, "berge": False,
+            "witness": [g.vertices[i] for i in _bitmatch.bits_of(witness)]}
 
 
 def exhaustive_chromatic_table(adj, n):
@@ -1055,17 +1058,23 @@ class EagerGraph:
         return (self.masks[a] >> self.position[b]) & 1 == 1
 
 
-def decomposition_matrix(decomposition, n):
-    """The n-by-n matrix a Birkhoff decomposition sums to, in Fractions."""
+def decomposition_terms(payload):
+    """The ((coefficient, permutation), ...) of a `birkhoff` payload, in
+    Fractions and tuples."""
+    return tuple((Fraction(t["coefficient"]), tuple(t["permutation"])) for t in payload["terms"])
+
+
+def decomposition_matrix(payload, n):
+    """The n-by-n matrix a `birkhoff` payload's terms sum to, in Fractions."""
     rows = [[Fraction(0)] * n for _ in range(n)]
-    for coefficient, perm in decomposition.terms:
+    for coefficient, perm in decomposition_terms(payload):
         for i in range(n):
             rows[i][perm[i]] += coefficient
     return birkhoff.RationalMatrix(rows)
 
 
-def coefficient_sum(decomposition):
-    return sum((c for c, _ in decomposition.terms), Fraction(0))
+def coefficient_sum(payload):
+    return sum((c for c, _ in decomposition_terms(payload)), Fraction(0))
 
 
 def identity_matrix(n):
@@ -1116,8 +1125,3 @@ def is_symmetric_bibd(design):
                for x, y in combinations(design.points, 2)}
     return len(lambdas) <= 1
 
-
-def payload_of(name, *problem):
-    """The payload that subcommand `name` prints for `problem`, the values
-    its loader makes: the library's answer in the form its checker reads."""
-    return cli._COMMANDS[name].solve(*problem)[1]

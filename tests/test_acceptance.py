@@ -24,12 +24,12 @@ from oracles import (
     count_latin_squares_by_rows,
     cyclic_group,
     decomposition_matrix,
+    decomposition_terms,
     dihedral_group,
     edges_of_mask,
     graphs_up_to_iso,
     hall_coset_reps,
     is_symmetric_bibd,
-    payload_of,
     random_doubly_stochastic_rows,
     symmetric_group,
     table_is_perfect,
@@ -55,8 +55,8 @@ def test_hall_oracle_equivalence():
     checked = 0
     for sets in iter_families4():
         family = core.SetFamily(GROUND4, sets)
-        payload = payload_of("sdr", family)
-        assert ("reps" in payload) == brute_sdr_exists(sets)
+        status, payload, _ = core.hall_check(family)
+        assert (status == "found") == ("reps" in payload) == brute_sdr_exists(sets)
         assert core.verify_sdr(family, payload) == (True, None)
         checked += 1
     assert checked == 69905
@@ -75,7 +75,7 @@ def test_konig_equality():
         for bits in range(1 << (k * k)):
             edges = [(a, b_names[b]) for s, (a, b) in enumerate(slots) if (bits >> s) & 1]
             g = graphs.BipartiteGraph(range(k), b_names, edges)
-            payload = payload_of("cover", g)
+            payload = graphs.konig_cover(g)[1]
             assert graphs.verify_cover(g, payload) == (True, None)  # one size for both sides
             adj = [0] * k
             for a, b in edges:
@@ -90,19 +90,21 @@ def test_defect_form():
     """Reported defect equals the enumerated worst shortfall, exactly."""
     for sets in iter_families4():
         family = core.SetFamily(GROUND4, sets)
-        report = core.partial_sdr(family)
-        assert report.defect == brute_defect(sets, GROUND4)
-        assert len(report.partial) == family.n - report.defect
+        report = core.partial_sdr(family)[1]
+        assert report["defect"] == brute_defect(sets, GROUND4)
+        assert len(report["partial"]) == family.n - report["defect"]
         seen = set()
-        for i, x in report.partial.items():
-            assert x in family.sets[i] and x not in seen
+        for i, x in report["partial"].items():
+            assert x in family.sets[int(i)] and x not in seen
             seen.add(x)
 
 
 # 4. ------------------------------------------------------------------------
 
 
-def _validate_path_system(g, s, t, mode, paths, cut):
+def _validate_path_system(g, s, t, mode, payload):
+    paths, cut = payload["paths"], payload["cut"]
+    assert payload["count"] == len(paths)
     seen_edges = set()
     seen_inner = set()
     for path in paths:
@@ -139,8 +141,7 @@ def test_menger_equality():
     ]
     for g, s, t in fixtures:
         for mode in ("edge", "vertex"):
-            paths, cut = graphs.menger_paths(g, s, t, mode)
-            _validate_path_system(g, s, t, mode, paths, cut)
+            _validate_path_system(g, s, t, mode, graphs.menger_paths(g, s, t, mode)[1])
     rng = random.Random(48813)
     done = 0
     while done < 200:
@@ -149,16 +150,14 @@ def test_menger_equality():
         edges = [e for e in combinations(vertices, 2) if rng.random() < 0.45]
         g = Graph(vertices, edges)
         s, t = rng.sample(vertices, 2)
-        paths, cut = graphs.menger_paths(g, s, t, "edge")
-        _validate_path_system(g, s, t, "edge", paths, cut)
+        _validate_path_system(g, s, t, "edge", graphs.menger_paths(g, s, t, "edge")[1])
         non_adjacent = [
             (u, v) for u, v in combinations(vertices, 2) if not g.adjacent(u, v)
         ]
         if not non_adjacent:
             continue
         s, t = non_adjacent[rng.randrange(len(non_adjacent))]
-        paths, cut = graphs.menger_paths(g, s, t, "vertex")
-        _validate_path_system(g, s, t, "vertex", paths, cut)
+        _validate_path_system(g, s, t, "vertex", graphs.menger_paths(g, s, t, "vertex")[1])
         done += 1
 
 
@@ -175,10 +174,10 @@ def test_dilworth_and_mirsky():
                 (i, j) for i in range(n) for j in range(n) if (above[i] >> j) & 1
             ]
             p = posets.Poset(range(n), pairs)
-            payload = payload_of("dilworth", p)
+            payload = posets.dilworth(p)[1]
             assert posets.verify_dilworth(p, payload) == (True, None)  # as many chains
             assert len(payload["antichain"]) == brute_max_antichain(above, n)
-            payload = payload_of("mirsky", p)
+            payload = posets.mirsky(p)[1]
             assert posets.verify_mirsky(p, payload) == (True, None)  # as many levels
             assert len(payload["chain"]) == brute_longest_chain(above, n)
 
@@ -199,9 +198,9 @@ def test_perfect_graph_coherence():
         for bits in range(1 << len(slots)):
             edges = [slots[k] for k in range(len(slots)) if (bits >> k) & 1]
             g = Graph(range(n), edges)
-            perfect, witness = posets.is_perfect(g)
-            assert (perfect, witness) == table_is_perfect(g)
-            table[bits] = perfect
+            payload = posets.is_perfect(g)[1]
+            assert payload == table_is_perfect(g)
+            table[bits] = payload["perfect"]
         verdicts[n] = table
     # Seven vertices: every graph is isomorphic to one representative;
     # relabelings guard against any vertex-order dependence of the verdict
@@ -213,13 +212,13 @@ def test_perfect_graph_coherence():
     for mask in classes7:
         base_edges = edges_of_mask(mask, 7)
         g = Graph(range(7), base_edges)
-        perfect, witness = posets.is_perfect(g)
-        assert (perfect, witness) == table_is_perfect(g)
+        payload = posets.is_perfect(g)[1]
+        assert payload == table_is_perfect(g)
         for p in relabelings:
             h = Graph(range(7), [(p[u], p[v]) for u, v in base_edges])
-            relabelled_perfect, relabelled_witness = posets.is_perfect(h)
-            assert relabelled_perfect == perfect
-            assert (relabelled_perfect, relabelled_witness) == table_is_perfect(h)
+            relabelled = posets.is_perfect(h)[1]
+            assert relabelled["perfect"] == payload["perfect"]
+            assert relabelled == table_is_perfect(h)
     # Comparability graphs of small posets are always perfect.
     for n in range(7):
         slots = {pair: k for k, pair in enumerate(combinations(range(n), 2))}
@@ -248,11 +247,11 @@ def test_birkhoff_reconstruction():
         m = birkhoff.RationalMatrix(random_doubly_stochastic_rows(rng, n))
         assert birkhoff.is_doubly_stochastic(m) == (True, None)
         nnz = sum(1 for row in m.entries for x in row if x)
-        decomposition = birkhoff.birkhoff_decompose(m)
+        decomposition = birkhoff.birkhoff_decompose(m)[1]
         assert decomposition_matrix(decomposition, n) == m
         assert coefficient_sum(decomposition) == Fraction(1)
-        assert all(c > 0 for c, _ in decomposition.terms)
-        assert len(decomposition) <= nnz - n + 1
+        assert all(c > 0 for c, _ in decomposition_terms(decomposition))
+        assert len(decomposition["terms"]) <= nnz - n + 1
 
 
 # 8. ------------------------------------------------------------------------
@@ -323,8 +322,8 @@ def test_regular_family_bound():
                 family = core.SetFamily(
                     range(n), [[j for j in range(n) if rows[i][j]] for i in range(n)]
                 )
-                payload = payload_of("sdr", family)
-                assert "reps" in payload
+                status, payload, _ = core.hall_check(family)
+                assert status == "found" and "reps" in payload
                 assert core.verify_sdr(family, payload) == (True, None)
             assert found > 0
 
@@ -383,7 +382,8 @@ def test_youden_constructions():
         [[1, 2, 4], [2, 3, 5], [3, 4, 6], [4, 5, 7], [5, 6, 1], [6, 7, 2], [7, 1, 3]],
     )
     assert is_symmetric_bibd(fano)
-    assert latin.verify_youden(fano, payload_of("youden", fano)) == (True, None)
+    payload = {"array": [list(row) for row in latin.youden_from_design(fano)]}
+    assert latin.verify_youden(fano, payload) == (True, None)
     rng = random.Random(60221023)
     for _ in range(20):
         v = rng.randint(1, 7)
@@ -392,7 +392,8 @@ def test_youden_constructions():
         blocks = [[(x + shift) % v for x in base] for shift in range(v)]
         design = latin.BlockDesign(range(v), blocks)
         assert design.v == design.b and design.replication == k
-        assert latin.verify_youden(design, payload_of("youden", design)) == (True, None)
+        payload = {"array": [list(row) for row in latin.youden_from_design(design)]}
+        assert latin.verify_youden(design, payload) == (True, None)
 
 
 # 14. -----------------------------------------------------------------------
@@ -407,11 +408,9 @@ def test_rado_equivalence():
     free = matroids.free_matroid(GROUND4)
     for sets in iter_families4():
         family = core.SetFamily(GROUND4, sets)
-        result = matroids.rado_check(family, free)
-        assert isinstance(result, matroids.Sir) == isinstance(
-            core.hall_check(family), core.Sdr
-        )
-        assert matroids.verify_rado(family, free, payload_of("rado", family, free)) == (True, None)
+        status, payload, _ = matroids.rado_check(family, free)
+        assert status == core.hall_check(family)[0]
+        assert matroids.verify_rado(family, free, payload) == (True, None)
 
     oracles_by_kind = {
         "uniform": matroids.uniform_matroid("abcdef", 3),
@@ -447,10 +446,9 @@ def test_rado_equivalence():
             )
         for sets in cases:
             family = core.SetFamily(ground, sets)
-            result = matroids.rado_check(family, oracle)
+            status, payload, _ = matroids.rado_check(family, oracle)
             expected = brute_sir_exists(family.sets, oracle)
-            assert isinstance(result, matroids.Sir) == expected, (kind, sets)
-            payload = payload_of("rado", family, oracle)
+            assert (status == "found") == expected, (kind, sets)
             assert matroids.verify_rado(family, oracle, payload) == (True, None)
 
 
@@ -503,8 +501,8 @@ def test_coset_representatives():
             family = groups.coset_family(g, h)
             meets, hall_reps = hall_coset_reps(g, h)
             assert family.sets == meets.sets
-            assert isinstance(core.hall_check(family), core.Sdr)
-            payload = payload_of("cosets", g, h)
+            assert core.hall_check(family)[0] == "found"
+            payload = groups.coset_system(g, h)[1]
             assert groups.verify_cosets(g, h, payload) == (True, None)
             hall = {**payload, "reps": list(hall_reps)}
             assert groups.verify_cosets(g, h, hall) == (True, None)
@@ -529,11 +527,11 @@ def test_hypergraph_sufficiency():
             fam = hypersdr.HypergraphFamily(
                 vertices, [[[x] for x in s] for s in sets]
             )
-            found = hypersdr.find_hyper_sdr(fam)
-            assert (found is not None) == brute_sdr_exists(sets)
-            if found is not None:
-                assert hypersdr.verify_hyper_sdr(fam, payload_of("hyper-sdr", fam)) == (True, None)
-                reps = [next(iter(e)) for e in found.selection]
+            status, found, _ = hypersdr.find_hyper_sdr(fam)
+            assert (status == "found") == brute_sdr_exists(sets)
+            if status == "found":
+                assert hypersdr.verify_hyper_sdr(fam, found) == (True, None)
+                reps = [e[0] for e in found["selection"]]
                 family = core.SetFamily(vertices, sets)
                 assert core.verify_sdr(family, {"reps": reps}) == (True, None)
     pool = [list(c) for k in (1, 2, 3) for c in combinations(vertices, k)]
@@ -544,12 +542,12 @@ def test_hypergraph_sufficiency():
         lists = [rng.sample(pool, rng.randint(1, 3)) for _ in range(m)]
         fam = hypersdr.HypergraphFamily(vertices, lists)
         holds, witness = hypersdr.ah_condition(fam)
-        found = hypersdr.find_hyper_sdr(fam)
+        status, found, _ = hypersdr.find_hyper_sdr(fam)
         if holds:
-            assert found is not None
+            assert status == "found"
             implications += 1
-        if found is None:
-            assert not holds and witness is not None
+        if status == "not-found":
+            assert not holds and found == {"witness": list(witness)}
         else:
-            assert hypersdr.verify_hyper_sdr(fam, payload_of("hyper-sdr", fam)) == (True, None)
+            assert hypersdr.verify_hyper_sdr(fam, found) == (True, None)
     assert implications > 100

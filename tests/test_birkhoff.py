@@ -12,9 +12,9 @@ from math import lcm, prod
 
 import pytest
 
-from oracles import (brute_permanent, coefficient_sum, decomposition_matrix, fraction_birkhoff,
-                     fraction_entry, fraction_is_doubly_stochastic, fraction_verify_birkhoff,
-                     identity_matrix, uniform_matrix)
+from oracles import (brute_permanent, coefficient_sum, decomposition_matrix, decomposition_terms,
+                     fraction_birkhoff, fraction_entry, fraction_is_doubly_stochastic,
+                     fraction_verify_birkhoff, identity_matrix, uniform_matrix)
 import transversal
 from transversal import birkhoff
 from transversal.errors import ResourceLimitError, ValidationError
@@ -265,7 +265,7 @@ class TestDoublyStochastic:
             expected = fraction_is_doubly_stochastic(m)
             assert birkhoff.is_doubly_stochastic(m) == expected, rows
             if expected[0]:
-                assert decomposition_matrix(birkhoff.birkhoff_decompose(m), n) == m
+                assert decomposition_matrix(birkhoff.birkhoff_decompose(m)[1], n) == m
             else:
                 reasons.add(expected[1].split()[0])
                 with pytest.raises(ValidationError, match=re.escape(expected[1])):
@@ -275,18 +275,19 @@ class TestDoublyStochastic:
 
 class TestDecomposition:
     def test_identity(self):
-        dec = birkhoff.birkhoff_decompose(identity_matrix(3))
-        assert dec.terms == ((Fraction(1), (0, 1, 2)),)
+        assert birkhoff.birkhoff_decompose(identity_matrix(3)) == (
+            "found", {"terms": [{"coefficient": "1", "permutation": [0, 1, 2]}], "term_bound": 1},
+            "1 terms")
 
     def test_two_by_two_half(self):
-        dec = birkhoff.birkhoff_decompose(M([["1/2", "1/2"], ["1/2", "1/2"]]))
-        assert len(dec) == 2
-        assert all(c == Fraction(1, 2) for c, _ in dec.terms)
+        dec = birkhoff.birkhoff_decompose(M([["1/2", "1/2"], ["1/2", "1/2"]]))[1]
+        assert len(dec["terms"]) == 2
+        assert all(c == Fraction(1, 2) for c, _ in decomposition_terms(dec))
 
     def test_banded_three(self):
         m = M([["2/3", "1/3", "0"], ["1/3", "1/3", "1/3"], ["0", "1/3", "2/3"]])
-        dec = birkhoff.birkhoff_decompose(m)
-        assert len(dec) <= 7 - 3 + 1
+        dec = birkhoff.birkhoff_decompose(m)[1]
+        assert len(dec["terms"]) <= 7 - 3 + 1 == dec["term_bound"]
         assert coefficient_sum(dec) == 1
         assert decomposition_matrix(dec, 3) == m
 
@@ -300,11 +301,11 @@ class TestDecomposition:
             n = rng.randint(1, 5)
             m = random_doubly_stochastic(rng, n)
             nnz = sum(1 for row in m.entries for x in row if x)
-            dec = birkhoff.birkhoff_decompose(m)
+            dec = birkhoff.birkhoff_decompose(m)[1]
             assert coefficient_sum(dec) == 1
-            assert all(c > 0 for c, _ in dec.terms)
+            assert all(c > 0 for c, _ in decomposition_terms(dec))
             assert decomposition_matrix(dec, n) == m
-            assert len(dec) <= nnz - n + 1
+            assert len(dec["terms"]) <= nnz - n + 1
 
 
 def tampered(rng, terms, n):
@@ -340,8 +341,7 @@ def test_verify_agrees_with_fraction_sums():
     for _ in range(300):
         n = rng.randint(1, 6)
         m = random_doubly_stochastic(rng, n)
-        terms = [{"coefficient": str(c), "permutation": list(p)}
-                 for c, p in birkhoff.birkhoff_decompose(m).terms]
+        terms = birkhoff.birkhoff_decompose(m)[1]["terms"]
         cert = {"terms": tampered(rng, terms, n), "term_bound": birkhoff.term_bound(m)}
         got = birkhoff.verify_birkhoff(m, cert)
         assert got == fraction_verify_birkhoff(m, cert), (m, cert)
@@ -396,7 +396,8 @@ class TestIntegerRounds:
             weights = mixed_weights(rng, rng.sample(PRIMES, rng.randint(0, 11)))
             entries = [[str(x) for x in row] for row in weighted_permutations(rng, n, weights)]
             m = M(entries)
-            assert birkhoff.birkhoff_decompose(m).terms == fraction_birkhoff(m.entries)
+            terms = decomposition_terms(birkhoff.birkhoff_decompose(m)[1])
+            assert terms == fraction_birkhoff(m.entries)
             sizes.add(len(weights))
         assert max(sizes) >= 8
 
@@ -410,11 +411,13 @@ class TestIntegerRounds:
             acc = weighted_permutations(rng, n, weights)
             m = M([[decimal_string(rng, x, places) for x in row] for row in acc])
             assert m.entries == tuple(map(tuple, acc))
-            assert birkhoff.birkhoff_decompose(m).terms == fraction_birkhoff(m.entries)
+            terms = decomposition_terms(birkhoff.birkhoff_decompose(m)[1])
+            assert terms == fraction_birkhoff(m.entries)
 
     def test_sixteen(self):
         m = random_doubly_stochastic(random.Random(1616), 16, 40)
-        assert birkhoff.birkhoff_decompose(m).terms == fraction_birkhoff(m.entries)
+        terms = decomposition_terms(birkhoff.birkhoff_decompose(m)[1])
+        assert terms == fraction_birkhoff(m.entries)
 
 
 class TestPermanent:

@@ -297,7 +297,7 @@ class TestRowForms:
                 assert not picks, solve.__name__
                 assert len(handed) == calls, solve.__name__
                 assert all(rows is owner._cols for rows in handed), solve.__name__
-            assert core.partial_sdr(family).defect == 2
+            assert core.partial_sdr(family)[1]["defect"] == 2
         poset = posets.Poset(range(300), [(i, i + 150) for i in range(150)])
         handed.clear()
         posets.dilworth(poset)
@@ -326,9 +326,9 @@ class TestRowForms:
         n = 1500
         family = core.SetFamily(range(n + 1), [[i, i + 1] for i in range(n)] + [[0]])
         monkeypatch.setattr(_bitmatch, "_match_masks", None)
-        assert core.hall_check(family).reps == tuple(range(1, n + 1)) + (0,)
-        report = core.partial_sdr(family)
-        assert report.defect == 0 and len(report.partial) == n + 1
+        assert core.hall_check(family)[1]["reps"] == [*range(1, n + 1), 0]
+        report = core.partial_sdr(family)[1]
+        assert report["defect"] == 0 and len(report["partial"]) == n + 1
 
     def test_long_augmenting_path(self):
         """From the greedy start on the chain (row i on column i, the last
@@ -622,7 +622,7 @@ class TestLexLeast:
         masks = latin.LatinRectangle(30, [row]).column_deficiencies()
         assert _bitmatch.lex_least_assignment(masks, 30) == rematch_lex_least(masks, 30)
         m = random_doubly_stochastic(rng, 12, 30)
-        assert decomposition_matrix(birkhoff.birkhoff_decompose(m), 12) == m
+        assert decomposition_matrix(birkhoff.birkhoff_decompose(m)[1], 12) == m
         assert calls == []
 
 
@@ -760,7 +760,7 @@ class TestKeptTable:
 
         monkeypatch.setattr(_bitmatch, "_column_rows", counted)
         m = random_doubly_stochastic(random.Random(20), 20, 60)
-        assert len(birkhoff.birkhoff_decompose(m)) > 20 and built == [20]
+        assert len(birkhoff.birkhoff_decompose(m)[1]["terms"]) > 20 and built == [20]
         built.clear()
         rng = random.Random(40)
         row = list(range(1, 41))
@@ -893,8 +893,8 @@ class TestAgreesWithProbeSearch:
     def test_birkhoff_24(self, monkeypatch):
         m = random_doubly_stochastic(random.Random(24), 24, 120)
         calls = agree_with_probe_search(monkeypatch)
-        decomposition = birkhoff.birkhoff_decompose(m)
-        assert len(decomposition) == len(calls) >= 24
+        decomposition = birkhoff.birkhoff_decompose(m)[1]
+        assert len(decomposition["terms"]) == len(calls) >= 24
         assert decomposition_matrix(decomposition, 24) == m
 
 
@@ -915,6 +915,6 @@ class TestAgreesWithRematching:
     def test_birkhoff_16(self, monkeypatch):
         m = random_doubly_stochastic(random.Random(16), 16, 40)
         calls = agree_on_every_call(monkeypatch)
-        decomposition = birkhoff.birkhoff_decompose(m)
-        assert len(decomposition) == len(calls) >= 1
+        decomposition = birkhoff.birkhoff_decompose(m)[1]
+        assert len(decomposition["terms"]) == len(calls) >= 1
         assert decomposition_matrix(decomposition, 16) == m

@@ -10,8 +10,8 @@ import pytest
 
 from oracles import (EagerFamily, EagerGraph, all_families, bfs_max_matching, brute_all_sdrs,
                      brute_defect, brute_matching_counts, brute_permanent, brute_sdr_exists,
-                     column_set_sums, hall_via_menger, payload_of)
-from transversal import _bitmatch, core, graphs, latin
+                     column_set_sums, hall_via_menger)
+from transversal import _bitmatch, core, graphs, latin, matroids
 from transversal.errors import ResourceLimitError, ValidationError
 
 
@@ -106,19 +106,20 @@ class TestLazyForms:
             ground = list(range(n))
             sets = [[i, (i + 1) % n, (i + 7) % n] for i in range(n - 10)]
             sets += [[3], [3], [5, 6]]  # two sets on one element: a violator
-            for name, check in (("sdr", core.verify_sdr), ("defect", core.verify_defect)):
+            for solve, check in ((core.hall_check, core.verify_sdr),
+                                 (core.partial_sdr, core.verify_defect)):
                 f = fam(ground, sets)
-                payload = payload_of(name, f)
+                payload = solve(f)[1]
                 assert "reps" not in payload and payload.get("defect", 1) == 1
                 assert check(f, payload) == (True, None)
                 assert f._mask_list is None and f._label_sets is None
             f = fam(ground, sets[:-3])
-            assert core.verify_sdr(f, payload_of("sdr", f)) == (True, None)
+            assert core.verify_sdr(f, core.hall_check(f)[1]) == (True, None)
             assert f._mask_list is None and f._label_sets is None
             edges = [(i, x) for i, members in enumerate(sets) for x in members]
             g = graphs.BipartiteGraph(range(len(sets)), ground, edges)
-            assert graphs.verify_matching(g, payload_of("matching", g)) == (True, None)
-            payload = payload_of("cover", g)
+            assert graphs.verify_matching(g, graphs.max_matching(g)[1]) == (True, None)
+            payload = graphs.konig_cover(g)[1]
             assert payload["size"] == len(sets) - 1
             assert graphs.verify_cover(g, payload) == (True, None)
         assert not {"_masks", "_mask_list"} & set(dir(g))
@@ -147,16 +148,16 @@ class TestValidateSdr:
 
 class TestHallCheck:
     def test_two_sets_one_element(self):
-        result = core.hall_check(fam([1], [[1], [1]]))
-        assert isinstance(result, core.HallViolator)
-        assert result.indices == (0, 1)
-        assert result.union == (1,)
+        status, result, _ = core.hall_check(fam([1], [[1], [1]]))
+        assert status == "not-found"
+        assert result["indices"] == [0, 1]
+        assert result["union"] == [1]
 
     def test_three_cycle_family_has_sdr(self):
         f = fam([1, 2, 3], [[1, 2], [2, 3], [3, 1]])
-        result = core.hall_check(f)
-        assert isinstance(result, core.Sdr)
-        assert core.verify_sdr(f, payload_of("sdr", f)) == (True, None)
+        status, result, _ = core.hall_check(f)
+        assert status == "found"
+        assert core.verify_sdr(f, result) == (True, None)
         # brute force confirms at least one SDR exists
         assert brute_sdr_exists(f.sets)
 
@@ -164,11 +165,11 @@ class TestHallCheck:
         # one full set plus one singleton per element: 6 sets, 5 elements
         ground = [1, 2, 3, 4, 5]
         f = fam(ground, [ground] + [[x] for x in ground])
-        result = core.hall_check(f)
-        assert isinstance(result, core.HallViolator)
-        assert len(result.union) == 5
-        assert len(result.indices) == 6
-        assert core.verify_sdr(f, payload_of("sdr", f)) == (True, None)
+        status, result, _ = core.hall_check(f)
+        assert status == "not-found"
+        assert len(result["union"]) == 5
+        assert len(result["indices"]) == 6
+        assert core.verify_sdr(f, result) == (True, None)
 
     def test_verify_rejects_unhashable_union(self):
         forged = {"indices": [0, 1], "union": [[1]]}
@@ -177,7 +178,7 @@ class TestHallCheck:
 
     def test_empty_family(self):
         result = core.hall_check(fam([1], []))
-        assert result == core.Sdr(())
+        assert result == ("found", {"reps": []}, "SDR found")
 
     def test_deterministic(self):
         f = fam([1, 2, 3, 4], [[1, 2, 3], [2, 3], [3, 4], [1, 4]])
@@ -195,8 +196,8 @@ class TestHallCheck:
             sets = [[x for x in ground if rng.random() < rng.choice((0.05, 0.1, 0.3))]
                     for _ in range(n)]
             f = fam(ground, sets)
-            result = core.hall_check(f)
-            if isinstance(result, core.Sdr):
+            status, result, _ = core.hall_check(f)
+            if status == "found":
                 continue
             deficient += 1
             reference = bfs_max_matching([f.mask(i) for i in range(f.n)], len(ground))
@@ -215,8 +216,8 @@ class TestHallCheck:
             ground = list(range(rng.randint(1, 6)))
             sets = [[x for x in ground if rng.random() < 0.35] for _ in range(n)]
             f = fam(ground, sets)
-            result = core.hall_check(f)
-            if isinstance(result, core.Sdr):
+            status, result, _ = core.hall_check(f)
+            if status == "found":
                 continue
             deficient += 1
             gaps = {
@@ -225,29 +226,49 @@ class TestHallCheck:
                 for group in combinations(range(n), k)
             }
             defect = brute_defect(sets, ground)
-            assert len(result.indices) - len(result.union) == defect
-            assert all(set(result.indices) <= set(group)
+            assert len(result["indices"]) - len(result["union"]) == defect
+            assert all(set(result["indices"]) <= set(group)
                        for group, gap in gaps.items() if gap == defect)
         assert deficient >= 100, deficient
+
+
+class TestViolatorRefusals:
+    def test_what_the_answer_records_refused(self):
+        """The verifiers refuse what the answer records refused to hold: a
+        violator of no sets, a union not smaller than its sets, a negative
+        defect, and a rank not below the count of its sets."""
+        f = fam(["a", "b", "c"], [["a"], ["b"]])
+        assert core.verify_sdr(f, {"indices": [], "union": []}) == (
+            False, "violator names no sets")
+        assert core.verify_sdr(f, {"indices": [0, 1], "union": ["a", "b"]}) == (
+            False, "union is not smaller than the index set")
+        negative = {"defect": -1, "partial": {"0": "a", "1": "b", "2": "c"}}
+        assert core.verify_defect(f, negative) == (
+            False, "assignment 2 -> 'c' is not a membership")
+        free = matroids.free_matroid(["a", "b", "c"])
+        violator = {"indices": [0, 1], "union": ["a", "b"], "rank": 2}
+        assert matroids.verify_rado(f, free, violator) == (
+            False, "union rank is not below the index count")
 
 
 class TestPartialSdr:
     def test_defect_one(self):
         f = fam([1, 2], [[1], [1], [1, 2]])
-        report = core.partial_sdr(f)
-        assert report.defect == 1
-        assert len(report.partial) == 2
-        values = list(report.partial.values())
+        status, report, diagnostics = core.partial_sdr(f)
+        assert (status, diagnostics) == ("found", "defect 1")
+        assert report["defect"] == 1
+        assert len(report["partial"]) == 2
+        values = list(report["partial"].values())
         assert len(set(values)) == 2
-        for i, x in report.partial.items():
-            assert x in f.sets[i]
+        for i, x in report["partial"].items():
+            assert x in f.sets[int(i)]
 
     def test_defect_zero(self):
-        assert core.partial_sdr(fam([1, 2, 3], [[1, 2], [2, 3], [3, 1]])).defect == 0
+        assert core.partial_sdr(fam([1, 2, 3], [[1, 2], [2, 3], [3, 1]]))[1]["defect"] == 0
 
     def test_empty_family(self):
-        report = core.partial_sdr(fam([], []))
-        assert report.defect == 0 and report.partial == {}
+        report = core.partial_sdr(fam([], []))[1]
+        assert report["defect"] == 0 and report["partial"] == {}
 
 
 class TestCountSdrs:
@@ -758,7 +779,8 @@ class TestArraySdr:
 
     def test_two_by_two(self):
         arr = core.ArrayFamily([1, 2], [[[1, 2], [1, 2]], [[1, 2], [1, 2]]])
-        assert core.verify_array_sdr(arr, payload_of("array-sdr", arr)) == (True, None)
+        payload = {"grid": [list(row) for row in core.array_sdr(arr)]}
+        assert core.verify_array_sdr(arr, payload) == (True, None)
 
     def test_impossible_row(self):
         arr = core.ArrayFamily([1], [[[1], [1]], [[1], [1]]])
@@ -795,7 +817,8 @@ class TestArraySdr:
             grid = core.array_sdr(arr)
             assert grid == first_valid(arr)
             if grid is not None:
-                assert core.verify_array_sdr(arr, payload_of("array-sdr", arr)) == (True, None)
+                payload = {"grid": [list(row) for row in grid]}
+                assert core.verify_array_sdr(arr, payload) == (True, None)
 
 
 class TestInvariants:
@@ -804,20 +827,19 @@ class TestInvariants:
         for n in range(4):
             for sets in all_families(n, ground):
                 f = fam(ground, sets)
-                result = core.hall_check(f)
+                status, result, _ = core.hall_check(f)
                 expected = brute_sdr_exists(sets)
-                assert isinstance(result, core.Sdr) == expected
-                assert core.verify_sdr(f, payload_of("sdr", f)) == (True, None)
+                assert (status == "found") == expected
+                assert core.verify_sdr(f, result) == (True, None)
                 # defect consistency
-                report = core.partial_sdr(f)
-                assert (report.defect == 0) == expected
-                assert report.defect == brute_defect(sets, ground)
-                if report.defect:
-                    violator = report.violator
-                    assert core.verify_defect(f, payload_of("defect", f)) == (True, None)
-                    assert len(violator.indices) - len(violator.union) == report.defect
+                report = core.partial_sdr(f)[1]
+                assert (report["defect"] == 0) == expected
+                assert report["defect"] == brute_defect(sets, ground)
+                assert core.verify_defect(f, report) == (True, None)
+                if report["defect"]:
+                    assert len(report["indices"]) - len(report["union"]) == report["defect"]
                 else:
-                    assert report.violator is None
+                    assert "indices" not in report and "union" not in report
                 # counting consistency
                 count = core.count_sdrs(f)
                 assert count == len(brute_all_sdrs(sets))
@@ -839,5 +861,5 @@ class TestInvariants:
             g = fam(ground, enlarged)
             after = core.count_sdrs(g)
             assert after >= before
-            if isinstance(core.hall_check(f), core.Sdr):
-                assert isinstance(core.hall_check(g), core.Sdr)
+            if core.hall_check(f)[0] == "found":
+                assert core.hall_check(g)[0] == "found"

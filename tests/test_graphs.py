@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from oracles import (all_families, brute_min_cover_bipartite, brute_sdr_exists, connected_without,
-                     edmonds_karp, family_to_graph, graph_to_family, hall_via_menger, payload_of)
+                     edmonds_karp, family_to_graph, graph_to_family, hall_via_menger)
 from transversal import _bitmatch, core, graphs
 from transversal.errors import ValidationError
 
@@ -48,14 +48,14 @@ def six_cycle():
 class TestMatching:
     def test_complete_three(self):
         m = graphs.max_matching(complete_bipartite(3, 3))
-        assert len(m) == 3
+        assert m[1]["size"] == len(m[1]["edges"]) == 3 and m[2] == "matching of size 3"
 
     def test_shared_endpoint(self):
         g = graphs.BipartiteGraph(["a1", "a2"], ["b1"], [("a1", "b1"), ("a2", "b1")])
-        assert len(graphs.max_matching(g)) == 1
+        assert len(graphs.max_matching(g)[1]["edges"]) == 1
 
     def test_six_cycle_perfect(self):
-        assert len(graphs.max_matching(six_cycle())) == 3
+        assert len(graphs.max_matching(six_cycle())[1]["edges"]) == 3
 
     def test_hopcroft_karp_long_chain(self):
         # Row i meets columns i and i + 1 and a last row meets column 0
@@ -67,27 +67,28 @@ class TestMatching:
         b = [f"b{j}" for j in range(n + 1)]
         edges = [(i, b[j]) for i in range(n) for j in (i, i + 1)] + [(n, b[0])]
         g = graphs.BipartiteGraph(a, b, edges)
-        fast = graphs.max_matching(g)
-        assert len(fast) == n + 1
-        assert graphs.verify_matching(g, payload_of("matching", g)) == (True, None)
+        fast = graphs.max_matching(g)[1]
+        assert len(fast["edges"]) == n + 1
+        assert graphs.verify_matching(g, fast) == (True, None)
 
 
 class TestKonig:
     def test_star(self):
         g = graphs.BipartiteGraph(["a1", "a2", "a3"], ["b"], [("a1", "b"), ("a2", "b"), ("a3", "b")])
-        matching, cover = graphs.konig_cover(g)
-        assert len(matching) == 1
-        assert cover.in_a == () and cover.in_b == ("b",)
+        payload = graphs.konig_cover(g)[1]
+        assert len(payload["matching"]) == 1
+        assert payload["cover"] == {"partA": [], "partB": ["b"]}
 
     def test_six_cycle(self):
-        matching, cover = graphs.konig_cover(six_cycle())
-        assert len(matching) == 3 and len(cover) == 3
+        payload = graphs.konig_cover(six_cycle())[1]
+        cover = payload["cover"]
+        assert len(payload["matching"]) == 3 and len(cover["partA"]) + len(cover["partB"]) == 3
 
     def test_doubled_singleton_family(self):
         g = family_to_graph(core.SetFamily([1], [[1], [1]]))
-        matching, cover = graphs.konig_cover(g)
-        assert len(matching) == 1
-        assert len(cover) == 1 and cover.in_b == (1,)
+        payload = graphs.konig_cover(g)[1]
+        assert len(payload["matching"]) == 1
+        assert payload["cover"] == {"partA": [], "partB": [1]}
 
     def test_cover_validates_small_exhaustive(self):
         for edge_bits in range(1 << 9):
@@ -97,7 +98,7 @@ class TestKonig:
                 if (edge_bits >> k) & 1
             ]
             g = graphs.BipartiteGraph(range(3), [f"b{j}" for j in range(3)], edges)
-            payload = payload_of("cover", g)
+            payload = graphs.konig_cover(g)[1]
             assert graphs.verify_cover(g, payload) == (True, None)  # one size for both sides
             adj = [0] * 3
             for a, b in edges:
@@ -105,7 +106,9 @@ class TestKonig:
             assert payload["size"] == brute_min_cover_bipartite(adj, 3, 3)
 
 
-def validate_menger(g, s, t, mode, paths, cut):
+def validate_menger(g, s, t, mode, payload):
+    paths, cut = payload["paths"], payload["cut"]
+    assert payload["count"] == len(paths)
     seen_edges = set()
     seen_inner = set()
     for path in paths:
@@ -131,15 +134,15 @@ class TestMenger:
     def test_three_disjoint_paths(self):
         g = graphs.Graph("satbc", [("s", "a"), ("a", "t"), ("s", "b"), ("b", "t"), ("s", "c"), ("c", "t")])
         for mode in ("vertex", "edge"):
-            paths, cut = graphs.menger_paths(g, "s", "t", mode)
-            assert len(paths) == 3
-            validate_menger(g, "s", "t", mode, paths, cut)
+            payload = graphs.menger_paths(g, "s", "t", mode)[1]
+            assert len(payload["paths"]) == 3
+            validate_menger(g, "s", "t", mode, payload)
 
     def test_k4_edge_mode(self):
         g = graphs.Graph("abcd", [(u, v) for u, v in combinations("abcd", 2)])
-        paths, cut = graphs.menger_paths(g, "a", "d", "edge")
-        assert len(paths) == 3
-        validate_menger(g, "a", "d", "edge", paths, cut)
+        payload = graphs.menger_paths(g, "a", "d", "edge")[1]
+        assert len(payload["paths"]) == 3
+        validate_menger(g, "a", "d", "edge", payload)
         # brute-force edge cut: no smaller edge set disconnects
         for k in range(3):
             for removed in combinations(g.edges, k):
@@ -147,8 +150,8 @@ class TestMenger:
 
     def test_disconnected(self):
         g = graphs.Graph("abcd", [("a", "b"), ("c", "d")])
-        paths, cut = graphs.menger_paths(g, "a", "c", "edge")
-        assert paths == () and cut == ()
+        assert graphs.menger_paths(g, "a", "c", "edge") == (
+            "found", {"paths": [], "cut": [], "count": 0}, "0 disjoint paths, cut of equal size")
 
     def test_same_endpoint_rejected(self):
         g = graphs.Graph("ab", [("a", "b")])
@@ -168,19 +171,18 @@ class TestMenger:
             edges = [e for e in combinations(vertices, 2) if rng.random() < 0.5]
             g = graphs.Graph(vertices, edges)
             s, t = rng.sample(vertices, 2)
-            paths, cut = graphs.menger_paths(g, s, t, "edge")
-            validate_menger(g, s, t, "edge", paths, cut)
+            validate_menger(g, s, t, "edge", graphs.menger_paths(g, s, t, "edge")[1])
             if not g.adjacent(s, t):
-                paths, cut = graphs.menger_paths(g, s, t, "vertex")
-                validate_menger(g, s, t, "vertex", paths, cut)
+                validate_menger(g, s, t, "vertex", graphs.menger_paths(g, s, t, "vertex")[1])
 
 
 class TestMaxFlow:
     def test_single_edge(self):
         net = graphs.FlowNetwork("st", [("s", "t", 5)], "s", "t")
-        value, cut, _ = graphs.max_flow_min_cut(net)
-        assert value == 5 and cut == (("s", "t"),)
-        assert graphs.verify_maxflow(net, payload_of("maxflow", net)) == (True, None)
+        status, payload, diagnostics = graphs.max_flow_min_cut(net)
+        assert (status, diagnostics) == ("found", "maximum flow 5")
+        assert payload["value"] == 5 and payload["cut"] == [["s", "t"]]
+        assert graphs.verify_maxflow(net, payload) == (True, None)
 
     def test_diamond(self):
         net = graphs.FlowNetwork(
@@ -189,16 +191,16 @@ class TestMaxFlow:
             "s",
             "t",
         )
-        value, cut, _ = graphs.max_flow_min_cut(net)
-        assert value == 2
-        assert sum(c for u, v, c in net.arcs if (u, v) in set(cut)) == 2
-        assert graphs.verify_maxflow(net, payload_of("maxflow", net)) == (True, None)
+        payload = graphs.max_flow_min_cut(net)[1]
+        assert payload["value"] == 2
+        assert sum(c for u, v, c in net.arcs if [u, v] in payload["cut"]) == 2
+        assert graphs.verify_maxflow(net, payload) == (True, None)
 
     def test_zero_capacity(self):
         net = graphs.FlowNetwork("st", [("s", "t", 0)], "s", "t")
-        value, cut, _ = graphs.max_flow_min_cut(net)
-        assert value == 0
-        assert graphs.verify_maxflow(net, payload_of("maxflow", net)) == (True, None)
+        payload = graphs.max_flow_min_cut(net)[1]
+        assert payload["value"] == 0
+        assert graphs.verify_maxflow(net, payload) == (True, None)
 
     def test_integrality_random(self):
         rng = random.Random(5)
@@ -211,11 +213,12 @@ class TestMaxFlow:
                     if u != v and rng.random() < 0.4:
                         arcs.append((u, v, rng.randint(0, 9)))
             net = graphs.FlowNetwork(nodes, arcs, 0, n - 1)
-            value, cut, flow = graphs.max_flow_min_cut(net)
+            payload = graphs.max_flow_min_cut(net)[1]
+            value = payload["value"]
             assert isinstance(value, int)
-            assert all(isinstance(f, int) for f in flow.values())
-            assert graphs.verify_maxflow(net, payload_of("maxflow", net)) == (True, None)
-            assert sum(c for u, v, c in net.arcs if (u, v) in set(cut)) == value
+            assert all(isinstance(f, int) for _, _, f in payload["flow"])
+            assert graphs.verify_maxflow(net, payload) == (True, None)
+            assert sum(c for u, v, c in net.arcs if [u, v] in payload["cut"]) == value
 
     def test_duplicate_arc_rejected(self):
         with pytest.raises(ValidationError):
@@ -271,7 +274,7 @@ class TestFlowEngine:
             ref_value, _, ref_reachable = edmonds_karp(n, arcs, 0, n - 1)
             assert (value, reachable) == (ref_value, ref_reachable), (n, arcs)
             net = graphs.FlowNetwork(range(n), arcs, 0, n - 1)
-            assert graphs.verify_maxflow(net, payload_of("maxflow", net)) == (True, None)
+            assert graphs.verify_maxflow(net, graphs.max_flow_min_cut(net)[1]) == (True, None)
             pairs = {(u, v) for u, v, _ in arcs}
             ends = {x for pair in pairs for x in pair}
             kinds["zero-capacity"] += any(c == 0 for *_, c in arcs)
@@ -287,17 +290,17 @@ class TestFlowEngine:
         menger = [random_graph(rng) for _ in range(300)]
 
         def solve_all():
-            flows = [
-                graphs.max_flow_min_cut(graphs.FlowNetwork(range(n), arcs, 0, n - 1))[:2]
-                for n, arcs in networks
-            ]
+            flows = []
+            for n, arcs in networks:
+                payload = graphs.max_flow_min_cut(graphs.FlowNetwork(range(n), arcs, 0, n - 1))[1]
+                flows.append((payload["value"], payload["cut"]))
             systems = []
             for g, s, t in menger:
                 for mode in ("edge", "vertex"):
                     if mode == "edge" or not g.adjacent(s, t):
-                        paths, cut = graphs.menger_paths(g, s, t, mode)
-                        validate_menger(g, s, t, mode, paths, cut)
-                        systems.append((len(paths), cut))
+                        payload = graphs.menger_paths(g, s, t, mode)[1]
+                        validate_menger(g, s, t, mode, payload)
+                        systems.append((len(payload["paths"]), payload["cut"]))
             return flows, systems
 
         shipped = solve_all()
@@ -321,30 +324,30 @@ class TestFlowEngine:
         arcs += [(f"b{j}", "t", 1) for j in range(n)]
         net = graphs.FlowNetwork(dict.fromkeys(x for arc in arcs for x in arc[:2]), arcs, "s", "t")
         start = time.perf_counter()
-        value, cut, _ = graphs.max_flow_min_cut(net)
+        payload = graphs.max_flow_min_cut(net)[1]
         assert time.perf_counter() - start < 1.5
         match_row, _ = _bitmatch.max_matching(masks, n)
+        value = payload["value"]
         assert value == sum(c != _bitmatch.UNMATCHED for c in match_row) > 1900
-        assert len(cut) == value
-        assert graphs.verify_maxflow(net, payload_of("maxflow", net)) == (True, None)
+        assert len(payload["cut"]) == value
+        assert graphs.verify_maxflow(net, payload) == (True, None)
 
 
 class TestHallViaMenger:
     def test_three_cycle(self):
         f = core.SetFamily([1, 2, 3], [[1, 2], [2, 3], [3, 1]])
         result = hall_via_menger(f)
-        assert isinstance(result, core.Sdr)
-        assert core.verify_sdr(f, {"reps": list(result.reps)}) == (True, None)
+        assert "reps" in result
+        assert core.verify_sdr(f, result) == (True, None)
 
     def test_violator(self):
         f = core.SetFamily([1], [[1], [1]])
         result = hall_via_menger(f)
-        assert isinstance(result, core.HallViolator)
-        cert = {"indices": list(result.indices), "union": list(result.union)}
-        assert core.verify_sdr(f, cert) == (True, None)
+        assert result == {"indices": [0, 1], "union": [1]}
+        assert core.verify_sdr(f, result) == (True, None)
 
     def test_empty(self):
-        assert hall_via_menger(core.SetFamily([1], [])) == core.Sdr(())
+        assert hall_via_menger(core.SetFamily([1], [])) == {"reps": []}
 
     def test_agrees_with_core_exhaustively(self):
         ground = (1, 2, 3)
@@ -352,7 +355,5 @@ class TestHallViaMenger:
             for sets in all_families(n, ground):
                 f = core.SetFamily(ground, sets)
                 via_flow = hall_via_menger(f)
-                assert isinstance(via_flow, core.Sdr) == brute_sdr_exists(sets)
-                assert isinstance(via_flow, core.Sdr) == isinstance(
-                    core.hall_check(f), core.Sdr
-                )
+                assert ("reps" in via_flow) == brute_sdr_exists(sets)
+                assert ("reps" in via_flow) == (core.hall_check(f)[0] == "found")

@@ -5,8 +5,7 @@ from itertools import islice, product
 
 import pytest
 
-from oracles import (cyclic_group, dihedral_group, group_inverse, group_mul, payload_of,
-                     symmetric_group)
+from oracles import cyclic_group, dihedral_group, group_inverse, group_mul, symmetric_group
 from transversal import core, groups
 from transversal.errors import ResourceLimitError, ValidationError
 
@@ -138,7 +137,7 @@ class TestCosets:
         h = groups.subgroup_closure(s3, [(2, 1, 3)])
         fam = groups.coset_family(s3, h)
         assert fam.n == 3
-        assert isinstance(core.hall_check(fam), core.Sdr)
+        assert core.hall_check(fam)[0] == "found"
 
     def test_not_a_subgroup_rejected(self):
         s3 = symmetric_group(3)
@@ -148,9 +147,9 @@ class TestCosets:
 
 def brute_simultaneous_exists(g, subgroup) -> bool:
     """Exhaustive search over one pick per left coset."""
-    system = groups.coset_system(g, subgroup)
-    for choice in product(*[list(c) for c in system.left]):
-        hits = [sum(1 for x in choice if x in set(rc)) for rc in system.right]
+    system = groups.coset_system(g, subgroup)[1]
+    for choice in product(*[list(c) for c in system["left"]]):
+        hits = [sum(1 for x in choice if x in set(rc)) for rc in system["right"]]
         if all(h == 1 for h in hits):
             return True
     return False
@@ -160,12 +159,14 @@ class TestSimultaneousReps:
     def test_normal_subgroup(self):
         s3 = symmetric_group(3)
         a3 = groups.subgroup_closure(s3, [(2, 3, 1)])
-        assert groups.verify_cosets(s3, a3, payload_of("cosets", s3, a3)) == (True, None)
+        status, payload, diagnostics = groups.coset_system(s3, a3)
+        assert (status, diagnostics) == ("found", "index 2")
+        assert groups.verify_cosets(s3, a3, payload) == (True, None)
 
     def test_s3_transposition_subgroup(self):
         s3 = symmetric_group(3)
         h = groups.subgroup_closure(s3, [(2, 1, 3)])
-        assert groups.verify_cosets(s3, h, payload_of("cosets", s3, h)) == (True, None)
+        assert groups.verify_cosets(s3, h, groups.coset_system(s3, h)[1]) == (True, None)
         assert brute_simultaneous_exists(s3, h)
 
     def test_dihedral_nonnormal_order_two(self):
@@ -176,15 +177,15 @@ class TestSimultaneousReps:
             and len(groups.subgroup_closure(d4, [x])) == 2
         )
         h = groups.subgroup_closure(d4, [reflection])
-        payload = payload_of("cosets", d4, h)
+        payload = groups.coset_system(d4, h)[1]
         assert len(payload["reps"]) == 4
         assert groups.verify_cosets(d4, h, payload) == (True, None)
 
     def test_wrong_reps_rejected_by_validator(self):
         s3 = symmetric_group(3)
         h = groups.subgroup_closure(s3, [(2, 1, 3)])
-        system = groups.coset_system(s3, h)
-        bad = tuple(c[0] for c in system.left)
+        system = groups.coset_system(s3, h)[1]
+        bad = tuple(c[0] for c in system["left"])
         ok, _ = groups.verify_cosets(s3, h, with_reps(s3, h, bad))
         # a plain left transversal usually misses some right coset
         assert ok == brute_left_is_right(s3, h, bad)
@@ -214,20 +215,21 @@ class TestSimultaneousReps:
             assert groups.simultaneous_reps(as_table, h) == groups.simultaneous_reps(s4, h)
 
     def test_check_runs_no_solver(self, monkeypatch):
-        """With `coset_system` made to raise, `verify_cosets` still accepts
-        the payload and refuses it with reps that are a left transversal but
-        not a right one."""
+        """With `coset_system` and its coset helper made to raise,
+        `verify_cosets` still accepts the payload and refuses it with reps
+        that are a left transversal but not a right one."""
         s4 = symmetric_group(4)
         h = groups.subgroup_closure(s4, [(2, 1, 3, 4)])
-        system = groups.coset_system(s4, h)
-        bad = tuple(c[0] for c in system.left)
+        system = groups.coset_system(s4, h)[1]
+        bad = tuple(c[0] for c in system["left"])
         assert not brute_left_is_right(s4, h, bad)
-        as_json = json.loads(json.dumps(payload_of("cosets", s4, h)))
+        as_json = json.loads(json.dumps(system))
 
         def solver(*args):
             raise AssertionError("the check ran the solver")
 
         monkeypatch.setattr(groups, "coset_system", solver)
+        monkeypatch.setattr(groups, "_cosets", solver)
         assert groups.verify_cosets(s4, h, as_json) == (True, None)
         forged = {**as_json, "reps": [list(x) for x in bad]}
         ok, reason = groups.verify_cosets(s4, h, forged)
@@ -237,18 +239,18 @@ class TestSimultaneousReps:
         d4 = dihedral_group(4)
         for x in d4.elements:
             h = groups.subgroup_closure(d4, [x])
-            system = groups.coset_system(d4, h)
-            for choice in product(*[list(c) for c in system.left]):
+            system = groups.coset_system(d4, h)[1]
+            for choice in product(*[list(c) for c in system["left"]]):
                 ok, _ = groups.verify_cosets(d4, h, with_reps(d4, h, choice))
                 assert ok == brute_left_is_right(d4, h, choice)
 
 
 def with_reps(g, subgroup, reps):
     """The payload of `cosets` for `subgroup` of `g`, with `reps` for its reps."""
-    return {**payload_of("cosets", g, subgroup), "reps": list(reps)}
+    return {**groups.coset_system(g, subgroup)[1], "reps": list(reps)}
 
 
 def brute_left_is_right(g, subgroup, reps):
-    system = groups.coset_system(g, subgroup)
-    hits = [sum(1 for x in reps if x in set(rc)) for rc in system.right]
+    system = groups.coset_system(g, subgroup)[1]
+    hits = [sum(1 for x in reps if x in set(rc)) for rc in system["right"]]
     return all(h == 1 for h in hits)

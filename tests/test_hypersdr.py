@@ -3,7 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
-from oracles import brute_sdr_exists, is_pinned, payload_of
+from oracles import brute_sdr_exists, is_pinned
 from transversal import core, hypersdr
 from transversal.errors import ResourceLimitError, ValidationError
 
@@ -37,10 +37,7 @@ class TestAhCondition:
     def test_singleton_encoding_of_sdr_family(self):
         fam = singleton_encoding([1, 2, 3], [[1, 2], [2, 3], [3, 1]])
         assert hypersdr.ah_condition(fam) == (True, None)
-        assert isinstance(
-            core.hall_check(core.SetFamily([1, 2, 3], [[1, 2], [2, 3], [3, 1]])),
-            core.Sdr,
-        )
+        assert core.hall_check(core.SetFamily([1, 2, 3], [[1, 2], [2, 3], [3, 1]]))[0] == "found"
 
     def test_empty_family(self):
         assert hypersdr.ah_condition(family([1])) == (True, None)
@@ -61,7 +58,9 @@ class TestAhCondition:
         """`ceiling` admits more edges; the subfamily limit is a constant."""
         wide = family([1], *[[[1]] * 7 for _ in range(2)])
         assert hypersdr.ah_condition(wide, ceiling=14) == (False, (0, 1))
-        assert hypersdr.find_hyper_sdr(wide, ceiling=14) is None
+        assert hypersdr.find_hyper_sdr(wide, ceiling=14) == (
+            "not-found", {"witness": [0, 1]},
+            "no SDR; sufficient condition fails at the attached subfamily")
         big = family([1, 2], *[[[1], [2], [1, 2]] for _ in range(5)])
         for search in (hypersdr.ah_condition, hypersdr.find_hyper_sdr):
             with pytest.raises(ResourceLimitError, match="4 hypergraphs"):
@@ -71,24 +70,25 @@ class TestAhCondition:
 class TestFindHyperSdr:
     def test_basic_selection(self):
         fam = family([1, 2, 3, 4], [[1, 2], [3, 4]], [[1, 2]])
-        result = hypersdr.find_hyper_sdr(fam)
-        assert result is not None
-        assert result.selection == (frozenset({3, 4}), frozenset({1, 2}))
-        assert hypersdr.verify_hyper_sdr(fam, payload_of("hyper-sdr", fam)) == (True, None)
+        status, result, diagnostics = hypersdr.find_hyper_sdr(fam)
+        assert (status, diagnostics) == ("found", "hypergraph SDR found")
+        assert result == {"selection": [[3, 4], [1, 2]]}
+        assert hypersdr.verify_hyper_sdr(fam, result) == (True, None)
 
     def test_intersecting_pair(self):
-        assert hypersdr.find_hyper_sdr(family([1, 2], [[1, 2]], [[1, 2]])) is None
+        status, result, _ = hypersdr.find_hyper_sdr(family([1, 2], [[1, 2]], [[1, 2]]))
+        assert status == "not-found" and result == {"witness": [0, 1]}
 
     def test_singleton_encoding_mirrors_hall(self):
         sets = [[1, 2], [2, 3], [3, 1]]
         fam = singleton_encoding([1, 2, 3], sets)
-        result = hypersdr.find_hyper_sdr(fam)
-        assert result is not None
-        reps = [next(iter(e)) for e in result.selection]
+        status, result, _ = hypersdr.find_hyper_sdr(fam)
+        assert status == "found"
+        reps = [e[0] for e in result["selection"]]
         assert core.verify_sdr(core.SetFamily([1, 2, 3], sets), {"reps": reps}) == (True, None)
 
     def test_empty_family(self):
-        assert hypersdr.find_hyper_sdr(family([1])) == hypersdr.HyperSdr(())
+        assert hypersdr.find_hyper_sdr(family([1]))[:2] == ("found", {"selection": []})
 
 
 class TestSufficiency:
@@ -103,24 +103,35 @@ class TestSufficiency:
             ]
             fam = family(vertices, *lists)
             holds, witness = hypersdr.ah_condition(fam)
-            found = hypersdr.find_hyper_sdr(fam)
+            status, found, _ = hypersdr.find_hyper_sdr(fam)
             # the first disjoint selection in listed edge order
             first = next((picks for picks in product(*(h.edges for h in fam.members))
                           if all(not a & b for a, b in combinations(picks, 2))), None)
-            assert found == (None if first is None else hypersdr.HyperSdr(first))
+            assert (status == "found") == (first is not None)
             if holds:
-                assert found is not None
-            if found is not None:
-                assert hypersdr.verify_hyper_sdr(fam, payload_of("hyper-sdr", fam)) == (True, None)
+                assert status == "found"
+            if status == "found":
+                assert [frozenset(e) for e in found["selection"]] == list(first)
+                assert hypersdr.verify_hyper_sdr(fam, found) == (True, None)
             else:
-                assert not holds
+                assert not holds and found == {"witness": list(witness)}
 
     def test_condition_is_not_necessary(self):
         # an SDR exists although one subfamily's matchings are all pinnable
         fam = family([1, 2, 3, 4], [[1, 2], [2, 3]], [[3, 4]])
-        found = hypersdr.find_hyper_sdr(fam)
-        assert found is not None
-        assert hypersdr.verify_hyper_sdr(fam, payload_of("hyper-sdr", fam)) == (True, None)
+        status, found, _ = hypersdr.find_hyper_sdr(fam)
+        assert status == "found"
+        assert hypersdr.verify_hyper_sdr(fam, found) == (True, None)
         holds, witness = hypersdr.ah_condition(fam)
         assert not holds
         assert witness == (0, 1)
+
+
+class TestVerifyHyperSdr:
+    def test_repeated_vertex_refused(self):
+        """A selected edge is read as a list of vertices, each once: ["1",
+        "2", "2"] is not the edge {"1", "2"}, though its set is."""
+        fam = family(["1", "2", "3"], [["1", "2"]])
+        assert hypersdr.verify_hyper_sdr(fam, {"selection": [["1", "2"]]}) == (True, None)
+        assert hypersdr.verify_hyper_sdr(fam, {"selection": [["1", "2", "2"]]}) == (
+            False, "entry 0 repeats a vertex")

@@ -5,7 +5,7 @@ from itertools import permutations
 
 import pytest
 
-from oracles import count_latin_squares_by_rows, is_symmetric_bibd, payload_of
+from oracles import count_latin_squares_by_rows, is_symmetric_bibd
 from transversal import latin
 from transversal.errors import AlreadyCompleteError, ResourceLimitError, ValidationError
 
@@ -181,12 +181,13 @@ class TestGrownCheck:
 
     CHECKS = [("latin-extend", latin.verify_extension, lambda rect: rect.m + 1),
               ("latin-complete", latin.verify_completion, lambda rect: rect.n)]
+    GROW = {"latin-extend": latin.extend_row, "latin-complete": latin.complete}
 
     @pytest.mark.parametrize("name, check, m", CHECKS)
     def test_add_row_runs_once_per_new_row(self, monkeypatch, name, check, m):
         n = 300
         rect = R(n, [[(i + j) % n + 1 for j in range(n)] for i in range(n - 3)])
-        payload = payload_of(name, rect)
+        payload = self.GROW[name](rect).to_json()
         checked, add_row = [], latin._add_row
         monkeypatch.setattr(latin, "_add_row",
                             lambda masks, r, row: checked.append(r) or add_row(masks, r, row))
@@ -197,7 +198,7 @@ class TestGrownCheck:
     @pytest.mark.parametrize("name, check, m", CHECKS)
     def test_forgeries_refused(self, name, check, m):
         rect = R(4, [[1, 2, 3, 4], [2, 1, 4, 3]])
-        payload = payload_of(name, rect)
+        payload = self.GROW[name](rect).to_json()
         rows = payload["rows"]
         column_repeat = {**payload, "rows": [*rows[:-1], rows[0]]}
         swapped = {**payload, "rows": [rows[1], rows[0], *rows[2:]]}  # still Latin
@@ -222,7 +223,7 @@ class TestGrownCheck:
         for trial in range(400):
             n = rng.randint(1, 5)
             rect = R(n, [rng.sample(range(1, n + 1), n)] if n > 1 else [])
-            cert = payload_of(name, rect)
+            cert = self.GROW[name](rect).to_json()
             pool = [0, 1, 2, n, n + 1, True, 1.0, "a", None, [1]]
             if trial % 4 == 0:
                 letters = rng.sample("bcdefgh", n)
@@ -349,15 +350,24 @@ class TestYouden:
         assert latin.youden_from_design(d) == ((1, 2, 3),)
 
     def test_fano(self):
-        payload = payload_of("youden", FANO)
+        payload = {"array": [list(row) for row in latin.youden_from_design(FANO)]}
         assert len(payload["array"]) == 3
         assert latin.verify_youden(FANO, payload) == (True, None)
 
     def test_cyclic_equireplicate_non_bibd(self):
         d = latin.BlockDesign([1, 2, 3, 4], [[1, 2], [2, 3], [3, 4], [4, 1]])
-        payload = payload_of("youden", d)
+        payload = {"array": [list(row) for row in latin.youden_from_design(d)]}
         assert len(payload["array"]) == 2
         assert latin.verify_youden(d, payload) == (True, None)
+
+    def test_empty_design(self):
+        """No point and no block: block size and replication are 0, and the
+        Youden square is the empty array, which its checker accepts."""
+        d = latin.BlockDesign([], [])
+        assert (d.block_size, d.replication) == (0, 0)
+        assert latin.youden_from_design(d) == ()
+        assert latin.verify_youden(d, {"array": []}) == (True, None)
+        assert latin.verify_youden(d, {"array": [[]]})[0] is False
 
     def test_rejects_rectangular_design(self):
         d = latin.BlockDesign([1, 2, 3], [[1, 2], [2, 3]])

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from oracles import (all_families, brute_sdr_exists, brute_sir_exists, gf_rank, is_forest,
-                     payload_of, validate_matroid)
+                     validate_matroid)
 from transversal import _bitmatch, core, matroids
 from transversal.errors import ResourceLimitError, ValidationError
 
@@ -144,24 +144,24 @@ class TestRadoCheck:
     def test_free_matroid_reduces_to_hall(self):
         fam = core.SetFamily([1, 2, 3], [[1, 2], [2, 3], [3, 1]])
         free = matroids.free_matroid([1, 2, 3])
-        result = matroids.rado_check(fam, free)
-        assert isinstance(result, matroids.Sir)
-        assert matroids.verify_rado(fam, free, payload_of("rado", fam, free)) == (True, None)
+        status, result, diagnostics = matroids.rado_check(fam, free)
+        assert (status, diagnostics) == ("found", "independent representatives found")
+        assert matroids.verify_rado(fam, free, result) == (True, None)
 
     def test_triangle_three_copies(self):
         fam = core.SetFamily(["e1", "e2", "e3"], [["e1", "e2", "e3"]] * 3)
-        result = matroids.rado_check(fam, triangle())
-        assert isinstance(result, matroids.RadoViolator)
-        assert result.indices == (0, 1, 2)
-        assert result.rank == 2
-        assert triangle().rank_of(result.union) == result.rank
+        status, result, diagnostics = matroids.rado_check(fam, triangle())
+        assert (status, diagnostics) == ("not-found", "rank 2 below 3 sets")
+        assert result["indices"] == [0, 1, 2]
+        assert result["rank"] == 2
+        assert triangle().rank_of(result["union"]) == result["rank"]
+        assert matroids.verify_rado(fam, triangle(), result) == (True, None)
 
     def test_triangle_two_copies(self):
         fam = core.SetFamily(["e1", "e2", "e3"], [["e1", "e2", "e3"]] * 2)
-        result = matroids.rado_check(fam, triangle())
-        assert isinstance(result, matroids.Sir)
-        assert matroids.verify_rado(fam, triangle(), payload_of("rado", fam, triangle())) == (
-            True, None)
+        status, result, _ = matroids.rado_check(fam, triangle())
+        assert status == "found"
+        assert matroids.verify_rado(fam, triangle(), result) == (True, None)
 
     def test_ground_mismatch_rejected(self):
         fam = core.SetFamily(["x"], [["x"]])
@@ -192,9 +192,9 @@ class TestRadoCheck:
                     rng.sample(ground, rng.randint(1, len(ground))) for _ in range(n)
                 ]
                 fam = core.SetFamily(ground, sets)
-                fast = matroids.rado_check(fam, m)
-                assert isinstance(fast, matroids.Sir) == brute_sir_exists(fam.sets, m)
-                assert matroids.verify_rado(fam, m, payload_of("rado", fam, m)) == (True, None)
+                status, fast, _ = matroids.rado_check(fam, m)
+                assert (status == "found") == brute_sir_exists(fam.sets, m)
+                assert matroids.verify_rado(fam, m, fast) == (True, None)
 
     def test_free_agrees_with_hall_exhaustive(self):
         ground = (1, 2, 3)
@@ -202,8 +202,8 @@ class TestRadoCheck:
         for n in range(4):
             for sets in all_families(n, ground):
                 fam = core.SetFamily(ground, sets)
-                result = matroids.rado_check(fam, free)
-                assert isinstance(result, matroids.Sir) == brute_sdr_exists(sets)
+                status, _, _ = matroids.rado_check(fam, free)
+                assert (status == "found") == brute_sdr_exists(sets)
 
 
 def random_matroid(rng, kind, n_elements):
@@ -275,7 +275,7 @@ class TestRadoAtScale:
             sets = [rng.sample(ground, rng.randint(2, 3)) for _ in range(rng.randint(5, 8))]
             fam = core.SetFamily(ground, sets)
             result = matroids.rado_check(fam, m)
-            found = isinstance(result, matroids.Sir)
+            found = result[0] == "found"
             assert found == brute_sir_exists(fam.sets, m), (kind, sets)
             verdicts[kind, found] += 1
             # The same matroid known by its predicate alone runs on the
@@ -283,10 +283,10 @@ class TestRadoAtScale:
             # and those of the solve whose payload is checked, are left out
             # of the path and arc counts below.
             searched = len(paths)
-            assert matroids.verify_rado(fam, m, payload_of("rado", fam, m)) == (True, None)
+            assert matroids.verify_rado(fam, m, result[1]) == (True, None)
             custom = matroids.MatroidOracle(ground, m._indep)
             asked = matroids.rado_check(fam, custom)
-            assert isinstance(asked, matroids.Sir) == brute_sir_exists(fam.sets, custom)
+            assert (asked[0] == "found") == brute_sir_exists(fam.sets, custom)
             assert repr(asked) == repr(result)
             del paths[searched:], arcs[searched:]
         assert all(count >= 50 for count in verdicts.values()), verdicts
@@ -299,10 +299,10 @@ class TestRadoAtScale:
         greedy start takes 109 representatives, so one search is left."""
         paths, _, matchings = count_searches_and_matchings(monkeypatch)
         fam, m = seeded_graphic_family(110)
-        result = matroids.rado_check(fam, m)
-        assert isinstance(result, matroids.Sir)
+        status, result, _ = matroids.rado_check(fam, m)
+        assert status == "found"
         assert len(paths) == 1 and len(matchings) <= 3
-        assert matroids.verify_rado(fam, m, payload_of("rado", fam, m)) == (True, None)
+        assert matroids.verify_rado(fam, m, result) == (True, None)
         rng = random.Random(7)
         for _ in range(40):
             m = random_matroid(rng, rng.choice(("graphic", "linear", "partition")), 10)
@@ -317,10 +317,10 @@ class TestRadoAtScale:
 def exchange_only_rado(family, m, lengths):
     """`rado_check` with no greedy start: `current` grows from empty by
     `matroids._exchange_path` alone, one search per representative.  Appends
-    the length of every path found to `lengths`."""
+    the length of every path found to `lengths`.  Returns the payload."""
     n = family.n
     if n == 0:
-        return matroids.Sir(())
+        return {"reps": []}
     containing = {}
     for i, s in enumerate(family.sets):
         for x in s:
@@ -336,7 +336,7 @@ def exchange_only_rado(family, m, lengths):
         chosen = set(current) ^ set(path)
         current = [x for x in candidates if x in chosen]
     match_row, match_col = _bitmatch.max_matching([containing[x] for x in current], n)
-    return matroids.Sir(tuple(current[match_col[i]] for i in range(n)))
+    return {"reps": [current[match_col[i]] for i in range(n)]}
 
 
 class TestGreedyStart:
@@ -360,9 +360,9 @@ class TestGreedyStart:
             cases.append((core.SetFamily(ground, sets), m))
         found = {True: 0, False: 0}
         for fam, m in cases:
-            result = matroids.rado_check(fam, m)
+            status, result, _ = matroids.rado_check(fam, m)
             assert repr(result) == repr(exchange_only_rado(fam, m, lengths))
-            found[isinstance(result, matroids.Sir)] += 1
+            found[status == "found"] += 1
         assert found[True] >= 50 and found[False] >= 50, found
         assert sum(length >= 3 for length in lengths) >= 10
 
@@ -470,14 +470,13 @@ class TestNoPredicateCall:
                 calls = []
                 indep = counted._indep
                 counted._indep = lambda s, indep=indep: calls.append(s) or indep(s)
-                result = matroids.rado_check(fam, counted)
+                status, result, _ = matroids.rado_check(fam, counted)
                 counted.rank_of(fam.ground)
-                if isinstance(result, matroids.RadoViolator):
-                    payload = payload_of("rado", fam, counted)
-                    assert matroids.verify_rado(fam, counted, payload) == (True, None)
+                if status == "not-found":
+                    assert matroids.verify_rado(fam, counted, result) == (True, None)
                 if counted is m:
                     assert calls == [], kind
-                    verdicts.add((kind, isinstance(result, matroids.Sir)))
+                    verdicts.add((kind, status == "found"))
                 elif fam.n:
                     assert calls
         assert verdicts == {(kind, found) for kind in KINDS[:5] for found in (True, False)}
@@ -505,7 +504,7 @@ class TestCrossKind:
                              for e, (u, v) in edges.items()}
                 linear = matroids.rado_check(fam, matroids.linear_matroid(incidence, p))
                 assert repr(linear) == repr(graphic)
-            found[isinstance(graphic, matroids.Sir)] += 1
+            found[graphic[0] == "found"] += 1
         assert min(found.values()) >= 40, found
 
 

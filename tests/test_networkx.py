@@ -12,7 +12,6 @@ from itertools import combinations
 
 import pytest
 
-from oracles import payload_of
 from transversal import graphs, posets
 
 nx = pytest.importorskip("networkx")
@@ -40,13 +39,13 @@ def test_maxflow_value_and_cut():
     assert any((v, u) in arcs for u, v in arcs)
     net = graphs.FlowNetwork(["s", "t", *nodes], [(u, v, c) for (u, v), c in arcs.items()],
                              "s", "t")
-    value, cut, _ = graphs.max_flow_min_cut(net)
+    payload = graphs.max_flow_min_cut(net)[1]
     digraph = nx.DiGraph()
     digraph.add_edges_from((u, v, {"capacity": c}) for (u, v), c in arcs.items())
     expected = nx.maximum_flow_value(digraph, "s", "t")
-    assert value == expected > 0
-    assert sum(arcs[arc] for arc in cut) == expected
-    assert graphs.verify_maxflow(net, payload_of("maxflow", net)) == (True, None)
+    assert payload["value"] == expected > 0
+    assert sum(arcs[u, v] for u, v in payload["cut"]) == expected
+    assert graphs.verify_maxflow(net, payload) == (True, None)
 
 
 def ring_with_chords(rng, n, degree):
@@ -70,14 +69,14 @@ def test_menger_counts_are_local_connectivity():
     by_nodes = connectivity.build_auxiliary_node_connectivity(graph)
     residual = nx.algorithms.flow.build_residual_network(by_nodes, "capacity")
     for s, t in pairs:
-        paths, cut = graphs.menger_paths(g, s, t, "edge")
+        payload = graphs.menger_paths(g, s, t, "edge")[1]
         expected = connectivity.local_edge_connectivity(graph, s, t, auxiliary=by_edges)
-        assert len(paths) == len(cut) == expected > 1
+        assert len(payload["paths"]) == len(payload["cut"]) == expected > 1
         if not g.adjacent(s, t):
-            paths, cut = graphs.menger_paths(g, s, t, "vertex")
+            payload = graphs.menger_paths(g, s, t, "vertex")[1]
             expected = connectivity.local_node_connectivity(graph, s, t, auxiliary=by_nodes,
                                                             residual=residual)
-            assert len(paths) == len(cut) == expected
+            assert len(payload["paths"]) == len(payload["cut"]) == expected
 
 
 def test_matching_and_cover_sizes():
@@ -88,9 +87,10 @@ def test_matching_and_cover_sizes():
     bipartite = nx.Graph(edges)
     bipartite.add_nodes_from(range(n))
     expected = len(nx.bipartite.hopcroft_karp_matching(bipartite, top_nodes=range(n))) // 2
-    assert len(graphs.max_matching(g)) == expected
-    matching, cover = graphs.konig_cover(g)
-    assert len(matching) == len(cover) == expected < n
+    assert len(graphs.max_matching(g)[1]["edges"]) == expected
+    payload = graphs.konig_cover(g)[1]
+    cover = payload["cover"]
+    assert len(payload["matching"]) == len(cover["partA"]) + len(cover["partB"]) == expected < n
 
 
 def test_dilworth_width():
@@ -107,7 +107,8 @@ def test_dilworth_width():
         for x, y in combinations(range(block), 2)
         if rng.random() < 0.15
     ]
-    chains, antichain = posets.dilworth(posets.Poset(range(n), pairs))
+    payload = posets.dilworth(posets.Poset(range(n), pairs))[1]
+    chains, antichain = payload["chains"], payload["antichain"]
     closure = nx.transitive_closure_dag(nx.DiGraph(pairs))
     split = nx.Graph((("low", u), ("high", v)) for u, v in closure.edges)
     split.add_nodes_from(("low", x) for x in range(n))

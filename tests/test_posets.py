@@ -6,7 +6,7 @@ import pytest
 
 from oracles import (all_poset_masks, brute_longest_chain, brute_max_antichain, chromatic_table,
                      clique_table, comparability_graph, exhaustive_chromatic_table,
-                     hall_from_dilworth, payload_of, table_is_perfect, warshall_closure)
+                     hall_from_dilworth, table_is_perfect, warshall_closure)
 from transversal import core, posets
 from transversal.errors import ResourceLimitError, ValidationError
 from transversal.graphs import Graph
@@ -80,26 +80,27 @@ class TestPoset:
 
 class TestDilworth:
     def test_antichain_of_three(self):
-        partition, antichain = posets.dilworth(posets.Poset("abc", []))
-        assert len(partition) == 3 and len(antichain) == 3
+        status, payload, diagnostics = posets.dilworth(posets.Poset("abc", []))
+        assert (status, diagnostics) == ("found", "3 chains")
+        assert len(payload["chains"]) == 3 and len(payload["antichain"]) == 3
 
     def test_total_order(self):
         p = posets.Poset("abc", [("a", "b"), ("b", "c")])
-        partition, antichain = posets.dilworth(p)
-        assert partition.chains == (("a", "b", "c"),)
-        assert len(antichain) == 1
+        payload = posets.dilworth(p)[1]
+        assert payload["chains"] == [["a", "b", "c"]]
+        assert len(payload["antichain"]) == 1
 
     def test_divisibility(self):
         p = divisibility()
-        partition, antichain = posets.dilworth(p)
-        assert len(partition) == 3
-        assert set(antichain) == {4, 5, 6}
-        assert posets.verify_dilworth(p, payload_of("dilworth", p)) == (True, None)
+        payload = posets.dilworth(p)[1]
+        assert len(payload["chains"]) == 3
+        assert set(payload["antichain"]) == {4, 5, 6}
+        assert posets.verify_dilworth(p, payload) == (True, None)
 
     def test_exhaustive_small(self):
         for above in all_poset_masks(4):
             p = poset_from_masks(above)
-            payload = payload_of("dilworth", p)
+            payload = posets.dilworth(p)[1]
             assert posets.verify_dilworth(p, payload) == (True, None)  # as many chains
             assert len(payload["antichain"]) == brute_max_antichain(above, 4)
 
@@ -111,30 +112,31 @@ class TestDilworth:
         p = posets.Poset.from_json({"elements": labels,
                                     "less_than": [list(pair) for pair in zip(labels, labels[1:])]})
         assert p.lt("e0", "e2999") and not p.lt("e2999", "e0")
-        partition, antichain = posets.dilworth(p)
-        assert partition.chains == (tuple(labels),)
-        assert antichain == ("e2999",)
+        payload = posets.dilworth(p)[1]
+        assert payload["chains"] == [labels]
+        assert payload["antichain"] == ["e2999"]
 
 
 class TestMirsky:
     def test_chain(self):
         p = posets.Poset("abc", [("a", "b"), ("b", "c")])
-        partition, chain = posets.mirsky(p)
-        assert len(partition) == 3 and len(chain) == 3
+        status, payload, diagnostics = posets.mirsky(p)
+        assert (status, diagnostics) == ("found", "3 antichain levels")
+        assert len(payload["antichains"]) == 3 and len(payload["chain"]) == 3
 
     def test_antichain(self):
-        partition, chain = posets.mirsky(posets.Poset("abc", []))
-        assert len(partition) == 1 and len(chain) == 1
+        payload = posets.mirsky(posets.Poset("abc", []))[1]
+        assert len(payload["antichains"]) == 1 and len(payload["chain"]) == 1
 
     def test_divisibility(self):
-        partition, chain = posets.mirsky(divisibility())
-        assert len(partition) == 3
-        assert chain == (1, 2, 4)
+        payload = posets.mirsky(divisibility())[1]
+        assert len(payload["antichains"]) == 3
+        assert payload["chain"] == [1, 2, 4]
 
     def test_exhaustive_small(self):
         for above in all_poset_masks(4):
             p = poset_from_masks(above)
-            payload = payload_of("mirsky", p)
+            payload = posets.mirsky(p)[1]
             assert posets.verify_mirsky(p, payload) == (True, None)  # as many levels
             assert len(payload["chain"]) == brute_longest_chain(above, 4)
 
@@ -171,12 +173,12 @@ class TestHallFromDilworth:
         f = core.SetFamily([1, 2, 3], [[1, 2], [2, 3], [3, 1]])
         result = hall_from_dilworth(f)
         assert result is not None
-        assert core.verify_sdr(f, {"reps": list(result.reps)}) == (True, None)
-        assert isinstance(core.hall_check(f), core.Sdr)
+        assert core.verify_sdr(f, result) == (True, None)
+        assert core.hall_check(f)[0] == "found"
 
     def test_disjoint_singletons(self):
         f = core.SetFamily([1, 2], [[1], [2]])
-        assert hall_from_dilworth(f) == core.Sdr((1, 2))
+        assert hall_from_dilworth(f) == {"reps": [1, 2]}
 
     def test_no_sdr(self):
         assert hall_from_dilworth(core.SetFamily([1], [[1], [1]])) is None
@@ -219,36 +221,47 @@ def complement_graph(g):
     )
 
 
+PERFECT = {"perfect": True, "berge": True, "witness": None}  # the payload of a perfect graph
+
+
+def imperfect(witness):
+    """The `perfect` payload that gives `witness` as an odd hole or antihole."""
+    return {"perfect": False, "berge": False, "witness": witness}
+
+
 class TestPerfection:
     def test_c5_imperfect_with_witness(self):
-        ok, witness = posets.is_perfect(cycle_graph(5))
-        assert not ok
-        assert set(witness) == {0, 1, 2, 3, 4}
+        status, payload, diagnostics = posets.is_perfect(cycle_graph(5))
+        assert (status, diagnostics) == ("not-found", "imperfect; witness subgraph attached")
+        assert payload["perfect"] is payload["berge"] is False
+        assert set(payload["witness"]) == {0, 1, 2, 3, 4}
 
     def test_c4_perfect(self):
-        assert posets.is_perfect(cycle_graph(4)) == (True, None)
+        assert posets.is_perfect(cycle_graph(4)) == (
+            "found", {"perfect": True, "berge": True, "witness": None}, "graph is perfect")
 
     def test_comparability_graphs_perfect(self):
         for above in all_poset_masks(4):
             p = poset_from_masks(above)
             g = comparability_graph(p)
-            assert posets.is_perfect(g) == (True, None)
+            assert posets.is_perfect(g)[1] == PERFECT
 
     def test_berge_c5(self):
         """Odd holes are witnesses the checker accepts."""
         for n in (5, 7):
             g = cycle_graph(n)
-            assert posets.is_perfect(g) == (False, tuple(range(n)))
-            assert posets.verify_perfect(g, {"witness": list(range(n))}) == (True, None)
+            payload = posets.is_perfect(g)[1]
+            assert payload == imperfect(list(range(n)))
+            assert posets.verify_perfect(g, payload) == (True, None)
 
     def test_berge_c7_complement(self):
         g = complement_graph(cycle_graph(7))
-        assert posets.is_perfect(g) == (False, tuple(range(7)))
-        assert posets.verify_perfect(g, {"witness": [3, 1, 4, 0, 5, 2, 6]}) == (True, None)
+        assert posets.is_perfect(g)[1] == imperfect(list(range(7)))
+        assert posets.verify_perfect(g, imperfect([3, 1, 4, 0, 5, 2, 6])) == (True, None)
 
     def test_berge_bipartite(self):
         g = Graph(range(8), [(i, j) for i in range(0, 8, 2) for j in range(1, 8, 2)])
-        assert posets.is_perfect(g) == (True, None)
+        assert posets.is_perfect(g)[1] == PERFECT
 
     @pytest.mark.parametrize("g, witness", [
         (cycle_graph(4), [0, 1, 2, 3]),
@@ -258,7 +271,7 @@ class TestPerfection:
         (Graph(range(7), cycle_graph(5).edges + ((0, 5), (5, 6))), list(range(7))),
     ], ids=["C4", "C6", "chorded-C7", "C5-plus-one", "C5-plus-two"])
     def test_checker_refuses_what_is_no_odd_hole_or_antihole(self, g, witness):
-        ok, reason = posets.verify_perfect(g, {"witness": witness})
+        ok, reason = posets.verify_perfect(g, imperfect(witness))
         assert not ok and reason
 
     def test_agreement_up_to_five(self):
@@ -270,10 +283,10 @@ class TestPerfection:
             for bits in range(1 << len(slots)):
                 edges = [slots[k] for k in range(len(slots)) if (bits >> k) & 1]
                 g = Graph(range(n), edges)
-                perfect, witness = posets.is_perfect(g)
-                assert (perfect, witness) == table_is_perfect(g)
-                if not perfect:
-                    assert posets.verify_perfect(g, {"witness": list(witness)}) == (True, None)
+                payload = posets.is_perfect(g)[1]
+                assert payload == table_is_perfect(g)
+                if not payload["perfect"]:
+                    assert posets.verify_perfect(g, payload) == (True, None)
 
     def test_agreement_on_seeded_graphs(self):
         """Verdict and witness equal the subset tables' on 1500 seeded graphs
@@ -283,7 +296,7 @@ class TestPerfection:
             n = rng.randint(1, 10)
             density = rng.uniform(0.2, 0.8)
             g = Graph(range(n), [e for e in combinations(range(n), 2) if rng.random() < density])
-            assert posets.is_perfect(g) == table_is_perfect(g), g.edges
+            assert posets.is_perfect(g)[1] == table_is_perfect(g), g.edges
 
     def test_chromatic_table_matches_exhaustive(self):
         """The clique-bounded table with its early stop equals the table of
@@ -314,19 +327,19 @@ class TestPerfection:
             posets.is_perfect(grid_graph(8, 8), ceiling=64)
         assert time.perf_counter() - start < 1.0
         ring = cycle_graph(40)
-        assert posets.is_perfect(ring, ceiling=64) == (True, None)
-        ok, reason = posets.verify_perfect(ring, {"witness": list(range(40))})
+        assert posets.is_perfect(ring, ceiling=64)[1] == PERFECT
+        ok, reason = posets.verify_perfect(ring, imperfect(list(range(40))))
         assert not ok and "40 vertices" in reason
 
     def test_graphs_at_the_ceiling(self):
         """Perfect graphs of PERFECT_CEILING vertices are answered, and of
         two odd holes of 23 vertices the one of least mask is the witness."""
         n = posets.PERFECT_CEILING
-        assert posets.is_perfect(grid_graph(4, n // 4)) == (True, None)
+        assert posets.is_perfect(grid_graph(4, n // 4))[1] == PERFECT
         rng = random.Random(24)
         left = set(rng.sample(range(n), n // 2))
         bipartite = Graph(range(n), [(u, v) for u, v in combinations(range(n), 2)
                                      if (u in left) != (v in left) and rng.random() < 0.5])
-        assert posets.is_perfect(bipartite) == (True, None)
+        assert posets.is_perfect(bipartite)[1] == PERFECT
         hole = Graph(range(n), cycle_graph(23).edges + ((0, 23), (2, 23)))
-        assert posets.is_perfect(hole) == (False, tuple(range(23)))
+        assert posets.is_perfect(hole)[1] == imperfect(list(range(23)))
