@@ -11,11 +11,15 @@ argparse) and runs: load the files, make the problem, then verify or solve.
 A row's solver is the library function that returns (status, payload,
 diagnostics) itself, or, for the commands whose library function returns a
 plain number, array or rectangle, a small adapter here.
+
+`main` pauses the cyclic garbage collector for the call, since no call
+makes a reference cycle, and leaves it as it found it.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import sys
 from collections.abc import Callable
@@ -279,32 +283,42 @@ def main(argv=None) -> int:
     if "-h" in argv or "--help" in argv:
         _print_usage(argv)
         return 0
+    # Nothing a call makes is cyclic, so a collection during it would walk the
+    # loaded input and free nothing: the collector is paused until the
+    # envelope is written, and then left as the caller had it.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        command, args = _read_argv(argv)
-        ceiling = getattr(args, "ceiling", None)
-        if ceiling is not None and ceiling < 0:
-            raise ValidationError(f"--ceiling {ceiling} is negative", field="ceiling")
-        # No reference to a loaded file outlives the build, so none is held during the solve.
-        problem = command.load(*[_load(getattr(args, name), name) for name in command.files],
-                               *[getattr(args, flag.lstrip("-")) for flag, _ in command.options])
-        if getattr(args, "verify", None) is not None:
-            if command.precheck:
-                command.precheck(*problem)
-            result = _verify(args.verify, _library(command.check), *problem)
-        else:
-            result = _library(command.solve)(*problem,
-                                             **({} if ceiling is None else {"ceiling": ceiling}))
-        status, payload, diagnostics = result
-    except ValidationError as exc:
-        status, payload, diagnostics = "invalid-input", None, _described(exc)
-    except ResourceLimitError as exc:
-        status, payload, diagnostics = "resource-limit", None, str(exc)
-    envelope = {"status": status, "payload": payload, "diagnostics": diagnostics}
-    # json.dumps runs the C encoder; json.dump always encodes in Python.
-    sys.stdout.write(json.dumps(envelope) + "\n")
-    if status in ("invalid-input", "resource-limit"):
-        print(diagnostics, file=sys.stderr)
-    return _EXIT[status]
+        try:
+            command, args = _read_argv(argv)
+            ceiling = getattr(args, "ceiling", None)
+            if ceiling is not None and ceiling < 0:
+                raise ValidationError(f"--ceiling {ceiling} is negative", field="ceiling")
+            # No reference to a loaded file outlives the build, so none is held in the solve.
+            problem = command.load(
+                *[_load(getattr(args, name), name) for name in command.files],
+                *[getattr(args, flag.lstrip("-")) for flag, _ in command.options])
+            if getattr(args, "verify", None) is not None:
+                if command.precheck:
+                    command.precheck(*problem)
+                result = _verify(args.verify, _library(command.check), *problem)
+            else:
+                limits = {} if ceiling is None else {"ceiling": ceiling}
+                result = _library(command.solve)(*problem, **limits)
+            status, payload, diagnostics = result
+        except ValidationError as exc:
+            status, payload, diagnostics = "invalid-input", None, _described(exc)
+        except ResourceLimitError as exc:
+            status, payload, diagnostics = "resource-limit", None, str(exc)
+        envelope = {"status": status, "payload": payload, "diagnostics": diagnostics}
+        # json.dumps runs the C encoder; json.dump always encodes in Python.
+        sys.stdout.write(json.dumps(envelope) + "\n")
+        if status in ("invalid-input", "resource-limit"):
+            print(diagnostics, file=sys.stderr)
+        return _EXIT[status]
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -13,8 +13,9 @@ from .errors import AlreadyCompleteError, ResourceLimitError, ValidationError
 EXTENSION_COUNT_CEILING = 8
 SQUARE_COUNT_CEILING = 6
 WIDTH_CEILING = 1 << 14  # a rectangle holds n column masks of n bits
-# Work `complete` takes on, (n - m) * n^2 for m rows of width n: some 55 ns
-# a unit on one-row rectangles of width 200 to 400, so about 2 s (2-vCPU Xeon).
+# Work `complete` and `youden_from_design` take on, rounds * width^2 for the
+# rows they add (n - m rows of width n; k rows of width v): some 55 ns a unit
+# on one-row rectangles of width 200 to 400, so about 2 s (2-vCPU Xeon).
 COMPLETION_BUDGET = 1 << 25
 
 
@@ -152,12 +153,19 @@ def complete(rect: LatinRectangle) -> LatinRectangle:
     and validated once.  Refused past `COMPLETION_BUDGET` units of work."""
     if rect.is_square:
         return rect
-    work = (rect.n - rect.m) * rect.n ** 2
-    if work > COMPLETION_BUDGET:
-        raise ResourceLimitError(f"completing {rect.n - rect.m} rows of width {rect.n} is"
-                                 f" {work} units of work, over the budget of {COMPLETION_BUDGET}")
+    _check_budget("completing", rect.n - rect.m, rect.n)
     peeled = _bitmatch.peel(rect.column_deficiencies(), rect.n)
     return LatinRectangle(rect.n, rect.rows + tuple(tuple(c + 1 for c in a) for _, a in peeled))
+
+
+def _check_budget(doing, rounds, width):
+    """Refuse, before any round of `_bitmatch.peel`, `rounds` rows of
+    `width` columns whose work, rounds * width^2, is over `COMPLETION_BUDGET`:
+    raise ``ResourceLimitError`` stating the work and the budget."""
+    work = rounds * width ** 2
+    if work > COMPLETION_BUDGET:
+        raise ResourceLimitError(f"{doing} {rounds} rows of width {width} is {work} units"
+                                 f" of work, over the budget of {COMPLETION_BUDGET}")
 
 
 def count_extensions(rect: LatinRectangle, *, ceiling: int = EXTENSION_COUNT_CEILING) -> int:
@@ -268,14 +276,17 @@ def youden_from_design(d: BlockDesign):
     Needs an equireplicate design with constant block size and as many
     blocks as points.  Each row is a distinct-representative system for the
     unused block remainders, which stay regular, so all k rows exist.
+    Refused past `COMPLETION_BUDGET` units of work, k * v^2.
     """
     if d.v != d.b:
         raise ValidationError(f"need as many blocks as points, got v={d.v}, b={d.b}",
                               field="blocks")
-    if d.block_size is None:
+    k = d.block_size
+    if k is None:
         raise ValidationError("blocks must share one size", field="blocks")
     if d.replication is None:
         raise ValidationError("design must be equireplicate", field="blocks")
+    _check_budget("building", k, d.v)
     peeled = _bitmatch.peel(list(d._block_masks), d.v)
     return tuple(tuple(d.points[p] for p in assignment) for _, assignment in peeled)
 

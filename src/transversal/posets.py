@@ -27,16 +27,16 @@ class Poset:
     def __init__(self, elements, pairs):
         index = core._index_labels(elements, "elements")
         elements = tuple(index)
-        n = len(elements)
-        succ = [0] * n  # succ[i]: mask of the j with a pair (elements[i], elements[j])
+        succ = [[] for _ in elements]  # succ[i]: the j with a pair (elements[i], elements[j])
         for pair in pairs:
             try:
                 a, b = pair
-                ia, ib = index[a], index[b]
+                succ[index[a]].append(index[b])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValidationError(f"{pair!r} is not a pair of elements",
                                       field="less_than") from exc
-            succ[ia] |= 1 << ib
+        for positions in succ:
+            positions.sort()
         self.elements = elements
         self._index = index
         self._above = _closure(succ, elements)  # _above[i]: the j with elements[i] < elements[j]
@@ -62,28 +62,27 @@ class Poset:
 
 
 def _closure(succ, elements):
-    """Transitive closure of the successor masks `succ`, in topological order.
+    """Transitive closure of the ascending successor lists `succ`, as masks,
+    in topological order.
 
     A depth-first search on an explicit stack closes each element after all
-    of its successors: above[v] = succ[v] | OR(above[w] for w in succ[v]).
-    Reaching an element that is still open on the stack closes a cycle, and
-    that element lies on it.
+    of its successors: above[v] is the union of w and above[w] over the w
+    in succ[v].  Reaching an element that is still open on the stack closes
+    a cycle, and that element lies on it.  Successors are entered in
+    ascending order, so the element named does not depend on the order of
+    the pairs.
     """
     n = len(succ)
-    above = [0] * n
+    above = [0] * n  # above[v] | 1 << v until the end: closing v shifts no successor bit
     state = [0] * n  # 0: not reached, 1: open on the stack, 2: closed
     for root in range(n):
         if state[root]:
             continue
         state[root] = 1
         stack = [root]
-        pending = [succ[root]]  # pending[k]: successors of stack[k] not yet entered
+        pending = [iter(succ[root])]  # pending[k]: successors of stack[k] not yet entered
         while stack:
-            todo = pending[-1]
-            if todo:
-                low = todo & -todo
-                pending[-1] = todo ^ low
-                w = low.bit_length() - 1
+            for w in pending[-1]:
                 if state[w] == 1:
                     raise ValidationError(
                         f"relation has a cycle through {elements[w]!r}", field="less_than"
@@ -91,17 +90,18 @@ def _closure(succ, elements):
                 if state[w] == 0:
                     state[w] = 1
                     stack.append(w)
-                    pending.append(succ[w])
-                continue
-            v = stack.pop()
-            pending.pop()
-            closed = todo = succ[v]
-            while todo:
-                low = todo & -todo
-                closed |= above[low.bit_length() - 1]
-                todo ^= low
-            above[v] = closed
-            state[v] = 2
+                    pending.append(iter(succ[w]))
+                    break
+            else:
+                v = stack.pop()
+                pending.pop()
+                closed = 1 << v
+                for w in succ[v]:
+                    closed |= above[w]
+                above[v] = closed
+                state[v] = 2
+    for v in range(n):
+        above[v] ^= 1 << v
     return above
 
 

@@ -1,10 +1,12 @@
 import ast
+import gc
 import importlib
 import inspect
 import json
 import os
 import pkgutil
 import random
+import re
 import subprocess
 import sys
 import time
@@ -572,6 +574,15 @@ class TestLatinCommands:
         assert code == 0 and len(env["payload"]["array"]) == 3
         cert = write(tmp_path, "cert.json", env["payload"])
         assert run(capsys, "youden", path, "--verify", cert)[0] == 0
+
+    def test_youden_work_budget(self, capsys, tmp_path):
+        # 2001 points in blocks of 20: k * v^2 = 8.0e7 units, 4 s to solve
+        v, base = 2001, random.Random(2001).sample(range(2001), 20)
+        design = {"points": list(range(v)),
+                  "blocks": [[(b + j) % v for b in base] for j in range(v)]}
+        env = refused_within_a_second(capsys, "youden", write(tmp_path, "d.json", design))
+        assert env["diagnostics"] == (f"building 20 rows of width {v} is {20 * v * v} units"
+                                      f" of work, over the budget of {latin.COMPLETION_BUDGET}")
 
     def test_youden_block_not_a_list(self, capsys, tmp_path):
         path = write(tmp_path, "d.json", {"points": [1, 2], "blocks": [1, 2]})
@@ -1545,3 +1556,99 @@ class TestCertificateBoundary:
         assert run(capsys, "rado", family, matroid, "--verify", cert)[0] == 0
         assert called == ["hall_check", "matroid_from_json", "verify_sdr",
                           "matroid_from_json", "verify_rado"]
+
+
+# subcommand -> (files, extra arguments) of a small call that answers
+SOLVE_INPUTS = {**TestMalformedInputs.CEILING_INPUTS, **VALID_INPUTS, "bounds": ([], ("3",))}
+# subcommand -> (files, extra arguments) of a call refused with exit 3; these
+# seven have no ceiling or budget that an input can reach
+UNLIMITED = {"sdr", "defect", "matching", "cover", "menger", "dilworth", "mirsky"}
+LIMIT_INPUTS = {
+    "count-sdr": ([FAMILY], ("--ceiling", "1")),
+    "array-sdr": ([{"ground": ["a"], "grid": [[["a"]]]}], ("--ceiling", "0")),
+    "maxflow": ([{"source": "s", "sink": "t", "edges": [["s", "t", int("9" * 4300)],
+                                                        ["s", "m", 1], ["m", "t", 1]]}], ()),
+    "perfect": ([C5], ("--ceiling", "4")),
+    "birkhoff": ([{"n": 1, "entries": [["1e5000"]]}], ()),
+    "permanent": ([{"n": 1, "entries": [["1"]]}], ("--ceiling", "0")),
+    "bounds": ([], ("43",)),
+    "latin-extend": ([{"n": 20000, "rows": []}], ()),
+    "latin-complete": ([{"n": 20000, "rows": []}], ()),
+    "latin-count": ([], ("3", "--ceiling", "2")),
+    "youden": ([{"points": list(range(2000)),
+                 "blocks": [[(j + i) % 2000 for i in range(9)] for j in range(2000)]}], ()),
+    "rado": ([FAMILY, {"kind": "linear", "columns": {"a": [1], "b": [1]},
+                       "modulus": (1 << 61) - 1}], ()),
+    "cosets": ([{"permutations": [], "degree": 3000000}], ("--generators", "[]")),
+    "hyper-sdr": ([{"vertices": ["1"], "hypergraphs": [[["1"]]]}], ("--ceiling", "0")),
+}
+
+
+class TestCollector:
+    """`main` pauses the cyclic garbage collector for the call and leaves it
+    as it found it, which is safe because no call leaves a reference cycle."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_is_restored(self, capsys, tmp_path, monkeypatch, fam3, fam_bad, enabled):
+        """Found, not-found, exit 2, exit 3, --help, and an exception that
+        escapes `main`: each leaves the collector as it was before the call."""
+        missing = str(tmp_path / "missing.json")
+        calls = [(0, ("sdr", fam3)), (1, ("sdr", fam_bad)), (2, ("sdr", missing)),
+                 (3, ("bounds", "43")), (0, ("--help",)), (0, ("sdr", fam3, "-h"))]
+        (gc.enable if enabled else gc.disable)()
+        try:
+            for code, argv in calls:
+                assert cli.main(list(argv)) == code, argv
+                assert gc.isenabled() is enabled, argv
+
+            def broken(family):
+                raise RuntimeError("solver failed")
+
+            monkeypatch.setattr(core, "hall_check", broken)
+            with pytest.raises(RuntimeError, match="solver failed"):
+                cli.main(["sdr", fam3])
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+    def test_only_main_touches_the_collector(self):
+        """Of the package's modules only `cli` names `gc`, and past its import
+        only `main` does: the library leaves the collector as its caller set
+        it, and no option reaches it."""
+        for info in pkgutil.iter_modules(transversal.__path__):
+            if info.name != "cli":
+                module = importlib.import_module(f"transversal.{info.name}")
+                assert not re.search(r"\bgc\b", inspect.getsource(module)), info.name
+        main = inspect.getsource(cli.main)
+        assert re.findall(r"\bgc\b\S*", inspect.getsource(cli).replace(main, "")) == ["gc"]
+        assert re.findall(r"\bgc\.\w+", main) == ["gc.isenabled", "gc.disable", "gc.enable"]
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_no_call_leaves_cyclic_garbage(self, capsys, tmp_path, command):
+        """A solve, its --verify on the answer and on an empty certificate,
+        an exit-2 call and an exit-3 call each leave nothing for
+        `gc.collect` to free."""
+        assert set(cli._COMMANDS) == set(SOLVE_INPUTS) == set(LIMIT_INPUTS) | UNLIMITED
+
+        def call(objs, extra, code):
+            argv = [command, *(write(tmp_path, f"in{k}.json", o) for k, o in enumerate(objs)),
+                    *extra]
+            gc.collect()
+            assert cli.main(argv) in code, argv
+            assert gc.collect() == 0, argv
+            return json.loads(capsys.readouterr().out)
+
+        objs, extra = SOLVE_INPUTS[command]
+        files = len(cli._COMMANDS[command].files)
+        malformed = ([{}] * files, extra) if files else ([], ("0",))
+        gc.disable()
+        try:
+            payload = call(objs, extra, (0, 1))["payload"]
+            if cli._COMMANDS[command].check:
+                for cert in (payload, {}):
+                    call(objs, (*extra, "--verify", write(tmp_path, "cert.json", cert)), (0, 1))
+            assert call(*malformed, (2,))["status"] == "invalid-input"
+            if command in LIMIT_INPUTS:
+                assert call(*LIMIT_INPUTS[command], (3,))["status"] == "resource-limit"
+        finally:
+            gc.enable()

@@ -369,6 +369,34 @@ class TestYouden:
         assert latin.verify_youden(d, {"array": []}) == (True, None)
         assert latin.verify_youden(d, {"array": [[]]})[0] is False
 
+    @staticmethod
+    def cyclic(v, k):
+        """The v shifts mod v of one random k-set of 0..v-1."""
+        base = random.Random(v * k).sample(range(v), k)
+        return latin.BlockDesign(list(range(v)), [[(b + j) % v for b in base] for j in range(v)])
+
+    @pytest.mark.parametrize("v, k", [(2001, 20), (3001, 40), (5793, 1)])
+    def test_work_over_the_budget_refused_before_solving(self, v, k):
+        """k * v^2 past the budget is refused before any round: 2001 by 20
+        took 4 s and 3001 by 40 took 28 s to solve, and 5793^2 is just over."""
+        d = self.cyclic(v, k)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError) as info:
+            latin.youden_from_design(d)
+        assert time.perf_counter() - start < 1
+        assert str(info.value) == (f"building {k} rows of width {v} is {k * v * v} units of"
+                                   f" work, over the budget of {latin.COMPLETION_BUDGET}")
+
+    @pytest.mark.parametrize("v, k", [(1001, 10), (5792, 1)])
+    def test_work_within_the_budget_answers(self, v, k):
+        """1001 by 10 (10^7 units) still answers, and so does 5792 by 1, the
+        widest single round within the budget."""
+        assert k * v * v <= latin.COMPLETION_BUDGET
+        d = self.cyclic(v, k)
+        payload = {"array": [list(row) for row in latin.youden_from_design(d)]}
+        assert len(payload["array"]) == k
+        assert latin.verify_youden(d, payload) == (True, None)
+
     def test_rejects_rectangular_design(self):
         d = latin.BlockDesign([1, 2, 3], [[1, 2], [2, 3]])
         with pytest.raises(ValidationError):

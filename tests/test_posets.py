@@ -55,6 +55,39 @@ class TestPoset:
                 succ[a] |= 1 << b
             assert p._above == warshall_closure(succ)
 
+    def test_closure_matches_warshall_on_repeated_shuffled_pairs(self):
+        """Successor lists take pairs in any order, repeated or not, and
+        close to what Warshall's loop makes of the successor masks."""
+        rng = random.Random(1952)
+        for _ in range(300):
+            n = rng.randint(0, 12)
+            order = rng.sample(range(n), n)
+            pairs = [(order[i], order[j]) for i, j in combinations(range(n), 2)
+                     if rng.random() < 0.25]
+            pairs += rng.choices(pairs, k=len(pairs) // 2)
+            rng.shuffle(pairs)
+            succ = [0] * n
+            for a, b in pairs:
+                succ[a] |= 1 << b
+            assert posets.Poset(range(n), pairs)._above == warshall_closure(succ)
+
+    @pytest.mark.parametrize("elements, pairs, named", [
+        ("abc", ["ab", "bc", "ca"], "a"),
+        ("abcd", ["dc", "cb", "bd", "ab"], "b"),
+        ("a", ["aa"], "a"),
+        ("abc", ["cb", "ac", "bc", "ac"], "c"),
+        ("abcde", ["ea", "ad", "de", "bc", "cb"], "a"),
+        ("abc", ["ab", "bb", "ab"], "b"),
+    ])
+    def test_cycle_message(self, elements, pairs, named):
+        """The element a cycle is named by: the walk enters successors in
+        ascending order, so the order of the pairs does not change it."""
+        for order in (pairs, pairs[::-1]):
+            with pytest.raises(ValidationError) as info:
+                posets.Poset(elements, [tuple(pair) for pair in order])
+            assert str(info.value) == f"relation has a cycle through {named!r}"
+            assert info.value.field == "less_than"
+
     def test_cycle_names_an_element_on_it(self):
         rng = random.Random(1951)
         rejected = 0
