@@ -14,8 +14,12 @@ and fixes each row to its least column; it settles every candidate column
 of a row at once, so the assignment runs no maximum matching and no search
 that fails.  `peel` runs it round after round, taking each answer out of
 the masks, for Birkhoff decomposition, Latin completion and Youden
-squares; it alone keeps the sweep's column-to-rows table and warm start
-in step with the masks.
+squares; it alone keeps the sweep's column-to-rows table in step with the
+masks.  A Latin or Youden round takes out every entry of its answer, so
+the next starts afresh.  A Birkhoff round takes out only the entries whose
+weight runs out, so the next keeps the longest prefix of the last answer
+that the other rows can still be matched around, and stops fixing rows
+where the last answer provably resumes.
 
 The maximum matching and the forward reach each come in two forms.  The
 mask form steps through a row's mask; the list form walks the row's columns
@@ -393,18 +397,14 @@ def lex_least_assignment(row_masks, n_cols, start=None, col_rows=None):
     every pair allowed by `row_masks` and no column twice; it is copied, not
     changed.  A greedy pass gives each row still unmatched its lowest free
     column, and each row left over after that is repaired, in ascending
-    order, by `_take`.  A row that `_take` cannot repair has no augmenting
-    path, and no later augmentation gives it one, so no matching covers the
-    rows and there is no assignment.  A start close to the answer, such as
-    the last answer on masks that lost a few bits, leaves few rows to repair
-    and most rows already on their least column.
+    order, by `_take` (`_repair`).  A row that `_take` cannot repair has no
+    augmenting path, and no later augmentation gives it one, so no matching
+    covers the rows and there is no assignment.
 
-    Rows are then fixed in ascending order, each to the smallest column the
-    later rows can still be matched around, and the matching stays perfect
-    on the rows throughout.  Row i lets go of its column, which joins the
-    free columns, and takes its least unused column if that is free, else
-    the least unused column `_take` can give it, with rows 0..i never moved.
-    The answer is unique, so it does not depend on the start.
+    Rows are then fixed in ascending order (`_fix_rows`), each to the
+    smallest column the later rows can still be matched around, and the
+    matching stays perfect on the rows throughout.  The answer is unique,
+    so it does not depend on the start.
 
     `col_rows`, if given, is the column-to-rows table of `row_masks` (see
     `_column_rows`), read and never changed; `peel` keeps one across its
@@ -436,38 +436,14 @@ def lex_least_assignment(row_masks, n_cols, start=None, col_rows=None):
             else:
                 return None
     toward = [0] * n_rows
-    if unmatched and col_rows is None:
-        col_rows = _column_rows(row_masks, n_cols)
-    pending = unmatched
-    while pending:
-        low = pending & -pending
-        pending ^= low
-        r = low.bit_length() - 1
-        c = _take(row_masks, col_rows, match_row, match_col, r, row_masks[r], unmatched, free,
-                  toward)
-        if c == UNMATCHED:
+    if unmatched:
+        if col_rows is None:
+            col_rows = _column_rows(row_masks, n_cols)
+        held, free = _repair(row_masks, col_rows, match_row, match_col, unmatched, 0, 0, free,
+                             toward)
+        if held < 0:
             return None
-        free ^= 1 << c
-        unmatched ^= low
-    used = 0
-    for i in range(n_rows):
-        own = match_row[i]
-        match_col[own] = UNMATCHED
-        free |= 1 << own
-        candidates = row_masks[i] & ~used
-        first = candidates & -candidates
-        if first & free:
-            c = first.bit_length() - 1
-            match_row[i] = c
-            match_col[c] = i
-        else:
-            if col_rows is None:
-                col_rows = _column_rows(row_masks, n_cols)
-            c = _take(row_masks, col_rows, match_row, match_col, i, candidates, (2 << i) - 1,
-                      free, toward)
-            first = 1 << match_row[i]
-        used |= first
-        free ^= 1 << c
+    _fix_rows(row_masks, col_rows, match_row, match_col, 0, 0, free, toward, None, n_rows)
     return match_row
 
 
@@ -479,30 +455,166 @@ def peel(row_masks, n_cols, weights=None):
     Each weight on the assignment then drops by mu, and an entry that
     reaches 0 leaves its row's mask and its column's bit of the
     column-to-rows table; without weights every entry taken leaves.  The
-    table is built once, and each round starts from the entries the last
-    one kept.  This is König's peeling of a regular bipartite graph into
-    perfect matchings, and Birkhoff's of a doubly stochastic matrix: when
-    every row and column sums to the same total an assignment is always
-    left, so the AssertionError raised otherwise cannot happen.
+    table is built once.  This is König's peeling of a regular bipartite
+    graph into perfect matchings, and Birkhoff's of a doubly stochastic
+    matrix: when every row and column sums to the same total an assignment
+    is always left, so the AssertionError raised otherwise cannot happen.
     `row_masks` and `weights` are consumed.
+
+    Without weights no entry outlives its round, so each round is a fresh
+    `lex_least_assignment`.  With weights a round keeps the last answer,
+    its column holders, its prefixes' column sets, and each of its
+    entries' weight as ``due[r] - offset``, the offset being the sum of the
+    mus so far.  Every assignment left was one of the last round too, so
+    the new answer keeps the longest prefix of the last one that the other
+    rows can still be matched around: the zeroed rows are repaired with the
+    rows above the first of them held, letting the lowest held row go each
+    time a repair fails (`_repair`).  Rows are then fixed from the first
+    one not held, up to the first row i past every zeroed row where rows
+    0..i-1 hold their last columns as a set: rows i.. then face the last
+    round's subproblem unchanged, and keep their last columns (`_fix_rows`).
     """
     col_rows = _column_rows(row_masks, n_cols)
-    start = None
-    while any(row_masks):
-        assignment = lex_least_assignment(row_masks, n_cols, start, col_rows)
-        if assignment is None:
+    if weights is None:
+        while any(row_masks):
+            assignment = lex_least_assignment(row_masks, n_cols, None, col_rows)
+            if assignment is None:
+                raise AssertionError("no perfect assignment is left to peel")
+            yield 1, tuple(assignment)
+            for r, c in enumerate(assignment):
+                row_masks[r] &= ~(1 << c)
+                col_rows[c] &= ~(1 << r)
+        return
+    if not any(row_masks):
+        return
+    match_row = lex_least_assignment(row_masks, n_cols, None, col_rows)
+    if match_row is None:
+        raise AssertionError("no perfect assignment is left to peel")
+    n_rows = len(row_masks)
+    match_col = [UNMATCHED] * n_cols
+    prefix = [0] * (n_rows + 1)  # prefix[i]: the columns of rows 0..i-1
+    for r, c in enumerate(match_row):
+        match_col[c] = r
+        prefix[r + 1] = prefix[r] | 1 << c
+    free = ((1 << n_cols) - 1) ^ prefix[n_rows]
+    due = [row[c] for row, c in zip(weights, match_row)]
+    offset = 0
+    toward = [0] * n_rows
+    while True:
+        answer = tuple(match_row)
+        least = min(due)
+        yield least - offset, answer
+        offset = least
+        zeroed = 0
+        r = -1
+        for _ in range(due.count(least)):
+            r = due.index(least, r + 1)
+            c = answer[r]
+            zeroed |= 1 << r
+            row_masks[r] ^= 1 << c
+            col_rows[c] ^= 1 << r
+            match_row[r] = match_col[c] = UNMATCHED
+            free |= 1 << c
+        if not any(row_masks):
+            return
+        held = (zeroed & -zeroed).bit_length() - 1
+        held, free = _repair(row_masks, col_rows, match_row, match_col, zeroed, held,
+                             prefix[held], free, toward)
+        if held < 0:
             raise AssertionError("no perfect assignment is left to peel")
-        mu = 1 if weights is None else min(row[c] for row, c in zip(weights, assignment))
-        yield mu, tuple(assignment)
-        for r, c in enumerate(assignment):
-            if weights is not None:
-                weights[r][c] -= mu
-                if weights[r][c]:
-                    continue
-            row_masks[r] &= ~(1 << c)
-            col_rows[c] &= ~(1 << r)
-            assignment[r] = UNMATCHED
-        start = assignment
+        i, free = _fix_rows(row_masks, col_rows, match_row, match_col, held, prefix[held], free,
+                            toward, prefix, zeroed.bit_length())
+        for r in range(i, n_rows):
+            c = match_row[r]
+            match_col[c] = UNMATCHED
+            free |= 1 << c
+        for r in range(i, n_rows):
+            c = match_row[r] = answer[r]
+            match_col[c] = r
+            free ^= 1 << c
+        for r in range(held, i):
+            c, before = match_row[r], answer[r]
+            prefix[r + 1] = prefix[r] | 1 << c
+            if c != before:
+                weights[r][before] = due[r] - offset
+                due[r] = weights[r][c] + offset
+
+
+def _repair(row_masks, col_rows, match_row, match_col, unmatched, held, held_cols, free, toward):
+    """Match the rows of the row mask `unmatched`, in ascending order, with
+    every matched row kept matched and rows 0..held-1 kept on their columns
+    `held_cols` while that can be done, and return (held, free): the rows
+    still held, or -1 if a row cannot be matched with none held, and the
+    free columns.
+
+    A row takes its least free column outside `held_cols`, else what
+    `_take` gives it.  When `_take` gives nothing, no matching on the rows
+    keeps rows 0..held-1 on their columns (the row has no augmenting path
+    around them), so row held-1 is let go and the row tried again.
+    """
+    while unmatched:
+        low = unmatched & -unmatched
+        r = low.bit_length() - 1
+        cols = row_masks[r] & ~held_cols
+        c = cols & free
+        if c:
+            c = (c & -c).bit_length() - 1
+            match_row[r] = c
+            match_col[c] = r
+        else:
+            c = UNMATCHED
+            if cols:
+                c = _take(row_masks, col_rows, match_row, match_col, r, cols,
+                          unmatched | ((1 << held) - 1), free, toward)
+            if c == UNMATCHED:
+                if not held:
+                    return -1, free
+                held -= 1
+                held_cols ^= 1 << match_row[held]
+                continue
+        free ^= 1 << c
+        unmatched ^= low
+    return held, free
+
+
+def _fix_rows(row_masks, col_rows, match_row, match_col, start, used, free, toward, resume,
+              last):
+    """Fix rows start, start+1, ... of a matching on every row, each to its
+    least column outside `used`, the columns of the rows above it, that the
+    later rows can still be matched around; return (i, free), where rows
+    i.. were left as they are, or i is the number of rows.
+
+    Row i lets go of its column, which joins the free columns, and takes
+    its least unused column if that is free, else the least unused column
+    `_take` can give it, with rows 0..i never moved.  From row `last` on,
+    the rows stop before row i if rows 0..i-1 hold exactly the columns
+    ``resume[i]``: `peel` hands over the column sets of the last answer's
+    prefixes, with `last` past the last row whose mask changed, and rows
+    i.. then keep their columns in the last answer.  Without `col_rows` the
+    table is built at the first sweep.
+    """
+    n_rows = len(row_masks)
+    for i in range(start, n_rows):
+        if i >= last and used == resume[i]:
+            return i, free
+        own = match_row[i]
+        match_col[own] = UNMATCHED
+        free |= 1 << own
+        candidates = row_masks[i] & ~used
+        first = candidates & -candidates
+        if first & free:
+            c = first.bit_length() - 1
+            match_row[i] = c
+            match_col[c] = i
+        else:
+            if col_rows is None:
+                col_rows = _column_rows(row_masks, len(match_col))
+            c = _take(row_masks, col_rows, match_row, match_col, i, candidates, (2 << i) - 1,
+                      free, toward)
+            first = 1 << match_row[i]
+        used |= first
+        free ^= 1 << c
+    return n_rows, free
 
 
 def _take(row_masks, col_rows, match_row, match_col, row, cols, marked, free, toward):

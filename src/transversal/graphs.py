@@ -16,9 +16,11 @@ class BipartiteGraph:
 
     Each part-A vertex's part-B positions are stored as an ascending list,
     the rows the matching engine walks for every graph; no bitmask is made.
+    The `edges` tuple is made on first read: the matching and cover solves
+    never read it.
     """
 
-    __slots__ = ("part_a", "part_b", "edges", "_a_index", "_b_index", "_cols")
+    __slots__ = ("part_a", "part_b", "_pairs", "_edges", "_a_index", "_b_index", "_cols")
 
     def __init__(self, part_a, part_b, edges):
         a_index = core._index_labels(part_a, "partA")
@@ -27,7 +29,7 @@ class BipartiteGraph:
         self.part_b = tuple(b_index)
         self._a_index = a_index
         self._b_index = b_index
-        edges = edges if isinstance(edges, list) else list(edges)
+        edges = list(edges)  # kept for `edges`, so a later change to the caller's list is not seen
         cols = [[] for _ in a_index]
         try:
             if not core._all_lists(edges):
@@ -39,10 +41,20 @@ class BipartiteGraph:
             raise
         for c in cols:
             c.sort()
-        self.edges = tuple(map(tuple, edges))
         if sum(map(len, map(set, cols))) != len(edges):  # keep each edge's first occurrence
-            self.edges, cols = tuple(dict.fromkeys(self.edges)), [sorted({*c}) for c in cols]
+            edges, cols = list(dict.fromkeys(map(tuple, edges))), [sorted({*c}) for c in cols]
+        self._pairs = edges
+        self._edges = None
         self._cols = cols
+
+    @property
+    def edges(self):
+        """The edges as (a, b) tuples in input order, each at its first
+        occurrence only."""
+        if self._edges is None:
+            self._edges = tuple(map(tuple, self._pairs))
+            self._pairs = None
+        return self._edges
 
     def has_edge(self, a, b) -> bool:
         ia = self._a_index.get(a)

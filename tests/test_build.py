@@ -128,6 +128,13 @@ class TestAcceptedInput:
         assert g.edges == (("b", "y"), ("a", "x"), ("b", "x"))
         assert g._cols == [[0], [0, 1], []]
 
+    def test_edges_are_made_on_first_read(self):
+        pairs = [["a", "x"], ["b", "x"]]
+        g = graphs.BipartiteGraph(G, ["x"], pairs)
+        pairs.append(["c", "x"])
+        assert g._edges is None and g._cols == [[0], [0], []]
+        assert g.edges == (("a", "x"), ("b", "x")) and g.edges is g.edges
+
     def test_equal_labels_are_one_vertex(self):
         g = graphs.BipartiteGraph([1, 2], ["x"], [[1, "x"], [True, "x"], [2.0, "x"]])
         assert g.edges == ((1, "x"), (2.0, "x")) and g._cols == [[0], [0]]
