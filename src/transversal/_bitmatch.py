@@ -11,15 +11,16 @@ maximum matching, the forward alternating reach behind Hall violators and
 König covers, and the backward reach sweep of the lex-least assignment
 (`_take`).  That sweep both repairs the rows a greedy pass leaves unmatched
 and fixes each row to its least column; it settles every candidate column
-of a row at once, so the assignment runs no maximum matching and no search
-that fails.  `peel` runs it round after round, taking each answer out of
-the masks, for Birkhoff decomposition, Latin completion and Youden
-squares; it alone keeps the sweep's column-to-rows table in step with the
-masks.  A Latin or Youden round takes out every entry of its answer, so
-the next starts afresh.  A Birkhoff round takes out only the entries whose
-weight runs out, so the next keeps the longest prefix of the last answer
-that the other rows can still be matched around, and stops fixing rows
-where the last answer provably resumes.
+of a row at once, so the assignment runs no maximum matching, and fixing a
+row runs no search that fails.  A repair holds the rows above the first
+one the greedy pass leaves unmatched, which the answer keeps whenever the
+other rows can be matched around them, and lets them go only as failed
+sweeps show it must.  `peel` runs it round after round, taking each
+answer out of the masks, for Birkhoff decomposition, Latin completion and
+Youden squares; it alone keeps the sweep's column-to-rows table in step
+with the masks.  A Birkhoff round holds the last answer's rows above the
+first entry whose weight ran out instead, and stops fixing rows where the
+last answer provably resumes.
 
 The maximum matching and the forward reach each come in two forms.  The
 mask form steps through a row's mask; the list form walks the row's columns
@@ -389,61 +390,56 @@ def reachable(adj, start, blocked=0):
     return reach
 
 
-def lex_least_assignment(row_masks, n_cols, start=None, col_rows=None):
+def lex_least_assignment(row_masks, n_cols, col_rows=None):
     """Lexicographically least injective row-to-column assignment, or None.
 
     A matching on all the rows comes first, with no maximum-matching search.
-    It begins at `start`, if given: a column per row, or UNMATCHED, with
-    every pair allowed by `row_masks` and no column twice; it is copied, not
-    changed.  A greedy pass gives each row still unmatched its lowest free
-    column, and each row left over after that is repaired, in ascending
-    order, by `_take` (`_repair`).  A row that `_take` cannot repair has no
-    augmenting path, and no later augmentation gives it one, so no matching
-    covers the rows and there is no assignment.
+    A greedy pass gives each row its lowest free column, so the rows above
+    the first one it leaves unmatched each hold their least column outside
+    the rows above them: they are the answer's prefix whenever the other
+    rows can be matched around them.  The rows left over are repaired in
+    ascending order with that prefix held, letting held rows go only when a
+    repair fails around them (`_repair`).  A row that cannot be repaired
+    with none held has no augmenting path, and no later augmentation gives
+    it one, so no matching covers the rows and there is no assignment.
 
-    Rows are then fixed in ascending order (`_fix_rows`), each to the
-    smallest column the later rows can still be matched around, and the
-    matching stays perfect on the rows throughout.  The answer is unique,
-    so it does not depend on the start.
+    The rows below the prefix still held are then fixed in ascending order
+    (`_fix_rows`), each to the smallest column the later rows can still be
+    matched around, and the matching stays perfect on the rows throughout.
 
     `col_rows`, if given, is the column-to-rows table of `row_masks` (see
     `_column_rows`), read and never changed; `peel` keeps one across its
-    rounds.  Without it the table is built at the first sweep.
+    rounds.  Without it the table is built when a row needs repair.
     """
     n_rows = len(row_masks)
+    match_row = [UNMATCHED] * n_rows
     match_col = [UNMATCHED] * n_cols
-    free = (1 << n_cols) - 1
-    if start is None:
-        match_row = [UNMATCHED] * n_rows
-    else:
-        match_row = list(start)
-        for r, c in enumerate(match_row):
-            if c != UNMATCHED:
-                match_col[c] = r
-                free ^= 1 << c
+    full = free = (1 << n_cols) - 1
     unmatched = 0
-    for r, c in enumerate(match_row):
-        if c == UNMATCHED:
-            mask = row_masks[r] & free
-            if mask:
-                low = mask & -mask
-                c = low.bit_length() - 1
-                match_row[r] = c
-                match_col[c] = r
-                free ^= low
-            elif row_masks[r]:
-                unmatched |= 1 << r
-            else:
-                return None
-    toward = [0] * n_rows
+    for r, mask in enumerate(row_masks):
+        mask &= free
+        if mask:
+            low = mask & -mask
+            c = low.bit_length() - 1
+            match_row[r] = c
+            match_col[c] = r
+            free ^= low
+        elif row_masks[r]:
+            if not unmatched:
+                held, used = r, full ^ free
+            unmatched |= 1 << r
+        else:
+            return None
     if unmatched:
         if col_rows is None:
             col_rows = _column_rows(row_masks, n_cols)
-        held, free = _repair(row_masks, col_rows, match_row, match_col, unmatched, 0, 0, free,
-                             toward)
+        toward = [0] * n_rows
+        held, used, free = _repair(row_masks, col_rows, match_row, match_col, unmatched, held,
+                                   used, free, toward)
         if held < 0:
             return None
-    _fix_rows(row_masks, col_rows, match_row, match_col, 0, 0, free, toward, None, n_rows)
+        _fix_rows(row_masks, col_rows, match_row, match_col, held, used, free, toward, None,
+                  n_rows)
     return match_row
 
 
@@ -468,8 +464,8 @@ def peel(row_masks, n_cols, weights=None):
     mus so far.  Every assignment left was one of the last round too, so
     the new answer keeps the longest prefix of the last one that the other
     rows can still be matched around: the zeroed rows are repaired with the
-    rows above the first of them held, letting the lowest held row go each
-    time a repair fails (`_repair`).  Rows are then fixed from the first
+    rows above the first of them held, letting held rows go only where a
+    repair fails (`_repair`).  Rows are then fixed from the first
     one not held, up to the first row i past every zeroed row where rows
     0..i-1 hold their last columns as a set: rows i.. then face the last
     round's subproblem unchanged, and keep their last columns (`_fix_rows`).
@@ -477,7 +473,7 @@ def peel(row_masks, n_cols, weights=None):
     col_rows = _column_rows(row_masks, n_cols)
     if weights is None:
         while any(row_masks):
-            assignment = lex_least_assignment(row_masks, n_cols, None, col_rows)
+            assignment = lex_least_assignment(row_masks, n_cols, col_rows)
             if assignment is None:
                 raise AssertionError("no perfect assignment is left to peel")
             yield 1, tuple(assignment)
@@ -487,7 +483,7 @@ def peel(row_masks, n_cols, weights=None):
         return
     if not any(row_masks):
         return
-    match_row = lex_least_assignment(row_masks, n_cols, None, col_rows)
+    match_row = lex_least_assignment(row_masks, n_cols, col_rows)
     if match_row is None:
         raise AssertionError("no perfect assignment is left to peel")
     n_rows = len(row_masks)
@@ -518,12 +514,12 @@ def peel(row_masks, n_cols, weights=None):
         if not any(row_masks):
             return
         held = (zeroed & -zeroed).bit_length() - 1
-        held, free = _repair(row_masks, col_rows, match_row, match_col, zeroed, held,
-                             prefix[held], free, toward)
+        held, used, free = _repair(row_masks, col_rows, match_row, match_col, zeroed, held,
+                                   prefix[held], free, toward)
         if held < 0:
             raise AssertionError("no perfect assignment is left to peel")
-        i, free = _fix_rows(row_masks, col_rows, match_row, match_col, held, prefix[held], free,
-                            toward, prefix, zeroed.bit_length())
+        i, free = _fix_rows(row_masks, col_rows, match_row, match_col, held, used, free, toward,
+                            prefix, zeroed.bit_length())
         for r in range(i, n_rows):
             c = match_row[r]
             match_col[c] = UNMATCHED
@@ -543,14 +539,15 @@ def peel(row_masks, n_cols, weights=None):
 def _repair(row_masks, col_rows, match_row, match_col, unmatched, held, held_cols, free, toward):
     """Match the rows of the row mask `unmatched`, in ascending order, with
     every matched row kept matched and rows 0..held-1 kept on their columns
-    `held_cols` while that can be done, and return (held, free): the rows
-    still held, or -1 if a row cannot be matched with none held, and the
-    free columns.
+    `held_cols` while that can be done, and return (held, held_cols, free):
+    the rows still held, or -1 if a row cannot be matched with none held,
+    their columns, and the free columns.
 
     A row takes its least free column outside `held_cols`, else what
     `_take` gives it.  When `_take` gives nothing, no matching on the rows
-    keeps rows 0..held-1 on their columns (the row has no augmenting path
-    around them), so row held-1 is let go and the row tried again.
+    keeps rows 0..held-1 on their columns, so held rows are let go, from
+    row held-1 down to the first with an edge into the sweep's reach, and
+    the row is tried again: a row with none would not change the sweep.
     """
     while unmatched:
         low = unmatched & -unmatched
@@ -562,19 +559,22 @@ def _repair(row_masks, col_rows, match_row, match_col, unmatched, held, held_col
             match_row[r] = c
             match_col[c] = r
         else:
-            c = UNMATCHED
+            c = ~held_cols  # no sweep ran: let go one row
             if cols:
                 c = _take(row_masks, col_rows, match_row, match_col, r, cols,
                           unmatched | ((1 << held) - 1), free, toward)
-            if c == UNMATCHED:
-                if not held:
-                    return -1, free
-                held -= 1
-                held_cols ^= 1 << match_row[held]
+            if c < 0:
+                while held:
+                    held -= 1
+                    held_cols ^= 1 << match_row[held]
+                    if row_masks[held] & ~c:
+                        break
+                else:
+                    return -1, held_cols, free
                 continue
         free ^= 1 << c
         unmatched ^= low
-    return held, free
+    return held, held_cols, free
 
 
 def _fix_rows(row_masks, col_rows, match_row, match_col, start, used, free, toward, resume,
@@ -590,8 +590,7 @@ def _fix_rows(row_masks, col_rows, match_row, match_col, start, used, free, towa
     the rows stop before row i if rows 0..i-1 hold exactly the columns
     ``resume[i]``: `peel` hands over the column sets of the last answer's
     prefixes, with `last` past the last row whose mask changed, and rows
-    i.. then keep their columns in the last answer.  Without `col_rows` the
-    table is built at the first sweep.
+    i.. then keep their columns in the last answer.
     """
     n_rows = len(row_masks)
     for i in range(start, n_rows):
@@ -607,8 +606,6 @@ def _fix_rows(row_masks, col_rows, match_row, match_col, start, used, free, towa
             match_row[i] = c
             match_col[c] = i
         else:
-            if col_rows is None:
-                col_rows = _column_rows(row_masks, len(match_col))
             c = _take(row_masks, col_rows, match_row, match_col, i, candidates, (2 << i) - 1,
                       free, toward)
             first = 1 << match_row[i]
@@ -620,7 +617,7 @@ def _fix_rows(row_masks, col_rows, match_row, match_col, start, used, free, towa
 def _take(row_masks, col_rows, match_row, match_col, row, cols, marked, free, toward):
     """Give `row`, which holds no column, the least column of `cols` that it
     can take with every other matched row kept matched, and return the free
-    column the move uses up, or UNMATCHED if it can take none of them.
+    column the move uses up, or ~reach, the reach below, if it takes none.
 
     The least column of `cols` must be held.  One layered backward sweep
     from the free columns marks, layer by layer, every row outside `marked`
@@ -659,7 +656,7 @@ def _take(row_masks, col_rows, match_row, match_col, row, cols, marked, free, to
     else:
         first = cols & reach
         if not first:
-            return UNMATCHED
+            return ~reach
         first &= -first
     c = first.bit_length() - 1
     r = match_col[c]
@@ -678,16 +675,25 @@ def _take(row_masks, col_rows, match_row, match_col, row, cols, marked, free, to
 
 def _column_rows(row_masks, n_cols):
     """The column-to-rows table: bit r of entry c is set when row r may take
-    column c.  A block of rows at a time is written out as one string of
-    binary digits, highest column first, and each column is read back as a
-    stepped slice, which costs far less than visiting every set bit."""
+    column c.  Each block of rows is written out as one string of binary
+    digits, highest column first, and each column the block holds is read
+    back as a stepped slice, far cheaper than visiting every set bit."""
     col_rows = [0] * n_cols
     width = f"0{n_cols}b"
     for start in range(0, len(row_masks), 256):
-        text = "".join([format(mask, width) for mask in reversed(row_masks[start:start + 256])])
-        for c in range(n_cols):
+        block = row_masks[start:start + 256]
+        text = "".join([format(mask, width) for mask in reversed(block)])
+        held = 0
+        for mask in block:
+            held |= mask
+        for c in bits_of(held):
             col_rows[c] |= int(text[n_cols - 1 - c::n_cols], 2) << start
     return col_rows
+
+
+def column_counts(row_masks, n_cols):
+    """How many rows may take each column."""
+    return [rows.bit_count() for rows in _column_rows(row_masks, n_cols)]
 
 
 def bits_of(mask):

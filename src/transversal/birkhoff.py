@@ -185,11 +185,11 @@ def verify_birkhoff(m: RationalMatrix, cert: dict) -> tuple[bool, str | None]:
     for k, term in enumerate(core._cert_field(cert, "terms")):
         if not isinstance(term, dict):
             raise ValidationError(f"terms[{k}] must be an object", field=f"terms[{k}]")
-        perm = core._cert_field(term, "permutation", index=columns)
+        perm = core._positions_of(core._cert_field(term, "permutation"), columns, "permutation")
         if len(perm) != m.n or len(set(perm)) != m.n:
             return False, f"term {k} is not a permutation of 0..{m.n - 1}"
         p, q = _to_pair(term.get("coefficient"), f"terms[{k}]")
-        terms.append((p, q, tuple(columns[j] for j in perm)))
+        terms.append((p, q, perm))
     if any(p <= 0 for p, _, _ in terms):
         return False, "coefficients must be positive"
     scale = lcm(*(q for _, q, _ in terms))

@@ -14,8 +14,8 @@ EXTENSION_COUNT_CEILING = 8
 SQUARE_COUNT_CEILING = 6
 WIDTH_CEILING = 1 << 14  # a rectangle holds n column masks of n bits
 # Work `complete` and `youden_from_design` take on, rounds * width^2 for the
-# rows they add (n - m rows of width n; k rows of width v): some 55 ns a unit
-# on one-row rectangles of width 200 to 400, so about 2 s (2-vCPU Xeon).
+# rows they add (n - m rows of width n; k rows of width v): some 32 to 36 ns a
+# unit on one-row rectangles of width 200 to 400, so about 1.2 s (2-vCPU Xeon).
 COMPLETION_BUDGET = 1 << 25
 
 
@@ -213,23 +213,31 @@ class BlockDesign:
     ``replication`` is the common number of blocks through each point when
     the design is equireplicate, else None; ``block_size`` likewise for the
     common block cardinality.  The design with no point has no block, and
-    both are 0 for it, so its Youden square is the empty array.
+    both are 0 for it, so its Youden square is the empty array.  The
+    ``blocks`` label tuples are made from the masks on first read.
     """
 
-    __slots__ = ("points", "blocks", "_index", "_block_masks")
+    __slots__ = ("points", "_index", "_block_masks", "_label_blocks")
 
     def __init__(self, points, blocks):
         index = core._index_labels(points, "points")
-        points = tuple(index)
         block_masks = [core._mask_of(block, index, f"blocks[{b}]")
                        for b, block in enumerate(blocks)]
         for b, mask in enumerate(block_masks):
             if mask == 0:
                 raise ValidationError(f"block {b} is empty", field=f"blocks[{b}]")
-        self.points = points
+        self.points = tuple(index)
         self._index = index
-        self.blocks = tuple(tuple(points[p] for p in _bitmatch.bits_of(m)) for m in block_masks)
         self._block_masks = block_masks
+        self._label_blocks = None
+
+    @property
+    def blocks(self) -> tuple:
+        if self._label_blocks is None:
+            points = self.points
+            self._label_blocks = tuple(tuple(points[p] for p in _bitmatch.bits_of(m))
+                                       for m in self._block_masks)
+        return self._label_blocks
 
     @property
     def v(self) -> int:
@@ -237,7 +245,7 @@ class BlockDesign:
 
     @property
     def b(self) -> int:
-        return len(self.blocks)
+        return len(self._block_masks)
 
     @property
     def block_size(self) -> int | None:
@@ -248,11 +256,7 @@ class BlockDesign:
 
     @property
     def replication(self) -> int | None:
-        counts = [0] * self.v
-        for mask in self._block_masks:
-            for p in _bitmatch.bits_of(mask):
-                counts[p] += 1
-        counts = set(counts) or {0}
+        counts = set(_bitmatch.column_counts(self._block_masks, self.v)) or {0}
         if len(counts) == 1:
             return counts.pop()
         return None

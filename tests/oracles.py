@@ -9,7 +9,7 @@ references: `bfs_max_matching` (one breadth-first augmenting path per row),
 `probe_lex_least` (one breadth-first probe search per candidate column),
 `fraction_birkhoff` (Birkhoff rounds in Fraction arithmetic, each from a
 fresh matching), `round_by_round_peel` (the weighted peeling rounds, each
-a whole lex-least assignment from the last answer),
+a whole lex-least assignment),
 `fraction_verify_birkhoff` (the Birkhoff certificate check
 summed in Fractions), `fraction_is_doubly_stochastic` (the doubly
 stochastic check summed in Fractions), `fraction_entry` (an entry parsed
@@ -265,15 +265,14 @@ def fraction_birkhoff(entries):
 
 def round_by_round_peel(row_masks, n_cols, weights):
     """The terms of the weighted `_bitmatch.peel`, as a list, by rounds that
-    carry nothing but a start: each round is a whole
-    `lex_least_assignment` from the last answer less the entries it brought
-    to zero, and every weight on the answer drops by mu in turn.  This is
-    how the weighted rounds ran before they kept their state."""
+    carry nothing but the column-to-rows table: each round is a whole
+    `lex_least_assignment` of the support left, and every weight on the
+    answer drops by mu in turn: the weighted rounds with nothing carried
+    from one to the next."""
     col_rows = _bitmatch._column_rows(row_masks, n_cols)
-    start = None
     terms = []
     while any(row_masks):
-        assignment = _bitmatch.lex_least_assignment(row_masks, n_cols, start, col_rows)
+        assignment = _bitmatch.lex_least_assignment(row_masks, n_cols, col_rows)
         mu = min(row[c] for row, c in zip(weights, assignment))
         terms.append((mu, tuple(assignment)))
         for r, c in enumerate(assignment):
@@ -281,8 +280,6 @@ def round_by_round_peel(row_masks, n_cols, weights):
             if not weights[r][c]:
                 row_masks[r] &= ~(1 << c)
                 col_rows[c] &= ~(1 << r)
-                assignment[r] = UNMATCHED
-        start = assignment
     return terms
 
 

@@ -349,6 +349,42 @@ def test_verify_agrees_with_fraction_sums():
     assert len(verdicts) == 5, verdicts
 
 
+def verdict(check, m, cert):
+    """What `check` makes of `cert`: its result, or the refusal it raises."""
+    try:
+        return check(m, cert)
+    except ValidationError as exc:
+        return str(exc), exc.field
+
+
+def test_verify_reads_permutation_entries_as_labels():
+    """Each permutation is read in one pass, as column labels: a float or a
+    bool equal to a column is that column, and every other entry, or a
+    permutation that is no list, is refused with the same reason and field
+    as by the Fraction check, which reads them the way the check did
+    before."""
+    rng = random.Random(8129)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        m = random_doubly_stochastic(rng, n)
+        terms = [dict(t) for t in birkhoff.birkhoff_decompose(m)[1]["terms"]]
+        k = rng.randrange(len(terms))
+        perm = list(terms[k]["permutation"])
+        i = rng.randrange(n)
+        if rng.random() < 0.2:
+            terms[k]["permutation"] = rng.choice(("".join(map(str, perm)), {}, None))
+        else:
+            perm[i] = rng.choice((float(perm[i]), perm[i] == 1, perm[i] + 0.5, str(perm[i]), n,
+                                  -1, None, [perm[i]]))
+            terms[k]["permutation"] = perm
+        cert = {"terms": terms, "term_bound": birkhoff.term_bound(m)}
+        got = verdict(birkhoff.verify_birkhoff, m, cert)
+        assert got == verdict(fraction_verify_birkhoff, m, cert), (m, cert)
+        seen.add(got[0] if isinstance(got[0], bool) else got[1])
+    assert {True, False, "permutation"} <= seen, seen
+
+
 PRIMES = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
 
 

@@ -99,43 +99,65 @@ class TestMaxMatching:
             assert match_row.count(-1) == expected.count(-1)
 
 
-def random_starts(rng, masks, n_cols):
-    """Partial matchings to start from: empty, a maximum one, and a maximum
-    one with random rows dropped."""
-    full, _ = _bitmatch.max_matching(masks, n_cols)
-    dropped = [_bitmatch.UNMATCHED if rng.random() < 0.4 else c for c in full]
-    return {"empty": [_bitmatch.UNMATCHED] * len(masks), "full": full, "dropped": dropped}
+def held_limits(rng, n_rows):
+    """Caps on the rows of the greedy prefix that `_repair` is asked to
+    hold: none, all, and the rows above the first of a random draw that
+    misses, one random number a row."""
+    kept = [rng.random() >= 0.4 for _ in range(n_rows)]
+    return {"none": 0, "all": n_rows, "some": (kept + [False]).index(False)}
+
+
+def lex_least_holding(monkeypatch, masks, n_cols, limit):
+    """`lex_least_assignment` with at most `limit` rows of the greedy prefix
+    held: too few held rows cost work, never the answer."""
+    repair = _bitmatch._repair
+
+    def capped(row_masks, col_rows, match_row, match_col, unmatched, held, held_cols, *rest):
+        if held > limit:
+            held = limit
+            held_cols = sum(1 << c for c in match_row[:held])
+        return repair(row_masks, col_rows, match_row, match_col, unmatched, held, held_cols, *rest)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(_bitmatch, "_repair", capped)
+        return _bitmatch.lex_least_assignment(masks, n_cols)
 
 
 class TestWarmStart:
-    def test_lex_least_extends_partial_start(self):
-        """Every partial start, the empty one, a maximum matching and one
-        with rows dropped, is kept as given and leads to the probe search's
-        answer, None included when no matching covers the rows."""
+    """The greedy pass is the assignment's warm start: the rows above the
+    first one it leaves unmatched are held while the others are repaired."""
+
+    def test_lex_least_extends_partial_start(self, monkeypatch):
+        """Every cap on the held prefix, none of it, all of it and a random
+        part, leads to the probe search's answer, None included when no
+        matching covers the rows."""
         rng = random.Random(1313)
-        kinds = {"square": 0, "wide": 0, "tall": 0, "none-from-full-start": 0}
+        kinds = {"square": 0, "wide": 0, "tall": 0, "none": 0}
         for _ in range(1500):
             n_rows, n_cols = rng.randint(0, 12), rng.randint(0, 12)
             masks = random_masks(rng, n_rows, n_cols, rng.choice((0.1, 0.3, 0.6, 0.9)))
             expected = probe_lex_least(masks, n_cols)
-            for kind, start in random_starts(rng, masks, n_cols).items():
-                kept = list(start)
-                got = _bitmatch.lex_least_assignment(masks, n_cols, start)
-                assert got == expected, (kind, masks, n_cols, start)
-                assert start == kept, "the start is not changed"
-                kinds["none-from-full-start"] += kind == "full" and got is None and n_rows <= n_cols
+            assert _bitmatch.lex_least_assignment(masks, n_cols) == expected, (masks, n_cols)
+            for kind, limit in held_limits(rng, n_rows).items():
+                got = lex_least_holding(monkeypatch, masks, n_cols, limit)
+                assert got == expected, (kind, masks, n_cols, limit)
+            kinds["none"] += expected is None and n_rows <= n_cols
             kinds["square"] += n_rows == n_cols > 0
             kinds["wide"] += 0 < n_rows < n_cols
             kinds["tall"] += n_rows > n_cols
         assert all(count >= 50 for count in kinds.values()), kinds
 
     def test_start_that_cannot_cover_the_rows(self):
-        assert _bitmatch.lex_least_assignment([0b1, 0b1], 1, [0, -1]) is None
-        assert _bitmatch.lex_least_assignment([0b1, 0b1], 2, [0, -1]) is None
-        assert _bitmatch.lex_least_assignment([0b11, 0b01, 0b10], 3, [0, -1, -1]) is None
-        assert _bitmatch.lex_least_assignment([0b11, 0b01, 0b110], 3, [0, -1, -1]) == [1, 0, 2]
+        """In each, row 1's one column is held by row 0, the greedy prefix,
+        so row 0 is let go with no sweep.  Then either no sweep gives row 1
+        a column, or, in the last, row 0 moves to column 1 and row 2 to
+        column 2."""
+        assert _bitmatch.lex_least_assignment([0b1, 0b1], 1) is None
+        assert _bitmatch.lex_least_assignment([0b1, 0b1], 2) is None
+        assert _bitmatch.lex_least_assignment([0b11, 0b01, 0b10], 3) is None
+        assert _bitmatch.lex_least_assignment([0b11, 0b01, 0b110], 3) == [1, 0, 2]
 
-    def test_lex_least_ignores_start(self):
+    def test_lex_least_ignores_start(self, monkeypatch):
         rng = random.Random(1314)
         for _ in range(1500):
             n_rows = rng.randint(0, 7)
@@ -143,10 +165,10 @@ class TestWarmStart:
             masks = random_masks(rng, n_rows, n_cols, rng.choice((0.2, 0.4, 0.6, 0.9)))
             cold = _bitmatch.lex_least_assignment(masks, n_cols)
             assert cold == brute_lex_least(masks, n_cols), (masks, n_cols)
-            for start in random_starts(rng, masks, n_cols).values():
-                assert _bitmatch.lex_least_assignment(masks, n_cols, start) == cold
+            for limit in held_limits(rng, n_rows).values():
+                assert lex_least_holding(monkeypatch, masks, n_cols, limit) == cold
 
-    def test_lex_least_ignores_start_large(self):
+    def test_lex_least_ignores_start_large(self, monkeypatch):
         rng = random.Random(1315)
         for _ in range(60):
             n_rows = rng.randint(10, 40)
@@ -154,8 +176,8 @@ class TestWarmStart:
             masks = pinned_masks(rng, n_rows, n_cols, rng.choice((0.1, 0.2, 0.5)))
             cold = _bitmatch.lex_least_assignment(masks, n_cols)
             assert cold == probe_lex_least(masks, n_cols), (masks, n_cols)
-            for start in random_starts(rng, masks, n_cols).values():
-                assert _bitmatch.lex_least_assignment(masks, n_cols, start) == cold
+            for limit in held_limits(rng, n_rows).values():
+                assert lex_least_holding(monkeypatch, masks, n_cols, limit) == cold
 
 
 def sparse_masks(rng, n_rows, n_cols, degree):
@@ -190,14 +212,14 @@ def draw_rows(rng):
 
 
 class TestRowForms:
-    def test_forms_agree(self):
+    def test_forms_agree(self, monkeypatch):
         """The mask and list forms each give a valid matching of the size
         `bfs_max_matching` finds.  The list form starts from Karp-Sipser and
         the mask form from the greedy pass, so the two matchings may differ,
         but the reach from each form's own free rows may not: those are the
         Dulmage-Mendelsohn sets, the same for every maximum matching.  The
-        lex-least assignment is the same from every start on these shapes
-        too."""
+        lex-least assignment is the same for every cap on its held prefix on
+        these shapes too."""
         rng = random.Random(6174)
         sides = set()
         for _ in range(120):
@@ -227,8 +249,8 @@ class TestRowForms:
                 reaches.append(reach)
             assert reaches[0] == reaches[1], shape
             cold = _bitmatch.lex_least_assignment(masks, n_cols)
-            for start in random_starts(rng, masks, n_cols).values():
-                assert _bitmatch.lex_least_assignment(masks, n_cols, start) == cold, shape
+            for limit in held_limits(rng, len(masks)).values():
+                assert lex_least_holding(monkeypatch, masks, n_cols, limit) == cold, shape
         # Every row-count shape, rows with empty ones, and sparse rows over
         # 200 to 3000 columns, on both sides of the rule; narrow or dense
         # rows on the mask side only.
@@ -607,7 +629,7 @@ class TestLexLeast:
 
     def test_no_maximum_matching_call(self, monkeypatch):
         """The rows are matched by the greedy pass and the sweep's repairs,
-        with no Hopcroft-Karp phase, cold or from a partial start."""
+        with no Hopcroft-Karp phase."""
         calls = []
 
         def counted(*args, **kwargs):
@@ -708,27 +730,22 @@ class TestLexLeastShapes:
 
 def shrinking_rounds(rng, n_rows, n_cols, oracle):
     """Run lex-least rounds on masks that lose bits, as the Birkhoff, Latin
-    and Youden callers do: each round starts from the last answer less its
-    cleared entries and reads one kept table, cleared bit for bit with the
-    masks.  Returns the number of rounds that had an answer."""
+    and Youden callers do: each round reads one kept table, cleared bit for
+    bit with the masks.  Returns the number of rounds that had an answer."""
     masks = pinned_masks(rng, n_rows, n_cols, rng.choice((0.3, 0.5, 0.8)))
     table = _bitmatch._column_rows(masks, n_cols)
-    start = None
     answered = 0
     while True:
-        got = _bitmatch.lex_least_assignment(masks, n_cols, start, table)
+        got = _bitmatch.lex_least_assignment(masks, n_cols, table)
         assert table == _bitmatch._column_rows(masks, n_cols), "the table is not changed"
-        assert got == oracle(masks, n_cols), (masks, n_cols, start)
+        assert got == oracle(masks, n_cols), (masks, n_cols)
         if got is None:
             return answered
         answered += 1
-        start = list(got)
         for r in rng.sample(range(n_rows), rng.randint(1, max(1, n_rows // 4))):
             c = got[r] if rng.random() < 0.7 else rng.randrange(n_cols)
             masks[r] &= ~(1 << c)
             table[c] &= ~(1 << r)
-            if c == got[r]:
-                start[r] = _bitmatch.UNMATCHED
 
 
 class TestKeptTable:
@@ -749,8 +766,10 @@ class TestKeptTable:
 
     def test_one_table_per_solve(self, monkeypatch):
         """Birkhoff, Latin completion and Youden each build the table once
-        and keep it across their rounds; a Latin row extension, one round,
-        builds it only if a sweep needs it."""
+        and keep it across their rounds; Youden reads one more, of the same
+        masks, before its rounds, to count the blocks through each point.  A
+        Latin row extension, one round, builds it only if a row needs
+        repair."""
         transpose = _bitmatch._column_rows
         built = []
 
@@ -767,7 +786,7 @@ class TestKeptTable:
         rng.shuffle(row)
         assert latin.complete(latin.LatinRectangle(40, [row])).is_square and built == [40]
         built.clear()
-        assert len(latin.youden_from_design(paley_43())) == 21 and built == [43]
+        assert len(latin.youden_from_design(paley_43())) == 21 and built == [43, 43]
         square = latin.complete(latin.LatinRectangle(40, [row]))
         for m, tables in ((1, []), (5, [40]), (20, [40]), (39, [])):
             built.clear()
@@ -855,7 +874,7 @@ class TestPeel:
 
     def test_rounds_sweep_only_where_the_answer_changes(self, monkeypatch):
         """A work guard, counted in `_take` sweeps, not timed: the 457
-        rounds of one seeded 24x24 decomposition run 2403 sweeps; rounds
+        rounds of one seeded 24x24 decomposition run 2321 sweeps; rounds
         that fixed every row again from row 0 ran 4616."""
         take = _bitmatch._take
         sweeps = []
@@ -879,10 +898,122 @@ class TestPeel:
         assert list(_bitmatch.peel([], 0)) == list(_bitmatch.peel([0, 0], 3)) == []
 
 
+def watch_repairs(monkeypatch):
+    """Count what the repairs do while set: held prefixes of which some
+    rows are kept, and ones let go whole (the first row left unmatched has
+    every column held, so a repair lets go one row at least), and failed
+    sweeps after which the next held row has no edge into the reach, so it
+    is let go with no sweep (skipped), or has one (swept again).  A sweep
+    sees the rows held as the low bits of its marked rows, since every row
+    a repair matches lies below them."""
+    repair, take = _bitmatch._repair, _bitmatch._take
+    seen = {"kept": 0, "let-go": 0, "skipped": 0, "swept-again": 0}
+    held_in = [0]
+
+    def watched_repair(row_masks, col_rows, match_row, match_col, unmatched, held, *rest):
+        held_in[0] = held
+        got = repair(row_masks, col_rows, match_row, match_col, unmatched, held, *rest)
+        if held:
+            seen["kept" if got[0] > 0 else "let-go"] += 1
+        return got
+
+    def watched_take(row_masks, col_rows, match_row, match_col, row, cols, marked, *rest):
+        c = take(row_masks, col_rows, match_row, match_col, row, cols, marked, *rest)
+        held = (marked & ((1 << held_in[0]) - 1)).bit_count()
+        if c < 0 and held:
+            seen["swept-again" if row_masks[held - 1] & ~c else "skipped"] += 1
+        return c
+
+    monkeypatch.setattr(_bitmatch, "_repair", watched_repair)
+    monkeypatch.setattr(_bitmatch, "_take", watched_take)
+    return seen
+
+
+def round_masks(rng, kind, n):
+    """Masks of one kind of lex-least round, about n rows: a Latin
+    rectangle's column deficiencies, a cyclic design's blocks less the
+    first Youden rounds, a union of disjoint permutations, tall rows, or
+    regular rows with a few crowded into fewer columns, which no
+    assignment covers."""
+    if kind == "latin":
+        row = rng.sample(range(1, n + 1), n)
+        square = list(latin.complete(latin.LatinRectangle(n, [row])).rows)
+        rng.shuffle(square)
+        return latin.LatinRectangle(n, square[:rng.randint(1, n - 1)]).column_deficiencies()
+    if kind == "youden":
+        base = rng.sample(range(n), rng.randint(2, n - 1))
+        masks = [sum(1 << (b + s) % n for b in base) for s in range(n)]
+        rounds = _bitmatch.peel(list(masks), n)
+        for _, (_, assignment) in zip(range(rng.randrange(len(base))), rounds):
+            for r, c in enumerate(assignment):
+                masks[r] &= ~(1 << c)
+        return masks
+    masks = [0] * n
+    for perm in disjoint_permutations(rng, n, rng.randint(1, min(n, 6))):
+        for r, c in enumerate(perm):
+            masks[r] |= 1 << c
+    if kind == "tall":
+        return masks + random_masks(rng, rng.randint(1, 3), n, 0.5)
+    if kind == "no-answer":
+        crowded = rng.sample(range(n), rng.randint(2, n))
+        pool = sum(1 << c for c in rng.sample(range(n), len(crowded) - 1))
+        for r in crowded:
+            masks[r] = pool & (masks[r] | rng.getrandbits(n)) or pool
+    return masks
+
+
+class TestHeldPrefix:
+    """The greedy pass's prefix is held while the other rows are repaired,
+    and failed sweeps let go the held rows that cannot help all at once."""
+
+    def test_matches_probe_search(self, monkeypatch):
+        rng = random.Random(3900)
+        drawn = []
+        for _ in range(600):
+            kind = rng.choice(("latin", "youden", "regular", "tall", "no-answer"))
+            drawn.append((kind, round_masks(rng, kind, rng.randint(4, 24))))
+        seen = watch_repairs(monkeypatch)
+        kinds = dict.fromkeys(("latin", "youden", "regular", "tall", "no-answer", "none"), 0)
+        for kind, masks in drawn:
+            n_cols = max(m.bit_length() for m in masks)
+            got = _bitmatch.lex_least_assignment(masks, n_cols)
+            assert got == probe_lex_least(masks, n_cols), (kind, masks)
+            kinds[kind] += 1
+            kinds["none"] += got is None
+            assert (got is None) == (kind in ("tall", "no-answer")), (kind, masks)
+        assert all(count >= 50 for count in kinds.values()), kinds
+        assert all(count >= 50 for count in seen.values()), seen
+
+    def test_completion_fixes_and_sweeps_less(self, monkeypatch):
+        """A work guard, counted, not timed: the 44 rounds of one seeded
+        45-wide completion fix 1086 rows in 1387 sweeps.  Rounds that held
+        no prefix fixed 1980 rows in 1494 sweeps, and letting go one held
+        row per failed sweep runs 1667."""
+        take, fix_rows = _bitmatch._take, _bitmatch._fix_rows
+        work = {"fixed": 0, "sweeps": 0}
+
+        def counted_take(*args):
+            work["sweeps"] += 1
+            return take(*args)
+
+        def counted_fix(row_masks, col_rows, match_row, match_col, start, *rest):
+            i, free = fix_rows(row_masks, col_rows, match_row, match_col, start, *rest)
+            work["fixed"] += i - start
+            return i, free
+
+        monkeypatch.setattr(_bitmatch, "_take", counted_take)
+        monkeypatch.setattr(_bitmatch, "_fix_rows", counted_fix)
+        rng = random.Random(45)
+        row = list(range(1, 46))
+        rng.shuffle(row)
+        assert latin.complete(latin.LatinRectangle(45, [row])).is_square
+        assert work["fixed"] <= 1150 and work["sweeps"] <= 1420, work
+
+
 def test_rounds_run_only_in_bitmatch():
     """The round loop lives in `_bitmatch.peel`: outside `_bitmatch`, no
     module builds the column-to-rows table or hands `lex_least_assignment`
-    a start or a table."""
+    a table."""
     found = []
     for info in pkgutil.iter_modules(transversal.__path__):
         if info.name == "_bitmatch":
@@ -906,11 +1037,11 @@ def agree_with_probe_search(monkeypatch):
     sweep = _bitmatch.lex_least_assignment
     calls = []
 
-    def both(row_masks, n_cols, start=None, col_rows=None):
+    def both(row_masks, n_cols, col_rows=None):
         if col_rows is not None:
             assert col_rows == _bitmatch._column_rows(row_masks, n_cols)
         kept = list(col_rows or ())
-        got = sweep(row_masks, n_cols, start, col_rows)
+        got = sweep(row_masks, n_cols, col_rows)
         assert list(col_rows or ()) == kept, "the table is not changed"
         assert got == probe_lex_least(row_masks, n_cols), (row_masks, n_cols)
         calls.append(len(row_masks))

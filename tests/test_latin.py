@@ -343,6 +343,29 @@ class TestBlockDesign:
         with pytest.raises(ValidationError):
             latin.BlockDesign([1], [[2]])
 
+    def test_replication_counts_blocks_through_each_point(self):
+        """Random designs, some over 256 blocks, some with one point left
+        out of a block or put into one more, against a count by hand."""
+        rng = random.Random(71)
+        kinds = {"equireplicate": 0, "not": 0}
+        for _ in range(200):
+            v = rng.choice((rng.randint(1, 12), rng.randint(250, 300)))
+            base = rng.sample(range(v), rng.randint(1, v))
+            blocks = [[(x + s) % v for x in base] for s in range(v)]
+            if rng.random() < 0.5:
+                blocks[rng.randrange(v)].append(rng.randrange(v))
+            d = latin.BlockDesign(list(range(v)), blocks)
+            sets = [set(block) for block in blocks]
+            counts = {sum(p in block for block in sets) for p in range(v)}
+            assert d.replication == (counts.pop() if len(counts) == 1 else None)
+            kinds["not" if d.replication is None else "equireplicate"] += 1
+        assert min(kinds.values()) >= 30, kinds
+
+    def test_blocks_are_made_on_first_read(self):
+        d = latin.BlockDesign(["a", "b", "c"], [["c", "a"], ["b"]])
+        assert d._label_blocks is None and d.b == 2 and d._label_blocks is None
+        assert d.blocks == (("a", "c"), ("b",)) and d.blocks is d.blocks
+
 
 class TestYouden:
     def test_trivial(self):
